@@ -1,4 +1,4 @@
-.PHONY: build test bench check lint-metrics
+.PHONY: build test bench check bench-check lint-metrics
 
 build:
 	go build ./...
@@ -14,6 +14,12 @@ bench:
 check:
 	go vet ./...
 	go test -race ./...
+
+# bench/ is a module of its own (BENCHMARK.json runs it); root
+# build/test ./... do not see it, so vet and test it where it lives.
+bench-check:
+	go -C bench vet ./...
+	go -C bench test ./...
 
 # Every registered metric must be msql_-prefixed snake_case and
 # documented in DESIGN.md's metric inventory.

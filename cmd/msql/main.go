@@ -46,8 +46,8 @@ import (
 	"msql/internal/translate"
 )
 
-// main defers everything that must happen on the way out (journal close,
-// state snapshot) inside realMain so a nonzero exit cannot skip it.
+// main defers everything that must happen on the way out (journal and
+// store close) inside realMain so a nonzero exit cannot skip it.
 func main() {
 	os.Exit(realMain())
 }
@@ -58,7 +58,6 @@ func realMain() int {
 		autoCont    = flag.Bool("autocommit-cont", false, "put continental on an autocommit-only service")
 		showDOL     = flag.Bool("dol", false, "echo generated DOL programs")
 		seed        = flag.Int64("seed", 1, "fault-injection random seed")
-		stateDir    = flag.String("state", "", "directory of per-service snapshots to load at start and save at exit")
 		journalPath = flag.String("journal", "", "write-ahead multitransaction journal file: replayed at start, appended during the session, closed at exit")
 		lamJournal  = flag.String("lam-journal", "", "directory of per-service participant journals: each demo service is served over TCP on a fixed loopback port with durable prepared state, replayed on the next start")
 		breakerN    = flag.Int("breaker-threshold", 0, "consecutive transient failures that open a site's circuit breaker (0 disables breakers)")
@@ -170,17 +169,6 @@ func realMain() int {
 		}
 		obs.SetSlowQueryLog(obs.NewSlowQueryLog(dest, time.Duration(*slowMS)*time.Millisecond))
 		defer obs.SetSlowQueryLog(nil)
-	}
-	if *stateDir != "" {
-		if err := loadState(fed, *stateDir); err != nil {
-			fmt.Fprintln(os.Stderr, "load state:", err)
-			return 1
-		}
-		defer func() {
-			if err := saveState(fed, *stateDir); err != nil {
-				fmt.Fprintln(os.Stderr, "save state:", err)
-			}
-		}()
 	}
 	// Durable participants come up before the coordinator journal is
 	// replayed: Recover must be able to dial them.
@@ -585,63 +573,6 @@ func serveDurableLAMs(fed *core.Federation, dir string) (func(), error) {
 		}
 	}
 	return closeAll, nil
-}
-
-// loadState restores per-service snapshots from dir, skipping services
-// without a snapshot file, then re-imports the restored schemas so the
-// GDD reflects tables created in earlier sessions.
-func loadState(fed *core.Federation, dir string) error {
-	loaded := false
-	for _, svc := range demoServices {
-		path := filepath.Join(dir, svc+".snap")
-		f, err := os.Open(path)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		err = fed.Server(svc).Store().Load(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		loaded = true
-	}
-	if !loaded {
-		return nil
-	}
-	reimport := `
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE delta FROM SERVICE svc_delta;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-IMPORT DATABASE avis FROM SERVICE svc_avis;
-IMPORT DATABASE national FROM SERVICE svc_natl;
-`
-	_, err := fed.ExecScript(reimport)
-	return err
-}
-
-// saveState snapshots every demo service into dir.
-func saveState(fed *core.Federation, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, svc := range demoServices {
-		path := filepath.Join(dir, svc+".snap")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		err = fed.Server(svc).Store().Save(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	return nil
 }
 
 // printGDD lists the Global Data Dictionary contents.

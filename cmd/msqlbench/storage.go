@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"msql/internal/relbackend"
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
@@ -58,7 +59,7 @@ func runStorage(rows, bufferPages, lookups int, jsonPath, baselinePath string) e
 	// undo state, checkpointing once at the end.
 	loadStart := time.Now()
 	tx := st.Begin()
-	if _, err := sqlengine.ExecuteSQL(tx, "bench",
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "bench",
 		`CREATE TABLE rec (id INTEGER PRIMARY KEY, grp INTEGER, payload CHAR(32))`); err != nil {
 		return err
 	}
@@ -95,7 +96,7 @@ func runStorage(rows, bufferPages, lookups int, jsonPath, baselinePath string) e
 	query := func(q string) (*sqlengine.Result, error) {
 		tx := st.Begin()
 		defer tx.Rollback()
-		return sqlengine.ExecuteSQL(tx, "bench", q)
+		return sqlengine.ExecuteSQL(relbackend.Storage(tx), "bench", q)
 	}
 
 	// One warm-up scan, then a timed full scan through the pool.

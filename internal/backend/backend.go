@@ -17,6 +17,12 @@
 // The interfaces are deliberately narrow: exactly what the session layer
 // above needs to implement autocommit classes, 2PC gating, redo capture
 // and IMPORT-time schema description.
+//
+// This is the transaction-control seam, not the SQL one. Neither engine
+// interprets SQL: both implement Tx.Exec as sqlengine.Execute over their
+// adapter of the executor's storage-cursor seam (sqlengine.Storage), so
+// statement semantics exist once and the engines differ only in what
+// their storage can do — prepare, views, key indexes, locks, durability.
 package backend
 
 import (
@@ -57,8 +63,9 @@ type Backend interface {
 // visible to other transactions only at Commit. A Tx is used by a
 // single session goroutine at a time.
 type Tx interface {
-	// Exec runs one already-parsed statement. sql is the original text
-	// (engines that re-plan from text may use it; most use the AST).
+	// Exec runs one already-parsed statement. sql is the original text,
+	// for decorators that log or time statements; the shipped engines
+	// execute the AST.
 	Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, error)
 	// Describe reports the schema of a table or view.
 	Describe(db, name string) ([]relstore.Column, error)

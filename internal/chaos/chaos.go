@@ -121,7 +121,7 @@ func ChildMain() {
 	// database runs the bootstrap SQL.
 	fresh := true
 	if err := srv.CreateDatabase(cfg.DB); err != nil {
-		if !errors.Is(err, csvstore.ErrExists) && !errors.Is(err, relstore.ErrDBExists) {
+		if !errors.Is(err, relstore.ErrDBExists) {
 			fatal("create database: %v", err)
 		}
 		fresh = false

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"msql/internal/csvstore"
+	"msql/internal/ldbms"
 	"msql/internal/mtlog"
 	"msql/internal/obs"
 )
@@ -135,6 +137,69 @@ WHERE c.rate < u.rates
 	// continental ships 2 flights, united ships 1.
 	if taskRows != 3 {
 		t.Fatalf("read tasks produced %d rows, want 3:\n%s", taskRows, p.Render())
+	}
+}
+
+// TestFederationExplainAnalyzeCSVSite: a csv site runs the same executor
+// as every other site, so its read task carries an executed operator
+// subtree like theirs — rows and loops from the scan over the table
+// image, not an opaque task node.
+func TestFederationExplainAnalyzeCSVSite(t *testing.T) {
+	f := paperFederation(t, false)
+	cs, err := csvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := f.AddLocalServer(ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
+	if err := srv.CreateDatabase("regional"); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.OpenSession("regional")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
+		`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 55.0), (902, 'Tyler', 70.0)`,
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+	}
+	sess.Close()
+
+	results, err := f.ExecScript(`
+INCORPORATE SERVICE svc_csv CONNECTMODE CONNECT COMMITMODE COMMIT;
+IMPORT DATABASE regional FROM SERVICE svc_csv;
+USE continental regional
+EXPLAIN ANALYZE SELECT flnu, rate FROM flights WHERE rate > 50.0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[len(results)-1]
+	if r.Kind != KindExplain || r.Plan == nil {
+		t.Fatalf("kind = %v, plan = %v", r.Kind, r.Plan)
+	}
+	// continental holds 100.0 and 80.0, regional 55.0 and 70.0.
+	if r.Multitable == nil || r.Multitable.TotalRows() != 4 {
+		t.Fatalf("ANALYZE did not produce the query's result: %+v", r.Multitable)
+	}
+	var csvTask *obs.PlanNode
+	for _, n := range r.Plan.FindAll("task") {
+		if strings.Contains(n.Detail, "regional") {
+			csvTask = n
+		}
+	}
+	if csvTask == nil {
+		t.Fatalf("no task on the csv site:\n%s", r.Plan.Render())
+	}
+	scan := csvTask.Find("scan")
+	if scan == nil || !scan.Analyzed || scan.Loops != 1 || scan.Rows != 2 {
+		t.Fatalf("csv task has no executed scan of its 2 matching rows:\n%s", r.Plan.Render())
+	}
+	if !strings.Contains(scan.Detail, "filter(rate > 50") {
+		t.Fatalf("csv scan lost its pushed-down filter: %q", scan.Detail)
 	}
 }
 

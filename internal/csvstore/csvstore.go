@@ -13,11 +13,14 @@
 // every statement commits immediately, which is the only mode the
 // engine is honest about.
 //
-// The SQL surface is the subset a federation ships to a leaf site:
-// CREATE/DROP TABLE, INSERT ... VALUES, single- and multi-table SELECT
-// (nested-loop joins, WHERE, ORDER BY, LIMIT, DISTINCT, ungrouped
-// aggregates), UPDATE and DELETE. Views, GROUP BY, UNION and subqueries
-// are not supported and fail with ErrUnsupported.
+// The package is three things: the file format (this file), the
+// copy-on-write transaction, and that transaction's implementation of
+// sqlengine.Storage (both in tx.go). SQL semantics are not here: the one
+// executor in internal/sqlengine runs over the table images exactly as
+// it runs over relstore's heap pages. What a csv site cannot do is what
+// its storage lacks — views (ErrUnsupported), key indexes (declared keys
+// are recorded in the header but neither enforced nor probed), width
+// checks, locks and prepare (ErrNoPrepare).
 package csvstore
 
 import (
@@ -35,24 +38,26 @@ import (
 	"msql/internal/sqlval"
 )
 
-// Engine errors. ErrNoTable/ErrNoDatabase reuse the relstore sentinels
-// so the wire protocol's error taxonomy (and everything the coordinator
-// branches on) is backend-agnostic.
+// Engine errors. Missing and already-existing objects are reported with
+// the relstore sentinels (ErrNoTable, ErrNoDatabase, ErrTableExists,
+// ErrDBExists) so the wire protocol's error taxonomy, and everything the
+// coordinator branches on, is backend-agnostic.
 var (
 	ErrNoPrepare   = errors.New("csvstore: backend cannot prepare")
-	ErrUnsupported = errors.New("csvstore: unsupported SQL for this backend")
-	ErrExists      = errors.New("csvstore: object already exists")
+	ErrUnsupported = errors.New("csvstore: unsupported by this backend")
 )
 
 // nullMark encodes SQL NULL in a CSV cell.
 const nullMark = `\N`
 
-// table is one committed table image. Committed tables are immutable:
-// writers stage deep copies and swap whole *table pointers at commit, so
-// concurrent readers keep a consistent snapshot without locks.
+// table is one table image. Committed images are immutable: writers
+// stage copies and swap whole *table pointers at commit, so concurrent
+// readers keep a consistent snapshot without locks. Rows are immutable
+// too — a staged image replaces or tombstones (nil) a row, never edits
+// it — so a copy shares them with its original.
 type table struct {
 	cols []relstore.Column
-	rows [][]sqlval.Value
+	rows []relstore.Row
 }
 
 type database struct {
@@ -114,7 +119,7 @@ func (s *Store) CreateDatabase(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.dbs[name]; ok {
-		return fmt.Errorf("%w: database %s", ErrExists, name)
+		return fmt.Errorf("%w: %s", relstore.ErrDBExists, name)
 	}
 	if s.dir != "" {
 		if err := os.MkdirAll(filepath.Join(s.dir, name), 0o755); err != nil {
@@ -196,14 +201,20 @@ func (s *Store) lookup(db, name string) (*table, error) {
 	return t, nil
 }
 
-// clone deep-copies a table image for copy-on-write staging.
+// clone copies a table image for copy-on-write staging.
 func (t *table) clone() *table {
-	c := &table{cols: append([]relstore.Column(nil), t.cols...)}
-	c.rows = make([][]sqlval.Value, len(t.rows))
-	for i, r := range t.rows {
-		c.rows[i] = append([]sqlval.Value(nil), r...)
+	return &table{cols: t.cols, rows: append([]relstore.Row(nil), t.rows...)}
+}
+
+// compact squeezes the tombstones out of a staged image.
+func (t *table) compact() {
+	live := t.rows[:0]
+	for _, r := range t.rows {
+		if r != nil {
+			live = append(live, r)
+		}
 	}
-	return c
+	t.rows = live
 }
 
 // ---- CSV encoding ----

@@ -455,9 +455,6 @@ func TestProfileAccessors(t *testing.T) {
 	if dbs := srv.Databases(); len(dbs) != 1 || dbs[0] != "united" {
 		t.Fatalf("dbs = %v", dbs)
 	}
-	if srv.Store() == nil {
-		t.Fatal("store accessor nil")
-	}
 	for _, s := range []SessionState{StateIdle, StateActive, StatePrepared, StateCommitted, StateAborted} {
 		if s.String() == "" {
 			t.Fatal("empty state name")

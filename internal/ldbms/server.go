@@ -100,16 +100,6 @@ func (s *Server) Profile() Profile { return s.profile.Clone() }
 // Backend exposes the storage engine behind the server.
 func (s *Server) Backend() backend.Backend { return s.be }
 
-// Store exposes the underlying relstore for bootstrap and inspection
-// (snapshot Load/Save). It returns nil for servers on non-relstore
-// backends, which have no snapshot surface.
-func (s *Server) Store() *relstore.Store {
-	if rb, ok := s.be.(interface{ Store() *relstore.Store }); ok {
-		return rb.Store()
-	}
-	return nil
-}
-
 // Faults exposes the fault injector.
 func (s *Server) Faults() *FaultInjector { return s.faults }
 

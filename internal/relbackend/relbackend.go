@@ -1,9 +1,11 @@
-// Package relbackend adapts the relstore/sqlengine pair to the
-// backend.Backend seam. It is the full-capability engine of the
-// federation: slotted heap pages with a buffer pool underneath, strict
-// 2PL with undo-based rollback, and a real prepared-to-commit state —
-// the stand-in for the paper's Oracle/Ingres/Sybase products whose
-// COMMITMODE NOCOMMIT profiles expose a user-controlled 2PC interface.
+// Package relbackend adapts relstore to the two seams above it: the
+// executor's storage-cursor seam (sqlengine.Storage, see Storage) and
+// the session layer's backend.Backend. It is the full-capability engine
+// of the federation: slotted heap pages with a buffer pool underneath,
+// strict 2PL with undo-based rollback, primary-key indexes the executor
+// can probe, views, and a real prepared-to-commit state — the stand-in
+// for the paper's Oracle/Ingres/Sybase products whose COMMITMODE
+// NOCOMMIT profiles expose a user-controlled 2PC interface.
 package relbackend
 
 import (
@@ -13,6 +15,8 @@ import (
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
+	"msql/internal/sqlval"
+	"msql/internal/storage"
 )
 
 // Backend wraps a relstore.Store (memory- or disk-backed).
@@ -23,11 +27,6 @@ type Backend struct {
 // New adapts an existing store — typically relstore.NewStore() for
 // memory or relstore.Open(Options{Dir: ...}) for disk persistence.
 func New(store *relstore.Store) *Backend { return &Backend{store: store} }
-
-// Store exposes the underlying relstore for bootstrap (snapshot
-// load/save) and inspection. ldbms.Server.Store discovers it through
-// this method.
-func (b *Backend) Store() *relstore.Store { return b.store }
 
 // CreateDatabase implements backend.Backend.
 func (b *Backend) CreateDatabase(name string) error { return b.store.CreateDatabase(name) }
@@ -86,14 +85,15 @@ type Tx struct {
 	tx *relstore.Tx
 }
 
-// Exec implements backend.Tx by delegating to the full SQL engine.
+// Exec implements backend.Tx by running the SQL executor over the
+// transaction.
 func (t *Tx) Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, error) {
-	return sqlengine.Execute(t.tx, db, stmt)
+	return sqlengine.Execute(Storage(t.tx), db, stmt)
 }
 
 // Describe implements backend.Tx.
 func (t *Tx) Describe(db, name string) ([]relstore.Column, error) {
-	return sqlengine.DescribeTable(t.tx, db, name)
+	return sqlengine.DescribeTable(Storage(t.tx), db, name)
 }
 
 // Prepare implements backend.Tx.
@@ -107,3 +107,68 @@ func (t *Tx) Rollback() error { return t.tx.Rollback() }
 
 // SetLockTimeout implements backend.Tx.
 func (t *Tx) SetLockTimeout(d time.Duration) { t.tx.LockTimeout = d }
+
+// Storage presents a relstore transaction to the SQL executor. Writes,
+// DDL, locking and undo are relstore.Tx's own methods, promoted as they
+// are; only table and view resolution need wrapping. Cursor positions
+// are relstore's stable row indexes: the table's X lock keeps them fixed
+// until the transaction finishes.
+func Storage(tx *relstore.Tx) sqlengine.Storage { return txStorage{tx} }
+
+type txStorage struct{ *relstore.Tx }
+
+func (s txStorage) TableForRead(db, name string) (sqlengine.Table, error) {
+	t, err := s.Tx.TableForRead(db, name)
+	if err != nil {
+		return nil, err
+	}
+	return table{t}, nil
+}
+
+func (s txStorage) TableForWrite(db, name string) (sqlengine.Table, error) {
+	t, err := s.Tx.TableForWrite(db, name)
+	if err != nil {
+		return nil, err
+	}
+	return table{t}, nil
+}
+
+func (s txStorage) TableColumns(db, name string) ([]relstore.Column, error) {
+	d, err := s.StoreDatabase(db)
+	if err != nil {
+		return nil, err
+	}
+	t, err := d.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	return t.Columns, nil
+}
+
+func (s txStorage) ViewDefinition(db, name string) (string, error) {
+	d, err := s.StoreDatabase(db)
+	if err != nil {
+		return "", err
+	}
+	v, err := d.View(name)
+	if err != nil {
+		return "", err
+	}
+	return v.Definition, nil
+}
+
+// table presents a locked relstore.Table as sqlengine.Table and
+// sqlengine.KeyProber.
+type table struct{ t *relstore.Table }
+
+func (t table) Columns() []relstore.Column { return t.t.Columns }
+func (t table) Err() error                 { return t.t.Err() }
+func (t table) KeyColumns() []int          { return t.t.KeyColumns() }
+
+func (t table) Scan(pc *storage.PageCounters) sqlengine.Cursor { return t.t.IterCounted(pc) }
+
+func (t table) LookupKey(vals []sqlval.Value) (int, bool) { return t.t.LookupKey(vals) }
+
+func (t table) RowAt(pos int, pc *storage.PageCounters) relstore.Row {
+	return t.t.RowAtCounted(pos, pc)
+}

@@ -162,12 +162,20 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 // every dirty page is written back and fsynced, then the catalog is
 // atomically replaced. In-memory stores checkpoint trivially.
 //
+// Checkpoints are serialized: every session checkpoints after its own
+// commit, and two of them writing catalog.json.tmp at once would rename
+// a half-written or already-renamed file. Other sessions may keep
+// writing rows meanwhile; the pool's flush waits out each row mutation
+// (storage.Pool.FlushAll), so no page is written half-changed.
+//
 // The pool follows a steal policy: eviction under memory pressure may
 // write uncommitted pages to disk between checkpoints. A crash therefore
 // recovers to the last checkpoint plus whatever the LDBMS redo/termination
 // protocol replays on top; callers that need transactional durability
 // checkpoint on commit (see internal/ldbms).
 func (s *Store) Checkpoint() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}

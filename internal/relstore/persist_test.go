@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"msql/internal/sqlval"
@@ -247,5 +248,86 @@ func TestDropTableRemovesHeapFile(t *testing.T) {
 	d, _ := s2.Database("db")
 	if _, err := d.Table("kv"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("dropped table resurfaced: %v", err)
+	}
+}
+
+// TestConcurrentCheckpoints is the regression test for the checkpoint
+// race the benchmark found: every session checkpoints after its own
+// commit, and two checkpoints used to write and rename the same
+// catalog.json.tmp, and one session's flush used to seal and write pages
+// another session was still inserting into (the race detector's half of
+// this test). Sessions here write distinct tables, so nothing but the
+// checkpoint itself is contended.
+func TestConcurrentCheckpoints(t *testing.T) {
+	// Several rows per commit: from the second on, an insert writes into
+	// a page the first left dirty, which is the page another session's
+	// checkpoint is flushing.
+	const sessions, commits, perCommit = 8, 20, 4
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateDatabase("db"); err != nil {
+		t.Fatal(err)
+	}
+	tx := s.Begin()
+	for g := 0; g < sessions; g++ {
+		err := tx.CreateTable("db", fmt.Sprintf("t%d", g), []Column{{Name: "k", Type: sqlval.KindInt, Key: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func(table string) {
+			defer wg.Done()
+			for k := 0; k < commits; k++ {
+				tx := s.Begin()
+				for r := 0; r < perCommit; r++ {
+					if err := tx.Insert("db", table, Row{sqlval.Int(int64(k*perCommit + r))}); err != nil {
+						t.Errorf("%s insert %d/%d: %v", table, k, r, err)
+						return
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("%s commit %d: %v", table, k, err)
+					return
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Errorf("%s checkpoint %d: %v", table, k, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("t%d", g))
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// No Close: the last checkpoints alone must have left a catalog that
+	// parses and heaps holding every committed row.
+	s2, err := Open(Options{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	d, err := s2.Database("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < sessions; g++ {
+		tbl, err := d.Table(fmt.Sprintf("t%d", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.RowCount() != commits*perCommit {
+			t.Errorf("t%d: %d rows after reopen, want %d", g, tbl.RowCount(), commits*perCommit)
+		}
 	}
 }

@@ -125,16 +125,6 @@ func (t *Table) destroy(s *Store) {
 	}
 }
 
-// ColumnIndex returns the index of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	for i, c := range t.Columns {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int { return len(t.rids) - t.dead }
 
@@ -478,6 +468,8 @@ type Store struct {
 	pool      *storage.Pool
 	dir       string // "" = memory-only
 	nextFile  int64  // atomic; names heap files uniquely
+
+	ckptMu sync.Mutex // serializes Checkpoint
 }
 
 // NewStore returns an empty in-memory store with the default pool size.
@@ -554,6 +546,11 @@ func (s *Store) Database(name string) (*Database, error) {
 func (s *Store) DatabaseNames() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.databaseNamesLocked()
+}
+
+// databaseNamesLocked returns sorted names; callers hold s.mu.
+func (s *Store) databaseNamesLocked() []string {
 	names := make([]string, 0, len(s.databases))
 	for n := range s.databases {
 		names = append(names, n)

@@ -417,18 +417,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestColumnIndex(t *testing.T) {
-	s := carRentalStore(t)
-	d, _ := s.Database("avis")
-	tbl, _ := d.Table("cars")
-	if tbl.ColumnIndex("rate") != 2 {
-		t.Fatalf("rate idx = %d", tbl.ColumnIndex("rate"))
-	}
-	if tbl.ColumnIndex("bogus") != -1 {
-		t.Fatal("missing column should be -1")
-	}
-}
-
 func TestDeadlockResolvedByTimeout(t *testing.T) {
 	// Classic two-table deadlock: tx1 holds cars and wants trucks, tx2
 	// holds trucks and wants cars. The lock-wait timeout breaks it.

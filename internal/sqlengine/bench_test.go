@@ -1,10 +1,12 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"fmt"
 	"testing"
 
+	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/sqlengine"
 )
 
 func benchDB(b *testing.B, rows int) *relstore.Store {
@@ -14,7 +16,7 @@ func benchDB(b *testing.B, rows int) *relstore.Store {
 		b.Fatal(err)
 	}
 	tx := s.Begin()
-	if _, err := ExecuteSQL(tx, "d", "CREATE TABLE t (id INTEGER, grp CHAR(4), val FLOAT)"); err != nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "CREATE TABLE t (id INTEGER, grp CHAR(4), val FLOAT)"); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i += 50 {
@@ -25,7 +27,7 @@ func benchDB(b *testing.B, rows int) *relstore.Store {
 			}
 			stmt += fmt.Sprintf("(%d, 'g%d', %d.5)", i+j, (i+j)%7, (i+j)%500)
 		}
-		if _, err := ExecuteSQL(tx, "d", stmt); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", stmt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,7 +40,7 @@ func BenchmarkSelectFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		res, err := ExecuteSQL(tx, "d", "SELECT id FROM t WHERE val > 250 AND grp = 'g3'")
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "SELECT id FROM t WHERE val > 250 AND grp = 'g3'")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func BenchmarkSelectGroupBy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		res, err := ExecuteSQL(tx, "d", "SELECT grp, COUNT(id), AVG(val) FROM t GROUP BY grp")
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "SELECT grp, COUNT(id), AVG(val) FROM t GROUP BY grp")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +70,7 @@ func BenchmarkSelectGroupBy(b *testing.B) {
 func BenchmarkHashJoin(b *testing.B) {
 	s := benchDB(b, 2000)
 	tx := s.Begin()
-	if _, err := ExecuteSQL(tx, "d", "CREATE TABLE u (id INTEGER, tag CHAR(4))"); err != nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "CREATE TABLE u (id INTEGER, tag CHAR(4))"); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 2000; i += 50 {
@@ -79,7 +81,7 @@ func BenchmarkHashJoin(b *testing.B) {
 			}
 			stmt += fmt.Sprintf("(%d, 'x')", i+j)
 		}
-		if _, err := ExecuteSQL(tx, "d", stmt); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", stmt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +89,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rtx := s.Begin()
-		res, err := ExecuteSQL(rtx, "d", "SELECT COUNT(t.id) FROM t, u WHERE t.id = u.id")
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(rtx), "d", "SELECT COUNT(t.id) FROM t, u WHERE t.id = u.id")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +105,7 @@ func BenchmarkUpdateWhere(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		if _, err := ExecuteSQL(tx, "d", "UPDATE t SET val = val + 1 WHERE grp = 'g1'"); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "UPDATE t SET val = val + 1 WHERE grp = 'g1'"); err != nil {
 			b.Fatal(err)
 		}
 		tx.Rollback()

@@ -1,0 +1,298 @@
+package sqlengine_test
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"msql/internal/backend"
+	"msql/internal/csvstore"
+	"msql/internal/relbackend"
+	"msql/internal/relstore"
+	"msql/internal/sqlengine"
+	"msql/internal/sqlparser"
+	"msql/internal/sqlval"
+)
+
+// The cross-backend differential test: the same fixture is loaded into a
+// memory relstore, a disk relstore whose pool is smaller than the data,
+// and a csvstore, and every statement runs through backend.Tx.Exec — the
+// one executor over each storage's adapter — on all three. The memory
+// relstore is the reference; any difference in columns, rows, affected
+// counts or errors is an adapter bug (mis-ordered cursor, lost NULL,
+// different coercion).
+
+// diffSite is one backend under test.
+type diffSite struct {
+	name  string
+	be    backend.Backend
+	views bool // the storage keeps views
+}
+
+func (s diffSite) exec(t *testing.T, q string, commit bool) (*sqlengine.Result, error) {
+	t.Helper()
+	stmt, err := sqlparser.ParseStatement(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	tx := s.be.Begin()
+	res, err := tx.Exec("continental", q, stmt)
+	if err != nil || !commit {
+		tx.Rollback()
+		return res, err
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("%s: commit %q: %v", s.name, q, err)
+	}
+	return res, nil
+}
+
+// bigScript is a keyed table of 500 padded rows: about ten heap pages,
+// more than the disk site's eight-frame pool.
+func bigScript() []string {
+	script := []string{`CREATE TABLE big (id INTEGER PRIMARY KEY, pad CHAR(60), val INTEGER)`}
+	for i := 0; i < 500; i += 50 {
+		var vals []string
+		for j := i; j < i+50; j++ {
+			vals = append(vals, fmt.Sprintf("(%d, 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx', %d)", j, j%13))
+		}
+		script = append(script, "INSERT INTO big VALUES "+strings.Join(vals, ", "))
+	}
+	return script
+}
+
+// openDiffSites loads the fixture into the three backends. The two
+// durable ones are closed and reopened after loading, so what the
+// queries read has been through the heap files and the CSV files. The
+// disk site's store is returned too, for its pool counters.
+func openDiffSites(t *testing.T) ([]diffSite, *relstore.Store) {
+	t.Helper()
+	script := append(append(append([]string(nil), paperScript...), keyedScript...), bigScript()...)
+	load := func(s diffSite) {
+		if err := s.be.CreateDatabase("continental"); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range script {
+			if _, err := s.exec(t, q, true); err != nil {
+				t.Fatalf("%s: load %q: %v", s.name, q, err)
+			}
+		}
+		if s.views {
+			if _, err := s.exec(t, `CREATE VIEW cheap AS SELECT flnu, rate FROM flights WHERE rate < 110.0`, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	mem := diffSite{"mem", relbackend.New(relstore.NewStore()), true}
+	load(mem)
+
+	diskDir, csvDir := t.TempDir(), t.TempDir()
+	openDisk := func() (diffSite, *relstore.Store) {
+		st, err := relstore.Open(relstore.Options{Dir: diskDir, PoolPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diffSite{"disk", relbackend.New(st), true}, st
+	}
+	disk, _ := openDisk()
+	load(disk)
+	if err := disk.be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk, diskStore := openDisk()
+	t.Cleanup(func() { disk.be.Close() })
+
+	openCSV := func() diffSite {
+		cs, err := csvstore.Open(csvDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diffSite{"csv", cs, false}
+	}
+	load(openCSV())
+	return []diffSite{mem, disk, openCSV()}, diskStore
+}
+
+// bag renders rows order-insensitively.
+func bag(rows [][]sqlval.Value) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprintf("%#v", r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sameOutcome requires got to match the reference: same error or the
+// same columns, affected count and rows — as a list when the statement
+// orders its output, as a bag otherwise.
+func sameOutcome(t *testing.T, site, q string, ref, got *sqlengine.Result, refErr, gotErr error) {
+	t.Helper()
+	if refErr != nil || gotErr != nil {
+		if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
+			t.Errorf("%s: %q: err = %v, reference err = %v", site, q, gotErr, refErr)
+		}
+		return
+	}
+	if !reflect.DeepEqual(ref.Columns, got.Columns) {
+		t.Errorf("%s: %q: columns %v, reference %v", site, q, got.Columns, ref.Columns)
+	}
+	if ref.RowsAffected != got.RowsAffected {
+		t.Errorf("%s: %q: %d rows affected, reference %d", site, q, got.RowsAffected, ref.RowsAffected)
+	}
+	stmt, _ := sqlparser.ParseStatement(q)
+	sel, _ := stmt.(*sqlparser.SelectStmt)
+	if sel != nil && len(sel.OrderBy) > 0 {
+		if !reflect.DeepEqual(ref.Rows, got.Rows) {
+			t.Errorf("%s: %q: ordered rows differ\n got %v\nwant %v", site, q, got.Rows, ref.Rows)
+		}
+	} else if !reflect.DeepEqual(bag(ref.Rows), bag(got.Rows)) {
+		t.Errorf("%s: %q: rows differ\n got %v\nwant %v", site, q, got.Rows, ref.Rows)
+	}
+}
+
+func TestBackendsAgree(t *testing.T) {
+	queries := []string{
+		// Scans and projections, NULLs included.
+		`SELECT * FROM flights`,
+		`SELECT * FROM f838`,
+		`SELECT flnu, rate * 2 FROM flights WHERE rate >= 80.0`,
+		`SELECT 1 + 2, 'x'`,
+		`SELECT seatnu FROM f838 WHERE clientname IS NULL`,
+		`SELECT COUNT(*), COUNT(clientname), COUNT(owner) FROM f838, seats WHERE seatnu = snu`,
+		// Point lookups eligible for index probes, including coercions.
+		`SELECT * FROM seats WHERE snu = 2`,
+		`SELECT * FROM seats WHERE snu = '2'`,
+		`SELECT * FROM seats WHERE snu = 2.0`,
+		`SELECT * FROM seats WHERE snu = 2.5`,
+		`SELECT * FROM seats WHERE snu = 'two'`,
+		`SELECT * FROM seats WHERE snu = NULL`,
+		`SELECT * FROM seats WHERE snu = 1 + 1`,
+		`SELECT * FROM seats WHERE 2 = snu AND owner IS NOT NULL`,
+		`SELECT * FROM seats WHERE snu = 3 AND owner = 'smith'`,
+		`SELECT pad, val FROM big WHERE id = 377`,
+		// Composite key: full pin probes, partial pin scans.
+		`SELECT * FROM legs WHERE flnu = 100 AND seq = 2`,
+		`SELECT * FROM legs WHERE seq = 1 AND flnu = 102`,
+		`SELECT * FROM legs WHERE flnu = 100`,
+		`SELECT * FROM legs WHERE seq = 1`,
+		// Joins: index-nested-loop, hash, cartesian, self-join.
+		`SELECT f.flnu, s.owner FROM flights f, seats s WHERE s.snu = f.flnu - 99`,
+		`SELECT f.flnu, l.stop FROM flights f, legs l WHERE l.flnu = f.flnu AND l.seq = 2`,
+		`SELECT f.day, s.seatty FROM flights f, f838 s WHERE f.flnu = 100 AND s.seatstatus = 'FREE'`,
+		`SELECT a.flnu, b.flnu FROM flights a, flights b WHERE a.day = b.day AND a.rate < b.rate`,
+		`SELECT f.flnu, l.stop, s.owner FROM flights f, legs l, seats s
+			WHERE l.flnu = f.flnu AND l.seq = 1 AND s.snu = l.seq`,
+		`SELECT s.owner, b.val FROM seats s, big b WHERE b.id = s.snu`,
+		`SELECT COUNT(*) FROM big a, big b WHERE a.val = b.id`,
+		// Aggregates, grouping, having.
+		`SELECT COUNT(*), MIN(rate), MAX(rate) FROM flights`,
+		`SELECT day, COUNT(*), AVG(rate) FROM flights GROUP BY day ORDER BY day`,
+		`SELECT destination, COUNT(*) FROM flights GROUP BY destination HAVING COUNT(*) > 1`,
+		`SELECT val, COUNT(*), SUM(id) FROM big GROUP BY val ORDER BY val`,
+		// Subqueries, IN, correlation.
+		`SELECT flnu FROM flights WHERE rate > (SELECT AVG(rate) FROM flights)`,
+		`SELECT flnu FROM flights f WHERE rate >= (SELECT MAX(rate) FROM flights WHERE day = f.day)`,
+		`SELECT owner FROM seats WHERE snu IN (SELECT seatnu FROM f838 WHERE seatstatus = 'FREE')`,
+		`SELECT flnu FROM flights WHERE day IN ('mon', 'wed')`,
+		// ORDER BY, DISTINCT, LIMIT in every combination that matters. A
+		// LIMIT without ORDER BY depends on cursor order being insertion
+		// order on every backend.
+		`SELECT flnu FROM flights ORDER BY rate DESC`,
+		`SELECT flnu FROM flights LIMIT 2`,
+		`SELECT flnu FROM flights LIMIT 0`,
+		`SELECT flnu FROM flights ORDER BY rate LIMIT 2`,
+		`SELECT id FROM big WHERE val = 4 LIMIT 3`,
+		`SELECT source, flnu FROM flights ORDER BY source`,
+		`SELECT DISTINCT day FROM flights`,
+		`SELECT DISTINCT source FROM flights LIMIT 1`,
+		// UNION.
+		`SELECT source FROM flights UNION SELECT destination FROM flights`,
+		`SELECT flnu FROM flights WHERE day = 'mon' UNION ALL SELECT snu FROM seats WHERE snu = 2`,
+		// EXPLAIN ANALYZE returns the statement's own rows.
+		`EXPLAIN ANALYZE SELECT owner FROM seats WHERE snu = 4`,
+	}
+	viewQueries := []string{
+		`SELECT * FROM cheap ORDER BY flnu`,
+		`SELECT flnu FROM cheap WHERE rate < 90.0`,
+	}
+	// Writes every backend must apply identically: multi-row updates and
+	// deletes (positions must stay valid while the statement writes),
+	// coercions on the way in, INSERT ... SELECT.
+	writes := []string{
+		`INSERT INTO seats VALUES (5, 'lee'), (6, NULL)`,
+		`INSERT INTO seats (snu) VALUES ('7')`,
+		`UPDATE flights SET rate = rate * 1.5 WHERE source = 'Houston'`,
+		`UPDATE flights SET rate = 70 WHERE flnu = 103`,
+		`UPDATE seats SET owner = 'nobody' WHERE owner IS NULL`,
+		`UPDATE seats SET snu = '8' WHERE snu = 7`,
+		`UPDATE big SET val = val + 100 WHERE val < 3`,
+		`DELETE FROM big WHERE val = 5 OR id > 450`,
+		`DELETE FROM legs WHERE seq = 2`,
+		`INSERT INTO legs SELECT flnu, 9, source FROM flights WHERE day = 'mon'`,
+		`DELETE FROM f838 WHERE seatnu IN (SELECT snu FROM seats WHERE owner = 'nobody')`,
+	}
+	// Failures must be the same error everywhere — the wire maps these
+	// sentinels to codes the coordinator branches on.
+	failures := []struct {
+		q        string
+		sentinel error // nil: only the message is compared
+	}{
+		{`SELECT * FROM nosuch`, relstore.ErrNoTable},
+		{`INSERT INTO nosuch VALUES (1)`, relstore.ErrNoTable},
+		{`DELETE FROM nosuch`, relstore.ErrNoTable},
+		{`DROP TABLE nosuch`, relstore.ErrNoTable},
+		{`SELECT * FROM nodb.flights`, relstore.ErrNoDatabase},
+		{`CREATE TABLE nodb.t (a INTEGER)`, relstore.ErrNoDatabase},
+		{`CREATE TABLE flights (a INTEGER)`, relstore.ErrTableExists},
+		{`INSERT INTO seats VALUES ('abc', 'x')`, nil},
+		{`UPDATE seats SET snu = 'abc' WHERE snu = 1`, nil},
+		{`INSERT INTO seats VALUES (1)`, nil},
+		{`SELECT nosuch FROM flights`, sqlengine.ErrUnknownColumn},
+		{`SELECT flnu FROM flights, legs`, sqlengine.ErrAmbiguousColumn},
+		{`SELECT (SELECT flnu FROM flights)`, sqlengine.ErrNotScalar},
+	}
+
+	sites, diskStore := openDiffSites(t)
+	ref := sites[0]
+	compare := func(q string, commit, needsViews bool) {
+		want, wantErr := ref.exec(t, q, commit)
+		for _, s := range sites[1:] {
+			if needsViews && !s.views {
+				continue
+			}
+			got, gotErr := s.exec(t, q, commit)
+			sameOutcome(t, s.name, q, want, got, wantErr, gotErr)
+		}
+	}
+	readAll := func() {
+		for _, q := range queries {
+			compare(q, false, false)
+		}
+		for _, q := range viewQueries {
+			compare(q, false, true)
+		}
+	}
+
+	readAll()
+	for _, f := range failures {
+		compare(f.q, false, false)
+		for _, s := range sites {
+			if _, err := s.exec(t, f.q, false); err == nil || (f.sentinel != nil && !errors.Is(err, f.sentinel)) {
+				t.Errorf("%s: %q: err = %v, want %v", s.name, f.q, err, f.sentinel)
+			}
+		}
+	}
+	for _, q := range writes {
+		compare(q, true, false)
+	}
+	readAll()
+
+	if ps := diskStore.Pool().Stats(); ps.Evictions == 0 {
+		t.Fatalf("disk site never evicted a page (%+v): the fixture no longer exceeds its pool", ps)
+	}
+}

@@ -8,21 +8,32 @@ import (
 	"msql/internal/sqlval"
 )
 
+// columnIndex returns the position of the named column, or -1.
+func columnIndex(cols []relstore.Column, name string) int {
+	for i, c := range cols {
+		if c.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // execInsert handles INSERT ... VALUES and INSERT ... SELECT.
-func execInsert(tx *relstore.Tx, db string, ins *sqlparser.InsertStmt) (*Result, error) {
+func execInsert(tx Storage, db string, ins *sqlparser.InsertStmt) (*Result, error) {
 	tdb, tname := splitName(db, ins.Table)
 	tbl, err := tx.TableForWrite(tdb, tname)
 	if err != nil {
 		return nil, err
 	}
-	colIdx := make([]int, 0, len(tbl.Columns))
+	cols := tbl.Columns()
+	colIdx := make([]int, 0, len(cols))
 	if len(ins.Columns) == 0 {
-		for i := range tbl.Columns {
+		for i := range cols {
 			colIdx = append(colIdx, i)
 		}
 	} else {
 		for _, name := range ins.Columns {
-			i := tbl.ColumnIndex(name)
+			i := columnIndex(cols, name)
 			if i < 0 {
 				return nil, fmt.Errorf("%w: %s in %s.%s", ErrUnknownColumn, name, tdb, tname)
 			}
@@ -34,14 +45,14 @@ func execInsert(tx *relstore.Tx, db string, ins *sqlparser.InsertStmt) (*Result,
 		if len(vals) != len(colIdx) {
 			return nil, fmt.Errorf("sqlengine: INSERT has %d values for %d columns", len(vals), len(colIdx))
 		}
-		row := make(relstore.Row, len(tbl.Columns))
+		row := make(relstore.Row, len(cols))
 		for i := range row {
 			row[i] = sqlval.Null()
 		}
 		for vi, ti := range colIdx {
-			v, err := sqlval.CoerceTo(vals[vi], tbl.Columns[ti].Type)
+			v, err := sqlval.CoerceTo(vals[vi], cols[ti].Type)
 			if err != nil {
-				return nil, fmt.Errorf("sqlengine: column %s: %v", tbl.Columns[ti].Name, err)
+				return nil, fmt.Errorf("sqlengine: column %s: %v", cols[ti].Name, err)
 			}
 			row[ti] = v
 		}
@@ -89,111 +100,114 @@ func execInsert(tx *relstore.Tx, db string, ins *sqlparser.InsertStmt) (*Result,
 	return &Result{RowsAffected: n}, nil
 }
 
+// matchingRows scans tbl and calls fn with the position and contents of
+// every row satisfying where (all rows when where is nil). e must bind
+// tbl as its single source.
+func matchingRows(e *env, tbl Table, where sqlparser.Expr, fn func(pos int, row relstore.Row) error) error {
+	cur := tbl.Scan(nil)
+	for {
+		pos, row, ok := cur.Next()
+		if !ok {
+			return tbl.Err()
+		}
+		e.current[0] = row
+		if where != nil {
+			v, err := evalExpr(e, where)
+			if err != nil {
+				return err
+			}
+			if !v.Truthy() {
+				continue
+			}
+		}
+		if err := fn(pos, row); err != nil {
+			return err
+		}
+	}
+}
+
+// singleTableEnv is the evaluation environment of an UPDATE or DELETE:
+// the target table bound as the only source.
+func singleTableEnv(tx Storage, db, qualifier string, cols []relstore.Column) *env {
+	return &env{
+		tx: tx, db: db,
+		sources: []*boundSource{{qualifier: qualifier, cols: cols}},
+		current: make([]relstore.Row, 1),
+	}
+}
+
 // execUpdate handles UPDATE ... SET ... WHERE. Assignments are evaluated
 // against the pre-update row values, and all matching rows are collected
 // before any is modified, per SQL semantics.
-func execUpdate(tx *relstore.Tx, db string, upd *sqlparser.UpdateStmt) (*Result, error) {
+func execUpdate(tx Storage, db string, upd *sqlparser.UpdateStmt) (*Result, error) {
 	tdb, tname := splitName(db, upd.Table)
 	tbl, err := tx.TableForWrite(tdb, tname)
 	if err != nil {
 		return nil, err
 	}
+	cols := tbl.Columns()
 	assignIdx := make([]int, len(upd.Assigns))
 	for i, a := range upd.Assigns {
-		ci := tbl.ColumnIndex(a.Column.Last())
+		ci := columnIndex(cols, a.Column.Last())
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: %s in %s.%s", ErrUnknownColumn, a.Column.Last(), tdb, tname)
 		}
 		assignIdx[i] = ci
 	}
 
-	e := &env{
-		tx: tx, db: db,
-		sources: []*boundSource{{qualifier: tname, cols: append([]relstore.Column(nil), tbl.Columns...)}},
-	}
-	e.current = make([]relstore.Row, 1)
-
+	e := singleTableEnv(tx, db, tname, cols)
 	type pending struct {
-		idx int
+		pos int
 		row relstore.Row
 	}
 	var updates []pending
-	var scanErr error
-	tbl.ForEach(func(idx int, row relstore.Row) bool {
-		e.current[0] = row
-		if upd.Where != nil {
-			v, err := evalExpr(e, upd.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !v.Truthy() {
-				return true
-			}
-		}
+	err = matchingRows(e, tbl, upd.Where, func(pos int, row relstore.Row) error {
 		newRow := row.Clone()
 		for ai, a := range upd.Assigns {
 			v, err := evalExpr(e, a.Expr)
 			if err != nil {
-				scanErr = err
-				return false
+				return err
 			}
-			cv, err := sqlval.CoerceTo(v, tbl.Columns[assignIdx[ai]].Type)
+			col := cols[assignIdx[ai]]
+			cv, err := sqlval.CoerceTo(v, col.Type)
 			if err != nil {
-				scanErr = fmt.Errorf("sqlengine: column %s: %v", tbl.Columns[assignIdx[ai]].Name, err)
-				return false
+				return fmt.Errorf("sqlengine: column %s: %v", col.Name, err)
 			}
 			newRow[assignIdx[ai]] = cv
 		}
-		updates = append(updates, pending{idx: idx, row: newRow})
-		return true
+		updates = append(updates, pending{pos: pos, row: newRow})
+		return nil
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
 	for _, u := range updates {
-		if err := tx.Update(tdb, tname, u.idx, u.row); err != nil {
+		if err := tx.Update(tdb, tname, u.pos, u.row); err != nil {
 			return nil, err
 		}
 	}
 	return &Result{RowsAffected: len(updates)}, nil
 }
 
-// execDelete handles DELETE FROM ... WHERE.
-func execDelete(tx *relstore.Tx, db string, del *sqlparser.DeleteStmt) (*Result, error) {
+// execDelete handles DELETE FROM ... WHERE. Victims are collected before
+// any is removed; their positions stay valid while the statement runs.
+func execDelete(tx Storage, db string, del *sqlparser.DeleteStmt) (*Result, error) {
 	tdb, tname := splitName(db, del.Table)
 	tbl, err := tx.TableForWrite(tdb, tname)
 	if err != nil {
 		return nil, err
 	}
-	e := &env{
-		tx: tx, db: db,
-		sources: []*boundSource{{qualifier: del.Table.Last(), cols: append([]relstore.Column(nil), tbl.Columns...)}},
-	}
-	e.current = make([]relstore.Row, 1)
-
+	e := singleTableEnv(tx, db, tname, tbl.Columns())
 	var victims []int
-	var scanErr error
-	tbl.ForEach(func(idx int, row relstore.Row) bool {
-		e.current[0] = row
-		if del.Where != nil {
-			v, err := evalExpr(e, del.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !v.Truthy() {
-				return true
-			}
-		}
-		victims = append(victims, idx)
-		return true
+	err = matchingRows(e, tbl, del.Where, func(pos int, _ relstore.Row) error {
+		victims = append(victims, pos)
+		return nil
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
-	for _, idx := range victims {
-		if err := tx.Delete(tdb, tname, idx); err != nil {
+	for _, pos := range victims {
+		if err := tx.Delete(tdb, tname, pos); err != nil {
 			return nil, err
 		}
 	}

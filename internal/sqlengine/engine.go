@@ -1,8 +1,10 @@
-// Package sqlengine executes parsed SQL statements against a relstore
-// transaction. It implements the complete local query surface the paper's
-// LDBMSs need: SELECT with joins, aggregates, grouping, ordering, scalar
-// and IN subqueries; INSERT/UPDATE/DELETE; and transactional DDL including
-// views.
+// Package sqlengine executes parsed SQL statements against one open
+// transaction of a storage engine, seen through the Storage interface
+// (storage.go). It is the only SQL executor in the tree and implements
+// the complete local query surface the paper's LDBMSs need: SELECT with
+// joins, aggregates, grouping, ordering, scalar and IN subqueries;
+// INSERT/UPDATE/DELETE; and DDL including views where the storage keeps
+// them.
 //
 // The engine is stateless: every call receives the transaction and the
 // session's current database, so the LDBMS session layer above it can
@@ -54,7 +56,7 @@ func (r *Result) ColumnNames() []string {
 // Execute runs stmt inside tx with db as the session's current database.
 // Table names may be qualified as database.table on servers exposing
 // multiple databases.
-func Execute(tx *relstore.Tx, db string, stmt sqlparser.Statement) (*Result, error) {
+func Execute(tx Storage, db string, stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		return execSelect(tx, db, s, nil)
@@ -114,7 +116,7 @@ func Execute(tx *relstore.Tx, db string, stmt sqlparser.Statement) (*Result, err
 }
 
 // ExecuteSQL parses and executes one statement given as text.
-func ExecuteSQL(tx *relstore.Tx, db, src string) (*Result, error) {
+func ExecuteSQL(tx Storage, db, src string) (*Result, error) {
 	stmt, err := sqlparser.ParseStatement(src)
 	if err != nil {
 		return nil, err
@@ -132,44 +134,18 @@ func splitName(db string, n sqlparser.ObjectName) (string, string) {
 }
 
 // DescribeTable reports the schema of a table or view for IMPORT. Views
-// are described by executing their definition against an empty result.
-func DescribeTable(tx *relstore.Tx, db, name string) ([]relstore.Column, error) {
-	d, err := txStoreDatabase(tx, db)
+// are described by executing their definition.
+func DescribeTable(tx Storage, db, name string) ([]relstore.Column, error) {
+	cols, err := tx.TableColumns(db, name)
 	if err != nil {
-		return nil, err
+		if !errors.Is(err, relstore.ErrNoTable) {
+			return nil, err
+		}
+		src, err := bindView(tx, db, name, name, err)
+		if err != nil {
+			return nil, err
+		}
+		cols = src.cols
 	}
-	if tbl, err := d.Table(name); err == nil {
-		return append([]relstore.Column(nil), tbl.Columns...), nil
-	}
-	v, err := d.View(name)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s.%s", relstore.ErrNoTable, db, name)
-	}
-	stmt, err := sqlparser.ParseStatement(v.Definition)
-	if err != nil {
-		return nil, fmt.Errorf("sqlengine: bad view definition %s.%s: %v", db, name, err)
-	}
-	sel, ok := stmt.(*sqlparser.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqlengine: view %s.%s is not a SELECT", db, name)
-	}
-	res, err := execSelect(tx, db, sel, nil)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]relstore.Column, len(res.Columns))
-	for i, c := range res.Columns {
-		cols[i] = relstore.Column{Name: c.Name, Type: c.Type}
-	}
-	return cols, nil
-}
-
-// txStoreDatabase fetches the database through the transaction's store via
-// a read lock on nothing — schema reads are catalog lookups.
-func txStoreDatabase(tx *relstore.Tx, db string) (*relstore.Database, error) {
-	// The Tx does not expose its store; take a shared table lock lazily in
-	// the scan paths instead. Schema metadata reads are safe because DDL
-	// under way in another transaction holds exclusive locks on the names
-	// it touches, and Go map reads here are guarded by the store lock.
-	return tx.StoreDatabase(db)
+	return append([]relstore.Column(nil), cols...), nil
 }

@@ -1,4 +1,4 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"errors"
@@ -6,60 +6,70 @@ import (
 	"testing"
 	"testing/quick"
 
+	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 )
 
-// paperStore builds the CONTINENTAL airline database from the paper's
+// paperScript is the CONTINENTAL airline database from the paper's
 // appendix, plus enough rows to exercise every query form.
-func paperStore(t testing.TB) *relstore.Store {
+var paperScript = []string{
+	`CREATE TABLE flights (flnu INTEGER, source CHAR(20), dep CHAR(5),
+		destination CHAR(20), arr CHAR(5), day CHAR(10), rate FLOAT)`,
+	`CREATE TABLE f838 (seatnu INTEGER, seatty CHAR(10), seatstatus CHAR(10), clientname CHAR(20))`,
+	`INSERT INTO flights VALUES
+		(100, 'Houston', '08:00', 'San Antonio', '09:00', 'mon', 100.0),
+		(101, 'Houston', '10:00', 'San Antonio', '11:00', 'tue', 120.0),
+		(102, 'Houston', '12:00', 'Dallas', '13:00', 'mon', 80.0),
+		(103, 'Austin', '09:00', 'San Antonio', '09:45', 'wed', 60.0)`,
+	`INSERT INTO f838 VALUES
+		(1, 'window', 'FREE', NULL),
+		(2, 'aisle', 'TAKEN', 'smith'),
+		(3, 'window', 'FREE', NULL),
+		(4, 'middle', 'FREE', NULL)`,
+}
+
+// runScript executes and commits script on s.
+func runScript(t testing.TB, s *relstore.Store, db string, script []string) {
 	t.Helper()
-	s := relstore.NewStore()
-	if err := s.CreateDatabase("continental"); err != nil {
-		t.Fatal(err)
-	}
 	tx := s.Begin()
-	script := []string{
-		`CREATE TABLE flights (flnu INTEGER, source CHAR(20), dep CHAR(5),
-			destination CHAR(20), arr CHAR(5), day CHAR(10), rate FLOAT)`,
-		`CREATE TABLE f838 (seatnu INTEGER, seatty CHAR(10), seatstatus CHAR(10), clientname CHAR(20))`,
-		`INSERT INTO flights VALUES
-			(100, 'Houston', '08:00', 'San Antonio', '09:00', 'mon', 100.0),
-			(101, 'Houston', '10:00', 'San Antonio', '11:00', 'tue', 120.0),
-			(102, 'Houston', '12:00', 'Dallas', '13:00', 'mon', 80.0),
-			(103, 'Austin', '09:00', 'San Antonio', '09:45', 'wed', 60.0)`,
-		`INSERT INTO f838 VALUES
-			(1, 'window', 'FREE', NULL),
-			(2, 'aisle', 'TAKEN', 'smith'),
-			(3, 'window', 'FREE', NULL),
-			(4, 'middle', 'FREE', NULL)`,
-	}
 	for _, q := range script {
-		if _, err := ExecuteSQL(tx, "continental", q); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), db, q); err != nil {
 			t.Fatalf("setup %q: %v", q, err)
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// paperStore builds paperScript's database in a memory relstore.
+func paperStore(t testing.TB) *relstore.Store {
+	t.Helper()
+	s := relstore.NewStore()
+	if err := s.CreateDatabase("continental"); err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, s, "continental", paperScript)
 	return s
 }
 
-func query(t *testing.T, s *relstore.Store, db, q string) *Result {
+func query(t *testing.T, s *relstore.Store, db, q string) *sqlengine.Result {
 	t.Helper()
 	tx := s.Begin()
 	defer tx.Rollback()
-	res, err := ExecuteSQL(tx, db, q)
+	res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), db, q)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
 	return res
 }
 
-func exec(t *testing.T, s *relstore.Store, db, q string) *Result {
+func exec(t *testing.T, s *relstore.Store, db, q string) *sqlengine.Result {
 	t.Helper()
 	tx := s.Begin()
-	res, err := ExecuteSQL(tx, db, q)
+	res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), db, q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -248,8 +258,8 @@ func TestScalarSubqueryCardinalityError(t *testing.T) {
 	s := paperStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	_, err := ExecuteSQL(tx, "continental", "SELECT flnu FROM flights WHERE rate = (SELECT rate FROM flights)")
-	if !errors.Is(err, ErrNotScalar) {
+	_, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT flnu FROM flights WHERE rate = (SELECT rate FROM flights)")
+	if !errors.Is(err, sqlengine.ErrNotScalar) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -426,7 +436,7 @@ func TestViews(t *testing.T) {
 	exec(t, s, "continental", "DROP VIEW sa_flights")
 	tx := s.Begin()
 	defer tx.Rollback()
-	if _, err := ExecuteSQL(tx, "continental", "SELECT * FROM sa_flights"); err == nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT * FROM sa_flights"); err == nil {
 		t.Fatal("dropped view still queryable")
 	}
 }
@@ -435,14 +445,14 @@ func TestDescribeTable(t *testing.T) {
 	s := paperStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	cols, err := DescribeTable(tx, "continental", "flights")
+	cols, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "flights")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cols) != 7 || cols[0].Name != "flnu" || cols[1].Width != 20 {
 		t.Fatalf("cols = %+v", cols)
 	}
-	if _, err := DescribeTable(tx, "continental", "nope"); err == nil {
+	if _, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "nope"); err == nil {
 		t.Fatal("missing table should error")
 	}
 }
@@ -452,7 +462,7 @@ func TestDescribeView(t *testing.T) {
 	exec(t, s, "continental", "CREATE VIEW v2 AS SELECT flnu, rate FROM flights")
 	tx := s.Begin()
 	defer tx.Rollback()
-	cols, err := DescribeTable(tx, "continental", "v2")
+	cols, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,14 +476,14 @@ func TestAmbiguousAndUnknownColumns(t *testing.T) {
 	tx := s.Begin()
 	defer tx.Rollback()
 	// day exists only in flights, seatnu only in f838 -> fine unqualified.
-	if _, err := ExecuteSQL(tx, "continental", "SELECT day, seatnu FROM flights, f838"); err != nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT day, seatnu FROM flights, f838"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteSQL(tx, "continental", "SELECT bogus FROM flights"); !errors.Is(err, ErrUnknownColumn) {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT bogus FROM flights"); !errors.Is(err, sqlengine.ErrUnknownColumn) {
 		t.Fatalf("unknown col err = %v", err)
 	}
 	// Self-join makes every column ambiguous unqualified.
-	if _, err := ExecuteSQL(tx, "continental", "SELECT flnu FROM flights a, flights b"); !errors.Is(err, ErrAmbiguousColumn) {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT flnu FROM flights a, flights b"); !errors.Is(err, sqlengine.ErrAmbiguousColumn) {
 		t.Fatalf("ambiguous err = %v", err)
 	}
 }
@@ -522,7 +532,7 @@ func TestDDLThroughEngine(t *testing.T) {
 	exec(t, s, "continental", "DROP DATABASE extra")
 	tx := s.Begin()
 	defer tx.Rollback()
-	if _, err := ExecuteSQL(tx, "extra", "SELECT 1 FROM t"); err == nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "extra", "SELECT 1 FROM t"); err == nil {
 		t.Fatal("dropped database still accessible")
 	}
 }
@@ -586,7 +596,7 @@ func TestQuickInsertCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := s.Begin()
-	if _, err := ExecuteSQL(tx, "d", "CREATE TABLE t (a INTEGER)"); err != nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "CREATE TABLE t (a INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -595,17 +605,17 @@ func TestQuickInsertCount(t *testing.T) {
 		n := int(k % 8)
 		tx := s.Begin()
 		for i := 0; i < n; i++ {
-			if _, err := ExecuteSQL(tx, "d", "INSERT INTO t VALUES (1)"); err != nil {
+			if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "INSERT INTO t VALUES (1)"); err != nil {
 				tx.Rollback()
 				return false
 			}
 		}
 		tx.Commit()
 		total += n
-		res, err := func() (*Result, error) {
+		res, err := func() (*sqlengine.Result, error) {
 			tx := s.Begin()
 			defer tx.Rollback()
-			return ExecuteSQL(tx, "d", "SELECT COUNT(*) FROM t")
+			return sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "SELECT COUNT(*) FROM t")
 		}()
 		if err != nil {
 			return false
@@ -622,11 +632,11 @@ func TestErrorMessagesMentionObjects(t *testing.T) {
 	s := paperStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	_, err := ExecuteSQL(tx, "continental", "SELECT * FROM nothere")
+	_, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT * FROM nothere")
 	if err == nil || !strings.Contains(err.Error(), "nothere") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = ExecuteSQL(tx, "nodb", "SELECT 1 FROM t")
+	_, err = sqlengine.ExecuteSQL(relbackend.Storage(tx), "nodb", "SELECT 1 FROM t")
 	if err == nil || !strings.Contains(err.Error(), "nodb") {
 		t.Fatalf("err = %v", err)
 	}

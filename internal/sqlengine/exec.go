@@ -3,9 +3,9 @@ package sqlengine
 // Volcano-style executor: each FROM source becomes a levelNode — an
 // iterator producing that source's candidate rows one at a time into
 // e.current — and runLoops drives the nodes as nested loops, emitting a
-// joined row whenever every level holds one. Base tables are pulled
-// page-at-a-time through the storage layer's buffer pool instead of
-// being materialized up front, so working-set size is bounded by the
+// joined row whenever every level holds one. Base tables are pulled row
+// by row through the storage's cursor instead of being materialized up
+// front, so on a paged engine the working set is bounded by the buffer
 // pool, not the table.
 
 import (
@@ -16,12 +16,6 @@ import (
 	"msql/internal/sqlval"
 	"msql/internal/storage"
 )
-
-// LegacyMaterialize reverts bindSource to materializing base tables into
-// row slices before execution, disabling index probes, as the engine did
-// before the iterator executor. It exists for equivalence testing and
-// ablation benchmarks; it is not synchronized.
-var LegacyMaterialize = false
 
 // levelNode produces candidate rows for one loop level. reset repositions
 // it for the current bindings of earlier levels; next advances to the
@@ -159,21 +153,21 @@ func passFilters(e *env, filters []sqlparser.Expr) (bool, error) {
 	return true, nil
 }
 
-// scanNode is a sequential scan: over the table's heap via a pull cursor
-// for base tables, or over materialized rows for views and legacy mode.
+// scanNode is a sequential scan: over the storage's cursor for base
+// tables, or over materialized rows for views.
 type scanNode struct {
 	e       *env
 	si      int
 	filters []sqlparser.Expr
 	pc      *storage.PageCounters
-	it      *relstore.TableIter
+	it      Cursor
 	pos     int
 }
 
 func (n *scanNode) reset() error {
 	if src := n.e.sources[n.si]; src.tbl != nil {
 		if n.it == nil {
-			n.it = src.tbl.IterCounted(n.pc)
+			n.it = src.tbl.Scan(n.pc)
 		} else {
 			n.it.Reset()
 		}
@@ -295,8 +289,8 @@ func (n *probeNode) reset() error {
 		}
 		vals[i] = cv
 	}
-	if idx, ok := src.tbl.LookupKey(vals); ok {
-		n.row = src.tbl.RowAtCounted(idx, n.pc)
+	if pos, ok := n.probe.index.LookupKey(vals); ok {
+		n.row = n.probe.index.RowAt(pos, n.pc)
 	}
 	return src.tbl.Err()
 }

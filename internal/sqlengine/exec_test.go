@@ -1,143 +1,45 @@
-package sqlengine
+package sqlengine_test
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 
+	"msql/internal/obs"
+	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 )
 
-// keyedStore extends the paper's CONTINENTAL database with PRIMARY KEY
-// tables so the planner has indexes to probe.
+// keyedScript adds PRIMARY KEY tables to paperScript's database so the
+// planner has indexes to probe.
+var keyedScript = []string{
+	`CREATE TABLE seats (snu INTEGER PRIMARY KEY, owner CHAR(20))`,
+	`INSERT INTO seats VALUES (1, 'ng'), (2, 'smith'), (3, NULL), (4, 'jones'), (100, 'root')`,
+	`CREATE TABLE legs (flnu INTEGER, seq INTEGER, stop CHAR(20), PRIMARY KEY (flnu, seq))`,
+	`INSERT INTO legs VALUES
+		(100, 1, 'Houston'), (100, 2, 'San Antonio'),
+		(102, 1, 'Houston'), (102, 2, 'Dallas'), (103, 1, 'Austin')`,
+}
+
+// keyedStore is paperStore plus keyedScript.
 func keyedStore(t testing.TB) *relstore.Store {
 	t.Helper()
 	s := paperStore(t)
-	tx := s.Begin()
-	script := []string{
-		`CREATE TABLE seats (snu INTEGER PRIMARY KEY, owner CHAR(20))`,
-		`INSERT INTO seats VALUES (1, 'ng'), (2, 'smith'), (3, NULL), (4, 'jones'), (100, 'root')`,
-		`CREATE TABLE legs (flnu INTEGER, seq INTEGER, stop CHAR(20), PRIMARY KEY (flnu, seq))`,
-		`INSERT INTO legs VALUES
-			(100, 1, 'Houston'), (100, 2, 'San Antonio'),
-			(102, 1, 'Houston'), (102, 2, 'Dallas'), (103, 1, 'Austin')`,
-		`CREATE VIEW cheap AS SELECT flnu, rate FROM flights WHERE rate < 110.0`,
-	}
-	for _, q := range script {
-		if _, err := ExecuteSQL(tx, "continental", q); err != nil {
-			t.Fatalf("setup %q: %v", q, err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	runScript(t, s, "continental", keyedScript)
 	return s
 }
 
-// TestIteratorMatchesLegacyExecutor runs a corpus of queries under both
-// the iterator executor (index probes, lazy heap scans) and the legacy
-// materializing executor, and requires identical results including row
-// order. This is the equivalence guarantee for the storage rebuild.
-func TestIteratorMatchesLegacyExecutor(t *testing.T) {
-	queries := []string{
-		// Scans and projections.
-		`SELECT * FROM flights`,
-		`SELECT flnu, rate * 2 FROM flights WHERE rate >= 80.0`,
-		`SELECT 1 + 2, 'x'`,
-		// Point lookups eligible for index probes, including coercions.
-		`SELECT * FROM seats WHERE snu = 2`,
-		`SELECT * FROM seats WHERE snu = '2'`,
-		`SELECT * FROM seats WHERE snu = 2.0`,
-		`SELECT * FROM seats WHERE snu = 2.5`,
-		`SELECT * FROM seats WHERE snu = 'two'`,
-		`SELECT * FROM seats WHERE snu = NULL`,
-		`SELECT * FROM seats WHERE snu = 1 + 1`,
-		`SELECT * FROM seats WHERE 2 = snu AND owner IS NOT NULL`,
-		`SELECT * FROM seats WHERE snu = 3 AND owner = 'smith'`,
-		// Composite key: full pin probes, partial pin scans.
-		`SELECT * FROM legs WHERE flnu = 100 AND seq = 2`,
-		`SELECT * FROM legs WHERE seq = 1 AND flnu = 102`,
-		`SELECT * FROM legs WHERE flnu = 100`,
-		`SELECT * FROM legs WHERE seq = 1`,
-		// Joins: index-nested-loop, hash, cartesian, self-join.
-		`SELECT f.flnu, s.owner FROM flights f, seats s WHERE s.snu = f.flnu - 99`,
-		`SELECT f.flnu, l.stop FROM flights f, legs l WHERE l.flnu = f.flnu AND l.seq = 2`,
-		`SELECT f.day, s.seatty FROM flights f, f838 s WHERE f.flnu = 100 AND s.seatstatus = 'FREE'`,
-		`SELECT a.flnu, b.flnu FROM flights a, flights b WHERE a.day = b.day AND a.rate < b.rate`,
-		`SELECT f.flnu, l.stop, s.owner FROM flights f, legs l, seats s
-			WHERE l.flnu = f.flnu AND l.seq = 1 AND s.snu = l.seq`,
-		// Aggregates, grouping, having.
-		`SELECT COUNT(*), MIN(rate), MAX(rate) FROM flights`,
-		`SELECT day, COUNT(*), AVG(rate) FROM flights GROUP BY day ORDER BY day`,
-		`SELECT destination, COUNT(*) FROM flights GROUP BY destination HAVING COUNT(*) > 1`,
-		// Subqueries, IN, correlation.
-		`SELECT flnu FROM flights WHERE rate > (SELECT AVG(rate) FROM flights)`,
-		`SELECT flnu FROM flights f WHERE rate >= (SELECT MAX(rate) FROM flights WHERE day = f.day)`,
-		`SELECT owner FROM seats WHERE snu IN (SELECT seatnu FROM f838 WHERE seatstatus = 'FREE')`,
-		`SELECT flnu FROM flights WHERE day IN ('mon', 'wed')`,
-		// ORDER BY, DISTINCT, LIMIT in every combination that matters.
-		`SELECT flnu FROM flights ORDER BY rate DESC`,
-		`SELECT flnu FROM flights LIMIT 2`,
-		`SELECT flnu FROM flights LIMIT 0`,
-		`SELECT flnu FROM flights ORDER BY rate LIMIT 2`,
-		`SELECT DISTINCT day FROM flights`,
-		`SELECT DISTINCT source FROM flights LIMIT 1`,
-		// Views and UNION.
-		`SELECT * FROM cheap ORDER BY flnu`,
-		`SELECT flnu FROM cheap WHERE rate < 90.0`,
-		`SELECT source FROM flights UNION SELECT destination FROM flights`,
-		`SELECT flnu FROM flights WHERE day = 'mon' UNION ALL SELECT snu FROM seats WHERE snu = 2`,
-	}
-	s := keyedStore(t)
-	run := func(q string, legacy bool) (*Result, error) {
-		old := LegacyMaterialize
-		LegacyMaterialize = legacy
-		defer func() { LegacyMaterialize = old }()
-		tx := s.Begin()
-		defer tx.Rollback()
-		return ExecuteSQL(tx, "continental", q)
-	}
-	for _, q := range queries {
-		iter, ierr := run(q, false)
-		legacy, lerr := run(q, true)
-		if (ierr == nil) != (lerr == nil) {
-			t.Fatalf("%q: iterator err=%v, legacy err=%v", q, ierr, lerr)
-		}
-		if ierr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(iter.ColumnNames(), legacy.ColumnNames()) {
-			t.Fatalf("%q: columns %v vs %v", q, iter.ColumnNames(), legacy.ColumnNames())
-		}
-		if len(iter.Rows) != len(legacy.Rows) {
-			t.Fatalf("%q: %d rows vs %d rows", q, len(iter.Rows), len(legacy.Rows))
-		}
-		for i := range iter.Rows {
-			if !reflect.DeepEqual(iter.Rows[i], legacy.Rows[i]) {
-				t.Fatalf("%q row %d: %v vs %v", q, i, iter.Rows[i], legacy.Rows[i])
-			}
-		}
-	}
-}
-
-// planFor binds the query's sources and plans its WHERE clause.
-func planFor(t *testing.T, tx *relstore.Tx, q string) (*env, *joinPlan) {
+// levelOps plans q without executing it and returns the access path the
+// planner chose for each FROM source, outermost first.
+func levelOps(t *testing.T, tx *relstore.Tx, q string) []*obs.PlanNode {
 	t.Helper()
 	sel := mustParseStmt(t, q).(*sqlparser.SelectStmt)
-	e := &env{tx: tx, db: "continental"}
-	for _, ref := range sel.From {
-		src, err := bindSource(tx, "continental", ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.sources = append(e.sources, src)
-	}
-	e.current = make([]relstore.Row, len(e.sources))
-	plan, err := planJoin(e, sel.Where)
+	_, plan, err := sqlengine.ExplainSelect(relbackend.Storage(tx), "continental", sel, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, plan
+	return plan.Children
 }
 
 func TestPlannerChoosesIndexProbe(t *testing.T) {
@@ -171,9 +73,9 @@ func TestPlannerChoosesIndexProbe(t *testing.T) {
 		{`SELECT * FROM flights WHERE flnu = 100`, map[int]bool{0: false}},
 	}
 	for _, c := range cases {
-		_, plan := planFor(t, tx, c.q)
+		levels := levelOps(t, tx, c.q)
 		for lvl, want := range c.probe {
-			if got := plan.probe[lvl] != nil; got != want {
+			if got := levels[lvl].Op == "index-probe"; got != want {
 				t.Errorf("%q level %d: probe=%v, want %v", c.q, lvl, got, want)
 			}
 		}
@@ -184,12 +86,12 @@ func TestPlannerProbeRetainsFilters(t *testing.T) {
 	s := keyedStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	_, plan := planFor(t, tx, `SELECT * FROM seats WHERE snu = 2 AND owner = 'smith'`)
-	if plan.probe[0] == nil {
-		t.Fatal("expected an index probe")
+	lvl := levelOps(t, tx, `SELECT * FROM seats WHERE snu = 2 AND owner = 'smith'`)[0]
+	if lvl.Op != "index-probe" {
+		t.Fatalf("expected an index probe, got %s", lvl.Op)
 	}
-	if len(plan.level[0]) != 2 {
-		t.Fatalf("probe must keep both conjuncts as filters, got %d", len(plan.level[0]))
+	if !strings.Contains(lvl.Detail, "filter(snu = 2 AND owner = 'smith')") {
+		t.Fatalf("probe must keep both conjuncts as filters, got %q", lvl.Detail)
 	}
 }
 
@@ -197,11 +99,17 @@ func TestDisableJoinOptimizationDisablesProbes(t *testing.T) {
 	s := keyedStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	DisableJoinOptimization = true
-	defer func() { DisableJoinOptimization = false }()
-	_, plan := planFor(t, tx, `SELECT * FROM seats WHERE snu = 2`)
-	if len(plan.probe) != 0 || len(plan.hash) != 0 {
-		t.Fatalf("ablation mode must plan no probes or hash joins, got %+v", plan)
+	sqlengine.DisableJoinOptimization = true
+	defer func() { sqlengine.DisableJoinOptimization = false }()
+	for _, q := range []string{
+		`SELECT * FROM seats WHERE snu = 2`,
+		`SELECT * FROM flights f, seats s WHERE s.snu = f.flnu`,
+	} {
+		for i, lvl := range levelOps(t, tx, q) {
+			if lvl.Op != "scan" {
+				t.Fatalf("%q level %d: ablation mode must plan only scans, got %s", q, i, lvl.Op)
+			}
+		}
 	}
 	res := query(t, s, "continental", `SELECT owner FROM seats WHERE snu = 2`)
 	if len(res.Rows) != 1 || res.Rows[0][0].String() != "smith" {
@@ -218,13 +126,13 @@ func TestProbeSeesUncommittedWrites(t *testing.T) {
 	defer tx.Rollback()
 	mustExec := func(q string) {
 		t.Helper()
-		if _, err := ExecuteSQL(tx, "continental", q); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", q); err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 	}
-	q := func(q string) *Result {
+	q := func(q string) *sqlengine.Result {
 		t.Helper()
-		res, err := ExecuteSQL(tx, "continental", q)
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"msql/internal/obs"
-	"msql/internal/relstore"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
@@ -114,7 +113,7 @@ func (ec *explainCtx) annotate(e *env) {
 // ExplainSelect plans (and with analyze, executes) a SELECT and returns
 // the plan tree plus — under analyze — the statement's normal result.
 // Plain EXPLAIN returns an empty result carrying only output columns.
-func ExplainSelect(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, analyze bool) (*Result, *obs.PlanNode, error) {
+func ExplainSelect(tx Storage, db string, sel *sqlparser.SelectStmt, analyze bool) (*Result, *obs.PlanNode, error) {
 	root := &obs.PlanNode{}
 	ec := &explainCtx{analyze: analyze, node: root}
 	t0 := time.Now()
@@ -148,7 +147,7 @@ func ExplainSelect(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, analyz
 // target's own rows with the annotated tree attached in Result.Plan — the
 // federation coordinator relies on getting both, so it can assemble the
 // global result and graft the local subtree into the statement-wide plan.
-func execExplain(tx *relstore.Tx, db string, ex *sqlparser.ExplainStmt) (*Result, error) {
+func execExplain(tx Storage, db string, ex *sqlparser.ExplainStmt) (*Result, error) {
 	sel, ok := ex.Target.(*sqlparser.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("sqlengine: EXPLAIN supports SELECT statements, not %s",

@@ -1,4 +1,4 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"fmt"
@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/sqlengine"
 )
 
 // pagedStore builds a database with a small driver table and a large
@@ -26,7 +28,7 @@ func pagedStore(t testing.TB) *relstore.Store {
 		`CREATE TABLE big (id INTEGER PRIMARY KEY, pad CHAR(60), val INTEGER)`,
 	}
 	for _, q := range setup {
-		if _, err := ExecuteSQL(tx, "db", q); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q); err != nil {
 			t.Fatalf("setup %q: %v", q, err)
 		}
 	}
@@ -36,7 +38,7 @@ func pagedStore(t testing.TB) *relstore.Store {
 			vals = append(vals, fmt.Sprintf("(%d, 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx', %d)", j, j%13))
 		}
 		q := "INSERT INTO big VALUES " + strings.Join(vals, ", ")
-		if _, err := ExecuteSQL(tx, "db", q); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +52,7 @@ func TestExplainPlainDoesNotExecute(t *testing.T) {
 	s := pagedStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	res, err := ExecuteSQL(tx, "db", `EXPLAIN SELECT * FROM big WHERE id = 7`)
+	res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", `EXPLAIN SELECT * FROM big WHERE id = 7`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestExplainPlainDoesNotExecute(t *testing.T) {
 	if res.Plan.Find("index-probe") == nil && res.Plan.Find("scan") == nil {
 		t.Fatalf("plan has no access-path node: %s", res.Plan.Render())
 	}
-	if _, err := ExecuteSQL(tx, "db", `EXPLAIN INSERT INTO drivers VALUES (1, 'x')`); err == nil {
+	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", `EXPLAIN INSERT INTO drivers VALUES (1, 'x')`); err == nil {
 		t.Fatal("EXPLAIN of a non-SELECT must be rejected")
 	}
 }
@@ -76,11 +78,11 @@ func TestExplainAnalyzeRowsMatchPlainSelect(t *testing.T) {
 	tx := s.Begin()
 	defer tx.Rollback()
 	const q = `SELECT d.id, b.val FROM drivers d, big b WHERE b.id = d.id ORDER BY d.id`
-	plain, err := ExecuteSQL(tx, "db", q)
+	plain, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzed, err := ExecuteSQL(tx, "db", "EXPLAIN ANALYZE "+q)
+	analyzed, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", "EXPLAIN ANALYZE "+q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +112,12 @@ func TestExplainProbeReadsFewerPagesThanScan(t *testing.T) {
 	s := pagedStore(t)
 	const q = `EXPLAIN ANALYZE SELECT d.id, b.val FROM drivers d, big b WHERE b.id = d.id`
 	run := func(forceScan bool) (pages int64, op string) {
-		old := DisableJoinOptimization
-		DisableJoinOptimization = forceScan
-		defer func() { DisableJoinOptimization = old }()
+		old := sqlengine.DisableJoinOptimization
+		sqlengine.DisableJoinOptimization = forceScan
+		defer func() { sqlengine.DisableJoinOptimization = old }()
 		tx := s.Begin()
 		defer tx.Rollback()
-		res, err := ExecuteSQL(tx, "db", q)
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +154,7 @@ func TestConcurrentAnalyzePageCountsDoNotBleed(t *testing.T) {
 	pagesOf := func(q string) int64 {
 		tx := s.Begin()
 		defer tx.Rollback()
-		res, err := ExecuteSQL(tx, "db", q)
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +179,7 @@ func TestConcurrentAnalyzePageCountsDoNotBleed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				tx := s.Begin()
-				res, err := ExecuteSQL(tx, "db", q)
+				res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q)
 				if err != nil {
 					tx.Rollback()
 					errs <- err

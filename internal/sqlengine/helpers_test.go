@@ -1,4 +1,4 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"testing"

@@ -22,6 +22,7 @@ type joinPlan struct {
 // The pinning conjuncts stay in plan.level as filters, so the probe is
 // purely an access path.
 type indexProbe struct {
+	index   KeyProber        // the level's table, which keeps the index
 	keyCols []int            // key column positions, in KeyColumns order
 	exprs   []sqlparser.Expr // probe expressions, parallel to keyCols
 }
@@ -36,7 +37,7 @@ type hashJoin struct {
 }
 
 // build populates the hash table once, pulling base tables through their
-// heap cursor and materialized sources from their row slice. Page traffic
+// storage cursor and materialized sources from their row slice. Page traffic
 // is recorded on pc (nil-safe) so an EXPLAIN ANALYZE attributes the build
 // scan to the hash-join operator.
 func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
@@ -60,7 +61,7 @@ func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 	}
 	src := e.sources[i]
 	if src.tbl != nil {
-		it := src.tbl.IterCounted(pc)
+		it := src.tbl.Scan(pc)
 		for {
 			_, row, ok := it.Next()
 			if !ok {
@@ -143,10 +144,11 @@ func planJoin(e *env, where sqlparser.Expr) (*joinPlan, error) {
 // the filters would reject anyway.
 func planProbes(e *env, plan *joinPlan, conjuncts []sqlparser.Expr) {
 	for lvl, src := range e.sources {
-		if src.tbl == nil {
-			continue
+		index, ok := src.tbl.(KeyProber)
+		if !ok {
+			continue // a view, or a storage without key indexes
 		}
-		keys := src.tbl.KeyColumns()
+		keys := index.KeyColumns()
 		if len(keys) == 0 {
 			continue
 		}
@@ -180,7 +182,7 @@ func planProbes(e *env, plan *joinPlan, conjuncts []sqlparser.Expr) {
 			}
 		}
 		if found == len(keys) {
-			plan.probe[lvl] = &indexProbe{keyCols: keys, exprs: exprs}
+			plan.probe[lvl] = &indexProbe{index: index, keyCols: keys, exprs: exprs}
 		}
 	}
 }

@@ -1,10 +1,12 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"fmt"
 	"testing"
 
+	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/sqlengine"
 )
 
 func joinStore(t testing.TB) *relstore.Store {
@@ -22,7 +24,7 @@ func joinStore(t testing.TB) *relstore.Store {
 		"INSERT INTO r VALUES (1, 'x'), (3, 'y'), (3, 'z'), (NULL, 'w')",
 		"INSERT INTO m VALUES (1, 'p'), (9, 'q')",
 	} {
-		if _, err := ExecuteSQL(tx, "db", q); err != nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,11 +105,11 @@ func TestJoinAgreesWithNestedLoopSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := s.Begin()
-	ExecuteSQL(tx, "db", "CREATE TABLE a (x INTEGER)")
-	ExecuteSQL(tx, "db", "CREATE TABLE b (y INTEGER)")
+	sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", "CREATE TABLE a (x INTEGER)")
+	sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", "CREATE TABLE b (y INTEGER)")
 	for i := 0; i < 12; i++ {
-		ExecuteSQL(tx, "db", fmt.Sprintf("INSERT INTO a VALUES (%d)", i%5))
-		ExecuteSQL(tx, "db", fmt.Sprintf("INSERT INTO b VALUES (%d)", i%4))
+		sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", fmt.Sprintf("INSERT INTO a VALUES (%d)", i%5))
+		sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", fmt.Sprintf("INSERT INTO b VALUES (%d)", i%4))
 	}
 	tx.Commit()
 

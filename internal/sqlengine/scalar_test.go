@@ -1,7 +1,10 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"testing"
+
+	"msql/internal/relbackend"
+	"msql/internal/sqlengine"
 )
 
 func TestScalarFunctionEdgeCases(t *testing.T) {
@@ -53,7 +56,7 @@ func TestScalarFunctionErrors(t *testing.T) {
 		"SELECT ROUND(source) FROM flights",                 // type
 		"SELECT SUM(rate) FROM flights WHERE SUM(rate) > 1", // aggregate in WHERE
 	} {
-		if _, err := ExecuteSQL(tx, "continental", q); err == nil {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", q); err == nil {
 			t.Errorf("%q should error", q)
 		}
 	}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -9,21 +10,21 @@ import (
 	"msql/internal/sqlval"
 )
 
-// boundSource is one FROM-clause input. Base tables carry the storage-
-// backed table and are scanned lazily through its heap; views (and all
-// sources under LegacyMaterialize) are materialized into rows.
+// boundSource is one FROM-clause input. Base tables carry the storage's
+// table and are scanned lazily through its cursor; views are
+// materialized into rows.
 type boundSource struct {
 	qualifier string // alias, or the table/view name
 	cols      []relstore.Column
-	tbl       *relstore.Table // base table scanned in place; nil for views
-	rows      []relstore.Row  // materialized rows when tbl is nil
+	tbl       Table          // base table scanned in place; nil for views
+	rows      []relstore.Row // materialized rows when tbl is nil
 }
 
 // env is the expression evaluation environment: the current row of every
 // bound source, an optional parent for correlated subqueries, and
 // aggregate results when evaluating grouped projections.
 type env struct {
-	tx      *relstore.Tx
+	tx      Storage
 	db      string
 	sources []*boundSource
 	current []relstore.Row // current row per source
@@ -34,14 +35,14 @@ type env struct {
 
 // execSelect runs a SELECT, including UNION branches. outer is the
 // enclosing environment for correlated subqueries, nil at the top level.
-func execSelect(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, outer *env) (*Result, error) {
+func execSelect(tx Storage, db string, sel *sqlparser.SelectStmt, outer *env) (*Result, error) {
 	return execSelectEx(tx, db, sel, outer, nil)
 }
 
 // execSelectEx is execSelect with an optional explain context: when ec is
 // non-nil the chosen plan is recorded under ec.node, and with ec.analyze
 // unset the statement is planned but not executed.
-func execSelectEx(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, outer *env, ec *explainCtx) (*Result, error) {
+func execSelectEx(tx Storage, db string, sel *sqlparser.SelectStmt, outer *env, ec *explainCtx) (*Result, error) {
 	if len(sel.Unions) == 0 {
 		return execSingleSelect(tx, db, sel, outer, ec)
 	}
@@ -89,7 +90,7 @@ func execSelectEx(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, outer *
 }
 
 // execSingleSelect runs one union-free SELECT branch.
-func execSingleSelect(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, outer *env, ec *explainCtx) (*Result, error) {
+func execSingleSelect(tx Storage, db string, sel *sqlparser.SelectStmt, outer *env, ec *explainCtx) (*Result, error) {
 	e := &env{tx: tx, db: db, parent: outer}
 	for _, ref := range sel.From {
 		src, err := bindSource(tx, db, ref)
@@ -202,58 +203,50 @@ func execSingleSelect(tx *relstore.Tx, db string, sel *sqlparser.SelectStmt, out
 // database-qualified name. Base tables are bound by reference and
 // scanned lazily during execution; views run their definition and
 // materialize the result.
-func bindSource(tx *relstore.Tx, db string, ref sqlparser.TableRef) (*boundSource, error) {
+func bindSource(tx Storage, db string, ref sqlparser.TableRef) (*boundSource, error) {
 	tdb, tname := splitName(db, ref.Name)
 	qual := ref.Alias
 	if qual == "" {
 		qual = tname
 	}
-	d, err := tx.StoreDatabase(tdb)
+	tbl, err := tx.TableForRead(tdb, tname)
+	if err == nil {
+		return &boundSource{qualifier: qual, cols: tbl.Columns(), tbl: tbl}, nil
+	}
+	if !errors.Is(err, relstore.ErrNoTable) {
+		return nil, err
+	}
+	return bindView(tx, tdb, tname, qual, err)
+}
+
+// bindView runs the definition of view tdb.tname and binds the
+// materialized result. noTable is what the caller got looking for a base
+// table of that name; it is returned when there is no such view either.
+func bindView(tx Storage, tdb, tname, qual string, noTable error) (*boundSource, error) {
+	def, err := tx.ViewDefinition(tdb, tname)
+	if err != nil {
+		return nil, noTable
+	}
+	stmt, err := sqlparser.ParseStatement(def)
+	if err != nil {
+		return nil, fmt.Errorf("sqlengine: bad view definition %s.%s: %v", tdb, tname, err)
+	}
+	vsel, ok := stmt.(*sqlparser.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("sqlengine: view %s.%s is not a SELECT", tdb, tname)
+	}
+	res, err := execSelect(tx, tdb, vsel, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := d.Table(tname); err == nil {
-		tbl, err := tx.TableForRead(tdb, tname)
-		if err != nil {
-			return nil, err
-		}
-		src := &boundSource{qualifier: qual, cols: append([]relstore.Column(nil), tbl.Columns...)}
-		if LegacyMaterialize {
-			tbl.ForEach(func(idx int, row relstore.Row) bool {
-				src.rows = append(src.rows, row)
-				return true
-			})
-			if err := tbl.Err(); err != nil {
-				return nil, err
-			}
-		} else {
-			src.tbl = tbl
-		}
-		return src, nil
+	src := &boundSource{qualifier: qual}
+	for _, c := range res.Columns {
+		src.cols = append(src.cols, relstore.Column{Name: c.Name, Type: c.Type})
 	}
-	if v, err := d.View(tname); err == nil {
-		stmt, err := sqlparser.ParseStatement(v.Definition)
-		if err != nil {
-			return nil, fmt.Errorf("sqlengine: bad view definition %s.%s: %v", tdb, tname, err)
-		}
-		vsel, ok := stmt.(*sqlparser.SelectStmt)
-		if !ok {
-			return nil, fmt.Errorf("sqlengine: view %s.%s is not a SELECT", tdb, tname)
-		}
-		res, err := execSelect(tx, tdb, vsel, nil)
-		if err != nil {
-			return nil, err
-		}
-		src := &boundSource{qualifier: qual}
-		for _, c := range res.Columns {
-			src.cols = append(src.cols, relstore.Column{Name: c.Name, Type: c.Type})
-		}
-		for _, r := range res.Rows {
-			src.rows = append(src.rows, relstore.Row(r))
-		}
-		return src, nil
+	for _, r := range res.Rows {
+		src.rows = append(src.rows, relstore.Row(r))
 	}
-	return nil, fmt.Errorf("%w: %s.%s", relstore.ErrNoTable, tdb, tname)
+	return src, nil
 }
 
 type rowWithKeys struct {

@@ -1,7 +1,10 @@
-package sqlengine
+package sqlengine_test
 
 import (
 	"testing"
+
+	"msql/internal/relbackend"
+	"msql/internal/sqlengine"
 )
 
 func TestUnionDedupes(t *testing.T) {
@@ -36,7 +39,7 @@ func TestUnionArityMismatch(t *testing.T) {
 	s := paperStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	_, err := ExecuteSQL(tx, "continental", "SELECT flnu FROM flights UNION SELECT flnu, rate FROM flights")
+	_, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT flnu FROM flights UNION SELECT flnu, rate FROM flights")
 	if err == nil {
 		t.Fatal("arity mismatch should error")
 	}

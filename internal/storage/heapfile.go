@@ -26,7 +26,8 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 //
 // HeapFile methods are not safe for concurrent use on the same table;
 // relstore's table locks serialize them, exactly as they serialized the
-// map-backed tables before.
+// map-backed tables before. Different tables of one pool may be written
+// concurrently, also while the pool is being flushed (Pool.flushMu).
 type HeapFile struct {
 	pool  *Pool
 	id    FileID
@@ -147,6 +148,13 @@ func (h *HeapFile) Sync() error { return h.backing().Sync() }
 // possible, any page with space otherwise, a fresh page as a last
 // resort — and returns its RID.
 func (h *HeapFile) Insert(data []byte) (RID, error) {
+	h.pool.flushMu.RLock()
+	defer h.pool.flushMu.RUnlock()
+	return h.insert(data)
+}
+
+// insert is Insert for callers that already hold the pool's flushMu.
+func (h *HeapFile) insert(data []byte) (RID, error) {
 	if len(data) > maxTuple {
 		return NilRID, fmt.Errorf("%w (%d bytes)", ErrTupleTooBig, len(data))
 	}
@@ -256,6 +264,8 @@ func (h *HeapFile) ReadCounted(rid RID, pc *PageCounters) ([]byte, error) {
 
 // Delete removes the tuple at rid.
 func (h *HeapFile) Delete(rid RID) error {
+	h.pool.flushMu.RLock()
+	defer h.pool.flushMu.RUnlock()
 	f, err := h.pool.Fetch(h.id, rid.Page)
 	if err != nil {
 		return err
@@ -274,6 +284,8 @@ func (h *HeapFile) Delete(rid RID) error {
 // to another page otherwise. It returns the tuple's RID afterwards,
 // which callers must store back.
 func (h *HeapFile) Update(rid RID, data []byte) (RID, error) {
+	h.pool.flushMu.RLock()
+	defer h.pool.flushMu.RUnlock()
 	f, err := h.pool.Fetch(h.id, rid.Page)
 	if err != nil {
 		return NilRID, err
@@ -296,7 +308,7 @@ func (h *HeapFile) Update(rid RID, data []byte) (RID, error) {
 	}
 	h.noteFree(rid.Page, p.contiguousAfterCompact(true))
 	h.pool.Unpin(f, true)
-	return h.Insert(data)
+	return h.insert(data)
 }
 
 // Scan iterates the heap page-at-a-time in (page, slot) order, calling

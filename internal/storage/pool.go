@@ -66,6 +66,13 @@ type PoolStats struct {
 // chance) algorithm over unpinned frames, writing dirty victims back to
 // their backing first.
 type Pool struct {
+	// flushMu keeps FlushAll/FlushFile away from pages in mid-mutation:
+	// HeapFile's mutators hold it shared from Fetch to Unpin, a flush
+	// holds it exclusively, so a half-written page is never sealed and
+	// written out. Eviction needs no such care — it only flushes unpinned
+	// frames. Lock order: flushMu before mu.
+	flushMu sync.RWMutex
+
 	mu       sync.Mutex
 	frames   []Frame
 	index    map[frameKey]int
@@ -274,6 +281,8 @@ func (p *Pool) flushFrameLocked(f *Frame) error {
 
 // FlushFile writes back every dirty resident page of one file.
 func (p *Pool) FlushFile(file FileID) error {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.frames {
@@ -287,8 +296,13 @@ func (p *Pool) FlushFile(file FileID) error {
 	return nil
 }
 
-// FlushAll writes back every dirty resident page.
+// FlushAll writes back every dirty resident page. It is safe to call
+// while other goroutines insert, update and delete through HeapFiles of
+// this pool: it waits for the row mutations in flight and holds off new
+// ones for its duration.
 func (p *Pool) FlushAll() error {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.frames {
