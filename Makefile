@@ -6,8 +6,10 @@ build:
 test:
 	go test ./...
 
+# Per-layer micro-benchmarks (sqlengine, relstore, ...). The end-to-end
+# benchmark is bench/ (BENCHMARK.json, bash bench/run.sh).
 bench:
-	go test -bench=. -benchmem
+	go test -run '^$$' -bench . -benchmem ./internal/...
 
 # Full verification: static analysis plus the whole test suite under the
 # race detector (the fault-injection tests are concurrency-heavy).
@@ -22,6 +24,7 @@ bench-check:
 	go -C bench test ./...
 
 # Every registered metric must be msql_-prefixed snake_case and
-# documented in DESIGN.md's metric inventory.
+# documented in DESIGN.md's metric inventory, and every metric in the
+# inventory must still be registered.
 lint-metrics:
 	sh scripts/lint-metrics.sh

@@ -1,31 +1,17 @@
-// Command msqlbench regenerates every experiment of EXPERIMENTS.md: the
-// paper's worked examples as outcome tables (E1–E5), the architecture
-// exercises (F1, F2), and the performance measurements backing the
-// paper's qualitative claims (B1–B6).
+// Command msqlbench regenerates every experiment table of EXPERIMENTS.md:
+// the paper's worked examples as outcome tables (E1–E5), the architecture
+// exercises (F1, F2), and the measurements backing the paper's
+// qualitative claims (B1–B8, B10). It prints tables and records
+// nothing: numbers that gate a PR come from bench/ (BENCHMARK.json).
 //
 // Usage:
 //
 //	msqlbench            # run everything
 //	msqlbench -only B1   # run one experiment
 //	msqlbench -quick     # smaller sizes for a fast pass
-//
-// With -clients N it instead runs the concurrency benchmark: N client
-// connections against a served coordinator, each committing two-site
-// vital units through a group-committing journal, reporting throughput,
-// latency percentiles, and the decisions-per-fsync batching ratio
-// (written as BENCH_concurrency.json; -baseline FILE fails the run if
-// throughput drops under half a recorded baseline).
-//
-// With -rows N it runs the storage benchmark: a disk-backed table of N
-// rows behind a buffer pool deliberately smaller than the table, timing
-// bulk load, a full sequential scan, and point lookups through the
-// primary-key B-tree versus the same lookups with the index disabled
-// (written as BENCH_storage.json; -baseline FILE fails the run on a >2x
-// regression in lookup or scan latency).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,101 +19,12 @@ import (
 	"time"
 
 	"msql/internal/experiments"
-	"msql/internal/obs"
 )
 
-// report is the machine-readable form of one msqlbench run, written as
-// BENCH_obs.json: every experiment table plus a snapshot of the process's
-// federation metrics (the sites here are in-process, but the counters and
-// latency histograms accumulate all the same).
-type report struct {
-	GeneratedAt string                `json:"generated_at"`
-	Quick       bool                  `json:"quick"`
-	Only        string                `json:"only,omitempty"`
-	Experiments []*experiments.Table  `json:"experiments"`
-	Listings    map[string]string     `json:"listings,omitempty"`
-	Obs         *experiments.ObsStats `json:"obs,omitempty"`
-	Metrics     map[string]any        `json:"metrics"`
-}
-
-// checkObsBaseline is the experiments-mode regression smoke against a
-// committed BENCH_obs.json: the EXPLAIN ANALYZE path must not get over
-// 2x slower, the federation plan for the reference join must keep its
-// shape, and every metric name present in the baseline snapshot must
-// still be registered (a vanished metric is a broken dashboard).
-func checkObsBaseline(rep *report, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	base := &report{}
-	if err := json.Unmarshal(data, base); err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	if base.Obs != nil && rep.Obs != nil {
-		if base.Obs.AnalyzeUS > 0 && rep.Obs.AnalyzeUS > 2*base.Obs.AnalyzeUS {
-			return fmt.Errorf("EXPLAIN ANALYZE regression: %.1f us is over 2x the baseline %.1f us",
-				rep.Obs.AnalyzeUS, base.Obs.AnalyzeUS)
-		}
-		if base.Obs.PlanNodes != rep.Obs.PlanNodes {
-			return fmt.Errorf("federation plan shape changed: %d nodes, baseline has %d",
-				rep.Obs.PlanNodes, base.Obs.PlanNodes)
-		}
-	}
-	var missing []string
-	for name := range base.Metrics {
-		if _, ok := rep.Metrics[name]; !ok {
-			missing = append(missing, name)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("metrics gone since the baseline: %s", strings.Join(missing, ", "))
-	}
-	fmt.Printf("baseline check passed: analyze %.1f us vs baseline %.1f us, %d metrics all present\n",
-		rep.Obs.AnalyzeUS, base.Obs.AnalyzeUS, len(base.Metrics))
-	return nil
-}
-
 func main() {
-	var (
-		only     = flag.String("only", "", "run a single experiment (E1..E5, F1, F2, B1..B8)")
-		quick    = flag.Bool("quick", false, "reduced sizes for a fast pass")
-		jsonPath = flag.String("json", "BENCH_obs.json", "write experiment tables and a metrics snapshot to this JSON file (empty disables)")
-
-		clients  = flag.Int("clients", 0, "run the concurrency benchmark with this many concurrent client sessions (0 runs the experiments)")
-		opsPer   = flag.Int("ops", 50, "operations per client in -clients mode")
-		window   = flag.Duration("window", 2*time.Millisecond, "group-commit batch window in -clients mode")
-		baseline = flag.String("baseline", "", "baseline JSON from a previous run of the same mode: fail on regression")
-
-		rows     = flag.Int("rows", 0, "run the storage benchmark with a disk-backed table of this many rows (0 runs the experiments)")
-		bufPages = flag.Int("buffer-pages", 128, "buffer pool frames in -rows mode; keep it smaller than the table to exercise eviction")
-		lookups  = flag.Int("lookups", 2000, "point lookups to time in -rows mode")
-	)
+	only := flag.String("only", "", "run a single experiment (E1..E5, F1, F2, B1..B8, B10)")
+	quick := flag.Bool("quick", false, "reduced sizes for a fast pass")
 	flag.Parse()
-
-	if *rows > 0 {
-		out := *jsonPath
-		if out == "BENCH_obs.json" {
-			out = "BENCH_storage.json"
-		}
-		if err := runStorage(*rows, *bufPages, *lookups, out, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "storage bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clients > 0 {
-		out := *jsonPath
-		if out == "BENCH_obs.json" {
-			out = "BENCH_concurrency.json"
-		}
-		if err := runConcurrency(*clients, *opsPer, *window, out, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "concurrency bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	iters := 200
 	b1Rows, b1Iters := 3000, 5
@@ -148,12 +45,10 @@ func main() {
 		id  string
 		run func() error
 	}
-	rep := &report{Quick: *quick, Only: *only, Listings: make(map[string]string)}
 	printTable := func(t *experiments.Table, err error) error {
 		if err != nil {
 			return err
 		}
-		rep.Experiments = append(rep.Experiments, t)
 		fmt.Println(t.Format())
 		return nil
 	}
@@ -169,7 +64,6 @@ func main() {
 			}
 			fmt.Println("== E5: Section 4.3 DOL program listing (regenerated) ==")
 			fmt.Println(prog)
-			rep.Listings["E5"] = prog
 			return nil
 		}},
 		{"F1", func() error { return printTable(experiments.F1PhaseBreakdown(iters)) }},
@@ -184,14 +78,9 @@ func main() {
 		{"B6", func() error { return printTable(experiments.B6CrossJoin(b6Sizes, 3)) }},
 		{"B7", func() error { return printTable(experiments.B7ConsistencyLevels(iters)) }},
 		{"B8", func() error { return printTable(experiments.B8SyncGranularity(8, iters/2)) }},
-		{"B9", func() error { return printTable(experiments.B9JoinOptimization(b6Sizes[len(b6Sizes)-1]/2, 3)) }},
 		{"B10", func() error {
-			tbl, stats, err := experiments.B10ObservabilityOverhead(iters)
-			if err != nil {
-				return err
-			}
-			rep.Obs = stats
-			return printTable(tbl, nil)
+			tbl, _, err := experiments.B10ObservabilityOverhead(iters)
+			return printTable(tbl, err)
 		}},
 	}
 
@@ -209,25 +98,5 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
 		os.Exit(1)
-	}
-	if *jsonPath != "" {
-		rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-		rep.Metrics = obs.Default().Snapshot()
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "marshal report:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "write report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d experiment tables)\n", *jsonPath, len(rep.Experiments))
-	}
-	if *baseline != "" {
-		if err := checkObsBaseline(rep, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "baseline:", err)
-			os.Exit(1)
-		}
 	}
 }

@@ -7,7 +7,7 @@
 // a Narada-style engine over heterogeneous simulated local DBMSs.
 //
 // See README.md for an overview, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the reproduced evaluation artifacts. The root
-// package exists to host bench_test.go; the implementation lives under
-// internal/.
+// EXPERIMENTS.md for the reproduced evaluation artifacts. The
+// implementation lives under internal/; the benchmark is the module in
+// bench/.
 package msql

@@ -246,7 +246,6 @@ func TestChurnSoak(t *testing.T) {
 		// and the commit floor is met even under -race scheduling.
 		MaxConcurrent: 8, MaxQueuePerTenant: 4, MaxWaitMS: 150,
 		StmtTimeoutMS: 5000,
-		PoolSize:      4,
 		// 1ms threshold: the 2ms group-commit window alone pushes every
 		// synchronized unit over it, so the soak exercises the slow-query
 		// log across both coordinator incarnations.

@@ -63,8 +63,6 @@ type CoordConfig struct {
 	MaxWaitMS         int
 	// StmtTimeoutMS bounds each statement (zero = unbounded).
 	StmtTimeoutMS int
-	// PoolSize enables LAM client connection pooling.
-	PoolSize int
 	// SlowQueryMS enables the slow-query log at this threshold.
 	// Entries append to SlowQueryLog, so the file accumulates across
 	// crash-restart incarnations of the child.
@@ -94,7 +92,6 @@ func CoordMain() {
 	for _, s := range cfg.Sites {
 		client, err := lam.DialWith(context.Background(), s.Addr, lam.DialOptions{
 			CallTimeout: 5 * time.Second,
-			PoolSize:    cfg.PoolSize,
 		})
 		if err != nil {
 			fatalCoord("dial %s at %s: %v", s.Service, s.Addr, err)

@@ -25,15 +25,10 @@ import (
 // together with per-task wall time and row counts.
 func (s *Session) execExplain(ctx context.Context, ex *msqlparser.ExplainStmt) (*Result, error) {
 	f := s.f
-	scope, lets, q := s.scope, s.lets, ex.Query
-	sel, ok := q.Body.(*sqlparser.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("core: EXPLAIN supports SELECT queries, got %s", sqlparser.Deparse(q.Body))
+	if _, ok := ex.Query.Body.(*sqlparser.SelectStmt); !ok {
+		return nil, fmt.Errorf("core: EXPLAIN supports SELECT queries, got %s", sqlparser.Deparse(ex.Query.Body))
 	}
-	if view := f.matchMultiview(sel); view != nil {
-		scope, lets = view.scope, view.lets
-		q = &msqlparser.QueryStmt{Body: view.body}
-	}
+	scope, lets, q := s.selectTarget(ex.Query)
 	if len(scope) == 0 {
 		return nil, translate.ErrNoScope
 	}

@@ -193,6 +193,24 @@ CREATE MULTIVIEW avail AS SELECT %code FROM car% WHERE status = 'available'
 	}
 }
 
+// TestMultiviewReportsFailedSubquery: a multiview whose body fails at
+// one site must fail the SELECT the way the body run directly does, not
+// come back as a silently incomplete multitable.
+func TestMultiviewReportsFailedSubquery(t *testing.T) {
+	f := paperFederation(t, false)
+	if _, err := f.ExecScript(`
+USE avis national
+LET car.status BE cars.carst vehicle.vstat
+CREATE MULTIVIEW avail AS SELECT %code FROM car WHERE status = 'available'
+`); err != nil {
+		t.Fatal(err)
+	}
+	f.Server("svc_natl").Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "national"})
+	if _, err := f.ExecScript("SELECT * FROM avail"); err == nil || !strings.Contains(err.Error(), "subquery on national failed") {
+		t.Fatalf("err = %v, want the national subquery's failure", err)
+	}
+}
+
 func TestMultiviewErrors(t *testing.T) {
 	f := paperFederation(t, false)
 	// Needs scope.

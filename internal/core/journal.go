@@ -16,7 +16,6 @@ import (
 	"msql/internal/obs"
 	"msql/internal/sqlparser"
 	"msql/internal/translate"
-	"msql/internal/wire"
 )
 
 // ErrDrained reports that script execution stopped at a statement
@@ -336,7 +335,7 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 			sem <- struct{}{}
 			go func(jb *resolveJob) {
 				defer func() { <-sem; wg.Done() }()
-				jb.st, jb.err = f.resolveParticipant(ctx, jb.p.Addr, jb.p.SessionID, jb.commit)
+				jb.st, jb.err = f.engine.ResolveParticipant(ctx, jb.p.Addr, jb.p.SessionID, jb.commit)
 			}(jb)
 		}
 		wg.Wait()
@@ -480,7 +479,7 @@ func (f *Federation) RecoverOrphans(ctx context.Context) ([]Participant, error) 
 				if covered[site+"#"+strconv.FormatInt(d.SessionID, 10)] {
 					continue // an open multitransaction owns it; Recover's job
 				}
-				if _, rerr := f.resolveParticipant(ctx, site, d.SessionID, false); rerr != nil {
+				if _, rerr := f.engine.ResolveParticipant(ctx, site, d.SessionID, false); rerr != nil {
 					mu.Lock()
 					lastErr = rerr
 					mu.Unlock()
@@ -500,43 +499,6 @@ func (f *Federation) RecoverOrphans(ctx context.Context) ([]Participant, error) 
 // appendOutcome journals a terminal status reached during recovery.
 func (f *Federation) appendOutcome(mtid uint64, task string, st uint8) {
 	_ = f.journal.Append(&mtlog.Record{Type: mtlog.TOutcome, MTID: mtid, Task: task, Status: st})
-}
-
-// resolveParticipant drives one in-doubt session to its decision under
-// the engine's recovery pacing. Transient transport failures — including
-// connection refused while the participant restarts — are retried with
-// backoff; wire.ErrNoSession is the termination-protocol answer, not a
-// failure: a participant with no record of the session either never
-// voted or was acknowledged and allowed to forget, so the logged
-// decision (presumed abort when none) is the outcome.
-func (f *Federation) resolveParticipant(ctx context.Context, addr string, id int64, commit bool) (ldbms.SessionState, error) {
-	var last error
-	for attempt := 0; attempt <= f.engine.Recovery.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(f.engine.Recovery.Backoff(attempt)):
-			}
-		}
-		cctx, cancel := context.WithTimeout(ctx, f.engine.RecoverTimeout)
-		st, err := lam.Resolve(cctx, addr, id, commit)
-		cancel()
-		if err == nil {
-			return st, nil
-		}
-		if errors.Is(err, wire.ErrNoSession) {
-			if commit {
-				return ldbms.StateCommitted, nil
-			}
-			return ldbms.StateAborted, nil
-		}
-		if !wire.Transient(err) {
-			return 0, err
-		}
-		last = err
-	}
-	return 0, last
 }
 
 // runComp replays one compensating subquery from its journal

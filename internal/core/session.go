@@ -340,16 +340,11 @@ func (s *Session) execStmt(ctx context.Context, stmt msqlparser.Stmt) ([]*Result
 
 // execQuery routes one manipulation statement.
 func (s *Session) execQuery(ctx context.Context, q *msqlparser.QueryStmt) ([]*Result, error) {
-	f := s.f
 	switch q.Body.(type) {
 	case *sqlparser.CreateDatabaseStmt, *sqlparser.DropDatabaseStmt:
 		return nil, fmt.Errorf("%w: CREATE/DROP DATABASE — create the database on its service and IMPORT it", ErrUnsupported)
 	}
-	if sel, ok := q.Body.(*sqlparser.SelectStmt); ok {
-		if view := f.matchMultiview(sel); view != nil {
-			r, err := s.execStoredSelect(ctx, view)
-			return resultList(r), err
-		}
+	if _, ok := q.Body.(*sqlparser.SelectStmt); ok {
 		r, err := s.execSelect(ctx, q)
 		return resultList(r), err
 	}
@@ -481,38 +476,29 @@ func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate
 	return nil
 }
 
-// execStoredSelect executes a multiview's captured multiple query.
-func (s *Session) execStoredSelect(ctx context.Context, view *storedView) (*Result, error) {
-	f := s.f
-	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateQuery(view.scope, view.lets, &msqlparser.QueryStmt{Body: view.body})
-	tsp.EndErr(err)
-	if err != nil {
-		return nil, err
+// selectTarget resolves what a retrieval runs as: the multiview
+// invocation form runs the view's captured multiple query under the
+// scope and LET bindings captured at its definition, anything else runs
+// as written under the session's.
+func (s *Session) selectTarget(q *msqlparser.QueryStmt) ([]semvar.ScopeEntry, []msqlparser.LetBinding, *msqlparser.QueryStmt) {
+	if sel, ok := q.Body.(*sqlparser.SelectStmt); ok {
+		if view := s.f.matchMultiview(sel); view != nil {
+			return view.scope, view.lets, &msqlparser.QueryStmt{Body: view.body}
+		}
 	}
-	res := &Result{Kind: KindSelect, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
-	if f.DryRun {
-		return res, nil
-	}
-	esp, ectx := obs.StartSpan(ctx, "execute:select", obs.KindEngine)
-	out, err := f.engine.Run(ectx, prog)
-	esp.EndErr(err)
-	if err != nil {
-		return res, err
-	}
-	f.assembleMultitable(res, meta, out)
-	return res, nil
+	return s.scope, s.lets, q
 }
 
 // execSelect runs a retrieval query immediately and assembles the
 // multitable.
 func (s *Session) execSelect(ctx context.Context, q *msqlparser.QueryStmt) (*Result, error) {
 	f := s.f
-	if len(s.scope) == 0 {
+	scope, lets, q := s.selectTarget(q)
+	if len(scope) == 0 {
 		return nil, translate.ErrNoScope
 	}
 	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateQuery(s.scope, s.lets, q)
+	prog, meta, err := f.tctx.TranslateQuery(scope, lets, q)
 	tsp.EndErr(err)
 	if err != nil {
 		return nil, err

@@ -304,14 +304,53 @@ func (e *Engine) RunLogged(ctx context.Context, prog *dol.Program, log TxLog) (*
 // the retry instants across sites.
 const recoverParallelism = 16
 
+// ResolveParticipant is the termination protocol for one in-doubt
+// participant: reconnect, wire.ReqAttach, deliver the recorded decision
+// (lam.Resolve), paced by the engine's Recovery policy with each attempt
+// bounded by RecoverTimeout. Transient transport failures — including
+// connection refused while the participant restarts — are retried with
+// backoff. wire.ErrNoSession is an answer, not a failure: a participant
+// with no record of the session either never voted or was acknowledged
+// and allowed to forget, so the recorded decision (presumed abort when
+// it was rollback) is the outcome.
+func (e *Engine) ResolveParticipant(ctx context.Context, addr string, sessionID int64, commit bool) (ldbms.SessionState, error) {
+	var last error
+	for attempt := 0; attempt <= e.Recovery.Attempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			case <-time.After(e.Recovery.Backoff(attempt)):
+			}
+		}
+		cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
+		st, err := e.resolve(cctx, addr, sessionID, commit)
+		cancel()
+		if err == nil {
+			return st, nil
+		}
+		if errors.Is(err, wire.ErrNoSession) {
+			if commit {
+				return ldbms.StateCommitted, nil
+			}
+			return ldbms.StateAborted, nil
+		}
+		if !wire.Transient(err) {
+			return 0, err
+		}
+		last = err
+	}
+	return 0, last
+}
+
 // recoverInDoubt is the coordinator's bounded recovery loop: each
-// in-doubt participant is re-contacted (reconnect + wire.ReqAttach) and
-// driven to its recorded decision. Recovery runs on a fresh context — the
-// plan's deadline may already have expired, and delivering decisions for
-// prepared transactions must still be attempted — bounded instead by the
-// engine's Recovery policy and RecoverTimeout. Participants are
-// contacted in parallel (recoverParallelism at a time) so one
-// unreachable site's backoff does not serialize the rest of the sweep.
+// in-doubt participant is driven to its recorded decision with
+// ResolveParticipant. Delivering decisions for prepared transactions
+// must be attempted even when the plan's deadline has expired, so the
+// loop is bounded by the engine's Recovery policy and RecoverTimeout
+// instead. Participants are contacted in parallel (recoverParallelism
+// at a time) so one unreachable site's backoff does not serialize the
+// rest of the sweep.
 func (r *run) recoverInDoubt() {
 	type pendingTask struct {
 		name string
@@ -345,40 +384,16 @@ func (r *run) recoverInDoubt() {
 			rt.mu.Unlock()
 			rsp, _ := obs.StartSpan(r.ctx, "resolve:"+name, obs.KindRecovery)
 			rsp.SetAttr("site", addr)
-			resolved := false
-			for attempt := 0; attempt <= r.eng.Recovery.Attempts; attempt++ {
-				if attempt > 0 {
-					time.Sleep(r.eng.Recovery.Backoff(attempt))
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), r.eng.RecoverTimeout)
-				st, err := r.eng.resolve(ctx, addr, id, commit)
-				cancel()
-				if err != nil {
-					if errors.Is(err, wire.ErrNoSession) {
-						// Termination protocol: a participant with no record of
-						// the session either never voted or was acknowledged and
-						// forgot. The recorded decision is the definite outcome —
-						// presumed abort when it was rollback.
-						st = ldbms.StateAborted
-						if commit {
-							st = ldbms.StateCommitted
-						}
-					} else if wire.Transient(err) {
-						// Connection refused while the participant restarts (and
-						// its transport kin) — keep trying under the policy.
-						continue
-					} else {
-						break
-					}
-				}
+			// A fresh context: the plan's deadline may already have expired.
+			st, err := r.eng.ResolveParticipant(context.Background(), addr, id, commit)
+			resolved := err == nil
+			if resolved {
 				if st == ldbms.StateCommitted {
 					rt.setStatus(dol.StatusCommitted, nil)
 				} else {
 					rt.setStatus(dol.StatusAborted, nil)
 				}
 				r.logOutcome(rt)
-				resolved = true
-				break
 			}
 			rt.mu.Lock()
 			enteredAt := rt.inDoubtAt

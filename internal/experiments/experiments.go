@@ -7,8 +7,7 @@
 // overhead, early release through compensation, substitution cost,
 // transport overhead, cross-database join shipping).
 //
-// Each experiment returns a Table that cmd/msqlbench prints; bench_test.go
-// wraps the same code paths in testing.B benchmarks.
+// Each experiment returns a Table that cmd/msqlbench prints.
 package experiments
 
 import (

@@ -226,13 +226,23 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-func TestB9JoinOptimization(t *testing.T) {
-	tbl, err := B9JoinOptimization(60, 2)
+// TestB10ObservabilityOverhead holds the observability plane to its
+// budget: EXPLAIN ANALYZE with a catch-all slow-query log costs at most
+// 2x the plain statement measured in the same run, and the reference
+// join still decomposes into the same 15-node federation plan.
+func TestB10ObservabilityOverhead(t *testing.T) {
+	tbl, stats, err := B10ObservabilityOverhead(50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 {
+	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %v", tbl.Rows)
+	}
+	if stats.PlanNodes != 15 {
+		t.Errorf("federation plan has %d nodes, want 15", stats.PlanNodes)
+	}
+	if stats.Analyze > 2*stats.Plain {
+		t.Errorf("EXPLAIN ANALYZE %v is over 2x the plain statement's %v", stats.Analyze, stats.Plain)
 	}
 }
 

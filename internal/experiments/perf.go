@@ -19,7 +19,6 @@ import (
 	"msql/internal/obs"
 	"msql/internal/relstore"
 	"msql/internal/semvar"
-	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
@@ -705,65 +704,19 @@ func B8SyncGranularity(batch, iters int) (*Table, error) {
 	return t, nil
 }
 
-// B9JoinOptimization ablates the coordinator's join strategy for the
-// cross-database query of B6: hash equi-join with predicate pushdown (the
-// kind of DOL-plan optimization the paper's conclusion anticipates)
-// against the naive cartesian enumeration.
-func B9JoinOptimization(rows, iters int) (*Table, error) {
-	t := &Table{
-		ID:     "B9",
-		Title:  "ablation — coordinator join strategy for the cross-database query",
-		Note:   fmt.Sprintf("%d rows per database; same plan, different local join algorithm", rows),
-		Header: []string{"join strategy", "mean per join"},
-	}
-	fed, err := genericFederation(2, rows)
-	if err != nil {
-		return nil, err
-	}
-	script := `USE d1 d2
-SELECT COUNT(a.id) AS n FROM d1.items a, d2.items b WHERE a.id = b.id AND a.val < b.val`
-
-	run := func(disable bool) (time.Duration, error) {
-		sqlengine.DisableJoinOptimization = disable
-		defer func() { sqlengine.DisableJoinOptimization = false }()
-		return timeIt(iters, func() error {
-			_, err := fed.ExecScript(script)
-			return err
-		})
-	}
-	naive, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	optimized, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("nested loop (no pushdown)", ms(naive))
-	t.AddRow("hash join + pushdown", ms(optimized))
-	t.Note += fmt.Sprintf("; optimization wins %.1fx", float64(naive)/float64(optimized))
-	return t, nil
-}
-
-// ObsStats is the machine-readable core of B10, committed in
-// BENCH_obs.json and consumed by msqlbench -baseline as the
-// observability regression smoke.
+// ObsStats is what TestB10ObservabilityOverhead asserts on: the two
+// timings of one run, whose ratio is machine-independent, and the
+// federation plan tree's node count, a structural fingerprint of the
+// decomposition.
 type ObsStats struct {
-	SelectUS  float64 `json:"select_us"`  // plain decomposed join
-	ExplainUS float64 `json:"explain_us"` // translate-only EXPLAIN
-	AnalyzeUS float64 `json:"analyze_us"` // EXPLAIN ANALYZE, slow log installed
-	// OverheadPct is the EXPLAIN ANALYZE wall-time overhead over the
-	// plain statement, in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-	// PlanNodes counts the federation plan tree's nodes for the join,
-	// a structural fingerprint of the decomposition.
-	PlanNodes int `json:"plan_nodes"`
+	Plain, Analyze time.Duration // mean per statement
+	PlanNodes      int
 }
 
 // B10ObservabilityOverhead prices the observability plane: the same
 // cross-database join executed plain, as a translate-only EXPLAIN, and
 // under EXPLAIN ANALYZE with a slow-query log capturing every statement.
-func B10ObservabilityOverhead(iters int) (*Table, *ObsStats, error) {
+func B10ObservabilityOverhead(iters int) (*Table, ObsStats, error) {
 	t := &Table{
 		ID:     "B10",
 		Title:  "observability overhead — EXPLAIN ANALYZE and the slow-query log",
@@ -772,7 +725,7 @@ func B10ObservabilityOverhead(iters int) (*Table, *ObsStats, error) {
 	}
 	fed, err := demo.Build(demo.Options{Seed: 1})
 	if err != nil {
-		return nil, nil, err
+		return nil, ObsStats{}, err
 	}
 	const join = `USE continental united
 SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u.rates`
@@ -784,11 +737,11 @@ SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u
 	}
 	plainD, err := run(join)
 	if err != nil {
-		return nil, nil, err
+		return nil, ObsStats{}, err
 	}
 	explainD, err := run("USE continental united\nEXPLAIN " + strings.TrimPrefix(join, "USE continental united\n"))
 	if err != nil {
-		return nil, nil, err
+		return nil, ObsStats{}, err
 	}
 	// ANALYZE with the slow-query log catching everything: the worst case
 	// a production -slow-query-ms setting can configure.
@@ -797,11 +750,11 @@ SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u
 	analyzeD, err := run(analyzeScript)
 	obs.SetSlowQueryLog(nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, ObsStats{}, err
 	}
 	results, err := fed.ExecScript(analyzeScript)
 	if err != nil {
-		return nil, nil, err
+		return nil, ObsStats{}, err
 	}
 	plan := results[len(results)-1].Plan
 	nodes := 0
@@ -814,18 +767,10 @@ SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u
 	}
 	count(plan)
 
-	stats := &ObsStats{
-		SelectUS:  float64(plainD.Microseconds()),
-		ExplainUS: float64(explainD.Microseconds()),
-		AnalyzeUS: float64(analyzeD.Microseconds()),
-		PlanNodes: nodes,
-	}
-	if plainD > 0 {
-		stats.OverheadPct = 100 * (float64(analyzeD)/float64(plainD) - 1)
-	}
+	stats := ObsStats{Plain: plainD, Analyze: analyzeD, PlanNodes: nodes}
 	t.AddRow("plain SELECT", us(plainD))
 	t.AddRow("EXPLAIN (translate only)", us(explainD))
 	t.AddRow("EXPLAIN ANALYZE + slow log", us(analyzeD))
-	t.Note += fmt.Sprintf("; ANALYZE overhead %.1f%%, %d plan nodes", stats.OverheadPct, nodes)
+	t.Note += fmt.Sprintf("; ANALYZE overhead %.1f%%, %d plan nodes", 100*(float64(analyzeD)/float64(plainD)-1), nodes)
 	return t, stats, nil
 }

@@ -411,6 +411,71 @@ func TestResolveAnswersFromOutcomeTombstone(t *testing.T) {
 	}
 }
 
+// TestResolveBeforeOwnerHandlerExits is the recovery race: the
+// coordinator has given up on a connection whose server-side handler has
+// not noticed yet. The attach must find the prepared session — not
+// answer ErrNoSession, which a coordinator reads as "acknowledged and
+// forgotten" — and the old handler, when it finally exits, must leave
+// the resolved session alone.
+func TestResolveBeforeOwnerHandlerExits(t *testing.T) {
+	ts, p := deltaProxy(t)
+	c, err := DialWith(bg, p.Addr(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Open(bg, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec(bg, "UPDATE flight SET rate = 999 WHERE fnu = 10"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Prepare(bg); err != nil {
+		t.Fatal(err)
+	}
+	_, id := sess.(Recoverable).RecoveryInfo()
+	if n := len(ts.InDoubt()); n != 0 {
+		t.Fatalf("a prepared session with a live owner is listed in doubt (%d)", n)
+	}
+
+	// The owning connection is still up: its handler has not exited.
+	st, err := Resolve(bg, p.Addr(), id, true)
+	if err != nil {
+		t.Fatalf("resolve while the owner's handler is alive: %v", err)
+	}
+	if st != ldbms.StateCommitted {
+		t.Fatalf("state = %v, want committed", st)
+	}
+
+	// Now the old handler exits. It no longer owns the session: nothing
+	// is parked and the recorded outcome stands.
+	sess.(*remoteSession).conn.close()
+	deadline := time.Now().Add(5 * time.Second)
+	for open := 2; open > 1; { // down to c's base connection
+		ts.mu.Lock()
+		open = len(ts.conns)
+		ts.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still served", open)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st, err = Resolve(bg, p.Addr(), id, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != ldbms.StateCommitted {
+		t.Fatalf("outcome after the old handler exited = %v, want committed", st)
+	}
+	if f := rate10(t, p.Addr()); f != 999 {
+		t.Fatalf("rate = %v, want the committed 999", f)
+	}
+	if ids := ts.InDoubt(); len(ids) != 0 {
+		t.Fatalf("in-doubt after resolve = %v", ids)
+	}
+}
+
 func TestResolveUnknownSession(t *testing.T) {
 	_, p := deltaProxy(t)
 	if _, err := Resolve(bg, p.Addr(), 31337, true); err == nil {

@@ -107,12 +107,12 @@ func TestWaiterNotPinnedBehindHungCall(t *testing.T) {
 }
 
 // TestSessionConnPooling checks that cleanly closed session connections
-// are reused by later opens, the pool never grows past PoolSize, and a
+// are reused by later opens, the pool never grows past maxIdleConns, and a
 // pooled connection gone stale falls through to a fresh dial instead of
 // failing the open.
 func TestSessionConnPooling(t *testing.T) {
 	p := proxiedServer(t)
-	r, err := DialWith(context.Background(), p.Addr(), DialOptions{PoolSize: 2})
+	r, err := DialWith(context.Background(), p.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,22 +152,23 @@ func TestSessionConnPooling(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Three concurrent sessions, all closed: pool keeps only PoolSize.
-	s3, err := r.Open(ctx, "delta")
-	if err != nil {
-		t.Fatal(err)
+	// One concurrent session more than the cap, all closed: the pool
+	// keeps only maxIdleConns.
+	open := []Session{s2}
+	for len(open) <= maxIdleConns {
+		s, err := r.Open(ctx, "delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, s)
 	}
-	s4, err := r.Open(ctx, "delta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Session{s2, s3, s4} {
+	for _, s := range open {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if idleLen() != 2 {
-		t.Fatalf("idle = %d, want capped at PoolSize 2", idleLen())
+	if idleLen() != maxIdleConns {
+		t.Fatalf("idle = %d, want capped at %d", idleLen(), maxIdleConns)
 	}
 
 	// Kill the pooled connections under the pool's feet: the next open
@@ -190,7 +191,7 @@ func TestSessionConnPooling(t *testing.T) {
 func TestPoolNeverReusesFailedConn(t *testing.T) {
 	p := proxiedServer(t)
 	r, err := DialWith(context.Background(), p.Addr(),
-		DialOptions{PoolSize: 2, CallTimeout: 200 * time.Millisecond})
+		DialOptions{CallTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

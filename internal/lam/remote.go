@@ -110,15 +110,15 @@ type DialOptions struct {
 	// Retry is the transient-failure policy for control-plane calls
 	// (profile, describe, list, open). Zero value means DefaultRetry.
 	Retry RetryPolicy
-	// PoolSize caps the idle session connections kept for reuse by Open
-	// (0 = pooling disabled; every session dials a fresh connection).
-	// Pooling amortizes the TCP+gob handshake under session churn; a
-	// connection is only returned to the pool after a clean session
-	// close, so a conn that ever carried a transport failure — whose
-	// server-side state is unknowable — is discarded, preserving the
-	// conn-death ⇒ in-doubt 2PC semantics.
-	PoolSize int
 }
+
+// maxIdleConns caps the idle session connections a Remote keeps for
+// reuse by Open. Pooling amortizes the TCP+gob handshake under session
+// churn; a connection is only returned to the pool after a clean
+// session close, so a conn that ever carried a transport failure —
+// whose server-side state is unknowable — is discarded, preserving the
+// conn-death ⇒ in-doubt 2PC semantics.
+const maxIdleConns = 4
 
 func (o DialOptions) withDefaults() DialOptions {
 	if o.DialTimeout <= 0 {
@@ -144,8 +144,7 @@ type Remote struct {
 		ch chan *rpcConn // 1-buffered slot; nil element = needs redial
 	}
 
-	// pool holds idle session connections for reuse by Open when
-	// opts.PoolSize > 0.
+	// pool holds idle session connections for reuse by Open.
 	poolMu     sync.Mutex
 	idle       []*rpcConn
 	poolClosed bool
@@ -435,11 +434,8 @@ func (r *Remote) Open(ctx context.Context, db string) (Session, error) {
 }
 
 // popIdle takes an idle pooled connection, newest first (most likely
-// still alive), or nil when the pool is empty or pooling is off.
+// still alive), or nil when the pool is empty.
 func (r *Remote) popIdle() *rpcConn {
-	if r.opts.PoolSize <= 0 {
-		return nil
-	}
 	r.poolMu.Lock()
 	defer r.poolMu.Unlock()
 	if n := len(r.idle); n > 0 {
@@ -451,17 +447,17 @@ func (r *Remote) popIdle() *rpcConn {
 }
 
 // putIdle offers a healthy session connection back to the pool, closing
-// it instead when pooling is off, the pool is full, or the Remote is
-// closed. Health is judged with a non-blocking probe of the call
-// semaphore: a conn with a call still in flight (someone else may be
-// mid-frame on it) or a recorded transport failure is never pooled.
+// it instead when the pool is full or the Remote is closed. Health is
+// judged with a non-blocking probe of the call semaphore: a conn with a
+// call still in flight (someone else may be mid-frame on it) or a
+// recorded transport failure is never pooled.
 func (r *Remote) putIdle(c *rpcConn) {
-	if r.opts.PoolSize <= 0 || !c.idleAndHealthy() {
+	if !c.idleAndHealthy() {
 		c.close()
 		return
 	}
 	r.poolMu.Lock()
-	if r.poolClosed || len(r.idle) >= r.opts.PoolSize {
+	if r.poolClosed || len(r.idle) >= maxIdleConns {
 		r.poolMu.Unlock()
 		c.close()
 		return

@@ -19,13 +19,15 @@ import (
 // remote client session maps to one connection and parallel tasks do not
 // serialize on a shared socket.
 //
-// Session ids are allocated server-wide: when a connection dies while a
-// session is prepared-to-commit (the in-doubt window of §3.2.2), the
-// session is parked rather than rolled back, and a recovering coordinator
-// re-binds it by id with wire.ReqAttach to drive it to commit or
-// rollback. Sessions that reached an outcome after having been prepared
-// leave a tombstone so a coordinator whose commit acknowledgment was lost
-// still learns the definite result.
+// Session ids are allocated server-wide, and a session that votes
+// PREPARED enters the server-wide prepared table until it reaches an
+// outcome. A recovering coordinator re-binds such a session by id with
+// wire.ReqAttach, taking it over from whichever connection owns it, to
+// drive it to commit or rollback; when the owning connection dies first
+// (the in-doubt window of §3.2.2) the session stays in the table
+// ownerless rather than being rolled back. Sessions that reached an
+// outcome after having been prepared leave a tombstone so a coordinator
+// whose commit acknowledgment was lost still learns the definite result.
 //
 // With a participant journal (ServeOptions.Journal) the prepared state
 // itself is durable: the vote does not go on the wire before the
@@ -47,7 +49,7 @@ type TCPServer struct {
 
 	sessMu    sync.Mutex
 	nextID    int64
-	parked    map[int64]*parkedSession
+	prepared  map[int64]*servedSession // voted, no outcome yet
 	tombstone map[int64]tombstone
 	acks      int // ReqForget/TTL evictions since the last compaction
 
@@ -61,17 +63,20 @@ type TCPServer struct {
 	tracer *obs.Tracer // nil = obs.DefaultTracer
 }
 
-// parkedSession is a prepared session orphaned by connection loss,
-// awaiting a coordinator decision. Recovered sessions were
-// re-materialized from the participant journal after a restart rather
-// than parked live.
-type parkedSession struct {
+// servedSession is one LDBMS session and the connection serving it.
+type servedSession struct {
 	sess *ldbms.Session
+	// owner is the connection whose handler closes the session when it
+	// exits; wire.ReqAttach moves it. Nil marks a prepared session whose
+	// connection died (or that a restart re-materialized from the
+	// participant journal): in doubt, awaiting a coordinator decision.
+	// Guarded by TCPServer.sessMu.
+	owner *connState
 	// mtid is the coordinator multitransaction id the prepare carried
 	// (zero for unjournaled coordinators), reported by ReqInDoubt so a
 	// recovering coordinator can match the session against its journal.
-	mtid      uint64
-	recovered bool
+	// Guarded by TCPServer.sessMu.
+	mtid uint64
 }
 
 // tombstone is the recorded terminal state of a once-prepared session,
@@ -149,7 +154,7 @@ func ServeWith(addr string, srv *ldbms.Server, opts ServeOptions) (*TCPServer, e
 		journal:   opts.Journal,
 		opts:      opts.withDefaults(),
 		conns:     make(map[net.Conn]struct{}),
-		parked:    make(map[int64]*parkedSession),
+		prepared:  make(map[int64]*servedSession),
 		tombstone: make(map[int64]tombstone),
 	}
 	if t.journal != nil {
@@ -183,7 +188,7 @@ func (t *TCPServer) replay() error {
 	now := time.Now()
 	for _, ps := range sessions {
 		if ps.SID > t.nextID {
-			// Never reissue a journaled session id: tombstones and parked
+			// Never reissue a journaled session id: tombstones and prepared
 			// sessions are keyed by it.
 			t.nextID = ps.SID
 		}
@@ -200,7 +205,7 @@ func (t *TCPServer) replay() error {
 				s.Close()
 				return fmt.Errorf("session %d: re-prepare: %w", ps.SID, err)
 			}
-			t.parked[ps.SID] = &parkedSession{sess: s, mtid: ps.MTID, recovered: true}
+			t.prepared[ps.SID] = &servedSession{sess: s, mtid: ps.MTID}
 			// A later prepared round supersedes an earlier committed round's
 			// tombstone for the same id (multi-sync-point programs).
 			delete(t.tombstone, ps.SID)
@@ -283,7 +288,7 @@ func (t *TCPServer) janitor() {
 func (t *TCPServer) Addr() string { return t.ln.Addr().String() }
 
 // Close stops the listener and all connections. Without a journal,
-// parked in-doubt sessions are rolled back — the shutdown aborts
+// in-doubt sessions are rolled back — the shutdown aborts
 // unresolved participants — and their outcome recorded. With a journal
 // they are left journaled: the next ServeWith on the same journal
 // re-materializes them, which is the difference between a crash and an
@@ -303,10 +308,10 @@ func (t *TCPServer) Close() error {
 	}
 	t.sessMu.Lock()
 	if t.journal == nil {
-		for id, p := range t.parked {
+		for id, p := range t.prepared {
 			p.sess.Close()
 			t.tombstone[id] = tombstone{state: p.sess.State(), at: time.Now()}
-			delete(t.parked, id)
+			delete(t.prepared, id)
 		}
 	}
 	t.publishGaugesLocked()
@@ -319,14 +324,13 @@ func (t *TCPServer) Close() error {
 	return err
 }
 
-// InDoubt reports the ids of parked prepared sessions awaiting a
-// coordinator decision (for tests and operational inspection).
+// InDoubt reports the ids of prepared sessions awaiting a coordinator
+// decision (for tests and operational inspection).
 func (t *TCPServer) InDoubt() []int64 {
-	t.sessMu.Lock()
-	defer t.sessMu.Unlock()
-	ids := make([]int64, 0, len(t.parked))
-	for id := range t.parked {
-		ids = append(ids, id)
+	sessions := t.inDoubtSessions()
+	ids := make([]int64, len(sessions))
+	for i, s := range sessions {
+		ids[i] = s.SessionID
 	}
 	return ids
 }
@@ -346,44 +350,99 @@ func (t *TCPServer) allocID() int64 {
 	return t.nextID
 }
 
-// park saves a prepared session orphaned by its connection.
-func (t *TCPServer) park(id int64, s *ldbms.Session, mtid uint64) {
+// voted enters a session into the prepared table once its vote is on
+// stable storage: from here until an outcome, attach finds it.
+func (t *TCPServer) voted(id int64, ss *servedSession, mtid uint64) {
 	t.sessMu.Lock()
-	t.parked[id] = &parkedSession{sess: s, mtid: mtid}
-	t.publishGaugesLocked()
+	ss.mtid = mtid
+	t.prepared[id] = ss
 	t.sessMu.Unlock()
 }
 
-// attach re-binds a parked session; when the session already reached an
-// outcome it returns the recorded terminal state instead.
-func (t *TCPServer) attach(id int64) (*ldbms.Session, ldbms.SessionState, uint64, bool) {
+// attach re-binds a prepared session to cs, taking it from the
+// connection that owns it (if any); when the session already reached an
+// outcome it returns the recorded terminal state instead. The previous
+// owner may still be alive — its client gave up on it, its handler has
+// not noticed yet — and skips the session when it exits.
+func (t *TCPServer) attach(id int64, cs *connState) (*servedSession, ldbms.SessionState, bool) {
 	t.sessMu.Lock()
-	defer t.sessMu.Unlock()
-	if p, ok := t.parked[id]; ok {
-		delete(t.parked, id)
+	ss, live := t.prepared[id]
+	if live {
+		ss.owner = cs
 		t.publishGaugesLocked()
-		return p.sess, p.sess.State(), p.mtid, true
 	}
-	if tb, ok := t.tombstone[id]; ok {
-		return nil, tb.state, 0, true
+	tb, dead := t.tombstone[id]
+	t.sessMu.Unlock()
+	switch {
+	case live:
+		// Read outside sessMu: the previous owner may be mid-call on the
+		// session, holding its lock for an fsync.
+		return ss, ss.sess.State(), true
+	case dead:
+		return nil, tb.state, true
 	}
-	return nil, 0, 0, false
+	return nil, 0, false
 }
 
-// inDoubtSessions snapshots the parked prepared sessions for ReqInDoubt.
-func (t *TCPServer) inDoubtSessions() []wire.InDoubtSession {
+// release ends cs's service of a session when the connection dies. A
+// session still prepared is in doubt: it stays in the prepared table,
+// ownerless, for coordinator recovery instead of being rolled back.
+// Anything else dies with the connection, leaving an outcome tombstone
+// when the session had voted (its fate matters to a coordinator). A
+// session attach has moved to another connection is not cs's to touch.
+func (t *TCPServer) release(id int64, ss *servedSession, cs *connState) {
+	prepared := ss.sess.State() == ldbms.StatePrepared
 	t.sessMu.Lock()
-	defer t.sessMu.Unlock()
-	out := make([]wire.InDoubtSession, 0, len(t.parked))
-	for id, p := range t.parked {
-		out = append(out, wire.InDoubtSession{SessionID: id, MTID: p.mtid})
+	mine := ss.owner == cs
+	if mine && prepared {
+		ss.owner = nil
+		t.publishGaugesLocked()
+	}
+	t.sessMu.Unlock()
+	if mine && !prepared {
+		ss.sess.Close()
+		t.settle(id, ss, cs, ss.sess.State())
+	}
+}
+
+// inDoubtLocked snapshots the prepared sessions no live connection
+// owns. Caller holds sessMu.
+func (t *TCPServer) inDoubtLocked() []wire.InDoubtSession {
+	out := make([]wire.InDoubtSession, 0, len(t.prepared))
+	for id, ss := range t.prepared {
+		if ss.owner == nil {
+			out = append(out, wire.InDoubtSession{SessionID: id, MTID: ss.mtid})
+		}
 	}
 	return out
 }
 
-// recordOutcome remembers the terminal state of a once-prepared session,
-// journaling it when the server is durable (fsynced for commits: the
-// tombstone must answer a retrying coordinator even across a crash).
+// inDoubtSessions is the ReqInDoubt answer: prepared sessions with a
+// live owner are in the middle of an ordinary 2PC round, not in doubt.
+func (t *TCPServer) inDoubtSessions() []wire.InDoubtSession {
+	t.sessMu.Lock()
+	defer t.sessMu.Unlock()
+	return t.inDoubtLocked()
+}
+
+// settle records the outcome a voted session reached on connection cs.
+// Only the owner settles: a connection attach took the session from
+// leaves the bookkeeping to the new owner, which settles at the latest
+// when it exits.
+func (t *TCPServer) settle(id int64, ss *servedSession, cs *connState, st ldbms.SessionState) {
+	t.sessMu.Lock()
+	mine := t.prepared[id] == ss && ss.owner == cs
+	t.sessMu.Unlock()
+	if mine {
+		t.recordOutcome(id, st)
+	}
+}
+
+// recordOutcome moves a once-prepared session from the prepared table
+// to a tombstone of its terminal state — in one step, so attach never
+// finds neither — journaling it first when the server is durable
+// (fsynced for commits: the tombstone must answer a retrying coordinator
+// even across a crash).
 func (t *TCPServer) recordOutcome(id int64, st ldbms.SessionState) {
 	if t.journal != nil {
 		status := mtlog.StatusAborted
@@ -399,6 +458,7 @@ func (t *TCPServer) recordOutcome(id int64, st ldbms.SessionState) {
 		}
 	}
 	t.sessMu.Lock()
+	delete(t.prepared, id)
 	t.tombstone[id] = tombstone{state: st, at: time.Now()}
 	t.publishGaugesLocked()
 	t.sessMu.Unlock()
@@ -442,7 +502,7 @@ func (t *TCPServer) ack(id int64) {
 	}
 }
 
-// publishGauges exports the live tombstone and parked-session counts.
+// publishGauges exports the live tombstone and in-doubt session counts.
 func (t *TCPServer) publishGauges() {
 	t.sessMu.Lock()
 	t.publishGaugesLocked()
@@ -452,7 +512,7 @@ func (t *TCPServer) publishGauges() {
 func (t *TCPServer) publishGaugesLocked() {
 	svc := t.srv.Name()
 	mTombstones.With(svc).Set(int64(len(t.tombstone)))
-	mParked.With(svc).Set(int64(len(t.parked)))
+	mParked.With(svc).Set(int64(len(t.inDoubtLocked())))
 }
 
 func (t *TCPServer) acceptLoop() {
@@ -475,12 +535,10 @@ func (t *TCPServer) acceptLoop() {
 	}
 }
 
-// connState is the per-connection session table. prepared maps sessions
-// that entered the prepared state to the multitransaction id their
-// prepare carried.
+// connState is the per-connection session table; its address is the
+// connection's identity as a session owner.
 type connState struct {
-	sessions map[int64]*ldbms.Session
-	prepared map[int64]uint64
+	sessions map[int64]*servedSession
 }
 
 func (t *TCPServer) handle(conn net.Conn) {
@@ -494,21 +552,10 @@ func (t *TCPServer) handle(conn net.Conn) {
 
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	cs := &connState{sessions: make(map[int64]*ldbms.Session), prepared: make(map[int64]uint64)}
+	cs := &connState{sessions: make(map[int64]*servedSession)}
 	defer func() {
-		// The connection is gone. Prepared sessions are in-doubt: park them
-		// for coordinator recovery instead of rolling back. Everything else
-		// dies with the connection, leaving an outcome tombstone when the
-		// session had been prepared (its fate matters to a coordinator).
-		for id, s := range cs.sessions {
-			if s.State() == ldbms.StatePrepared {
-				t.park(id, s, cs.prepared[id])
-				continue
-			}
-			s.Close()
-			if _, ok := cs.prepared[id]; ok {
-				t.recordOutcome(id, s.State())
-			}
+		for id, ss := range cs.sessions {
+			t.release(id, ss, cs)
 		}
 	}()
 
@@ -579,9 +626,9 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		resp.ErrCode, resp.ErrMsg = wire.EncodeError(err)
 		return resp
 	}
-	session := func() (*ldbms.Session, bool) {
-		s, ok := cs.sessions[req.SessionID]
-		return s, ok
+	session := func() (*servedSession, bool) {
+		ss, ok := cs.sessions[req.SessionID]
+		return ss, ok
 	}
 	noSession := func() *wire.Response {
 		return fail(fmt.Errorf("%w: %d", wire.ErrNoSession, req.SessionID))
@@ -599,14 +646,14 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 			return fail(err)
 		}
 		id := t.allocID()
-		cs.sessions[id] = s
+		cs.sessions[id] = &servedSession{sess: s, owner: cs}
 		resp.SessionID = id
 	case wire.ReqExec:
-		s, ok := session()
+		ss, ok := session()
 		if !ok {
 			return noSession()
 		}
-		res, err := s.Exec(req.SQL)
+		res, err := ss.sess.Exec(req.SQL)
 		if err != nil {
 			return fail(err)
 		}
@@ -616,10 +663,11 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		}
 		resp.Result = wres
 	case wire.ReqPrepare:
-		s, ok := session()
+		ss, ok := session()
 		if !ok {
 			return noSession()
 		}
+		s := ss.sess
 		if err := s.Prepare(); err != nil {
 			return fail(err)
 		}
@@ -635,51 +683,44 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 				return fail(fmt.Errorf("lam: journal prepare: %w", err))
 			}
 		}
-		cs.prepared[req.SessionID] = req.MTID
+		t.voted(req.SessionID, ss, req.MTID)
 	case wire.ReqCommit:
-		s, ok := session()
+		ss, ok := session()
 		if !ok {
 			return noSession()
 		}
-		if err := s.Commit(); err != nil {
+		if err := ss.sess.Commit(); err != nil {
 			return fail(err)
 		}
-		if _, ok := cs.prepared[req.SessionID]; ok {
-			// The once-prepared session reached its outcome on a live
-			// connection: record the tombstone now (journaled and fsynced
-			// for commits), so a crash between this reply and the
-			// coordinator's acknowledgment cannot forget the answer. The
-			// session itself stays open — a DOL program may run further
-			// transactions on the same connection alias.
-			t.recordOutcome(req.SessionID, ldbms.StateCommitted)
-			delete(cs.prepared, req.SessionID)
-		}
+		// A once-prepared session reached its outcome on a live
+		// connection: record the tombstone now (journaled and fsynced
+		// for commits), so a crash between this reply and the
+		// coordinator's acknowledgment cannot forget the answer. The
+		// session itself stays open — a DOL program may run further
+		// transactions on the same connection alias.
+		t.settle(req.SessionID, ss, cs, ldbms.StateCommitted)
 	case wire.ReqRollback:
-		s, ok := session()
+		ss, ok := session()
 		if !ok {
 			return noSession()
 		}
-		if err := s.Rollback(); err != nil {
+		if err := ss.sess.Rollback(); err != nil {
 			return fail(err)
 		}
-		if _, ok := cs.prepared[req.SessionID]; ok {
-			t.recordOutcome(req.SessionID, ldbms.StateAborted)
-			delete(cs.prepared, req.SessionID)
-		}
+		t.settle(req.SessionID, ss, cs, ldbms.StateAborted)
 	case wire.ReqState:
-		s, ok := session()
+		ss, ok := session()
 		if !ok {
 			return noSession()
 		}
-		resp.State = uint8(s.State())
+		resp.State = uint8(ss.sess.State())
 	case wire.ReqAttach:
-		s, st, mtid, ok := t.attach(req.SessionID)
+		ss, st, ok := t.attach(req.SessionID, cs)
 		if !ok {
 			return noSession()
 		}
-		if s != nil {
-			cs.sessions[req.SessionID] = s
-			cs.prepared[req.SessionID] = mtid
+		if ss != nil {
+			cs.sessions[req.SessionID] = ss
 		}
 		resp.State = uint8(st)
 	case wire.ReqForget:
@@ -687,13 +728,10 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 	case wire.ReqInDoubt:
 		resp.InDoubt = t.inDoubtSessions()
 	case wire.ReqCloseSession:
-		if s, ok := session(); ok {
-			s.Close()
-			if _, wasPrepared := cs.prepared[req.SessionID]; wasPrepared {
-				t.recordOutcome(req.SessionID, s.State())
-			}
+		if ss, ok := session(); ok {
+			ss.sess.Close()
+			t.settle(req.SessionID, ss, cs, ss.sess.State())
 			delete(cs.sessions, req.SessionID)
-			delete(cs.prepared, req.SessionID)
 		}
 	case wire.ReqDescribe:
 		s, err := t.srv.OpenSession(req.Database)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"msql/internal/relstore"
+	"msql/internal/sqlparser"
 )
 
 func newUnited(t testing.TB, p Profile) *Server {
@@ -49,20 +50,30 @@ func rate(t *testing.T, srv *Server, fn int) float64 {
 	return f
 }
 
-func TestClassifySQL(t *testing.T) {
+func TestClassOf(t *testing.T) {
 	cases := map[string]StmtClass{
-		"SELECT * FROM t":        ClassSelect,
-		"insert into t values":   ClassInsert,
-		"Update t set x = 1":     ClassUpdate,
-		"DELETE FROM t":          ClassDelete,
-		"CREATE TABLE t (a INT)": ClassCreate,
-		"DROP TABLE t":           ClassDrop,
-		"COMMIT":                 ClassOther,
-		"":                       ClassOther,
+		"SELECT * FROM t":                  ClassSelect,
+		"EXPLAIN ANALYZE SELECT * FROM t":  ClassSelect,
+		"insert into t values (1)":         ClassInsert,
+		"INSERT INTO t SELECT a FROM u":    ClassInsert,
+		"Update t set x = 1":               ClassUpdate,
+		"DELETE FROM t":                    ClassDelete,
+		"CREATE TABLE t (a INTEGER)":       ClassCreate,
+		"CREATE DATABASE d":                ClassCreate,
+		"CREATE VIEW v AS SELECT a FROM t": ClassCreate,
+		"DROP TABLE t":                     ClassDrop,
+		"DROP DATABASE d":                  ClassDrop,
+		"DROP VIEW v":                      ClassDrop,
+		"COMMIT":                           ClassOther,
 	}
 	for sql, want := range cases {
-		if got := ClassifySQL(sql); got != want {
-			t.Errorf("ClassifySQL(%q) = %s, want %s", sql, got, want)
+		stmt, err := sqlparser.ParseStatement(sql)
+		if err != nil {
+			t.Errorf("parse %q: %v", sql, err)
+			continue
+		}
+		if got := classOf(stmt); got != want {
+			t.Errorf("classOf(%q) = %s, want %s", sql, got, want)
 		}
 	}
 }

@@ -17,7 +17,7 @@
 // causes the paper lists.
 package ldbms
 
-import "strings"
+import "msql/internal/sqlparser"
 
 // StmtClass partitions statements the way the INCORPORATE statement's
 // per-command commit modes do.
@@ -53,26 +53,22 @@ func (c StmtClass) String() string {
 	}
 }
 
-// ClassifySQL reports the statement class of a SQL text.
-func ClassifySQL(sql string) StmtClass {
-	fields := strings.Fields(strings.ToUpper(sql))
-	if len(fields) == 0 {
-		return ClassOther
-	}
-	switch fields[0] {
-	case "SELECT", "EXPLAIN":
+// classOf reports the statement class of a parsed statement.
+func classOf(stmt sqlparser.Statement) StmtClass {
+	switch stmt.(type) {
+	case *sqlparser.SelectStmt, *sqlparser.ExplainStmt:
 		// EXPLAIN targets are restricted to SELECT by the engine, so the
 		// statement class follows the read-only target.
 		return ClassSelect
-	case "INSERT":
+	case *sqlparser.InsertStmt:
 		return ClassInsert
-	case "UPDATE":
+	case *sqlparser.UpdateStmt:
 		return ClassUpdate
-	case "DELETE":
+	case *sqlparser.DeleteStmt:
 		return ClassDelete
-	case "CREATE":
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateDatabaseStmt, *sqlparser.CreateViewStmt:
 		return ClassCreate
-	case "DROP":
+	case *sqlparser.DropTableStmt, *sqlparser.DropDatabaseStmt, *sqlparser.DropViewStmt:
 		return ClassDrop
 	default:
 		return ClassOther

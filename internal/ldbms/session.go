@@ -144,7 +144,7 @@ func (s *Session) execStmt(sql string, stmt sqlparser.Statement) (*sqlengine.Res
 		s.abortLocked()
 		return nil, err
 	}
-	class := ClassifySQL(sql)
+	class := classOf(stmt)
 	if s.srv.profile.AutoCommits(class) && class != ClassSelect {
 		// The server commits on its own: the statement itself and every
 		// previously issued uncommitted statement become durable.

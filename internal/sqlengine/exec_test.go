@@ -95,28 +95,6 @@ func TestPlannerProbeRetainsFilters(t *testing.T) {
 	}
 }
 
-func TestDisableJoinOptimizationDisablesProbes(t *testing.T) {
-	s := keyedStore(t)
-	tx := s.Begin()
-	defer tx.Rollback()
-	sqlengine.DisableJoinOptimization = true
-	defer func() { sqlengine.DisableJoinOptimization = false }()
-	for _, q := range []string{
-		`SELECT * FROM seats WHERE snu = 2`,
-		`SELECT * FROM flights f, seats s WHERE s.snu = f.flnu`,
-	} {
-		for i, lvl := range levelOps(t, tx, q) {
-			if lvl.Op != "scan" {
-				t.Fatalf("%q level %d: ablation mode must plan only scans, got %s", q, i, lvl.Op)
-			}
-		}
-	}
-	res := query(t, s, "continental", `SELECT owner FROM seats WHERE snu = 2`)
-	if len(res.Rows) != 1 || res.Rows[0][0].String() != "smith" {
-		t.Fatalf("ablation result = %+v", res.Rows)
-	}
-}
-
 // TestProbeSeesUncommittedWrites guards the access-path contract: an
 // index probe must observe the transaction's own uncommitted inserts,
 // updates and deletes exactly as a scan would.

@@ -88,12 +88,6 @@ func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 	return nil
 }
 
-// DisableJoinOptimization turns off predicate pushdown and hash joins,
-// reverting to full cartesian enumeration with post-filtering. It exists
-// only for the B9 ablation benchmark and must stay false in production
-// use; it is not synchronized.
-var DisableJoinOptimization = false
-
 // planJoin analyzes the WHERE clause against the bound sources.
 func planJoin(e *env, where sqlparser.Expr) (*joinPlan, error) {
 	plan := &joinPlan{
@@ -105,10 +99,6 @@ func planJoin(e *env, where sqlparser.Expr) (*joinPlan, error) {
 		return plan, nil
 	}
 	last := len(e.sources) - 1
-	if DisableJoinOptimization {
-		plan.level[last] = splitConjuncts(where)
-		return plan, nil
-	}
 	for _, c := range splitConjuncts(where) {
 		mask, pure := conjunctSources(e, c)
 		lvl := last

@@ -625,24 +625,11 @@ func TestTopologySoak(t *testing.T) {
 	obs.SetSlowQueryLog(nil)
 	slowFile.Close()
 
-	// Artifacts: the chaos incident journal, slow-query log, and the
-	// soak's benchmark summary — uploaded by CI.
+	// Artifacts: the chaos incident journal and the slow-query log —
+	// uploaded by CI.
 	incidents.dump(filepath.Join(dir, "incidents.jsonl"))
-	bench := map[string]any{
-		"sites":           nSites,
-		"units_attempted": len(attempted),
-		"commits":         commits.Load(),
-		"aborts":          aborts.Load(),
-		"unresolved":      unresolved.Load(),
-		"recovery_ms":     recoveryElapsed.Milliseconds(),
-	}
-	bj, _ := json.MarshalIndent(bench, "", "  ")
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_topology.json"), bj, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if dst := os.Getenv(chaos.EnvArtifacts); dst != "" {
 		if err := os.MkdirAll(dst, 0o755); err == nil {
-			_ = os.WriteFile(filepath.Join(dst, "BENCH_topology.json"), bj, 0o644)
 			_ = copyFileTo(filepath.Join(dir, "incidents.jsonl"), filepath.Join(dst, "incidents.jsonl"))
 			_ = copyFileTo(slowPath, filepath.Join(dst, "topology-slow-query.log"))
 		}
