@@ -10,23 +10,29 @@ import (
 	"msql/internal/dolengine"
 	"msql/internal/msqlparser"
 	"msql/internal/obs"
+	"msql/internal/semvar"
 	"msql/internal/sqlparser"
 	"msql/internal/translate"
 )
 
-// execExplain runs EXPLAIN [ANALYZE] on a retrieval query. Plain EXPLAIN
-// translates the query — decomposition, per-site tasks, ships, the final
-// coordinator query — and renders the federation plan without touching
-// any site. ANALYZE executes it: every SELECT in a task body is wrapped
-// in a site-local EXPLAIN ANALYZE, which the local engines execute
-// normally (returning the target's real rows, so shipping and multitable
-// assembly are unchanged) while attaching their annotated plan subtrees;
+// execExplain runs EXPLAIN [ANALYZE] on a retrieval query or on an
+// UPDATE/DELETE. Plain EXPLAIN translates the statement — decomposition,
+// per-site tasks, ships, the final coordinator query — and renders the
+// federation plan without touching any site. ANALYZE executes it: every
+// SELECT, UPDATE and DELETE in a task body is wrapped in a site-local
+// EXPLAIN ANALYZE, which the local engines execute normally (returning
+// the target's real rows or row count, so shipping, multitable assembly
+// and 2PC are unchanged) while attaching their annotated plan subtrees;
 // those subtrees are then grafted under the federation tree's task nodes
 // together with per-task wall time and row counts.
-func (s *Session) execExplain(ctx context.Context, ex *msqlparser.ExplainStmt) (*Result, error) {
+func (s *Session) execExplain(ctx context.Context, ex *msqlparser.ExplainStmt) ([]*Result, error) {
 	f := s.f
-	if _, ok := ex.Query.Body.(*sqlparser.SelectStmt); !ok {
-		return nil, fmt.Errorf("core: EXPLAIN supports SELECT queries, got %s", sqlparser.Deparse(ex.Query.Body))
+	switch ex.Query.Body.(type) {
+	case *sqlparser.SelectStmt:
+	case *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		return s.execExplainWrite(ctx, ex)
+	default:
+		return nil, fmt.Errorf("core: EXPLAIN supports SELECT, UPDATE and DELETE, got %s", sqlparser.Deparse(ex.Query.Body))
 	}
 	scope, lets, q := s.selectTarget(ex.Query)
 	if len(scope) == 0 {
@@ -41,42 +47,107 @@ func (s *Session) execExplain(ctx context.Context, ex *msqlparser.ExplainStmt) (
 	res := &Result{Kind: KindExplain, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, PlanJSON: ex.JSON}
 	if !ex.Analyze || f.DryRun {
 		res.Plan = federationPlan(prog, meta, nil)
-		return res, nil
+		return resultList(res), nil
 	}
+	wrapSiteExplain(prog)
+	start := time.Now()
+	esp, ectx := obs.StartSpan(ctx, "execute:explain", obs.KindEngine)
+	out, err := f.engine.Run(ectx, prog)
+	esp.EndErr(err)
+	if err != nil {
+		return resultList(res), err
+	}
+	if err := f.assembleMultitable(res, meta, out); err != nil {
+		return resultList(res), err
+	}
+	var rows int64
+	for _, t := range res.Multitable.Tables {
+		rows += int64(len(t.Rows))
+	}
+	res.Plan = analyzedPlan(prog, meta, out, start, rows)
+	return resultList(res), nil
+}
+
+// execExplainWrite is execExplain for UPDATE and DELETE. The write forms
+// a unit of its own, like a cross-database manipulation: plain EXPLAIN
+// only translates it; ANALYZE first synchronizes the pending unit, then
+// runs the write through the same commit protocol (journal, 2PC or
+// compensation, triggers) a COMMIT would give it — once, for real.
+func (s *Session) execExplainWrite(ctx context.Context, ex *msqlparser.ExplainStmt) ([]*Result, error) {
+	f := s.f
+	var sync *Result
+	if ex.Analyze && !f.DryRun {
+		var err error
+		if sync, err = s.flush(ctx); err != nil {
+			return resultList(sync), err
+		}
+	}
+	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
+	var prog *dol.Program
+	var meta *translate.Meta
+	var err error
+	if semvar.IsGlobalQuery(ex.Query.Body, s.scope) {
+		prog, meta, err = f.tctx.TranslateQuery(s.scope, s.lets, ex.Query)
+	} else {
+		prog, meta, err = f.tctx.TranslateUnit(s.scope,
+			[]translate.UnitQuery{{Lets: s.lets, Query: ex.Query}}, translate.SyncCommit)
+	}
+	tsp.EndErr(err)
+	if err != nil {
+		return resultList(sync), err
+	}
+	res := &Result{Kind: KindExplain, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, PlanJSON: ex.JSON}
+	if !ex.Analyze || f.DryRun {
+		res.Plan = federationPlan(prog, meta, nil)
+		return resultList(res), nil
+	}
+	wrapSiteExplain(prog)
+	start := time.Now()
+	out, err := f.runPlan(ctx, "explain", prog, meta)
+	if err != nil {
+		return resultList(sync, res), err
+	}
+	f.fillFromOutcome(res, meta, out)
+	mUnitOutcomes.With(res.State.String()).Inc()
+	var rows int64
+	for _, n := range res.RowsAffected {
+		rows += int64(n)
+	}
+	res.Plan = analyzedPlan(prog, meta, out, start, rows)
+	return resultList(sync, res), s.fireTriggers(ctx, res, meta, out)
+}
+
+// wrapSiteExplain wraps the SELECT, UPDATE and DELETE statements of the
+// program's task bodies in a site-local EXPLAIN ANALYZE.
+func wrapSiteExplain(prog *dol.Program) {
 	for _, st := range prog.Stmts {
 		ts, ok := st.(*dol.TaskStmt)
 		if !ok {
 			continue
 		}
 		for i, body := range ts.Body {
-			if bsel, ok := body.(*sqlparser.SelectStmt); ok {
-				ts.Body[i] = &sqlparser.ExplainStmt{Analyze: true, Target: bsel}
+			switch body.(type) {
+			case *sqlparser.SelectStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+				ts.Body[i] = &sqlparser.ExplainStmt{Analyze: true, Target: body}
 			}
 		}
 	}
-	start := time.Now()
-	esp, ectx := obs.StartSpan(ctx, "execute:explain", obs.KindEngine)
-	out, err := f.engine.Run(ectx, prog)
-	esp.EndErr(err)
-	if err != nil {
-		return res, err
-	}
-	if err := f.assembleMultitable(res, meta, out); err != nil {
-		return res, err
-	}
+}
+
+// analyzedPlan is federationPlan over an executed program, with the
+// root carrying the statement's wall time since start, its row count and
+// the page traffic of all tasks.
+func analyzedPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outcome, start time.Time, rows int64) *obs.PlanNode {
 	root := federationPlan(prog, meta, out)
 	root.Analyzed = true
 	root.Loops = 1
+	root.Rows = rows
 	root.TimeNS = time.Since(start).Nanoseconds()
-	for _, t := range res.Multitable.Tables {
-		root.Rows += int64(len(t.Rows))
-	}
 	for _, ch := range root.Children {
 		root.PageHits += ch.PageHits
 		root.PageMisses += ch.PageMisses
 	}
-	res.Plan = root
-	return res, nil
+	return root
 }
 
 // roleName labels a task's translator role for plan trees.
@@ -107,8 +178,11 @@ func federationPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outc
 		byName[tm.Name] = tm
 	}
 	mode := "fan-out select"
-	if meta.FinalTask != "" {
+	switch {
+	case meta.FinalTask != "":
 		mode = "decomposed global query"
+	case len(meta.Tasks) > 0 && meta.Tasks[0].Role == translate.RoleWrite:
+		mode = "fan-out write"
 	}
 	root := &obs.PlanNode{Op: "msql", Detail: mode}
 	var walk func(stmts []dol.Stmt)
@@ -137,7 +211,9 @@ func federationPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outc
 					node.Loops = 1
 					if info := out.Tasks[st.Name]; info != nil {
 						node.TimeNS = info.Elapsed.Nanoseconds()
-						if info.Result != nil {
+						if tm.Role == translate.RoleWrite || tm.Role == translate.RoleComp {
+							node.Rows = int64(info.RowsAffected)
+						} else if info.Result != nil {
 							node.Rows = int64(len(info.Result.Rows))
 						}
 						if info.Plan != nil {

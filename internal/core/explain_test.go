@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +202,137 @@ EXPLAIN ANALYZE SELECT flnu, rate FROM flights WHERE rate > 50.0
 	}
 	if !strings.Contains(scan.Detail, "filter(rate > 50") {
 		t.Fatalf("csv scan lost its pushed-down filter: %q", scan.Detail)
+	}
+}
+
+// TestFederationExplainWrite: EXPLAIN [ANALYZE] accepts UPDATE and
+// DELETE. Plain EXPLAIN renders the write tasks and touches no site;
+// ANALYZE runs the multiple update through the normal commit protocol
+// exactly once and grafts each site's plan under its task — an
+// index-probe on the keyed rel table, a scan on the csv site, which
+// declares keys but keeps no index.
+func TestFederationExplainWrite(t *testing.T) {
+	f := New()
+	cs, err := csvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for db, srv := range map[string]*ldbms.Server{
+		"bank":     f.AddLocalService("svc_bank", ldbms.ProfileOracleLike(), 1),
+		"regional": f.AddLocalServer(ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs)),
+	} {
+		if err := srv.CreateDatabase(db); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := srv.OpenSession(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{
+			`CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`,
+			`INSERT INTO acct VALUES (6, 10), (7, 10), (8, 10)`,
+		} {
+			if _, err := sess.Exec(q); err != nil {
+				t.Fatalf("%s: %q: %v", db, q, err)
+			}
+		}
+		if err := sess.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+	}
+	balances := func() map[string]int64 {
+		t.Helper()
+		rs, err := f.ExecScript("USE bank regional\nSELECT id, bal FROM acct")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, tbl := range rs[len(rs)-1].Multitable.Tables {
+			for _, row := range tbl.Rows {
+				id, _ := row[0].AsInt()
+				bal, _ := row[1].AsInt()
+				got[fmt.Sprintf("%s/%d", tbl.Database, id)] = bal
+			}
+		}
+		return got
+	}
+
+	results, err := f.ExecScript(`
+INCORPORATE SERVICE svc_bank CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
+INCORPORATE SERVICE svc_csv CONNECTMODE CONNECT COMMITMODE COMMIT;
+IMPORT DATABASE bank FROM SERVICE svc_bank;
+IMPORT DATABASE regional FROM SERVICE svc_csv;
+USE bank VITAL regional
+EXPLAIN UPDATE acct SET bal = bal + 1 WHERE id = 7
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := results[len(results)-1]
+	if plain.Kind != KindExplain || plain.Plan == nil || plain.Plan.Detail != "fan-out write" {
+		t.Fatalf("plain EXPLAIN UPDATE: kind %v plan %v", plain.Kind, plain.Plan)
+	}
+	if n := len(plain.Plan.FindAll("task")); n != 2 {
+		t.Fatalf("plain EXPLAIN UPDATE has %d task nodes, want 2:\n%s", n, plain.Plan.Render())
+	}
+	if got := balances(); got["bank/7"] != 10 || got["regional/7"] != 10 {
+		t.Fatalf("plain EXPLAIN wrote: %v", got)
+	}
+
+	results, err = f.ExecScript("USE bank VITAL regional\nEXPLAIN ANALYZE UPDATE acct SET bal = bal + 1 WHERE id = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[len(results)-1]
+	if r.Kind != KindExplain || r.Plan == nil || r.State != StateSuccess {
+		t.Fatalf("kind = %v, state = %v, plan = %v", r.Kind, r.State, r.Plan)
+	}
+	if r.Plan.Rows != 2 || r.RowsAffected["bank"] != 1 || r.RowsAffected["regional"] != 1 {
+		t.Fatalf("rows: root %d, per db %v", r.Plan.Rows, r.RowsAffected)
+	}
+	wantPath := map[string]string{"bank": "index-probe", "regional": "scan"}
+	for _, task := range r.Plan.FindAll("task") {
+		for db, op := range wantPath {
+			if !strings.Contains(task.Detail, " on "+db) {
+				continue
+			}
+			delete(wantPath, db)
+			upd := task.Find("update")
+			if upd == nil || !upd.Analyzed || upd.Rows != 1 || task.Rows != 1 {
+				t.Fatalf("%s: no executed update subtree with 1 row:\n%s", db, r.Plan.Render())
+			}
+			if path := upd.Find(op); path == nil || path.Rows != 1 || !strings.Contains(path.Detail, "filter(id = 7)") {
+				t.Fatalf("%s: access path is not a %s of one row:\n%s", db, op, r.Plan.Render())
+			}
+			if !strings.Contains(task.Detail, "status=committed") {
+				t.Fatalf("%s: task did not commit: %q", db, task.Detail)
+			}
+		}
+	}
+	if len(wantPath) != 0 {
+		t.Fatalf("no task node for %v:\n%s", wantPath, r.Plan.Render())
+	}
+	want := map[string]int64{
+		"bank/6": 10, "bank/7": 11, "bank/8": 10,
+		"regional/6": 10, "regional/7": 11, "regional/8": 10,
+	}
+	if got := balances(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after EXPLAIN ANALYZE UPDATE: %v, want %v (updated exactly once)", got, want)
+	}
+
+	// DELETE goes the same way.
+	results, err = f.ExecScript("USE bank VITAL regional\nEXPLAIN ANALYZE DELETE FROM acct WHERE id = 8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del := results[len(results)-1].Plan.Find("delete"); del == nil || del.Rows != 1 {
+		t.Fatalf("no executed delete subtree:\n%s", results[len(results)-1].Plan.Render())
+	}
+	delete(want, "bank/8")
+	delete(want, "regional/8")
+	if got := balances(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after EXPLAIN ANALYZE DELETE: %v, want %v", got, want)
 	}
 }
 

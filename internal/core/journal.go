@@ -207,8 +207,13 @@ func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.P
 // multitransaction is fully terminal (wire.ReqForget), releasing their
 // tombstones and letting their journals compact. Failures are ignored:
 // the acknowledgment is an optimization, not a correctness requirement.
+// The round sits inside the client-observed latency of a 2PC unit and
+// every ack is a fresh dial, so the acks go out concurrently (at most
+// recoverFanout at a time) and the call returns once all have answered.
 func (f *Federation) ackParticipants(parts []Participant) {
 	seen := make(map[string]bool, len(parts))
+	sem := make(chan struct{}, recoverFanout)
+	var wg sync.WaitGroup
 	for _, p := range parts {
 		if p.Addr == "" {
 			continue
@@ -218,10 +223,17 @@ func (f *Federation) ackParticipants(parts []Participant) {
 			continue
 		}
 		seen[key] = true
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = lam.Forget(ctx, p.Addr, p.SessionID)
-		cancel()
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(p Participant) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = lam.Forget(ctx, p.Addr, p.SessionID)
+		}(p)
 	}
+	wg.Wait()
 }
 
 // compOwed reports whether a plan that took the abort path left a

@@ -239,9 +239,9 @@ func (s *Session) execStmt(ctx context.Context, stmt msqlparser.Stmt) ([]*Result
 
 	case *msqlparser.ExplainStmt:
 		// Like a SELECT, EXPLAIN executes immediately without forcing a
-		// synchronization of the pending unit.
-		r, err := s.execExplain(ctx, st)
-		return resultList(r), err
+		// synchronization of the pending unit — unless it is an EXPLAIN
+		// ANALYZE of a write, which commits as a unit of its own.
+		return s.execExplain(ctx, st)
 
 	case *msqlparser.CommitStmt:
 		r, err := s.sync(ctx, translate.SyncCommit)

@@ -36,6 +36,13 @@ func durableServe(t *testing.T, path string, opts ServeOptions) *TCPServer {
 // with a parked in-doubt participant. Returns the orphaned session id.
 func prepareAndOrphan(t *testing.T, addr string) int64 {
 	t.Helper()
+	return prepareAndOrphanSQL(t, addr, "UPDATE flight SET rate = 175.0 WHERE fnu = 10")
+}
+
+// prepareAndOrphanSQL is prepareAndOrphan with the session's one write
+// given by the caller.
+func prepareAndOrphanSQL(t *testing.T, addr, sql string) int64 {
+	t.Helper()
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func prepareAndOrphan(t *testing.T, addr string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Exec(bg, "UPDATE flight SET rate = 175.0 WHERE fnu = 10"); err != nil {
+	if _, err := sess.Exec(bg, sql); err != nil {
 		t.Fatal(err)
 	}
 	ctx := WithMTID(bg, 99)
@@ -124,6 +131,32 @@ func TestDurableRestartResolvesPrepared(t *testing.T) {
 	}
 	if n := ts2.Tombstones(); n != 0 {
 		t.Fatalf("tombstones after forget = %d, want 0", n)
+	}
+}
+
+// TestDurableRestartReplaysExplainAnalyzeWrite: a write that arrived
+// wrapped in EXPLAIN ANALYZE (the federation's EXPLAIN ANALYZE UPDATE
+// wraps write task bodies that way) is a write to the session layer: it
+// is captured for redo, so the prepared session survives a restart and
+// the resolved commit applies the increment exactly once.
+func TestDurableRestartReplaysExplainAnalyzeWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "delta.journal")
+	ts1 := durableServe(t, path, ServeOptions{})
+	id := prepareAndOrphanSQL(t, ts1.Addr(), "EXPLAIN ANALYZE UPDATE flight SET rate = rate + 25.0 WHERE fnu = 10")
+	waitParked(t, ts1, id)
+	if err := ts1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2 := durableServe(t, path, ServeOptions{})
+	if ids := ts2.InDoubt(); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("in-doubt after restart = %v, want [%d]", ids, id)
+	}
+	if st, err := Resolve(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+		t.Fatalf("resolve = %v, %v, want committed", st, err)
+	}
+	if got := rate10(t, ts2.Addr()); got != 175.0 {
+		t.Fatalf("rate after recovery = %v, want 150 + 25 applied exactly once", got)
 	}
 }
 

@@ -52,19 +52,22 @@ func rate(t *testing.T, srv *Server, fn int) float64 {
 
 func TestClassOf(t *testing.T) {
 	cases := map[string]StmtClass{
-		"SELECT * FROM t":                  ClassSelect,
-		"EXPLAIN ANALYZE SELECT * FROM t":  ClassSelect,
-		"insert into t values (1)":         ClassInsert,
-		"INSERT INTO t SELECT a FROM u":    ClassInsert,
-		"Update t set x = 1":               ClassUpdate,
-		"DELETE FROM t":                    ClassDelete,
-		"CREATE TABLE t (a INTEGER)":       ClassCreate,
-		"CREATE DATABASE d":                ClassCreate,
-		"CREATE VIEW v AS SELECT a FROM t": ClassCreate,
-		"DROP TABLE t":                     ClassDrop,
-		"DROP DATABASE d":                  ClassDrop,
-		"DROP VIEW v":                      ClassDrop,
-		"COMMIT":                           ClassOther,
+		"SELECT * FROM t":                                ClassSelect,
+		"EXPLAIN ANALYZE SELECT * FROM t":                ClassSelect,
+		"EXPLAIN Update t set x = 1":                     ClassSelect, // plans only
+		"EXPLAIN ANALYZE Update t set x = 1 WHERE x = 2": ClassUpdate,
+		"EXPLAIN ANALYZE DELETE FROM t":                  ClassDelete,
+		"insert into t values (1)":                       ClassInsert,
+		"INSERT INTO t SELECT a FROM u":                  ClassInsert,
+		"Update t set x = 1":                             ClassUpdate,
+		"DELETE FROM t":                                  ClassDelete,
+		"CREATE TABLE t (a INTEGER)":                     ClassCreate,
+		"CREATE DATABASE d":                              ClassCreate,
+		"CREATE VIEW v AS SELECT a FROM t":               ClassCreate,
+		"DROP TABLE t":                                   ClassDrop,
+		"DROP DATABASE d":                                ClassDrop,
+		"DROP VIEW v":                                    ClassDrop,
+		"COMMIT":                                         ClassOther,
 	}
 	for sql, want := range cases {
 		stmt, err := sqlparser.ParseStatement(sql)

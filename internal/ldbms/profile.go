@@ -55,10 +55,15 @@ func (c StmtClass) String() string {
 
 // classOf reports the statement class of a parsed statement.
 func classOf(stmt sqlparser.Statement) StmtClass {
-	switch stmt.(type) {
-	case *sqlparser.SelectStmt, *sqlparser.ExplainStmt:
-		// EXPLAIN targets are restricted to SELECT by the engine, so the
-		// statement class follows the read-only target.
+	switch s := stmt.(type) {
+	case *sqlparser.ExplainStmt:
+		// EXPLAIN ANALYZE executes its target, so it is whatever the
+		// target is; plain EXPLAIN only plans and reads nothing.
+		if s.Analyze {
+			return classOf(s.Target)
+		}
+		return ClassSelect
+	case *sqlparser.SelectStmt:
 		return ClassSelect
 	case *sqlparser.InsertStmt:
 		return ClassInsert

@@ -28,12 +28,20 @@ func TestSessionRedoTracking(t *testing.T) {
 	if redo := sess.Redo(); len(redo) != 2 || redo[1] != "INSERT INTO t VALUES (1)" {
 		t.Fatalf("redo = %v, want create+insert (selects excluded)", redo)
 	}
+	// An executed EXPLAIN ANALYZE of a write is a write: its target, not
+	// the profiling wrapper, is what replay re-applies. A plain EXPLAIN
+	// plans without executing and leaves no effect to redo.
+	mustExec("EXPLAIN UPDATE t SET a = 7 WHERE a = 1")
+	mustExec("EXPLAIN ANALYZE UPDATE t SET a = a + 1 WHERE a = 1")
+	if redo := sess.Redo(); len(redo) != 3 || redo[2] != "UPDATE t SET a = a + 1 WHERE a = 1" {
+		t.Fatalf("redo = %v, want the EXPLAIN ANALYZE target as third entry", redo)
+	}
 	// Redo survives the prepared state: it is exactly what a restarted
 	// server replays to re-materialize the vote.
 	if err := sess.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	if redo := sess.Redo(); len(redo) != 2 {
+	if redo := sess.Redo(); len(redo) != 3 {
 		t.Fatalf("redo after prepare = %v", redo)
 	}
 	if err := sess.Commit(); err != nil {

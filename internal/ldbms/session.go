@@ -160,6 +160,11 @@ func (s *Session) execStmt(sql string, stmt sqlparser.Statement) (*sqlengine.Res
 			return nil, err
 		}
 	} else if class != ClassSelect {
+		if ex, ok := stmt.(*sqlparser.ExplainStmt); ok {
+			// An executed EXPLAIN ANALYZE of a write: replay must redo the
+			// write, not profile it again.
+			sql = sqlparser.Deparse(ex.Target)
+		}
 		s.redo = append(s.redo, sql)
 	}
 	return res, nil

@@ -115,11 +115,12 @@ type QueryStmt struct {
 }
 
 // ExplainStmt shows (EXPLAIN) or executes and profiles (EXPLAIN
-// ANALYZE) the federation plan of a retrieval query: the decomposition
-// into per-site tasks, the ships into the coordinator, and — under
-// ANALYZE — each site's annotated local plan tree:
+// ANALYZE) the federation plan of a retrieval query or of an UPDATE or
+// DELETE: the decomposition into per-site tasks, the ships into the
+// coordinator, and — under ANALYZE — each site's annotated local plan
+// tree. EXPLAIN ANALYZE of a write really writes, as a unit of its own:
 //
-//	EXPLAIN [ANALYZE] [FORMAT JSON] SELECT ...
+//	EXPLAIN [ANALYZE] [FORMAT JSON] SELECT|UPDATE|DELETE ...
 type ExplainStmt struct {
 	Analyze bool
 	JSON    bool // FORMAT JSON

@@ -288,8 +288,8 @@ func parseExplain(p *sqlparser.Parser) (*ExplainStmt, error) {
 		ex.JSON = true
 	}
 	t := p.Peek()
-	if t.Kind != sqlparser.TokIdent || !isKw(t.Text, "SELECT") {
-		return nil, fmt.Errorf("msqlparser: EXPLAIN supports SELECT queries, found %s", t)
+	if t.Kind != sqlparser.TokIdent || !(isKw(t.Text, "SELECT") || isKw(t.Text, "UPDATE") || isKw(t.Text, "DELETE")) {
+		return nil, fmt.Errorf("msqlparser: EXPLAIN supports SELECT, UPDATE and DELETE, found %s", t)
 	}
 	q, err := parseQuery(p)
 	if err != nil {

@@ -1,6 +1,7 @@
 package msqlparser
 
 import (
+	"fmt"
 	"testing"
 
 	"msql/internal/sqlparser"
@@ -373,8 +374,18 @@ func TestParseExplain(t *testing.T) {
 		t.Fatalf("stmt after USE is %T, want *ExplainStmt", s.Stmts[1])
 	}
 
-	if _, err := Parse(`EXPLAIN DELETE FROM car`); err == nil {
-		t.Fatal("EXPLAIN of a non-SELECT must not parse")
+	// UPDATE and DELETE targets share the SELECT planner at the sites.
+	for src, want := range map[string]string{
+		`EXPLAIN ANALYZE UPDATE car% SET rate% = rate% * 1.1 WHERE code% = 7`: "*sqlparser.UpdateStmt",
+		`EXPLAIN DELETE FROM car WHERE code = 7`:                              "*sqlparser.DeleteStmt",
+	} {
+		ex = mustParse(t, src).Stmts[0].(*ExplainStmt)
+		if got := fmt.Sprintf("%T", ex.Query.Body); got != want {
+			t.Fatalf("%s: target is %s, want %s", src, got, want)
+		}
+	}
+	if _, err := Parse(`EXPLAIN INSERT INTO car VALUES (1)`); err == nil {
+		t.Fatal("EXPLAIN of an INSERT must not parse")
 	}
 	if _, err := Parse(`EXPLAIN FORMAT XML SELECT a FROM t`); err == nil {
 		t.Fatal("EXPLAIN FORMAT XML must not parse")

@@ -34,20 +34,35 @@ type diffSite struct {
 
 func (s diffSite) exec(t *testing.T, q string, commit bool) (*sqlengine.Result, error) {
 	t.Helper()
-	stmt, err := sqlparser.ParseStatement(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
+	results, err := s.execAll(t, []string{q}, commit)
+	return results[0], err
+}
+
+// execAll runs qs in one transaction, which commits only when asked to
+// and every statement succeeded; the first error ends the sequence.
+// results has one entry per statement, nil from the failed one on.
+func (s diffSite) execAll(t *testing.T, qs []string, commit bool) ([]*sqlengine.Result, error) {
+	t.Helper()
+	results := make([]*sqlengine.Result, len(qs))
 	tx := s.be.Begin()
-	res, err := tx.Exec("continental", q, stmt)
-	if err != nil || !commit {
+	for i, q := range qs {
+		stmt, err := sqlparser.ParseStatement(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		if results[i], err = tx.Exec("continental", q, stmt); err != nil {
+			tx.Rollback()
+			return results, err
+		}
+	}
+	if !commit {
 		tx.Rollback()
-		return res, err
+		return results, nil
 	}
 	if err := tx.Commit(); err != nil {
-		t.Fatalf("%s: commit %q: %v", s.name, q, err)
+		t.Fatalf("%s: commit %q: %v", s.name, qs, err)
 	}
-	return res, nil
+	return results, nil
 }
 
 // bigScript is a keyed table of 500 padded rows: about ten heap pages,
@@ -236,6 +251,86 @@ func TestBackendsAgree(t *testing.T) {
 		`INSERT INTO legs SELECT flnu, 9, source FROM flights WHERE day = 'mon'`,
 		`DELETE FROM f838 WHERE seatnu IN (SELECT snu FROM seats WHERE owner = 'nobody')`,
 	}
+	// Keyed writes find their rows through the SELECT planner: where the
+	// WHERE pins the whole primary key the relstore sites probe the index
+	// and the csv site, which keeps none, scans — so each statement here
+	// compares the two access paths. Reads between them see what the
+	// index holds after the write before.
+	keyedWrites := []string{
+		// Point writes by full key; a miss; a repeat that now misses.
+		`UPDATE seats SET owner = 'point' WHERE snu = 2`,
+		`UPDATE big SET val = -1 WHERE id = 377`,
+		`DELETE FROM big WHERE id = 12`,
+		`DELETE FROM big WHERE id = 12`,
+		`UPDATE big SET val = 0 WHERE id = 100000`,
+		// The pinning equality is only the access path: the rest of the
+		// WHERE still has to hold for the probed row.
+		`UPDATE seats SET owner = 'residual' WHERE snu = 1 AND owner = 'smith'`,
+		`DELETE FROM seats WHERE snu = 1 AND owner IS NULL`,
+		`UPDATE seats SET owner = 'both' WHERE snu = 1 AND owner = 'ng'`,
+		// Ranges and non-key predicates scan everywhere.
+		`UPDATE big SET val = -2 WHERE id > 440 AND id < 445`,
+		`DELETE FROM big WHERE id >= 448 AND val < 100`,
+		// Composite key: full pin probes, partial pin scans.
+		`UPDATE legs SET stop = 'full' WHERE flnu = 100 AND seq = 1`,
+		`UPDATE legs SET stop = 'partial' WHERE flnu = 102`,
+		`DELETE FROM legs WHERE seq = 1 AND flnu = 103`,
+		`DELETE FROM legs WHERE seq = 9`,
+		// Probe values that coerce to the key's kind, exactly or not.
+		`UPDATE seats SET owner = 'str' WHERE snu = '2'`,
+		`UPDATE seats SET owner = 'float' WHERE snu = 2.0`,
+		`UPDATE seats SET owner = 'frac' WHERE snu = 2.5`,
+		`UPDATE seats SET owner = 'word' WHERE snu = 'two'`,
+		`UPDATE seats SET owner = 'null' WHERE snu = NULL`,
+		`UPDATE seats SET owner = 'expr' WHERE snu = 1 + 1`,
+		`DELETE FROM seats WHERE snu = '100'`,
+		// A key-changing update moves the index entry: the old key must
+		// miss and the new key must hit, for reads and writes alike.
+		`UPDATE seats SET snu = snu + 100 WHERE snu = 4`,
+		`SELECT * FROM seats WHERE snu = 4`,
+		`SELECT * FROM seats WHERE snu = 104`,
+		`UPDATE seats SET owner = 'ghost' WHERE snu = 4`,
+		`UPDATE seats SET owner = 'moved' WHERE snu = 104`,
+		`DELETE FROM seats WHERE snu = 104`,
+	}
+	// Sequences inside one transaction: the probe must see the
+	// transaction's own uncommitted inserts, deletes and key changes.
+	sequences := []struct {
+		qs     []string
+		commit bool
+	}{
+		{[]string{ // insert, then write and read the new key
+			`INSERT INTO seats VALUES (50, 'fresh')`,
+			`UPDATE seats SET owner = 'fresher' WHERE snu = 50`,
+			`SELECT * FROM seats WHERE snu = 50`,
+			`DELETE FROM seats WHERE snu = 50`,
+			`SELECT * FROM seats WHERE snu = 50`,
+		}, true},
+		{[]string{ // delete, then update the same key; re-insert and again
+			`DELETE FROM seats WHERE snu = 2`,
+			`UPDATE seats SET owner = 'zombie' WHERE snu = 2`,
+			`INSERT INTO seats VALUES (2, 'reborn')`,
+			`UPDATE seats SET owner = 'again' WHERE snu = 2`,
+			`SELECT * FROM seats WHERE snu = 2`,
+		}, true},
+		{[]string{ // rolled back: none of this may stay in the index
+			`INSERT INTO seats VALUES (60, 'doomed')`,
+			`UPDATE seats SET snu = snu + 1 WHERE snu = 60`,
+			`DELETE FROM seats WHERE snu = 5`,
+			`UPDATE seats SET snu = 70 WHERE snu = 6`,
+		}, false},
+		{[]string{ // probes after the rollback: 60, 61, 70 miss; 5, 6 hit
+			`UPDATE seats SET owner = 'r60' WHERE snu = 60`,
+			`UPDATE seats SET owner = 'r61' WHERE snu = 61`,
+			`UPDATE seats SET owner = 'r70' WHERE snu = 70`,
+			`UPDATE seats SET owner = 'r5' WHERE snu = 5`,
+			`DELETE FROM seats WHERE snu = 6`,
+		}, true},
+		{[]string{ // an error mid-sequence rolls the earlier write back
+			`UPDATE seats SET owner = 'lost' WHERE snu = 5`,
+			`UPDATE seats SET snu = 'abc' WHERE snu = 5`,
+		}, true},
+	}
 	// Failures must be the same error everywhere — the wire maps these
 	// sentinels to codes the coordinator branches on.
 	failures := []struct {
@@ -289,6 +384,25 @@ func TestBackendsAgree(t *testing.T) {
 	}
 	for _, q := range writes {
 		compare(q, true, false)
+	}
+	readAll()
+	for _, q := range keyedWrites {
+		compare(q, true, false)
+	}
+	readAll()
+	for _, seq := range sequences {
+		want, wantErr := ref.execAll(t, seq.qs, seq.commit)
+		for _, s := range sites[1:] {
+			got, gotErr := s.execAll(t, seq.qs, seq.commit)
+			for i, q := range seq.qs {
+				if want[i] == nil || got[i] == nil {
+					// The statement that failed, or one after it.
+					sameOutcome(t, s.name, q, nil, nil, wantErr, gotErr)
+					break
+				}
+				sameOutcome(t, s.name, q, want[i], got[i], nil, nil)
+			}
+		}
 	}
 	readAll()
 

@@ -100,52 +100,53 @@ func execInsert(tx Storage, db string, ins *sqlparser.InsertStmt) (*Result, erro
 	return &Result{RowsAffected: n}, nil
 }
 
-// matchingRows scans tbl and calls fn with the position and contents of
-// every row satisfying where (all rows when where is nil). e must bind
-// tbl as its single source.
-func matchingRows(e *env, tbl Table, where sqlparser.Expr, fn func(pos int, row relstore.Row) error) error {
-	cur := tbl.Scan(nil)
-	for {
-		pos, row, ok := cur.Next()
-		if !ok {
-			return tbl.Err()
-		}
-		e.current[0] = row
-		if where != nil {
-			v, err := evalExpr(e, where)
-			if err != nil {
-				return err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		if err := fn(pos, row); err != nil {
-			return err
-		}
+// bindTarget write-locks the table an UPDATE or DELETE names and binds it
+// as the single source of an env, so the WHERE clause goes through the
+// planner and level iterators SELECT uses.
+func bindTarget(tx Storage, db string, name sqlparser.ObjectName) (e *env, tdb, tname string, err error) {
+	tdb, tname = splitName(db, name)
+	tbl, err := tx.TableForWrite(tdb, tname)
+	if err != nil {
+		return nil, "", "", err
 	}
-}
-
-// singleTableEnv is the evaluation environment of an UPDATE or DELETE:
-// the target table bound as the only source.
-func singleTableEnv(tx Storage, db, qualifier string, cols []relstore.Column) *env {
 	return &env{
 		tx: tx, db: db,
-		sources: []*boundSource{{qualifier: qualifier, cols: cols}},
+		sources: []*boundSource{{qualifier: tname, cols: tbl.Columns(), tbl: tbl}},
 		current: make([]relstore.Row, 1),
+		pos:     make([]int, 1),
+	}, tdb, tname, nil
+}
+
+// matchRows calls fn with the cursor position and contents of every
+// target row satisfying where (all rows when where is nil), found by the
+// access path the planner picks: one index probe when where pins the
+// whole primary key of a storage that indexes it, a filtered scan
+// otherwise. With ec set the plan is recorded under ec.node, and without
+// ec.analyze nothing is read.
+func matchRows(e *env, where sqlparser.Expr, ec *explainCtx, fn func(pos int, row relstore.Row) error) error {
+	plan := planJoin(e, where)
+	if ec != nil {
+		ec.describeLevels(ec.node, e, plan)
+		if !ec.analyze {
+			return nil
+		}
+		e.stats = newExecStats(1)
+		defer ec.annotate(e)
 	}
+	return runLoops(e, buildNodes(e, plan), func() (bool, error) {
+		return true, fn(e.pos[0], e.current[0])
+	})
 }
 
 // execUpdate handles UPDATE ... SET ... WHERE. Assignments are evaluated
 // against the pre-update row values, and all matching rows are collected
 // before any is modified, per SQL semantics.
-func execUpdate(tx Storage, db string, upd *sqlparser.UpdateStmt) (*Result, error) {
-	tdb, tname := splitName(db, upd.Table)
-	tbl, err := tx.TableForWrite(tdb, tname)
+func execUpdate(tx Storage, db string, upd *sqlparser.UpdateStmt, ec *explainCtx) (*Result, error) {
+	e, tdb, tname, err := bindTarget(tx, db, upd.Table)
 	if err != nil {
 		return nil, err
 	}
-	cols := tbl.Columns()
+	cols := e.sources[0].cols
 	assignIdx := make([]int, len(upd.Assigns))
 	for i, a := range upd.Assigns {
 		ci := columnIndex(cols, a.Column.Last())
@@ -155,13 +156,12 @@ func execUpdate(tx Storage, db string, upd *sqlparser.UpdateStmt) (*Result, erro
 		assignIdx[i] = ci
 	}
 
-	e := singleTableEnv(tx, db, tname, cols)
 	type pending struct {
 		pos int
 		row relstore.Row
 	}
 	var updates []pending
-	err = matchingRows(e, tbl, upd.Where, func(pos int, row relstore.Row) error {
+	err = matchRows(e, upd.Where, ec, func(pos int, row relstore.Row) error {
 		newRow := row.Clone()
 		for ai, a := range upd.Assigns {
 			v, err := evalExpr(e, a.Expr)
@@ -191,15 +191,13 @@ func execUpdate(tx Storage, db string, upd *sqlparser.UpdateStmt) (*Result, erro
 
 // execDelete handles DELETE FROM ... WHERE. Victims are collected before
 // any is removed; their positions stay valid while the statement runs.
-func execDelete(tx Storage, db string, del *sqlparser.DeleteStmt) (*Result, error) {
-	tdb, tname := splitName(db, del.Table)
-	tbl, err := tx.TableForWrite(tdb, tname)
+func execDelete(tx Storage, db string, del *sqlparser.DeleteStmt, ec *explainCtx) (*Result, error) {
+	e, tdb, tname, err := bindTarget(tx, db, del.Table)
 	if err != nil {
 		return nil, err
 	}
-	e := singleTableEnv(tx, db, tname, tbl.Columns())
 	var victims []int
-	err = matchingRows(e, tbl, del.Where, func(pos int, _ relstore.Row) error {
+	err = matchRows(e, del.Where, ec, func(pos int, _ relstore.Row) error {
 		victims = append(victims, pos)
 		return nil
 	})

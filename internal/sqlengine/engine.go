@@ -65,9 +65,9 @@ func Execute(tx Storage, db string, stmt sqlparser.Statement) (*Result, error) {
 	case *sqlparser.InsertStmt:
 		return execInsert(tx, db, s)
 	case *sqlparser.UpdateStmt:
-		return execUpdate(tx, db, s)
+		return execUpdate(tx, db, s, nil)
 	case *sqlparser.DeleteStmt:
-		return execDelete(tx, db, s)
+		return execDelete(tx, db, s, nil)
 	case *sqlparser.CreateTableStmt:
 		tdb, tname := splitName(db, s.Table)
 		cols := make([]relstore.Column, len(s.Columns))

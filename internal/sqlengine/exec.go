@@ -181,12 +181,12 @@ func (n *scanNode) next() (bool, error) {
 	for {
 		var row relstore.Row
 		if n.it != nil {
-			_, r, ok := n.it.Next()
+			pos, r, ok := n.it.Next()
 			if !ok {
 				n.e.current[n.si] = nil
 				return false, src.tbl.Err()
 			}
-			row = r
+			n.e.pos[n.si], row = pos, r
 		} else {
 			if n.pos >= len(src.rows) {
 				n.e.current[n.si] = nil
@@ -290,7 +290,7 @@ func (n *probeNode) reset() error {
 		vals[i] = cv
 	}
 	if pos, ok := n.probe.index.LookupKey(vals); ok {
-		n.row = n.probe.index.RowAt(pos, n.pc)
+		n.e.pos[n.si], n.row = pos, n.probe.index.RowAt(pos, n.pc)
 	}
 	return src.tbl.Err()
 }

@@ -8,7 +8,6 @@ import (
 	"msql/internal/relbackend"
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
-	"msql/internal/sqlparser"
 )
 
 // keyedScript adds PRIMARY KEY tables to paperScript's database so the
@@ -34,12 +33,11 @@ func keyedStore(t testing.TB) *relstore.Store {
 // planner chose for each FROM source, outermost first.
 func levelOps(t *testing.T, tx *relstore.Tx, q string) []*obs.PlanNode {
 	t.Helper()
-	sel := mustParseStmt(t, q).(*sqlparser.SelectStmt)
-	_, plan, err := sqlengine.ExplainSelect(relbackend.Storage(tx), "continental", sel, false)
+	res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "EXPLAIN "+q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plan.Children
+	return res.Plan.Children
 }
 
 func TestPlannerChoosesIndexProbe(t *testing.T) {

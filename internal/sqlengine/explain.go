@@ -10,14 +10,15 @@ import (
 	"msql/internal/sqlval"
 )
 
-// explainCtx carries EXPLAIN state through the select executor. node is
-// where the current select attaches its plan subtree; analyze turns on
-// the metering wrappers and executes the statement for real.
+// explainCtx carries EXPLAIN state through the executor. node is where
+// the current select, update or delete attaches its plan subtree;
+// analyze turns on the metering wrappers and executes the statement for
+// real.
 type explainCtx struct {
 	analyze bool
 	node    *obs.PlanNode
-	// levels are the plan nodes of the current select's loop levels, in
-	// source order, so annotate can copy runtime stats onto them.
+	// levels are the plan nodes of the current statement's loop levels,
+	// in source order, so annotate can copy runtime stats onto them.
 	levels []*obs.PlanNode
 }
 
@@ -55,6 +56,12 @@ func (ec *explainCtx) describe(e *env, sel *sqlparser.SelectStmt, plan *joinPlan
 		parent = n.Add(&obs.PlanNode{Op: "aggregate",
 			Detail: fmt.Sprintf("group by %d key(s)", len(sel.GroupBy))})
 	}
+	ec.describeLevels(parent, e, plan)
+}
+
+// describeLevels adds one child per loop level under parent, naming the
+// access path the plan chose for it and the filters pushed down to it.
+func (ec *explainCtx) describeLevels(parent *obs.PlanNode, e *env, plan *joinPlan) {
 	ec.levels = make([]*obs.PlanNode, len(e.sources))
 	for i, src := range e.sources {
 		var ln *obs.PlanNode
@@ -110,58 +117,56 @@ func (ec *explainCtx) annotate(e *env) {
 	}
 }
 
-// ExplainSelect plans (and with analyze, executes) a SELECT and returns
-// the plan tree plus — under analyze — the statement's normal result.
-// Plain EXPLAIN returns an empty result carrying only output columns.
-func ExplainSelect(tx Storage, db string, sel *sqlparser.SelectStmt, analyze bool) (*Result, *obs.PlanNode, error) {
-	root := &obs.PlanNode{}
-	ec := &explainCtx{analyze: analyze, node: root}
-	t0 := time.Now()
-	res, err := execSelectEx(tx, db, sel, nil, ec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if analyze {
-		root.Analyzed = true
-		root.Rows = int64(len(res.Rows))
-		root.Loops = 1
-		root.TimeNS = time.Since(t0).Nanoseconds()
-		// Page counters are set only on access-path leaves, which may sit
-		// below intermediate aggregate/select nodes — sum the whole tree.
-		var sumPages func(n *obs.PlanNode)
-		sumPages = func(n *obs.PlanNode) {
-			for _, c := range n.Children {
-				root.PageHits += c.PageHits
-				root.PageMisses += c.PageMisses
-				sumPages(c)
-			}
-		}
-		sumPages(root)
-	}
-	return res, root, nil
-}
-
-// execExplain implements the EXPLAIN statement at the local-engine tier.
-// Plain EXPLAIN renders the plan as QUERY PLAN text rows without running
-// the target. EXPLAIN ANALYZE executes the target and returns the
-// target's own rows with the annotated tree attached in Result.Plan — the
-// federation coordinator relies on getting both, so it can assemble the
-// global result and graft the local subtree into the statement-wide plan.
+// execExplain implements the EXPLAIN statement at the local-engine tier
+// for SELECT, UPDATE and DELETE targets, which share one planner. Plain
+// EXPLAIN renders the plan as QUERY PLAN text rows without running the
+// target. EXPLAIN ANALYZE executes the target — a write really writes,
+// inside the caller's transaction — and returns the target's own result
+// with the annotated tree attached in Result.Plan: the federation
+// coordinator relies on getting both, so it can assemble the global
+// result and graft the local subtree into the statement-wide plan.
 func execExplain(tx Storage, db string, ex *sqlparser.ExplainStmt) (*Result, error) {
-	sel, ok := ex.Target.(*sqlparser.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqlengine: EXPLAIN supports SELECT statements, not %s",
+	root := &obs.PlanNode{}
+	ec := &explainCtx{analyze: ex.Analyze, node: root}
+	t0 := time.Now()
+	var res *Result
+	var err error
+	switch t := ex.Target.(type) {
+	case *sqlparser.SelectStmt:
+		res, err = execSelectEx(tx, db, t, nil, ec)
+	case *sqlparser.UpdateStmt:
+		root.Op, root.Detail = "update", t.Table.String()
+		res, err = execUpdate(tx, db, t, ec)
+	case *sqlparser.DeleteStmt:
+		root.Op, root.Detail = "delete", t.Table.String()
+		res, err = execDelete(tx, db, t, ec)
+	default:
+		return nil, fmt.Errorf("sqlengine: EXPLAIN supports SELECT, UPDATE and DELETE statements, not %s",
 			strings.Fields(sqlparser.Deparse(ex.Target))[0])
 	}
-	res, plan, err := ExplainSelect(tx, db, sel, ex.Analyze)
 	if err != nil {
 		return nil, err
 	}
-	if ex.Analyze {
-		res.Plan = plan
-		return res, nil
+	if !ex.Analyze {
+		return planTextResult(root, ex.JSON), nil
 	}
-	return planTextResult(plan, ex.JSON), nil
+	root.Analyzed = true
+	root.Rows = int64(res.RowsAffected)
+	root.Loops = 1
+	root.TimeNS = time.Since(t0).Nanoseconds()
+	// Page counters are set only on access-path leaves, which may sit
+	// below intermediate aggregate/select nodes — sum the whole tree.
+	var sumPages func(n *obs.PlanNode)
+	sumPages = func(n *obs.PlanNode) {
+		for _, c := range n.Children {
+			root.PageHits += c.PageHits
+			root.PageMisses += c.PageMisses
+			sumPages(c)
+		}
+	}
+	sumPages(root)
+	res.Plan = root
+	return res, nil
 }
 
 // planTextResult renders a plan tree as a single-column QUERY PLAN result.

@@ -152,6 +152,33 @@ func TestExplainProbeReadsFewerPagesThanScan(t *testing.T) {
 	if probePages >= scanPages {
 		t.Fatalf("index-probe read %d pages, the keyless %s %d — probe must be cheaper", probePages, scanOp, scanPages)
 	}
+
+	// Writes find their rows with the same planner: a keyed UPDATE or
+	// DELETE probes, the same statement on the keyless copy reads it all.
+	write := func(q string) (pages int64, op string) {
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "db", "EXPLAIN ANALYZE "+q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if res.RowsAffected != 1 || res.Plan.Rows != 1 || len(res.Plan.Children) != 1 {
+			t.Fatalf("%q: %d rows affected, plan:\n%s", q, res.RowsAffected, res.Plan.Render())
+		}
+		path := res.Plan.Children[0]
+		return path.PageHits + path.PageMisses, res.Plan.Op + "/" + path.Op
+	}
+	for _, w := range []struct{ verb, q string }{
+		{"update", `UPDATE %s SET val = val + 1 WHERE id = 211`},
+		{"delete", `DELETE FROM %s WHERE id = 211`},
+	} {
+		probePages, probeOp := write(fmt.Sprintf(w.q, "big"))
+		scanPages, scanOp := write(fmt.Sprintf(w.q, "keyless"))
+		if probeOp != w.verb+"/index-probe" || scanOp != w.verb+"/scan" {
+			t.Fatalf("keyed %s is %s, keyless is %s", w.verb, probeOp, scanOp)
+		}
+		if probePages >= scanPages {
+			t.Fatalf("%s: index-probe read %d pages, the keyless scan %d — probe must be cheaper", w.verb, probePages, scanPages)
+		}
+	}
 }
 
 // TestConcurrentAnalyzePageCountsDoNotBleed runs two different ANALYZE

@@ -89,18 +89,21 @@ func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 }
 
 // planJoin analyzes the WHERE clause against the bound sources.
-func planJoin(e *env, where sqlparser.Expr) (*joinPlan, error) {
+func planJoin(e *env, where sqlparser.Expr) *joinPlan {
 	plan := &joinPlan{
 		level: make(map[int][]sqlparser.Expr),
 		hash:  make(map[int]*hashJoin),
 		probe: make(map[int]*indexProbe),
 	}
 	if where == nil || len(e.sources) == 0 {
-		return plan, nil
+		return plan
 	}
 	last := len(e.sources) - 1
-	for _, c := range splitConjuncts(where) {
-		mask, pure := conjunctSources(e, c)
+	conjuncts := splitConjuncts(where)
+	for _, c := range conjuncts {
+		// A conjunct with subqueries or references this level cannot
+		// resolve (e.g. correlated names) waits until every source is bound.
+		mask, pure := exprSources(e, c)
 		lvl := last
 		if pure {
 			lvl = highestSource(mask, last)
@@ -123,8 +126,8 @@ func planJoin(e *env, where sqlparser.Expr) (*joinPlan, error) {
 		}
 		plan.level[lvl] = append(plan.level[lvl], c)
 	}
-	planProbes(e, plan, splitConjuncts(where))
-	return plan, nil
+	planProbes(e, plan, conjuncts)
+	return plan
 }
 
 // planProbes upgrades loop levels to primary-key index probes. A level
@@ -201,14 +204,9 @@ func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// conjunctSources returns the bitmask of source indexes a conjunct
-// references. pure is false when the conjunct contains subqueries or
-// references this level cannot resolve (e.g. correlated names), in which
-// case it must wait until every source is bound.
-func conjunctSources(e *env, c sqlparser.Expr) (uint64, bool) {
-	return exprSources(e, c)
-}
-
+// exprSources returns the bitmask of source indexes x references. pure
+// is false when x contains subqueries or references the bound sources
+// cannot resolve.
 func exprSources(e *env, x sqlparser.Expr) (uint64, bool) {
 	var mask uint64
 	pure := true

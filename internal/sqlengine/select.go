@@ -28,6 +28,7 @@ type env struct {
 	db      string
 	sources []*boundSource
 	current []relstore.Row // current row per source
+	pos     []int          // cursor position of current[i]; set by scans and probes of base tables
 	parent  *env
 	aggs    map[*sqlparser.FuncCall]sqlval.Value
 	stats   *execStats // per-level runtime counters; non-nil under ANALYZE
@@ -100,16 +101,14 @@ func execSingleSelect(tx Storage, db string, sel *sqlparser.SelectStmt, outer *e
 		e.sources = append(e.sources, src)
 	}
 	e.current = make([]relstore.Row, len(e.sources))
+	e.pos = make([]int, len(e.sources))
 
 	// The join planner pushes WHERE conjuncts down to the first loop
 	// level where they are fully bound, turns equality conjuncts across
 	// sources into hash-join probes, and upgrades levels whose primary
 	// key is fully pinned to single-row index probes. buildNodes turns
 	// the plan into an iterator per level and runLoops drives them.
-	plan, err := planJoin(e, sel.Where)
-	if err != nil {
-		return nil, err
-	}
+	plan := planJoin(e, sel.Where)
 	if ec != nil {
 		ec.describe(e, sel, plan)
 		if !ec.analyze {
