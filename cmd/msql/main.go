@@ -13,7 +13,7 @@
 //	msql -data-dir data/ -buffer-pages 256 # disk-backed service stores
 //	msql -fleet 12       # also incorporate a generated mixed-capability fleet
 //	msql -serve 127.0.0.1:7940 -max-sessions 64 -max-concurrent 8 \
-//	     -journal mt.j -group-commit-window 2ms  # concurrent coordinator
+//	     -journal mt.j                      # concurrent coordinator
 //
 // In the shell, terminate statements with ';' or an empty line. The
 // commands .dol on/.dol off toggle echoing the generated DOL programs,
@@ -81,7 +81,6 @@ func realMain() int {
 		tenantQueue = flag.Int("tenant-queue", 8, "queued statements allowed per tenant when -max-concurrent gates; excess is shed with an overload error")
 		admitWait   = flag.Duration("admit-wait", 100*time.Millisecond, "longest a statement waits in the admission queue before being shed")
 		stmtTimeout = flag.Duration("stmt-timeout", 0, "per-statement execution timeout (0 = unbounded)")
-		groupWindow = flag.Duration("group-commit-window", 0, "journal group-commit batch window: decisions arriving within it share one fsync (0 = every record fsyncs)")
 	)
 	var execs multiFlag
 	flag.Var(&execs, "e", "MSQL statement to execute (repeatable)")
@@ -187,9 +186,6 @@ func realMain() int {
 			return 1
 		}
 		defer j.Close()
-		if *groupWindow > 0 {
-			j.SetGroupCommit(*groupWindow)
-		}
 		fed.SetJournal(j)
 		rep, err := fed.Recover(context.Background())
 		if err != nil {

@@ -233,22 +233,22 @@ func TestChurnSoak(t *testing.T) {
 	united := launchLAM("svc_unit", "united")
 
 	// The coordinator child: tight admission so overload is observable,
-	// group commit on, pooled LAM connections.
+	// pooled LAM connections.
 	coord, err := LaunchCoord(dir, CoordConfig{
 		Sites: []CoordSite{
 			{Service: "svc_delta", DB: "delta", Addr: delta.Addr()},
 			{Service: "svc_unit", DB: "united", Addr: united.Addr()},
 		},
-		GroupCommitMS: 2,
-		MaxSessions:   64,
+		MaxSessions: 64,
 		// Tight enough that 36 clients over 4 tenants overflow the queues
 		// and sheds are guaranteed, loose enough that admitted work flows
 		// and the commit floor is met even under -race scheduling.
 		MaxConcurrent: 8, MaxQueuePerTenant: 4, MaxWaitMS: 150,
 		StmtTimeoutMS: 5000,
-		// 1ms threshold: the 2ms group-commit window alone pushes every
-		// synchronized unit over it, so the soak exercises the slow-query
-		// log across both coordinator incarnations.
+		// 1ms threshold: a synchronized unit's TCP 2PC rounds and forced
+		// journal fsyncs (shared between concurrent units, never skipped)
+		// push it over, so the soak exercises the slow-query log across
+		// both coordinator incarnations.
 		SlowQueryMS: 1,
 	})
 	if err != nil {

@@ -52,8 +52,6 @@ type CoordConfig struct {
 	// Sites are the participants; their LAM children must already be
 	// running when the coordinator starts.
 	Sites []CoordSite
-	// GroupCommitMS is the journal's group-commit batch window.
-	GroupCommitMS int
 	// MaxSessions, MaxConcurrent, MaxQueuePerTenant, MaxWaitMS configure
 	// the connection cap and statement admission control (zero
 	// MaxConcurrent runs ungated).
@@ -75,7 +73,7 @@ type CoordConfig struct {
 func IsCoordChild() bool { return os.Getenv(EnvCoordConfig) != "" }
 
 // CoordMain runs the coordinator child: federate the configured sites,
-// open the journal with group commit, run crash recovery — the
+// open the journal, run crash recovery — the
 // journal-driven pass first, then the participant-side orphan sweep —
 // and only then serve clients and write the readiness file. It never
 // returns.
@@ -112,9 +110,6 @@ func CoordMain() {
 	j, err := mtlog.Open(cfg.Journal)
 	if err != nil {
 		fatalCoord("open journal: %v", err)
-	}
-	if cfg.GroupCommitMS > 0 {
-		j.SetGroupCommit(time.Duration(cfg.GroupCommitMS) * time.Millisecond)
 	}
 	fed.SetJournal(j)
 

@@ -424,7 +424,7 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 //
 // Such orphans exist because the coordinator logs a prepared record
 // only after the participant's vote returns: a crash landing between
-// the vote and the record's group-commit flush leaves the participant
+// the vote and the record's flush leaves the participant
 // prepared — holding locks — while the restarted coordinator's journal
 // has never heard of the session, so Recover alone cannot reach it.
 // The write-ahead rule makes the sweep safe: a commit decision is

@@ -20,7 +20,7 @@ import (
 // and trigger re-entrancy state travel with the session while the
 // directories, LAM clients, DOL engine, and coordinator journal are
 // shared. Independent sessions execute concurrently — the engine runs
-// their plans in parallel and the journal group-commits their decisions
+// their plans in parallel and their journal decisions share fsyncs
 // — but a single Session must be used from one goroutine at a time (or
 // externally serialized, as the coordinator server does per
 // connection).

@@ -3,7 +3,7 @@
 // protocol. Each accepted connection gets its own core.Session — USE
 // scope, LET bindings, and the pending transaction unit are per
 // connection, while the directories, LAM clients, DOL engine, and the
-// group-committing coordinator journal are shared — so independent
+// coordinator journal are shared — so independent
 // clients run independent multitransactions in parallel.
 //
 // The server enforces two capacity boundaries. MaxSessions caps live

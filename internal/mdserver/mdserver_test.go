@@ -16,8 +16,8 @@ import (
 	"msql/internal/mtlog"
 )
 
-// startServer serves a fresh demo federation with a group-committing
-// coordinator journal and returns the server plus its federation.
+// startServer serves a fresh demo federation with a coordinator journal
+// and returns the server plus its federation.
 func startServer(t *testing.T, opts Options) (*Server, *core.Federation) {
 	t.Helper()
 	fed, err := demo.Build(demo.Options{})
@@ -28,7 +28,6 @@ func startServer(t *testing.T, opts Options) (*Server, *core.Federation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetGroupCommit(time.Millisecond)
 	fed.SetJournal(j)
 	srv, err := Serve("127.0.0.1:0", fed, opts)
 	if err != nil {

@@ -1,38 +1,21 @@
 // Package mtlog implements the write-ahead journals of both 2PC roles:
 // the coordinator's multitransaction journal (Journal) and the
-// participant's prepared-state journal (Participant). Together they make
-// the paper's flexible-transaction guarantees (vital sets, compensation,
-// acceptable termination states) survive a crash of either side.
+// participant's prepared-state journal (ParticipantJournal). Together
+// they make the paper's flexible-transaction guarantees (vital sets,
+// compensation, acceptable termination states) survive a crash of either
+// side.
 //
-// The coordinator journal records, per multitransaction: a begin record
-// carrying the plan's task topology (which tasks are vital, which are
-// compensations and their SQL), a prepared record for every participant
-// that entered the prepared-to-commit window (with the LAM address and
-// server-side session id needed to re-attach), the global
-// commit/rollback decision (forced to stable storage before any commit
-// is delivered — the write-ahead rule), per-task terminal outcomes, and
-// an end record once the multitransaction is fully terminal.
-// SetGroupCommit batches appends from concurrent sessions into shared
-// fsyncs; an Append still returns only after the flush covering its
-// record completed (DESIGN.md §10).
+// Both are thin views over one internal/wal Log, which owns the file:
+// framing, torn-tail truncation, flush-to-LSN durability, atomic rewrite,
+// fail-stop on I/O errors. What lives here is 2PC-specific: the Record
+// JSON, which record types are forced, multitransaction-id allocation,
+// state reconstruction, and what each journal's compaction may drop.
 //
-// The participant journal (DESIGN.md §9) fsyncs each PREPARED vote —
-// redo SQL plus the coordinator's MTID — before the vote is returned,
-// replays in-doubt sessions on restart, and keeps outcome tombstones so
-// retried decisions are answered idempotently; tombstones are evicted by
-// coordinator acknowledgments and a TTL janitor, and the journal is
-// compacted by temp-file + atomic rename.
-//
-// Record framing on disk:
-//
-//	+-------+------+----------+----------+-----------------+
-//	| magic | type | len (4B) | crc (4B) | payload (JSON)  |
-//	+-------+------+----------+----------+-----------------+
-//
-// The CRC32 (IEEE) covers the type byte, the length field, and the
-// payload, so a bit flip anywhere in a record is detected. The decoder
-// never trusts the tail of the file: a truncated record, a checksum
-// mismatch, or trailing garbage ends the scan at the last valid record
-// (the "valid prefix"), which is exactly the recovery semantics a
-// crashed append needs.
+// The coordinator journal (DESIGN.md §7, §10) records per
+// multitransaction its begin (task topology, compensation SQL), each
+// participant's prepared record, the commit/rollback decision (forced
+// before any commit is delivered), per-task outcomes, and end. The
+// participant journal (DESIGN.md §9) forces each PREPARED vote with its
+// redo SQL before the vote is returned and keeps outcome tombstones until
+// the coordinator acknowledges them.
 package mtlog

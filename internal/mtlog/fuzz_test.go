@@ -1,18 +1,33 @@
 package mtlog
 
 import (
+	"encoding/json"
 	"testing"
+
+	"msql/internal/wal"
 )
 
-// FuzzDecodeAll throws arbitrary byte strings at the record decoder:
-// whatever the input — truncated tails, bit-flipped checksums,
-// interleaved garbage — the decoder must return a consistent valid
-// prefix, never panic, and never silently accept a frame whose checksum
-// does not verify.
+// encodeRecords frames records the way Journal.Append does.
+func encodeRecords(t testing.TB, recs ...*Record) []byte {
+	t.Helper()
+	var buf []byte
+	for _, r := range recs {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = wal.AppendFrame(buf, byte(r.Type), payload)
+	}
+	return buf
+}
+
+// FuzzDecodeAll throws arbitrary byte strings at the record decoder. The
+// frame layer has its own target (wal.FuzzScan); this one is about the
+// JSON layer on top: whatever the input — including well-framed payloads
+// that are not records — the decoder must return a consistent valid
+// prefix, never panic, and hand back only records that re-encode.
 func FuzzDecodeAll(f *testing.F) {
-	var seed []byte
-	var err error
-	for _, r := range []*Record{
+	seed := encodeRecords(f, []*Record{
 		{Type: TBegin, MTID: 1, Kind: "sync", Tasks: []TaskDecl{
 			{Name: "T1", Entry: "united", Database: "united", Site: "127.0.0.1:9001", Vital: true},
 			{Name: "C1", Entry: "avis", Comp: true, ForTask: "T1", SQL: "DELETE FROM t"},
@@ -21,11 +36,7 @@ func FuzzDecodeAll(f *testing.F) {
 		{Type: TDecision, MTID: 1, Commit: true, Decided: []string{"T1"}},
 		{Type: TOutcome, MTID: 1, Task: "T1", Status: StatusCommitted},
 		{Type: TEnd, MTID: 1, State: "success"},
-	} {
-		if seed, err = appendRecord(seed, r); err != nil {
-			f.Fatal(err)
-		}
-	}
+	}...)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])              // truncated tail
 	f.Add(append([]byte("junk"), seed...)) // garbage prefix
@@ -33,7 +44,8 @@ func FuzzDecodeAll(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40 // bit flip mid-stream
 	f.Add(flipped)
 	f.Add([]byte{})
-	f.Add([]byte{recMagic})
+	f.Add(wal.AppendFrame(nil, byte(TEnd), []byte("not json")))                     // framed, undecodable
+	f.Add(wal.AppendFrame(nil, byte(TEnd), []byte(`{"t":3,"mt":1,"commit":true}`))) // frame/payload type mismatch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, end, err := DecodeAll(data)
@@ -55,14 +67,11 @@ func FuzzDecodeAll(f *testing.F) {
 		}
 		// Round-trip: every decoded record must survive re-encoding and
 		// re-decoding — what recovery reads, compaction can rewrite.
-		var re []byte
+		var ptrs []*Record
 		for i := range again {
-			var aerr error
-			if re, aerr = appendRecord(re, &again[i]); aerr != nil {
-				t.Fatalf("re-encode: %v", aerr)
-			}
+			ptrs = append(ptrs, &again[i])
 		}
-		final, _, ferr := DecodeAll(re)
+		final, _, ferr := DecodeAll(encodeRecords(t, ptrs...))
 		if ferr != nil || len(final) != len(again) {
 			t.Fatalf("re-encoded records failed to decode: %d/%d (%v)", len(final), len(again), ferr)
 		}

@@ -8,169 +8,175 @@ import (
 	"time"
 )
 
-// TestGroupCommitBatchesFsyncs drives many concurrent sync-requiring
-// appends through a group-commit journal and checks the batching is
-// real: every append returns durable, yet far fewer fsyncs than records
-// were issued.
-func TestGroupCommitBatchesFsyncs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mt.log")
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.SetGroupCommit(2 * time.Millisecond)
+// role is one of the two journals with the records that open, force and
+// finish one of its units, so the concurrency tests run against both.
+// (That concurrent forced appends share fsyncs is asserted
+// deterministically in wal's TestConcurrentAppendsShareFsyncs.)
+type role struct {
+	name string
+	open func(path string) (roleJournal, error)
+	// unit returns the records of one complete unit with the given id:
+	// the last one makes compaction drop it, the middle one is forced.
+	unit func(id uint64) [3]*Record
+}
 
-	const writers = 32
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			<-start
-			rec := &Record{Type: TDecision, MTID: id, Commit: true, Decided: []string{"T1"}}
-			if err := j.Append(rec); err != nil {
-				t.Errorf("append mt%d: %v", id, err)
+type roleJournal interface {
+	Append(*Record) error
+	Records() ([]Record, error)
+	Compact() (int, error)
+	Close() error
+}
+
+var roles = []role{
+	{
+		name: "coordinator",
+		open: func(path string) (roleJournal, error) { return Open(path) },
+		unit: func(id uint64) [3]*Record {
+			return [3]*Record{
+				{Type: TBegin, MTID: id, Kind: "dml"},
+				{Type: TDecision, MTID: id, Commit: true, Decided: []string{"T1"}},
+				{Type: TEnd, MTID: id, State: "success"},
 			}
-		}(uint64(i + 1))
-	}
-	close(start)
-	wg.Wait()
+		},
+	},
+	{
+		name: "participant",
+		open: func(path string) (roleJournal, error) { return OpenParticipant(path) },
+		unit: func(id uint64) [3]*Record {
+			return [3]*Record{
+				{Type: PPrepared, SessionID: int64(id), MTID: id, DB: "united", Redo: []string{"UPDATE flight SET rates = 1"}},
+				{Type: POutcome, SessionID: int64(id), Status: StatusCommitted},
+				{Type: PAck, SessionID: int64(id)},
+			}
+		},
+	},
+}
 
-	synced, fsyncs := j.SyncStats()
-	if synced != writers {
-		t.Fatalf("sync records = %d, want %d", synced, writers)
-	}
-	if fsyncs == 0 {
-		t.Fatal("no fsyncs issued")
-	}
-	if fsyncs >= synced {
-		t.Fatalf("group commit did not batch: %d fsyncs for %d records", fsyncs, synced)
-	}
-	recs, err := j.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != writers {
-		t.Fatalf("records on disk = %d, want %d", len(recs), writers)
+func eachRole(t *testing.T, f func(t *testing.T, r role, j roleJournal, path string)) {
+	for _, r := range roles {
+		t.Run(r.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			j, err := r.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			f(t, r, j, path)
+		})
 	}
 }
 
-// TestGroupCommitDurableBeforeReturn checks the write-ahead rule under
-// group commit: when Append returns for a decision, the record is already
-// in the file (re-readable by an independent open).
+// TestGroupCommitDurableBeforeReturn checks the write-ahead rule: when
+// Append returns for a forced record, the record is already in the file
+// (re-readable by an independent open).
 func TestGroupCommitDurableBeforeReturn(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mt.log")
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.SetGroupCommit(time.Millisecond)
+	eachRole(t, func(t *testing.T, r role, j roleJournal, path string) {
+		for id := uint64(1); id <= 5; id++ {
+			forced := r.unit(id)[1]
+			if err := j.Append(forced); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, _ := DecodeAll(data)
+			found := false
+			for _, rec := range recs {
+				if rec.Type == forced.Type && rec.MTID == forced.MTID && rec.SessionID == forced.SessionID {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("forced record of unit %d acknowledged but not on disk", id)
+			}
+		}
+	})
+}
 
-	for id := uint64(1); id <= 5; id++ {
-		if err := j.Append(&Record{Type: TDecision, MTID: id, Commit: true}); err != nil {
+// TestGroupCommitCloseDrains races forced appends against Close: every
+// append must return (durable or with an error), never hang on a flush
+// nobody will perform, and a second Close is harmless.
+func TestGroupCommitCloseDrains(t *testing.T) {
+	eachRole(t, func(t *testing.T, r role, j roleJournal, _ string) {
+		const writers = 16
+		var wg sync.WaitGroup
+		for i := 0; i < writers; i++ {
+			wg.Add(1)
+			go func(id uint64) {
+				defer wg.Done()
+				_ = j.Append(r.unit(id)[1])
+			}(uint64(i + 1))
+		}
+		time.Sleep(time.Millisecond)
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
+		wg.Wait() // must terminate: no waiter may hang past Close
+		if err := j.Close(); err != nil {
+			t.Fatalf("second close: %v", err)
+		}
+	})
+}
+
+// TestGroupCommitWithCompact interleaves forced appends with compaction;
+// the race detector guards the file-handle swap, no append may fail or
+// be lost across it, and finished units must still compact away.
+func TestGroupCommitWithCompact(t *testing.T) {
+	eachRole(t, func(t *testing.T, r role, j roleJournal, _ string) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(id uint64) {
+				defer wg.Done()
+				for _, rec := range r.unit(id) {
+					if err := j.Append(rec); err != nil {
+						t.Errorf("append unit %d: %v", id, err)
+					}
+				}
+			}(uint64(i + 1))
+		}
+		compactDone := make(chan struct{})
+		go func() {
+			defer close(compactDone)
+			for i := 0; i < 5; i++ {
+				if _, err := j.Compact(); err != nil {
+					t.Errorf("compact: %v", err)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+		wg.Wait()
+		<-compactDone
+		if _, err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := j.Records()
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, _ := DecodeAll(data)
-		found := false
-		for _, r := range recs {
-			if r.MTID == id && r.Type == TDecision {
-				found = true
+		if len(recs) != 0 {
+			t.Fatalf("%d records survived compaction of finished units, first: %+v", len(recs), recs[0])
+		}
+		// An unfinished unit appended after all that must survive one.
+		open := r.unit(99)
+		for _, rec := range open[:2] {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if !found {
-			t.Fatalf("decision mt%d acknowledged but not on disk", id)
+		if dropped, err := j.Compact(); err != nil || dropped != 0 {
+			t.Fatalf("compact = %d dropped, err %v; want 0", dropped, err)
 		}
-	}
+		if recs, _ := j.Records(); len(recs) != 2 {
+			t.Fatalf("unfinished unit has %d records after compaction, want 2", len(recs))
+		}
+	})
 }
 
-// TestGroupCommitCloseDrains races appends against Close: every append
-// must return (durable or with an error), never deadlock on a dead
-// flusher, and Close must not lose acknowledged records.
-func TestGroupCommitCloseDrains(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mt.log")
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetGroupCommit(time.Millisecond)
-
-	const writers = 16
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			_ = j.Append(&Record{Type: TDecision, MTID: id, Commit: true})
-		}(uint64(i + 1))
-	}
-	time.Sleep(time.Millisecond)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait() // must terminate: no waiter may hang past Close
-	if err := j.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-}
-
-// TestGroupCommitWithCompact interleaves group-committed appends with
-// compaction; the race detector guards the file-handle swap, and ended
-// multitransactions must still compact away.
-func TestGroupCommitWithCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mt.log")
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.SetGroupCommit(time.Millisecond)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			j.Append(&Record{Type: TBegin, MTID: id, Kind: "dml"})
-			j.Append(&Record{Type: TDecision, MTID: id, Commit: true, Decided: []string{"T1"}})
-			j.Append(&Record{Type: TEnd, MTID: id, State: "success"})
-		}(uint64(i + 1))
-	}
-	compactDone := make(chan struct{})
-	go func() {
-		defer close(compactDone)
-		for i := 0; i < 5; i++ {
-			if _, err := j.Compact(); err != nil {
-				t.Errorf("compact: %v", err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	wg.Wait()
-	<-compactDone
-	if _, err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	states, err := j.States()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range states {
-		if !s.Ended {
-			t.Fatalf("mt%d survived compaction un-ended", s.MTID)
-		}
-	}
-}
-
-// TestInlineSyncStats checks the stats path without group commit: fsyncs
-// track sync records one-for-one.
+// TestInlineSyncStats: sequential forced appends pay one fsync each —
+// nothing to share a flush with, and no wait added.
 func TestInlineSyncStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mt.log")
 	j, err := Open(path)
@@ -178,6 +184,9 @@ func TestInlineSyncStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	if err := j.Append(&Record{Type: TBegin, MTID: 1, Kind: "dml"}); err != nil {
+		t.Fatal(err)
+	}
 	for id := uint64(1); id <= 3; id++ {
 		if err := j.Append(&Record{Type: TDecision, MTID: id, Commit: true}); err != nil {
 			t.Fatal(err)
@@ -185,6 +194,6 @@ func TestInlineSyncStats(t *testing.T) {
 	}
 	synced, fsyncs := j.SyncStats()
 	if synced != 3 || fsyncs != 3 {
-		t.Fatalf("inline stats = (%d, %d), want (3, 3)", synced, fsyncs)
+		t.Fatalf("stats = (%d, %d), want (3, 3)", synced, fsyncs)
 	}
 }

@@ -1,370 +1,164 @@
 package mtlog
 
 import (
-	"errors"
+	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"msql/internal/obs"
+	"msql/internal/wal"
 )
 
-// Journal metrics (see DESIGN.md §8). Fsync latency is the write-ahead
-// rule's price: every TPrepared/TDecision append pays one forced flush —
-// or, under group commit, a share of one.
-var (
-	mAppends = obs.Default().CounterVec("msql_journal_appends_total",
-		"Journal records appended, by record type.", "type")
-	mFsync = obs.Default().Histogram("msql_journal_fsync_seconds",
-		"Latency of the fsync forced by TPrepared/TDecision appends.", nil)
-	mBatch = obs.Default().Histogram("msql_journal_group_batch_records",
-		"Sync-requiring records made durable per group-commit fsync.",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
-)
-
-// Journal is an append-only multitransaction log on one file. Appends
-// are serialized; records that carry a 2PC obligation (TPrepared,
-// TDecision) are fsynced before Append returns, so the write-ahead rule
-// — the decision is durable before the first COMMIT is delivered —
-// holds across power loss, and every prepared participant the
-// coordinator might strand is findable after a restart.
-type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	nextID uint64
-	closed bool
-
-	// gc, when non-nil, batches the fsyncs of concurrent sync-requiring
-	// appends (group commit). Set once via SetGroupCommit.
-	gc *groupCommitter
-
-	// syncRecs counts TPrepared/TDecision appends; fsyncs counts the
-	// Append-path fsyncs actually issued. Under group commit fsyncs grows
-	// sublinearly in syncRecs — the batching the bench asserts on.
-	syncRecs atomic.Int64
-	fsyncs   atomic.Int64
+// metrics is one journal role's instruments (DESIGN.md §8). Fsync latency
+// is the write-ahead rule's price; batch is the forced records each fsync
+// made durable — 1 for a lone appender, more when a flush was shared.
+type metrics struct {
+	appends obs.CounterVec
+	fsync   *obs.Histogram
+	batch   *obs.Histogram
 }
 
-// Open opens (creating if needed) the journal at path, validates its
-// contents, and truncates any torn tail left by a crashed append so new
-// records land on a valid prefix. Corruption beyond a torn tail is
-// handled the same way: the valid prefix is kept, the rest dropped.
-func Open(path string) (*Journal, error) {
-	f, recs, err := openValidPrefix(path)
+var batchBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
+
+var (
+	coordMetrics = metrics{
+		appends: obs.Default().CounterVec("msql_journal_appends_total",
+			"Journal records appended, by record type.", "type"),
+		fsync: obs.Default().Histogram("msql_journal_fsync_seconds",
+			"Latency of the fsync forced by TPrepared/TDecision appends.", nil),
+		batch: obs.Default().Histogram("msql_journal_group_batch_records",
+			"Forced records made durable per journal fsync.", batchBounds),
+	}
+	partMetrics = metrics{
+		appends: obs.Default().CounterVec("msql_lam_journal_appends_total",
+			"Participant-journal records appended, by record type.", "type"),
+		fsync: obs.Default().Histogram("msql_lam_journal_fsync_seconds",
+			"Latency of the fsync forced by prepared/commit-outcome appends.", nil),
+		batch: obs.Default().Histogram("msql_lam_journal_group_batch_records",
+			"Forced records made durable per participant-journal fsync.", batchBounds),
+	}
+)
+
+// journal is what both 2PC journals are: Records on a wal.Log, which owns
+// the file. This layer owns the record encoding, which records are
+// forced, and which ones compaction may drop.
+type journal struct {
+	log *wal.Log
+	m   *metrics
+}
+
+// open opens the log at path and decodes what it holds. A frame that
+// passed its checksum but is not a record is not crash damage; rather
+// than append after it, where recovery would never look, open fails.
+func open(path string, m *metrics) (journal, []Record, error) {
+	log, err := wal.Open(path, func(took time.Duration, covered int) {
+		m.fsync.Observe(took.Seconds())
+		m.batch.Observe(float64(covered))
+	})
+	if err != nil {
+		return journal{}, nil, err
+	}
+	j := journal{log: log, m: m}
+	recs, err := j.Records()
+	if err != nil {
+		log.Close()
+		return journal{}, nil, fmt.Errorf("mtlog: open %s: %w", path, err)
+	}
+	return j, recs, nil
+}
+
+// Append writes one record. Forced records (Record.forced) are on stable
+// storage before it returns, and with them every earlier record: a
+// synced decision implies its begin and prepared records are on disk.
+// Concurrent forced appends share fsyncs, never an early acknowledgment.
+// After the first write or fsync failure every Append returns that error.
+func (j journal) Append(rec *Record) error {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	err = j.log.Append(byte(rec.Type), payload, rec.forced())
+	if err == nil {
+		j.m.appends.With(rec.Type.String()).Inc()
+	}
+	return err
+}
+
+// Records returns every record currently in the journal.
+func (j journal) Records() ([]Record, error) {
+	frames, err := j.log.Frames()
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, path: path, nextID: 1}
-	for _, r := range recs {
-		if r.MTID >= j.nextID {
-			j.nextID = r.MTID + 1
+	return decodeFrames(frames)
+}
+
+// compact atomically rewrites the journal without the records of any id
+// that has a record of type done, and reports how many ids that dropped.
+func (j journal) compact(done Type, id func(*Record) uint64) (dropped int, err error) {
+	err = j.log.Rewrite(func(frames []wal.Frame) ([]wal.Frame, error) {
+		recs, err := decodeFrames(frames)
+		if err != nil {
+			return nil, err
 		}
+		finished := map[uint64]bool{}
+		for i := range recs {
+			if recs[i].Type == done {
+				finished[id(&recs[i])] = true
+			}
+		}
+		kept := frames[:0]
+		for i := range recs {
+			if !finished[id(&recs[i])] {
+				kept = append(kept, frames[i])
+			}
+		}
+		dropped = len(finished)
+		return kept, nil
+	})
+	return dropped, err
+}
+
+// Close syncs and closes the journal file.
+func (j journal) Close() error { return j.log.Close() }
+
+// Journal is the coordinator's append-only multitransaction log. With
+// TPrepared and TDecision forced, the write-ahead rule — the decision is
+// durable before the first COMMIT is delivered — holds across power loss,
+// and every participant a crash might strand is findable afterwards.
+type Journal struct {
+	journal
+	lastID atomic.Uint64 // highest multitransaction id seen or allocated
+}
+
+// Open opens (creating if needed) the journal at path, truncating a torn
+// tail left by a crashed append.
+func Open(path string) (*Journal, error) {
+	base, recs, err := open(path, &coordMetrics)
+	if err != nil {
+		return nil, err
 	}
+	j := &Journal{journal: base}
+	var last uint64
+	for _, r := range recs {
+		last = max(last, r.MTID)
+	}
+	j.lastID.Store(last)
 	return j, nil
 }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
+// NextID allocates a multitransaction id unique across restarts of this journal.
+func (j *Journal) NextID() uint64 { return j.lastID.Add(1) }
 
-// NextID allocates a fresh multitransaction id, unique across restarts
-// of the same journal file.
-func (j *Journal) NextID() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	id := j.nextID
-	j.nextID++
-	return id
-}
-
-// Append writes one record. TPrepared and TDecision records are forced
-// to stable storage before Append returns; an fsync also makes every
-// earlier record durable, so a synced decision implies its
-// multitransaction's begin and prepared records are on disk too.
-//
-// With group commit enabled (SetGroupCommit), sync-requiring appends from
-// concurrent multitransactions share one fsync: the record's bytes are
-// written under the journal lock, the caller registers as a waiter with
-// the flusher goroutine, and Append returns only after the batch fsync
-// covering those bytes has returned. Durability is never acknowledged
-// early — only amortized.
-func (j *Journal) Append(rec *Record) error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return errors.New("mtlog: journal closed")
-	}
-	buf, err := appendRecord(nil, rec)
-	if err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	gc := j.gc
-	j.mu.Unlock()
-	mAppends.With(rec.Type.String()).Inc()
-	if rec.Type != TPrepared && rec.Type != TDecision {
-		return nil
-	}
-	j.syncRecs.Add(1)
-	if gc != nil {
-		return gc.waitDurable()
-	}
-	start := time.Now()
-	j.mu.Lock()
-	err = j.syncLocked()
-	j.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	mFsync.ObserveSince(start)
-	return nil
-}
-
-// syncLocked fsyncs the journal file and counts the fsync. Callers must
-// hold j.mu. The current j.f is synced even if a concurrent Compact
-// swapped files since the caller's record was written: compaction itself
-// syncs the rewritten file before the rename, so the record is durable
-// either way.
-func (j *Journal) syncLocked() error {
-	if j.closed {
-		return errors.New("mtlog: journal closed")
-	}
-	j.fsyncs.Add(1)
-	return j.f.Sync()
-}
-
-// SyncStats reports how many sync-requiring records (TPrepared,
-// TDecision) have been appended and how many Append-path fsyncs were
-// issued for them. Without group commit the two grow in lockstep; with it
-// fsyncs lags — the observable proof that concurrent decisions share
-// flushes.
-func (j *Journal) SyncStats() (syncRecords, fsyncs int64) {
-	return j.syncRecs.Load(), j.fsyncs.Load()
-}
-
-// SetGroupCommit enables group commit with the given batch window: a
-// dedicated flusher goroutine accumulates sync-requiring appends for up
-// to window, then makes the whole batch durable with a single fsync and
-// only then releases the waiting appenders. A window of zero or less
-// leaves the journal in inline-fsync mode. Enable before sharing the
-// journal; calling it twice or after Close is a no-op.
-func (j *Journal) SetGroupCommit(window time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed || j.gc != nil || window <= 0 {
-		return
-	}
-	gc := &groupCommitter{
-		j:      j,
-		window: window,
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	j.gc = gc
-	go gc.run()
-}
-
-// groupCommitter is the journal's batch flusher. Appenders that need
-// durability park on a per-append channel; the flusher wakes on the first
-// waiter, sleeps the batch window so concurrent decisions can pile in,
-// issues one fsync, and signals every waiter with that fsync's result.
-type groupCommitter struct {
-	j      *Journal
-	window time.Duration
-
-	mu      sync.Mutex
-	waiters []chan error
-	stopped bool
-
-	kick chan struct{} // 1-buffered doorbell from appenders
-	stop chan struct{}
-	done chan struct{}
-}
-
-// waitDurable registers the calling append in the next batch and blocks
-// until that batch's fsync has returned. If the flusher has already shut
-// down (journal closing), it falls back to an inline fsync so no caller
-// is ever left waiting on a dead goroutine.
-func (gc *groupCommitter) waitDurable() error {
-	ch := make(chan error, 1)
-	gc.mu.Lock()
-	if gc.stopped {
-		gc.mu.Unlock()
-		gc.j.mu.Lock()
-		err := gc.j.syncLocked()
-		gc.j.mu.Unlock()
-		return err
-	}
-	gc.waiters = append(gc.waiters, ch)
-	gc.mu.Unlock()
-	select {
-	case gc.kick <- struct{}{}:
-	default:
-	}
-	return <-ch
-}
-
-func (gc *groupCommitter) run() {
-	defer close(gc.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-gc.stop:
-			gc.mu.Lock()
-			gc.stopped = true
-			gc.mu.Unlock()
-			gc.flush()
-			return
-		case <-gc.kick:
-		}
-		// Hold the batch open for the window so decisions racing in from
-		// other sessions share the fsync.
-		timer.Reset(gc.window)
-		select {
-		case <-timer.C:
-		case <-gc.stop:
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		gc.flush()
-	}
-}
-
-// flush makes every currently-registered waiter's bytes durable with one
-// fsync and signals them. Waiter registration happens only after the
-// record's bytes are written to the file, so syncing here covers every
-// waiter collected.
-func (gc *groupCommitter) flush() {
-	gc.mu.Lock()
-	ws := gc.waiters
-	gc.waiters = nil
-	gc.mu.Unlock()
-	if len(ws) == 0 {
-		return
-	}
-	start := time.Now()
-	gc.j.mu.Lock()
-	err := gc.j.syncLocked()
-	gc.j.mu.Unlock()
-	if err == nil {
-		mFsync.ObserveSince(start)
-		mBatch.Observe(float64(len(ws)))
-	}
-	for _, ch := range ws {
-		ch <- err
-	}
-}
-
-// Records returns every record currently in the journal (its valid
-// prefix).
-func (j *Journal) Records() ([]Record, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recordsLocked()
-}
-
-func (j *Journal) recordsLocked() ([]Record, error) {
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return nil, err
-	}
-	recs, _, _ := DecodeAll(data)
-	return recs, nil
-}
+// SyncStats reports the forced records (TPrepared, TDecision) appended and
+// the fsyncs Append issued for them — fewer when appends shared flushes.
+func (j *Journal) SyncStats() (syncRecords, fsyncs int64) { return j.log.Stats() }
 
 // Compact rewrites the journal keeping only multitransactions that have
-// not ended — the fully-terminal ones carry no recovery obligation. The
-// rewrite goes through a temp file and rename so a crash mid-compaction
-// leaves either the old or the new journal, never a mix.
+// not ended — the fully-terminal ones carry no recovery obligation.
 func (j *Journal) Compact() (dropped int, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return 0, errors.New("mtlog: journal closed")
-	}
-	recs, err := j.recordsLocked()
-	if err != nil {
-		return 0, err
-	}
-	ended := map[uint64]bool{}
-	for _, r := range recs {
-		if r.Type == TEnd {
-			ended[r.MTID] = true
-		}
-	}
-	var buf []byte
-	for i := range recs {
-		if ended[recs[i].MTID] {
-			continue
-		}
-		if buf, err = appendRecord(buf, &recs[i]); err != nil {
-			return 0, err
-		}
-	}
-	tmp := j.path + ".compact"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return 0, err
-	}
-	nf, err := os.OpenFile(tmp, os.O_RDWR, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	if _, err := nf.Seek(int64(len(buf)), 0); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	old := j.f
-	j.f = nf
-	old.Close()
-	return len(ended), nil
-}
-
-// Close syncs and closes the journal file. With group commit enabled the
-// flusher is stopped first and performs a final batch fsync, so every
-// append that returned nil is durable before the file handle goes away.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	gc := j.gc
-	j.gc = nil
-	j.mu.Unlock()
-	if gc != nil {
-		close(gc.stop)
-		<-gc.done
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return j.compact(TEnd, func(r *Record) uint64 { return r.MTID })
 }
 
 // TxState is the reconstructed state of one multitransaction.
@@ -445,36 +239,5 @@ func Reconstruct(recs []Record) []*TxState {
 // States reads and reconstructs the journal's multitransactions.
 func (j *Journal) States() ([]*TxState, error) {
 	recs, err := j.Records()
-	if err != nil {
-		return nil, err
-	}
-	return Reconstruct(recs), nil
-}
-
-// String renders a record for logs and debugging.
-func (r *Record) String() string {
-	switch r.Type {
-	case TBegin:
-		return fmt.Sprintf("mt%d begin %s (%d tasks)", r.MTID, r.Kind, len(r.Tasks))
-	case TPrepared:
-		return fmt.Sprintf("mt%d prepared %s sid=%d at %s", r.MTID, r.Task, r.SessionID, r.Addr)
-	case TDecision:
-		verb := "rollback"
-		if r.Commit {
-			verb = "commit"
-		}
-		return fmt.Sprintf("mt%d decision %s %v", r.MTID, verb, r.Decided)
-	case TOutcome:
-		return fmt.Sprintf("mt%d outcome %s=%d", r.MTID, r.Task, r.Status)
-	case TEnd:
-		return fmt.Sprintf("mt%d end %s", r.MTID, r.State)
-	case PPrepared:
-		return fmt.Sprintf("session %d prepared (mt%d, db %s, %d redo stmts)", r.SessionID, r.MTID, r.DB, len(r.Redo))
-	case POutcome:
-		return fmt.Sprintf("session %d outcome %d", r.SessionID, r.Status)
-	case PAck:
-		return fmt.Sprintf("session %d acked", r.SessionID)
-	default:
-		return fmt.Sprintf("mt%d %s", r.MTID, r.Type)
-	}
+	return Reconstruct(recs), err
 }

@@ -96,6 +96,9 @@ func TestReconstructAndDecisions(t *testing.T) {
 	}
 }
 
+// TestTornTailIsTruncatedOnOpen is a one-case smoke test through the
+// Journal type; every cut of the file is enumerated in wal's
+// TestTornTailEveryPrefix.
 func TestTornTailIsTruncatedOnOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mt.log")
 	j, err := Open(path)
@@ -108,7 +111,7 @@ func TestTornTailIsTruncatedOnOpen(t *testing.T) {
 	// Simulate a crash mid-append: a torn half-record at the tail.
 	data, _ := os.ReadFile(path)
 	clean := len(data)
-	torn := append(append([]byte{}, data...), recMagic, byte(TOutcome), 0xff, 0x00)
+	torn := append(append([]byte{}, data...), 0xD7, byte(TOutcome), 0xff, 0x00)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +148,7 @@ func TestTornTailIsTruncatedOnOpen(t *testing.T) {
 }
 
 func TestBitFlipStopsAtValidPrefix(t *testing.T) {
-	var buf []byte
-	var err error
-	for _, r := range sampleRecords() {
-		if buf, err = appendRecord(buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	buf := encodeRecords(t, sampleRecords()...)
 	recs, _, derr := DecodeAll(buf)
 	if derr != nil || len(recs) != 7 {
 		t.Fatalf("clean decode = %d recs, err %v", len(recs), derr)
@@ -181,13 +178,7 @@ func TestBitFlipStopsAtValidPrefix(t *testing.T) {
 }
 
 func TestInterleavedGarbage(t *testing.T) {
-	var buf []byte
-	var err error
-	for _, r := range sampleRecords()[:2] {
-		if buf, err = appendRecord(buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	buf := encodeRecords(t, sampleRecords()[:2]...)
 	garbage := append(append([]byte{}, buf...), []byte("not a journal record at all")...)
 	recs, end, derr := DecodeAll(garbage)
 	if len(recs) != 2 {
@@ -221,7 +212,7 @@ func TestCompactDropsEndedMultitransactions(t *testing.T) {
 	}
 	for _, r := range recs {
 		if r.MTID == 1 {
-			t.Fatalf("compaction kept ended mt1 record %v", r.String())
+			t.Fatalf("compaction kept ended mt1 record %+v", r)
 		}
 	}
 	if len(recs) != 2 {

@@ -1,53 +1,5 @@
 package mtlog
 
-import (
-	"errors"
-	"os"
-	"sync"
-	"time"
-
-	"msql/internal/obs"
-)
-
-// Participant-journal metrics. The prepare fsync is the participant's
-// half of the write-ahead rule: the vote may not go on the wire before
-// the redo state is durable.
-var (
-	mPAppends = obs.Default().CounterVec("msql_lam_journal_appends_total",
-		"Participant-journal records appended, by record type.", "type")
-	mPFsync = obs.Default().Histogram("msql_lam_journal_fsync_seconds",
-		"Latency of the fsync forced by prepared/commit-outcome appends.", nil)
-)
-
-// openValidPrefix opens (creating if needed) the journal file at path,
-// decodes its valid prefix, and truncates any torn tail left by a
-// crashed append so new records land on a valid prefix. Corruption
-// beyond a torn tail is handled the same way: the valid prefix is kept,
-// the rest dropped.
-func openValidPrefix(path string) (*os.File, []Record, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	recs, validEnd, derr := DecodeAll(data)
-	if derr != nil {
-		if terr := f.Truncate(int64(validEnd)); terr != nil {
-			f.Close()
-			return nil, nil, terr
-		}
-	}
-	if _, err := f.Seek(int64(validEnd), 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return f, recs, nil
-}
-
 // ParticipantJournal is a LAM server's durable prepared-state log: the
 // participant half of the §3.2.2 in-doubt window. It records sessions
 // entering the prepared-to-commit state (with the redo statements needed
@@ -55,73 +7,20 @@ func openValidPrefix(path string) (*os.File, []Record, error) {
 // once-prepared sessions (durable tombstones), and coordinator
 // end-of-multitransaction acknowledgments that release both.
 //
-// It shares the CRC32-framed record format with the coordinator journal
-// but has its own append/fsync and compaction semantics: PPrepared and
-// committed POutcome records are forced to stable storage before Append
-// returns; compaction drops sessions the coordinator has acknowledged.
-type ParticipantJournal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	closed bool
-}
+// PPrepared and committed POutcome records are forced before Append
+// returns — the vote may not go on the wire before the redo state is
+// durable; concurrent votes share fsyncs. Compaction drops sessions the
+// coordinator has acknowledged.
+type ParticipantJournal struct{ journal }
 
 // OpenParticipant opens (creating if needed) the participant journal at
 // path, truncating any torn tail so new records land on a valid prefix.
 func OpenParticipant(path string) (*ParticipantJournal, error) {
-	f, _, err := openValidPrefix(path)
+	base, _, err := open(path, &partMetrics)
 	if err != nil {
 		return nil, err
 	}
-	return &ParticipantJournal{f: f, path: path}, nil
-}
-
-// Path returns the journal file path.
-func (j *ParticipantJournal) Path() string { return j.path }
-
-// Append writes one record. PPrepared records and committed POutcome
-// records are forced to stable storage before Append returns — the vote
-// and the commit tombstone must survive a crash. Abort outcomes and acks
-// ride on the next sync: presumed abort makes their loss harmless.
-func (j *ParticipantJournal) Append(rec *Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("mtlog: participant journal closed")
-	}
-	buf, err := appendRecord(nil, rec)
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		return err
-	}
-	if rec.Type == PPrepared || (rec.Type == POutcome && rec.Status == StatusCommitted) {
-		start := time.Now()
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-		mPFsync.ObserveSince(start)
-	}
-	mPAppends.With(rec.Type.String()).Inc()
-	return nil
-}
-
-// Records returns every record currently in the journal (its valid
-// prefix).
-func (j *ParticipantJournal) Records() ([]Record, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recordsLocked()
-}
-
-func (j *ParticipantJournal) recordsLocked() ([]Record, error) {
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return nil, err
-	}
-	recs, _, _ := DecodeAll(data)
-	return recs, nil
+	return &ParticipantJournal{base}, nil
 }
 
 // PSession is the reconstructed journal state of one once-prepared
@@ -187,81 +86,13 @@ func ReconstructParticipant(recs []Record) []*PSession {
 // Sessions reads and reconstructs the journal's session states.
 func (j *ParticipantJournal) Sessions() ([]*PSession, error) {
 	recs, err := j.Records()
-	if err != nil {
-		return nil, err
-	}
-	return ReconstructParticipant(recs), nil
+	return ReconstructParticipant(recs), err
 }
 
 // Compact rewrites the journal keeping only sessions that still carry an
 // obligation: prepared sessions awaiting a decision and terminal
 // sessions the coordinator has not acknowledged. Acknowledged sessions
-// are dropped. The rewrite goes through a temp file and rename so a
-// crash mid-compaction leaves either the old or the new journal, never a
-// mix.
+// are dropped.
 func (j *ParticipantJournal) Compact() (dropped int, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return 0, errors.New("mtlog: participant journal closed")
-	}
-	recs, err := j.recordsLocked()
-	if err != nil {
-		return 0, err
-	}
-	acked := map[int64]bool{}
-	for _, r := range recs {
-		if r.Type == PAck {
-			acked[r.SessionID] = true
-		}
-	}
-	var buf []byte
-	for i := range recs {
-		if acked[recs[i].SessionID] {
-			continue
-		}
-		if buf, err = appendRecord(buf, &recs[i]); err != nil {
-			return 0, err
-		}
-	}
-	tmp := j.path + ".compact"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return 0, err
-	}
-	nf, err := os.OpenFile(tmp, os.O_RDWR, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	if _, err := nf.Seek(int64(len(buf)), 0); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	old := j.f
-	j.f = nf
-	old.Close()
-	return len(acked), nil
-}
-
-// Close syncs and closes the journal file.
-func (j *ParticipantJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return j.compact(PAck, func(r *Record) uint64 { return uint64(r.SessionID) })
 }

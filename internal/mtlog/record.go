@@ -1,24 +1,14 @@
 package mtlog
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+
+	"msql/internal/wal"
 )
 
-// recMagic starts every record frame.
-const recMagic byte = 0xD7
-
-// maxPayload caps one record's payload so a corrupted length field
-// cannot make the decoder allocate gigabytes.
-const maxPayload = 1 << 20
-
-// ErrCorrupt marks a journal whose tail failed validation; the records
-// decoded before the corruption are still valid.
-var ErrCorrupt = errors.New("mtlog: corrupt record")
+// ErrCorrupt marks a journal whose tail failed validation (wal.ErrCorrupt).
+var ErrCorrupt = wal.ErrCorrupt
 
 // Type identifies a journal record.
 type Type uint8
@@ -65,27 +55,16 @@ const (
 	PAck
 )
 
+var typeNames = map[Type]string{
+	TBegin: "begin", TPrepared: "prepared", TDecision: "decision", TOutcome: "outcome", TEnd: "end",
+	PPrepared: "p-prepared", POutcome: "p-outcome", PAck: "p-ack",
+}
+
 func (t Type) String() string {
-	switch t {
-	case TBegin:
-		return "begin"
-	case TPrepared:
-		return "prepared"
-	case TDecision:
-		return "decision"
-	case TOutcome:
-		return "outcome"
-	case TEnd:
-		return "end"
-	case PPrepared:
-		return "p-prepared"
-	case POutcome:
-		return "p-outcome"
-	case PAck:
-		return "p-ack"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
+	if name, ok := typeNames[t]; ok {
+		return name
 	}
+	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
 // Task statuses recorded in TOutcome records. The values mirror
@@ -152,86 +131,53 @@ type Record struct {
 	Redo []string `json:"redo,omitempty"`
 }
 
-// appendRecord encodes one record frame onto buf.
-func appendRecord(buf []byte, rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return buf, err
-	}
-	if len(payload) > maxPayload {
-		return buf, fmt.Errorf("mtlog: record payload %d exceeds %d bytes", len(payload), maxPayload)
-	}
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{byte(rec.Type)})
-	crc.Write(lenb[:])
-	crc.Write(payload)
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc.Sum32())
-
-	buf = append(buf, recMagic, byte(rec.Type))
-	buf = append(buf, lenb[:]...)
-	buf = append(buf, crcb[:]...)
-	buf = append(buf, payload...)
-	return buf, nil
+// forced reports whether the record must be on stable storage before
+// Append returns: the coordinator's prepared and decision records (the
+// decision is durable before the first COMMIT is delivered, and every
+// participant it might strand is findable), the participant's vote and
+// its commit tombstone. The rest ride on the next sync — presumed abort
+// makes their loss harmless.
+func (r *Record) forced() bool {
+	t := r.Type
+	return t == TPrepared || t == TDecision || t == PPrepared || (t == POutcome && r.Status == StatusCommitted)
 }
 
-// DecodeAll scans data and returns every record of its valid prefix
-// together with the byte offset where the prefix ends. A clean end of
-// input returns a nil error; truncation, checksum mismatch, or garbage
-// returns the records decoded so far with an error wrapping ErrCorrupt.
-// DecodeAll never panics on malformed input.
-func DecodeAll(data []byte) (recs []Record, validEnd int, err error) {
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 10 {
-			// A partial header is a torn append, not corruption worth
-			// reporting — unless it does not even start with the magic.
-			if rest[0] != recMagic {
-				return recs, off, fmt.Errorf("%w: garbage at offset %d", ErrCorrupt, off)
-			}
-			return recs, off, fmt.Errorf("%w: truncated header at offset %d", ErrCorrupt, off)
-		}
-		if rest[0] != recMagic {
-			return recs, off, fmt.Errorf("%w: bad magic at offset %d", ErrCorrupt, off)
-		}
-		typ := rest[1]
-		n := binary.LittleEndian.Uint32(rest[2:6])
-		want := binary.LittleEndian.Uint32(rest[6:10])
-		if n > maxPayload {
-			return recs, off, fmt.Errorf("%w: implausible length %d at offset %d", ErrCorrupt, n, off)
-		}
-		if len(rest) < 10+int(n) {
-			return recs, off, fmt.Errorf("%w: truncated payload at offset %d", ErrCorrupt, off)
-		}
-		payload := rest[10 : 10+int(n)]
-		crc := crc32.NewIEEE()
-		crc.Write(rest[1:6]) // type byte + length field
-		crc.Write(payload)
-		if crc.Sum32() != want {
-			return recs, off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
-		}
+// frameBytes is the space frames occupy in a log file.
+func frameBytes(frames []wal.Frame) (n int) {
+	for _, fr := range frames {
+		n += wal.HeaderSize + len(fr.Payload)
+	}
+	return n
+}
+
+// decodeFrames unmarshals the records of a frame sequence. A payload that
+// is not a record of its frame's type was never written by this package:
+// decoding stops there with an error wrapping ErrCorrupt that names the
+// frame's byte offset (DESIGN.md §7 says what an operator does with it).
+func decodeFrames(frames []wal.Frame) ([]Record, error) {
+	recs := make([]Record, 0, len(frames))
+	for i, fr := range frames {
 		var rec Record
-		if uerr := json.Unmarshal(payload, &rec); uerr != nil {
-			return recs, off, fmt.Errorf("%w: undecodable payload at offset %d: %v", ErrCorrupt, off, uerr)
+		if uerr := json.Unmarshal(fr.Payload, &rec); uerr != nil {
+			return recs, fmt.Errorf("%w: undecodable payload at offset %d: %v", ErrCorrupt, frameBytes(frames[:i]), uerr)
 		}
-		if rec.Type != Type(typ) {
-			return recs, off, fmt.Errorf("%w: frame/payload type mismatch at offset %d", ErrCorrupt, off)
+		if rec.Type != Type(fr.Type) {
+			return recs, fmt.Errorf("%w: frame/payload type mismatch at offset %d", ErrCorrupt, frameBytes(frames[:i]))
 		}
 		recs = append(recs, rec)
-		off += 10 + int(n)
 	}
-	return recs, off, nil
+	return recs, nil
 }
 
-// ReadAll decodes every record of r's valid prefix.
-func ReadAll(r io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
+// DecodeAll returns the records of data's valid prefix and the offset
+// where it ends. Truncation, checksum mismatch, garbage or an undecodable
+// payload returns the records before it with an error wrapping
+// ErrCorrupt; malformed input never panics.
+func DecodeAll(data []byte) (recs []Record, validEnd int, err error) {
+	frames, end, serr := wal.Scan(data)
+	recs, derr := decodeFrames(frames)
+	if derr != nil {
+		return recs, frameBytes(frames[:len(recs)]), derr
 	}
-	recs, _, derr := DecodeAll(data)
-	return recs, derr
+	return recs, end, serr
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 
 	"msql/internal/sqlval"
 	"msql/internal/storage"
+	"msql/internal/wal"
 )
 
 // Options configures Open.
@@ -24,8 +26,9 @@ type Options struct {
 const catalogFile = "catalog.json"
 
 // The catalog records schemas and heap-file names; page data lives in
-// the .heap files it points at. It is rewritten atomically at each
-// checkpoint, so a crash leaves either the old or the new catalog.
+// the .heap files it points at. A checkpoint that changes it replaces it
+// atomically and durably (wal.WriteFileAtomic), so a crash leaves either
+// the old or the new catalog.
 type catalog struct {
 	NextFile  int64       `json:"next_file"`
 	Databases []catalogDB `json:"databases"`
@@ -88,6 +91,7 @@ func Open(opts Options) (*Store, error) {
 	if err := json.Unmarshal(raw, &cat); err != nil {
 		return nil, fmt.Errorf("relstore: parse catalog: %w", err)
 	}
+	s.catalogOnDisk = raw
 	s.nextFile = cat.NextFile
 	for _, cd := range cat.Databases {
 		d := &Database{
@@ -159,8 +163,8 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 }
 
 // Checkpoint makes the store's current committed state the durable one:
-// every dirty page is written back and fsynced, then the catalog is
-// atomically replaced. In-memory stores checkpoint trivially.
+// every dirty page is written back and fsynced, then the catalog, if it
+// changed, is atomically replaced. In-memory stores checkpoint trivially.
 //
 // Checkpoints are serialized: every session checkpoints after its own
 // commit, and two of them writing catalog.json.tmp at once would rename
@@ -212,11 +216,16 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, catalogFile+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	// The catalog holds only DDL state, so on almost every commit it is
+	// byte-for-byte what is already durable under its name.
+	if bytes.Equal(raw, s.catalogOnDisk) {
+		return nil
+	}
+	if err := wal.WriteFileAtomic(filepath.Join(s.dir, catalogFile), raw); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(s.dir, catalogFile))
+	s.catalogOnDisk = raw
+	return nil
 }
 
 // Close checkpoints and releases the store's file handles.

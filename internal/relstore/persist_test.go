@@ -3,6 +3,8 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -188,6 +190,76 @@ func TestPersistCheckpointReopen(t *testing.T) {
 	}
 	tx.Commit()
 	s2.Close()
+}
+
+// TestCheckpointRewritesCatalogOnlyOnDDL: the catalog is replaced (a new
+// inode under the same name, no temp file left) when a checkpoint
+// follows a schema change, and left alone when it follows row changes
+// only — also on the first checkpoint of a reopened store.
+func TestCheckpointRewritesCatalogOnlyOnDDL(t *testing.T) {
+	dir := t.TempDir()
+	catPath := filepath.Join(dir, catalogFile)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(catPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	insert := func(s *Store, k int64) {
+		t.Helper()
+		tx := s.Begin()
+		if err := tx.Insert("db", "kv", Row{sqlval.Int(k), sqlval.Str("v")}); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := keyedStore(t, dir)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	created := stat()
+	insert(s, 1)
+	if !os.SameFile(created, stat()) {
+		t.Fatal("a checkpoint after row changes only rewrote catalog.json")
+	}
+	tx := s.Begin()
+	if err := tx.CreateView("db", "vw", "SELECT k FROM kv"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	withView := stat()
+	if os.SameFile(created, withView) {
+		t.Fatal("a checkpoint after CREATE VIEW did not replace catalog.json")
+	}
+	if _, err := os.Stat(catPath + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp catalog left behind: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Options{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	insert(s2, 2)
+	if !os.SameFile(withView, stat()) {
+		t.Fatal("the first checkpoint of a reopened store rewrote an unchanged catalog.json")
+	}
+	d, _ := s2.Database("db")
+	if _, err := d.View("vw"); err != nil {
+		t.Fatalf("view lost: %v", err)
+	}
 }
 
 func TestUncheckpointedWorkIsLost(t *testing.T) {

@@ -469,7 +469,8 @@ type Store struct {
 	dir       string // "" = memory-only
 	nextFile  int64  // atomic; names heap files uniquely
 
-	ckptMu sync.Mutex // serializes Checkpoint
+	ckptMu        sync.Mutex // serializes Checkpoint
+	catalogOnDisk []byte     // last catalog.json read or written; guarded by ckptMu
 }
 
 // NewStore returns an empty in-memory store with the default pool size.

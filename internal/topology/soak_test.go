@@ -306,7 +306,6 @@ func TestTopologySoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
-	j.SetGroupCommit(time.Millisecond)
 	fed.SetJournal(j)
 
 	// Every unit the soak attempts, for the final atomicity audit.
