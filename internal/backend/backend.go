@@ -19,10 +19,11 @@
 // and IMPORT-time schema description.
 //
 // This is the transaction-control seam, not the SQL one. Neither engine
-// interprets SQL: both implement Tx.Exec as sqlengine.Execute over their
-// adapter of the executor's storage-cursor seam (sqlengine.Storage), so
-// statement semantics exist once and the engines differ only in what
-// their storage can do — prepare, views, key indexes, locks, durability.
+// interprets SQL: both implement Tx.Exec as sqlengine.Execute (and
+// Tx.Load as sqlengine.Load) over their adapter of the executor's
+// storage-cursor seam (sqlengine.Storage), so statement semantics exist
+// once and the engines differ only in what their storage can do —
+// prepare, views, key indexes, locks, durability.
 package backend
 
 import (
@@ -31,6 +32,7 @@ import (
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
+	"msql/internal/sqlval"
 )
 
 // Backend is one storage engine instance hosting named databases.
@@ -67,6 +69,12 @@ type Tx interface {
 	// for decorators that log or time statements; the shipped engines
 	// execute the AST.
 	Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, error)
+	// Load inserts already-typed rows into a table and returns how many
+	// went in: the executor's INSERT row builder (arity, coercion to the
+	// declared kinds) followed by the storage insert, with no SQL text
+	// anywhere — both engines implement it as sqlengine.Load over their
+	// Storage adapter.
+	Load(db, table string, rows [][]sqlval.Value) (int, error)
 	// Describe reports the schema of a table or view.
 	Describe(db, name string) ([]relstore.Column, error)
 	// Prepare moves the transaction to the prepared-to-commit state.

@@ -2,9 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"msql/internal/csvstore"
 	"msql/internal/dol"
 	"msql/internal/ldbms"
 	"msql/internal/translate"
@@ -373,6 +377,70 @@ WHERE c.rate < u.rates
 	defer sess.Close()
 	if _, err := sess.Exec("SELECT * FROM mtmp_united"); err == nil {
 		t.Fatal("temp table survived")
+	}
+}
+
+// TestGlobalCrossDatabaseJoinCSVCoordinator: the first database of the
+// FROM list coordinates, so here the temp tables, the loaded rows and the
+// final join all live on a flat-file autocommit site. Typed loads reach
+// it through the same storage seam as every other engine's.
+func TestGlobalCrossDatabaseJoinCSVCoordinator(t *testing.T) {
+	f := paperFederation(t, false)
+	cs, err := csvstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := f.AddLocalServer(ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
+	if err := srv.CreateDatabase("regional"); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.OpenSession("regional")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, q := range []string{
+		`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
+		`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 90.0), (902, 'Tyler', 105.5)`,
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+	}
+	srv.ResetStats()
+	results, err := f.ExecScript(`
+INCORPORATE SERVICE svc_csv CONNECTMODE CONNECT COMMITMODE COMMIT;
+IMPORT DATABASE regional FROM SERVICE svc_csv;
+USE regional continental
+SELECT r.flnu, c.flnu, c.rate
+FROM regional.flights r, continental.flights c
+WHERE r.rate < c.rate
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := results[len(results)-1]
+	if sel.Multitable == nil || len(sel.Multitable.Tables) != 1 {
+		t.Fatalf("multitable = %+v", sel.Multitable)
+	}
+	// regional 40, 90, 105.5 against continental 100 (flight 100) and 80
+	// (flight 101): 40 < both, 90 < 100.
+	var got []string
+	for _, row := range sel.Multitable.Tables[0].Rows {
+		got = append(got, fmt.Sprint(row))
+	}
+	sort.Strings(got)
+	if want := []string{"[900 100 100]", "[900 101 80]", "[901 100 100]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("join rows = %v, want %v", got, want)
+	}
+	// Both groups were loaded at the csv site (its own three rows too:
+	// the coordinator's group is shipped like any other), and the temp
+	// tables are gone from the store and from its directory.
+	if st := srv.Stats(); st.Loads != 2 || st.LoadedRows != 5 {
+		t.Fatalf("csv site stats = %+v, want 2 loads of 5 rows in all", st)
+	}
+	if tables, err := sess.ListTables(); err != nil || len(tables) != 1 {
+		t.Fatalf("tables at the csv site = %v, %v", tables, err)
 	}
 }
 

@@ -243,10 +243,20 @@ func federationPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outc
 				for i, c := range st.Columns {
 					cols[i] = c.Name
 				}
-				root.Add(&obs.PlanNode{
+				node := root.Add(&obs.PlanNode{
 					Op:     "ship",
 					Detail: fmt.Sprintf("%s -> %s.%s(%s)", st.Task, st.To, st.Table, strings.Join(cols, ", ")),
 				})
+				if out != nil {
+					if info, ran := out.Ships[st]; ran {
+						// Rows loaded at the destination; loops counts the
+						// Load batches that carried them.
+						node.Analyzed = true
+						node.Rows = int64(info.Rows)
+						node.Loops = int64(info.Batches)
+						node.TimeNS = info.Elapsed.Nanoseconds()
+					}
+				}
 			case *dol.IfStmt:
 				walk(st.Then)
 				walk(st.Else)

@@ -122,8 +122,21 @@ WHERE c.rate < u.rates
 	if final.Rows != int64(r.Multitable.TotalRows()) {
 		t.Fatalf("final task rows = %d, result has %d", final.Rows, r.Multitable.TotalRows())
 	}
-	if len(p.FindAll("ship")) < 2 {
+	ships := p.FindAll("ship")
+	if len(ships) != 2 {
 		t.Fatalf("expected ship nodes for both read tasks:\n%s", p.Render())
+	}
+	// Each ship reports what it moved: continental ships 2 flights,
+	// united 1, each in one Load batch (loops), in measured time.
+	for _, n := range ships {
+		want := int64(1)
+		if strings.Contains(n.Detail, "mtmp_continental") {
+			want = 2
+		}
+		if !n.Analyzed || n.Rows != want || n.Loops != 1 || n.TimeNS <= 0 {
+			t.Fatalf("ship %q: analyzed=%v rows=%d batches=%d time=%dns, want %d rows in 1 batch:\n%s",
+				n.Detail, n.Analyzed, n.Rows, n.Loops, n.TimeNS, want, p.Render())
+		}
 	}
 	// Site-local subtrees are grafted under the tasks: the final task
 	// joins the two shipped temp tables.

@@ -6,6 +6,7 @@ import (
 
 	"msql/internal/lam"
 	"msql/internal/ldbms"
+	"msql/internal/sqlval"
 	"msql/internal/translate"
 )
 
@@ -125,6 +126,34 @@ SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u
 	sel := results[len(results)-1]
 	if sel.Multitable == nil || len(sel.Multitable.Tables) != 1 || len(sel.Multitable.Tables[0].Rows) != 1 {
 		t.Fatalf("join result = %+v", sel.Multitable)
+	}
+}
+
+// TestTCPFederationSmallFloatLiteral: 0.00001 prints as 1e-05 when the
+// engine deparses the task body, and the LAM has to parse that back —
+// the lexer used to stop at the 'e'.
+func TestTCPFederationSmallFloatLiteral(t *testing.T) {
+	fed, servers := tcpFederation(t)
+	results, err := fed.ExecScript(`
+USE continental VITAL united VITAL
+UPDATE flight% SET rate% = 0.00001 WHERE sour% = 'Houston'
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sync := results[len(results)-1]; sync.State != StateSuccess {
+		t.Fatalf("state = %s: %+v", sync.State, sync)
+	}
+	for db, q := range map[string]string{
+		"continental": "SELECT rate FROM flights WHERE flnu = 100",
+		"united":      "SELECT rates FROM flight WHERE fn = 300",
+	} {
+		sess, _ := servers[db].OpenSession(db)
+		res, err := sess.Exec(q)
+		sess.Close()
+		if err != nil || res.Rows[0][0] != sqlval.Float(1e-5) {
+			t.Fatalf("%s: rate = %v, %v; want FLOAT 1e-05", db, res, err)
+		}
 	}
 }
 

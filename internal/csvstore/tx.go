@@ -10,6 +10,7 @@ import (
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
+	"msql/internal/sqlval"
 	"msql/internal/storage"
 )
 
@@ -79,13 +80,23 @@ func (t *Tx) stage(db, name string, img *table) {
 	m[name] = img
 }
 
+var errTxDone = errors.New("csvstore: transaction already finished")
+
 // Exec implements backend.Tx by running the SQL executor over the
 // transaction.
 func (t *Tx) Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, error) {
 	if t.done {
-		return nil, fmt.Errorf("csvstore: transaction already finished")
+		return nil, errTxDone
 	}
 	return sqlengine.Execute(t, db, stmt)
+}
+
+// Load implements backend.Tx.
+func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
+	if t.done {
+		return 0, errTxDone
+	}
+	return sqlengine.Load(t, db, table, rows)
 }
 
 // Describe implements backend.Tx.

@@ -35,6 +35,10 @@ var (
 		"Time participants spent in the in-doubt window before the recovery loop resolved them.", nil)
 	mInDoubtUnresolved = obs.Default().Counter("msql_indoubt_unresolved_total",
 		"In-doubt participants the bounded recovery loop could not reach.")
+	mShipRows = obs.Default().CounterVec("msql_ship_rows_total",
+		"Rows SHIP loaded into temp tables, per destination service.", "service")
+	mShipBatches = obs.Default().CounterVec("msql_ship_batches_total",
+		"Load round trips SHIP took to move those rows, per destination service.", "service")
 )
 
 // Engine errors.
@@ -102,6 +106,17 @@ type Outcome struct {
 	// Unresolved lists in-doubt participants recovery could not reach;
 	// their tasks keep dol.StatusInDoubt.
 	Unresolved []InDoubt
+	// Ships records every SHIP statement the program reached.
+	Ships map[*dol.ShipStmt]ShipInfo
+}
+
+// ShipInfo is the record of one executed SHIP: the rows loaded at the
+// destination, the Load round trips they took, and the wall time from
+// CREATE TABLE to the last batch.
+type ShipInfo struct {
+	Rows    int
+	Batches int
+	Elapsed time.Duration
 }
 
 // TaskStatus returns a task's final status, StatusNotRun for unknown
@@ -163,6 +178,7 @@ func New(dir Directory) *Engine {
 type conn struct {
 	mu      sync.Mutex
 	session lam.Session
+	service string // the site's service name, for per-destination metrics
 	db      string
 	openErr error
 }
@@ -272,7 +288,7 @@ func (e *Engine) RunLogged(ctx context.Context, prog *dol.Program, log TxLog) (*
 		ctx:   ctx,
 		conns: make(map[string]*conn),
 		tasks: make(map[string]*taskRT),
-		out:   &Outcome{Status: -1, Tasks: make(map[string]*TaskInfo)},
+		out:   &Outcome{Status: -1, Tasks: make(map[string]*TaskInfo), Ships: make(map[*dol.ShipStmt]ShipInfo)},
 		log:   log,
 	}
 	err := r.execStmts(prog.Stmts)
@@ -461,7 +477,7 @@ func (r *run) execStmt(s dol.Stmt) error {
 			}
 			return fmt.Errorf("dolengine: open %s at %s: %w", st.Database, st.Site, err)
 		}
-		r.conns[st.Alias] = &conn{session: sess, db: st.Database}
+		r.conns[st.Alias] = &conn{session: sess, service: client.ServiceName(), db: st.Database}
 		return nil
 
 	case *dol.TaskStmt:
@@ -766,8 +782,16 @@ func (r *run) abortTask(name string) error {
 	return nil
 }
 
+// shipBatchRows is how many rows one Load round trip carries.
+const shipBatchRows = 2048
+
 // execShip creates the destination table and copies the source task's
 // result rows into it, inside the destination session's open transaction.
+// The table is created with a CREATE TABLE statement (so the DDL class's
+// autocommit quirks apply as for any other); the rows travel typed, as
+// Session.Load batches, never as SQL text. The whole source result is
+// held before the first batch leaves: shipping does not overlap the
+// source task, and no row is filtered out on the way.
 func (r *run) execShip(st *dol.ShipStmt) error {
 	src, ok := r.tasks[st.Task]
 	if !ok {
@@ -791,6 +815,14 @@ func (r *run) execShip(st *dol.ShipStmt) error {
 	if c.session == nil {
 		return fmt.Errorf("dolengine: connection %s closed before ship", st.To)
 	}
+	start := time.Now()
+	var info ShipInfo
+	defer func() {
+		info.Elapsed = time.Since(start)
+		r.out.Ships[st] = info
+		mShipRows.With(c.service).Add(int64(info.Rows))
+		mShipBatches.With(c.service).Add(int64(info.Batches))
+	}()
 	var create strings.Builder
 	create.WriteString("CREATE TABLE ")
 	create.WriteString(st.Table)
@@ -807,35 +839,18 @@ func (r *run) execShip(st *dol.ShipStmt) error {
 	if _, err := c.session.Exec(r.ctx, create.String()); err != nil {
 		return fmt.Errorf("dolengine: ship create: %w", err)
 	}
-	if result == nil || len(result.Rows) == 0 {
+	if result == nil {
 		return nil
 	}
-	const batch = 64
-	for start := 0; start < len(result.Rows); start += batch {
-		end := start + batch
-		if end > len(result.Rows) {
-			end = len(result.Rows)
+	for rows := result.Rows; len(rows) > 0; {
+		batch := rows[:min(len(rows), shipBatchRows)]
+		rows = rows[len(batch):]
+		n, err := c.session.Load(r.ctx, st.Table, batch)
+		if err != nil {
+			return fmt.Errorf("dolengine: ship load: %w", err)
 		}
-		var ins strings.Builder
-		ins.WriteString("INSERT INTO ")
-		ins.WriteString(st.Table)
-		ins.WriteString(" VALUES ")
-		for ri, row := range result.Rows[start:end] {
-			if ri > 0 {
-				ins.WriteString(", ")
-			}
-			ins.WriteString("(")
-			for vi, v := range row {
-				if vi > 0 {
-					ins.WriteString(", ")
-				}
-				ins.WriteString(v.SQL())
-			}
-			ins.WriteString(")")
-		}
-		if _, err := c.session.Exec(r.ctx, ins.String()); err != nil {
-			return fmt.Errorf("dolengine: ship insert: %w", err)
-		}
+		info.Rows += n
+		info.Batches++
 	}
 	return nil
 }

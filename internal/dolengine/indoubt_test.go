@@ -14,6 +14,7 @@ import (
 	"msql/internal/netfault"
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
+	"msql/internal/sqlval"
 )
 
 // flakySession is a lam.Session + lam.Recoverable whose commit (or
@@ -33,6 +34,10 @@ func (s *flakySession) Exec(ctx context.Context, sql string) (*sqlengine.Result,
 	s.execCalls++
 	s.mu.Unlock()
 	return &sqlengine.Result{RowsAffected: 1}, nil
+}
+
+func (s *flakySession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
+	return len(rows), nil
 }
 
 func (s *flakySession) Prepare(ctx context.Context) error {

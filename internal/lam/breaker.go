@@ -10,6 +10,7 @@ import (
 	"msql/internal/ldbms"
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
+	"msql/internal/sqlval"
 	"msql/internal/wire"
 )
 
@@ -334,6 +335,12 @@ func (s *breakerSession) Exec(ctx context.Context, sql string) (*sqlengine.Resul
 	res, err := s.Session.Exec(ctx, sql)
 	s.b.record(err)
 	return res, err
+}
+
+func (s *breakerSession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
+	n, err := s.Session.Load(ctx, table, rows)
+	s.b.record(err)
+	return n, err
 }
 
 func (s *breakerSession) Prepare(ctx context.Context) error {

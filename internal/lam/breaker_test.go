@@ -11,6 +11,7 @@ import (
 	"msql/internal/ldbms"
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
+	"msql/internal/sqlval"
 )
 
 // flakyClient is a Client whose calls fail on demand, with either a
@@ -78,6 +79,9 @@ func (s *flakySession) Exec(ctx context.Context, sql string) (*sqlengine.Result,
 		return nil, err
 	}
 	return &sqlengine.Result{}, nil
+}
+func (s *flakySession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
+	return len(rows), s.c.err()
 }
 func (s *flakySession) Prepare(ctx context.Context) error  { return s.c.err() }
 func (s *flakySession) Commit(ctx context.Context) error   { return s.c.err() }
@@ -217,5 +221,28 @@ func TestSessionOpsAreNeverGatedButFeedTheBreaker(t *testing.T) {
 	// New sessions, by contrast, fast-fail.
 	if _, err := b.Open(ctx, "db"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open err = %v, want ErrBreakerOpen", err)
+	}
+}
+
+// TestBreakerRecordsLoadFailures: like every session op, Load is never
+// gated by the breaker but feeds it.
+func TestBreakerRecordsLoadFailures(t *testing.T) {
+	fc := &flakyClient{}
+	b := WithBreaker(fc, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
+	sess, err := b.Open(bg, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.setFailing(true, false)
+	for i := 0; i < 2; i++ {
+		if _, err := sess.Load(bg, "t", fidelityRows()); err == nil || errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("load %d: err = %v, want the site's own failure", i, err)
+		}
+	}
+	if b.State() != BreakerOpen {
+		t.Fatalf("state = %s, want open from load failures", b.State())
+	}
+	if _, err := sess.Load(bg, "t", fidelityRows()); errors.Is(err, ErrBreakerOpen) {
+		t.Fatal("load was gated by an open breaker")
 	}
 }

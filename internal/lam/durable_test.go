@@ -3,11 +3,13 @@ package lam
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
+	"msql/internal/sqlval"
 	"msql/internal/wire"
 )
 
@@ -157,6 +159,80 @@ func TestDurableRestartReplaysExplainAnalyzeWrite(t *testing.T) {
 	}
 	if got := rate10(t, ts2.Addr()); got != 175.0 {
 		t.Fatalf("rate after recovery = %v, want 150 + 25 applied exactly once", got)
+	}
+}
+
+// TestDurableRestartReplaysLoadedRows is the cross-database INSERT ...
+// SELECT transfer as its target participant sees it: a temp table
+// created, the shipped rows loaded into it, an INSERT ... SELECT out of
+// it, the temp table dropped, PREPARE. The loaded rows exist only in the
+// session's redo, rendered to INSERT text when the vote is journaled; a
+// restarted server re-materializes the prepared transaction from that
+// text and commits to the same target rows.
+func TestDurableRestartReplaysLoadedRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "delta.journal")
+	ts1 := durableServe(t, path, ServeOptions{})
+	c, err := Dial(ts1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Open(bg, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := fidelityRows()
+	mustExec := func(q string) {
+		t.Helper()
+		if _, err := sess.Exec(bg, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	mustExec("CREATE TABLE mtmp_united (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)")
+	for _, batch := range [][][]sqlval.Value{rows[:4], rows[4:]} {
+		if _, err := sess.Load(bg, "mtmp_united", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec("INSERT INTO flight SELECT fn, sour, dest, rates FROM mtmp_united")
+	mustExec("DROP TABLE mtmp_united")
+	if err := sess.Prepare(WithMTID(bg, 99)); err != nil {
+		t.Fatal(err)
+	}
+	rs := sess.(*remoteSession)
+	id := rs.id
+	rs.conn.close() // sever, do not ReqCloseSession
+	waitParked(t, ts1, id)
+	if err := ts1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2 := durableServe(t, path, ServeOptions{})
+	if ids := ts2.InDoubt(); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("in-doubt after restart = %v, want [%d]", ids, id)
+	}
+	if st, err := Resolve(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+		t.Fatalf("resolve = %v, %v, want committed", st, err)
+	}
+	c2, err := Dial(ts2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	check, err := c2.Open(bg, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer check.Close()
+	res, err := check.Exec(bg, "SELECT fnu, source, dest, rate FROM flight WHERE fnu >= 20 ORDER BY fnu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rows, rows) {
+		t.Fatalf("target rows after restart and commit\n %v\nwant\n %v", res.Rows, rows)
+	}
+	if tables, err := c2.ListTables(bg, "delta"); err != nil || len(tables) != 1 {
+		t.Fatalf("tables = %v, %v: the temp table outlived the transaction", tables, err)
 	}
 }
 

@@ -188,6 +188,44 @@ func TestDataPlaneIsNotRetried(t *testing.T) {
 	}
 }
 
+// TestLoadIsNotRetried: Load is data plane. A connection severed under
+// it surfaces as a transient OpError naming the op, and the retry policy
+// that replays control-plane calls leaves it alone — the server sees the
+// one load that got through and never a second.
+func TestLoadIsNotRetried(t *testing.T) {
+	ts, p := deltaProxy(t)
+	c, err := DialWith(bg, p.Addr(), DialOptions{Retry: RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Open(bg, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Load(bg, "flight", fidelityRows()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	retries := mRetries.With(p.Addr()).Value()
+	p.Sever()
+	_, err = sess.Load(bg, "flight", fidelityRows()[1:])
+	var op *OpError
+	if !errors.As(err, &op) || op.Op != wire.ReqLoad || !wire.Transient(err) {
+		t.Fatalf("load on a severed connection: err = %v, want a transient OpError for op load", err)
+	}
+	if got := mRetries.With(p.Addr()).Value() - retries; got != 0 {
+		t.Fatalf("%d retries after the failed load, want none", got)
+	}
+	// The connection is poisoned, not redialled.
+	if _, err := sess.Load(bg, "flight", fidelityRows()[1:]); !errors.Is(err, ErrConnBroken) {
+		t.Fatalf("second load = %v, want ErrConnBroken", err)
+	}
+	if st := ts.srv.Stats(); st.Loads != 1 {
+		t.Fatalf("server saw %d loads, want the 1 from before the sever", st.Loads)
+	}
+}
+
 func TestServerRejectsMalformedRequestKind(t *testing.T) {
 	srv := deltaServer(t)
 	ts, err := Serve("127.0.0.1:0", srv)

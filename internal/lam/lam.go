@@ -17,6 +17,7 @@ import (
 	"msql/internal/ldbms"
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
+	"msql/internal/sqlval"
 )
 
 // Session is one open connection to a database behind a LAM, carrying an
@@ -24,6 +25,11 @@ import (
 type Session interface {
 	// Exec runs one SQL statement on the local database.
 	Exec(ctx context.Context, sql string) (*sqlengine.Result, error)
+	// Load inserts already-typed rows into a table of the local database,
+	// inside the open transaction, and returns how many went in — an
+	// INSERT ... VALUES of those rows without the SQL text. Like Exec it is
+	// data plane: never retried.
+	Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error)
 	// Prepare enters the prepared-to-commit state (2PC servers only).
 	Prepare(ctx context.Context) error
 	// Commit commits the open transaction.
@@ -147,6 +153,13 @@ func (s *localSession) Exec(ctx context.Context, sql string) (*sqlengine.Result,
 		return nil, err
 	}
 	return s.sess.Exec(sql)
+}
+
+func (s *localSession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.sess.Load(table, rows)
 }
 
 func (s *localSession) Prepare(ctx context.Context) error {

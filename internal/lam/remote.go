@@ -540,6 +540,14 @@ func (s *remoteSession) Exec(ctx context.Context, sql string) (*sqlengine.Result
 	return res, nil
 }
 
+func (s *remoteSession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
+	resp, err := s.call(ctx, &wire.Request{Kind: wire.ReqLoad, Name: table, Rows: rows})
+	if err != nil {
+		return 0, err
+	}
+	return resp.Result.RowsAffected, nil
+}
+
 func (s *remoteSession) Prepare(ctx context.Context) error {
 	// The multitransaction id (when the coordinator journals) rides on the
 	// prepare so the participant's journal can correlate with ours.

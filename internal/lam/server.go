@@ -662,6 +662,16 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 			wres.Columns = append(wres.Columns, wire.Column{Name: c.Name, Type: uint8(c.Type)})
 		}
 		resp.Result = wres
+	case wire.ReqLoad:
+		ss, ok := session()
+		if !ok {
+			return noSession()
+		}
+		n, err := ss.sess.Load(req.Name, req.Rows)
+		if err != nil {
+			return fail(err)
+		}
+		resp.Result = &wire.Result{RowsAffected: n}
 	case wire.ReqPrepare:
 		ss, ok := session()
 		if !ok {

@@ -20,7 +20,9 @@ var (
 
 // Stats counts server operations for the benchmark harness.
 type Stats struct {
-	Execs         int64
+	Execs         int64 // statements executed
+	Loads         int64 // Session.Load batches (not counted in Execs)
+	LoadedRows    int64 // rows those batches inserted
 	Commits       int64
 	SilentCommits int64 // commits forced by autocommit classes
 	Rollbacks     int64

@@ -9,6 +9,7 @@ import (
 	"msql/internal/relstore"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
+	"msql/internal/sqlval"
 )
 
 // SessionState is the observable transaction state of a session. Prepared
@@ -53,11 +54,20 @@ type Session struct {
 	tx          backend.Tx
 	state       SessionState
 	lockTimeout time.Duration
-	// redo holds the effect-bearing SQL of the open transaction in
-	// execution order, so a participant journal can re-materialize a
-	// prepared session on a restarted server. Cleared whenever the
-	// transaction reaches an outcome (commit, rollback, autocommit).
-	redo []string
+	// redo holds the effects of the open transaction in execution order,
+	// so a participant journal can re-materialize a prepared session on a
+	// restarted server. Cleared whenever the transaction reaches an
+	// outcome (commit, rollback, autocommit).
+	redo []redoEntry
+}
+
+// redoEntry is one effect of the open transaction: the SQL text of a
+// statement, or — when rows is set — a loaded batch, kept as the rows it
+// arrived as and rendered to an INSERT only if Redo is asked for.
+type redoEntry struct {
+	sql   string
+	table string
+	rows  [][]sqlval.Value
 }
 
 // Database returns the connected database name.
@@ -92,11 +102,28 @@ func (s *Session) beginLocked() backend.Tx {
 // Redo returns the effect-bearing SQL statements of the open transaction
 // in execution order — what a restarted server must re-execute to bring
 // a prepared transaction back to its voted state. Empty outside an open
-// transaction.
+// transaction. Loaded batches are rendered here, as INSERT ... VALUES of
+// their rows, and nowhere else: a transaction that never prepares under
+// a participant journal never pays for the text.
 func (s *Session) Redo() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]string(nil), s.redo...)
+	out := make([]string, len(s.redo))
+	for i, e := range s.redo {
+		out[i] = e.sql
+		if e.rows != nil {
+			ins := &sqlparser.InsertStmt{Table: sqlparser.Name(e.table), Rows: make([][]sqlparser.Expr, len(e.rows))}
+			for ri, row := range e.rows {
+				exprs := make([]sqlparser.Expr, len(row))
+				for vi, v := range row {
+					exprs[vi] = &sqlparser.Literal{Val: v}
+				}
+				ins.Rows[ri] = exprs
+			}
+			out[i] = sqlparser.Deparse(ins)
+		}
+	}
+	return out
 }
 
 // Exec parses and executes one SQL statement. Errors abort the open
@@ -125,49 +152,86 @@ func (s *Session) Exec(sql string) (*sqlengine.Result, error) {
 }
 
 func (s *Session) execStmt(sql string, stmt sqlparser.Statement) (*sqlengine.Result, error) {
+	class := classOf(stmt)
+	redo := redoEntry{sql: sql}
+	if ex, ok := stmt.(*sqlparser.ExplainStmt); ok && class != ClassSelect {
+		// An executed EXPLAIN ANALYZE of a write: replay must redo the
+		// write, not profile it again.
+		redo.sql = sqlparser.Deparse(ex.Target)
+	}
+	var res *sqlengine.Result
+	err := s.apply(class, redo, func(tx backend.Tx) (err error) {
+		s.srv.bump(func(st *Stats) { st.Execs++ })
+		res, err = tx.Exec(s.db, sql, stmt)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Load inserts already-typed rows into a table of the connected database
+// and returns how many went in. It is an INSERT ... VALUES of those rows
+// in everything but the text: the same gating as a statement, the
+// profile's autocommit rule for the insert class, and the backend's one
+// insert semantics (arity, coercion to the declared kinds, widths, keys).
+func (s *Session) Load(table string, rows [][]sqlval.Value) (int, error) {
+	if len(rows) == 0 {
+		return 0, nil // no effect, so no transaction and no redo entry
+	}
+	n := 0
+	err := s.apply(ClassInsert, redoEntry{table: table, rows: rows}, func(tx backend.Tx) (err error) {
+		n, err = tx.Load(s.db, table, rows)
+		s.srv.bump(func(st *Stats) { st.Loads++; st.LoadedRows += int64(n) })
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// apply runs one effect — a statement or a loaded batch — under the
+// session's rules: refused while prepared, subject to FaultExec, begin on
+// demand, abort the transaction on error, then either the silent commit
+// the profile prescribes for the class or a redo entry.
+func (s *Session) apply(class StmtClass, redo redoEntry, op func(tx backend.Tx) error) error {
 	s.srv.simulateLatency()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == StatePrepared {
-		return nil, fmt.Errorf("%w: exec while prepared", ErrSessionState)
+		return fmt.Errorf("%w: exec while prepared", ErrSessionState)
 	}
 	if err := s.srv.faults.Check(FaultExec, s.db); err != nil {
 		s.abortLocked()
-		return nil, err
+		return err
 	}
 	if s.tx == nil {
 		s.beginLocked()
 	}
-	s.srv.bump(func(st *Stats) { st.Execs++ })
-	res, err := s.tx.Exec(s.db, sql, stmt)
-	if err != nil {
+	if err := op(s.tx); err != nil {
 		s.abortLocked()
-		return nil, err
+		return err
 	}
-	class := classOf(stmt)
-	if s.srv.profile.AutoCommits(class) && class != ClassSelect {
-		// The server commits on its own: the statement itself and every
-		// previously issued uncommitted statement become durable.
-		if err := s.tx.Commit(); err != nil {
-			s.abortLocked()
-			return nil, err
-		}
-		s.tx = nil
-		s.state = StateCommitted
-		s.redo = nil
-		s.srv.bump(func(st *Stats) { st.Commits++; st.SilentCommits++ })
-		if err := s.srv.checkpoint(); err != nil {
-			return nil, err
-		}
-	} else if class != ClassSelect {
-		if ex, ok := stmt.(*sqlparser.ExplainStmt); ok {
-			// An executed EXPLAIN ANALYZE of a write: replay must redo the
-			// write, not profile it again.
-			sql = sqlparser.Deparse(ex.Target)
-		}
-		s.redo = append(s.redo, sql)
+	if class == ClassSelect {
+		return nil
 	}
-	return res, nil
+	if !s.srv.profile.AutoCommits(class) {
+		s.redo = append(s.redo, redo)
+		return nil
+	}
+	// The server commits on its own: the effect itself and every
+	// previously issued uncommitted one become durable.
+	if err := s.tx.Commit(); err != nil {
+		s.abortLocked()
+		return err
+	}
+	s.tx = nil
+	s.state = StateCommitted
+	s.redo = nil
+	s.srv.bump(func(st *Stats) { st.Commits++; st.SilentCommits++ })
+	return s.srv.checkpoint()
 }
 
 // Prepare moves the open transaction to the prepared-to-commit state.

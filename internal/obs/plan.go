@@ -34,7 +34,8 @@ type PlanNode struct {
 	// Rows is the total number of rows the operator emitted.
 	Rows int64 `json:"rows,omitempty"`
 	// Loops counts how many times the operator was restarted (inner side
-	// of a nested loop resets once per outer row).
+	// of a nested loop resets once per outer row); for a "ship" node, the
+	// Load batches that carried its rows.
 	Loops int64 `json:"loops,omitempty"`
 	// TimeNS is wall time attributed to this operator, exclusive of
 	// children where the executor can tell them apart.

@@ -91,6 +91,11 @@ func (t *Tx) Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, 
 	return sqlengine.Execute(Storage(t.tx), db, stmt)
 }
 
+// Load implements backend.Tx.
+func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
+	return sqlengine.Load(Storage(t.tx), db, table, rows)
+}
+
 // Describe implements backend.Tx.
 func (t *Tx) Describe(db, name string) ([]relstore.Column, error) {
 	return sqlengine.DescribeTable(Storage(t.tx), db, name)

@@ -82,6 +82,7 @@ type Table struct {
 	dead    int
 	index   *storage.BTree // non-nil iff len(keys) > 0
 	ioErr   error          // first storage fault, sticky
+	enc     []byte         // insertRow's encode buffer: the heap copies tuples onto its pages
 }
 
 func keyColumns(cols []Column) []int {
@@ -287,7 +288,8 @@ func (t *Table) insertRow(row Row, checkUnique bool) (int, error) {
 			}
 		}
 	}
-	rid, err := t.heap.Insert(storage.EncodeRow(nil, row))
+	t.enc = storage.EncodeRow(t.enc[:0], row)
+	rid, err := t.heap.Insert(t.enc)
 	if err != nil {
 		return 0, err
 	}

@@ -121,6 +121,118 @@ func TestRollbackUndoesInsertUpdateDelete(t *testing.T) {
 	check.Rollback()
 }
 
+// TestBulkInsertRunsUndoAsOne: consecutive inserts into one table share
+// an undo record (a bulk load would otherwise log one per row); runs are
+// broken by any other write and by a switch of table, and rollback takes
+// every row of every run back out, leaving what was interleaved with
+// them undone too.
+func TestBulkInsertRunsUndoAsOne(t *testing.T) {
+	s := carRentalStore(t)
+	setup := s.Begin()
+	if err := setup.CreateTable("avis", "vans", []Column{{Name: "code", Type: sqlval.KindInt, Key: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := s.Begin()
+	car := func(code int64) Row {
+		return Row{sqlval.Int(code), sqlval.Str("bulk"), sqlval.Float(1), sqlval.Str("new")}
+	}
+	for code := int64(10); code < 60; code++ {
+		if err := tx.Insert("avis", "cars", car(code)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tx.undo) != 1 || tx.undo[0].n != 50 {
+		t.Fatalf("undo after 50 consecutive inserts = %d records (first covers %d)", len(tx.undo), tx.undo[0].n)
+	}
+	if err := tx.Delete("avis", "cars", 0); err != nil { // breaks the run
+		t.Fatal(err)
+	}
+	for code := int64(60); code < 63; code++ {
+		if err := tx.Insert("avis", "cars", car(code)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Insert("avis", "vans", Row{sqlval.Int(code)}); err != nil { // alternating tables
+			t.Fatal(err)
+		}
+	}
+	if want := 1 + 1 + 6; len(tx.undo) != want {
+		t.Fatalf("undo holds %d records, want %d", len(tx.undo), want)
+	}
+	// A duplicate key fails without extending the run it follows.
+	if err := tx.Insert("avis", "vans", Row{sqlval.Int(62)}); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("duplicate key err = %v", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := s.Begin()
+	defer check.Rollback()
+	cars, err := check.TableForRead("avis", "cars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cars.RowCount() != 3 || cars.RowAt(0) == nil {
+		t.Fatalf("cars after rollback: %d rows, first %v", cars.RowCount(), cars.RowAt(0))
+	}
+	vans, err := check.TableForRead("avis", "vans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vans.RowCount() != 0 {
+		t.Fatalf("vans after rollback: %d rows", vans.RowCount())
+	}
+	if _, ok := vans.LookupKey([]sqlval.Value{sqlval.Int(61)}); ok {
+		t.Fatal("rolled-back key still in the index")
+	}
+}
+
+// TestWriteAfterDropInSameTx: a run of writes resolves and locks its
+// table once, but a table the transaction itself dropped is gone for its
+// next write, and one it re-created is the new one.
+func TestWriteAfterDropInSameTx(t *testing.T) {
+	s := carRentalStore(t)
+	tx := s.Begin()
+	row := Row{sqlval.Int(4), sqlval.Str("van"), sqlval.Int(59), sqlval.Str("new")}
+	if err := tx.Insert("avis", "cars", row); err != nil {
+		t.Fatal(err)
+	}
+	if row[2] != sqlval.Int(59) {
+		t.Fatalf("insert modified the caller's row: %v", row)
+	}
+	if err := tx.DropTable("avis", "cars"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("avis", "cars", row); !errors.Is(err, ErrNoTable) {
+		t.Fatalf("insert into a dropped table: err = %v", err)
+	}
+	if err := tx.CreateTable("avis", "cars", []Column{{Name: "code", Type: sqlval.KindInt}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("avis", "cars", Row{sqlval.Int(7)}); err != nil {
+		t.Fatalf("insert into the re-created table: %v", err)
+	}
+	if err := tx.DropDatabase("avis"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("avis", "cars", Row{sqlval.Int(8)}); !errors.Is(err, ErrNoDatabase) {
+		t.Fatalf("insert into a dropped database: err = %v", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	check := s.Begin()
+	defer check.Rollback()
+	cars, err := check.TableForRead("avis", "cars")
+	if err != nil || cars.RowCount() != 3 || len(cars.Columns) != 4 {
+		t.Fatalf("cars after rollback: %v, %v", cars, err)
+	}
+}
+
 func TestPreparedStateVisible(t *testing.T) {
 	s := carRentalStore(t)
 	tx := s.Begin()

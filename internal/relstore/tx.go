@@ -55,10 +55,14 @@ const (
 )
 
 type undoRec struct {
-	kind  undoKind
-	db    string
-	name  string
-	idx   int
+	kind undoKind
+	db   string
+	name string
+	idx  int
+	// n is the length of an undoInsert run: a bulk load appends stable
+	// indexes idx, idx+1, ... to one table, and one record covers them all
+	// instead of one record per row.
+	n     int
 	row   Row
 	table *Table
 	dbObj *Database
@@ -83,6 +87,14 @@ type Tx struct {
 	undo        []undoRec
 	touched     map[string]touchedTable
 	LockTimeout time.Duration
+	// lastWrite is the table the previous write resolved and X-locked.
+	// Strict 2PL keeps that lock until the transaction finishes, so a run
+	// of writes to one table (a bulk load, a multi-row INSERT) resolves
+	// and locks it once; dropping a table or database clears it.
+	lastWrite struct {
+		db, table string
+		tbl       *Table
+	}
 }
 
 // Begin starts a transaction.
@@ -163,6 +175,9 @@ func (t *Tx) TableForWrite(db, table string) (*Table, error) {
 }
 
 func (t *Tx) tableForWriteLocked(db, table string) (*Table, error) {
+	if w := &t.lastWrite; w.tbl != nil && w.table == table && w.db == db {
+		return w.tbl, nil
+	}
 	d, err := t.store.Database(db)
 	if err != nil {
 		return nil, err
@@ -175,6 +190,7 @@ func (t *Tx) tableForWriteLocked(db, table string) (*Table, error) {
 		return nil, err
 	}
 	t.touched[tableKey(db, table)] = touchedTable{tbl: tbl, mode: LockExclusive}
+	t.lastWrite.db, t.lastWrite.table, t.lastWrite.tbl = db, table, tbl
 	return tbl, nil
 }
 
@@ -206,12 +222,21 @@ func (t *Table) validate(row Row) error {
 	return nil
 }
 
+// normalize widens integers headed for FLOAT columns. The row is copied
+// only if something has to change: the table encodes the row onto a heap
+// page and keeps no reference to it.
 func normalize(t *Table, row Row) Row {
-	out := row.Clone()
-	for i, v := range out {
-		if !v.IsNull() && t.Columns[i].Type == sqlval.KindFloat && v.K == sqlval.KindInt {
+	var out Row
+	for i, v := range row {
+		if t.Columns[i].Type == sqlval.KindFloat && v.K == sqlval.KindInt {
+			if out == nil {
+				out = row.Clone()
+			}
 			out[i] = sqlval.Float(float64(v.I))
 		}
+	}
+	if out == nil {
+		return row
 	}
 	return out
 }
@@ -234,7 +259,13 @@ func (t *Tx) Insert(db, table string, row Row) error {
 	if err != nil {
 		return err
 	}
-	t.undo = append(t.undo, undoRec{kind: undoInsert, db: db, name: table, idx: idx})
+	if n := len(t.undo); n > 0 {
+		if u := &t.undo[n-1]; u.kind == undoInsert && u.idx+u.n == idx && u.name == table && u.db == db {
+			u.n++
+			return nil
+		}
+	}
+	t.undo = append(t.undo, undoRec{kind: undoInsert, db: db, name: table, idx: idx, n: 1})
 	return nil
 }
 
@@ -328,6 +359,7 @@ func (t *Tx) DropTable(db, name string) error {
 		return fmt.Errorf("%w: %s.%s", ErrNoTable, db, name)
 	}
 	delete(d.tables, name)
+	t.lastWrite.tbl = nil
 	t.undo = append(t.undo, undoRec{kind: undoDropTable, db: db, name: name, table: tbl})
 	return nil
 }
@@ -366,6 +398,7 @@ func (t *Tx) DropDatabase(name string) error {
 	if err := t.store.DropDatabase(name); err != nil {
 		return err
 	}
+	t.lastWrite.tbl = nil
 	t.undo = append(t.undo, undoRec{kind: undoDropDB, name: name, dbObj: d})
 	return nil
 }
@@ -480,9 +513,14 @@ func (t *Tx) applyUndo(u undoRec) {
 	switch u.kind {
 	case undoInsert:
 		if d, err := t.store.Database(u.db); err == nil {
-			if tbl, ok := d.tables[u.name]; ok && tbl.RowAt(u.idx) != nil {
-				if _, err := tbl.deleteRow(u.idx); err != nil {
-					tbl.fault(err)
+			if tbl, ok := d.tables[u.name]; ok {
+				for idx := u.idx + u.n - 1; idx >= u.idx; idx-- {
+					if tbl.RowAt(idx) == nil {
+						continue
+					}
+					if _, err := tbl.deleteRow(idx); err != nil {
+						tbl.fault(err)
+					}
 				}
 			}
 		}

@@ -406,7 +406,146 @@ func TestBackendsAgree(t *testing.T) {
 	}
 	readAll()
 
+	loadsAgree(t, sites)
+
 	if ps := diskStore.Pool().Stats(); ps.Evictions == 0 {
 		t.Fatalf("disk site never evicted a page (%+v): the fixture no longer exceeds its pool", ps)
+	}
+}
+
+// insertOf renders rows as the INSERT ... VALUES statement Tx.Load
+// stands in for.
+func insertOf(table string, rows [][]sqlval.Value) string {
+	ins := &sqlparser.InsertStmt{Table: sqlparser.Name(table)}
+	for _, row := range rows {
+		var exprs []sqlparser.Expr
+		for _, v := range row {
+			exprs = append(exprs, &sqlparser.Literal{Val: v})
+		}
+		ins.Rows = append(ins.Rows, exprs)
+	}
+	return sqlparser.Deparse(ins)
+}
+
+// loadOutcome is what one attempt to put rows into ld did, read back
+// inside the attempt's own transaction before it ends.
+type loadOutcome struct {
+	n    int
+	err  error
+	rows []string // bag of ld's contents; nil after an error
+}
+
+func (o loadOutcome) String() string { return fmt.Sprintf("n=%d err=%v rows=%v", o.n, o.err, o.rows) }
+
+// putRows starts a transaction, puts rows into ld through Tx.Load or
+// through the equivalent INSERT statement, reads ld back and ends the
+// transaction.
+func (s diffSite) putRows(t *testing.T, rows [][]sqlval.Value, viaLoad, commit bool) loadOutcome {
+	t.Helper()
+	tx := s.be.Begin()
+	var out loadOutcome
+	if viaLoad {
+		out.n, out.err = tx.Load("continental", "ld", rows)
+	} else {
+		q := insertOf("ld", rows)
+		stmt, err := sqlparser.ParseStatement(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		var res *sqlengine.Result
+		if res, out.err = tx.Exec("continental", q, stmt); out.err == nil {
+			out.n = res.RowsAffected
+		}
+	}
+	if out.err != nil {
+		out.n = 0 // how far a failed attempt got is not part of the contract
+		tx.Rollback()
+		return out
+	}
+	sel, _ := sqlparser.ParseStatement(`SELECT * FROM ld`)
+	res, err := tx.Exec("continental", "", sel)
+	if err != nil {
+		t.Fatalf("%s: read back: %v", s.name, err)
+	}
+	out.rows = bag(res.Rows)
+	if !commit {
+		tx.Rollback()
+	} else if err := tx.Commit(); err != nil {
+		t.Fatalf("%s: commit: %v", s.name, err)
+	}
+	return out
+}
+
+// loadsAgree holds Tx.Load to the one insert semantics: on every
+// backend, loading rows and executing INSERT ... VALUES of the same rows
+// give the same count, the same error and the same table, a failed load
+// leaves nothing behind once its transaction is rolled back, and the
+// backends agree with one another wherever their storage enforces the
+// same things (a csv file checks neither widths nor keys).
+func loadsAgree(t *testing.T, sites []diffSite) {
+	t.Helper()
+	I, F, S, B, N := sqlval.Int, sqlval.Float, sqlval.Str, sqlval.Bool, sqlval.Null()
+	cases := []struct {
+		name     string
+		rows     [][]sqlval.Value
+		sentinel error // what the relstore sites must fail with; nil = success or a plain error
+		fails    bool  // every site must fail
+		csvLax   bool  // the csv site accepts what relstore refuses
+	}{
+		{name: "plain and NULLs", rows: [][]sqlval.Value{{I(1), S("ab"), F(1.5), B(true)}, {I(2), N, N, N}}},
+		{name: "coercions", rows: [][]sqlval.Value{{S("3"), I(55), I(7), I(1)}, {F(4), F(2.5), S(" 8.25 "), B(false)}}},
+		{name: "float edges", rows: [][]sqlval.Value{{I(5), S("e"), F(1e-5), N}, {I(6), S("E"), F(-2.5e-7), N}, {I(7), N, F(1.7976931348623157e308), N}, {I(8), N, F(5e-324), N}, {I(9), N, F(1e21), N}}},
+		{name: "width violation", rows: [][]sqlval.Value{{I(10), S("fits"), N, N}, {I(11), S("too long"), N, N}}, sentinel: relstore.ErrWidthExceeded, csvLax: true},
+		{name: "arity mismatch", rows: [][]sqlval.Value{{I(12), S("a"), F(1), B(true)}, {I(13), S("b"), F(2)}}, fails: true},
+		{name: "duplicate key", rows: [][]sqlval.Value{{I(14), S("a"), N, N}, {I(14), S("b"), N, N}}, sentinel: relstore.ErrDuplicateKey, csvLax: true},
+		{name: "uncoercible", rows: [][]sqlval.Value{{I(15), N, N, N}, {S("abc"), N, N, N}}, fails: true},
+	}
+	for _, s := range sites {
+		if _, err := s.exec(t, `CREATE TABLE ld (id INTEGER PRIMARY KEY, name CHAR(5), score FLOAT, ok BOOLEAN)`, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range cases {
+		var ref loadOutcome
+		for i, s := range sites {
+			viaLoad, viaInsert := s.putRows(t, c.rows, true, false), s.putRows(t, c.rows, false, false)
+			if viaLoad.String() != viaInsert.String() {
+				t.Errorf("%s: %s: Load gave %v, INSERT gave %v", s.name, c.name, viaLoad, viaInsert)
+			}
+			lax := c.csvLax && s.name == "csv"
+			if failed := viaLoad.err != nil; failed != ((c.fails || c.sentinel != nil) && !lax) {
+				t.Errorf("%s: %s: err = %v", s.name, c.name, viaLoad.err)
+			}
+			if c.sentinel != nil && !lax && !errors.Is(viaLoad.err, c.sentinel) {
+				t.Errorf("%s: %s: err = %v, want %v", s.name, c.name, viaLoad.err, c.sentinel)
+			}
+			if res, err := s.exec(t, `SELECT COUNT(*) FROM ld`, false); err != nil || res.Rows[0][0].I != 0 {
+				t.Errorf("%s: %s: %v rows left behind after rollback (err %v)", s.name, c.name, res.Rows, err)
+			}
+			if i == 0 {
+				ref = viaLoad
+			} else if !lax && viaLoad.String() != ref.String() {
+				t.Errorf("%s: %s: Load gave %v, reference %v", s.name, c.name, viaLoad, ref)
+			}
+		}
+	}
+	// Committed loads read back the same everywhere, coerced values
+	// included.
+	var ref loadOutcome
+	for i, s := range sites {
+		var got loadOutcome
+		for _, c := range cases[:3] {
+			if got = s.putRows(t, c.rows, true, true); got.err != nil || got.n != len(c.rows) {
+				t.Fatalf("%s: %s: loaded %d of %d rows: %v", s.name, c.name, got.n, len(c.rows), got.err)
+			}
+		}
+		if i == 0 {
+			ref = got
+			if want := 9; len(ref.rows) != want {
+				t.Fatalf("reference holds %d rows, want %d", len(ref.rows), want)
+			}
+		} else if !reflect.DeepEqual(got.rows, ref.rows) {
+			t.Errorf("%s: loaded table differs\n got %v\nwant %v", s.name, got.rows, ref.rows)
+		}
 	}
 }

@@ -18,32 +18,23 @@ func columnIndex(cols []relstore.Column, name string) int {
 	return -1
 }
 
-// execInsert handles INSERT ... VALUES and INSERT ... SELECT.
-func execInsert(tx Storage, db string, ins *sqlparser.InsertStmt) (*Result, error) {
-	tdb, tname := splitName(db, ins.Table)
-	tbl, err := tx.TableForWrite(tdb, tname)
-	if err != nil {
-		return nil, err
+// rowBuilder returns the one definition of what INSERT does to a value
+// list before storage sees it: the arity check against the target
+// columns colIdx (positions in cols), NULL for the columns not named,
+// and CoerceTo the declared kind of each. execInsert and Load share it.
+// A full-width list whose values already have their columns' kinds is
+// passed on as it is; storage never modifies a row it is handed.
+func rowBuilder(cols []relstore.Column, colIdx []int) func(vals []sqlval.Value) (relstore.Row, error) {
+	fullWidth := len(colIdx) == len(cols)
+	for i, ti := range colIdx {
+		fullWidth = fullWidth && ti == i
 	}
-	cols := tbl.Columns()
-	colIdx := make([]int, 0, len(cols))
-	if len(ins.Columns) == 0 {
-		for i := range cols {
-			colIdx = append(colIdx, i)
-		}
-	} else {
-		for _, name := range ins.Columns {
-			i := columnIndex(cols, name)
-			if i < 0 {
-				return nil, fmt.Errorf("%w: %s in %s.%s", ErrUnknownColumn, name, tdb, tname)
-			}
-			colIdx = append(colIdx, i)
-		}
-	}
-
-	buildRow := func(vals []sqlval.Value) (relstore.Row, error) {
+	return func(vals []sqlval.Value) (relstore.Row, error) {
 		if len(vals) != len(colIdx) {
 			return nil, fmt.Errorf("sqlengine: INSERT has %d values for %d columns", len(vals), len(colIdx))
+		}
+		if fullWidth && conforms(vals, cols) {
+			return vals, nil
 		}
 		row := make(relstore.Row, len(cols))
 		for i := range row {
@@ -58,6 +49,73 @@ func execInsert(tx Storage, db string, ins *sqlparser.InsertStmt) (*Result, erro
 		}
 		return row, nil
 	}
+}
+
+// conforms reports whether CoerceTo would leave every value as it is.
+func conforms(vals []sqlval.Value, cols []relstore.Column) bool {
+	for i, v := range vals {
+		if !v.IsNull() && v.K != cols[i].Type {
+			return false
+		}
+	}
+	return true
+}
+
+// allColumns is the target list of an INSERT that names no columns.
+func allColumns(cols []relstore.Column) []int {
+	colIdx := make([]int, len(cols))
+	for i := range colIdx {
+		colIdx[i] = i
+	}
+	return colIdx
+}
+
+// Load inserts already-typed rows into a table of db: INSERT INTO table
+// VALUES rows without the SQL text, for bulk row movement (the DOL
+// engine's SHIP). The rows go through execInsert's row builder and
+// Storage.Insert, so arity, coercion to the declared kinds and whatever
+// the storage enforces (widths, keys) behave exactly as for the
+// statement. It returns the number of rows inserted before any error.
+func Load(tx Storage, db, table string, rows [][]sqlval.Value) (int, error) {
+	tbl, err := tx.TableForWrite(db, table)
+	if err != nil {
+		return 0, err
+	}
+	cols := tbl.Columns()
+	buildRow := rowBuilder(cols, allColumns(cols))
+	for n, vals := range rows {
+		row, err := buildRow(vals)
+		if err != nil {
+			return n, err
+		}
+		if err := tx.Insert(db, table, row); err != nil {
+			return n, err
+		}
+	}
+	return len(rows), nil
+}
+
+// execInsert handles INSERT ... VALUES and INSERT ... SELECT.
+func execInsert(tx Storage, db string, ins *sqlparser.InsertStmt) (*Result, error) {
+	tdb, tname := splitName(db, ins.Table)
+	tbl, err := tx.TableForWrite(tdb, tname)
+	if err != nil {
+		return nil, err
+	}
+	cols := tbl.Columns()
+	colIdx := make([]int, 0, len(ins.Columns))
+	if len(ins.Columns) == 0 {
+		colIdx = allColumns(cols)
+	} else {
+		for _, name := range ins.Columns {
+			i := columnIndex(cols, name)
+			if i < 0 {
+				return nil, fmt.Errorf("%w: %s in %s.%s", ErrUnknownColumn, name, tdb, tname)
+			}
+			colIdx = append(colIdx, i)
+		}
+	}
+	buildRow := rowBuilder(cols, colIdx)
 
 	n := 0
 	if ins.Query != nil {

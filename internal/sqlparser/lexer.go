@@ -19,7 +19,7 @@ type TokenKind uint8
 const (
 	TokEOF    TokenKind = iota
 	TokIdent            // identifier, possibly containing '%' wildcards
-	TokNumber           // integer or float literal
+	TokNumber           // integer or float literal: digits[.digits][eE[+-]digits]
 	TokString           // single-quoted string literal
 	TokPunct            // operators and punctuation
 )
@@ -93,6 +93,21 @@ func (l *Lexer) Next() (Token, error) {
 				continue
 			}
 			break
+		}
+		// Exponent: [eE][+-]digits, as strconv prints floats below 1e-4
+		// and from 1e21 (sqlval.Value.String). Without a digit after it
+		// the 'e' starts the next token.
+		if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+			p := l.pos + 1
+			if p < len(l.src) && (l.src[p] == '+' || l.src[p] == '-') {
+				p++
+			}
+			if p < len(l.src) && isDigit(l.src[p]) {
+				for p < len(l.src) && isDigit(l.src[p]) {
+					p++
+				}
+				l.pos = p
+			}
 		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'' || c == '"':

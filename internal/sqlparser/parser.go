@@ -943,7 +943,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case TokNumber:
 		p.Next()
-		if strings.Contains(t.Text, ".") {
+		if strings.ContainsAny(t.Text, ".eE") {
 			f, err := strconv.ParseFloat(t.Text, 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad number %q", t.Text)

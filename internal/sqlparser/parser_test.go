@@ -86,6 +86,74 @@ func TestLexerNumbers(t *testing.T) {
 	}
 }
 
+func TestLexerExponents(t *testing.T) {
+	toks, err := Tokenize("1e-05 1e+21 2.5E7 .5e3 5e-324 1e 2e+ 3e-x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An 'e' with no digits behind it is not an exponent: it starts the
+	// next token, as it did before the lexer knew exponents.
+	want := []struct {
+		kind TokenKind
+		text string
+	}{
+		{TokNumber, "1e-05"}, {TokNumber, "1e+21"}, {TokNumber, "2.5E7"}, {TokNumber, ".5e3"}, {TokNumber, "5e-324"},
+		{TokNumber, "1"}, {TokIdent, "e"},
+		{TokNumber, "2"}, {TokIdent, "e"}, {TokPunct, "+"},
+		{TokNumber, "3"}, {TokIdent, "e"}, {TokPunct, "-"}, {TokIdent, "x"},
+	}
+	for i, w := range want {
+		if toks[i].Kind != w.kind || toks[i].Text != w.text {
+			t.Errorf("token %d = %v (kind %d), want %q (kind %d)", i, toks[i], toks[i].Kind, w.text, w.kind)
+		}
+	}
+}
+
+// TestFloatLiteralFixpoint: sqlval prints floats below 1e-4 and from 1e21
+// in exponent form, the engine deparses every task body and both
+// journals replay deparsed SQL, so whatever Deparse prints for a float
+// the parser has to read back as the same number.
+func TestFloatLiteralFixpoint(t *testing.T) {
+	for _, f := range []float64{1e-5, 0.00001, 1e21, 5e-324, 1.7976931348623157e308, -2.5e-7, 1e20, 0.0001, 132.5} {
+		out1 := Deparse(&UpdateStmt{
+			Table:   Name("t"),
+			Assigns: []Assign{{Column: ColRef{Parts: []string{"x"}}, Expr: &Literal{Val: sqlval.Float(f)}}},
+		})
+		s2, err := ParseStatement(out1)
+		if err != nil {
+			t.Errorf("%g: reparse of %q: %v", f, out1, err)
+			continue
+		}
+		if out2 := Deparse(s2); out2 != out1 {
+			t.Errorf("%g: deparse not stable: %q then %q", f, out1, out2)
+		}
+		// The value survives, not just the text. A negative literal comes
+		// back as a negation of the positive one.
+		e := s2.(*UpdateStmt).Assigns[0].Expr
+		got, neg := 0.0, false
+		if u, ok := e.(*UnaryExpr); ok && u.Op == "-" {
+			e, neg = u.X, true
+		}
+		lit, ok := e.(*Literal)
+		if !ok {
+			t.Errorf("%g: %q parsed to %T", f, out1, e)
+			continue
+		}
+		got, _ = lit.Val.AsFloat()
+		if neg {
+			got = -got
+		}
+		if got != f {
+			t.Errorf("%g: %q read back as %v", f, out1, got)
+		}
+	}
+	// The statement from the bug report, text first.
+	out := Deparse(mustParse(t, "UPDATE t SET x = 0.00001"))
+	if _, err := ParseStatement(out); err != nil {
+		t.Errorf("reparse of %q: %v", out, err)
+	}
+}
+
 func TestParsePaperMultipleSelect(t *testing.T) {
 	// The Section 2 example body.
 	s := mustParse(t, "SELECT %code, type, ~rate FROM car WHERE status = 'available'")

@@ -226,6 +226,7 @@ func (h *HeapFile) tryInsert(pg uint32, data []byte) (RID, bool, error) {
 		return NilRID, false, err
 	}
 	p := page{f.Data()}
+	appended := p.liveCount() == p.slotCount() // no dead slot to reuse
 	slot, err := p.insert(data)
 	if err != nil {
 		h.free[pg] = uint16(p.freeSpace())
@@ -235,7 +236,14 @@ func (h *HeapFile) tryInsert(pg uint32, data []byte) (RID, bool, error) {
 		}
 		return NilRID, false, err
 	}
-	h.noteFree(pg, p.contiguousAfterCompact(true))
+	if appended {
+		// The tuple and its new slot entry came out of what the map held
+		// (exact, or the conservative figure of a failed insert): an
+		// append-only load never walks the slot directory.
+		h.noteFree(pg, int(h.free[pg])-len(data)-slotSize)
+	} else {
+		h.noteFree(pg, p.contiguousAfterCompact(true))
+	}
 	h.pool.Unpin(f, true)
 	return RID{Page: pg, Slot: uint16(slot)}, true, nil
 }

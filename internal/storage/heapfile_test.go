@@ -76,6 +76,57 @@ func TestHeapFileCRUDAndScan(t *testing.T) {
 	}
 }
 
+// TestHeapFileFreeMapTracksAppends: an append-only load keeps the
+// free-space map by arithmetic, never walking the slot directory; the
+// figure must be what a walk of the page would give, through page
+// changes, and never more than that once deletes put dead slots back
+// into play (a nominated page that turns out full is marked down to its
+// contiguous space).
+func TestHeapFileFreeMapTracksAppends(t *testing.T) {
+	pool := NewPool(8)
+	h := NewHeapFile(pool, NewMemBacking())
+	check := func(when string, exactly bool) {
+		t.Helper()
+		for pg := uint32(0); pg < h.pages; pg++ {
+			f, err := pool.Fetch(h.id, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := page{f.Data()}.contiguousAfterCompact(true)
+			pool.Unpin(f, false)
+			if exact < 0 {
+				exact = 0
+			}
+			if got := int(h.free[pg]); got > exact || exactly && got != exact {
+				t.Fatalf("%s: page %d: map says %d free, the page has %d", when, pg, got, exact)
+			}
+		}
+	}
+	var rids []RID
+	for i := 0; i < 1500; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{'r'}, 10+i%90))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if h.NumPages() < 5 {
+		t.Fatalf("%d pages; expected the load to span several", h.NumPages())
+	}
+	check("after the load", true)
+	for i := 0; i < len(rids); i += 3 {
+		if err := h.Delete(rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		if _, err := h.Insert(bytes.Repeat([]byte{'n'}, 20+i%50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after deletes and inserts reusing their slots", false)
+}
+
 func TestHeapFileInsertReusesFreedSpace(t *testing.T) {
 	pool := NewPool(32)
 	h := NewHeapFile(pool, NewMemBacking())

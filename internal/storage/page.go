@@ -93,10 +93,12 @@ func (p page) insert(data []byte) (int, error) {
 		return 0, fmt.Errorf("%w (%d bytes)", ErrTupleTooBig, len(data))
 	}
 	slot := -1
-	for i := 0; i < p.slotCount(); i++ {
-		if off, ln := p.slot(i); off == 0 && ln == 0 {
-			slot = i
-			break
+	if p.liveCount() < p.slotCount() { // else every slot is live: nothing to reuse
+		for i := 0; i < p.slotCount(); i++ {
+			if off, ln := p.slot(i); off == 0 && ln == 0 {
+				slot = i
+				break
+			}
 		}
 	}
 	need := len(data)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 
 	"msql/internal/sqlval"
@@ -21,6 +22,12 @@ func fuzzSeedRequests() []Request {
 		{Kind: ReqAttach, SessionID: 7},
 		{Kind: ReqForget, SessionID: 7},
 		{Kind: ReqDescribe, Database: "avis", Name: "cars"},
+		{Kind: ReqInDoubt},
+		{Kind: ReqLoad, SessionID: 7, Name: "mtmp_united", Rows: [][]sqlval.Value{
+			{sqlval.Int(300), sqlval.Str("O'Hare\nç"), sqlval.Float(1e-5), sqlval.Null(), sqlval.Bool(true)},
+			{sqlval.Int(-1), sqlval.Str(""), sqlval.Float(1.7976931348623157e308), sqlval.Null(), sqlval.Bool(false)},
+		}},
+		{Kind: ReqLoad, SessionID: 7, Name: "mtmp_empty"},
 	}
 }
 
@@ -62,7 +69,7 @@ func FuzzRequestDecode(f *testing.F) {
 		if err := gob.NewDecoder(&buf).Decode(&again); err != nil {
 			t.Fatalf("re-encoded request failed to decode: %v", err)
 		}
-		if again != req {
+		if !reflect.DeepEqual(again, req) {
 			t.Fatalf("round trip mismatch: %+v != %+v", again, req)
 		}
 	})

@@ -4,13 +4,14 @@
 // paths exercise identical marshalling.
 //
 // The protocol mirrors the operations the paper's evaluation plans need
-// from a LAM: open a session on a database, execute local SQL, drive the
-// 2PC interface (prepare/commit/rollback), inspect the session state, and
-// describe schemas for IMPORT.
+// from a LAM: open a session on a database, execute local SQL, load typed
+// rows in bulk, drive the 2PC interface (prepare/commit/rollback), inspect
+// the session state, and describe schemas for IMPORT.
 package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"msql/internal/obs"
 	"msql/internal/relstore"
 	"msql/internal/sqlval"
+	"msql/internal/storage"
 )
 
 // ReqKind identifies a request operation.
@@ -71,12 +73,19 @@ const (
 	// participant's vote and the coordinator's prepared record) and
 	// terminate them under presumed abort.
 	ReqInDoubt
+	// ReqLoad inserts the typed rows in Rows into the table Name of the
+	// session's database, inside its open transaction: the data-plane
+	// bulk operation SHIP moves partial results with, an INSERT ... VALUES
+	// of those rows without the SQL text. The response's Result carries
+	// the count in RowsAffected. A server predating it answers "unknown
+	// request kind".
+	ReqLoad
 )
 
 func (k ReqKind) String() string {
 	names := [...]string{"hello", "profile", "open", "exec", "prepare", "commit",
 		"rollback", "state", "close-session", "describe", "list-tables", "list-views",
-		"attach", "forget", "script", "in-doubt"}
+		"attach", "forget", "script", "in-doubt", "load"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -89,7 +98,11 @@ type Request struct {
 	SessionID int64
 	Database  string // ReqOpen
 	SQL       string // ReqExec
-	Name      string // ReqDescribe: table or view name
+	Name      string // ReqDescribe: table or view name; ReqLoad: target table
+	// Rows are the rows of a ReqLoad, in the representation Result.Rows
+	// returns them in. Gob omits the field when empty, so every other
+	// request encodes as before.
+	Rows Rows
 	// TraceID correlates this request with a coordinator-side trace
 	// (internal/obs): when nonempty the server records its own span for
 	// the request under the same trace id, so client and server timing
@@ -136,12 +149,71 @@ func FromRelstoreColumns(cols []relstore.Column) []Column {
 	return out
 }
 
+// Rows is a row set in transit — a query result's rows or the rows of a
+// ReqLoad. It is [][]sqlval.Value to every caller; on the wire it is one
+// opaque gob value holding the storage tier's tuple encoding of each row
+// (storage.EncodeRow: a tag byte plus a varint, eight float bytes or a
+// length-prefixed string per value), each row behind a uvarint length and
+// the whole behind a uvarint row count. Gob's reflection over a
+// five-field struct per value cost more than scanning the rows did.
+type Rows [][]sqlval.Value
+
+// GobEncode implements gob.GobEncoder.
+func (r Rows) GobEncode() ([]byte, error) {
+	perRow := 0
+	if len(r) > 0 {
+		// Rows of one result are alike: size the buffer from the first
+		// (its tuple and length prefix), with an eighth to spare.
+		perRow = len(storage.EncodeRow(nil, r[0])) + 2
+	}
+	out := make([]byte, 0, binary.MaxVarintLen64+perRow*len(r)*9/8)
+	out = binary.AppendUvarint(out, uint64(len(r)))
+	var tuple []byte
+	for _, row := range r {
+		tuple = storage.EncodeRow(tuple[:0], row)
+		out = binary.AppendUvarint(out, uint64(len(tuple)))
+		out = append(out, tuple...)
+	}
+	return out, nil
+}
+
+// GobDecode implements gob.GobDecoder. Every length is checked against
+// the bytes that remain, so a torn or hostile payload fails with an error
+// and allocates no more than its own size warrants.
+func (r *Rows) GobDecode(b []byte) error {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || n > uint64(len(b)) {
+		return errBadRows
+	}
+	b = b[sz:]
+	rows := make(Rows, n)
+	for i := range rows {
+		ln, sz := binary.Uvarint(b)
+		if sz <= 0 || ln > uint64(len(b)-sz) {
+			return errBadRows
+		}
+		row, err := storage.DecodeRow(b[sz : sz+int(ln)])
+		if err != nil {
+			return fmt.Errorf("%w: %v", errBadRows, err)
+		}
+		rows[i] = row
+		b = b[sz+int(ln):]
+	}
+	if len(b) != 0 {
+		return errBadRows
+	}
+	*r = rows
+	return nil
+}
+
+var errBadRows = errors.New("wire: malformed row payload")
+
 // Result carries a query result across the wire. Plan is non-nil only
 // for EXPLAIN statements; older peers drop the field silently (gob
 // ignores unknown fields in both directions).
 type Result struct {
 	Columns      []Column
-	Rows         [][]sqlval.Value
+	Rows         Rows
 	RowsAffected int
 	Plan         *obs.PlanNode
 }
