@@ -11,10 +11,13 @@ test:
 bench:
 	go test -run '^$$' -bench . -benchmem ./internal/...
 
-# Full verification: static analysis plus the whole test suite under the
-# race detector (the fault-injection tests are concurrency-heavy).
+# Full verification: static analysis, the layering guard (only the code
+# that builds a relstore engine imports it), and the whole test suite
+# under the race detector (the fault-injection tests are
+# concurrency-heavy).
 check:
 	go vet ./...
+	sh scripts/check-layering.sh
 	go test -race ./...
 
 # bench/ is a module of its own (BENCHMARK.json runs it); root

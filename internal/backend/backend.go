@@ -16,7 +16,9 @@
 //
 // The interfaces are deliberately narrow: exactly what the session layer
 // above needs to implement autocommit classes, 2PC gating, redo capture
-// and IMPORT-time schema description.
+// and IMPORT-time schema description. They speak internal/schema's
+// vocabulary, so this package — like the executor and csvstore — does
+// not link the relstore engine.
 //
 // This is the transaction-control seam, not the SQL one. Neither engine
 // interprets SQL: both implement Tx.Exec as sqlengine.Execute (and
@@ -29,7 +31,7 @@ package backend
 import (
 	"time"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -76,7 +78,7 @@ type Tx interface {
 	// Storage adapter.
 	Load(db, table string, rows [][]sqlval.Value) (int, error)
 	// Describe reports the schema of a table or view.
-	Describe(db, name string) ([]relstore.Column, error)
+	Describe(db, name string) ([]schema.Column, error)
 	// Prepare moves the transaction to the prepared-to-commit state.
 	// Engines without a prepare interface return an error; the session
 	// layer's capability profile normally refuses before this is

@@ -14,7 +14,7 @@ import (
 	"strings"
 	"sync"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -118,13 +118,13 @@ func (a *AD) Names() []string {
 type TableDef struct {
 	Name    string
 	IsView  bool
-	Columns []relstore.Column
+	Columns []schema.Column
 }
 
 // Clone deep-copies the definition.
 func (t *TableDef) Clone() *TableDef {
 	c := *t
-	c.Columns = append([]relstore.Column(nil), t.Columns...)
+	c.Columns = append([]schema.Column(nil), t.Columns...)
 	return &c
 }
 
@@ -304,7 +304,7 @@ func (g *GDD) PutTable(db string, def TableDef) error {
 
 // MergeTableColumns adds columns to a table definition, creating it when
 // absent (partial IMPORT ... COLUMN).
-func (g *GDD) MergeTableColumns(db, table string, isView bool, cols []relstore.Column) error {
+func (g *GDD) MergeTableColumns(db, table string, isView bool, cols []schema.Column) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	d, ok := g.dbs[db]

@@ -8,7 +8,7 @@ import (
 
 	"msql/internal/lam"
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -70,7 +70,7 @@ func populatedGDD(t *testing.T) *GDD {
 	put := func(db, table string, cols ...string) {
 		def := TableDef{Name: table}
 		for _, c := range cols {
-			def.Columns = append(def.Columns, relstore.Column{Name: c, Type: sqlval.KindString})
+			def.Columns = append(def.Columns, schema.Column{Name: c, Type: sqlval.KindString})
 		}
 		if err := g.PutTable(db, def); err != nil {
 			t.Fatal(err)
@@ -188,10 +188,10 @@ func TestGDDDropAndServiceOf(t *testing.T) {
 func TestMergeTableColumns(t *testing.T) {
 	g := NewGDD()
 	g.DefineDatabase("d", "svc")
-	if err := g.MergeTableColumns("d", "t", false, []relstore.Column{{Name: "a", Type: sqlval.KindInt}}); err != nil {
+	if err := g.MergeTableColumns("d", "t", false, []schema.Column{{Name: "a", Type: sqlval.KindInt}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.MergeTableColumns("d", "t", false, []relstore.Column{{Name: "a"}, {Name: "b"}}); err != nil {
+	if err := g.MergeTableColumns("d", "t", false, []schema.Column{{Name: "a"}, {Name: "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	def, err := g.Table("d", "t")

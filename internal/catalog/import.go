@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"msql/internal/lam"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 )
 
 // ImportSpec selects what an IMPORT DATABASE statement brings into the
@@ -32,7 +32,7 @@ func ImportDatabase(ctx context.Context, gdd *GDD, ad *AD, client lam.Client, db
 			return fmt.Errorf("catalog: import %s.%s: %w", db, name, err)
 		}
 		if len(only) > 0 {
-			var sub []relstore.Column
+			var sub []schema.Column
 			for _, want := range only {
 				found := false
 				for _, c := range cols {

@@ -32,7 +32,7 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 )
 
 const (
@@ -121,7 +121,7 @@ func ChildMain() {
 	// database runs the bootstrap SQL.
 	fresh := true
 	if err := srv.CreateDatabase(cfg.DB); err != nil {
-		if !errors.Is(err, relstore.ErrDBExists) {
+		if !errors.Is(err, schema.ErrDBExists) {
 			fatal("create database: %v", err)
 		}
 		fresh = false

@@ -33,6 +33,10 @@ const (
 	soakTables    = 4 // disjoint table pairs limit lock serialization
 	soakTenants   = 4
 	soakLoadPhase = 1500 * time.Millisecond
+	// soakPhaseCommits is what each load phase must commit before it
+	// ends: on a loaded box a fixed-length phase can fall short of the
+	// commit floor without anything being wrong.
+	soakPhaseCommits = 6
 )
 
 func soakBoot() []string {
@@ -164,6 +168,18 @@ COMMIT;`, tbl, key, id)
 	}
 }
 
+// loadPhase lets the workers load for at least soakLoadPhase and until
+// the phase has committed soakPhaseCommits units, giving up at four
+// times soakLoadPhase so that a soak which never loads still ends, and
+// fails the commit floor.
+func loadPhase(ctr *soakCounters) {
+	start, base := time.Now(), ctr.commits.Load()
+	time.Sleep(soakLoadPhase)
+	for ctr.commits.Load()-base < soakPhaseCommits && time.Since(start) < 4*soakLoadPhase {
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // waitJournalsDrained polls until the coordinator journal holds no open
 // multitransaction and no participant journal holds an unacknowledged
 // session.
@@ -270,7 +286,7 @@ func TestChurnSoak(t *testing.T) {
 	// Phase 1: load. Then the crash: SIGKILL mid-traffic, restart on the
 	// same journal — Restart returns only after the child's recovery
 	// (journal replay + orphan sweep) finished. Phase 2: load again.
-	time.Sleep(soakLoadPhase)
+	loadPhase(ctr)
 	if err := coord.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +294,7 @@ func TestChurnSoak(t *testing.T) {
 	if err := coord.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(soakLoadPhase)
+	loadPhase(ctr)
 	close(stop)
 	wg.Wait()
 

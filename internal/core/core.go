@@ -32,7 +32,6 @@ import (
 	"msql/internal/mtlog"
 	"msql/internal/multitable"
 	"msql/internal/obs"
-	"msql/internal/relstore"
 	"msql/internal/semvar"
 	"msql/internal/sqlparser"
 	"msql/internal/translate"
@@ -782,11 +781,7 @@ func (f *Federation) maintainGDD(meta *translate.Meta, out *dolengine.Outcome) {
 		}
 		switch st := tm.Stmt.(type) {
 		case *sqlparser.CreateTableStmt:
-			def := catalog.TableDef{Name: st.Table.Last()}
-			for _, c := range st.Columns {
-				def.Columns = append(def.Columns, toRelColumn(c))
-			}
-			_ = f.GDD.PutTable(tm.Entry.Database, def)
+			_ = f.GDD.PutTable(tm.Entry.Database, catalog.TableDef{Name: st.Table.Last(), Columns: st.Columns})
 		case *sqlparser.DropTableStmt:
 			_ = f.GDD.DropTable(tm.Entry.Database, st.Table.Last())
 		}
@@ -854,8 +849,4 @@ func (f *Federation) assembleMultitable(res *Result, meta *translate.Meta, out *
 	}
 	res.Multitable = mt
 	return nil
-}
-
-func toRelColumn(c sqlparser.ColumnDef) relstore.Column {
-	return relstore.Column{Name: c.Name, Type: c.Type, Width: c.Width, Key: c.Key}
 }

@@ -34,14 +34,15 @@ import (
 	"strings"
 	"sync"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
 // Engine errors. Missing and already-existing objects are reported with
-// the relstore sentinels (ErrNoTable, ErrNoDatabase, ErrTableExists,
+// the schema sentinels (ErrNoTable, ErrNoDatabase, ErrTableExists,
 // ErrDBExists) so the wire protocol's error taxonomy, and everything the
-// coordinator branches on, is backend-agnostic.
+// coordinator branches on, is backend-agnostic: this package does not
+// link the relstore engine at all.
 var (
 	ErrNoPrepare   = errors.New("csvstore: backend cannot prepare")
 	ErrUnsupported = errors.New("csvstore: unsupported by this backend")
@@ -56,8 +57,8 @@ const nullMark = `\N`
 // too — a staged image replaces or tombstones (nil) a row, never edits
 // it — so a copy shares them with its original.
 type table struct {
-	cols []relstore.Column
-	rows []relstore.Row
+	cols []schema.Column
+	rows []schema.Row
 }
 
 type database struct {
@@ -119,7 +120,7 @@ func (s *Store) CreateDatabase(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.dbs[name]; ok {
-		return fmt.Errorf("%w: %s", relstore.ErrDBExists, name)
+		return fmt.Errorf("%w: %s", schema.ErrDBExists, name)
 	}
 	if s.dir != "" {
 		if err := os.MkdirAll(filepath.Join(s.dir, name), 0o755); err != nil {
@@ -156,7 +157,7 @@ func (s *Store) ListTables(db string) ([]string, error) {
 	defer s.mu.Unlock()
 	d, ok := s.dbs[db]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", relstore.ErrNoDatabase, db)
+		return nil, fmt.Errorf("%w: %s", schema.ErrNoDatabase, db)
 	}
 	names := make([]string, 0, len(d.tables))
 	for n := range d.tables {
@@ -171,7 +172,7 @@ func (s *Store) ListViews(db string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.dbs[db]; !ok {
-		return nil, fmt.Errorf("%w: %s", relstore.ErrNoDatabase, db)
+		return nil, fmt.Errorf("%w: %s", schema.ErrNoDatabase, db)
 	}
 	return nil, nil
 }
@@ -192,18 +193,18 @@ func (s *Store) lookup(db, name string) (*table, error) {
 	defer s.mu.Unlock()
 	d, ok := s.dbs[db]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", relstore.ErrNoDatabase, db)
+		return nil, fmt.Errorf("%w: %s", schema.ErrNoDatabase, db)
 	}
 	t, ok := d.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", relstore.ErrNoTable, db, name)
+		return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoTable, db, name)
 	}
 	return t, nil
 }
 
 // clone copies a table image for copy-on-write staging.
 func (t *table) clone() *table {
-	return &table{cols: t.cols, rows: append([]relstore.Row(nil), t.rows...)}
+	return &table{cols: t.cols, rows: append([]schema.Row(nil), t.rows...)}
 }
 
 // compact squeezes the tombstones out of a staged image.
@@ -219,7 +220,7 @@ func (t *table) compact() {
 
 // ---- CSV encoding ----
 
-func encodeColumn(c relstore.Column) string {
+func encodeColumn(c schema.Column) string {
 	typ := c.Type.String()
 	if c.Type == sqlval.KindString && c.Width > 0 {
 		typ = fmt.Sprintf("CHAR(%d)", c.Width)
@@ -230,17 +231,17 @@ func encodeColumn(c relstore.Column) string {
 	return c.Name + ":" + typ
 }
 
-func decodeColumn(s string) (relstore.Column, error) {
+func decodeColumn(s string) (schema.Column, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 {
-		return relstore.Column{}, fmt.Errorf("csvstore: bad column header %q", s)
+		return schema.Column{}, fmt.Errorf("csvstore: bad column header %q", s)
 	}
-	c := relstore.Column{Name: parts[0]}
+	c := schema.Column{Name: parts[0]}
 	typ := parts[1]
 	if strings.HasPrefix(typ, "CHAR(") && strings.HasSuffix(typ, ")") {
 		w, err := strconv.Atoi(typ[5 : len(typ)-1])
 		if err != nil {
-			return relstore.Column{}, fmt.Errorf("csvstore: bad column header %q", s)
+			return schema.Column{}, fmt.Errorf("csvstore: bad column header %q", s)
 		}
 		c.Type, c.Width = sqlval.KindString, w
 	} else {
@@ -254,7 +255,7 @@ func decodeColumn(s string) (relstore.Column, error) {
 		case "BOOLEAN":
 			c.Type = sqlval.KindBool
 		default:
-			return relstore.Column{}, fmt.Errorf("csvstore: bad column type %q", typ)
+			return schema.Column{}, fmt.Errorf("csvstore: bad column type %q", typ)
 		}
 	}
 	c.Key = len(parts) > 2 && parts[2] == "key"

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 )
@@ -282,8 +282,8 @@ func TestUnsupportedSurfaceFailsCleanly(t *testing.T) {
 		}
 	}
 	stmt, _ := sqlparser.ParseStatement("SELECT a FROM nosuch")
-	if _, err := tx.Exec("d", "", stmt); !errors.Is(err, relstore.ErrNoTable) {
-		t.Fatalf("missing table err = %v, want relstore.ErrNoTable", err)
+	if _, err := tx.Exec("d", "", stmt); !errors.Is(err, schema.ErrNoTable) {
+		t.Fatalf("missing table err = %v, want schema.ErrNoTable", err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"msql/internal/backend"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -43,7 +43,7 @@ func (t *Tx) read(db, name string) (*table, error) {
 	if m, ok := t.staged[db]; ok {
 		if img, ok := m[name]; ok {
 			if img == nil {
-				return nil, fmt.Errorf("%w: %s.%s", relstore.ErrNoTable, db, name)
+				return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoTable, db, name)
 			}
 			return img, nil
 		}
@@ -57,7 +57,7 @@ func (t *Tx) write(db, name string) (*table, error) {
 	if m, ok := t.staged[db]; ok {
 		if img, ok := m[name]; ok {
 			if img == nil {
-				return nil, fmt.Errorf("%w: %s.%s", relstore.ErrNoTable, db, name)
+				return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoTable, db, name)
 			}
 			return img, nil
 		}
@@ -100,7 +100,7 @@ func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
 }
 
 // Describe implements backend.Tx.
-func (t *Tx) Describe(db, name string) ([]relstore.Column, error) {
+func (t *Tx) Describe(db, name string) ([]schema.Column, error) {
 	return sqlengine.DescribeTable(t, db, name)
 }
 
@@ -116,7 +116,7 @@ func (t *Tx) TableForRead(db, name string) (sqlengine.Table, error) {
 }
 
 // TableColumns implements sqlengine.Storage.
-func (t *Tx) TableColumns(db, name string) ([]relstore.Column, error) {
+func (t *Tx) TableColumns(db, name string) ([]schema.Column, error) {
 	img, err := t.read(db, name)
 	if err != nil {
 		return nil, err
@@ -137,7 +137,7 @@ func (t *Tx) TableForWrite(db, name string) (sqlengine.Table, error) {
 // Insert implements sqlengine.Storage. The executor has already coerced
 // the values to the column kinds; a flat file enforces nothing more —
 // no widths, no keys.
-func (t *Tx) Insert(db, name string, row relstore.Row) error {
+func (t *Tx) Insert(db, name string, row schema.Row) error {
 	img, err := t.write(db, name)
 	if err != nil {
 		return err
@@ -160,7 +160,7 @@ func (t *Tx) writeAt(db, name string, pos int) (*table, error) {
 
 // Update implements sqlengine.Storage: the row at pos is replaced, never
 // modified in place, because unstaged copies share row storage.
-func (t *Tx) Update(db, name string, pos int, row relstore.Row) error {
+func (t *Tx) Update(db, name string, pos int, row schema.Row) error {
 	img, err := t.writeAt(db, name, pos)
 	if err != nil {
 		return err
@@ -180,15 +180,15 @@ func (t *Tx) Delete(db, name string, pos int) error {
 }
 
 // CreateTable implements sqlengine.Storage.
-func (t *Tx) CreateTable(db, name string, cols []relstore.Column) error {
+func (t *Tx) CreateTable(db, name string, cols []schema.Column) error {
 	_, err := t.read(db, name)
 	if err == nil {
-		return fmt.Errorf("%w: %s.%s", relstore.ErrTableExists, db, name)
+		return fmt.Errorf("%w: %s.%s", schema.ErrTableExists, db, name)
 	}
-	if !errors.Is(err, relstore.ErrNoTable) {
+	if !errors.Is(err, schema.ErrNoTable) {
 		return err // no such database
 	}
-	t.stage(db, name, &table{cols: cols})
+	t.stage(db, name, &table{cols: append([]schema.Column(nil), cols...)})
 	return nil
 }
 
@@ -206,7 +206,7 @@ func (t *Tx) DropTable(db, name string) error {
 
 // ViewDefinition implements sqlengine.Storage.
 func (t *Tx) ViewDefinition(db, name string) (string, error) {
-	return "", fmt.Errorf("%w: %s.%s", relstore.ErrNoView, db, name)
+	return "", fmt.Errorf("%w: %s.%s", schema.ErrNoView, db, name)
 }
 
 // CreateView implements sqlengine.Storage.
@@ -230,7 +230,7 @@ func (t *Tx) DropDatabase(name string) error {
 }
 
 // Columns implements sqlengine.Table.
-func (t *table) Columns() []relstore.Column { return t.cols }
+func (t *table) Columns() []schema.Column { return t.cols }
 
 // Err implements sqlengine.Table; a table image is memory and cannot
 // fault.
@@ -247,7 +247,7 @@ type cursor struct {
 	pos int
 }
 
-func (c *cursor) Next() (int, relstore.Row, bool) {
+func (c *cursor) Next() (int, schema.Row, bool) {
 	for c.pos < len(c.t.rows) {
 		i := c.pos
 		c.pos++
@@ -278,7 +278,7 @@ func (t *Tx) Commit() error {
 	for db, m := range t.staged {
 		d, ok := s.dbs[db]
 		if !ok {
-			return fmt.Errorf("%w: %s", relstore.ErrNoDatabase, db)
+			return fmt.Errorf("%w: %s", schema.ErrNoDatabase, db)
 		}
 		for name, img := range m {
 			if img == nil {

@@ -18,7 +18,7 @@ import (
 	"sort"
 
 	"msql/internal/catalog"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/semvar"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -45,7 +45,7 @@ func (s Subquery) SQL() string { return sqlparser.Deparse(s.Stmt) }
 type Ship struct {
 	FromIndex int // index into Plan.Subqueries
 	Table     string
-	Columns   []relstore.Column
+	Columns   []schema.Column
 }
 
 // Plan is the decomposed form of one elementary query.
@@ -210,7 +210,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 	for _, g := range groups {
 		// Local subquery: needed columns of this group's aliases.
 		var items []sqlparser.SelectItem
-		var cols []relstore.Column
+		var cols []schema.Column
 		aliasList := sortedKeys(g.aliases)
 		for _, alias := range aliasList {
 			colSet := needed[alias]
@@ -225,7 +225,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 				if err != nil {
 					return nil, err
 				}
-				cols = append(cols, relstore.Column{Name: shipped, Type: ct.Type, Width: ct.Width})
+				cols = append(cols, schema.Column{Name: shipped, Type: ct.Type, Width: ct.Width})
 			}
 		}
 		if len(items) == 0 {
@@ -235,7 +235,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 				Expr:  &sqlparser.Literal{Val: oneValue()},
 				Alias: "one_" + g.db,
 			})
-			cols = append(cols, relstore.Column{Name: "one_" + g.db, Type: oneValue().K})
+			cols = append(cols, schema.Column{Name: "one_" + g.db, Type: oneValue().K})
 		}
 		local := &sqlparser.SelectStmt{Items: items, Limit: -1}
 		for _, r := range g.refs {
@@ -319,7 +319,7 @@ func decomposeInsert(gdd *catalog.GDD, ins *sqlparser.InsertStmt) (*Plan, error)
 	if len(wanted) == 0 {
 		wanted = tdef.ColumnNames()
 	}
-	var cols []relstore.Column
+	var cols []schema.Column
 	for _, w := range wanted {
 		found := false
 		for _, c := range tdef.Columns {
@@ -337,9 +337,9 @@ func decomposeInsert(gdd *catalog.GDD, ins *sqlparser.InsertStmt) (*Plan, error)
 		return nil, fmt.Errorf("decompose: INSERT has %d target columns but SELECT yields %d", len(cols), len(localSel.Items))
 	}
 	tmp := "mtmp_xfer"
-	shipCols := make([]relstore.Column, len(cols))
+	shipCols := make([]schema.Column, len(cols))
 	for i, c := range cols {
-		shipCols[i] = relstore.Column{Name: c.Name, Type: c.Type, Width: c.Width}
+		shipCols[i] = schema.Column{Name: c.Name, Type: c.Type, Width: c.Width}
 	}
 	finalIns := &sqlparser.InsertStmt{
 		Table:   sqlparser.Name(targetTable),
@@ -496,14 +496,14 @@ func stripDBPrefix(s sqlparser.Statement, db string) sqlparser.Statement {
 	})
 }
 
-func columnType(gdd *catalog.GDD, g *group, alias, col string) (relstore.Column, error) {
+func columnType(gdd *catalog.GDD, g *group, alias, col string) (schema.Column, error) {
 	for _, r := range g.refs {
 		if r.Alias != alias {
 			continue
 		}
 		def, err := gdd.Table(g.db, r.Name.Parts[1])
 		if err != nil {
-			return relstore.Column{}, err
+			return schema.Column{}, err
 		}
 		for _, c := range def.Columns {
 			if c.Name == col {
@@ -511,7 +511,7 @@ func columnType(gdd *catalog.GDD, g *group, alias, col string) (relstore.Column,
 			}
 		}
 	}
-	return relstore.Column{}, fmt.Errorf("decompose: no column %s.%s in %s", alias, col, g.db)
+	return schema.Column{}, fmt.Errorf("decompose: no column %s.%s in %s", alias, col, g.db)
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -7,7 +7,7 @@ import (
 
 	"msql/internal/catalog"
 	"msql/internal/msqlparser"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/semvar"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -29,7 +29,7 @@ func paperGDD(t testing.TB) *catalog.GDD {
 			case "float":
 				k = sqlval.KindFloat
 			}
-			def.Columns = append(def.Columns, relstore.Column{Name: c[0], Type: k})
+			def.Columns = append(def.Columns, schema.Column{Name: c[0], Type: k})
 		}
 		if err := g.PutTable(db, def); err != nil {
 			t.Fatal(err)

@@ -34,6 +34,7 @@ package dol
 import (
 	"fmt"
 
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 )
 
@@ -155,7 +156,7 @@ type ShipStmt struct {
 	Task    string
 	To      string
 	Table   string
-	Columns []sqlparser.ColumnDef
+	Columns []schema.Column
 }
 
 // IfStmt branches on task execution states.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 )
 
@@ -178,8 +179,8 @@ func parseStmt(p *sqlparser.Parser) (Stmt, error) {
 	}
 }
 
-func columnDefFrom(name, typeName string, p *sqlparser.Parser) (sqlparser.ColumnDef, error) {
-	def := sqlparser.ColumnDef{Name: name}
+func columnDefFrom(name, typeName string, p *sqlparser.Parser) (schema.Column, error) {
+	def := schema.Column{Name: name}
 	switch {
 	case isType(typeName, "INT", "INTEGER", "SMALLINT", "BIGINT"):
 		def.Type = kindInt

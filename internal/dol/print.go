@@ -92,7 +92,7 @@ func printStmt(b *strings.Builder, s Stmt, depth int) {
 			}
 			b.WriteString(c.Name)
 			b.WriteString(" ")
-			b.WriteString(typeName(c))
+			b.WriteString(sqlparser.TypeName(c))
 		}
 		b.WriteString(");\n")
 	case *IfStmt:
@@ -133,22 +133,6 @@ func printStmt(b *strings.Builder, s Stmt, depth int) {
 		b.WriteString("CLOSE ")
 		b.WriteString(strings.Join(st.Aliases, " "))
 		b.WriteString(";\n")
-	}
-}
-
-func typeName(c sqlparser.ColumnDef) string {
-	switch c.Type {
-	case kindInt:
-		return "INTEGER"
-	case kindFloat:
-		return "FLOAT"
-	case kindBool:
-		return "BOOLEAN"
-	default:
-		if c.Width > 0 {
-			return "CHAR(" + strconv.Itoa(c.Width) + ")"
-		}
-		return "CHAR"
 	}
 }
 

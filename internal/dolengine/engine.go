@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"msql/internal/obs"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
-	"msql/internal/sqlval"
 	"msql/internal/wire"
 )
 
@@ -823,20 +821,8 @@ func (r *run) execShip(st *dol.ShipStmt) error {
 		mShipRows.With(c.service).Add(int64(info.Rows))
 		mShipBatches.With(c.service).Add(int64(info.Batches))
 	}()
-	var create strings.Builder
-	create.WriteString("CREATE TABLE ")
-	create.WriteString(st.Table)
-	create.WriteString(" (")
-	for i, col := range st.Columns {
-		if i > 0 {
-			create.WriteString(", ")
-		}
-		create.WriteString(col.Name)
-		create.WriteString(" ")
-		create.WriteString(typeNameOf(col))
-	}
-	create.WriteString(")")
-	if _, err := c.session.Exec(r.ctx, create.String()); err != nil {
+	create := &sqlparser.CreateTableStmt{Table: sqlparser.Name(st.Table), Columns: st.Columns}
+	if _, err := c.session.Exec(r.ctx, sqlparser.Deparse(create)); err != nil {
 		return fmt.Errorf("dolengine: ship create: %w", err)
 	}
 	if result == nil {
@@ -853,20 +839,4 @@ func (r *run) execShip(st *dol.ShipStmt) error {
 		info.Batches++
 	}
 	return nil
-}
-
-func typeNameOf(c sqlparser.ColumnDef) string {
-	switch c.Type {
-	case sqlval.KindInt:
-		return "INTEGER"
-	case sqlval.KindFloat:
-		return "FLOAT"
-	case sqlval.KindBool:
-		return "BOOLEAN"
-	default:
-		if c.Width > 0 {
-			return fmt.Sprintf("CHAR(%d)", c.Width)
-		}
-		return "CHAR"
-	}
 }

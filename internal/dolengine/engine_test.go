@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"msql/internal/dol"
 	"msql/internal/lam"
@@ -305,10 +306,15 @@ DOLEND
 	}
 }
 
+// TestParallelTasksOverlap holds the paper's "possible concurrency":
+// three independent tasks on sites with a simulated 20 ms service
+// latency all commit, and the program takes less wall time than the sum
+// of its task bodies, which sequential execution cannot.
 func TestParallelTasksOverlap(t *testing.T) {
-	// Three independent tasks run concurrently; total status must be
-	// committed for all. (Timing assertions live in the benchmarks.)
-	dir, _ := airlineFederation(t)
+	dir, servers := airlineFederation(t)
+	for _, srv := range servers {
+		srv.SetLatency(20 * time.Millisecond)
+	}
 	src := `
 DOLBEGIN
 OPEN continental AT site1 AS c1;
@@ -320,11 +326,18 @@ TASK T3 FOR c3 { SELECT COUNT(*) FROM flight } ENDTASK;
 CLOSE c1 c2 c3;
 DOLEND
 `
+	start := time.Now()
 	out := runProgram(t, dir, src)
+	wall := time.Since(start)
+	var sum time.Duration
 	for _, name := range []string{"T1", "T2", "T3"} {
 		if out.TaskStatus(name) != dol.StatusCommitted {
 			t.Errorf("%s = %s", name, out.TaskStatus(name))
 		}
+		sum += out.Tasks[name].Elapsed
+	}
+	if wall >= sum {
+		t.Errorf("program took %v, task bodies sum to %v: the tasks did not overlap", wall, sum)
 	}
 }
 

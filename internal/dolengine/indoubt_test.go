@@ -12,7 +12,7 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/netfault"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 )
@@ -83,7 +83,7 @@ func (c *flakyClient) Profile(ctx context.Context) (ldbms.Profile, error) {
 func (c *flakyClient) Open(ctx context.Context, db string) (lam.Session, error) {
 	return c.sess, nil
 }
-func (c *flakyClient) Describe(ctx context.Context, db, name string) ([]relstore.Column, error) {
+func (c *flakyClient) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
 	return nil, nil
 }
 func (c *flakyClient) ListTables(ctx context.Context, db string) ([]string, error) { return nil, nil }

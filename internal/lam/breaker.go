@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 	"msql/internal/wire"
@@ -283,7 +283,7 @@ func (b *BreakerClient) Open(ctx context.Context, db string) (Session, error) {
 }
 
 // Describe implements Client (gated).
-func (b *BreakerClient) Describe(ctx context.Context, db, name string) ([]relstore.Column, error) {
+func (b *BreakerClient) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
 	if err := b.allow(); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 )
@@ -58,7 +58,7 @@ func (f *flakyClient) Open(ctx context.Context, db string) (Session, error) {
 	}
 	return &flakySession{c: f, db: db}, nil
 }
-func (f *flakyClient) Describe(ctx context.Context, db, name string) ([]relstore.Column, error) {
+func (f *flakyClient) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
 	return nil, f.err()
 }
 func (f *flakyClient) ListTables(ctx context.Context, db string) ([]string, error) {

@@ -15,7 +15,7 @@ import (
 	"context"
 
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 )
@@ -53,7 +53,7 @@ type Client interface {
 	// Open starts a session on a database.
 	Open(ctx context.Context, db string) (Session, error)
 	// Describe reports the schema of a table or view, for IMPORT.
-	Describe(ctx context.Context, db, name string) ([]relstore.Column, error)
+	Describe(ctx context.Context, db, name string) ([]schema.Column, error)
 	// ListTables lists the public tables of a database.
 	ListTables(ctx context.Context, db string) ([]string, error)
 	// ListViews lists the views of a database.
@@ -103,7 +103,7 @@ func (l *Local) Open(ctx context.Context, db string) (Session, error) {
 }
 
 // Describe implements Client.
-func (l *Local) Describe(ctx context.Context, db, name string) ([]relstore.Column, error) {
+func (l *Local) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -61,7 +61,7 @@ func runLoadSuite(t *testing.T, c Client) {
 	if _, err := sess.Exec(bg, "UPDATE flight SET rate = 1 WHERE fnu = 10"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Load(bg, "nosuch", rows); !errors.Is(err, relstore.ErrNoTable) {
+	if _, err := sess.Load(bg, "nosuch", rows); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("unknown table: err = %v", err)
 	}
 	if st, _ := sess.State(bg); st != ldbms.StateAborted {

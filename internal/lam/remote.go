@@ -12,7 +12,7 @@ import (
 
 	"msql/internal/ldbms"
 	"msql/internal/obs"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 	"msql/internal/wire"
@@ -467,12 +467,12 @@ func (r *Remote) putIdle(c *rpcConn) {
 }
 
 // Describe implements Client.
-func (r *Remote) Describe(ctx context.Context, db, name string) ([]relstore.Column, error) {
+func (r *Remote) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
 	resp, err := r.control(ctx, &wire.Request{Kind: wire.ReqDescribe, Database: db, Name: name})
 	if err != nil {
 		return nil, err
 	}
-	return wire.ToRelstoreColumns(resp.Columns), nil
+	return wire.ToColumns(resp.Columns), nil
 }
 
 // ListTables implements Client.

@@ -753,7 +753,7 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		if err != nil {
 			return fail(err)
 		}
-		resp.Columns = wire.FromRelstoreColumns(cols)
+		resp.Columns = wire.FromColumns(cols)
 	case wire.ReqListTables:
 		s, err := t.srv.OpenSession(req.Database)
 		if err != nil {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 )
 
@@ -387,7 +387,7 @@ func TestDescribeAndList(t *testing.T) {
 	if err != nil || len(tables) != 1 || tables[0] != "flight" {
 		t.Fatalf("tables = %v, %v", tables, err)
 	}
-	if _, err := sess.Describe("missing"); !errors.Is(err, relstore.ErrNoTable) {
+	if _, err := sess.Describe("missing"); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("describe missing err = %v", err)
 	}
 	views, err := sess.ListViews()
@@ -496,14 +496,14 @@ func TestSessionLockTimeout(t *testing.T) {
 	if _, err := a.Exec("UPDATE flight SET rates = 1 WHERE fn = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Exec("UPDATE flight SET rates = 2 WHERE fn = 1"); !errors.Is(err, relstore.ErrLockTimeout) {
+	if _, err := b.Exec("UPDATE flight SET rates = 2 WHERE fn = 1"); !errors.Is(err, schema.ErrLockTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestOpenSessionErrors(t *testing.T) {
 	srv := newUnited(t, ProfileOracleLike())
-	if _, err := srv.OpenSession("nope"); !errors.Is(err, relstore.ErrNoDatabase) {
+	if _, err := srv.OpenSession("nope"); !errors.Is(err, schema.ErrNoDatabase) {
 		t.Fatalf("err = %v", err)
 	}
 }

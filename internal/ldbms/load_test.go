@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -101,7 +101,7 @@ func TestLoadGating(t *testing.T) {
 	if got := rate(t, srv, 1); got != 100 {
 		t.Fatalf("rate = %v: the update before the failed load survived", got)
 	}
-	if _, err := sess.Load("nosuch", flightRows(32)); !errors.Is(err, relstore.ErrNoTable) {
+	if _, err := sess.Load("nosuch", flightRows(32)); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("unknown table: err = %v", err)
 	}
 

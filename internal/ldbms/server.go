@@ -9,6 +9,7 @@ import (
 	"msql/internal/backend"
 	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/schema"
 )
 
 // Server errors.
@@ -162,7 +163,7 @@ func (s *Server) OpenSession(db string) (*Session, error) {
 		}
 	}
 	if !s.be.HasDatabase(db) {
-		return nil, fmt.Errorf("%w: %s", relstore.ErrNoDatabase, db)
+		return nil, fmt.Errorf("%w: %s", schema.ErrNoDatabase, db)
 	}
 	return &Session{srv: s, db: db}, nil
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"msql/internal/backend"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -314,7 +314,7 @@ func (s *Session) Close() {
 }
 
 // Describe reports the schema of a table or view, for IMPORT.
-func (s *Session) Describe(name string) ([]relstore.Column, error) {
+func (s *Session) Describe(name string) ([]schema.Column, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tx := s.tx

@@ -6,6 +6,11 @@
 // can probe, views, and a real prepared-to-commit state — the stand-in
 // for the paper's Oracle/Ingres/Sybase products whose COMMITMODE
 // NOCOMMIT profiles expose a user-controlled 2PC interface.
+//
+// The adapters stay even though relstore already speaks the seams'
+// schema vocabulary: relstore.Tx.TableForRead returns *relstore.Table,
+// and Go has no covariant return types to let that satisfy a method
+// returning sqlengine.Table; and the benchmark builds its sites with New.
 package relbackend
 
 import (
@@ -13,6 +18,7 @@ import (
 
 	"msql/internal/backend"
 	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -97,7 +103,7 @@ func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
 }
 
 // Describe implements backend.Tx.
-func (t *Tx) Describe(db, name string) ([]relstore.Column, error) {
+func (t *Tx) Describe(db, name string) ([]schema.Column, error) {
 	return sqlengine.DescribeTable(Storage(t.tx), db, name)
 }
 
@@ -138,7 +144,7 @@ func (s txStorage) TableForWrite(db, name string) (sqlengine.Table, error) {
 	return table{t}, nil
 }
 
-func (s txStorage) TableColumns(db, name string) ([]relstore.Column, error) {
+func (s txStorage) TableColumns(db, name string) ([]schema.Column, error) {
 	d, err := s.StoreDatabase(db)
 	if err != nil {
 		return nil, err
@@ -166,14 +172,14 @@ func (s txStorage) ViewDefinition(db, name string) (string, error) {
 // sqlengine.KeyProber.
 type table struct{ t *relstore.Table }
 
-func (t table) Columns() []relstore.Column { return t.t.Columns }
-func (t table) Err() error                 { return t.t.Err() }
-func (t table) KeyColumns() []int          { return t.t.KeyColumns() }
+func (t table) Columns() []schema.Column { return t.t.Columns }
+func (t table) Err() error               { return t.t.Err() }
+func (t table) KeyColumns() []int        { return t.t.KeyColumns() }
 
 func (t table) Scan(pc *storage.PageCounters) sqlengine.Cursor { return t.t.IterCounted(pc) }
 
 func (t table) LookupKey(vals []sqlval.Value) (int, bool) { return t.t.LookupKey(vals) }
 
-func (t table) RowAt(pos int, pc *storage.PageCounters) relstore.Row {
+func (t table) RowAt(pos int, pc *storage.PageCounters) schema.Row {
 	return t.t.RowAtCounted(pos, pc)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -14,7 +15,7 @@ func benchStore(b *testing.B, rows int) *Store {
 		b.Fatal(err)
 	}
 	tx := s.Begin()
-	if err := tx.CreateTable("d", "t", []Column{
+	if err := tx.CreateTable("d", "t", []schema.Column{
 		{Name: "id", Type: sqlval.KindInt},
 		{Name: "val", Type: sqlval.KindFloat},
 		{Name: "label", Type: sqlval.KindString, Width: 32},
@@ -22,7 +23,7 @@ func benchStore(b *testing.B, rows int) *Store {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		row := Row{sqlval.Int(int64(i)), sqlval.Float(float64(i) / 3), sqlval.Str(fmt.Sprintf("label-%d", i))}
+		row := schema.Row{sqlval.Int(int64(i)), sqlval.Float(float64(i) / 3), sqlval.Str(fmt.Sprintf("label-%d", i))}
 		if err := tx.Insert("d", "t", row); err != nil {
 			b.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func BenchmarkInsertCommit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		row := Row{sqlval.Int(int64(i)), sqlval.Float(1.5), sqlval.Str("x")}
+		row := schema.Row{sqlval.Int(int64(i)), sqlval.Float(1.5), sqlval.Str("x")}
 		if err := tx.Insert("d", "t", row); err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func BenchmarkScan1k(b *testing.B) {
 			b.Fatal(err)
 		}
 		count := 0
-		tbl.ForEach(func(idx int, row Row) bool {
+		tbl.ForEach(func(idx int, row schema.Row) bool {
 			count++
 			return true
 		})
@@ -74,7 +75,7 @@ func BenchmarkUpdateRollback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		if err := tx.Update("d", "t", 0, Row{sqlval.Int(0), sqlval.Float(9), sqlval.Str("y")}); err != nil {
+		if err := tx.Update("d", "t", 0, schema.Row{sqlval.Int(0), sqlval.Float(9), sqlval.Str("y")}); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Rollback(); err != nil {
@@ -88,7 +89,7 @@ func BenchmarkPrepareCommitCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		if err := tx.Update("d", "t", 0, Row{sqlval.Int(0), sqlval.Float(float64(i)), sqlval.Str("z")}); err != nil {
+		if err := tx.Update("d", "t", 0, schema.Row{sqlval.Int(0), sqlval.Float(float64(i)), sqlval.Str("z")}); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Prepare(); err != nil {

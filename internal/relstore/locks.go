@@ -3,6 +3,8 @@ package relstore
 import (
 	"sync"
 	"time"
+
+	"msql/internal/schema"
 )
 
 // LockMode is the strength of a table lock.
@@ -61,7 +63,7 @@ func (lm *lockManager) acquire(txID int64, key string, mode LockMode, timeout ti
 	for !l.compatible(txID, mode) {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return ErrLockTimeout
+			return schema.ErrLockTimeout
 		}
 		timer := time.AfterFunc(remaining, l.cond.Broadcast)
 		l.cond.Wait()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 	"msql/internal/storage"
 	"msql/internal/wal"
@@ -118,9 +119,9 @@ func Open(opts Options) (*Store, error) {
 // primary-key index by scanning. Stable indexes restart in heap order —
 // they only need to stay stable within one server uptime.
 func (s *Store) openTable(ct catalogTable) (*Table, error) {
-	cols := make([]Column, len(ct.Columns))
+	cols := make([]schema.Column, len(ct.Columns))
 	for i, cc := range ct.Columns {
-		cols[i] = Column{Name: cc.Name, Type: sqlval.Kind(cc.Type), Width: cc.Width, Key: cc.Key}
+		cols[i] = schema.Column{Name: cc.Name, Type: sqlval.Kind(cc.Type), Width: cc.Width, Key: cc.Key}
 	}
 	t := &Table{Name: ct.Name, Columns: cols, keys: keyColumns(cols), file: ct.File}
 	if len(t.keys) > 0 {
@@ -147,7 +148,7 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 		idx := len(t.rids)
 		t.rids = append(t.rids, rid)
 		if t.index != nil {
-			t.index.Insert(t.keyOf(Row(vals)), int64(idx))
+			t.index.Insert(t.keyOf(schema.Row(vals)), int64(idx))
 		}
 		return true
 	})

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -21,7 +22,7 @@ func keyedStore(t *testing.T, dir string) *Store {
 		t.Fatal(err)
 	}
 	tx := s.Begin()
-	err = tx.CreateTable("db", "kv", []Column{
+	err = tx.CreateTable("db", "kv", []schema.Column{
 		{Name: "k", Type: sqlval.KindInt, Key: true},
 		{Name: "v", Type: sqlval.KindString},
 	})
@@ -37,27 +38,27 @@ func keyedStore(t *testing.T, dir string) *Store {
 func TestPrimaryKeyUniqueAndNotNull(t *testing.T) {
 	s := keyedStore(t, "")
 	tx := s.Begin()
-	if err := tx.Insert("db", "kv", Row{sqlval.Int(1), sqlval.Str("one")}); err != nil {
+	if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(1), sqlval.Str("one")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("db", "kv", Row{sqlval.Int(1), sqlval.Str("dup")}); !errors.Is(err, ErrDuplicateKey) {
+	if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(1), sqlval.Str("dup")}); !errors.Is(err, schema.ErrDuplicateKey) {
 		t.Fatalf("duplicate insert err = %v", err)
 	}
-	if err := tx.Insert("db", "kv", Row{sqlval.Null(), sqlval.Str("nil")}); !errors.Is(err, ErrNullKey) {
+	if err := tx.Insert("db", "kv", schema.Row{sqlval.Null(), sqlval.Str("nil")}); !errors.Is(err, ErrNullKey) {
 		t.Fatalf("null key err = %v", err)
 	}
-	if err := tx.Insert("db", "kv", Row{sqlval.Int(2), sqlval.Str("two")}); err != nil {
+	if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(2), sqlval.Str("two")}); err != nil {
 		t.Fatal(err)
 	}
 	// Updating a row onto an existing key is rejected; onto a fresh key is
 	// not; updating in place (same key) is always fine.
-	if err := tx.Update("db", "kv", 1, Row{sqlval.Int(1), sqlval.Str("clash")}); !errors.Is(err, ErrDuplicateKey) {
+	if err := tx.Update("db", "kv", 1, schema.Row{sqlval.Int(1), sqlval.Str("clash")}); !errors.Is(err, schema.ErrDuplicateKey) {
 		t.Fatalf("update onto taken key err = %v", err)
 	}
-	if err := tx.Update("db", "kv", 1, Row{sqlval.Int(3), sqlval.Str("three")}); err != nil {
+	if err := tx.Update("db", "kv", 1, schema.Row{sqlval.Int(3), sqlval.Str("three")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("db", "kv", 1, Row{sqlval.Int(3), sqlval.Str("still three")}); err != nil {
+	if err := tx.Update("db", "kv", 1, schema.Row{sqlval.Int(3), sqlval.Str("still three")}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -77,7 +78,7 @@ func TestIndexSurvivesRollbackAndCompaction(t *testing.T) {
 	s := keyedStore(t, "")
 	tx := s.Begin()
 	for i := 0; i < 10; i++ {
-		if err := tx.Insert("db", "kv", Row{sqlval.Int(int64(i)), sqlval.Str(fmt.Sprintf("v%d", i))}); err != nil {
+		if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(int64(i)), sqlval.Str(fmt.Sprintf("v%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +89,7 @@ func TestIndexSurvivesRollbackAndCompaction(t *testing.T) {
 	if err := tx.Delete("db", "kv", 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("db", "kv", 4, Row{sqlval.Int(40), sqlval.Str("moved")}); err != nil {
+	if err := tx.Update("db", "kv", 4, schema.Row{sqlval.Int(40), sqlval.Str("moved")}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Rollback()
@@ -140,7 +141,7 @@ func TestPersistCheckpointReopen(t *testing.T) {
 	s := keyedStore(t, dir)
 	tx := s.Begin()
 	for i := 0; i < 500; i++ {
-		if err := tx.Insert("db", "kv", Row{sqlval.Int(int64(i)), sqlval.Str(fmt.Sprintf("value-%d", i))}); err != nil {
+		if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(int64(i)), sqlval.Str(fmt.Sprintf("value-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +186,7 @@ func TestPersistCheckpointReopen(t *testing.T) {
 	}
 	// And the store keeps working.
 	tx = s2.Begin()
-	if err := tx.Insert("db", "kv", Row{sqlval.Int(1000), sqlval.Str("post-reopen")}); err != nil {
+	if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(1000), sqlval.Str("post-reopen")}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -210,7 +211,7 @@ func TestCheckpointRewritesCatalogOnlyOnDDL(t *testing.T) {
 	insert := func(s *Store, k int64) {
 		t.Helper()
 		tx := s.Begin()
-		if err := tx.Insert("db", "kv", Row{sqlval.Int(k), sqlval.Str("v")}); err != nil {
+		if err := tx.Insert("db", "kv", schema.Row{sqlval.Int(k), sqlval.Str("v")}); err != nil {
 			t.Fatal(err)
 		}
 		tx.Commit()
@@ -270,13 +271,13 @@ func TestUncheckpointedWorkIsLost(t *testing.T) {
 	dir := t.TempDir()
 	s := keyedStore(t, dir)
 	tx := s.Begin()
-	tx.Insert("db", "kv", Row{sqlval.Int(1), sqlval.Str("durable")})
+	tx.Insert("db", "kv", schema.Row{sqlval.Int(1), sqlval.Str("durable")})
 	tx.Commit()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	tx = s.Begin()
-	tx.Insert("db", "kv", Row{sqlval.Int(2), sqlval.Str("volatile")})
+	tx.Insert("db", "kv", schema.Row{sqlval.Int(2), sqlval.Str("volatile")})
 	tx.Commit()
 	// No checkpoint, no Close: crash.
 
@@ -298,7 +299,7 @@ func TestDropTableRemovesHeapFile(t *testing.T) {
 	dir := t.TempDir()
 	s := keyedStore(t, dir)
 	tx := s.Begin()
-	tx.Insert("db", "kv", Row{sqlval.Int(1), sqlval.Str("x")})
+	tx.Insert("db", "kv", schema.Row{sqlval.Int(1), sqlval.Str("x")})
 	tx.Commit()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -318,7 +319,7 @@ func TestDropTableRemovesHeapFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := s2.Database("db")
-	if _, err := d.Table("kv"); !errors.Is(err, ErrNoTable) {
+	if _, err := d.Table("kv"); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("dropped table resurfaced: %v", err)
 	}
 }
@@ -345,7 +346,7 @@ func TestConcurrentCheckpoints(t *testing.T) {
 	}
 	tx := s.Begin()
 	for g := 0; g < sessions; g++ {
-		err := tx.CreateTable("db", fmt.Sprintf("t%d", g), []Column{{Name: "k", Type: sqlval.KindInt, Key: true}})
+		err := tx.CreateTable("db", fmt.Sprintf("t%d", g), []schema.Column{{Name: "k", Type: sqlval.KindInt, Key: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +363,7 @@ func TestConcurrentCheckpoints(t *testing.T) {
 			for k := 0; k < commits; k++ {
 				tx := s.Begin()
 				for r := 0; r < perCommit; r++ {
-					if err := tx.Insert("db", table, Row{sqlval.Int(int64(k*perCommit + r))}); err != nil {
+					if err := tx.Insert("db", table, schema.Row{sqlval.Int(int64(k*perCommit + r))}); err != nil {
 						t.Errorf("%s insert %d/%d: %v", table, k, r, err)
 						return
 					}

@@ -27,43 +27,20 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 	"msql/internal/storage"
 )
 
-// Common storage errors.
+// Errors only this engine reports; the ones every engine shares
+// (missing objects, lock timeouts, width and key violations) are the
+// schema package's.
 var (
-	ErrNoDatabase    = errors.New("relstore: no such database")
-	ErrNoTable       = errors.New("relstore: no such table")
-	ErrTableExists   = errors.New("relstore: table already exists")
-	ErrDBExists      = errors.New("relstore: database already exists")
-	ErrNoView        = errors.New("relstore: no such view")
-	ErrViewExists    = errors.New("relstore: view already exists")
-	ErrLockTimeout   = errors.New("relstore: lock wait timeout (possible deadlock)")
-	ErrTxDone        = errors.New("relstore: transaction is not active")
-	ErrNotPrepared   = errors.New("relstore: transaction is not prepared")
-	ErrWidthExceeded = errors.New("relstore: value exceeds declared column width")
-	ErrDuplicateKey  = errors.New("relstore: duplicate primary key")
-	ErrNullKey       = errors.New("relstore: NULL in primary key column")
+	ErrViewExists  = errors.New("relstore: view already exists")
+	ErrTxDone      = errors.New("relstore: transaction is not active")
+	ErrNotPrepared = errors.New("relstore: transaction is not prepared")
+	ErrNullKey     = errors.New("relstore: NULL in primary key column")
 )
-
-// Column describes one table column.
-type Column struct {
-	Name  string
-	Type  sqlval.Kind
-	Width int  // CHAR(n) width; 0 = unbounded
-	Key   bool // part of the primary key: indexed, unique, NOT NULL
-}
-
-// Row is one tuple.
-type Row []sqlval.Value
-
-// Clone copies the row.
-func (r Row) Clone() Row {
-	c := make(Row, len(r))
-	copy(c, r)
-	return c
-}
 
 // Table holds a schema and rows. Row data lives on heap pages; the table
 // keeps one RID per row in insertion order, and that position — the
@@ -73,7 +50,7 @@ func (r Row) Clone() Row {
 // finishes, while it still holds the table exclusively.
 type Table struct {
 	Name    string
-	Columns []Column
+	Columns []schema.Column
 	keys    []int // Columns positions with Key set, declaration order
 	heap    *storage.HeapFile
 	backing storage.Backing
@@ -85,7 +62,7 @@ type Table struct {
 	enc     []byte         // insertRow's encode buffer: the heap copies tuples onto its pages
 }
 
-func keyColumns(cols []Column) []int {
+func keyColumns(cols []schema.Column) []int {
 	var keys []int
 	for i, c := range cols {
 		if c.Key {
@@ -96,10 +73,10 @@ func keyColumns(cols []Column) []int {
 }
 
 // newTable creates an empty table with a fresh heap in s's pool.
-func (s *Store) newTable(name string, cols []Column) (*Table, error) {
+func (s *Store) newTable(name string, cols []schema.Column) (*Table, error) {
 	t := &Table{
 		Name:    name,
-		Columns: append([]Column(nil), cols...),
+		Columns: append([]schema.Column(nil), cols...),
 	}
 	t.keys = keyColumns(t.Columns)
 	if len(t.keys) > 0 {
@@ -145,7 +122,7 @@ func (t *Table) fault(err error) {
 }
 
 // keyOf encodes row's primary-key columns in index order.
-func (t *Table) keyOf(row Row) []byte {
+func (t *Table) keyOf(row schema.Row) []byte {
 	vals := make([]sqlval.Value, len(t.keys))
 	for i, ci := range t.keys {
 		vals[i] = row[ci]
@@ -155,7 +132,7 @@ func (t *Table) keyOf(row Row) []byte {
 
 // rowAt reads and decodes the row at a stable index; nil for tombstones
 // and out-of-range indexes.
-func (t *Table) rowAt(idx int) (Row, error) {
+func (t *Table) rowAt(idx int) (schema.Row, error) {
 	return t.rowAtCounted(idx, nil)
 }
 
@@ -163,7 +140,7 @@ func (t *Table) rowAt(idx int) (Row, error) {
 // counter is per-call rather than per-table because concurrent readers
 // share the Table under shared locks — attribution must follow the
 // statement, not the structure.
-func (t *Table) rowAtCounted(idx int, pc *storage.PageCounters) (Row, error) {
+func (t *Table) rowAtCounted(idx int, pc *storage.PageCounters) (schema.Row, error) {
 	if idx < 0 || idx >= len(t.rids) || t.rids[idx].IsNil() {
 		return nil, nil
 	}
@@ -175,16 +152,16 @@ func (t *Table) rowAtCounted(idx int, pc *storage.PageCounters) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Row(vals), nil
+	return schema.Row(vals), nil
 }
 
 // RowAt returns the row at a stable index, or nil when deleted.
-func (t *Table) RowAt(idx int) Row {
+func (t *Table) RowAt(idx int) schema.Row {
 	return t.RowAtCounted(idx, nil)
 }
 
 // RowAtCounted is RowAt with page traffic recorded on pc (nil-safe).
-func (t *Table) RowAtCounted(idx int, pc *storage.PageCounters) Row {
+func (t *Table) RowAtCounted(idx int, pc *storage.PageCounters) schema.Row {
 	row, err := t.rowAtCounted(idx, pc)
 	if err != nil {
 		t.fault(err)
@@ -195,12 +172,12 @@ func (t *Table) RowAtCounted(idx int, pc *storage.PageCounters) Row {
 
 // ForEach iterates live rows with their stable indexes, stopping when fn
 // returns false. The caller must hold a lock on the table via a Tx.
-func (t *Table) ForEach(fn func(idx int, row Row) bool) {
+func (t *Table) ForEach(fn func(idx int, row schema.Row) bool) {
 	t.ForEachCounted(fn, nil)
 }
 
 // ForEachCounted is ForEach with page traffic recorded on pc (nil-safe).
-func (t *Table) ForEachCounted(fn func(idx int, row Row) bool, pc *storage.PageCounters) {
+func (t *Table) ForEachCounted(fn func(idx int, row schema.Row) bool, pc *storage.PageCounters) {
 	for i, rid := range t.rids {
 		if rid.IsNil() {
 			continue
@@ -215,7 +192,7 @@ func (t *Table) ForEachCounted(fn func(idx int, row Row) bool, pc *storage.PageC
 			t.fault(err)
 			return
 		}
-		if !fn(i, Row(vals)) {
+		if !fn(i, schema.Row(vals)) {
 			return
 		}
 	}
@@ -241,7 +218,7 @@ func (t *Table) IterCounted(pc *storage.PageCounters) *TableIter {
 
 // Next returns the next live row and its stable index; ok is false at
 // the end of the table (or on a storage fault, which latches in Err).
-func (it *TableIter) Next() (idx int, row Row, ok bool) {
+func (it *TableIter) Next() (idx int, row schema.Row, ok bool) {
 	for it.pos < len(it.t.rids) {
 		i := it.pos
 		it.pos++
@@ -278,13 +255,13 @@ func (t *Table) LookupKey(vals []sqlval.Value) (int, bool) {
 // insertRow places a validated, normalized row on the heap and returns
 // its stable index. checkUnique is false only on undo paths, which
 // restore states that were valid when recorded.
-func (t *Table) insertRow(row Row, checkUnique bool) (int, error) {
+func (t *Table) insertRow(row schema.Row, checkUnique bool) (int, error) {
 	var key []byte
 	if t.index != nil {
 		key = t.keyOf(row)
 		if checkUnique {
 			if _, dup := t.index.Get(key); dup {
-				return 0, fmt.Errorf("%w in %s", ErrDuplicateKey, t.Name)
+				return 0, fmt.Errorf("%w in %s", schema.ErrDuplicateKey, t.Name)
 			}
 		}
 	}
@@ -302,7 +279,7 @@ func (t *Table) insertRow(row Row, checkUnique bool) (int, error) {
 }
 
 // updateRow overwrites the row at a stable index.
-func (t *Table) updateRow(idx int, row Row, checkUnique bool) error {
+func (t *Table) updateRow(idx int, row schema.Row, checkUnique bool) error {
 	old, err := t.rowAt(idx)
 	if err != nil {
 		return err
@@ -315,7 +292,7 @@ func (t *Table) updateRow(idx int, row Row, checkUnique bool) error {
 		okey, nkey = t.keyOf(old), t.keyOf(row)
 		if checkUnique && !bytes.Equal(okey, nkey) {
 			if _, dup := t.index.Get(nkey); dup {
-				return fmt.Errorf("%w in %s", ErrDuplicateKey, t.Name)
+				return fmt.Errorf("%w in %s", schema.ErrDuplicateKey, t.Name)
 			}
 		}
 	}
@@ -333,7 +310,7 @@ func (t *Table) updateRow(idx int, row Row, checkUnique bool) error {
 
 // deleteRow tombstones the row at a stable index and returns its prior
 // contents for the undo log.
-func (t *Table) deleteRow(idx int) (Row, error) {
+func (t *Table) deleteRow(idx int) (schema.Row, error) {
 	old, err := t.rowAt(idx)
 	if err != nil {
 		return nil, err
@@ -354,7 +331,7 @@ func (t *Table) deleteRow(idx int) (Row, error) {
 
 // restoreRow undoes a delete: the row returns to the heap under its old
 // stable index (its page placement may differ; nothing observes that).
-func (t *Table) restoreRow(idx int, row Row) error {
+func (t *Table) restoreRow(idx int, row schema.Row) error {
 	if idx < 0 || idx >= len(t.rids) || !t.rids[idx].IsNil() {
 		return nil
 	}
@@ -446,7 +423,7 @@ func (d *Database) ViewNames() []string {
 func (d *Database) Table(name string) (*Table, error) {
 	t, ok := d.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoTable, d.Name, name)
+		return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoTable, d.Name, name)
 	}
 	return t, nil
 }
@@ -455,7 +432,7 @@ func (d *Database) Table(name string) (*Table, error) {
 func (d *Database) View(name string) (*View, error) {
 	v, ok := d.views[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoView, d.Name, name)
+		return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoView, d.Name, name)
 	}
 	return v, nil
 }
@@ -507,7 +484,7 @@ func (s *Store) CreateDatabase(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.databases[name]; ok {
-		return fmt.Errorf("%w: %s", ErrDBExists, name)
+		return fmt.Errorf("%w: %s", schema.ErrDBExists, name)
 	}
 	s.databases[name] = &Database{
 		Name:   name,
@@ -524,7 +501,7 @@ func (s *Store) DropDatabase(name string) error {
 	d, ok := s.databases[name]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, name)
+		return fmt.Errorf("%w: %s", schema.ErrNoDatabase, name)
 	}
 	delete(s.databases, name)
 	s.mu.Unlock()
@@ -540,7 +517,7 @@ func (s *Store) Database(name string) (*Database, error) {
 	defer s.mu.RUnlock()
 	d, ok := s.databases[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, name)
+		return nil, fmt.Errorf("%w: %s", schema.ErrNoDatabase, name)
 	}
 	return d, nil
 }
@@ -575,7 +552,7 @@ func (s *Store) Clone() *Store {
 			if err != nil {
 				continue // memory backing cannot fail
 			}
-			t.ForEach(func(idx int, row Row) bool {
+			t.ForEach(func(idx int, row schema.Row) bool {
 				_, err := nt.insertRow(row.Clone(), false)
 				return err == nil
 			})

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -16,7 +17,7 @@ func carRentalStore(t testing.TB) *Store {
 		t.Fatal(err)
 	}
 	tx := s.Begin()
-	err := tx.CreateTable("avis", "cars", []Column{
+	err := tx.CreateTable("avis", "cars", []schema.Column{
 		{Name: "code", Type: sqlval.KindInt},
 		{Name: "cartype", Type: sqlval.KindString, Width: 20},
 		{Name: "rate", Type: sqlval.KindFloat},
@@ -25,7 +26,7 @@ func carRentalStore(t testing.TB) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []Row{
+	rows := []schema.Row{
 		{sqlval.Int(1), sqlval.Str("suv"), sqlval.Float(49.5), sqlval.Str("available")},
 		{sqlval.Int(2), sqlval.Str("compact"), sqlval.Float(29.5), sqlval.Str("rented")},
 		{sqlval.Int(3), sqlval.Str("luxury"), sqlval.Float(99.0), sqlval.Str("available")},
@@ -46,16 +47,16 @@ func TestCreateAndDropDatabase(t *testing.T) {
 	if err := s.CreateDatabase("avis"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateDatabase("avis"); !errors.Is(err, ErrDBExists) {
+	if err := s.CreateDatabase("avis"); !errors.Is(err, schema.ErrDBExists) {
 		t.Fatalf("dup create err = %v", err)
 	}
-	if _, err := s.Database("none"); !errors.Is(err, ErrNoDatabase) {
+	if _, err := s.Database("none"); !errors.Is(err, schema.ErrNoDatabase) {
 		t.Fatalf("missing db err = %v", err)
 	}
 	if err := s.DropDatabase("avis"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropDatabase("avis"); !errors.Is(err, ErrNoDatabase) {
+	if err := s.DropDatabase("avis"); !errors.Is(err, schema.ErrNoDatabase) {
 		t.Fatalf("double drop err = %v", err)
 	}
 }
@@ -71,7 +72,7 @@ func TestInsertScanCommit(t *testing.T) {
 		t.Fatalf("rows = %d", tbl.RowCount())
 	}
 	var count int
-	tbl.ForEach(func(idx int, row Row) bool {
+	tbl.ForEach(func(idx int, row schema.Row) bool {
 		count++
 		return true
 	})
@@ -86,11 +87,11 @@ func TestInsertScanCommit(t *testing.T) {
 func TestRollbackUndoesInsertUpdateDelete(t *testing.T) {
 	s := carRentalStore(t)
 	tx := s.Begin()
-	if err := tx.Insert("avis", "cars", Row{sqlval.Int(4), sqlval.Str("van"), sqlval.Float(59), sqlval.Str("available")}); err != nil {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(4), sqlval.Str("van"), sqlval.Float(59), sqlval.Str("available")}); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := tx.TableForWrite("avis", "cars")
-	if err := tx.Update("avis", "cars", 0, Row{sqlval.Int(1), sqlval.Str("suv"), sqlval.Float(999), sqlval.Str("available")}); err != nil {
+	if err := tx.Update("avis", "cars", 0, schema.Row{sqlval.Int(1), sqlval.Str("suv"), sqlval.Float(999), sqlval.Str("available")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Delete("avis", "cars", 1); err != nil {
@@ -129,7 +130,7 @@ func TestRollbackUndoesInsertUpdateDelete(t *testing.T) {
 func TestBulkInsertRunsUndoAsOne(t *testing.T) {
 	s := carRentalStore(t)
 	setup := s.Begin()
-	if err := setup.CreateTable("avis", "vans", []Column{{Name: "code", Type: sqlval.KindInt, Key: true}}); err != nil {
+	if err := setup.CreateTable("avis", "vans", []schema.Column{{Name: "code", Type: sqlval.KindInt, Key: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := setup.Commit(); err != nil {
@@ -137,8 +138,8 @@ func TestBulkInsertRunsUndoAsOne(t *testing.T) {
 	}
 
 	tx := s.Begin()
-	car := func(code int64) Row {
-		return Row{sqlval.Int(code), sqlval.Str("bulk"), sqlval.Float(1), sqlval.Str("new")}
+	car := func(code int64) schema.Row {
+		return schema.Row{sqlval.Int(code), sqlval.Str("bulk"), sqlval.Float(1), sqlval.Str("new")}
 	}
 	for code := int64(10); code < 60; code++ {
 		if err := tx.Insert("avis", "cars", car(code)); err != nil {
@@ -155,7 +156,7 @@ func TestBulkInsertRunsUndoAsOne(t *testing.T) {
 		if err := tx.Insert("avis", "cars", car(code)); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Insert("avis", "vans", Row{sqlval.Int(code)}); err != nil { // alternating tables
+		if err := tx.Insert("avis", "vans", schema.Row{sqlval.Int(code)}); err != nil { // alternating tables
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +164,7 @@ func TestBulkInsertRunsUndoAsOne(t *testing.T) {
 		t.Fatalf("undo holds %d records, want %d", len(tx.undo), want)
 	}
 	// A duplicate key fails without extending the run it follows.
-	if err := tx.Insert("avis", "vans", Row{sqlval.Int(62)}); !errors.Is(err, ErrDuplicateKey) {
+	if err := tx.Insert("avis", "vans", schema.Row{sqlval.Int(62)}); !errors.Is(err, schema.ErrDuplicateKey) {
 		t.Fatalf("duplicate key err = %v", err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -197,7 +198,7 @@ func TestBulkInsertRunsUndoAsOne(t *testing.T) {
 func TestWriteAfterDropInSameTx(t *testing.T) {
 	s := carRentalStore(t)
 	tx := s.Begin()
-	row := Row{sqlval.Int(4), sqlval.Str("van"), sqlval.Int(59), sqlval.Str("new")}
+	row := schema.Row{sqlval.Int(4), sqlval.Str("van"), sqlval.Int(59), sqlval.Str("new")}
 	if err := tx.Insert("avis", "cars", row); err != nil {
 		t.Fatal(err)
 	}
@@ -207,19 +208,19 @@ func TestWriteAfterDropInSameTx(t *testing.T) {
 	if err := tx.DropTable("avis", "cars"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("avis", "cars", row); !errors.Is(err, ErrNoTable) {
+	if err := tx.Insert("avis", "cars", row); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("insert into a dropped table: err = %v", err)
 	}
-	if err := tx.CreateTable("avis", "cars", []Column{{Name: "code", Type: sqlval.KindInt}}); err != nil {
+	if err := tx.CreateTable("avis", "cars", []schema.Column{{Name: "code", Type: sqlval.KindInt}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("avis", "cars", Row{sqlval.Int(7)}); err != nil {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(7)}); err != nil {
 		t.Fatalf("insert into the re-created table: %v", err)
 	}
 	if err := tx.DropDatabase("avis"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("avis", "cars", Row{sqlval.Int(8)}); !errors.Is(err, ErrNoDatabase) {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(8)}); !errors.Is(err, schema.ErrNoDatabase) {
 		t.Fatalf("insert into a dropped database: err = %v", err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -246,7 +247,7 @@ func TestPreparedStateVisible(t *testing.T) {
 		t.Fatalf("state = %s", tx.State())
 	}
 	// Work is forbidden in the prepared state.
-	if err := tx.Insert("avis", "cars", Row{sqlval.Int(9), sqlval.Str("x"), sqlval.Null(), sqlval.Str("s")}); !errors.Is(err, ErrTxDone) {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(9), sqlval.Str("x"), sqlval.Null(), sqlval.Str("s")}); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("insert in prepared state err = %v", err)
 	}
 	// Commit from prepared works.
@@ -295,7 +296,7 @@ func TestDoubleCommitFails(t *testing.T) {
 func TestDDLRollback(t *testing.T) {
 	s := carRentalStore(t)
 	tx := s.Begin()
-	if err := tx.CreateTable("avis", "tmp", []Column{{Name: "a", Type: sqlval.KindInt}}); err != nil {
+	if err := tx.CreateTable("avis", "tmp", []schema.Column{{Name: "a", Type: sqlval.KindInt}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.DropTable("avis", "cars"); err != nil {
@@ -315,16 +316,16 @@ func TestDDLRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Table("tmp"); !errors.Is(err, ErrNoTable) {
+	if _, err := d.Table("tmp"); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatal("tmp table survived rollback")
 	}
 	if _, err := d.Table("cars"); err != nil {
 		t.Fatal("cars not restored by rollback")
 	}
-	if _, err := s.Database("hertz"); !errors.Is(err, ErrNoDatabase) {
+	if _, err := s.Database("hertz"); !errors.Is(err, schema.ErrNoDatabase) {
 		t.Fatal("hertz survived rollback")
 	}
-	if _, err := d.View("v"); !errors.Is(err, ErrNoView) {
+	if _, err := d.View("v"); !errors.Is(err, schema.ErrNoView) {
 		t.Fatal("view survived rollback")
 	}
 }
@@ -354,25 +355,25 @@ func TestValidation(t *testing.T) {
 	tx := s.Begin()
 	defer tx.Rollback()
 	// Wrong arity.
-	if err := tx.Insert("avis", "cars", Row{sqlval.Int(1)}); err == nil {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(1)}); err == nil {
 		t.Fatal("arity error expected")
 	}
 	// Wrong kind.
-	if err := tx.Insert("avis", "cars", Row{sqlval.Str("x"), sqlval.Str("a"), sqlval.Null(), sqlval.Str("s")}); err == nil {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Str("x"), sqlval.Str("a"), sqlval.Null(), sqlval.Str("s")}); err == nil {
 		t.Fatal("kind error expected")
 	}
 	// Width exceeded.
-	err := tx.Insert("avis", "cars", Row{sqlval.Int(5), sqlval.Str("this type name is far too long for the column"), sqlval.Null(), sqlval.Str("ok")})
-	if !errors.Is(err, ErrWidthExceeded) {
+	err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(5), sqlval.Str("this type name is far too long for the column"), sqlval.Null(), sqlval.Str("ok")})
+	if !errors.Is(err, schema.ErrWidthExceeded) {
 		t.Fatalf("width err = %v", err)
 	}
 	// NULL always fits; int widens into float column.
-	if err := tx.Insert("avis", "cars", Row{sqlval.Int(5), sqlval.Null(), sqlval.Int(42), sqlval.Str("ok")}); err != nil {
+	if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(5), sqlval.Null(), sqlval.Int(42), sqlval.Str("ok")}); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := tx.TableForRead("avis", "cars")
-	var last Row
-	tbl.ForEach(func(idx int, row Row) bool { last = row; return true })
+	var last schema.Row
+	tbl.ForEach(func(idx int, row schema.Row) bool { last = row; return true })
 	if last[2].K != sqlval.KindFloat {
 		t.Fatalf("int not widened to float: %v", last[2])
 	}
@@ -386,7 +387,7 @@ func TestLockConflictTimeout(t *testing.T) {
 	}
 	reader := s.Begin()
 	reader.LockTimeout = 50 * time.Millisecond
-	if _, err := reader.TableForRead("avis", "cars"); !errors.Is(err, ErrLockTimeout) {
+	if _, err := reader.TableForRead("avis", "cars"); !errors.Is(err, schema.ErrLockTimeout) {
 		t.Fatalf("expected lock timeout, got %v", err)
 	}
 	writer.Commit()
@@ -461,7 +462,7 @@ func TestConcurrentInsertersSerialize(t *testing.T) {
 			defer wg.Done()
 			tx := s.Begin()
 			tx.LockTimeout = 5 * time.Second
-			if err := tx.Insert("avis", "cars", Row{sqlval.Int(int64(100 + i)), sqlval.Str("x"), sqlval.Null(), sqlval.Str("new")}); err != nil {
+			if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(int64(100 + i)), sqlval.Str("x"), sqlval.Null(), sqlval.Str("new")}); err != nil {
 				t.Error(err)
 				tx.Rollback()
 				return
@@ -534,7 +535,7 @@ func TestDeadlockResolvedByTimeout(t *testing.T) {
 	// holds trucks and wants cars. The lock-wait timeout breaks it.
 	s := carRentalStore(t)
 	tx := s.Begin()
-	if err := tx.CreateTable("avis", "trucks", []Column{{Name: "id", Type: sqlval.KindInt}}); err != nil {
+	if err := tx.CreateTable("avis", "trucks", []schema.Column{{Name: "id", Type: sqlval.KindInt}}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -561,7 +562,7 @@ func TestDeadlockResolvedByTimeout(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-errs:
-			if errors.Is(err, ErrLockTimeout) {
+			if errors.Is(err, schema.ErrLockTimeout) {
 				timedOut++
 			}
 		case <-time.After(3 * time.Second):
@@ -591,7 +592,7 @@ func TestQuickRollbackRestores(t *testing.T) {
 		tx := s.Begin()
 		n := int(k%16) + 1
 		for i := 0; i < n; i++ {
-			if err := tx.Insert("avis", "cars", Row{sqlval.Int(int64(1000 + i)), sqlval.Str("q"), sqlval.Null(), sqlval.Str("new")}); err != nil {
+			if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(int64(1000 + i)), sqlval.Str("q"), sqlval.Null(), sqlval.Str("new")}); err != nil {
 				tx.Rollback()
 				return false
 			}

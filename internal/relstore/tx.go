@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -63,7 +64,7 @@ type undoRec struct {
 	// indexes idx, idx+1, ... to one table, and one record covers them all
 	// instead of one record per row.
 	n     int
-	row   Row
+	row   schema.Row
 	table *Table
 	dbObj *Database
 	view  *View
@@ -196,7 +197,7 @@ func (t *Tx) tableForWriteLocked(db, table string) (*Table, error) {
 
 // validate checks arity, kinds, CHAR widths and key nullability against
 // the schema.
-func (t *Table) validate(row Row) error {
+func (t *Table) validate(row schema.Row) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("relstore: row has %d values, table %s has %d columns", len(row), t.Name, len(t.Columns))
 	}
@@ -216,7 +217,7 @@ func (t *Table) validate(row Row) error {
 			return fmt.Errorf("relstore: column %s.%s expects %s, got %s", t.Name, c.Name, c.Type, v.K)
 		}
 		if c.Type == sqlval.KindString && c.Width > 0 && len(v.S) > c.Width {
-			return fmt.Errorf("%w: %s.%s width %d, value %q", ErrWidthExceeded, t.Name, c.Name, c.Width, v.S)
+			return fmt.Errorf("%w: %s.%s width %d, value %q", schema.ErrWidthExceeded, t.Name, c.Name, c.Width, v.S)
 		}
 	}
 	return nil
@@ -225,8 +226,8 @@ func (t *Table) validate(row Row) error {
 // normalize widens integers headed for FLOAT columns. The row is copied
 // only if something has to change: the table encodes the row onto a heap
 // page and keeps no reference to it.
-func normalize(t *Table, row Row) Row {
-	var out Row
+func normalize(t *Table, row schema.Row) schema.Row {
+	var out schema.Row
 	for i, v := range row {
 		if t.Columns[i].Type == sqlval.KindFloat && v.K == sqlval.KindInt {
 			if out == nil {
@@ -242,7 +243,7 @@ func normalize(t *Table, row Row) Row {
 }
 
 // Insert appends a row, X-locking the table.
-func (t *Tx) Insert(db, table string, row Row) error {
+func (t *Tx) Insert(db, table string, row schema.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.active(); err != nil {
@@ -271,7 +272,7 @@ func (t *Tx) Insert(db, table string, row Row) error {
 
 // Update replaces the row at idx. The caller must have obtained idx from a
 // scan under this transaction (the X lock keeps indexes stable).
-func (t *Tx) Update(db, table string, idx int, row Row) error {
+func (t *Tx) Update(db, table string, idx int, row schema.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.active(); err != nil {
@@ -315,7 +316,7 @@ func (t *Tx) Delete(db, table string, idx int) error {
 }
 
 // CreateTable creates a table inside db.
-func (t *Tx) CreateTable(db, name string, cols []Column) error {
+func (t *Tx) CreateTable(db, name string, cols []schema.Column) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.active(); err != nil {
@@ -329,7 +330,7 @@ func (t *Tx) CreateTable(db, name string, cols []Column) error {
 		return err
 	}
 	if _, ok := d.tables[name]; ok {
-		return fmt.Errorf("%w: %s.%s", ErrTableExists, db, name)
+		return fmt.Errorf("%w: %s.%s", schema.ErrTableExists, db, name)
 	}
 	tbl, err := t.store.newTable(name, cols)
 	if err != nil {
@@ -356,7 +357,7 @@ func (t *Tx) DropTable(db, name string) error {
 	}
 	tbl, ok := d.tables[name]
 	if !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoTable, db, name)
+		return fmt.Errorf("%w: %s.%s", schema.ErrNoTable, db, name)
 	}
 	delete(d.tables, name)
 	t.lastWrite.tbl = nil
@@ -441,7 +442,7 @@ func (t *Tx) DropView(db, name string) error {
 	}
 	v, ok := d.views[name]
 	if !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoView, db, name)
+		return fmt.Errorf("%w: %s.%s", schema.ErrNoView, db, name)
 	}
 	delete(d.views, name)
 	t.undo = append(t.undo, undoRec{kind: undoDropView, db: db, name: name, view: v})

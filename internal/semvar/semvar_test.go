@@ -7,7 +7,7 @@ import (
 
 	"msql/internal/catalog"
 	"msql/internal/msqlparser"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
@@ -22,7 +22,7 @@ func paperGDD(t testing.TB) *catalog.GDD {
 		}
 		def := catalog.TableDef{Name: table}
 		for _, c := range cols {
-			def.Columns = append(def.Columns, relstore.Column{Name: c, Type: sqlval.KindString})
+			def.Columns = append(def.Columns, schema.Column{Name: c, Type: sqlval.KindString})
 		}
 		if err := g.PutTable(db, def); err != nil {
 			t.Fatal(err)

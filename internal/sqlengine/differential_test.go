@@ -12,6 +12,7 @@ import (
 	"msql/internal/csvstore"
 	"msql/internal/relbackend"
 	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -337,13 +338,13 @@ func TestBackendsAgree(t *testing.T) {
 		q        string
 		sentinel error // nil: only the message is compared
 	}{
-		{`SELECT * FROM nosuch`, relstore.ErrNoTable},
-		{`INSERT INTO nosuch VALUES (1)`, relstore.ErrNoTable},
-		{`DELETE FROM nosuch`, relstore.ErrNoTable},
-		{`DROP TABLE nosuch`, relstore.ErrNoTable},
-		{`SELECT * FROM nodb.flights`, relstore.ErrNoDatabase},
-		{`CREATE TABLE nodb.t (a INTEGER)`, relstore.ErrNoDatabase},
-		{`CREATE TABLE flights (a INTEGER)`, relstore.ErrTableExists},
+		{`SELECT * FROM nosuch`, schema.ErrNoTable},
+		{`INSERT INTO nosuch VALUES (1)`, schema.ErrNoTable},
+		{`DELETE FROM nosuch`, schema.ErrNoTable},
+		{`DROP TABLE nosuch`, schema.ErrNoTable},
+		{`SELECT * FROM nodb.flights`, schema.ErrNoDatabase},
+		{`CREATE TABLE nodb.t (a INTEGER)`, schema.ErrNoDatabase},
+		{`CREATE TABLE flights (a INTEGER)`, schema.ErrTableExists},
 		{`INSERT INTO seats VALUES ('abc', 'x')`, nil},
 		{`UPDATE seats SET snu = 'abc' WHERE snu = 1`, nil},
 		{`INSERT INTO seats VALUES (1)`, nil},
@@ -495,9 +496,9 @@ func loadsAgree(t *testing.T, sites []diffSite) {
 		{name: "plain and NULLs", rows: [][]sqlval.Value{{I(1), S("ab"), F(1.5), B(true)}, {I(2), N, N, N}}},
 		{name: "coercions", rows: [][]sqlval.Value{{S("3"), I(55), I(7), I(1)}, {F(4), F(2.5), S(" 8.25 "), B(false)}}},
 		{name: "float edges", rows: [][]sqlval.Value{{I(5), S("e"), F(1e-5), N}, {I(6), S("E"), F(-2.5e-7), N}, {I(7), N, F(1.7976931348623157e308), N}, {I(8), N, F(5e-324), N}, {I(9), N, F(1e21), N}}},
-		{name: "width violation", rows: [][]sqlval.Value{{I(10), S("fits"), N, N}, {I(11), S("too long"), N, N}}, sentinel: relstore.ErrWidthExceeded, csvLax: true},
+		{name: "width violation", rows: [][]sqlval.Value{{I(10), S("fits"), N, N}, {I(11), S("too long"), N, N}}, sentinel: schema.ErrWidthExceeded, csvLax: true},
 		{name: "arity mismatch", rows: [][]sqlval.Value{{I(12), S("a"), F(1), B(true)}, {I(13), S("b"), F(2)}}, fails: true},
-		{name: "duplicate key", rows: [][]sqlval.Value{{I(14), S("a"), N, N}, {I(14), S("b"), N, N}}, sentinel: relstore.ErrDuplicateKey, csvLax: true},
+		{name: "duplicate key", rows: [][]sqlval.Value{{I(14), S("a"), N, N}, {I(14), S("b"), N, N}}, sentinel: schema.ErrDuplicateKey, csvLax: true},
 		{name: "uncoercible", rows: [][]sqlval.Value{{I(15), N, N, N}, {S("abc"), N, N, N}}, fails: true},
 	}
 	for _, s := range sites {

@@ -3,13 +3,13 @@ package sqlengine
 import (
 	"fmt"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
 
 // columnIndex returns the position of the named column, or -1.
-func columnIndex(cols []relstore.Column, name string) int {
+func columnIndex(cols []schema.Column, name string) int {
 	for i, c := range cols {
 		if c.Name == name {
 			return i
@@ -24,19 +24,19 @@ func columnIndex(cols []relstore.Column, name string) int {
 // and CoerceTo the declared kind of each. execInsert and Load share it.
 // A full-width list whose values already have their columns' kinds is
 // passed on as it is; storage never modifies a row it is handed.
-func rowBuilder(cols []relstore.Column, colIdx []int) func(vals []sqlval.Value) (relstore.Row, error) {
+func rowBuilder(cols []schema.Column, colIdx []int) func(vals []sqlval.Value) (schema.Row, error) {
 	fullWidth := len(colIdx) == len(cols)
 	for i, ti := range colIdx {
 		fullWidth = fullWidth && ti == i
 	}
-	return func(vals []sqlval.Value) (relstore.Row, error) {
+	return func(vals []sqlval.Value) (schema.Row, error) {
 		if len(vals) != len(colIdx) {
 			return nil, fmt.Errorf("sqlengine: INSERT has %d values for %d columns", len(vals), len(colIdx))
 		}
 		if fullWidth && conforms(vals, cols) {
 			return vals, nil
 		}
-		row := make(relstore.Row, len(cols))
+		row := make(schema.Row, len(cols))
 		for i := range row {
 			row[i] = sqlval.Null()
 		}
@@ -52,7 +52,7 @@ func rowBuilder(cols []relstore.Column, colIdx []int) func(vals []sqlval.Value) 
 }
 
 // conforms reports whether CoerceTo would leave every value as it is.
-func conforms(vals []sqlval.Value, cols []relstore.Column) bool {
+func conforms(vals []sqlval.Value, cols []schema.Column) bool {
 	for i, v := range vals {
 		if !v.IsNull() && v.K != cols[i].Type {
 			return false
@@ -62,7 +62,7 @@ func conforms(vals []sqlval.Value, cols []relstore.Column) bool {
 }
 
 // allColumns is the target list of an INSERT that names no columns.
-func allColumns(cols []relstore.Column) []int {
+func allColumns(cols []schema.Column) []int {
 	colIdx := make([]int, len(cols))
 	for i := range colIdx {
 		colIdx[i] = i
@@ -170,7 +170,7 @@ func bindTarget(tx Storage, db string, name sqlparser.ObjectName) (e *env, tdb, 
 	return &env{
 		tx: tx, db: db,
 		sources: []*boundSource{{qualifier: tname, cols: tbl.Columns(), tbl: tbl}},
-		current: make([]relstore.Row, 1),
+		current: make([]schema.Row, 1),
 		pos:     make([]int, 1),
 	}, tdb, tname, nil
 }
@@ -181,7 +181,7 @@ func bindTarget(tx Storage, db string, name sqlparser.ObjectName) (e *env, tdb, 
 // whole primary key of a storage that indexes it, a filtered scan
 // otherwise. With ec set the plan is recorded under ec.node, and without
 // ec.analyze nothing is read.
-func matchRows(e *env, where sqlparser.Expr, ec *explainCtx, fn func(pos int, row relstore.Row) error) error {
+func matchRows(e *env, where sqlparser.Expr, ec *explainCtx, fn func(pos int, row schema.Row) error) error {
 	plan := planJoin(e, where)
 	if ec != nil {
 		ec.describeLevels(ec.node, e, plan)
@@ -216,10 +216,10 @@ func execUpdate(tx Storage, db string, upd *sqlparser.UpdateStmt, ec *explainCtx
 
 	type pending struct {
 		pos int
-		row relstore.Row
+		row schema.Row
 	}
 	var updates []pending
-	err = matchRows(e, upd.Where, ec, func(pos int, row relstore.Row) error {
+	err = matchRows(e, upd.Where, ec, func(pos int, row schema.Row) error {
 		newRow := row.Clone()
 		for ai, a := range upd.Assigns {
 			v, err := evalExpr(e, a.Expr)
@@ -255,7 +255,7 @@ func execDelete(tx Storage, db string, del *sqlparser.DeleteStmt, ec *explainCtx
 		return nil, err
 	}
 	var victims []int
-	err = matchRows(e, del.Where, ec, func(pos int, _ relstore.Row) error {
+	err = matchRows(e, del.Where, ec, func(pos int, _ schema.Row) error {
 		victims = append(victims, pos)
 		return nil
 	})

@@ -8,7 +8,9 @@
 //
 // The engine is stateless: every call receives the transaction and the
 // session's current database, so the LDBMS session layer above it can
-// implement autocommit and 2PC policies freely.
+// implement autocommit and 2PC policies freely. It names columns, rows
+// and missing objects in internal/schema's vocabulary and links no
+// storage engine.
 package sqlengine
 
 import (
@@ -16,7 +18,7 @@ import (
 	"fmt"
 
 	"msql/internal/obs"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
@@ -70,18 +72,14 @@ func Execute(tx Storage, db string, stmt sqlparser.Statement) (*Result, error) {
 		return execDelete(tx, db, s, nil)
 	case *sqlparser.CreateTableStmt:
 		tdb, tname := splitName(db, s.Table)
-		cols := make([]relstore.Column, len(s.Columns))
-		for i, c := range s.Columns {
-			cols[i] = relstore.Column{Name: c.Name, Type: c.Type, Width: c.Width, Key: c.Key}
-		}
-		if err := tx.CreateTable(tdb, tname, cols); err != nil {
+		if err := tx.CreateTable(tdb, tname, s.Columns); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 	case *sqlparser.DropTableStmt:
 		tdb, tname := splitName(db, s.Table)
 		err := tx.DropTable(tdb, tname)
-		if err != nil && s.IfExists && errors.Is(err, relstore.ErrNoTable) {
+		if err != nil && s.IfExists && errors.Is(err, schema.ErrNoTable) {
 			return &Result{}, nil
 		}
 		if err != nil {
@@ -135,10 +133,10 @@ func splitName(db string, n sqlparser.ObjectName) (string, string) {
 
 // DescribeTable reports the schema of a table or view for IMPORT. Views
 // are described by executing their definition.
-func DescribeTable(tx Storage, db, name string) ([]relstore.Column, error) {
+func DescribeTable(tx Storage, db, name string) ([]schema.Column, error) {
 	cols, err := tx.TableColumns(db, name)
 	if err != nil {
-		if !errors.Is(err, relstore.ErrNoTable) {
+		if !errors.Is(err, schema.ErrNoTable) {
 			return nil, err
 		}
 		src, err := bindView(tx, db, name, name, err)
@@ -147,5 +145,5 @@ func DescribeTable(tx Storage, db, name string) ([]relstore.Column, error) {
 		}
 		cols = src.cols
 	}
-	return append([]relstore.Column(nil), cols...), nil
+	return append([]schema.Column(nil), cols...), nil
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
@@ -447,12 +447,12 @@ func collectAggregates(sel *sqlparser.SelectStmt) []*sqlparser.FuncCall {
 }
 
 // execGrouped evaluates a grouped (or implicitly aggregated) SELECT.
-func execGrouped(e *env, sel *sqlparser.SelectStmt, inputs [][]relstore.Row) (*Result, error) {
+func execGrouped(e *env, sel *sqlparser.SelectStmt, inputs [][]schema.Row) (*Result, error) {
 	aggs := collectAggregates(sel)
 
 	type group struct {
-		rep  []relstore.Row // representative input row
-		rows [][]relstore.Row
+		rep  []schema.Row // representative input row
+		rows [][]schema.Row
 	}
 	groups := map[string]*group{}
 	var order []string
@@ -527,7 +527,7 @@ func execGrouped(e *env, sel *sqlparser.SelectStmt, inputs [][]relstore.Row) (*R
 }
 
 // computeAggregate evaluates one aggregate over a group's input rows.
-func computeAggregate(e *env, agg *sqlparser.FuncCall, rows [][]relstore.Row) (sqlval.Value, error) {
+func computeAggregate(e *env, agg *sqlparser.FuncCall, rows [][]schema.Row) (sqlval.Value, error) {
 	var vals []sqlval.Value
 	if agg.Star {
 		return sqlval.Int(int64(len(rows))), nil

@@ -11,7 +11,7 @@ package sqlengine
 import (
 	"time"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 	"msql/internal/storage"
@@ -179,7 +179,7 @@ func (n *scanNode) reset() error {
 func (n *scanNode) next() (bool, error) {
 	src := n.e.sources[n.si]
 	for {
-		var row relstore.Row
+		var row schema.Row
 		if n.it != nil {
 			pos, r, ok := n.it.Next()
 			if !ok {
@@ -214,7 +214,7 @@ type hashNode struct {
 	h       *hashJoin
 	filters []sqlparser.Expr
 	pc      *storage.PageCounters
-	bucket  []relstore.Row
+	bucket  []schema.Row
 	pos     int
 }
 
@@ -266,7 +266,7 @@ type probeNode struct {
 	fallback *scanNode
 
 	scanning bool // coercion failed; fallback scan took over for this reset
-	row      relstore.Row
+	row      schema.Row
 }
 
 func (n *probeNode) reset() error {

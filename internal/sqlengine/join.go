@@ -1,7 +1,7 @@
 package sqlengine
 
 import (
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/storage"
 )
@@ -33,7 +33,7 @@ type indexProbe struct {
 type hashJoin struct {
 	buildExpr sqlparser.Expr
 	probeExpr sqlparser.Expr
-	table     map[string][]relstore.Row
+	table     map[string][]schema.Row
 }
 
 // build populates the hash table once, pulling base tables through their
@@ -44,9 +44,9 @@ func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 	if h.table != nil {
 		return nil
 	}
-	h.table = make(map[string][]relstore.Row)
+	h.table = make(map[string][]schema.Row)
 	saved := e.current[i]
-	add := func(row relstore.Row) error {
+	add := func(row schema.Row) error {
 		e.current[i] = row
 		v, err := evalExpr(e, h.buildExpr)
 		if err != nil {

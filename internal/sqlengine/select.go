@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
 )
@@ -15,9 +15,9 @@ import (
 // materialized into rows.
 type boundSource struct {
 	qualifier string // alias, or the table/view name
-	cols      []relstore.Column
-	tbl       Table          // base table scanned in place; nil for views
-	rows      []relstore.Row // materialized rows when tbl is nil
+	cols      []schema.Column
+	tbl       Table        // base table scanned in place; nil for views
+	rows      []schema.Row // materialized rows when tbl is nil
 }
 
 // env is the expression evaluation environment: the current row of every
@@ -27,8 +27,8 @@ type env struct {
 	tx      Storage
 	db      string
 	sources []*boundSource
-	current []relstore.Row // current row per source
-	pos     []int          // cursor position of current[i]; set by scans and probes of base tables
+	current []schema.Row // current row per source
+	pos     []int        // cursor position of current[i]; set by scans and probes of base tables
 	parent  *env
 	aggs    map[*sqlparser.FuncCall]sqlval.Value
 	stats   *execStats // per-level runtime counters; non-nil under ANALYZE
@@ -100,7 +100,7 @@ func execSingleSelect(tx Storage, db string, sel *sqlparser.SelectStmt, outer *e
 		}
 		e.sources = append(e.sources, src)
 	}
-	e.current = make([]relstore.Row, len(e.sources))
+	e.current = make([]schema.Row, len(e.sources))
 	e.pos = make([]int, len(e.sources))
 
 	// The join planner pushes WHERE conjuncts down to the first loop
@@ -145,9 +145,9 @@ func execSingleSelect(tx Storage, db string, sel *sqlparser.SelectStmt, outer *e
 	if len(sel.GroupBy) > 0 || hasAggregate(sel) {
 		// Grouped queries need every input row before aggregation, so
 		// they still collect the joined rows.
-		var inputs [][]relstore.Row
+		var inputs [][]schema.Row
 		collect := func() (bool, error) {
-			inputs = append(inputs, append([]relstore.Row(nil), e.current...))
+			inputs = append(inputs, append([]schema.Row(nil), e.current...))
 			return true, nil
 		}
 		if len(e.sources) == 0 {
@@ -212,7 +212,7 @@ func bindSource(tx Storage, db string, ref sqlparser.TableRef) (*boundSource, er
 	if err == nil {
 		return &boundSource{qualifier: qual, cols: tbl.Columns(), tbl: tbl}, nil
 	}
-	if !errors.Is(err, relstore.ErrNoTable) {
+	if !errors.Is(err, schema.ErrNoTable) {
 		return nil, err
 	}
 	return bindView(tx, tdb, tname, qual, err)
@@ -240,10 +240,10 @@ func bindView(tx Storage, tdb, tname, qual string, noTable error) (*boundSource,
 	}
 	src := &boundSource{qualifier: qual}
 	for _, c := range res.Columns {
-		src.cols = append(src.cols, relstore.Column{Name: c.Name, Type: c.Type})
+		src.cols = append(src.cols, schema.Column{Name: c.Name, Type: c.Type})
 	}
 	for _, r := range res.Rows {
-		src.rows = append(src.rows, relstore.Row(r))
+		src.rows = append(src.rows, schema.Row(r))
 	}
 	return src, nil
 }
@@ -400,7 +400,7 @@ func (e *env) findSource(qual string) *boundSource {
 }
 
 // resolve finds the source and column for a reference.
-func (e *env) resolve(cr sqlparser.ColRef) (int, relstore.Column, error) {
+func (e *env) resolve(cr sqlparser.ColRef) (int, schema.Column, error) {
 	switch len(cr.Parts) {
 	case 1:
 		name := cr.Parts[0]
@@ -409,14 +409,14 @@ func (e *env) resolve(cr sqlparser.ColRef) (int, relstore.Column, error) {
 			for ci, c := range s.cols {
 				if c.Name == name {
 					if foundSrc >= 0 {
-						return 0, relstore.Column{}, fmt.Errorf("%w: %s", ErrAmbiguousColumn, name)
+						return 0, schema.Column{}, fmt.Errorf("%w: %s", ErrAmbiguousColumn, name)
 					}
 					foundSrc, foundCol = si, ci
 				}
 			}
 		}
 		if foundSrc < 0 {
-			return 0, relstore.Column{}, fmt.Errorf("%w: %s", ErrUnknownColumn, name)
+			return 0, schema.Column{}, fmt.Errorf("%w: %s", ErrUnknownColumn, name)
 		}
 		return foundSrc*1000 + foundCol, e.sources[foundSrc].cols[foundCol], nil
 	case 2:
@@ -430,9 +430,9 @@ func (e *env) resolve(cr sqlparser.ColRef) (int, relstore.Column, error) {
 					return si*1000 + ci, c, nil
 				}
 			}
-			return 0, relstore.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
+			return 0, schema.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
 		}
-		return 0, relstore.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
+		return 0, schema.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
 	default:
 		// db.table.column: match on the trailing two components.
 		return e.resolve(sqlparser.ColRef{Parts: cr.Parts[len(cr.Parts)-2:], Optional: cr.Optional})

@@ -1,7 +1,7 @@
 package sqlengine
 
 import (
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 	"msql/internal/storage"
 )
@@ -14,7 +14,7 @@ import (
 //
 // The contract, stated once (DESIGN.md §11 repeats it for operators):
 //
-//   - Missing objects are reported with the relstore sentinels
+//   - Missing objects are reported with the schema sentinels
 //     (ErrNoDatabase, ErrNoTable, ErrNoView) so the wire taxonomy is the
 //     same for every backend.
 //   - The executor coerces every value to its column's declared kind
@@ -30,15 +30,15 @@ type Storage interface {
 	// TableColumns reads a base table's schema from the catalog without
 	// locking the table: IMPORT describes tables that other sessions
 	// hold prepared.
-	TableColumns(db, table string) ([]relstore.Column, error)
+	TableColumns(db, table string) ([]schema.Column, error)
 	// ViewDefinition returns the SELECT text of a stored view.
 	ViewDefinition(db, view string) (string, error)
 
-	Insert(db, table string, row relstore.Row) error
-	Update(db, table string, pos int, row relstore.Row) error
+	Insert(db, table string, row schema.Row) error
+	Update(db, table string, pos int, row schema.Row) error
 	Delete(db, table string, pos int) error
 
-	CreateTable(db, table string, cols []relstore.Column) error
+	CreateTable(db, table string, cols []schema.Column) error
 	DropTable(db, table string) error
 	CreateDatabase(name string) error
 	DropDatabase(name string) error
@@ -48,7 +48,7 @@ type Storage interface {
 
 // Table is one base table resolved inside a transaction.
 type Table interface {
-	Columns() []relstore.Column
+	Columns() []schema.Column
 	// Scan opens a cursor positioned before the first row. Page traffic
 	// is recorded on pc, which may be nil; engines without pages ignore
 	// it.
@@ -60,7 +60,7 @@ type Table interface {
 
 // Cursor is a pull iterator over a table's live rows.
 type Cursor interface {
-	Next() (pos int, row relstore.Row, ok bool)
+	Next() (pos int, row schema.Row, ok bool)
 	// Reset repositions the cursor before the first row.
 	Reset()
 }
@@ -76,5 +76,5 @@ type KeyProber interface {
 	// vals (already coerced to the key columns' kinds).
 	LookupKey(vals []sqlval.Value) (pos int, ok bool)
 	// RowAt reads the row at a position LookupKey returned.
-	RowAt(pos int, pc *storage.PageCounters) relstore.Row
+	RowAt(pos int, pc *storage.PageCounters) schema.Row
 }

@@ -3,6 +3,7 @@ package sqlparser
 import (
 	"strings"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -41,14 +42,6 @@ func (n ObjectName) IsMultiple() bool {
 		}
 	}
 	return false
-}
-
-// ColumnDef describes one column in CREATE TABLE.
-type ColumnDef struct {
-	Name  string
-	Type  sqlval.Kind
-	Width int  // declared width for CHAR(n); 0 when unspecified
-	Key   bool // part of the PRIMARY KEY (column-level or table-level)
 }
 
 // SelectItem is one projection in a SELECT list.
@@ -121,7 +114,7 @@ type DeleteStmt struct {
 // CreateTableStmt is CREATE TABLE.
 type CreateTableStmt struct {
 	Table   ObjectName
-	Columns []ColumnDef
+	Columns []schema.Column
 }
 
 // DropTableStmt is DROP TABLE.

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -619,17 +620,17 @@ func (p *Parser) parseCreate() (Statement, error) {
 	}
 }
 
-func (p *Parser) parseColumnDef() (ColumnDef, error) {
+func (p *Parser) parseColumnDef() (schema.Column, error) {
 	name, err := p.Ident()
 	if err != nil {
-		return ColumnDef{}, err
+		return schema.Column{}, err
 	}
 	t := p.Peek()
 	if t.Kind != TokIdent {
-		return ColumnDef{}, fmt.Errorf("expected column type, found %s", t)
+		return schema.Column{}, fmt.Errorf("expected column type, found %s", t)
 	}
 	p.Next()
-	def := ColumnDef{Name: name}
+	def := schema.Column{Name: name}
 	switch strings.ToUpper(t.Text) {
 	case "INT", "INTEGER", "SMALLINT", "BIGINT":
 		def.Type = sqlval.KindInt
@@ -640,30 +641,30 @@ func (p *Parser) parseColumnDef() (ColumnDef, error) {
 	case "BOOL", "BOOLEAN":
 		def.Type = sqlval.KindBool
 	default:
-		return ColumnDef{}, fmt.Errorf("unsupported column type %q", t.Text)
+		return schema.Column{}, fmt.Errorf("unsupported column type %q", t.Text)
 	}
 	if p.AcceptPunct("(") {
 		n := p.Next()
 		if n.Kind != TokNumber {
-			return ColumnDef{}, fmt.Errorf("expected width, found %s", n)
+			return schema.Column{}, fmt.Errorf("expected width, found %s", n)
 		}
 		w, err := strconv.Atoi(n.Text)
 		if err != nil {
-			return ColumnDef{}, fmt.Errorf("bad width %q", n.Text)
+			return schema.Column{}, fmt.Errorf("bad width %q", n.Text)
 		}
 		def.Width = w
 		if p.AcceptPunct(",") { // NUMERIC(p, s): ignore the scale
 			if sc := p.Next(); sc.Kind != TokNumber {
-				return ColumnDef{}, fmt.Errorf("expected scale, found %s", sc)
+				return schema.Column{}, fmt.Errorf("expected scale, found %s", sc)
 			}
 		}
 		if err := p.ExpectPunct(")"); err != nil {
-			return ColumnDef{}, err
+			return schema.Column{}, err
 		}
 	}
 	if p.AcceptKeyword("PRIMARY") {
 		if err := p.ExpectKeyword("KEY"); err != nil {
-			return ColumnDef{}, err
+			return schema.Column{}, err
 		}
 		def.Key = true
 	}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -81,7 +82,7 @@ func deparseStmt(b *strings.Builder, s Statement) {
 			}
 			b.WriteString(c.Name)
 			b.WriteString(" ")
-			b.WriteString(typeName(c))
+			b.WriteString(TypeName(c))
 			if c.Key {
 				keys = append(keys, c.Name)
 			}
@@ -132,7 +133,8 @@ func deparseStmt(b *strings.Builder, s Statement) {
 	}
 }
 
-func typeName(c ColumnDef) string {
+// TypeName renders a column's declared type as CREATE TABLE spells it.
+func TypeName(c schema.Column) string {
 	switch c.Type {
 	case sqlval.KindInt:
 		return "INTEGER"

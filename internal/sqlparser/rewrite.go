@@ -1,5 +1,7 @@
 package sqlparser
 
+import "msql/internal/schema"
+
 // Rewriter transforms a statement bottom-up, producing a deep copy. The
 // multiple-identifier substitution phase uses it to turn an MSQL query
 // into fully qualified elementary queries: Table maps table names, Col
@@ -69,7 +71,7 @@ func RewriteStatement(s Statement, rw Rewriter) Statement {
 	case *DeleteStmt:
 		return &DeleteStmt{Table: rw.table(st.Table), Where: rw.rewriteExpr(st.Where)}
 	case *CreateTableStmt:
-		return &CreateTableStmt{Table: rw.table(st.Table), Columns: append([]ColumnDef(nil), st.Columns...)}
+		return &CreateTableStmt{Table: rw.table(st.Table), Columns: append([]schema.Column(nil), st.Columns...)}
 	case *DropTableStmt:
 		return &DropTableStmt{Table: rw.table(st.Table), IfExists: st.IfExists}
 	case *CreateViewStmt:

@@ -26,7 +26,6 @@ import (
 	"msql/internal/decompose"
 	"msql/internal/dol"
 	"msql/internal/msqlparser"
-	"msql/internal/relstore"
 	"msql/internal/semvar"
 	"msql/internal/sqlparser"
 )
@@ -364,12 +363,7 @@ func (c *Context) TranslateUnit(scope []semvar.ScopeEntry, unit []UnitQuery, mod
 			// A table created by this statement becomes visible to later
 			// statements of the unit, provisionally.
 			if ct, ok := el.Stmt.(*sqlparser.CreateTableStmt); ok {
-				def := catalog.TableDef{Name: ct.Table.Last()}
-				for _, col := range ct.Columns {
-					def.Columns = append(def.Columns, relstore.Column{
-						Name: col.Name, Type: col.Type, Width: col.Width, Key: col.Key,
-					})
-				}
+				def := catalog.TableDef{Name: ct.Table.Last(), Columns: ct.Columns}
 				if err := c.GDD.PutTable(el.Entry.Database, def); err == nil {
 					b.meta.Provisional = append(b.meta.Provisional, ProvisionalDef{
 						Database: el.Entry.Database, Table: def.Name, TaskName: task.Name,
@@ -535,15 +529,11 @@ func (c *Context) translateGlobal(b *planBuilder, scope []semvar.ScopeEntry, el 
 		return err
 	}
 	for _, ship := range plan.Ships {
-		cols := make([]sqlparser.ColumnDef, len(ship.Columns))
-		for i, col := range ship.Columns {
-			cols[i] = sqlparser.ColumnDef{Name: col.Name, Type: col.Type, Width: col.Width}
-		}
 		b.prog.Stmts = append(b.prog.Stmts, &dol.ShipStmt{
 			Task:    srcTasks[ship.FromIndex],
 			To:      coordAlias,
 			Table:   ship.Table,
-			Columns: cols,
+			Columns: ship.Columns,
 		})
 	}
 	body := []sqlparser.Statement{plan.Final}

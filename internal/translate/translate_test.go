@@ -8,7 +8,7 @@ import (
 	"msql/internal/catalog"
 	"msql/internal/dol"
 	"msql/internal/msqlparser"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/semvar"
 	"msql/internal/sqlval"
 )
@@ -32,7 +32,7 @@ func paperContext(t testing.TB, continentalAutoCommit bool) *Context {
 		}
 		def := catalog.TableDef{Name: table}
 		for _, c := range cols {
-			def.Columns = append(def.Columns, relstore.Column{Name: c, Type: sqlval.KindString})
+			def.Columns = append(def.Columns, schema.Column{Name: c, Type: sqlval.KindString})
 		}
 		if err := g.PutTable(db, def); err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 	"msql/internal/admit"
 	"msql/internal/ldbms"
 	"msql/internal/obs"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 	"msql/internal/storage"
 )
@@ -124,24 +124,24 @@ type Request struct {
 	Tenant string
 }
 
-// Column mirrors relstore.Column across the wire.
+// Column mirrors schema.Column across the wire.
 type Column struct {
 	Name  string
 	Type  uint8
 	Width int
 }
 
-// ToRelstore converts wire columns back.
-func ToRelstoreColumns(cols []Column) []relstore.Column {
-	out := make([]relstore.Column, len(cols))
+// ToColumns converts wire columns back.
+func ToColumns(cols []Column) []schema.Column {
+	out := make([]schema.Column, len(cols))
 	for i, c := range cols {
-		out[i] = relstore.Column{Name: c.Name, Type: sqlval.Kind(c.Type), Width: c.Width}
+		out[i] = schema.Column{Name: c.Name, Type: sqlval.Kind(c.Type), Width: c.Width}
 	}
 	return out
 }
 
-// FromRelstoreColumns converts storage columns to wire form.
-func FromRelstoreColumns(cols []relstore.Column) []Column {
+// FromColumns converts columns to wire form.
+func FromColumns(cols []schema.Column) []Column {
 	out := make([]Column, len(cols))
 	for i, c := range cols {
 		out[i] = Column{Name: c.Name, Type: uint8(c.Type), Width: c.Width}
@@ -284,13 +284,13 @@ func EncodeError(err error) (code, msg string) {
 		code = CodeNoTwoPC
 	case errors.Is(err, ldbms.ErrInjected):
 		code = CodeInjected
-	case errors.Is(err, relstore.ErrLockTimeout):
+	case errors.Is(err, schema.ErrLockTimeout):
 		code = CodeLockTimeout
 	case errors.Is(err, ldbms.ErrSessionState):
 		code = CodeState
-	case errors.Is(err, relstore.ErrNoTable):
+	case errors.Is(err, schema.ErrNoTable):
 		code = CodeNoTable
-	case errors.Is(err, relstore.ErrNoDatabase):
+	case errors.Is(err, schema.ErrNoDatabase):
 		code = CodeNoDatabase
 	case errors.Is(err, ErrNoSession):
 		code = CodeNoSession
@@ -315,13 +315,13 @@ func DecodeError(code, msg string) error {
 	case CodeInjected:
 		sentinel = ldbms.ErrInjected
 	case CodeLockTimeout:
-		sentinel = relstore.ErrLockTimeout
+		sentinel = schema.ErrLockTimeout
 	case CodeState:
 		sentinel = ldbms.ErrSessionState
 	case CodeNoTable:
-		sentinel = relstore.ErrNoTable
+		sentinel = schema.ErrNoTable
 	case CodeNoDatabase:
-		sentinel = relstore.ErrNoDatabase
+		sentinel = schema.ErrNoDatabase
 	case CodeNoSession:
 		sentinel = ErrNoSession
 	case CodeOverload:

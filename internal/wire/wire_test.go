@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/schema"
 	"msql/internal/sqlval"
 )
 
@@ -24,9 +24,9 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 		ldbms.ErrNoTwoPC,
 		ldbms.ErrInjected,
 		ldbms.ErrSessionState,
-		relstore.ErrLockTimeout,
-		relstore.ErrNoTable,
-		relstore.ErrNoDatabase,
+		schema.ErrLockTimeout,
+		schema.ErrNoTable,
+		schema.ErrNoDatabase,
 	}
 	for _, sentinel := range cases {
 		code, msg := EncodeError(sentinel)
@@ -63,11 +63,11 @@ func TestProfileRoundTrip(t *testing.T) {
 }
 
 func TestColumnsRoundTrip(t *testing.T) {
-	cols := []relstore.Column{
+	cols := []schema.Column{
 		{Name: "code", Type: sqlval.KindInt},
 		{Name: "cartype", Type: sqlval.KindString, Width: 20},
 	}
-	back := ToRelstoreColumns(FromRelstoreColumns(cols))
+	back := ToColumns(FromColumns(cols))
 	if len(back) != 2 || back[1].Width != 20 || back[0].Type != sqlval.KindInt {
 		t.Fatalf("cols = %+v", back)
 	}
