@@ -523,11 +523,14 @@ var demoServices = []string{"svc_cont", "svc_delta", "svc_unit", "svc_avis", "sv
 const lamBasePort = 7841
 
 // serveDurableLAMs puts every demo service behind a TCP LAM with a
-// participant journal under dir, re-registering the federation's clients
-// so synchronization points run over the wire with durable PREPARED
-// votes. Starting a server replays whatever prepared state the previous
-// process left in its journal. Returns a closer that shuts the servers
-// down (parked in-doubt sessions stay journaled for the next start).
+// participant journal under dir, and incorporates it at that address
+// (its AD site) with the dialed client registered under the same key, so
+// synchronization points run over the wire with durable PREPARED votes
+// and the coordinator journal, the directory and Recover's orphan sweep
+// all name the participant the same way. Starting a server replays
+// whatever prepared state the previous process left in its journal.
+// Returns a closer that shuts the servers down (parked in-doubt sessions
+// stay journaled for the next start).
 func serveDurableLAMs(fed *core.Federation, dir string) (func(), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -556,16 +559,23 @@ func serveDurableLAMs(fed *core.Federation, dir string) (func(), error) {
 			return nil, fmt.Errorf("%s on %s: %w", svc, addr, err)
 		}
 		servers = append(servers, ts)
-		c, err := lam.DialWith(context.Background(), ts.Addr(), lam.DialOptions{})
+		c, err := lam.DialWith(context.Background(), addr, lam.DialOptions{})
 		if err != nil {
 			closeAll()
-			return nil, fmt.Errorf("dial %s: %w", ts.Addr(), err)
+			return nil, fmt.Errorf("dial %s: %w", addr, err)
 		}
-		fed.RegisterClient(svc, c)
+		fed.RegisterClient(addr, c)
+		entry, err := fed.AD.Lookup(svc)
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		entry.Site = addr
+		fed.AD.Incorporate(*entry)
 		if n := len(ts.InDoubt()); n > 0 {
-			fmt.Fprintf(os.Stderr, "lam: %s on %s (journal %s) — %d in-doubt session(s) replayed\n", svc, ts.Addr(), path, n)
+			fmt.Fprintf(os.Stderr, "lam: %s on %s (journal %s) — %d in-doubt session(s) replayed\n", svc, addr, path, n)
 		} else {
-			fmt.Fprintf(os.Stderr, "lam: %s on %s (journal %s)\n", svc, ts.Addr(), path)
+			fmt.Fprintf(os.Stderr, "lam: %s on %s (journal %s)\n", svc, addr, path)
 		}
 	}
 	return closeAll, nil

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"msql/internal/core"
 	"msql/internal/demo"
 	"msql/internal/ldbms"
+	"msql/internal/mtlog"
 )
 
 func TestNeedsMore(t *testing.T) {
@@ -171,5 +175,69 @@ IMPORT DATABASE avis FROM SERVICE svc_avis
 	}
 	if !strings.Contains(b.String(), "service incorporated") || !strings.Contains(b.String(), "database imported") {
 		t.Fatalf("out = %s", b.String())
+	}
+}
+
+// TestDurableStartupRollsBackOrphanVote: a participant journal holds a
+// PREPARED vote the coordinator journal never recorded (the coordinator
+// died between the vote and its own write). The startup path of
+// msql -journal J -lam-journal D must roll the vote back, so the row it
+// locked is writable again.
+func TestDurableStartupRollsBackOrphanVote(t *testing.T) {
+	dir := t.TempDir()
+	lamDir := filepath.Join(dir, "lamj")
+	if err := os.Mkdir(lamDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pj, err := mtlog.OpenParticipant(filepath.Join(lamDir, "svc_delta.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pj.Append(&mtlog.Record{Type: mtlog.PPrepared, SessionID: 1, MTID: 9, DB: "delta",
+		Redo: []string{"UPDATE flight SET rate = 1.0 WHERE fnu = 200"}}); err != nil {
+		t.Fatal(err)
+	}
+	pj.Close()
+
+	// The startup path, as realMain runs it.
+	fed, err := demo.Build(demo.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeLAMs, err := serveDurableLAMs(fed, lamDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeLAMs()
+	j, err := mtlog.Open(filepath.Join(dir, "mt.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	fed.SetJournal(j)
+	if _, err := fed.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The vote was rolled back: its update is gone and its lock released,
+	// so a unit writing the same row commits.
+	res, err := fed.ExecScript("USE delta VITAL\nUPDATE flight SET rate = 111.0 WHERE fnu = 200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res[len(res)-1].State; st != core.StateSuccess {
+		t.Fatalf("update after startup = %s, want success (the orphan vote still holds its lock)", st)
+	}
+	sess, err := fed.Server("svc_delta").OpenSession("delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	rows, err := sess.Exec("SELECT rate FROM flight WHERE fnu = 200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := rows.Rows[0][0].AsFloat(); f != 111 {
+		t.Fatalf("rate = %v, want 111", f)
 	}
 }

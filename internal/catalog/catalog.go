@@ -21,14 +21,9 @@ import (
 // Catalog errors.
 var (
 	ErrNoService     = errors.New("catalog: service not incorporated")
-	ErrServiceExists = errors.New("catalog: service already incorporated")
 	ErrNoGlobalDB    = errors.New("catalog: database not known to the federation")
 	ErrNoGlobalTable = errors.New("catalog: table not known to the federation")
 )
-
-// DDLClass names the statement classes whose commit behaviour INCORPORATE
-// records individually.
-var DDLClasses = []string{"CREATE", "INSERT", "DROP"}
 
 // ServiceEntry is one Auxiliary Directory record, the product of an
 // INCORPORATE SERVICE statement.

@@ -114,20 +114,15 @@ func CoordMain() {
 	fed.SetJournal(j)
 
 	// Crash recovery before the first client. Recover drives every
-	// journaled in-doubt participant to its logged decision;
-	// RecoverOrphans then sweeps participant-side prepared sessions the
-	// journal never heard of (the vote-vs-journal-write crash window).
-	ctx := context.Background()
-	rep, err := fed.Recover(ctx)
+	// journaled in-doubt participant to its logged decision, then sweeps
+	// participant-side prepared sessions the journal never heard of (the
+	// vote-vs-journal-write crash window).
+	rep, err := fed.Recover(context.Background())
 	if err != nil {
 		fatalCoord("recover: %v", err)
 	}
 	if len(rep.Unreachable) > 0 {
 		fatalCoord("recover left %d unreachable participants: %+v", len(rep.Unreachable), rep.Unreachable)
-	}
-	swept, err := fed.RecoverOrphans(ctx)
-	if err != nil {
-		fatalCoord("orphan sweep: %v", err)
 	}
 
 	if cfg.MaxConcurrent > 0 {
@@ -160,7 +155,7 @@ func CoordMain() {
 		fatalCoord("addr file rename: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "chaos coord: serving %d sites on %s (journal %s, recovered %d mts, swept %d orphans)\n",
-		len(cfg.Sites), srv.Addr(), cfg.Journal, rep.Multitransactions, len(swept))
+		len(cfg.Sites), srv.Addr(), cfg.Journal, rep.Multitransactions, len(rep.Orphans))
 	select {} // serve until SIGKILLed
 }
 

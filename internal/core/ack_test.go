@@ -1,0 +1,147 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"msql/internal/lam"
+	"msql/internal/ldbms"
+	"msql/internal/mtlog"
+	"msql/internal/wire"
+)
+
+// TestLazyDialKeepsRefusalTransient: a site that refuses connections
+// while it restarts must stay a transient failure through the directory,
+// so the termination protocol retries it instead of giving up.
+func TestLazyDialKeepsRefusalTransient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	_, err = New().Resolve(addr)
+	if !errors.Is(err, ErrNoClient) || !wire.Transient(err) {
+		t.Fatalf("Resolve(%s) = %v, want ErrNoClient wrapping a transient dial error", addr, err)
+	}
+}
+
+// countingProxy forwards TCP connections to a backend and counts the ones
+// it accepts.
+type countingProxy struct {
+	ln      net.Listener
+	accepts atomic.Int64
+	mu      sync.Mutex
+	conns   []net.Conn
+}
+
+func newCountingProxy(t *testing.T, backend string) *countingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &countingProxy{ln: ln}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.accepts.Add(1)
+			b, err := net.Dial("tcp", backend)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, c, b)
+			p.mu.Unlock()
+			go func() { io.Copy(b, c); b.Close() }()
+			go func() { io.Copy(c, b); c.Close() }()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		p.mu.Lock()
+		for _, c := range p.conns {
+			c.Close()
+		}
+		p.mu.Unlock()
+	})
+	return p
+}
+
+// TestEndAcksRideThePooledClient: the END acknowledgment of a clean 2PC
+// unit goes over the site's pooled client, so once the first unit has
+// warmed the pool, further units open no connection at all — while every
+// participant still gets acknowledged and drops its tombstone.
+func TestEndAcksRideThePooledClient(t *testing.T) {
+	srv := ldbms.NewServer("svc_ack", ldbms.ProfileOracleLike(), 1)
+	if err := srv.CreateDatabase("ackdb"); err != nil {
+		t.Fatal(err)
+	}
+	boot, err := srv.OpenSession("ackdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"CREATE TABLE acct (id INTEGER, bal FLOAT)", "INSERT INTO acct VALUES (1, 0.0)"} {
+		if _, err := boot.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot.Commit()
+	boot.Close()
+	ts, err := lam.Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	proxy := newCountingProxy(t, ts.Addr())
+
+	fed := New()
+	j, err := mtlog.Open(filepath.Join(t.TempDir(), "coord.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	fed.SetJournal(j)
+	setup := fmt.Sprintf(`
+INCORPORATE SERVICE svc_ack SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
+IMPORT DATABASE ackdb FROM SERVICE svc_ack;
+`, proxy.ln.Addr())
+	if _, err := fed.ExecScript(setup); err != nil {
+		t.Fatal(err)
+	}
+	unit := func() {
+		t.Helper()
+		res, err := fed.ExecScript("USE ackdb VITAL\nUPDATE acct SET bal = bal + 1 WHERE id = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res[len(res)-1].State; st != StateSuccess {
+			t.Fatalf("unit state = %s, want success", st)
+		}
+		if n := ts.Tombstones(); n != 0 {
+			t.Fatalf("%d tombstones after a clean unit: the END ack did not arrive", n)
+		}
+	}
+	unit() // warms the session pool
+	warm := proxy.accepts.Load()
+	const n = 8
+	for i := 0; i < n; i++ {
+		unit()
+	}
+	if p := srv.Stats().Prepares; p != n+1 {
+		t.Fatalf("prepares = %d, want %d: the units were not two-phase", p, n+1)
+	}
+	if extra := proxy.accepts.Load() - warm; extra != 0 {
+		t.Fatalf("%d clean units opened %d connections beyond the warm pool, want 0", n, extra)
+	}
+}

@@ -124,7 +124,7 @@ const (
 	// stayed unreachable through the bounded recovery loop, so the global
 	// outcome is not yet known. The unit is neither Success nor Incorrect
 	// until the participants in Result.Unresolved are driven to their
-	// recorded decision (lam.Resolve).
+	// recorded decision (lam.Client.Resolve).
 	StateUnresolved
 )
 
@@ -218,8 +218,8 @@ type DegradedEntry struct {
 
 // Participant identifies an in-doubt remote transaction branch left
 // behind by a synchronization point: the LAM to contact, the server-side
-// session id, and the decision to deliver. Resolve it with lam.Resolve
-// once the site is reachable again.
+// session id, and the decision to deliver. Resolve it once the site is
+// reachable again: lam.Dial(Addr), then Client.Resolve(SessionID, Commit).
 type Participant struct {
 	Entry     string // scope entry name
 	Database  string
@@ -394,7 +394,7 @@ func (f *Federation) Resolve(site string) (lam.Client, error) {
 	if strings.Contains(site, ":") {
 		c, err := lam.DialWith(context.Background(), site, lam.DialOptions{CallTimeout: f.CallTimeout})
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s (%v)", ErrNoClient, site, err)
+			return nil, fmt.Errorf("%w: %s (%w)", ErrNoClient, site, err)
 		}
 		var client lam.Client = c
 		if pol != nil {

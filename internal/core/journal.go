@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"msql/internal/dol"
 	"msql/internal/dolengine"
@@ -87,14 +86,15 @@ func (f *Federation) Breaker(key string) *lam.BreakerClient {
 
 // txJournal adapts the journal to the engine's TxLog for one plan run.
 // It also collects the remote participants that prepared, so the
-// end-of-multitransaction acknowledgment round (lam.Forget) can release
-// their tombstones and journal entries once the unit is fully terminal.
+// end-of-multitransaction acknowledgment round (lam.Client.Forget) can
+// release their tombstones and journal entries once the unit is fully
+// terminal.
 type txJournal struct {
 	j    *mtlog.Journal
 	mtid uint64
 
 	mu       sync.Mutex
-	prepared []Participant
+	prepared []dolengine.Branch
 }
 
 func (t *txJournal) TaskPrepared(task, addr string, sessionID int64) {
@@ -103,15 +103,15 @@ func (t *txJournal) TaskPrepared(task, addr string, sessionID int64) {
 	})
 	if addr != "" {
 		t.mu.Lock()
-		t.prepared = append(t.prepared, Participant{Addr: addr, SessionID: sessionID})
+		t.prepared = append(t.prepared, dolengine.Branch{Site: addr, SessionID: sessionID})
 		t.mu.Unlock()
 	}
 }
 
-func (t *txJournal) participants() []Participant {
+func (t *txJournal) participants() []dolengine.Branch {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Participant(nil), t.prepared...)
+	return append([]dolengine.Branch(nil), t.prepared...)
 }
 
 func (t *txJournal) Decision(commit bool, tasks []string) error {
@@ -198,42 +198,9 @@ func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.P
 		// END acknowledgment round: every once-prepared participant may now
 		// forget the session. Best-effort — a lost ack is backstopped by
 		// the participant's tombstone TTL.
-		f.ackParticipants(tj.participants())
+		f.engine.Forget(tj.participants())
 	}
 	return out, err
-}
-
-// ackParticipants tells once-prepared participants their
-// multitransaction is fully terminal (wire.ReqForget), releasing their
-// tombstones and letting their journals compact. Failures are ignored:
-// the acknowledgment is an optimization, not a correctness requirement.
-// The round sits inside the client-observed latency of a 2PC unit and
-// every ack is a fresh dial, so the acks go out concurrently (at most
-// recoverFanout at a time) and the call returns once all have answered.
-func (f *Federation) ackParticipants(parts []Participant) {
-	seen := make(map[string]bool, len(parts))
-	sem := make(chan struct{}, recoverFanout)
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		if p.Addr == "" {
-			continue
-		}
-		key := p.Addr + "#" + strconv.FormatInt(p.SessionID, 10)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p Participant) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = lam.Forget(ctx, p.Addr, p.SessionID)
-		}(p)
-	}
-	wg.Wait()
 }
 
 // compOwed reports whether a plan that took the abort path left a
@@ -259,13 +226,6 @@ func compOwed(meta *translate.Meta, out *dolengine.Outcome) bool {
 	return false
 }
 
-// recoverFanout bounds how many remote participants or sites a recovery
-// sweep contacts concurrently. At fleet scale a serial sweep is
-// dominated by the slowest unreachable site's full backoff sequence;
-// fanning out keeps the sweep's wall time near one site's worth while
-// the jittered RetryPolicy backoff decorrelates the retry instants.
-const recoverFanout = 16
-
 // RecoveryReport summarizes one journal recovery pass.
 type RecoveryReport struct {
 	// Multitransactions counts the journaled multitransactions that were
@@ -282,16 +242,32 @@ type RecoveryReport struct {
 	// Compacted counts the fully-terminal multitransactions dropped from
 	// the journal.
 	Compacted int
+	// Orphans lists the participant-side prepared sessions no open
+	// multitransaction covers, rolled back by the sweep.
+	Orphans []Participant
 }
 
-// Recover replays the attached journal after a coordinator restart: it
-// drives every prepared participant without a terminal outcome to its
-// logged decision (re-attaching through wire.ReqAttach; tasks no commit
-// decision covers are presumed aborted), re-runs compensations still
-// owed for committed subqueries of aborted units, writes end records
-// for multitransactions that become fully terminal, and compacts the
-// journal. It is idempotent: a second pass over the same journal finds
-// nothing to do.
+// Recover terminates everything a coordinator restart left open, in one
+// call made before the federation accepts sessions. First it replays the
+// attached journal: every prepared participant without a terminal outcome
+// is driven to its logged decision (re-attaching through wire.ReqAttach;
+// tasks no commit decision covers are presumed aborted), compensations
+// still owed for committed subqueries of aborted units are re-run, units
+// that become fully terminal get end records, and the journal is
+// compacted.
+//
+// Then it sweeps orphans: every incorporated remote site is asked for its
+// in-doubt sessions, and each one no open multitransaction covers is
+// rolled back and acknowledged. Such orphans exist because the coordinator
+// logs a prepared record only after the participant's vote returns: a
+// crash between the vote and the record's flush leaves the participant
+// holding locks for a session the journal never heard of. The write-ahead
+// rule makes the sweep safe: a commit decision is durable only after every
+// prepared record it covers, so a session absent from the journal was
+// never promised a commit. A site the sweep cannot reach is reported as
+// the returned error, together with the report; a later call retries it.
+//
+// Recover is idempotent: a second call finds nothing to do.
 func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 	j := f.Journal()
 	if j == nil {
@@ -311,17 +287,12 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 
 		// Prepared participants without a terminal outcome hold locks at
 		// their LAM: deliver the logged decision, presumed abort otherwise.
-		// Remote resolutions fan out in parallel — one unreachable site's
-		// backoff sequence must not serialize the sweep — and the journal
-		// appends happen serially afterward, in deterministic order.
-		type resolveJob struct {
-			task   string
-			p      Participant
-			commit bool
-			st     ldbms.SessionState
-			err    error
-		}
-		var jobs []*resolveJob
+		// The journal appends follow serially, in deterministic order.
+		var (
+			tasks []string
+			parts []Participant
+			bs    []dolengine.Branch
+		)
 		for task, prec := range s.Prepared {
 			if _, done := s.Outcomes[task]; done {
 				continue
@@ -338,32 +309,24 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 			if d, ok := s.Decl(task); ok {
 				p.Entry, p.Database = d.Entry, d.Database
 			}
-			jobs = append(jobs, &resolveJob{task: task, p: p, commit: commit})
+			tasks = append(tasks, task)
+			parts = append(parts, p)
+			bs = append(bs, dolengine.Branch{Site: p.Addr, SessionID: p.SessionID, Commit: commit})
 		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, recoverFanout)
-		for _, jb := range jobs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(jb *resolveJob) {
-				defer func() { <-sem; wg.Done() }()
-				jb.st, jb.err = f.engine.ResolveParticipant(ctx, jb.p.Addr, jb.p.SessionID, jb.commit)
-			}(jb)
-		}
-		wg.Wait()
-		for _, jb := range jobs {
-			if jb.err != nil {
+		sts, errs := f.engine.ResolveAll(ctx, bs)
+		for i, task := range tasks {
+			if errs[i] != nil {
 				clean = false
-				rep.Unreachable = append(rep.Unreachable, jb.p)
+				rep.Unreachable = append(rep.Unreachable, parts[i])
 				continue
 			}
 			u := mtlog.StatusAborted
-			if jb.st == ldbms.StateCommitted {
+			if sts[i] == ldbms.StateCommitted {
 				u = mtlog.StatusCommitted
 			}
-			f.appendOutcome(s.MTID, jb.task, u)
-			s.Outcomes[jb.task] = u
-			rep.Resolved = append(rep.Resolved, jb.p)
+			f.appendOutcome(s.MTID, task, u)
+			s.Outcomes[task] = u
+			rep.Resolved = append(rep.Resolved, parts[i])
 		}
 
 		// Compensations owed: the unit went the abort way (no commit
@@ -399,14 +362,15 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 
 		if clean {
 			_ = j.Append(&mtlog.Record{Type: mtlog.TEnd, MTID: s.MTID, State: "recovered"})
+			s.Ended = true
 			// The unit is fully terminal: acknowledge every once-prepared
 			// remote participant so tombstones and participant journals
 			// can be reclaimed.
-			var parts []Participant
+			var acks []dolengine.Branch
 			for _, prec := range s.Prepared {
-				parts = append(parts, Participant{Addr: prec.Addr, SessionID: prec.SessionID})
+				acks = append(acks, dolengine.Branch{Site: prec.Addr, SessionID: prec.SessionID})
 			}
-			f.ackParticipants(parts)
+			f.engine.Forget(acks)
 		}
 	}
 	dropped, err := j.Compact()
@@ -414,98 +378,29 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 		return rep, err
 	}
 	rep.Compacted = dropped
-	return rep, nil
-}
 
-// RecoverOrphans completes the termination protocol from the
-// participants' side: every incorporated remote site is asked for its
-// parked in-doubt sessions (wire.ReqInDoubt), and each one no open
-// journal multitransaction covers is rolled back and acknowledged.
-//
-// Such orphans exist because the coordinator logs a prepared record
-// only after the participant's vote returns: a crash landing between
-// the vote and the record's flush leaves the participant
-// prepared — holding locks — while the restarted coordinator's journal
-// has never heard of the session, so Recover alone cannot reach it.
-// The write-ahead rule makes the sweep safe: a commit decision is
-// durable only after every prepared record it covers, so a session
-// absent from the journal can never have been promised a commit —
-// presumed abort is the only correct outcome.
-//
-// Call RecoverOrphans after Recover and before accepting new sessions:
-// a session prepared by a unit in flight right now would be
-// indistinguishable from an orphan. The returned participants are the
-// sessions swept; sites that stayed unreachable contribute the error
-// (the last one), and a later pass retries them.
-func (f *Federation) RecoverOrphans(ctx context.Context) ([]Participant, error) {
-	j := f.Journal()
-	if j == nil {
-		return nil, errors.New("core: RecoverOrphans requires a journal (SetJournal)")
-	}
-	states, err := j.States()
-	if err != nil {
-		return nil, err
-	}
-	covered := make(map[string]bool)
+	covered := make(map[dolengine.Branch]bool)
 	for _, s := range states {
-		if s.Ended {
-			continue
-		}
-		for _, prec := range s.Prepared {
-			covered[prec.Addr+"#"+strconv.FormatInt(prec.SessionID, 10)] = true
+		if !s.Ended {
+			for _, prec := range s.Prepared {
+				covered[dolengine.Branch{Site: prec.Addr, SessionID: prec.SessionID}] = true
+			}
 		}
 	}
-	// Sites are swept in parallel: each goroutine queries one site's
-	// parked sessions and resolves its orphans, so a single dark site's
-	// retry backoff does not stall the fleet-wide sweep. Duplicate sites
-	// (several services incorporated at one address) are visited once.
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, recoverFanout)
-		mu      sync.Mutex
-		swept   []Participant
-		lastErr error
-	)
-	visited := make(map[string]bool)
+	var sites []string
+	seen := make(map[string]bool)
 	for _, name := range f.AD.Names() {
-		e, err := f.AD.Lookup(name)
-		if err != nil || e.Site == "" {
-			continue // in-process service: its sessions died with us
+		// In-process services have no site: their sessions died with us.
+		if e, err := f.AD.Lookup(name); err == nil && e.Site != "" && !seen[e.Site] {
+			seen[e.Site] = true
+			sites = append(sites, e.Site)
 		}
-		if visited[e.Site] {
-			continue
-		}
-		visited[e.Site] = true
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(site string) {
-			defer func() { <-sem; wg.Done() }()
-			sessions, ierr := lam.InDoubtSessions(ctx, site)
-			if ierr != nil {
-				mu.Lock()
-				lastErr = ierr
-				mu.Unlock()
-				return
-			}
-			for _, d := range sessions {
-				if covered[site+"#"+strconv.FormatInt(d.SessionID, 10)] {
-					continue // an open multitransaction owns it; Recover's job
-				}
-				if _, rerr := f.engine.ResolveParticipant(ctx, site, d.SessionID, false); rerr != nil {
-					mu.Lock()
-					lastErr = rerr
-					mu.Unlock()
-					continue
-				}
-				f.ackParticipants([]Participant{{Addr: site, SessionID: d.SessionID}})
-				mu.Lock()
-				swept = append(swept, Participant{Addr: site, SessionID: d.SessionID})
-				mu.Unlock()
-			}
-		}(e.Site)
 	}
-	wg.Wait()
-	return swept, lastErr
+	swept, err := f.engine.SweepOrphans(ctx, sites, covered)
+	for _, b := range swept {
+		rep.Orphans = append(rep.Orphans, Participant{Addr: b.Site, SessionID: b.SessionID})
+	}
+	return rep, err
 }
 
 // appendOutcome journals a terminal status reached during recovery.

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,12 +87,12 @@ IMPORT DATABASE orphdb FROM SERVICE svc_orph;
 	return fed
 }
 
-// TestRecoverOrphansSweepsUnjournaledPrepared covers the crash window
-// the journal-driven Recover cannot see: the participant voted and
-// parked, but the coordinator died before its prepared record was
-// durable. RecoverOrphans must find the session through ReqInDoubt,
-// roll it back under presumed abort, and release its locks.
-func TestRecoverOrphansSweepsUnjournaledPrepared(t *testing.T) {
+// TestRecoverSweepsUnjournaledPrepared covers the crash window the
+// journal replay cannot see: the participant voted and parked, but the
+// coordinator died before its prepared record was durable. Recover's
+// orphan sweep must find the session through ReqInDoubt, roll it back
+// under presumed abort, and release its locks.
+func TestRecoverSweepsUnjournaledPrepared(t *testing.T) {
 	srv := ldbms.NewServer("svc_orph", ldbms.ProfileOracleLike(), 1)
 	if err := srv.CreateDatabase("orphdb"); err != nil {
 		t.Fatal(err)
@@ -114,11 +116,11 @@ func TestRecoverOrphansSweepsUnjournaledPrepared(t *testing.T) {
 	parkOrphan(t, ts.Addr(), "orphdb", 77, "INSERT INTO acct VALUES (1, 10.0)")
 	waitParked(t, ts, 1)
 
-	swept, err := fed.RecoverOrphans(context.Background())
+	rep, err := fed.Recover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(swept) != 1 {
+	if swept := rep.Orphans; len(swept) != 1 {
 		t.Fatalf("swept = %+v, want one participant", swept)
 	}
 	if got := len(ts.InDoubt()); got != 0 {
@@ -145,16 +147,31 @@ func TestRecoverOrphansSweepsUnjournaledPrepared(t *testing.T) {
 	sess.Commit()
 
 	// Idempotent: a second sweep finds nothing.
-	swept, err = fed.RecoverOrphans(context.Background())
-	if err != nil || len(swept) != 0 {
+	rep, err = fed.Recover(context.Background())
+	if swept := rep.Orphans; err != nil || len(swept) != 0 {
 		t.Fatalf("second sweep = %+v, %v, want empty", swept, err)
 	}
 }
 
-// TestRecoverOrphansSparesJournaledSessions: a parked session the
-// coordinator journal DOES cover belongs to Recover, which may hold a
-// commit decision for it — the sweep must not presume abort.
-func TestRecoverOrphansSparesJournaledSessions(t *testing.T) {
+// failFirstResolve is a LAM client whose first Resolve fails with a
+// definite error, leaving the session parked for the next call.
+type failFirstResolve struct {
+	lam.Client
+	failed atomic.Bool
+}
+
+func (c *failFirstResolve) Resolve(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
+	if c.failed.CompareAndSwap(false, true) {
+		return 0, errors.New("resolve refused")
+	}
+	return c.Client.Resolve(ctx, id, commit)
+}
+
+// TestRecoverSparesJournaledSessions: a parked session the coordinator
+// journal DOES cover belongs to the journal replay, which may hold a
+// commit decision for it — the sweep must not presume abort, even when
+// the replay could not reach the session and left its unit open.
+func TestRecoverSparesJournaledSessions(t *testing.T) {
 	srv := ldbms.NewServer("svc_orph", ldbms.ProfileOracleLike(), 1)
 	if err := srv.CreateDatabase("orphdb"); err != nil {
 		t.Fatal(err)
@@ -189,20 +206,27 @@ func TestRecoverOrphansSparesJournaledSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	swept, err := fed.RecoverOrphans(context.Background())
+	// The replay's one attempt fails: the unit stays open, the session
+	// parked, and the sweep that follows finds it.
+	c, err := fed.Resolve(ts.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(swept) != 0 {
+	fed.RegisterClient(ts.Addr(), &failFirstResolve{Client: c})
+	rep, err := fed.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept := rep.Orphans; len(swept) != 0 {
 		t.Fatalf("swept journaled session: %+v", swept)
 	}
 	if got := len(ts.InDoubt()); got != 1 {
 		t.Fatalf("parked sessions = %d, want the journaled one untouched", got)
 	}
 
-	// Recover owns it: with no decision record, presumed abort applies —
+	// The replay owns it: with no decision record, presumed abort applies —
 	// through the journal-driven path.
-	rep, err := fed.Recover(context.Background())
+	rep, err = fed.Recover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

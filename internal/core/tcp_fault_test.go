@@ -211,9 +211,14 @@ func TestPermanentOutageReportsUnresolvedParticipant(t *testing.T) {
 	}
 
 	// The site comes back: the operator (or a later pass) delivers the
-	// recorded decision with lam.Resolve and the update lands.
+	// recorded decision through a client of its own and the update lands.
 	proxy.SetRefuse(false)
-	st, err := lam.Resolve(context.Background(), p.Addr, p.SessionID, p.Commit)
+	c, err := lam.Dial(p.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Resolve(context.Background(), p.SessionID, p.Commit)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,6 @@ type Options struct {
 	ContinentalAutoCommit bool
 	// Seed drives fault-injection randomness.
 	Seed int64
-	// FlightRows and SeatRows scale the airline tables (benchmarks);
-	// zero means the paper's small example data.
-	FlightRows int
-	SeatRows   int
 	// DataDir persists every service's store on disk under
 	// DataDir/<service>. A service whose database already exists there
 	// is reopened as-is instead of being re-bootstrapped, so committed
@@ -146,9 +142,6 @@ func Build(o Options) (*core.Federation, error) {
 				return nil, fmt.Errorf("demo: bootstrap %s: %q: %w", sp.DB, q, err)
 			}
 		}
-		if err := bulkFlights(sess, sp.DB, o); err != nil {
-			return nil, err
-		}
 		if err := sess.Commit(); err != nil {
 			return nil, err
 		}
@@ -175,48 +168,4 @@ IMPORT DATABASE national FROM SERVICE svc_natl;
 		return nil, fmt.Errorf("demo: incorporate/import: %w", err)
 	}
 	return f, nil
-}
-
-// bulkFlights widens the airline tables for benchmarks.
-func bulkFlights(sess *ldbms.Session, db string, o Options) error {
-	if o.FlightRows == 0 && o.SeatRows == 0 {
-		return nil
-	}
-	var flightIns, seatIns func(i int) string
-	switch db {
-	case "continental":
-		flightIns = func(i int) string {
-			return fmt.Sprintf("INSERT INTO flights VALUES (%d, 'Houston', '08:00', 'San Antonio', '09:00', 'mon', %d.0)", 1000+i, 50+i%200)
-		}
-		seatIns = func(i int) string {
-			return fmt.Sprintf("INSERT INTO f838 VALUES (%d, 'window', 'FREE', NULL)", 1000+i)
-		}
-	case "delta":
-		flightIns = func(i int) string {
-			return fmt.Sprintf("INSERT INTO flight VALUES (%d, 'Houston', 'San Antonio', '09:00', '10:00', 'mon', %d.0)", 1000+i, 55+i%200)
-		}
-		seatIns = func(i int) string {
-			return fmt.Sprintf("INSERT INTO fnu747 VALUES (%d, 'aisle', 'FREE', NULL)", 1000+i)
-		}
-	case "united":
-		flightIns = func(i int) string {
-			return fmt.Sprintf("INSERT INTO flight VALUES (%d, 'Houston', 'San Antonio', '11:00', '12:00', 'tue', %d.0)", 1000+i, 60+i%200)
-		}
-		seatIns = func(i int) string {
-			return fmt.Sprintf("INSERT INTO fn727 VALUES (%d, 'middle', 'FREE', NULL)", 1000+i)
-		}
-	default:
-		return nil
-	}
-	for i := 0; i < o.FlightRows; i++ {
-		if _, err := sess.Exec(flightIns(i)); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < o.SeatRows; i++ {
-		if _, err := sess.Exec(seatIns(i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,8 +2,6 @@ package demo
 
 import (
 	"testing"
-
-	"msql/internal/core"
 )
 
 func TestBuildDefault(t *testing.T) {
@@ -54,26 +52,5 @@ func TestBuildAutoCommitContinental(t *testing.T) {
 	cont, err := f.AD.Lookup("svc_cont")
 	if err != nil || cont.SupportsTwoPC() {
 		t.Fatalf("svc_cont should be autocommit-only: %+v, %v", cont, err)
-	}
-}
-
-func TestBuildBulkRows(t *testing.T) {
-	f, err := Build(Options{Seed: 1, FlightRows: 50, SeatRows: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := f.ExecScript("USE continental\nSELECT COUNT(flnu) AS n FROM flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sel *core.Result
-	for _, r := range results {
-		if r.Kind == core.KindSelect {
-			sel = r
-		}
-	}
-	n, _ := sel.Multitable.Tables[0].Rows[0][0].AsInt()
-	if n != 53 { // 3 base + 50 bulk
-		t.Fatalf("flight rows = %d", n)
 	}
 }

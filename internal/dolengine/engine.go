@@ -16,7 +16,6 @@ import (
 
 	"msql/internal/dol"
 	"msql/internal/lam"
-	"msql/internal/ldbms"
 	"msql/internal/obs"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
@@ -83,7 +82,7 @@ type TaskInfo struct {
 // InDoubt identifies a participant whose prepared transaction could not
 // be driven to its synchronization-point decision within the bounded
 // recovery loop: the LAM stayed unreachable. Operators (or a later
-// recovery pass) resolve it with lam.Resolve.
+// recovery pass) resolve it with lam.Client.Resolve.
 type InDoubt struct {
 	Task      string
 	Conn      string
@@ -155,9 +154,6 @@ type Engine struct {
 	Recovery lam.RetryPolicy
 	// RecoverTimeout bounds each individual resolution attempt.
 	RecoverTimeout time.Duration
-
-	// resolve is lam.Resolve, injectable for tests.
-	resolve func(ctx context.Context, addr string, sessionID int64, commit bool) (ldbms.SessionState, error)
 }
 
 // New returns an engine over a service directory.
@@ -166,7 +162,6 @@ func New(dir Directory) *Engine {
 		dir:            dir,
 		Recovery:       lam.RetryPolicy{Attempts: 4, BaseDelay: 25 * time.Millisecond, MaxDelay: 500 * time.Millisecond},
 		RecoverTimeout: 2 * time.Second,
-		resolve:        lam.Resolve,
 	}
 }
 
@@ -176,6 +171,7 @@ func New(dir Directory) *Engine {
 type conn struct {
 	mu      sync.Mutex
 	session lam.Session
+	site    string // the Directory key the session was opened through
 	service string // the site's service name, for per-destination metrics
 	db      string
 	openErr error
@@ -310,128 +306,6 @@ func (e *Engine) RunLogged(ctx context.Context, prog *dol.Program, log TxLog) (*
 	return r.out, nil
 }
 
-// recoverParallelism bounds how many in-doubt participants a recovery
-// sweep contacts concurrently. Serial sweeps do not scale past the
-// three-site demo: at a 50-site fan-out one dead participant's full
-// backoff sequence would stall every site behind it, so sweeps fan out
-// bounded-parallel and the jittered RetryPolicy backoff decorrelates
-// the retry instants across sites.
-const recoverParallelism = 16
-
-// ResolveParticipant is the termination protocol for one in-doubt
-// participant: reconnect, wire.ReqAttach, deliver the recorded decision
-// (lam.Resolve), paced by the engine's Recovery policy with each attempt
-// bounded by RecoverTimeout. Transient transport failures — including
-// connection refused while the participant restarts — are retried with
-// backoff. wire.ErrNoSession is an answer, not a failure: a participant
-// with no record of the session either never voted or was acknowledged
-// and allowed to forget, so the recorded decision (presumed abort when
-// it was rollback) is the outcome.
-func (e *Engine) ResolveParticipant(ctx context.Context, addr string, sessionID int64, commit bool) (ldbms.SessionState, error) {
-	var last error
-	for attempt := 0; attempt <= e.Recovery.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(e.Recovery.Backoff(attempt)):
-			}
-		}
-		cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
-		st, err := e.resolve(cctx, addr, sessionID, commit)
-		cancel()
-		if err == nil {
-			return st, nil
-		}
-		if errors.Is(err, wire.ErrNoSession) {
-			if commit {
-				return ldbms.StateCommitted, nil
-			}
-			return ldbms.StateAborted, nil
-		}
-		if !wire.Transient(err) {
-			return 0, err
-		}
-		last = err
-	}
-	return 0, last
-}
-
-// recoverInDoubt is the coordinator's bounded recovery loop: each
-// in-doubt participant is driven to its recorded decision with
-// ResolveParticipant. Delivering decisions for prepared transactions
-// must be attempted even when the plan's deadline has expired, so the
-// loop is bounded by the engine's Recovery policy and RecoverTimeout
-// instead. Participants are contacted in parallel (recoverParallelism
-// at a time) so one unreachable site's backoff does not serialize the
-// rest of the sweep.
-func (r *run) recoverInDoubt() {
-	type pendingTask struct {
-		name string
-		rt   *taskRT
-	}
-	var pending []pendingTask
-	for name, rt := range r.tasks {
-		rt.mu.Lock()
-		ok := rt.info.Status == dol.StatusInDoubt && rt.recoverable
-		rt.mu.Unlock()
-		if ok {
-			pending = append(pending, pendingTask{name: name, rt: rt})
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	var (
-		wg    sync.WaitGroup
-		sem   = make(chan struct{}, recoverParallelism)
-		outMu sync.Mutex
-	)
-	for _, p := range pending {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(name string, rt *taskRT) {
-			defer func() { <-sem; wg.Done() }()
-			rt.mu.Lock()
-			addr, id, commit := rt.recoverAddr, rt.recoverID, rt.recoverCommit
-			db, connName := rt.info.Database, rt.info.Conn
-			rt.mu.Unlock()
-			rsp, _ := obs.StartSpan(r.ctx, "resolve:"+name, obs.KindRecovery)
-			rsp.SetAttr("site", addr)
-			// A fresh context: the plan's deadline may already have expired.
-			st, err := r.eng.ResolveParticipant(context.Background(), addr, id, commit)
-			resolved := err == nil
-			if resolved {
-				if st == ldbms.StateCommitted {
-					rt.setStatus(dol.StatusCommitted, nil)
-				} else {
-					rt.setStatus(dol.StatusAborted, nil)
-				}
-				r.logOutcome(rt)
-			}
-			rt.mu.Lock()
-			enteredAt := rt.inDoubtAt
-			rt.mu.Unlock()
-			if resolved {
-				if !enteredAt.IsZero() {
-					mInDoubtDwell.ObserveSince(enteredAt)
-				}
-				rsp.End()
-			} else {
-				mInDoubtUnresolved.Inc()
-				rsp.EndErr(fmt.Errorf("dolengine: participant unreachable"))
-				outMu.Lock()
-				r.out.Unresolved = append(r.out.Unresolved, InDoubt{
-					Task: name, Conn: connName, Database: db,
-					Addr: addr, SessionID: id, Commit: commit,
-				})
-				outMu.Unlock()
-			}
-		}(p.name, p.rt)
-	}
-	wg.Wait()
-}
-
 // recoveryOf extracts the in-doubt recovery handle of a session, looking
 // through wrappers that expose it by delegation. Wrappers forward the
 // method unconditionally, so a handle with no re-attach address (an
@@ -475,7 +349,7 @@ func (r *run) execStmt(s dol.Stmt) error {
 			}
 			return fmt.Errorf("dolengine: open %s at %s: %w", st.Database, st.Site, err)
 		}
-		r.conns[st.Alias] = &conn{session: sess, service: client.ServiceName(), db: st.Database}
+		r.conns[st.Alias] = &conn{session: sess, site: st.Site, service: client.ServiceName(), db: st.Database}
 		return nil
 
 	case *dol.TaskStmt:

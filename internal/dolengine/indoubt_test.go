@@ -15,6 +15,7 @@ import (
 	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
+	"msql/internal/wire"
 )
 
 // flakySession is a lam.Session + lam.Recoverable whose commit (or
@@ -74,7 +75,12 @@ func (s *flakySession) Database() string              { return "db" }
 func (s *flakySession) Close() error                  { return nil }
 func (s *flakySession) RecoveryInfo() (string, int64) { return s.addr, s.id }
 
-type flakyClient struct{ sess *flakySession }
+// flakyClient hands out its one session and answers the termination
+// verbs through resolve.
+type flakyClient struct {
+	sess    *flakySession
+	resolve func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error)
+}
 
 func (c *flakyClient) ServiceName() string { return "fake" }
 func (c *flakyClient) Profile(ctx context.Context) (ldbms.Profile, error) {
@@ -89,6 +95,11 @@ func (c *flakyClient) Describe(ctx context.Context, db, name string) ([]schema.C
 func (c *flakyClient) ListTables(ctx context.Context, db string) ([]string, error) { return nil, nil }
 func (c *flakyClient) ListViews(ctx context.Context, db string) ([]string, error)  { return nil, nil }
 func (c *flakyClient) Close() error                                                { return nil }
+func (c *flakyClient) Resolve(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
+	return c.resolve(ctx, id, commit)
+}
+func (c *flakyClient) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) { return nil, nil }
+func (c *flakyClient) Forget(ctx context.Context, id int64) error                 { return nil }
 
 const inDoubtProgram = `
 DOLBEGIN
@@ -110,9 +121,9 @@ CLOSE c1;
 DOLEND
 `
 
-func engineWith(t *testing.T, sess *flakySession) *Engine {
+func engineWith(t *testing.T, sess *flakySession, resolve func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error)) *Engine {
 	t.Helper()
-	eng := New(MapDirectory{"fake": &flakyClient{sess: sess}})
+	eng := New(MapDirectory{"fake": &flakyClient{sess: sess, resolve: resolve}})
 	eng.Recovery.BaseDelay = time.Millisecond
 	eng.Recovery.MaxDelay = 5 * time.Millisecond
 	eng.RecoverTimeout = 100 * time.Millisecond
@@ -121,20 +132,17 @@ func engineWith(t *testing.T, sess *flakySession) *Engine {
 
 func TestCommitTransportFailureRecoversToCommitted(t *testing.T) {
 	sess := &flakySession{addr: "10.0.0.1:9001", id: 7, failOp: "commit"}
-	eng := engineWith(t, sess)
-
 	var calls int
-	var gotAddr string
 	var gotID int64
 	var gotCommit bool
-	eng.resolve = func(ctx context.Context, addr string, id int64, commit bool) (ldbms.SessionState, error) {
+	eng := engineWith(t, sess, func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
 		calls++
-		gotAddr, gotID, gotCommit = addr, id, commit
+		gotID, gotCommit = id, commit
 		if calls < 3 {
-			return 0, fmt.Errorf("dial %s: %w", addr, io.EOF) // LAM still down
+			return 0, fmt.Errorf("dial %s: %w", sess.addr, io.EOF) // LAM still down
 		}
 		return ldbms.StateCommitted, nil
-	}
+	})
 
 	prog, err := dol.Parse(inDoubtProgram)
 	if err != nil {
@@ -153,21 +161,19 @@ func TestCommitTransportFailureRecoversToCommitted(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("resolve calls = %d, want 3 (2 failures + success)", calls)
 	}
-	if gotAddr != "10.0.0.1:9001" || gotID != 7 || !gotCommit {
-		t.Fatalf("resolve(%s, %d, %v), want recorded commit decision for session 7", gotAddr, gotID, gotCommit)
+	if gotID != 7 || !gotCommit {
+		t.Fatalf("resolve(%d, %v) on the task's client, want recorded commit decision for session 7", gotID, gotCommit)
 	}
 }
 
 func TestPermanentFailureReportsUnresolved(t *testing.T) {
 	sess := &flakySession{addr: "10.0.0.2:9001", id: 9, failOp: "commit"}
-	eng := engineWith(t, sess)
-	eng.Recovery.Attempts = 2
-
 	calls := 0
-	eng.resolve = func(ctx context.Context, addr string, id int64, commit bool) (ldbms.SessionState, error) {
+	eng := engineWith(t, sess, func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
 		calls++
-		return 0, fmt.Errorf("dial %s: %w", addr, io.EOF)
-	}
+		return 0, fmt.Errorf("dial %s: %w", sess.addr, io.EOF)
+	})
+	eng.Recovery.Attempts = 2
 
 	prog, err := dol.Parse(inDoubtProgram)
 	if err != nil {
@@ -198,13 +204,11 @@ func TestPermanentFailureReportsUnresolved(t *testing.T) {
 
 func TestPrepareTransportFailureRecoversToAborted(t *testing.T) {
 	sess := &flakySession{addr: "10.0.0.3:9001", id: 4, failOp: "prepare"}
-	eng := engineWith(t, sess)
-
 	var gotCommit bool
-	eng.resolve = func(ctx context.Context, addr string, id int64, commit bool) (ldbms.SessionState, error) {
+	eng := engineWith(t, sess, func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
 		gotCommit = commit
 		return ldbms.StateAborted, nil
-	}
+	})
 
 	prog, err := dol.Parse(inDoubtProgram)
 	if err != nil {
@@ -293,7 +297,7 @@ func TestReplayedCommitReturnsRecordedOutcome(t *testing.T) {
 	}
 
 	// First delivery drives the parked session to commit.
-	st, err := lam.Resolve(ctx, proxy.Addr(), id, true)
+	st, err := c.Resolve(ctx, id, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +305,7 @@ func TestReplayedCommitReturnsRecordedOutcome(t *testing.T) {
 		t.Fatalf("first resolve state = %v, want committed", st)
 	}
 	// The replay (the first ack was lost) answers from the tombstone.
-	st, err = lam.Resolve(ctx, proxy.Addr(), id, true)
+	st, err = c.Resolve(ctx, id, true)
 	if err != nil {
 		t.Fatalf("replayed commit errored: %v", err)
 	}
@@ -328,12 +332,11 @@ func TestDefiniteCommitErrorIsNotInDoubt(t *testing.T) {
 	// A definite (server-answered) commit failure must go to Aborted
 	// directly — the outcome is known, so no recovery and no resolve calls.
 	sess := &flakySession{addr: "10.0.0.4:9001", id: 2, failOp: "commit-definite"}
-	eng := engineWith(t, sess)
 	resolveCalled := false
-	eng.resolve = func(ctx context.Context, addr string, id int64, commit bool) (ldbms.SessionState, error) {
+	eng := engineWith(t, sess, func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
 		resolveCalled = true
 		return ldbms.StateAborted, nil
-	}
+	})
 	prog, err := dol.Parse(inDoubtProgram)
 	if err != nil {
 		t.Fatal(err)

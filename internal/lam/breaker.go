@@ -94,10 +94,13 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 // immediately with ErrBreakerOpen instead of eating the full dial/retry
 // budget. Operations on already-open sessions are never blocked — a 2PC
 // participant mid-transaction cannot be abandoned by a breaker — but
-// their transport failures feed the failure counter.
+// their transport failures feed the failure counter. The termination
+// verbs (Resolve, InDoubt, Forget) go straight to the wrapped client,
+// neither gated nor counted: a prepared participant must get its
+// decision whatever the breaker says.
 type BreakerClient struct {
-	inner Client
-	pol   BreakerPolicy
+	Client
+	pol BreakerPolicy
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -110,7 +113,7 @@ type BreakerClient struct {
 
 // WithBreaker wraps a client in a circuit breaker under the policy.
 func WithBreaker(c Client, pol BreakerPolicy) *BreakerClient {
-	return &BreakerClient{inner: c, pol: pol.withDefaults()}
+	return &BreakerClient{Client: c, pol: pol.withDefaults()}
 }
 
 // State reports the breaker's current state, accounting for an elapsed
@@ -142,7 +145,7 @@ func (b *BreakerClient) setStateLocked(to BreakerState) func() {
 		return nil
 	}
 	b.state = to
-	svc := b.inner.ServiceName()
+	svc := b.Client.ServiceName()
 	cb := b.pol.OnTransition
 	return func() {
 		mBreakerTransitions.With(svc, to.String()).Inc()
@@ -170,7 +173,7 @@ func (b *BreakerClient) allow() error {
 		return nil
 	case BreakerOpen:
 		if time.Since(b.openedAt) < b.pol.Cooldown {
-			err := fmt.Errorf("%w: %s (cooldown %s)", ErrBreakerOpen, b.inner.ServiceName(), b.pol.Cooldown)
+			err := fmt.Errorf("%w: %s (cooldown %s)", ErrBreakerOpen, b.Client.ServiceName(), b.pol.Cooldown)
 			b.mu.Unlock()
 			return err
 		}
@@ -179,7 +182,7 @@ func (b *BreakerClient) allow() error {
 		notify(n)
 		return nil
 	default: // BreakerHalfOpen: one trial at a time
-		err := fmt.Errorf("%w: %s (trial in flight)", ErrBreakerOpen, b.inner.ServiceName())
+		err := fmt.Errorf("%w: %s (trial in flight)", ErrBreakerOpen, b.Client.ServiceName())
 		b.mu.Unlock()
 		return err
 	}
@@ -241,7 +244,7 @@ func (b *BreakerClient) probeLoop(stop chan struct{}) {
 			return
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), b.pol.ProbeTimeout)
-		_, err := b.inner.Profile(ctx)
+		_, err := b.Client.Profile(ctx)
 		cancel()
 		if err == nil {
 			b.mu.Lock()
@@ -255,15 +258,12 @@ func (b *BreakerClient) probeLoop(stop chan struct{}) {
 	}
 }
 
-// ServiceName implements Client.
-func (b *BreakerClient) ServiceName() string { return b.inner.ServiceName() }
-
 // Profile implements Client (gated).
 func (b *BreakerClient) Profile(ctx context.Context) (ldbms.Profile, error) {
 	if err := b.allow(); err != nil {
 		return ldbms.Profile{}, err
 	}
-	p, err := b.inner.Profile(ctx)
+	p, err := b.Client.Profile(ctx)
 	b.record(err)
 	return p, err
 }
@@ -274,7 +274,7 @@ func (b *BreakerClient) Open(ctx context.Context, db string) (Session, error) {
 	if err := b.allow(); err != nil {
 		return nil, err
 	}
-	s, err := b.inner.Open(ctx, db)
+	s, err := b.Client.Open(ctx, db)
 	b.record(err)
 	if err != nil {
 		return nil, err
@@ -287,7 +287,7 @@ func (b *BreakerClient) Describe(ctx context.Context, db, name string) ([]schema
 	if err := b.allow(); err != nil {
 		return nil, err
 	}
-	cols, err := b.inner.Describe(ctx, db, name)
+	cols, err := b.Client.Describe(ctx, db, name)
 	b.record(err)
 	return cols, err
 }
@@ -297,7 +297,7 @@ func (b *BreakerClient) ListTables(ctx context.Context, db string) ([]string, er
 	if err := b.allow(); err != nil {
 		return nil, err
 	}
-	names, err := b.inner.ListTables(ctx, db)
+	names, err := b.Client.ListTables(ctx, db)
 	b.record(err)
 	return names, err
 }
@@ -307,7 +307,7 @@ func (b *BreakerClient) ListViews(ctx context.Context, db string) ([]string, err
 	if err := b.allow(); err != nil {
 		return nil, err
 	}
-	names, err := b.inner.ListViews(ctx, db)
+	names, err := b.Client.ListViews(ctx, db)
 	b.record(err)
 	return names, err
 }
@@ -320,7 +320,7 @@ func (b *BreakerClient) Close() error {
 		b.probing = false
 	}
 	b.mu.Unlock()
-	return b.inner.Close()
+	return b.Client.Close()
 }
 
 // breakerSession feeds session-op outcomes into the breaker without

@@ -12,6 +12,7 @@ import (
 	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
+	"msql/internal/wire"
 )
 
 // flakyClient is a Client whose calls fail on demand, with either a
@@ -67,7 +68,14 @@ func (f *flakyClient) ListTables(ctx context.Context, db string) ([]string, erro
 func (f *flakyClient) ListViews(ctx context.Context, db string) ([]string, error) {
 	return nil, f.err()
 }
-func (f *flakyClient) Close() error { return nil }
+func (f *flakyClient) Resolve(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
+	return ldbms.StateAborted, f.err()
+}
+func (f *flakyClient) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) {
+	return nil, f.err()
+}
+func (f *flakyClient) Forget(ctx context.Context, id int64) error { return f.err() }
+func (f *flakyClient) Close() error                               { return nil }
 
 type flakySession struct {
 	c  *flakyClient
@@ -117,6 +125,34 @@ func TestBreakerTripsAfterConsecutiveTransientFailures(t *testing.T) {
 	}
 	if fc.callCount() != before {
 		t.Fatal("open breaker still reached the inner client")
+	}
+}
+
+// TestBreakerPassesTerminationVerbs: an open breaker still lets a
+// prepared participant be terminated, and termination failures neither
+// trip nor reset it.
+func TestBreakerPassesTerminationVerbs(t *testing.T) {
+	fc := &flakyClient{}
+	b := WithBreaker(fc, BreakerPolicy{Threshold: 1, Cooldown: time.Hour})
+	fc.setFailing(true, false)
+	ctx := context.Background()
+	if _, err := b.Profile(ctx); err == nil {
+		t.Fatal("expected failure")
+	}
+	if st := b.State(); st != BreakerOpen {
+		t.Fatalf("state = %s, want open", st)
+	}
+	before := fc.callCount()
+	b.Resolve(ctx, 1, true)
+	b.InDoubt(ctx)
+	b.Forget(ctx, 1)
+	if got := fc.callCount() - before; got != 3 {
+		t.Fatalf("%d of 3 termination calls reached the client through an open breaker", got)
+	}
+	fc.setFailing(false, false)
+	b.Resolve(ctx, 1, true)
+	if st := b.State(); st != BreakerOpen || b.Trips() != 1 {
+		t.Fatalf("state = %s after %d trips: termination calls were counted", st, b.Trips())
 	}
 }
 

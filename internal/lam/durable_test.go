@@ -113,7 +113,7 @@ func TestDurableRestartResolvesPrepared(t *testing.T) {
 	if ids := ts2.InDoubt(); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("in-doubt after restart = %v, want [%d]", ids, id)
 	}
-	st, err := Resolve(bg, ts2.Addr(), id, true)
+	st, err := resolveAt(bg, ts2.Addr(), id, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestDurableRestartResolvesPrepared(t *testing.T) {
 		t.Fatalf("rate after recovery = %v, want 175 (exactly once)", got)
 	}
 	// The outcome tombstone answers a retrying coordinator...
-	if st, err := Resolve(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("re-resolve = %v, %v", st, err)
 	}
 	// ...until the END acknowledgment releases it and compacts the journal.
-	if err := Forget(bg, ts2.Addr(), id); err != nil {
+	if err := forgetAt(bg, ts2.Addr(), id); err != nil {
 		t.Fatal(err)
 	}
 	if n := ts2.Tombstones(); n != 0 {
@@ -154,7 +154,7 @@ func TestDurableRestartReplaysExplainAnalyzeWrite(t *testing.T) {
 	if ids := ts2.InDoubt(); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("in-doubt after restart = %v, want [%d]", ids, id)
 	}
-	if st, err := Resolve(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("resolve = %v, %v, want committed", st, err)
 	}
 	if got := rate10(t, ts2.Addr()); got != 175.0 {
@@ -211,7 +211,7 @@ func TestDurableRestartReplaysLoadedRows(t *testing.T) {
 	if ids := ts2.InDoubt(); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("in-doubt after restart = %v, want [%d]", ids, id)
 	}
-	if st, err := Resolve(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("resolve = %v, %v, want committed", st, err)
 	}
 	c2, err := Dial(ts2.Addr())
@@ -248,7 +248,7 @@ func TestDurableRestartCommittedUnacked(t *testing.T) {
 
 	// Coordinator resolves to commit, but its END acknowledgment never
 	// arrives before the "crash".
-	if st, err := Resolve(bg, ts1.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts1.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("resolve = %v, %v", st, err)
 	}
 	if err := ts1.Close(); err != nil {
@@ -259,7 +259,7 @@ func TestDurableRestartCommittedUnacked(t *testing.T) {
 	if got := rate10(t, ts2.Addr()); got != 175.0 {
 		t.Fatalf("rate after restart = %v, want 175 (committed effects re-applied)", got)
 	}
-	if st, err := Resolve(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts2.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("resolve after restart = %v, %v (tombstone must survive)", st, err)
 	}
 }
@@ -278,7 +278,7 @@ func TestDurableRestartPresumedAbort(t *testing.T) {
 	}
 
 	ts2 := durableServe(t, path, ServeOptions{})
-	st, err := Resolve(bg, ts2.Addr(), id, false)
+	st, err := resolveAt(bg, ts2.Addr(), id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDurableRestartPresumedAbort(t *testing.T) {
 		t.Fatalf("rate after abort = %v, want the seed 150", got)
 	}
 
-	_, nerr := Resolve(bg, ts2.Addr(), id+1000, true)
+	_, nerr := resolveAt(bg, ts2.Addr(), id+1000, true)
 	if !errors.Is(nerr, wire.ErrNoSession) {
 		t.Fatalf("unknown session error = %v, want wire.ErrNoSession", nerr)
 	}
@@ -306,7 +306,7 @@ func TestTombstoneTTLEviction(t *testing.T) {
 	ts := durableServe(t, path, ServeOptions{TombstoneTTL: 50 * time.Millisecond, CompactEvery: 1})
 	id := prepareAndOrphan(t, ts.Addr())
 	waitParked(t, ts, id)
-	if st, err := Resolve(bg, ts.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("resolve = %v, %v", st, err)
 	}
 	if n := ts.Tombstones(); n != 1 {
@@ -331,15 +331,15 @@ func TestForgetCompactsJournal(t *testing.T) {
 	ts := durableServe(t, path, ServeOptions{CompactEvery: 1})
 	id := prepareAndOrphan(t, ts.Addr())
 	waitParked(t, ts, id)
-	if st, err := Resolve(bg, ts.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
+	if st, err := resolveAt(bg, ts.Addr(), id, true); err != nil || st != ldbms.StateCommitted {
 		t.Fatalf("resolve = %v, %v", st, err)
 	}
-	if err := Forget(bg, ts.Addr(), id); err != nil {
+	if err := forgetAt(bg, ts.Addr(), id); err != nil {
 		t.Fatal(err)
 	}
 	waitEmptyJournal(t, ts)
 	// Idempotent: forgetting again is a no-op, not an error.
-	if err := Forget(bg, ts.Addr(), id); err != nil {
+	if err := forgetAt(bg, ts.Addr(), id); err != nil {
 		t.Fatalf("second forget = %v", err)
 	}
 }

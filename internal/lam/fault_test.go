@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -359,7 +360,7 @@ func TestResolveCommitsInDoubtSession(t *testing.T) {
 	ts, p := deltaProxy(t)
 	id := prepareOrphan(t, ts, p)
 
-	st, err := Resolve(bg, p.Addr(), id, true)
+	st, err := resolveAt(bg, p.Addr(), id, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestResolveRollsBackInDoubtSession(t *testing.T) {
 	ts, p := deltaProxy(t)
 	id := prepareOrphan(t, ts, p)
 
-	st, err := Resolve(bg, p.Addr(), id, false)
+	st, err := resolveAt(bg, p.Addr(), id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,10 +429,10 @@ func TestResolveAnswersFromOutcomeTombstone(t *testing.T) {
 	ts, p := deltaProxy(t)
 	id := prepareOrphan(t, ts, p)
 
-	if _, err := Resolve(bg, p.Addr(), id, true); err != nil {
+	if _, err := resolveAt(bg, p.Addr(), id, true); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Resolve(bg, p.Addr(), id, true)
+	st, err := resolveAt(bg, p.Addr(), id, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestResolveAnswersFromOutcomeTombstone(t *testing.T) {
 	}
 	// Even a rollback-decision retry learns the truth — the recorded
 	// outcome wins over the stale decision.
-	st, err = Resolve(bg, p.Addr(), id, false)
+	st, err = resolveAt(bg, p.Addr(), id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +479,7 @@ func TestResolveBeforeOwnerHandlerExits(t *testing.T) {
 	}
 
 	// The owning connection is still up: its handler has not exited.
-	st, err := Resolve(bg, p.Addr(), id, true)
+	st, err := resolveAt(bg, p.Addr(), id, true)
 	if err != nil {
 		t.Fatalf("resolve while the owner's handler is alive: %v", err)
 	}
@@ -499,7 +500,7 @@ func TestResolveBeforeOwnerHandlerExits(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st, err = Resolve(bg, p.Addr(), id, true)
+	st, err = resolveAt(bg, p.Addr(), id, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,9 +515,80 @@ func TestResolveBeforeOwnerHandlerExits(t *testing.T) {
 	}
 }
 
+// severAfterReply is a connection that dies on the first request sent
+// after the peer has answered once: inside Client.Resolve that is the
+// decision, right after the attach.
+type severAfterReply struct {
+	net.Conn
+	answered atomic.Bool
+}
+
+func (c *severAfterReply) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.answered.Store(true)
+	}
+	return n, err
+}
+
+func (c *severAfterReply) Write(p []byte) (int, error) {
+	if c.answered.Load() {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestResolveSeveredBetweenAttachAndDecision: a connection lost after
+// the attach took the session over hands it back to the server's
+// in-doubt table, ownerless, and the next Resolve — on a new connection
+// — delivers the decision.
+func TestResolveSeveredBetweenAttachAndDecision(t *testing.T) {
+	ts, p := deltaProxy(t)
+	id := prepareOrphan(t, ts, p)
+
+	c, err := DialWith(bg, p.Addr(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	raw, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := &severAfterReply{Conn: raw}
+	// The idle pool is where Resolve takes its connection from first.
+	c.putIdle(&rpcConn{sem: make(chan struct{}, 1), conn: cut, enc: gob.NewEncoder(cut), dec: gob.NewDecoder(cut), addr: p.Addr()})
+
+	if st, err := c.Resolve(bg, id, true); err == nil {
+		t.Fatalf("resolve over a connection severed after the attach = %v, want an error", st)
+	}
+	if !cut.answered.Load() {
+		t.Fatal("the attach never went over the pooled connection")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ids := ts.InDoubt(); len(ids) != 1 || ids[0] != id; ids = ts.InDoubt() {
+		if time.Now().After(deadline) {
+			t.Fatalf("session %d not back in doubt; in-doubt = %v", id, ids)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	st, err := c.Resolve(bg, id, true)
+	if err != nil {
+		t.Fatalf("resolve on a new connection: %v", err)
+	}
+	if st != ldbms.StateCommitted {
+		t.Fatalf("state = %v, want committed", st)
+	}
+	if f := rate10(t, p.Addr()); f != 999 {
+		t.Fatalf("rate = %v, want the committed 999", f)
+	}
+}
+
 func TestResolveUnknownSession(t *testing.T) {
 	_, p := deltaProxy(t)
-	if _, err := Resolve(bg, p.Addr(), 31337, true); err == nil {
+	if _, err := resolveAt(bg, p.Addr(), 31337, true); err == nil {
 		t.Fatal("resolving a never-existing session should fail")
 	}
 }

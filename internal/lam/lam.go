@@ -13,11 +13,13 @@ package lam
 
 import (
 	"context"
+	"fmt"
 
 	"msql/internal/ldbms"
 	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
+	"msql/internal/wire"
 )
 
 // Session is one open connection to a database behind a LAM, carrying an
@@ -58,6 +60,22 @@ type Client interface {
 	ListTables(ctx context.Context, db string) ([]string, error)
 	// ListViews lists the views of a database.
 	ListViews(ctx context.Context, db string) ([]string, error)
+	// Resolve re-binds a prepared session (wire.ReqAttach), delivers the
+	// coordinator's decision and returns the terminal state; a session that
+	// already reached an outcome answers with the recorded one. A LAM with
+	// no record of the session answers wire.ErrNoSession — under presumed
+	// abort a definite answer, not a failure to retry. One attempt:
+	// callers pace retries.
+	Resolve(ctx context.Context, sessionID int64, commit bool) (ldbms.SessionState, error)
+	// InDoubt lists the prepared sessions no live connection owns — the
+	// participant's in-doubt inventory a recovering coordinator matches
+	// against its journal.
+	InDoubt(ctx context.Context) ([]wire.InDoubtSession, error)
+	// Forget is the coordinator's end-of-multitransaction acknowledgment:
+	// the outcome is durable on the coordinator's side, so the participant
+	// may drop the session's tombstone and compact it out of its journal.
+	// Forgetting an unknown session is a no-op.
+	Forget(ctx context.Context, sessionID int64) error
 	// Close releases the client.
 	Close() error
 }
@@ -140,6 +158,18 @@ func (l *Local) ListViews(ctx context.Context, db string) ([]string, error) {
 	defer s.Close()
 	return s.ListViews()
 }
+
+// Resolve implements Client. An in-process session dies with its
+// coordinator, so the server never holds one in doubt.
+func (l *Local) Resolve(ctx context.Context, sessionID int64, commit bool) (ldbms.SessionState, error) {
+	return 0, fmt.Errorf("%w: %d", wire.ErrNoSession, sessionID)
+}
+
+// InDoubt implements Client: nothing is ever in doubt in process.
+func (l *Local) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) { return nil, nil }
+
+// Forget implements Client: there is no tombstone to drop.
+func (l *Local) Forget(ctx context.Context, sessionID int64) error { return nil }
 
 // Close implements Client.
 func (l *Local) Close() error { return nil }

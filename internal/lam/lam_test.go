@@ -13,6 +13,27 @@ import (
 
 var bg = context.Background()
 
+// resolveAt resolves a session at addr through a client of its own, the
+// way an operator terminates a participant the coordinator left in doubt.
+func resolveAt(ctx context.Context, addr string, id int64, commit bool) (ldbms.SessionState, error) {
+	c, err := DialWith(ctx, addr, DialOptions{})
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	return c.Resolve(ctx, id, commit)
+}
+
+// forgetAt acknowledges a session at addr through a client of its own.
+func forgetAt(ctx context.Context, addr string, id int64) error {
+	c, err := DialWith(ctx, addr, DialOptions{})
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return c.Forget(ctx, id)
+}
+
 func deltaServer(t testing.TB) *ldbms.Server {
 	t.Helper()
 	srv := ldbms.NewServer("delta-svc", ldbms.ProfileOracleLike(), 7)

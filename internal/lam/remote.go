@@ -18,6 +18,27 @@ import (
 	"msql/internal/wire"
 )
 
+// mtidKey carries the coordinator's multitransaction id in a context so
+// the transport can stamp it onto prepare requests.
+type mtidKey struct{}
+
+// WithMTID returns a context carrying the coordinator's multitransaction
+// id. Remote sessions propagate it on wire.ReqPrepare so the
+// participant's journal can correlate its prepared records with the
+// coordinator's journal.
+func WithMTID(ctx context.Context, mtid uint64) context.Context {
+	return context.WithValue(ctx, mtidKey{}, mtid)
+}
+
+// MTIDFrom extracts the multitransaction id from a context (zero when
+// absent — an unjournaled coordinator).
+func MTIDFrom(ctx context.Context) uint64 {
+	if v, ok := ctx.Value(mtidKey{}).(uint64); ok {
+		return v
+	}
+	return 0
+}
+
 // ErrConnBroken marks calls issued on a connection already poisoned by an
 // earlier transport failure (a torn gob stream cannot be resynchronized).
 var ErrConnBroken = errors.New("lam: connection broken by earlier failure")
@@ -348,27 +369,31 @@ func (r *Remote) releaseBase(c *rpcConn) { r.baseMu.ch <- c }
 // control runs one control-plane request on the base connection, retrying
 // transient failures (with redial) under the retry policy.
 func (r *Remote) control(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	var last error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if err := r.opts.Retry.sleep(ctx, attempt); err != nil {
-				return nil, last
-			}
-		}
+	var resp *wire.Response
+	err := r.retrying(ctx, func() error {
 		c, err := r.acquireBase(ctx)
-		if err == nil {
-			var resp *wire.Response
-			resp, err = c.call(ctx, req)
-			r.releaseBase(c)
-			if err == nil {
-				return resp, nil
-			}
+		if err != nil {
+			return err
 		}
-		last = err
-		if !wire.Transient(err) || attempt >= r.opts.Retry.Attempts {
-			return nil, last
+		resp, err = c.call(ctx, req)
+		r.releaseBase(c)
+		return err
+	})
+	return resp, err
+}
+
+// retrying runs op until it succeeds, fails definitely, or the retry
+// policy's attempts or the caller's deadline run out.
+func (r *Remote) retrying(ctx context.Context, op func() error) error {
+	for attempt := 1; ; attempt++ {
+		err := op()
+		if err == nil || !wire.Transient(err) || attempt > r.opts.Retry.Attempts {
+			return err
 		}
 		mRetries.With(r.addr).Inc()
+		if r.opts.Retry.sleep(ctx, attempt) != nil {
+			return err
+		}
 	}
 }
 
@@ -384,53 +409,49 @@ func (r *Remote) Profile(ctx context.Context) (ldbms.Profile, error) {
 	return resp.Profile.ToProfile(), nil
 }
 
-// Open implements Client: it takes a pooled idle connection when one is
-// available, else dials a dedicated connection for the session. The
-// dial+open pair is retried as a unit on transient failures — no
-// transaction state exists yet, so the replay is safe (an orphaned
+// Open implements Client: the session gets a connection of its own,
+// pooled or freshly dialed. The open is retried on transient failures —
+// no transaction state exists yet, so the replay is safe (an orphaned
 // server-side session from a lost reply dies with its connection).
 func (r *Remote) Open(ctx context.Context, db string) (Session, error) {
-	// Pooled conns first. A pooled conn gone stale (server restarted,
-	// idle timeout) just falls through to the dial path; stale pops do
-	// not consume retry attempts.
-	for {
-		conn := r.popIdle()
-		if conn == nil {
-			break
+	var s Session
+	err := r.retrying(ctx, func() error {
+		conn, resp, err := r.firstCall(ctx, &wire.Request{Kind: wire.ReqOpen, Database: db})
+		if err == nil {
+			s = &remoteSession{conn: conn, r: r, id: resp.SessionID, db: db}
 		}
-		resp, err := conn.call(ctx, &wire.Request{Kind: wire.ReqOpen, Database: db})
+		return err
+	})
+	return s, err
+}
+
+// firstCall sends the first request of a session connection: on a pooled
+// idle connection when one is still alive, else on a fresh dial. A pooled
+// connection gone stale (server restarted, idle timeout) is discarded and
+// the next one tried; stale pops cost no retry attempt.
+func (r *Remote) firstCall(ctx context.Context, req *wire.Request) (*rpcConn, *wire.Response, error) {
+	for conn := r.popIdle(); conn != nil; conn = r.popIdle() {
+		resp, err := conn.call(ctx, req)
 		if err == nil {
 			mPoolReuse.With(r.addr).Inc()
-			return &remoteSession{conn: conn, r: r, addr: r.addr, id: resp.SessionID, db: db}, nil
+			return conn, resp, nil
 		}
 		conn.close()
 		if !wire.Transient(err) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	var last error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if err := r.opts.Retry.sleep(ctx, attempt); err != nil {
-				return nil, last
-			}
-		}
-		conn, err := dialConn(ctx, r.addr, r.opts)
-		if err == nil {
-			conn.service = r.service
-			var resp *wire.Response
-			resp, err = conn.call(ctx, &wire.Request{Kind: wire.ReqOpen, Database: db})
-			if err == nil {
-				return &remoteSession{conn: conn, r: r, addr: r.addr, id: resp.SessionID, db: db}, nil
-			}
-			conn.close()
-		}
-		last = err
-		if !wire.Transient(err) || attempt >= r.opts.Retry.Attempts {
-			return nil, last
-		}
-		mRetries.With(r.addr).Inc()
+	conn, err := dialConn(ctx, r.addr, r.opts)
+	if err != nil {
+		return nil, nil, &OpError{Service: r.service, Addr: r.addr, Op: req.Kind, Session: req.SessionID, Err: err}
 	}
+	conn.service = r.service
+	resp, err := conn.call(ctx, req)
+	if err != nil {
+		conn.close()
+		return nil, nil, err
+	}
+	return conn, resp, nil
 }
 
 // popIdle takes an idle pooled connection, newest first (most likely
@@ -493,6 +514,49 @@ func (r *Remote) ListViews(ctx context.Context, db string) ([]string, error) {
 	return resp.Names, nil
 }
 
+// Resolve implements Client: attach, decision and close travel on one
+// session connection as a single attempt. A transport failure after the
+// attach drops that connection, which hands the still-prepared session
+// back to the server's in-doubt table for the next attempt.
+func (r *Remote) Resolve(ctx context.Context, sessionID int64, commit bool) (ldbms.SessionState, error) {
+	conn, resp, err := r.firstCall(ctx, &wire.Request{Kind: wire.ReqAttach, SessionID: sessionID})
+	if err != nil {
+		return 0, err
+	}
+	state := ldbms.SessionState(resp.State)
+	if state == ldbms.StatePrepared {
+		decision := wire.ReqRollback
+		state = ldbms.StateAborted
+		if commit {
+			decision, state = wire.ReqCommit, ldbms.StateCommitted
+		}
+		if _, err := conn.call(ctx, &wire.Request{Kind: decision, SessionID: sessionID}); err != nil {
+			conn.close()
+			return 0, fmt.Errorf("lam: resolve session %d at %s: %w", sessionID, r.addr, err)
+		}
+	}
+	// Release the attached session; its outcome tombstone stays on the
+	// server for a coordinator that retries after a lost acknowledgment.
+	_ = (&remoteSession{conn: conn, r: r, id: sessionID}).Close()
+	return state, nil
+}
+
+// InDoubt implements Client (wire.ReqInDoubt, a retried control call).
+func (r *Remote) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) {
+	resp, err := r.control(ctx, &wire.Request{Kind: wire.ReqInDoubt})
+	if err != nil {
+		return nil, err
+	}
+	return resp.InDoubt, nil
+}
+
+// Forget implements Client (wire.ReqForget, a retried control call: the
+// acknowledgment is idempotent).
+func (r *Remote) Forget(ctx context.Context, sessionID int64) error {
+	_, err := r.control(ctx, &wire.Request{Kind: wire.ReqForget, SessionID: sessionID})
+	return err
+}
+
 // Close implements Client.
 func (r *Remote) Close() error {
 	r.poolMu.Lock()
@@ -513,8 +577,7 @@ func (r *Remote) Close() error {
 
 type remoteSession struct {
 	conn *rpcConn
-	r    *Remote // for returning conn to the pool; nil in recovery paths
-	addr string
+	r    *Remote // for returning conn to the pool
 	id   int64
 	db   string
 }
@@ -526,7 +589,7 @@ func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Resp
 
 // RecoveryInfo implements Recoverable: the coordinator reconnects to addr
 // and resolves the server-side session id.
-func (s *remoteSession) RecoveryInfo() (string, int64) { return s.addr, s.id }
+func (s *remoteSession) RecoveryInfo() (string, int64) { return s.r.addr, s.id }
 
 func (s *remoteSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
 	resp, err := s.call(ctx, &wire.Request{Kind: wire.ReqExec, SQL: sql})
@@ -577,7 +640,7 @@ func (s *remoteSession) Database() string { return s.db }
 
 func (s *remoteSession) Close() error {
 	_, err := s.call(context.Background(), &wire.Request{Kind: wire.ReqCloseSession})
-	if err == nil && s.r != nil {
+	if err == nil {
 		s.r.putIdle(s.conn)
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 )
 
@@ -176,24 +175,5 @@ func (n *PlanNode) FindAll(op string) []*PlanNode {
 	for _, c := range n.Children {
 		out = append(out, c.FindAll(op)...)
 	}
-	return out
-}
-
-// Ops returns the sorted multiset of operator names in the tree, a compact
-// fingerprint for assertions.
-func (n *PlanNode) Ops() []string {
-	var out []string
-	var walk func(*PlanNode)
-	walk = func(p *PlanNode) {
-		if p == nil {
-			return
-		}
-		out = append(out, p.Op)
-		for _, c := range p.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	sort.Strings(out)
 	return out
 }

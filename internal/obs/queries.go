@@ -185,7 +185,6 @@ type SlowQueryLog struct {
 	mu        sync.Mutex
 	w         io.Writer
 	threshold time.Duration
-	lines     atomic.Int64
 }
 
 // NewSlowQueryLog returns a log writing to w for statements at or above
@@ -195,23 +194,6 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 		return nil
 	}
 	return &SlowQueryLog{w: w, threshold: threshold}
-}
-
-// Threshold reports the configured cutoff, 0 for a disabled (nil) log.
-func (l *SlowQueryLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
-// Lines reports how many entries have been written (for tests and the
-// chaos harness).
-func (l *SlowQueryLog) Lines() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.lines.Load()
 }
 
 // Observe writes an entry when the record's elapsed time crosses the
@@ -244,7 +226,6 @@ func (l *SlowQueryLog) Observe(rec *QueryRecord) bool {
 	if werr != nil {
 		return false
 	}
-	l.lines.Add(1)
 	return true
 }
 

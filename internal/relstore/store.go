@@ -207,9 +207,6 @@ type TableIter struct {
 	pc  *storage.PageCounters
 }
 
-// Iter returns a cursor positioned before the first row.
-func (t *Table) Iter() *TableIter { return &TableIter{t: t} }
-
 // IterCounted returns a cursor recording its page traffic on pc
 // (nil-safe), attributing reads to the statement driving the cursor.
 func (t *Table) IterCounted(pc *storage.PageCounters) *TableIter {

@@ -109,16 +109,25 @@ func TestLexerExponents(t *testing.T) {
 	}
 }
 
+// fixpointFloats are floats on both sides of sqlval's switch between
+// plain and exponent form, and at the edges of float64.
+var fixpointFloats = []float64{1e-5, 0.00001, 1e21, 5e-324, 1.7976931348623157e308, -2.5e-7, 1e20, 0.0001, 132.5}
+
+// floatUpdate is UPDATE t SET x = f.
+func floatUpdate(f float64) *UpdateStmt {
+	return &UpdateStmt{
+		Table:   Name("t"),
+		Assigns: []Assign{{Column: ColRef{Parts: []string{"x"}}, Expr: &Literal{Val: sqlval.Float(f)}}},
+	}
+}
+
 // TestFloatLiteralFixpoint: sqlval prints floats below 1e-4 and from 1e21
 // in exponent form, the engine deparses every task body and both
 // journals replay deparsed SQL, so whatever Deparse prints for a float
 // the parser has to read back as the same number.
 func TestFloatLiteralFixpoint(t *testing.T) {
-	for _, f := range []float64{1e-5, 0.00001, 1e21, 5e-324, 1.7976931348623157e308, -2.5e-7, 1e20, 0.0001, 132.5} {
-		out1 := Deparse(&UpdateStmt{
-			Table:   Name("t"),
-			Assigns: []Assign{{Column: ColRef{Parts: []string{"x"}}, Expr: &Literal{Val: sqlval.Float(f)}}},
-		})
+	for _, f := range fixpointFloats {
+		out1 := Deparse(floatUpdate(f))
 		s2, err := ParseStatement(out1)
 		if err != nil {
 			t.Errorf("%g: reparse of %q: %v", f, out1, err)
@@ -431,22 +440,25 @@ func TestParseScript(t *testing.T) {
 	}
 }
 
+// roundTripSources cover every statement kind and the operator
+// precedences Deparse has to parenthesize.
+var roundTripSources = []string{
+	"SELECT %code, type, ~rate FROM car WHERE status = 'available'",
+	"UPDATE flight% SET rate% = rate% * 1.1 WHERE sour% = 'Houston' AND dest% = 'San Antonio'",
+	"SELECT DISTINCT a, COUNT(*) AS n FROM t, u WHERE t.x = u.y GROUP BY a HAVING COUNT(*) > 1 ORDER BY n DESC LIMIT 5",
+	"INSERT INTO t (a, b) VALUES (1, 'x''y'), (NULL, 2.5)",
+	"INSERT INTO t SELECT a FROM u WHERE a IN (1, 2)",
+	"DELETE FROM t WHERE a BETWEEN 1 AND 2 OR b IS NULL",
+	"CREATE TABLE t (a INTEGER, b CHAR(10), c FLOAT)",
+	"CREATE VIEW v AS SELECT a FROM t",
+	"SELECT a FROM t WHERE NOT (a = 1) AND b LIKE 'x%'",
+	"SELECT a - (b + c) FROM t",
+	"SELECT (a + b) * c FROM t",
+	"UPDATE fitab SET sstat = 'TAKEN' WHERE snu = (SELECT MIN(snu) FROM fitab WHERE sstat = 'FREE')",
+}
+
 func TestDeparseRoundTrip(t *testing.T) {
-	srcs := []string{
-		"SELECT %code, type, ~rate FROM car WHERE status = 'available'",
-		"UPDATE flight% SET rate% = rate% * 1.1 WHERE sour% = 'Houston' AND dest% = 'San Antonio'",
-		"SELECT DISTINCT a, COUNT(*) AS n FROM t, u WHERE t.x = u.y GROUP BY a HAVING COUNT(*) > 1 ORDER BY n DESC LIMIT 5",
-		"INSERT INTO t (a, b) VALUES (1, 'x''y'), (NULL, 2.5)",
-		"INSERT INTO t SELECT a FROM u WHERE a IN (1, 2)",
-		"DELETE FROM t WHERE a BETWEEN 1 AND 2 OR b IS NULL",
-		"CREATE TABLE t (a INTEGER, b CHAR(10), c FLOAT)",
-		"CREATE VIEW v AS SELECT a FROM t",
-		"SELECT a FROM t WHERE NOT (a = 1) AND b LIKE 'x%'",
-		"SELECT a - (b + c) FROM t",
-		"SELECT (a + b) * c FROM t",
-		"UPDATE fitab SET sstat = 'TAKEN' WHERE snu = (SELECT MIN(snu) FROM fitab WHERE sstat = 'FREE')",
-	}
-	for _, src := range srcs {
+	for _, src := range roundTripSources {
 		s1 := mustParse(t, src)
 		out1 := Deparse(s1)
 		s2, err := ParseStatement(out1)
@@ -503,5 +515,21 @@ func TestQuickDeparseFixpoint(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeparseKeepsGrouping: parentheses the grammar needs survive a
+// deparse, so shipped and journaled SQL means what the tree means.
+func TestDeparseKeepsGrouping(t *testing.T) {
+	for src, want := range map[string]string{
+		"SELECT a - (b + c) FROM t":                 "SELECT a - (b + c) FROM t",
+		"SELECT a / (b * c) FROM t":                 "SELECT a / (b * c) FROM t",
+		"SELECT a FROM t WHERE (a = 1) = b":         "SELECT a FROM t WHERE (a = 1) = b",
+		"SELECT - (-a) FROM t":                      "SELECT -(-a) FROM t",
+		"SELECT a FROM t WHERE (a IN (1)) LIKE 'x'": "SELECT a FROM t WHERE (a IN (1)) LIKE 'x'",
+	} {
+		if got := Deparse(mustParse(t, src)); got != want {
+			t.Errorf("Deparse(%q) = %q, want %q", src, got, want)
+		}
 	}
 }

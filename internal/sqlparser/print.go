@@ -240,19 +240,22 @@ func DeparseExpr(e Expr) string {
 	case ColRef:
 		return deparseColRef(x)
 	case *BinaryExpr:
-		l, r := DeparseExpr(x.L), DeparseExpr(x.R)
-		if needsParens(x.L, x.Op) {
-			l = "(" + l + ")"
+		// Operators associate to the left; comparisons do not chain and
+		// take additive operands (a postfix predicate on the left).
+		l, r := level(x), level(x)+1
+		if l == levelCompare {
+			l, r = levelPredicate, levelAdditive
 		}
-		if needsParens(x.R, x.Op) {
-			r = "(" + r + ")"
-		}
-		return l + " " + x.Op + " " + r
+		return operand(x.L, l) + " " + x.Op + " " + operand(x.R, r)
 	case *UnaryExpr:
 		if x.Op == "NOT" {
 			return "NOT (" + DeparseExpr(x.X) + ")"
 		}
-		return x.Op + DeparseExpr(x.X)
+		s := operand(x.X, levelUnary)
+		if strings.HasPrefix(s, "-") {
+			s = "(" + s + ")" // "--" would open a comment
+		}
+		return x.Op + s
 	case *FuncCall:
 		if x.Star {
 			return x.Name + "(*)"
@@ -271,37 +274,28 @@ func DeparseExpr(e Expr) string {
 		deparseSelect(&b, x.Query)
 		return "(" + b.String() + ")"
 	case *InExpr:
-		not := ""
-		if x.Not {
-			not = " NOT"
-		}
+		not := notKeyword(x.Not)
 		if x.Query != nil {
 			var b strings.Builder
 			deparseSelect(&b, x.Query)
-			return DeparseExpr(x.X) + not + " IN (" + b.String() + ")"
+			return operand(x.X, levelPredicate) + not + " IN (" + b.String() + ")"
 		}
 		var items []string
 		for _, it := range x.List {
 			items = append(items, DeparseExpr(it))
 		}
-		return DeparseExpr(x.X) + not + " IN (" + strings.Join(items, ", ") + ")"
+		return operand(x.X, levelPredicate) + not + " IN (" + strings.Join(items, ", ") + ")"
 	case *BetweenExpr:
-		not := ""
-		if x.Not {
-			not = " NOT"
-		}
-		return DeparseExpr(x.X) + not + " BETWEEN " + DeparseExpr(x.Lo) + " AND " + DeparseExpr(x.Hi)
+		not := notKeyword(x.Not)
+		return operand(x.X, levelPredicate) + not + " BETWEEN " + operand(x.Lo, levelAdditive) + " AND " + operand(x.Hi, levelAdditive)
 	case *IsNullExpr:
 		if x.Not {
-			return DeparseExpr(x.X) + " IS NOT NULL"
+			return operand(x.X, levelPredicate) + " IS NOT NULL"
 		}
-		return DeparseExpr(x.X) + " IS NULL"
+		return operand(x.X, levelPredicate) + " IS NULL"
 	case *LikeExpr:
-		not := ""
-		if x.Not {
-			not = " NOT"
-		}
-		return DeparseExpr(x.X) + not + " LIKE " + DeparseExpr(x.Pattern)
+		not := notKeyword(x.Not)
+		return operand(x.X, levelPredicate) + not + " LIKE " + operand(x.Pattern, levelAdditive)
 	default:
 		return fmt.Sprintf("/* unknown expr %T */", e)
 	}
@@ -315,28 +309,60 @@ func deparseColRef(c ColRef) string {
 	return s
 }
 
-// precedence for parenthesization during deparse.
-func prec(op string) int {
-	switch op {
-	case "OR":
-		return 1
-	case "AND":
-		return 2
-	case "=", "<>", "<", "<=", ">", ">=":
-		return 3
-	case "+", "-":
-		return 4
-	case "*", "/":
-		return 5
-	default:
-		return 6
+// notKeyword is the " NOT" of a negated IN, BETWEEN or LIKE.
+func notKeyword(not bool) string {
+	if not {
+		return " NOT"
 	}
+	return ""
 }
 
-func needsParens(e Expr, parentOp string) bool {
-	b, ok := e.(*BinaryExpr)
-	if !ok {
-		return false
+// Binding levels of the expression grammar, loosest first: an operand
+// printed where the grammar wants a tighter level gets parentheses.
+const (
+	levelOr = iota + 1
+	levelAnd
+	levelNot
+	levelCompare // also IN, which ends a comparison operand
+	levelPredicate
+	levelAdditive
+	levelMultiplicative
+	levelUnary
+	levelPrimary
+)
+
+// level is how tightly e binds.
+func level(e Expr) int {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		switch x.Op {
+		case "OR":
+			return levelOr
+		case "AND":
+			return levelAnd
+		case "+", "-":
+			return levelAdditive
+		case "*", "/":
+			return levelMultiplicative
+		}
+		return levelCompare
+	case *UnaryExpr:
+		if x.Op == "NOT" {
+			return levelNot
+		}
+		return levelUnary
+	case *InExpr:
+		return levelCompare
+	case *LikeExpr, *BetweenExpr, *IsNullExpr:
+		return levelPredicate
 	}
-	return prec(b.Op) < prec(parentOp)
+	return levelPrimary
+}
+
+// operand deparses e where the grammar expects a level of at least min.
+func operand(e Expr, min int) string {
+	if level(e) < min {
+		return "(" + DeparseExpr(e) + ")"
+	}
+	return DeparseExpr(e)
 }
