@@ -77,8 +77,9 @@ type Tx interface {
 	// anywhere — both engines implement it as sqlengine.Load over their
 	// Storage adapter.
 	Load(db, table string, rows [][]sqlval.Value) (int, error)
-	// Describe reports the schema of a table or view.
-	Describe(db, name string) ([]schema.Column, error)
+	// Describe reports the schema of a table or view and, for a table,
+	// its live row count, read without a scan.
+	Describe(db, name string) (schema.Table, error)
 	// Prepare moves the transaction to the prepared-to-commit state.
 	// Engines without a prepare interface return an error; the session
 	// layer's capability profile normally refuses before this is

@@ -109,11 +109,15 @@ func (a *AD) Names() []string {
 	return out
 }
 
-// TableDef is the GDD record of one table or view.
+// TableDef is the GDD record of one table or view. Rows is the table's
+// live row count when it was last imported, 0 when unknown (views, and
+// services that do not report one); the decomposer sizes partial results
+// from it.
 type TableDef struct {
 	Name    string
 	IsView  bool
 	Columns []schema.Column
+	Rows    int64
 }
 
 // Clone deep-copies the definition.
@@ -297,21 +301,23 @@ func (g *GDD) PutTable(db string, def TableDef) error {
 	return nil
 }
 
-// MergeTableColumns adds columns to a table definition, creating it when
-// absent (partial IMPORT ... COLUMN).
-func (g *GDD) MergeTableColumns(db, table string, isView bool, cols []schema.Column) error {
+// MergeTableColumns adds part's columns to the definition of the table
+// it names, creating the definition when absent, and records part's row
+// count (partial IMPORT ... COLUMN).
+func (g *GDD) MergeTableColumns(db string, part TableDef) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	d, ok := g.dbs[db]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoGlobalDB, db)
 	}
-	def, ok := d.Tables[table]
+	def, ok := d.Tables[part.Name]
 	if !ok {
-		def = &TableDef{Name: table, IsView: isView}
-		d.Tables[table] = def
+		def = &TableDef{Name: part.Name, IsView: part.IsView}
+		d.Tables[part.Name] = def
 	}
-	for _, c := range cols {
+	def.Rows = part.Rows
+	for _, c := range part.Columns {
 		if !def.HasColumn(c.Name) {
 			def.Columns = append(def.Columns, c)
 		}

@@ -188,18 +188,18 @@ func TestGDDDropAndServiceOf(t *testing.T) {
 func TestMergeTableColumns(t *testing.T) {
 	g := NewGDD()
 	g.DefineDatabase("d", "svc")
-	if err := g.MergeTableColumns("d", "t", false, []schema.Column{{Name: "a", Type: sqlval.KindInt}}); err != nil {
+	if err := g.MergeTableColumns("d", TableDef{Name: "t", Columns: []schema.Column{{Name: "a", Type: sqlval.KindInt}}, Rows: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.MergeTableColumns("d", "t", false, []schema.Column{{Name: "a"}, {Name: "b"}}); err != nil {
+	if err := g.MergeTableColumns("d", TableDef{Name: "t", Columns: []schema.Column{{Name: "a"}, {Name: "b"}}, Rows: 7}); err != nil {
 		t.Fatal(err)
 	}
 	def, err := g.Table("d", "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(def.Columns) != 2 {
-		t.Fatalf("cols = %+v", def.Columns)
+	if len(def.Columns) != 2 || def.Rows != 7 {
+		t.Fatalf("def = %+v, want 2 columns and the latest count", def)
 	}
 }
 
@@ -245,6 +245,51 @@ func TestImportDatabaseAll(t *testing.T) {
 	}
 	if !vdef.IsView || len(vdef.Columns) != 2 {
 		t.Fatalf("view = %+v", vdef)
+	}
+}
+
+// TestImportRecordsRowCountAndKey: IMPORT records each table's live row
+// count and its primary key, in process and across the wire alike.
+func TestImportRecordsRowCountAndKey(t *testing.T) {
+	srv := newAvisService(t)
+	sess, _ := srv.OpenSession("avis")
+	for _, q := range []string{
+		"CREATE TABLE fleet (code INTEGER PRIMARY KEY, kind CHAR(10))",
+		"INSERT INTO fleet VALUES (1, 'suv'), (2, 'van'), (3, 'suv')",
+		"INSERT INTO cars (code) VALUES (7)",
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Commit()
+	sess.Close()
+	ts, err := lam.Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	remote, err := lam.Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for name, c := range map[string]lam.Client{"local": lam.NewLocal(srv), "tcp": remote} {
+		ad, gdd := NewAD(), NewGDD()
+		ad.Incorporate(ServiceEntry{Name: "avis-svc", Connect: true})
+		if err := ImportDatabase(context.Background(), gdd, ad, c, "avis", "avis-svc", ImportSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		for table, want := range map[string]int64{"fleet": 3, "cars": 1, "available": 0} {
+			def, err := gdd.Table("avis", table)
+			if err != nil || def.Rows != want {
+				t.Fatalf("%s: %s = %+v, %v; want %d rows", name, table, def, err, want)
+			}
+		}
+		fleet, _ := gdd.Table("avis", "fleet")
+		if !fleet.Columns[0].Key || fleet.Columns[1].Key {
+			t.Fatalf("%s: fleet columns = %+v, want code alone as the key", name, fleet.Columns)
+		}
 	}
 }
 

@@ -18,7 +18,8 @@ type ImportSpec struct {
 
 // ImportDatabase implements the paper's IMPORT statement: it copies
 // schema information from a service's Local Conceptual Schema into the
-// GDD, replacing previously imported definitions. The context bounds the
+// GDD, replacing previously imported definitions, together with each
+// table's row count as the service reports it. The context bounds the
 // remote Describe/List calls.
 func ImportDatabase(ctx context.Context, gdd *GDD, ad *AD, client lam.Client, db, service string, spec ImportSpec) error {
 	if _, err := ad.Lookup(service); err != nil {
@@ -27,15 +28,16 @@ func ImportDatabase(ctx context.Context, gdd *GDD, ad *AD, client lam.Client, db
 	gdd.DefineDatabase(db, service)
 
 	importOne := func(name string, isView bool, only []string) error {
-		cols, err := client.Describe(ctx, db, name)
+		desc, err := client.Describe(ctx, db, name)
 		if err != nil {
 			return fmt.Errorf("catalog: import %s.%s: %w", db, name, err)
 		}
+		def := TableDef{Name: name, IsView: isView, Columns: desc.Columns, Rows: desc.Rows}
 		if len(only) > 0 {
 			var sub []schema.Column
 			for _, want := range only {
 				found := false
-				for _, c := range cols {
+				for _, c := range desc.Columns {
 					if c.Name == want {
 						sub = append(sub, c)
 						found = true
@@ -46,9 +48,10 @@ func ImportDatabase(ctx context.Context, gdd *GDD, ad *AD, client lam.Client, db
 					return fmt.Errorf("catalog: import %s.%s: no column %q", db, name, want)
 				}
 			}
-			return gdd.MergeTableColumns(db, name, isView, sub)
+			def.Columns = sub
+			return gdd.MergeTableColumns(db, def)
 		}
-		return gdd.PutTable(db, TableDef{Name: name, IsView: isView, Columns: cols})
+		return gdd.PutTable(db, def)
 	}
 
 	switch {

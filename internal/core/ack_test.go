@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,7 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"msql/internal/catalog"
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
@@ -29,6 +32,62 @@ func TestLazyDialKeepsRefusalTransient(t *testing.T) {
 	_, err = New().Resolve(addr)
 	if !errors.Is(err, ErrNoClient) || !wire.Transient(err) {
 		t.Fatalf("Resolve(%s) = %v, want ErrNoClient wrapping a transient dial error", addr, err)
+	}
+}
+
+// TestRecoverBoundsSilentSiteDial: a site that accepts TCP but never
+// answers the hello must not hold Recover's orphan sweep past the
+// engine's RecoverTimeout: the lazy dial through the directory takes the
+// round's deadline.
+func TestRecoverBoundsSilentSiteDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	var mu sync.Mutex
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	})
+
+	fed := New()
+	j, err := mtlog.Open(filepath.Join(t.TempDir(), "coord.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	fed.SetJournal(j)
+	fed.SetRecovery(lam.RetryPolicy{}, 200*time.Millisecond)
+	fed.AD.Incorporate(catalog.ServiceEntry{Name: "svc_silent", Site: ln.Addr().String()})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := fed.Recover(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Recover reached a site that never answered")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recover still dialling a silent site after 5s; RecoverTimeout is 200ms")
 	}
 }
 

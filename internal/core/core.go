@@ -318,7 +318,7 @@ func New() *Federation {
 		Tracer:     obs.DefaultTracer,
 	}
 	f.tctx = &translate.Context{AD: f.AD, GDD: f.GDD}
-	f.engine = dolengine.New(f)
+	f.engine = dolengine.New(directory{f})
 	return f
 }
 
@@ -381,9 +381,24 @@ func (f *Federation) Server(name string) *ldbms.Server {
 	return f.servers[name]
 }
 
-// Resolve implements dolengine.Directory: registered clients first, then
-// a lazy TCP dial for host:port sites.
+// Resolve returns the client registered under a site or service name,
+// dialling a host:port site lazily, with no deadline, on first use.
 func (f *Federation) Resolve(site string) (lam.Client, error) {
+	return f.resolve(context.Background(), site)
+}
+
+// directory is the federation as the DOL engine's dolengine.Directory:
+// lazy dials it makes take the plan's or recovery round's deadline.
+type directory struct{ *Federation }
+
+// ResolveContext implements dolengine.ContextDirectory.
+func (d directory) ResolveContext(ctx context.Context, site string) (lam.Client, error) {
+	return d.resolve(ctx, site)
+}
+
+// resolve is Resolve with the lazy dial bounded by ctx: registered
+// clients first, then a TCP dial for host:port sites.
+func (f *Federation) resolve(ctx context.Context, site string) (lam.Client, error) {
 	f.mu.Lock()
 	if c, ok := f.clients[site]; ok {
 		f.mu.Unlock()
@@ -392,7 +407,7 @@ func (f *Federation) Resolve(site string) (lam.Client, error) {
 	pol := f.breakerPol
 	f.mu.Unlock()
 	if strings.Contains(site, ":") {
-		c, err := lam.DialWith(context.Background(), site, lam.DialOptions{CallTimeout: f.CallTimeout})
+		c, err := lam.DialWith(ctx, site, lam.DialOptions{CallTimeout: f.CallTimeout})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s (%w)", ErrNoClient, site, err)
 		}
@@ -419,7 +434,7 @@ func (f *Federation) liveProfile(ctx context.Context, entry catalog.ServiceEntry
 	}
 	f.mu.Unlock()
 	if !found && entry.Site != "" && strings.Contains(entry.Site, ":") {
-		rc, err := f.Resolve(entry.Site)
+		rc, err := f.resolve(ctx, entry.Site)
 		if err != nil {
 			return ldbms.Profile{}, false
 		}
@@ -465,17 +480,17 @@ func (f *Federation) checkIncorporate(ctx context.Context, entry *catalog.Servic
 }
 
 // clientFor returns the LAM client of an incorporated service.
-func (f *Federation) clientFor(service string) (lam.Client, error) {
+func (f *Federation) clientFor(ctx context.Context, service string) (lam.Client, error) {
 	entry, err := f.AD.Lookup(service)
 	if err != nil {
 		return nil, err
 	}
 	if entry.Site != "" {
-		if c, err := f.Resolve(entry.Site); err == nil {
+		if c, err := f.resolve(ctx, entry.Site); err == nil {
 			return c, nil
 		}
 	}
-	return f.Resolve(service)
+	return f.resolve(ctx, service)
 }
 
 // NewSession opens an independent script-execution session on the
@@ -841,8 +856,12 @@ func (f *Federation) assembleMultitable(res *Result, meta *translate.Meta, out *
 			}
 			continue
 		}
+		label := tm.Entry.Name
+		if tm.Name == meta.FinalTask {
+			label = meta.FinalLabel
+		}
 		mt.Tables = append(mt.Tables, multitable.Table{
-			Database: tm.Entry.Name,
+			Database: label,
 			Columns:  info.Result.Columns,
 			Rows:     info.Result.Rows,
 		})

@@ -380,10 +380,12 @@ WHERE c.rate < u.rates
 	}
 }
 
-// TestGlobalCrossDatabaseJoinCSVCoordinator: the first database of the
-// FROM list coordinates, so here the temp tables, the loaded rows and the
-// final join all live on a flat-file autocommit site. Typed loads reach
-// it through the same storage seam as every other engine's.
+// TestGlobalCrossDatabaseJoinCSVCoordinator: the group with the most
+// rows coordinates — regional's three flights against continental's two
+// — so here the temp table, the loaded rows and the final join all live
+// on a flat-file autocommit site, whichever way round FROM names them.
+// Typed loads reach it through the same storage seam as every other
+// engine's.
 func TestGlobalCrossDatabaseJoinCSVCoordinator(t *testing.T) {
 	f := paperFederation(t, false)
 	cs, err := csvstore.Open(t.TempDir())
@@ -433,14 +435,30 @@ WHERE r.rate < c.rate
 	if want := []string{"[900 100 100]", "[900 101 80]", "[901 100 100]"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("join rows = %v, want %v", got, want)
 	}
-	// Both groups were loaded at the csv site (its own three rows too:
-	// the coordinator's group is shipped like any other), and the temp
-	// tables are gone from the store and from its directory.
-	if st := srv.Stats(); st.Loads != 2 || st.LoadedRows != 5 {
-		t.Fatalf("csv site stats = %+v, want 2 loads of 5 rows in all", st)
+	// Only continental's two rows were loaded at the csv site: Q' reads
+	// the coordinator's own table in place. The temp table is gone from
+	// the store and from its directory.
+	if st := srv.Stats(); st.Loads != 1 || st.LoadedRows != 2 {
+		t.Fatalf("csv site stats = %+v, want 1 load of continental's 2 rows", st)
 	}
 	if tables, err := sess.ListTables(); err != nil || len(tables) != 1 {
 		t.Fatalf("tables at the csv site = %v, %v", tables, err)
+	}
+	// FROM order does not move the coordinator, only the answer's label:
+	// the first FROM database names it.
+	results, err = f.ExecScript(`
+USE regional continental
+SELECT c.flnu, r.flnu FROM continental.flights c, regional.flights r WHERE r.rate < c.rate
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt := results[len(results)-1].Multitable
+	if len(mt.Tables) != 1 || mt.Tables[0].Database != "continental" || len(mt.Tables[0].Rows) != 3 {
+		t.Fatalf("multitable = %+v", mt)
+	}
+	if st := srv.Stats(); st.Loads != 2 || st.LoadedRows != 4 {
+		t.Fatalf("csv site stats = %+v, want a second load of continental's 2 rows", st)
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -185,6 +187,14 @@ func federationPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outc
 		mode = "fan-out write"
 	}
 	root := &obs.PlanNode{Op: "msql", Detail: mode}
+	if len(meta.Estimates) > 0 {
+		ests := make([]string, len(meta.Estimates))
+		for i, e := range meta.Estimates {
+			ests[i] = e.Database + "=" + strconv.FormatFloat(math.Round(e.Rows*100)/100, 'f', -1, 64)
+		}
+		root.Add(&obs.PlanNode{Op: "coordinator", Detail: fmt.Sprintf("%s (estimated rows %s)",
+			byName[meta.FinalTask].Entry.Name, strings.Join(ests, " "))})
+	}
 	var walk func(stmts []dol.Stmt)
 	walk = func(stmts []dol.Stmt) {
 		for _, st := range stmts {

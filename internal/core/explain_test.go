@@ -100,8 +100,14 @@ WHERE c.rate < u.rates
 	if p.TimeNS <= 0 {
 		t.Fatal("root has no wall time")
 	}
+	// continental's two flights outnumber united's one: continental
+	// coordinates, so united is read and shipped and continental's table
+	// is read in place by the final task.
+	if c := p.Find("coordinator"); c == nil || c.Detail != "continental (estimated rows continental=2 united=1)" {
+		t.Fatalf("no coordinator choice on the plan:\n%s", p.Render())
+	}
 	tasks := p.FindAll("task")
-	if len(tasks) < 3 { // two reads + the final assembly task
+	if len(tasks) != 2 { // united's read + the final assembly task
 		t.Fatalf("task nodes = %d:\n%s", len(tasks), p.Render())
 	}
 	var final *obs.PlanNode
@@ -122,26 +128,26 @@ WHERE c.rate < u.rates
 	if final.Rows != int64(r.Multitable.TotalRows()) {
 		t.Fatalf("final task rows = %d, result has %d", final.Rows, r.Multitable.TotalRows())
 	}
+	// The ship reports what it moved: united's one flight, in one Load
+	// batch (loops), in measured time.
 	ships := p.FindAll("ship")
-	if len(ships) != 2 {
-		t.Fatalf("expected ship nodes for both read tasks:\n%s", p.Render())
+	if len(ships) != 1 {
+		t.Fatalf("expected one ship node, for united's read task:\n%s", p.Render())
 	}
-	// Each ship reports what it moved: continental ships 2 flights,
-	// united 1, each in one Load batch (loops), in measured time.
-	for _, n := range ships {
-		want := int64(1)
-		if strings.Contains(n.Detail, "mtmp_continental") {
-			want = 2
-		}
-		if !n.Analyzed || n.Rows != want || n.Loops != 1 || n.TimeNS <= 0 {
-			t.Fatalf("ship %q: analyzed=%v rows=%d batches=%d time=%dns, want %d rows in 1 batch:\n%s",
-				n.Detail, n.Analyzed, n.Rows, n.Loops, n.TimeNS, want, p.Render())
-		}
+	if n := ships[0]; !strings.Contains(n.Detail, "continental.mtmp_united") || !n.Analyzed || n.Rows != 1 || n.Loops != 1 || n.TimeNS <= 0 {
+		t.Fatalf("ship %q: analyzed=%v rows=%d batches=%d time=%dns, want 1 row in 1 batch:\n%s",
+			n.Detail, n.Analyzed, n.Rows, n.Loops, n.TimeNS, p.Render())
 	}
 	// Site-local subtrees are grafted under the tasks: the final task
-	// joins the two shipped temp tables.
-	if final.Find("scan") == nil && final.Find("hash-join") == nil && final.Find("index-probe") == nil {
-		t.Fatalf("final task has no grafted local plan:\n%s", p.Render())
+	// scans the shipped temp table and continental's own table.
+	for _, want := range []string{"scan mtmp_united", "scan c"} {
+		found := false
+		for _, n := range final.FindAll("scan") {
+			found = found || strings.HasPrefix(n.Op+" "+n.Detail, want)
+		}
+		if !found {
+			t.Fatalf("final task has no %q in its grafted local plan:\n%s", want, p.Render())
+		}
 	}
 	var taskRows int64
 	for _, n := range tasks {
@@ -149,9 +155,36 @@ WHERE c.rate < u.rates
 			taskRows += n.Rows
 		}
 	}
-	// continental ships 2 flights, united ships 1.
-	if taskRows != 3 {
-		t.Fatalf("read tasks produced %d rows, want 3:\n%s", taskRows, p.Render())
+	if taskRows != 1 {
+		t.Fatalf("read tasks produced %d rows, want united's 1:\n%s", taskRows, p.Render())
+	}
+}
+
+// TestFederationExplainPlainGlobal: plain EXPLAIN of a cross-database
+// join names the coordinator and every group's estimate from the GDD
+// alone, and runs nothing at any site.
+func TestFederationExplainPlainGlobal(t *testing.T) {
+	f := paperFederation(t, false)
+	before := map[string]ldbms.Stats{}
+	for _, svc := range []string{"svc_cont", "svc_unit"} {
+		before[svc] = f.Server(svc).Stats()
+	}
+	results, err := f.ExecScript(`
+USE continental united
+EXPLAIN SELECT c.flnu, u.fn FROM united.flight u, continental.flights c WHERE c.rate < u.rates AND u.day = 'tue'
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := results[len(results)-1].Plan
+	// united: 1 row x 1/10 for its equality; continental: 2 rows.
+	if c := p.Find("coordinator"); c == nil || c.Detail != "continental (estimated rows united=0.1 continental=2)" {
+		t.Fatalf("coordinator node:\n%s", p.Render())
+	}
+	for svc, st := range before {
+		if got := f.Server(svc).Stats(); got != st {
+			t.Fatalf("plain EXPLAIN touched %s: %+v then %+v", svc, st, got)
+		}
 	}
 }
 

@@ -274,7 +274,7 @@ func (s *Session) execStmt(ctx context.Context, stmt msqlparser.Stmt) ([]*Result
 		return resultList(&Result{Kind: KindIncorporate}), nil
 
 	case *msqlparser.ImportStmt:
-		client, err := f.clientFor(st.Service)
+		client, err := f.clientFor(ctx, st.Service)
 		if err != nil {
 			return nil, err
 		}

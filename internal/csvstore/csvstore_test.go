@@ -336,8 +336,8 @@ func TestBehindLDBMSAutoCommitProfile(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "t" {
 		t.Fatalf("ListTables = %v, %v", names, err)
 	}
-	cols, err := sess2.Describe("t")
-	if err != nil || len(cols) != 1 || cols[0].Name != "a" {
-		t.Fatalf("Describe = %v, %v", cols, err)
+	desc, err := sess2.Describe("t")
+	if err != nil || len(desc.Columns) != 1 || desc.Columns[0].Name != "a" || desc.Rows != 1 {
+		t.Fatalf("Describe = %+v, %v", desc, err)
 	}
 }

@@ -100,7 +100,7 @@ func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
 }
 
 // Describe implements backend.Tx.
-func (t *Tx) Describe(db, name string) ([]schema.Column, error) {
+func (t *Tx) Describe(db, name string) (schema.Table, error) {
 	return sqlengine.DescribeTable(t, db, name)
 }
 
@@ -115,13 +115,15 @@ func (t *Tx) TableForRead(db, name string) (sqlengine.Table, error) {
 	return img, nil
 }
 
-// TableColumns implements sqlengine.Storage.
-func (t *Tx) TableColumns(db, name string) ([]schema.Column, error) {
+// TableInfo implements sqlengine.Storage. The count is the image's
+// length: committed images hold no tombstones and are never written
+// again, only replaced.
+func (t *Tx) TableInfo(db, name string) (schema.Table, error) {
 	img, err := t.read(db, name)
 	if err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
-	return img.cols, nil
+	return schema.Table{Columns: img.cols, Rows: int64(len(img.rows))}, nil
 }
 
 // TableForWrite implements sqlengine.Storage, staging a private copy of

@@ -48,6 +48,13 @@ type Ship struct {
 	Columns   []schema.Column
 }
 
+// Estimate is one database group of a cross-database SELECT with the
+// estimated size of its local result, in rows.
+type Estimate struct {
+	Database string
+	Rows     float64
+}
+
 // Plan is the decomposed form of one elementary query.
 type Plan struct {
 	// Subqueries run at their databases, in parallel when independent.
@@ -55,6 +62,10 @@ type Plan struct {
 	// CoordinatorDB hosts the temporary tables and evaluates Final. Empty
 	// for plans without a global step.
 	CoordinatorDB string
+	// Estimates lists the groups of a cross-database SELECT in FROM
+	// order, each with its estimated local result. The coordinator is the
+	// largest. Empty for every other plan.
+	Estimates []Estimate
 	// Ships move subquery results to the coordinator.
 	Ships []Ship
 	// Final is the modified global query Q', evaluated at the coordinator
@@ -203,11 +214,27 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 		note(o.Expr)
 	}
 
-	coordinator := groups[0].db
-	plan := &Plan{CoordinatorDB: coordinator}
-	rename := make(map[string]string) // "alias.col" -> shipped column name
+	// The coordinator is the group with the largest estimated result:
+	// its rows are the ones Q' reads in place instead of receiving. Ties
+	// keep FROM order.
+	plan := &Plan{}
+	coord := 0
+	for i, g := range groups {
+		plan.Estimates = append(plan.Estimates, Estimate{Database: g.db, Rows: estimate(gdd, g, localConj[g.db])})
+		if plan.Estimates[i].Rows > plan.Estimates[coord].Rows {
+			coord = i
+		}
+	}
+	plan.CoordinatorDB = groups[coord].db
+	// Shipped columns are referenced qualified by their temp table, so
+	// that a coordinator column of the same name cannot capture them.
+	rename := make(map[string]sqlparser.ColRef) // "alias.col" -> mtmp_db.alias_col
 
-	for _, g := range groups {
+	for i, g := range groups {
+		if i == coord {
+			continue
+		}
+		tmp := "mtmp_" + g.db
 		// Local subquery: needed columns of this group's aliases.
 		var items []sqlparser.SelectItem
 		var cols []schema.Column
@@ -220,7 +247,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 					Expr:  sqlparser.ColRef{Parts: []string{alias, col}},
 					Alias: shipped,
 				})
-				rename[alias+"."+col] = shipped
+				rename[alias+"."+col] = sqlparser.ColRef{Parts: []string{tmp, shipped}}
 				ct, err := columnType(gdd, g, alias, col)
 				if err != nil {
 					return nil, err
@@ -246,18 +273,18 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 		}
 		local.Where = conjoin(localConj[g.db])
 		plan.Subqueries = append(plan.Subqueries, Subquery{Database: g.db, Name: g.db, Stmt: local})
-		tmp := "mtmp_" + g.db
 		plan.Ships = append(plan.Ships, Ship{FromIndex: len(plan.Subqueries) - 1, Table: tmp, Columns: cols})
 		plan.Cleanup = append(plan.Cleanup, tmp)
 	}
 
-	// Q': the original query over the temp tables, with alias.col renamed
-	// to the shipped single-part names.
+	// Q': the original query over the temp tables and the coordinator's
+	// own base tables, with the shipped groups' alias.col renamed to
+	// their temp-table columns.
 	rw := sqlparser.Rewriter{
 		Col: func(c sqlparser.ColRef) sqlparser.Expr {
 			if len(c.Parts) == 2 {
 				if n, ok := rename[c.Parts[0]+"."+c.Parts[1]]; ok {
-					return sqlparser.ColRef{Parts: []string{n}}
+					return n
 				}
 			}
 			return c
@@ -274,11 +301,21 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 			final.Items[i].Alias = orig.Parts[1]
 		}
 	}
+	// The coordinator's tables come last, so that a key equality with a
+	// shipped column probes their index instead of scanning them; its
+	// local conjuncts, which no subquery ran, filter them here.
 	final.From = nil
 	for _, s := range plan.Ships {
 		final.From = append(final.From, sqlparser.TableRef{Name: sqlparser.Name(s.Table)})
 	}
-	final.Where = conjoinRewritten(globalConj, rw)
+	for _, r := range groups[coord].refs {
+		ref := sqlparser.TableRef{Name: sqlparser.Name(r.Name.Parts[1]), Alias: r.Alias}
+		if ref.Alias == r.Name.Parts[1] {
+			ref.Alias = ""
+		}
+		final.From = append(final.From, ref)
+	}
+	final.Where = conjoin(append(localConj[groups[coord].db], rewriteAll(globalConj, rw)...))
 	plan.Final = final
 	return plan, nil
 }
@@ -367,6 +404,117 @@ func starItems(cols []string) []sqlparser.SelectItem {
 	return items
 }
 
+// Size estimation in the style of System R (Selinger et al., SIGMOD
+// 1979): a table's row count as IMPORT recorded it, times a fixed
+// selectivity per local conjunct. The figures only have to rank groups
+// against each other, so they are constants, not settings.
+const (
+	unknownRows = 1000 // a table whose row count the GDD does not know
+	selEquality = 1.0 / 10
+	selRange    = 1.0 / 3
+	selOther    = 1.0 / 2
+)
+
+// estimate sizes a group's local result: the product of its tables' row
+// counts and of its local conjuncts' selectivities. A table whose whole
+// primary key is pinned by equalities to constants contributes one row,
+// and those equalities no further factor.
+func estimate(gdd *catalog.GDD, g *group, conj []sqlparser.Expr) float64 {
+	type pin struct{ alias, col string }
+	pinned := make(map[pin]bool)
+	for _, c := range conj {
+		if alias, col, ok := constEquality(c); ok {
+			pinned[pin{alias, col}] = true
+		}
+	}
+	rows := 1.0
+	keyed := make(map[string]bool) // aliases pinned to one row
+	for _, r := range g.refs {
+		card := float64(unknownRows)
+		def, err := gdd.Table(g.db, r.Name.Parts[1])
+		if err == nil && def.Rows > 0 {
+			card = float64(def.Rows)
+		}
+		if err == nil && keyPinned(def.Columns, func(col string) bool { return pinned[pin{r.Alias, col}] }) {
+			keyed[r.Alias] = true
+			card = 1
+		}
+		rows *= card
+	}
+	for _, c := range conj {
+		if alias, _, ok := constEquality(c); ok {
+			if !keyed[alias] {
+				rows *= selEquality
+			}
+			continue
+		}
+		if constRange(c) {
+			rows *= selRange
+		} else {
+			rows *= selOther
+		}
+	}
+	return rows
+}
+
+// keyPinned reports whether cols declare a primary key and pinned holds
+// for every column of it.
+func keyPinned(cols []schema.Column, pinned func(col string) bool) bool {
+	keys := 0
+	for _, c := range cols {
+		if c.Key {
+			if !pinned(c.Name) {
+				return false
+			}
+			keys++
+		}
+	}
+	return keys > 0
+}
+
+// constEquality matches alias.col = constant, either way round.
+func constEquality(e sqlparser.Expr) (alias, col string, ok bool) {
+	b, isBin := e.(*sqlparser.BinaryExpr)
+	if !isBin || b.Op != "=" {
+		return "", "", false
+	}
+	for _, side := range [2][2]sqlparser.Expr{{b.L, b.R}, {b.R, b.L}} {
+		if c, isCol := side[0].(sqlparser.ColRef); isCol && len(c.Parts) == 2 && isConst(side[1]) {
+			return c.Parts[0], c.Parts[1], true
+		}
+	}
+	return "", "", false
+}
+
+// constRange matches a comparison or BETWEEN of a column against
+// constants.
+func constRange(e sqlparser.Expr) bool {
+	switch x := e.(type) {
+	case *sqlparser.BinaryExpr:
+		switch x.Op {
+		case "<", "<=", ">", ">=":
+			_, l := x.L.(sqlparser.ColRef)
+			_, r := x.R.(sqlparser.ColRef)
+			return l && isConst(x.R) || r && isConst(x.L)
+		}
+	case *sqlparser.BetweenExpr:
+		_, col := x.X.(sqlparser.ColRef)
+		return col && !x.Not && isConst(x.Lo) && isConst(x.Hi)
+	}
+	return false
+}
+
+// isConst reports whether e references no column.
+func isConst(e sqlparser.Expr) bool {
+	cols := false
+	walk(e, func(x sqlparser.Expr) {
+		if _, ok := x.(sqlparser.ColRef); ok {
+			cols = true
+		}
+	})
+	return !cols
+}
+
 // --- helpers ---
 
 func groupByDatabase(from []sqlparser.TableRef) ([]*group, map[string]string, error) {
@@ -417,12 +565,12 @@ func conjoin(cs []sqlparser.Expr) sqlparser.Expr {
 	return out
 }
 
-func conjoinRewritten(cs []sqlparser.Expr, rw sqlparser.Rewriter) sqlparser.Expr {
+func rewriteAll(cs []sqlparser.Expr, rw sqlparser.Rewriter) []sqlparser.Expr {
 	var rewritten []sqlparser.Expr
 	for _, c := range cs {
 		rewritten = append(rewritten, rw.RewriteExpr(c))
 	}
-	return conjoin(rewritten)
+	return rewritten
 }
 
 func referencedDBs(e sqlparser.Expr, aliasDB map[string]string) map[string]bool {

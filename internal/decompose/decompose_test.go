@@ -108,43 +108,155 @@ func TestDecomposeCrossJoinSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Subqueries) != 2 || len(plan.Ships) != 2 || plan.Final == nil {
+	// Equal predicates and no row counts: a tie, so continental (first in
+	// FROM) coordinates, and only united's group is shipped.
+	if len(plan.Subqueries) != 1 || len(plan.Ships) != 1 || plan.Final == nil {
 		t.Fatalf("plan shape: %d subqueries, %d ships, final=%v", len(plan.Subqueries), len(plan.Ships), plan.Final)
 	}
 	if plan.CoordinatorDB != "continental" {
 		t.Fatalf("coordinator = %s", plan.CoordinatorDB)
 	}
-	// Local predicates pushed down.
-	contSQL := plan.Subqueries[0].SQL()
-	if !strings.Contains(contSQL, "WHERE c.day = 'mon'") {
-		t.Errorf("continental subquery lost its local predicate: %s", contSQL)
+	// The shipped group's local predicate is pushed down.
+	unitSQL := plan.Subqueries[0].SQL()
+	if plan.Subqueries[0].Database != "united" || !strings.Contains(unitSQL, "WHERE u.day = 'mon'") {
+		t.Errorf("united subquery lost its local predicate: %s", unitSQL)
 	}
-	if !strings.Contains(contSQL, "c.flnu AS c_flnu") || !strings.Contains(contSQL, "c.rate AS c_rate") {
-		t.Errorf("continental subquery projection: %s", contSQL)
+	if !strings.Contains(unitSQL, "u.fn AS u_fn") || !strings.Contains(unitSQL, "u.rates AS u_rates") {
+		t.Errorf("united subquery projection: %s", unitSQL)
 	}
-	unitSQL := plan.Subqueries[1].SQL()
-	if !strings.Contains(unitSQL, "WHERE u.day = 'mon'") {
-		t.Errorf("united subquery: %s", unitSQL)
-	}
-	// The cross predicate moves to Q'.
+	// Q' reads continental's table in place, with its local predicate
+	// folded in, and the cross predicate over the shipped columns.
 	final := plan.FinalSQL()
-	want := "SELECT c_flnu AS flnu, u_fn AS fn FROM mtmp_continental, mtmp_united WHERE c_rate > u_rates"
+	want := "SELECT c.flnu AS flnu, mtmp_united.u_fn AS fn FROM mtmp_united, flights c WHERE c.day = 'mon' AND c.rate > mtmp_united.u_rates"
 	if final != want {
 		t.Errorf("final:\n got  %s\n want %s", final, want)
 	}
 	// Shipped schemas carry the GDD types.
-	for _, s := range plan.Ships {
-		for _, c := range s.Columns {
-			if c.Name == "c_rate" && c.Type != sqlval.KindFloat {
-				t.Errorf("c_rate type = %v", c.Type)
-			}
-			if c.Name == "c_flnu" && c.Type != sqlval.KindInt {
-				t.Errorf("c_flnu type = %v", c.Type)
+	for _, c := range plan.Ships[0].Columns {
+		if c.Name == "u_rates" && c.Type != sqlval.KindFloat {
+			t.Errorf("u_rates type = %v", c.Type)
+		}
+		if c.Name == "u_fn" && c.Type != sqlval.KindInt {
+			t.Errorf("u_fn type = %v", c.Type)
+		}
+	}
+	if len(plan.Cleanup) != 1 || plan.Cleanup[0] != "mtmp_united" {
+		t.Fatalf("cleanup = %v", plan.Cleanup)
+	}
+	if len(plan.Estimates) != 2 || plan.Estimates[0].Database != "continental" {
+		t.Fatalf("estimates = %v", plan.Estimates)
+	}
+}
+
+// setTable records a row count and primary key for a table of the
+// test GDD.
+func setTable(t *testing.T, g *catalog.GDD, db, table string, rows int64, keys ...string) {
+	t.Helper()
+	def, err := g.Table(db, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def.Rows = rows
+	for i := range def.Columns {
+		for _, k := range keys {
+			if def.Columns[i].Name == k {
+				def.Columns[i].Key = true
 			}
 		}
 	}
-	if len(plan.Cleanup) != 2 {
-		t.Fatalf("cleanup = %v", plan.Cleanup)
+	if err := g.PutTable(db, *def); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func decomposeQuery(t *testing.T, g *catalog.GDD, use, query string) *Plan {
+	t.Helper()
+	plan, err := Decompose(g, expandOne(t, g, use, query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestDecomposeCoordinatorIsLargestGroup: the group with the most
+// estimated rows coordinates, whatever its place in FROM, and its own
+// rows are never shipped.
+func TestDecomposeCoordinatorIsLargestGroup(t *testing.T) {
+	g := paperGDD(t)
+	setTable(t, g, "continental", "flights", 10)
+	setTable(t, g, "united", "flight", 5000)
+	for _, q := range []string{
+		"SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u.rates",
+		"SELECT c.flnu, u.fn FROM united.flight u, continental.flights c WHERE c.rate < u.rates",
+	} {
+		plan := decomposeQuery(t, g, "USE continental united", q)
+		if plan.CoordinatorDB != "united" {
+			t.Fatalf("%s: coordinator = %s, estimates %v", q, plan.CoordinatorDB, plan.Estimates)
+		}
+		if len(plan.Ships) != 1 || plan.Ships[0].Table != "mtmp_continental" {
+			t.Fatalf("%s: ships = %+v", q, plan.Ships)
+		}
+	}
+	// A selective local predicate shrinks a group's estimate: 5000/10 on
+	// united against 1000 on continental.
+	setTable(t, g, "continental", "flights", 1000)
+	plan := decomposeQuery(t, g, "USE continental united",
+		"SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE u.day = 'mon' AND c.rate < u.rates")
+	if plan.CoordinatorDB != "continental" {
+		t.Fatalf("coordinator = %s, estimates %v", plan.CoordinatorDB, plan.Estimates)
+	}
+}
+
+// TestDecomposeKeyPinnedGroupLoses: equalities that pin a table's whole
+// primary key size its group at one row, below an equal-count group
+// filtered by an ordinary equality.
+func TestDecomposeKeyPinnedGroupLoses(t *testing.T) {
+	g := paperGDD(t)
+	const q = "SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.flnu = 100 AND u.day = 'mon' AND c.rate < u.rates"
+	setTable(t, g, "continental", "flights", 1000)
+	setTable(t, g, "united", "flight", 1000)
+	if plan := decomposeQuery(t, g, "USE continental united", q); plan.CoordinatorDB != "continental" {
+		t.Fatalf("without a key: coordinator = %s, estimates %v (a tie keeps FROM order)", plan.CoordinatorDB, plan.Estimates)
+	}
+	setTable(t, g, "continental", "flights", 1000, "flnu")
+	plan := decomposeQuery(t, g, "USE continental united", q)
+	if plan.CoordinatorDB != "united" || plan.Estimates[0].Rows != 1 {
+		t.Fatalf("key-pinned: coordinator = %s, estimates %v", plan.CoordinatorDB, plan.Estimates)
+	}
+}
+
+// TestDecomposeTiesKeepFromOrder: unknown counts and equal predicates
+// plan as before estimates existed — the first FROM database coordinates.
+func TestDecomposeTiesKeepFromOrder(t *testing.T) {
+	g := paperGDD(t)
+	for q, want := range map[string]string{
+		"SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.day = 'mon' AND u.day = 'tue'": "continental",
+		"SELECT c.flnu, u.fn FROM united.flight u, continental.flights c WHERE c.day = 'mon' AND u.day = 'tue'": "united",
+	} {
+		if plan := decomposeQuery(t, g, "USE continental united", q); plan.CoordinatorDB != want {
+			t.Fatalf("%s: coordinator = %s, want %s", q, plan.CoordinatorDB, want)
+		}
+	}
+}
+
+// TestDecomposeShippedNamesQualified: Q' mixes shipped columns with the
+// coordinator's own, so a coordinator column literally named like a
+// shipped one (u_fn) must not capture the reference.
+func TestDecomposeShippedNamesQualified(t *testing.T) {
+	g := paperGDD(t)
+	def, _ := g.Table("continental", "flights")
+	def.Columns = append(def.Columns, schema.Column{Name: "u_fn", Type: sqlval.KindInt})
+	if err := g.PutTable("continental", *def); err != nil {
+		t.Fatal(err)
+	}
+	plan := decomposeQuery(t, g, "USE continental united",
+		"SELECT c.u_fn, u.fn FROM continental.flights c, united.flight u WHERE c.u_fn = u.fn")
+	if plan.CoordinatorDB != "continental" {
+		t.Fatalf("coordinator = %s", plan.CoordinatorDB)
+	}
+	want := "SELECT c.u_fn AS u_fn, mtmp_united.u_fn AS fn FROM mtmp_united, flights c WHERE c.u_fn = mtmp_united.u_fn"
+	if got := plan.FinalSQL(); got != want {
+		t.Fatalf("final:\n got  %s\n want %s", got, want)
 	}
 }
 
@@ -158,7 +270,7 @@ func TestDecomposeAggregatesStayGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := plan.FinalSQL()
-	if !strings.Contains(final, "GROUP BY c_source") || !strings.Contains(final, "COUNT(c_flnu)") {
+	if !strings.Contains(final, "GROUP BY c.source") || !strings.Contains(final, "COUNT(c.flnu)") {
 		t.Errorf("final = %s", final)
 	}
 	for _, sq := range plan.Subqueries {
@@ -244,20 +356,24 @@ func TestDecomposeDiversePredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// continental's range, IN and NOT (1/3 x 1/2 x 1/2) filter harder
+	// than united's LIKE and IS NOT NULL (1/2 x 1/2), so united
+	// coordinates: continental's predicates run at continental, united's
+	// are folded into Q'.
+	if plan.CoordinatorDB != "united" || len(plan.Subqueries) != 1 {
+		t.Fatalf("coordinator = %s, estimates %v", plan.CoordinatorDB, plan.Estimates)
+	}
 	contSQL := plan.Subqueries[0].SQL()
 	for _, want := range []string{"BETWEEN 50 AND 150", "IN ('mon', 'tue')", "NOT (c.flnu = 0)"} {
 		if !strings.Contains(contSQL, want) {
 			t.Errorf("continental predicate missing %q: %s", want, contSQL)
 		}
 	}
-	unitSQL := plan.Subqueries[1].SQL()
-	for _, want := range []string{"LIKE 'm%'", "IS NOT NULL"} {
-		if !strings.Contains(unitSQL, want) {
-			t.Errorf("united predicate missing %q: %s", want, unitSQL)
+	final := plan.FinalSQL()
+	for _, want := range []string{"LIKE 'm%'", "IS NOT NULL", "mtmp_continental.c_day = u.day"} {
+		if !strings.Contains(final, want) {
+			t.Errorf("Q' is missing %q: %s", want, final)
 		}
-	}
-	if !strings.Contains(plan.FinalSQL(), "c_day = u_day") {
-		t.Errorf("cross predicate not in Q': %s", plan.FinalSQL())
 	}
 }
 

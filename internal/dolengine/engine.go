@@ -52,6 +52,22 @@ type Directory interface {
 	Resolve(site string) (lam.Client, error)
 }
 
+// ContextDirectory is a Directory whose lookup may have to dial the site
+// first, and so takes the caller's deadline: a site that accepts TCP but
+// never answers must not hold a plan or a recovery round past it. The
+// engine resolves through ResolveContext when its directory has it.
+type ContextDirectory interface {
+	ResolveContext(ctx context.Context, site string) (lam.Client, error)
+}
+
+// resolve looks a site up under ctx when the directory can honour it.
+func (e *Engine) resolve(ctx context.Context, site string) (lam.Client, error) {
+	if cd, ok := e.dir.(ContextDirectory); ok {
+		return cd.ResolveContext(ctx, site)
+	}
+	return e.dir.Resolve(site)
+}
+
 // MapDirectory is a Directory backed by a map.
 type MapDirectory map[string]lam.Client
 
@@ -333,7 +349,7 @@ func (r *run) execStmts(stmts []dol.Stmt) error {
 func (r *run) execStmt(s dol.Stmt) error {
 	switch st := s.(type) {
 	case *dol.OpenStmt:
-		client, err := r.eng.dir.Resolve(st.Site)
+		client, err := r.eng.resolve(r.ctx, st.Site)
 		if err != nil {
 			return err
 		}

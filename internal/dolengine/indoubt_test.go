@@ -89,8 +89,8 @@ func (c *flakyClient) Profile(ctx context.Context) (ldbms.Profile, error) {
 func (c *flakyClient) Open(ctx context.Context, db string) (lam.Session, error) {
 	return c.sess, nil
 }
-func (c *flakyClient) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
-	return nil, nil
+func (c *flakyClient) Describe(ctx context.Context, db, name string) (schema.Table, error) {
+	return schema.Table{}, nil
 }
 func (c *flakyClient) ListTables(ctx context.Context, db string) ([]string, error) { return nil, nil }
 func (c *flakyClient) ListViews(ctx context.Context, db string) ([]string, error)  { return nil, nil }

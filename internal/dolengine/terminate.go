@@ -66,13 +66,13 @@ func (e *Engine) ResolveParticipant(ctx context.Context, site string, sessionID 
 			case <-time.After(e.Recovery.Backoff(attempt)):
 			}
 		}
-		c, err := e.dir.Resolve(site)
+		cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
+		c, err := e.resolve(cctx, site)
 		var st ldbms.SessionState
 		if err == nil {
-			cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
 			st, err = c.Resolve(cctx, sessionID, commit)
-			cancel()
 		}
+		cancel()
 		if err == nil {
 			return st, nil
 		}
@@ -117,12 +117,12 @@ func (e *Engine) Forget(bs []Branch) {
 		}
 	}
 	fanOut(len(todo), func(i int) {
-		c, err := e.dir.Resolve(todo[i].Site)
+		ctx, cancel := context.WithTimeout(context.Background(), ackTimeout)
+		defer cancel()
+		c, err := e.resolve(ctx, todo[i].Site)
 		if err != nil {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), ackTimeout)
-		defer cancel()
 		_ = c.Forget(ctx, todo[i].SessionID)
 	})
 }
@@ -139,13 +139,13 @@ func (e *Engine) SweepOrphans(ctx context.Context, sites []string, covered map[B
 		lastErr error
 	)
 	fanOut(len(sites), func(i int) {
-		c, err := e.dir.Resolve(sites[i])
+		cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
+		c, err := e.resolve(cctx, sites[i])
 		var parked []wire.InDoubtSession
 		if err == nil {
-			cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
 			parked, err = c.InDoubt(cctx)
-			cancel()
 		}
+		cancel()
 		var rolledBack []Branch
 		for _, d := range parked {
 			b := Branch{Site: sites[i], SessionID: d.SessionID}

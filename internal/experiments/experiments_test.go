@@ -444,8 +444,11 @@ func TestB10ObservabilityOverhead(t *testing.T) {
 		}
 	}
 	count(results[len(results)-1].Plan)
-	if nodes != 15 {
-		t.Errorf("federation plan has %d nodes, want 15", nodes)
+	// root, coordinator; united's read task, its select and scan; one
+	// ship; the final task, its select, the scans of mtmp_united and of
+	// continental's own table, and the DROP of the temp table.
+	if nodes != 11 {
+		t.Errorf("federation plan has %d nodes, want 11", nodes)
 	}
 	if analyze > 2*plain {
 		t.Errorf("EXPLAIN ANALYZE %v is over 2x the plain statement's %v", analyze, plain)

@@ -283,13 +283,13 @@ func (b *BreakerClient) Open(ctx context.Context, db string) (Session, error) {
 }
 
 // Describe implements Client (gated).
-func (b *BreakerClient) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
+func (b *BreakerClient) Describe(ctx context.Context, db, name string) (schema.Table, error) {
 	if err := b.allow(); err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
-	cols, err := b.Client.Describe(ctx, db, name)
+	desc, err := b.Client.Describe(ctx, db, name)
 	b.record(err)
-	return cols, err
+	return desc, err
 }
 
 // ListTables implements Client (gated).

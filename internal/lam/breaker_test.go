@@ -59,8 +59,8 @@ func (f *flakyClient) Open(ctx context.Context, db string) (Session, error) {
 	}
 	return &flakySession{c: f, db: db}, nil
 }
-func (f *flakyClient) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
-	return nil, f.err()
+func (f *flakyClient) Describe(ctx context.Context, db, name string) (schema.Table, error) {
+	return schema.Table{}, f.err()
 }
 func (f *flakyClient) ListTables(ctx context.Context, db string) ([]string, error) {
 	return nil, f.err()

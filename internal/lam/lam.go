@@ -54,8 +54,9 @@ type Client interface {
 	Profile(ctx context.Context) (ldbms.Profile, error)
 	// Open starts a session on a database.
 	Open(ctx context.Context, db string) (Session, error)
-	// Describe reports the schema of a table or view, for IMPORT.
-	Describe(ctx context.Context, db, name string) ([]schema.Column, error)
+	// Describe reports the schema of a table or view and the table's live
+	// row count (0 = unknown), for IMPORT.
+	Describe(ctx context.Context, db, name string) (schema.Table, error)
 	// ListTables lists the public tables of a database.
 	ListTables(ctx context.Context, db string) ([]string, error)
 	// ListViews lists the views of a database.
@@ -121,13 +122,13 @@ func (l *Local) Open(ctx context.Context, db string) (Session, error) {
 }
 
 // Describe implements Client.
-func (l *Local) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
+func (l *Local) Describe(ctx context.Context, db, name string) (schema.Table, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
 	s, err := l.srv.OpenSession(db)
 	if err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
 	defer s.Close()
 	return s.Describe(name)

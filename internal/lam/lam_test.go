@@ -82,9 +82,12 @@ func runClientSuite(t *testing.T, c Client) {
 	if err != nil || len(views) != 1 || views[0] != "cheap" {
 		t.Fatalf("views = %v, %v", views, err)
 	}
-	cols, err := c.Describe(bg, "delta", "flight")
-	if err != nil || len(cols) != 4 || cols[3].Name != "rate" {
-		t.Fatalf("cols = %+v, %v", cols, err)
+	desc, err := c.Describe(bg, "delta", "flight")
+	if cols := desc.Columns; err != nil || len(cols) != 4 || cols[3].Name != "rate" || desc.Rows != 2 {
+		t.Fatalf("describe = %+v, %v; want 4 columns and 2 rows", desc, err)
+	}
+	if desc, err := c.Describe(bg, "delta", "cheap"); err != nil || desc.Rows != 0 {
+		t.Fatalf("view describe = %+v, %v; want no row count", desc, err)
 	}
 
 	sess, err := c.Open(bg, "delta")

@@ -488,12 +488,12 @@ func (r *Remote) putIdle(c *rpcConn) {
 }
 
 // Describe implements Client.
-func (r *Remote) Describe(ctx context.Context, db, name string) ([]schema.Column, error) {
+func (r *Remote) Describe(ctx context.Context, db, name string) (schema.Table, error) {
 	resp, err := r.control(ctx, &wire.Request{Kind: wire.ReqDescribe, Database: db, Name: name})
 	if err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
-	return wire.ToColumns(resp.Columns), nil
+	return schema.Table{Columns: wire.ToColumns(resp.Columns), Rows: resp.TableRows}, nil
 }
 
 // ListTables implements Client.

@@ -749,11 +749,12 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 			return fail(err)
 		}
 		defer s.Close()
-		cols, err := s.Describe(req.Name)
+		desc, err := s.Describe(req.Name)
 		if err != nil {
 			return fail(err)
 		}
-		resp.Columns = wire.FromColumns(cols)
+		resp.Columns = wire.FromColumns(desc.Columns)
+		resp.TableRows = desc.Rows
 	case wire.ReqListTables:
 		s, err := t.srv.OpenSession(req.Database)
 		if err != nil {

@@ -376,12 +376,12 @@ func TestDescribeAndList(t *testing.T) {
 	srv := newUnited(t, ProfileOracleLike())
 	sess, _ := srv.OpenSession("united")
 	defer sess.Close()
-	cols, err := sess.Describe("flight")
+	desc, err := sess.Describe("flight")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 4 || cols[1].Name != "sour" {
-		t.Fatalf("cols = %+v", cols)
+	if cols := desc.Columns; len(cols) != 4 || cols[1].Name != "sour" || desc.Rows == 0 {
+		t.Fatalf("describe = %+v", desc)
 	}
 	tables, err := sess.ListTables()
 	if err != nil || len(tables) != 1 || tables[0] != "flight" {

@@ -313,8 +313,9 @@ func (s *Session) Close() {
 	}
 }
 
-// Describe reports the schema of a table or view, for IMPORT.
-func (s *Session) Describe(name string) ([]schema.Column, error) {
+// Describe reports the schema and row count of a table or view, for
+// IMPORT.
+func (s *Session) Describe(name string) (schema.Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tx := s.tx
@@ -323,11 +324,11 @@ func (s *Session) Describe(name string) ([]schema.Column, error) {
 		tx = s.srv.be.Begin()
 		temp = true
 	}
-	cols, err := tx.Describe(s.db, name)
+	desc, err := tx.Describe(s.db, name)
 	if temp {
 		_ = tx.Rollback()
 	}
-	return cols, err
+	return desc, err
 }
 
 // ListTables returns the table names of the connected database.

@@ -103,7 +103,7 @@ func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
 }
 
 // Describe implements backend.Tx.
-func (t *Tx) Describe(db, name string) ([]schema.Column, error) {
+func (t *Tx) Describe(db, name string) (schema.Table, error) {
 	return sqlengine.DescribeTable(Storage(t.tx), db, name)
 }
 
@@ -144,16 +144,16 @@ func (s txStorage) TableForWrite(db, name string) (sqlengine.Table, error) {
 	return table{t}, nil
 }
 
-func (s txStorage) TableColumns(db, name string) ([]schema.Column, error) {
+func (s txStorage) TableInfo(db, name string) (schema.Table, error) {
 	d, err := s.StoreDatabase(db)
 	if err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
 	t, err := d.Table(name)
 	if err != nil {
-		return nil, err
+		return schema.Table{}, err
 	}
-	return t.Columns, nil
+	return schema.Table{Columns: t.Columns, Rows: int64(t.RowCount())}, nil
 }
 
 func (s txStorage) ViewDefinition(db, name string) (string, error) {

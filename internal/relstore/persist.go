@@ -147,6 +147,7 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 		}
 		idx := len(t.rids)
 		t.rids = append(t.rids, rid)
+		t.live.Add(1)
 		if t.index != nil {
 			t.index.Insert(t.keyOf(schema.Row(vals)), int64(idx))
 		}

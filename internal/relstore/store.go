@@ -57,6 +57,7 @@ type Table struct {
 	file    string // file name under the store dir; "" when in memory
 	rids    []storage.RID
 	dead    int
+	live    atomic.Int64   // len(rids) - dead, readable without the table lock
 	index   *storage.BTree // non-nil iff len(keys) > 0
 	ioErr   error          // first storage fault, sticky
 	enc     []byte         // insertRow's encode buffer: the heap copies tuples onto its pages
@@ -103,8 +104,9 @@ func (t *Table) destroy(s *Store) {
 	}
 }
 
-// RowCount returns the number of live rows.
-func (t *Table) RowCount() int { return len(t.rids) - t.dead }
+// RowCount returns the number of live rows. It needs no lock on the
+// table, so it may count rows of transactions still in flight.
+func (t *Table) RowCount() int { return int(t.live.Load()) }
 
 // KeyColumns returns the positions of the primary-key columns, in
 // declaration order, or nil when the table has no declared key.
@@ -269,6 +271,7 @@ func (t *Table) insertRow(row schema.Row, checkUnique bool) (int, error) {
 	}
 	idx := len(t.rids)
 	t.rids = append(t.rids, rid)
+	t.live.Add(1)
 	if t.index != nil {
 		t.index.Insert(key, int64(idx))
 	}
@@ -320,6 +323,7 @@ func (t *Table) deleteRow(idx int) (schema.Row, error) {
 	}
 	t.rids[idx] = storage.NilRID
 	t.dead++
+	t.live.Add(-1)
 	if t.index != nil {
 		t.index.Delete(t.keyOf(old))
 	}
@@ -338,6 +342,7 @@ func (t *Table) restoreRow(idx int, row schema.Row) error {
 	}
 	t.rids[idx] = rid
 	t.dead--
+	t.live.Add(1)
 	if t.index != nil {
 		t.index.Insert(t.keyOf(row), int64(idx))
 	}

@@ -576,6 +576,52 @@ func TestDeadlockResolvedByTimeout(t *testing.T) {
 	tx2.Rollback()
 }
 
+// TestRowCountReadableWhileWriting: IMPORT reads a table's row count
+// without its lock, so the count must be safe to read while another
+// transaction writes the table (run under -race), and never out of the
+// range the writer passes through.
+func TestRowCountReadableWhileWriting(t *testing.T) {
+	s := carRentalStore(t)
+	d, err := s.Database("avis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := d.Table("cars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tbl.RowCount()
+	const n = 200
+	done := make(chan error, 1)
+	go func() {
+		tx := s.Begin()
+		for i := 0; i < n; i++ {
+			if err := tx.Insert("avis", "cars", schema.Row{sqlval.Int(int64(1000 + i)), sqlval.Str("q"), sqlval.Null(), sqlval.Str("new")}); err != nil {
+				tx.Rollback()
+				done <- err
+				return
+			}
+		}
+		done <- tx.Commit()
+	}()
+	for {
+		if c := tbl.RowCount(); c < before || c > before+n {
+			t.Fatalf("row count %d outside [%d, %d]", c, before, before+n)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := tbl.RowCount(); c != before+n {
+				t.Fatalf("row count %d after commit, want %d", c, before+n)
+			}
+			return
+		default:
+		}
+	}
+}
+
 // Property: a transaction that inserts k rows and rolls back leaves the
 // table byte-identical in row count and contents.
 func TestQuickRollbackRestores(t *testing.T) {

@@ -38,6 +38,14 @@ type Column struct {
 	Key   bool // part of the primary key: indexed, unique, NOT NULL
 }
 
+// Table is what a local product's Describe reports about one table or
+// view: its columns, and its live row count when the product can say so
+// without scanning. Rows is 0 when unknown; views always report 0.
+type Table struct {
+	Columns []Column
+	Rows    int64
+}
+
 // Row is one tuple.
 type Row []sqlval.Value
 

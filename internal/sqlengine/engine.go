@@ -131,19 +131,21 @@ func splitName(db string, n sqlparser.ObjectName) (string, string) {
 	return db, n.Last()
 }
 
-// DescribeTable reports the schema of a table or view for IMPORT. Views
-// are described by executing their definition.
-func DescribeTable(tx Storage, db, name string) ([]schema.Column, error) {
-	cols, err := tx.TableColumns(db, name)
+// DescribeTable reports the schema and row count of a table or view for
+// IMPORT. Views are described by executing their definition and report
+// no count.
+func DescribeTable(tx Storage, db, name string) (schema.Table, error) {
+	t, err := tx.TableInfo(db, name)
 	if err != nil {
 		if !errors.Is(err, schema.ErrNoTable) {
-			return nil, err
+			return schema.Table{}, err
 		}
 		src, err := bindView(tx, db, name, name, err)
 		if err != nil {
-			return nil, err
+			return schema.Table{}, err
 		}
-		cols = src.cols
+		t = schema.Table{Columns: src.cols}
 	}
-	return append([]schema.Column(nil), cols...), nil
+	t.Columns = append([]schema.Column(nil), t.Columns...)
+	return t, nil
 }

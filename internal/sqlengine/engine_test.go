@@ -445,12 +445,16 @@ func TestDescribeTable(t *testing.T) {
 	s := paperStore(t)
 	tx := s.Begin()
 	defer tx.Rollback()
-	cols, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "flights")
+	desc, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "flights")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 7 || cols[0].Name != "flnu" || cols[1].Width != 20 {
+	if cols := desc.Columns; len(cols) != 7 || cols[0].Name != "flnu" || cols[1].Width != 20 {
 		t.Fatalf("cols = %+v", cols)
+	}
+	n, _ := query(t, s, "continental", "SELECT COUNT(*) FROM flights").Rows[0][0].AsInt()
+	if desc.Rows != n || n == 0 {
+		t.Fatalf("described rows = %d, COUNT(*) = %d", desc.Rows, n)
 	}
 	if _, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "nope"); err == nil {
 		t.Fatal("missing table should error")
@@ -462,12 +466,12 @@ func TestDescribeView(t *testing.T) {
 	exec(t, s, "continental", "CREATE VIEW v2 AS SELECT flnu, rate FROM flights")
 	tx := s.Begin()
 	defer tx.Rollback()
-	cols, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "v2")
+	desc, err := sqlengine.DescribeTable(relbackend.Storage(tx), "continental", "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 2 || cols[0].Name != "flnu" {
-		t.Fatalf("view cols = %+v", cols)
+	if cols := desc.Columns; len(cols) != 2 || cols[0].Name != "flnu" || desc.Rows != 0 {
+		t.Fatalf("view = %+v, want 2 columns and no row count", desc)
 	}
 }
 

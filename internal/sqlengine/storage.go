@@ -27,10 +27,11 @@ import (
 type Storage interface {
 	TableForRead(db, table string) (Table, error)
 	TableForWrite(db, table string) (Table, error)
-	// TableColumns reads a base table's schema from the catalog without
-	// locking the table: IMPORT describes tables that other sessions
-	// hold prepared.
-	TableColumns(db, table string) ([]schema.Column, error)
+	// TableInfo reads a base table's schema and live row count from the
+	// catalog without locking the table: IMPORT describes tables that
+	// other sessions hold prepared. The count costs O(1), never a scan,
+	// and may include rows other sessions have not committed yet.
+	TableInfo(db, table string) (schema.Table, error)
 	// ViewDefinition returns the SELECT text of a stored view.
 	ViewDefinition(db, view string) (string, error)
 

@@ -131,9 +131,16 @@ type ProvisionalDef struct {
 
 // Meta describes a generated plan for the executor layer.
 type Meta struct {
-	Tasks            []TaskMeta
-	Skipped          []semvar.Skip
-	FinalTask        string
+	Tasks     []TaskMeta
+	Skipped   []semvar.Skip
+	FinalTask string
+	// FinalLabel is the scope entry a global SELECT's answer is reported
+	// under: its first FROM database's, wherever the final task ran.
+	FinalLabel string
+	// Estimates are the decomposer's per-database result estimates of a
+	// global SELECT, in FROM order; the final task's entry is the
+	// coordinator they chose.
+	Estimates        []decompose.Estimate
 	VitalNames       []string
 	AcceptableStates [][]string
 	// FailStatus is the DOLSTATUS value meaning "no acceptable state
@@ -560,6 +567,11 @@ func (c *Context) translateGlobal(b *planBuilder, scope []semvar.ScopeEntry, el 
 		}
 	}
 	b.meta.FinalTask = final.Name
+	b.meta.FinalLabel = coord.Name
+	if len(plan.Estimates) > 0 {
+		b.meta.FinalLabel = entryFor(plan.Estimates[0].Database).Name
+		b.meta.Estimates = plan.Estimates
+	}
 	if finalKind.isVital {
 		b.appendVitalSync([]vitalPair{{task: final, entry: coord, comp: finalKind.comp}})
 	}

@@ -245,21 +245,25 @@ func TestTranslateGlobalSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No row counts in this GDD and no local predicates: the groups tie
+	// and continental, first in FROM, coordinates without shipping its
+	// own rows to itself.
 	out := dol.Print(prog)
 	for _, want := range []string{
-		"SHIP T1 TO continental TABLE mtmp_continental",
-		"SHIP T2 TO continental TABLE mtmp_united",
-		"AFTER T1 T2 FOR continental",
-		"SELECT c_flnu AS flnu, u_fn AS fn FROM mtmp_continental, mtmp_united WHERE c_rate > u_rates",
-		"DROP TABLE mtmp_continental",
+		"SHIP T1 TO continental TABLE mtmp_united",
+		"TASK T2 AFTER T1 FOR continental",
+		"SELECT c.flnu AS flnu, mtmp_united.u_fn AS fn FROM mtmp_united, flights c WHERE c.rate > mtmp_united.u_rates",
 		"DROP TABLE mtmp_united",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
 	}
-	if meta.FinalTask == "" {
-		t.Fatal("missing final task")
+	if strings.Contains(out, "mtmp_continental") {
+		t.Errorf("the coordinator's group is shipped to itself:\n%s", out)
+	}
+	if meta.FinalTask == "" || meta.FinalLabel != "continental" || len(meta.Estimates) != 2 {
+		t.Fatalf("final task %q label %q estimates %v", meta.FinalTask, meta.FinalLabel, meta.Estimates)
 	}
 	if _, err := dol.Parse(out); err != nil {
 		t.Fatalf("reparse: %v\n%s", err, out)

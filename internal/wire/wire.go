@@ -124,18 +124,21 @@ type Request struct {
 	Tenant string
 }
 
-// Column mirrors schema.Column across the wire.
+// Column mirrors schema.Column across the wire. Key is omitted by gob
+// when false, so a peer predating it reads and sends columns as before:
+// its tables simply have no declared key.
 type Column struct {
 	Name  string
 	Type  uint8
 	Width int
+	Key   bool
 }
 
 // ToColumns converts wire columns back.
 func ToColumns(cols []Column) []schema.Column {
 	out := make([]schema.Column, len(cols))
 	for i, c := range cols {
-		out[i] = schema.Column{Name: c.Name, Type: sqlval.Kind(c.Type), Width: c.Width}
+		out[i] = schema.Column{Name: c.Name, Type: sqlval.Kind(c.Type), Width: c.Width, Key: c.Key}
 	}
 	return out
 }
@@ -144,7 +147,7 @@ func ToColumns(cols []Column) []schema.Column {
 func FromColumns(cols []schema.Column) []Column {
 	out := make([]Column, len(cols))
 	for i, c := range cols {
-		out[i] = Column{Name: c.Name, Type: uint8(c.Type), Width: c.Width}
+		out[i] = Column{Name: c.Name, Type: uint8(c.Type), Width: c.Width, Key: c.Key}
 	}
 	return out
 }
@@ -339,6 +342,10 @@ type Response struct {
 	SessionID int64
 	Result    *Result
 	Columns   []Column
+	// TableRows answers ReqDescribe with the table's live row count. Gob
+	// omits it when zero, which is also what a view or a server predating
+	// the field reports: unknown.
+	TableRows int64
 	Names     []string
 	State     uint8
 	Profile   Profile

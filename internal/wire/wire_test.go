@@ -67,9 +67,41 @@ func TestColumnsRoundTrip(t *testing.T) {
 		{Name: "code", Type: sqlval.KindInt},
 		{Name: "cartype", Type: sqlval.KindString, Width: 20},
 	}
+	cols[0].Key = true
 	back := ToColumns(FromColumns(cols))
-	if len(back) != 2 || back[1].Width != 20 || back[0].Type != sqlval.KindInt {
-		t.Fatalf("cols = %+v", back)
+	if !reflect.DeepEqual(back, cols) {
+		t.Fatalf("cols = %+v, want %+v", back, cols)
+	}
+}
+
+// TestDescribeReplyMixedVersions: a describe reply from a LAM predating
+// keys and row counts decodes as "no key, count unknown", and a new
+// reply still decodes at an old coordinator.
+func TestDescribeReplyMixedVersions(t *testing.T) {
+	type oldColumn struct {
+		Name  string
+		Type  uint8
+		Width int
+	}
+	type oldResponse struct{ Columns []oldColumn }
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(oldResponse{Columns: []oldColumn{{Name: "id", Type: uint8(sqlval.KindInt)}}}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Columns) != 1 || resp.Columns[0].Key || resp.TableRows != 0 {
+		t.Fatalf("old reply decoded as %+v", resp)
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(Response{Columns: []Column{{Name: "id", Key: true}}, TableRows: 42}); err != nil {
+		t.Fatal(err)
+	}
+	var old oldResponse
+	if err := gob.NewDecoder(&buf).Decode(&old); err != nil || len(old.Columns) != 1 || old.Columns[0].Name != "id" {
+		t.Fatalf("new reply at an old peer: %+v, %v", old, err)
 	}
 }
 
