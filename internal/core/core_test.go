@@ -11,6 +11,7 @@ import (
 	"msql/internal/csvstore"
 	"msql/internal/dol"
 	"msql/internal/ldbms"
+	"msql/internal/semvar"
 	"msql/internal/translate"
 )
 
@@ -377,6 +378,27 @@ WHERE c.rate < u.rates
 	defer sess.Close()
 	if _, err := sess.Exec("SELECT * FROM mtmp_united"); err == nil {
 		t.Fatal("temp table survived")
+	}
+}
+
+// TestGlobalSelfJoinRefused: a global query naming one table under two
+// aliases used to be answered as if both aliases were the first; the
+// federation now refuses it and returns no rows.
+func TestGlobalSelfJoinRefused(t *testing.T) {
+	f := paperFederation(t, false)
+	results, err := f.ExecScript(`
+USE continental united
+SELECT a.flnu, b.flnu
+FROM continental.flights a, continental.flights b
+WHERE a.rate < b.rate
+`)
+	if !errors.Is(err, semvar.ErrAmbiguous) {
+		t.Fatalf("err = %v, want semvar.ErrAmbiguous", err)
+	}
+	for _, r := range results {
+		if r.Multitable != nil {
+			t.Fatalf("a refused query returned rows: %+v", r.Multitable)
+		}
 	}
 }
 

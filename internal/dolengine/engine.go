@@ -241,6 +241,32 @@ func (t *taskRT) setStatus(s dol.TaskStatus, err error) {
 	t.mu.Unlock()
 }
 
+// siteFanout bounds how many connections, participants or sites one
+// round contacts at once. The rounds are the COMMIT and ABORT decision
+// rounds (decide: one goroutine per connection), the in-doubt recovery
+// loop (ResolveAll), the end-of-multitransaction acknowledgments
+// (Forget) and the orphan sweep (SweepOrphans). A serial round costs
+// the sum of its sites; at a 50-site fan-out a termination round would
+// stall every site behind one dead participant's full backoff sequence.
+// The jittered RetryPolicy backoff decorrelates the parallel retries.
+const siteFanout = 16
+
+// fanOut runs do(i) for every i < n, at most siteFanout at a time, and
+// returns once all have finished.
+func fanOut(n int, do func(i int)) {
+	sem := make(chan struct{}, siteFanout)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			do(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
 // run carries the state of one program execution.
 type run struct {
 	eng   *Engine
@@ -436,17 +462,11 @@ func (r *run) execStmt(s dol.Stmt) error {
 				// The write-ahead rule: a commit decision that is not on
 				// stable storage must never be delivered. Abort the named
 				// tasks — presumed abort keeps that safe without a log.
-				for _, name := range st.Tasks {
-					_ = r.abortTask(name)
-				}
+				r.decide(st.Tasks, r.abortTask)
 				return fmt.Errorf("dolengine: commit decision not durable: %w", err)
 			}
 		}
-		for _, name := range st.Tasks {
-			if err := r.commitTask(name); err != nil {
-				return err
-			}
-		}
+		r.decide(st.Tasks, r.commitTask)
 		return nil
 
 	case *dol.AbortStmt:
@@ -461,11 +481,7 @@ func (r *run) execStmt(s dol.Stmt) error {
 			// to ignore.
 			_ = r.log.Decision(false, st.Tasks)
 		}
-		for _, name := range st.Tasks {
-			if err := r.abortTask(name); err != nil {
-				return err
-			}
-		}
+		r.decide(st.Tasks, r.abortTask)
 		return nil
 
 	case *dol.StatusStmt:
@@ -594,6 +610,32 @@ func (r *run) waitTask(name string) error {
 	}
 	<-t.done
 	return nil
+}
+
+// decide delivers a synchronization-point decision: deliver (commitTask
+// or abortTask) runs for every named task, one goroutine per connection,
+// each walking its connection's tasks in plan order. Once the decision
+// is durable the participants' phase-2 messages do not depend on each
+// other, so the round costs the slowest participant, not the sum of
+// them. The names must already be validated (waitTask).
+func (r *run) decide(names []string, deliver func(name string) error) {
+	var byConn [][]string
+	slot := make(map[string]int)
+	for _, name := range names {
+		conn := r.tasks[name].stmt.Conn
+		i, ok := slot[conn]
+		if !ok {
+			i = len(byConn)
+			slot[conn] = i
+			byConn = append(byConn, nil)
+		}
+		byConn[i] = append(byConn[i], name)
+	}
+	fanOut(len(byConn), func(i int) {
+		for _, name := range byConn[i] {
+			_ = deliver(name)
+		}
+	})
 }
 
 // commitTask commits a prepared task. Committing an already committed

@@ -24,7 +24,8 @@ import (
 type flakySession struct {
 	addr       string
 	id         int64
-	failOp     string // "commit" | "prepare" | "rollback"
+	failOp     string        // "commit" | "prepare" | "rollback"
+	delay      time.Duration // Commit and Rollback take this long
 	mu         sync.Mutex
 	execCalls  int
 	commitTrys int
@@ -49,6 +50,7 @@ func (s *flakySession) Prepare(ctx context.Context) error {
 }
 
 func (s *flakySession) Commit(ctx context.Context) error {
+	time.Sleep(s.delay)
 	s.mu.Lock()
 	s.commitTrys++
 	s.mu.Unlock()
@@ -62,6 +64,7 @@ func (s *flakySession) Commit(ctx context.Context) error {
 }
 
 func (s *flakySession) Rollback(ctx context.Context) error {
+	time.Sleep(s.delay)
 	if s.failOp == "rollback" {
 		return fmt.Errorf("lam fake (%s): rollback: %w", s.addr, io.EOF)
 	}
@@ -350,5 +353,198 @@ func TestDefiniteCommitErrorIsNotInDoubt(t *testing.T) {
 	}
 	if resolveCalled {
 		t.Fatal("definite failure is not in-doubt, resolve must not run")
+	}
+}
+
+// outcomeLog is a TxLog that records every task outcome in arrival order.
+type outcomeLog struct {
+	mu       sync.Mutex
+	outcomes []string
+}
+
+func (l *outcomeLog) TaskPrepared(task, addr string, sessionID int64) {}
+func (l *outcomeLog) Decision(commit bool, tasks []string) error      { return nil }
+func (l *outcomeLog) TaskOutcome(task string, st dol.TaskStatus) {
+	l.mu.Lock()
+	l.outcomes = append(l.outcomes, task+"="+st.String())
+	l.mu.Unlock()
+}
+
+func (l *outcomeLog) recorded() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.outcomes...)
+}
+
+// threeSites is a directory of three fake participants, s1..s3, each
+// with its own session; resolve answers every site's termination verbs.
+func threeSites(sessions [3]*flakySession, resolve func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error)) *Engine {
+	dir := MapDirectory{}
+	for i, sess := range sessions {
+		dir[fmt.Sprintf("s%d", i+1)] = &flakyClient{sess: sess, resolve: resolve}
+	}
+	eng := New(dir)
+	eng.Recovery.BaseDelay = time.Millisecond
+	eng.Recovery.MaxDelay = 5 * time.Millisecond
+	eng.RecoverTimeout = 100 * time.Millisecond
+	return eng
+}
+
+// threeSiteProgram prepares one task per site and then runs decision
+// (e.g. "COMMIT T1, T2, T3").
+func threeSiteProgram(decision string) string {
+	return `
+DOLBEGIN
+OPEN db AT s1 AS c1;
+OPEN db AT s2 AS c2;
+OPEN db AT s3 AS c3;
+TASK T1 NOCOMMIT FOR c1 { UPDATE t SET x = 1 } ENDTASK;
+TASK T2 NOCOMMIT FOR c2 { UPDATE t SET x = 1 } ENDTASK;
+TASK T3 NOCOMMIT FOR c3 { UPDATE t SET x = 1 } ENDTASK;
+` + decision + `;
+DOLSTATUS=0;
+CLOSE c1 c2 c3;
+DOLEND
+`
+}
+
+// TestDecisionRoundOverlaps: once the decision is taken, the phase-2
+// messages go to every participant at once, so a round over three sites
+// whose commit (or rollback) takes 20 ms costs about 20 ms, not 60.
+func TestDecisionRoundOverlaps(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	for _, tc := range []struct {
+		decision string
+		want     dol.TaskStatus
+	}{
+		{"COMMIT T1, T2, T3", dol.StatusCommitted},
+		{"ABORT T1, T2, T3", dol.StatusAborted},
+	} {
+		var sessions [3]*flakySession
+		for i := range sessions {
+			sessions[i] = &flakySession{addr: fmt.Sprintf("10.0.1.%d:9001", i+1), id: int64(i + 1), delay: delay}
+		}
+		eng := threeSites(sessions, nil)
+		prog, err := dol.Parse(threeSiteProgram(tc.decision))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		out, err := eng.Run(context.Background(), prog)
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"T1", "T2", "T3"} {
+			if got := out.TaskStatus(name); got != tc.want {
+				t.Errorf("%s: %s = %s, want %s", tc.decision, name, got, tc.want)
+			}
+		}
+		if wall >= 2*delay {
+			t.Errorf("%s took %v over three %v participants: the decision round did not overlap", tc.decision, wall, delay)
+		}
+	}
+}
+
+// TestDecisionRoundKeepsConnectionOrder: the decision fans out across
+// connections, but the tasks of one connection are still committed one
+// after the other, in plan order.
+func TestDecisionRoundKeepsConnectionOrder(t *testing.T) {
+	prog, err := dol.Parse(`
+DOLBEGIN
+OPEN db AT s1 AS c1;
+OPEN db AT s2 AS c2;
+TASK T1 NOCOMMIT FOR c1 { UPDATE t SET x = 1 } ENDTASK;
+TASK T2 NOCOMMIT FOR c1 { UPDATE t SET x = 2 } ENDTASK;
+TASK T3 NOCOMMIT FOR c2 { UPDATE t SET x = 3 } ENDTASK;
+COMMIT T1, T2, T3;
+CLOSE c1 c2;
+DOLEND
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		dir := MapDirectory{
+			"s1": &flakyClient{sess: &flakySession{addr: "10.0.2.1:9001", id: 1}},
+			"s2": &flakyClient{sess: &flakySession{addr: "10.0.2.2:9001", id: 2}},
+		}
+		log := &outcomeLog{}
+		out, err := New(dir).RunLogged(context.Background(), prog, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"T1", "T2", "T3"} {
+			if got := out.TaskStatus(name); got != dol.StatusCommitted {
+				t.Fatalf("round %d: %s = %s, want committed", round, name, got)
+			}
+		}
+		var c1 []string
+		for _, o := range log.recorded() {
+			if o != "T3="+dol.StatusCommitted.String() {
+				c1 = append(c1, o)
+			}
+		}
+		want := []string{"T1=" + dol.StatusCommitted.String(), "T2=" + dol.StatusCommitted.String()}
+		if fmt.Sprint(c1) != fmt.Sprint(want) {
+			t.Fatalf("round %d: connection c1 committed %v, want plan order %v", round, c1, want)
+		}
+	}
+}
+
+// TestDecisionRoundOneParticipantInDoubt: while the decision fans out,
+// one participant's commit is lost in transit. Its task alone goes in
+// doubt and the recovery loop drives it to the decision; the others
+// commit on the first try, and every task gets its outcome record.
+func TestDecisionRoundOneParticipantInDoubt(t *testing.T) {
+	sessions := [3]*flakySession{
+		{addr: "10.0.3.1:9001", id: 1},
+		{addr: "10.0.3.2:9001", id: 2, failOp: "commit"},
+		{addr: "10.0.3.3:9001", id: 3},
+	}
+	var mu sync.Mutex
+	var resolved []int64
+	eng := threeSites(sessions, func(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
+		if !commit {
+			return 0, fmt.Errorf("session %d resolved with rollback, want the commit decision", id)
+		}
+		mu.Lock()
+		resolved = append(resolved, id)
+		mu.Unlock()
+		return ldbms.StateCommitted, nil
+	})
+	prog, err := dol.Parse(threeSiteProgram("COMMIT T1, T2, T3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &outcomeLog{}
+	out, err := eng.RunLogged(context.Background(), prog, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"T1", "T2", "T3"} {
+		if got := out.TaskStatus(name); got != dol.StatusCommitted {
+			t.Errorf("%s = %s, want committed", name, got)
+		}
+	}
+	if len(out.Unresolved) != 0 {
+		t.Fatalf("unresolved = %+v, want none", out.Unresolved)
+	}
+	if fmt.Sprint(resolved) != "[2]" {
+		t.Fatalf("resolved sessions %v, want only the in-doubt one [2]", resolved)
+	}
+	for i, sess := range sessions {
+		if sess.commitTrys != 1 {
+			t.Errorf("s%d: commit attempts = %d, want 1", i+1, sess.commitTrys)
+		}
+	}
+	got := map[string]int{}
+	for _, o := range log.recorded() {
+		got[o]++
+	}
+	for _, name := range []string{"T1", "T2", "T3"} {
+		if o := name + "=" + dol.StatusCommitted.String(); got[o] != 1 {
+			t.Errorf("outcome records %v: want exactly one %s", log.recorded(), o)
+		}
 	}
 }

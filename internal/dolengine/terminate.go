@@ -22,30 +22,8 @@ type Branch struct {
 	Commit    bool
 }
 
-// terminationFanout bounds how many participants or sites one termination
-// round contacts at once. At a 50-site fan-out a serial round would stall
-// every site behind one dead participant's full backoff sequence; the
-// jittered RetryPolicy backoff decorrelates the parallel retry instants.
-const terminationFanout = 16
-
 // ackTimeout bounds each end-of-multitransaction acknowledgment.
 const ackTimeout = 2 * time.Second
-
-// fanOut runs do(i) for every i < n, at most terminationFanout at a time,
-// and returns once all have finished.
-func fanOut(n int, do func(i int)) {
-	sem := make(chan struct{}, terminationFanout)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			do(i)
-		}(i)
-	}
-	wg.Wait()
-}
 
 // ResolveParticipant is the termination protocol for one in-doubt
 // participant: the client the Directory holds under site re-attaches the

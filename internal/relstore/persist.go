@@ -165,8 +165,10 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 }
 
 // Checkpoint makes the store's current committed state the durable one:
-// every dirty page is written back and fsynced, then the catalog, if it
-// changed, is atomically replaced. In-memory stores checkpoint trivially.
+// every dirty page is written back, every heap file written since its
+// last successful fsync is fsynced (a clean file costs nothing, and one
+// whose fsync failed is retried here), then the catalog, if it changed,
+// is atomically replaced. In-memory stores checkpoint trivially.
 //
 // Checkpoints are serialized: every session checkpoints after its own
 // commit, and two of them writing catalog.json.tmp at once would rename

@@ -40,7 +40,16 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 	usedAlias := map[string]bool{}
 	resolveTable := func(n sqlparser.ObjectName, explicitAlias string) error {
 		key := n.String()
-		if _, ok := refs[key]; ok {
+		if ref, ok := refs[key]; ok {
+			// References are keyed by spelling, so a second alias of the
+			// same table would silently read as the first one.
+			alias := explicitAlias
+			if alias == "" {
+				alias = ref.table
+			}
+			if alias != ref.alias {
+				return fmt.Errorf("%w: table named twice in one global query (%s)", ErrAmbiguous, key)
+			}
 			return nil
 		}
 		var db string

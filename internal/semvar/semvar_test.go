@@ -399,6 +399,22 @@ func TestExpandGlobalAliasedSameNameTables(t *testing.T) {
 	}
 }
 
+// TestExpandGlobalSameTableTwoAliases: references are keyed by table
+// spelling, so a second alias of one table would be answered as the
+// first; the query is refused instead of returning wrong rows.
+func TestExpandGlobalSameTableTwoAliases(t *testing.T) {
+	g := paperGDD(t)
+	scope := parseUse(t, "USE continental united")
+	for _, q := range []string{
+		"SELECT a.flnu, b.flnu FROM continental.flights a, continental.flights b WHERE a.rate < b.rate",
+		"SELECT a.flnu FROM continental.flights a, continental.flights, united.flight u WHERE a.rate < u.rates",
+	} {
+		if _, err := Expand(g, scope, nil, parseBody(t, q)); !errors.Is(err, ErrAmbiguous) {
+			t.Errorf("%s: err = %v, want ErrAmbiguous", q, err)
+		}
+	}
+}
+
 func TestExpandGlobalThreePartColumnRef(t *testing.T) {
 	g := paperGDD(t)
 	scope := parseUse(t, "USE continental united")

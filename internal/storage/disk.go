@@ -85,11 +85,17 @@ func (m *MemBacking) Close() error {
 }
 
 // FileBacking stores pages in a regular file, one PageSize block per
-// page, read and written with positional I/O.
+// page, read and written with positional I/O. It remembers whether it
+// was written since its last successful fsync, so a checkpoint pays an
+// fsync only for the files a commit actually dirtied.
 type FileBacking struct {
 	mu    sync.Mutex
 	f     *os.File
 	pages uint32
+	// dirty is set before every write, even one that fails, and cleared
+	// only by a successful fsync. A freshly opened file starts dirty: a
+	// crash may have left writes no fsync ever covered.
+	dirty bool
 }
 
 // OpenFileBacking opens or creates the heap file at path. A file whose
@@ -109,7 +115,7 @@ func OpenFileBacking(path string) (*FileBacking, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s is %d bytes", ErrTruncatedFile, path, st.Size())
 	}
-	return &FileBacking{f: f, pages: uint32(st.Size() / PageSize)}, nil
+	return &FileBacking{f: f, pages: uint32(st.Size() / PageSize), dirty: true}, nil
 }
 
 // RepairFileBacking opens the heap file at path, truncating a torn tail
@@ -137,7 +143,7 @@ func RepairFileBacking(path string) (*FileBacking, bool, error) {
 		f.Close()
 		return nil, false, err
 	}
-	return &FileBacking{f: f, pages: uint32(whole)}, true, nil
+	return &FileBacking{f: f, pages: uint32(whole), dirty: true}, true, nil
 }
 
 // ReadPage reads the page into buf.
@@ -158,6 +164,7 @@ func (fb *FileBacking) WritePage(page uint32, buf []byte) error {
 	if page >= fb.pages {
 		return fmt.Errorf("storage: write of unallocated page %d", page)
 	}
+	fb.dirty = true
 	_, err := fb.f.WriteAt(buf[:PageSize], int64(page)*PageSize)
 	return err
 }
@@ -174,6 +181,7 @@ func (fb *FileBacking) Allocate() (uint32, error) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	var zero [PageSize]byte
+	fb.dirty = true
 	if _, err := fb.f.WriteAt(zero[:], int64(fb.pages)*PageSize); err != nil {
 		return 0, err
 	}
@@ -181,11 +189,19 @@ func (fb *FileBacking) Allocate() (uint32, error) {
 	return fb.pages - 1, nil
 }
 
-// Sync fsyncs the file.
+// Sync fsyncs the file if it was written since its last successful
+// fsync. A failed fsync leaves it dirty, so the next Sync retries.
 func (fb *FileBacking) Sync() error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	return fb.f.Sync()
+	if !fb.dirty {
+		return nil
+	}
+	if err := fb.f.Sync(); err != nil {
+		return err
+	}
+	fb.dirty = false
+	return nil
 }
 
 // Close closes the file.
