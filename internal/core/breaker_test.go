@@ -12,19 +12,22 @@ import (
 
 // breakerFederation: continental healthy over TCP, united behind a
 // netfault proxy, both lazily dialed so the federation's breaker policy
-// wraps them.
-func breakerFederation(t *testing.T, pol lam.BreakerPolicy, timeout time.Duration) (*Federation, *netfault.Proxy) {
+// wraps them. Each of extra names one more database of united's service,
+// holding the same table, so one breaker guards them all.
+func breakerFederation(t *testing.T, pol lam.BreakerPolicy, timeout time.Duration, extra ...string) (*Federation, *netfault.Proxy) {
 	t.Helper()
 	fed := New()
 	fed.CallTimeout = timeout
 	fed.SetBreaker(pol)
 
-	build := func(svc, db string, ddl ...string) string {
+	build := func(svc string, dbs []string, ddl ...string) string {
 		srv := ldbms.NewServer(svc, ldbms.ProfileOracleLike(), 1)
-		if err := srv.CreateDatabase(db); err != nil {
-			t.Fatal(err)
+		for _, db := range dbs {
+			if err := srv.CreateDatabase(db); err != nil {
+				t.Fatal(err)
+			}
+			seedDB(t, srv, db, ddl...)
 		}
-		seedDB(t, srv, db, ddl...)
 		ts, err := lam.Serve("127.0.0.1:0", srv)
 		if err != nil {
 			t.Fatal(err)
@@ -32,10 +35,10 @@ func breakerFederation(t *testing.T, pol lam.BreakerPolicy, timeout time.Duratio
 		t.Cleanup(func() { ts.Close() })
 		return ts.Addr()
 	}
-	contAddr := build("svc_cont", "continental",
+	contAddr := build("svc_cont", []string{"continental"},
 		"CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)",
 		"INSERT INTO flights VALUES (100, 'Houston', 100.0)")
-	unitAddr := build("svc_unit", "united",
+	unitAddr := build("svc_unit", append([]string{"united"}, extra...),
 		"CREATE TABLE flight (fn INTEGER, sour CHAR(20), rates FLOAT)",
 		"INSERT INTO flight VALUES (300, 'Houston', 120.0)")
 	proxy, err := netfault.New(unitAddr)
@@ -50,6 +53,9 @@ INCORPORATE SERVICE svc_unit SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
 IMPORT DATABASE continental FROM SERVICE svc_cont;
 IMPORT DATABASE united FROM SERVICE svc_unit;
 `, contAddr, proxy.Addr())
+	for _, db := range extra {
+		setup += fmt.Sprintf("IMPORT DATABASE %s FROM SERVICE svc_unit;\n", db)
+	}
 	if _, err := fed.ExecScript(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +65,11 @@ IMPORT DATABASE united FROM SERVICE svc_unit;
 // Non-vital scope: continental must answer, united may degrade.
 const breakerSelect = "USE continental VITAL united\nSELECT rate% FROM flight%"
 
+// TestBreakerDegradesNonVitalSiteToPartialResults also guards the
+// breaker's accounting of lazy opens: a remote Open sends nothing, so
+// under the mutation "lazy Open records success" every statement's open
+// resets the failure count and the loop below ends in "breaker never
+// tripped".
 func TestBreakerDegradesNonVitalSiteToPartialResults(t *testing.T) {
 	const timeout = 150 * time.Millisecond
 	fed, proxy := breakerFederation(t, lam.BreakerPolicy{
@@ -171,5 +182,44 @@ func TestBreakerHalfOpensAfterCooldownAndRecovers(t *testing.T) {
 	}
 	if fed.Breaker(proxy.Addr()).State() != lam.BreakerClosed {
 		t.Fatalf("state = %s, want closed after successful trial", fed.Breaker(proxy.Addr()).State())
+	}
+}
+
+// TestBreakerTrialAdmitsEverySessionOfTheStatement: after the cooldown
+// the first statement opens two databases behind the half-open breaker.
+// The engine opens every connection before it sends anything, so the
+// second Open must be admitted beside the trial, not refused as a second
+// trial: both databases are VITAL, and a refusal would fail the query.
+func TestBreakerTrialAdmitsEverySessionOfTheStatement(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	cooldown := 200 * time.Millisecond
+	fed, proxy := breakerFederation(t, lam.BreakerPolicy{
+		Threshold: 1, Cooldown: cooldown,
+	}, timeout, "unitedb")
+	proxy.SetBlackhole(true)
+
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if b := fed.Breaker(proxy.Addr()); b != nil && b.State() == lam.BreakerOpen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("breaker never tripped")
+		}
+		_, _ = fed.ExecScript(breakerSelect)
+	}
+	time.Sleep(cooldown + 50*time.Millisecond)
+	proxy.SetBlackhole(false)
+
+	results, err := fed.ExecScript("USE continental VITAL united VITAL unitedb VITAL\nSELECT rate% FROM flight%")
+	if err != nil {
+		t.Fatalf("query in the half-open breaker's trial: %v", err)
+	}
+	res := results[len(results)-1]
+	if res.Multitable == nil || len(res.Multitable.Tables) != 3 {
+		t.Fatalf("multitable = %+v, want all three databases' partial results", res.Multitable)
+	}
+	if st := fed.Breaker(proxy.Addr()).State(); st != lam.BreakerClosed {
+		t.Fatalf("state = %s, want closed after the trial statement", st)
 	}
 }

@@ -257,8 +257,9 @@ type Federation struct {
 	DryRun bool
 
 	// CallTimeout bounds each remote LAM call made through lazily dialed
-	// TCP clients (0 uses the lam package default). Set it before the
-	// first statement touches a remote site.
+	// TCP clients; 0 sets no per-call bound, so only the statement's
+	// deadline (StmtTimeout, or the caller's context) bounds a call. Set
+	// it before the first statement touches a remote site.
 	CallTimeout time.Duration
 
 	// StmtTimeout bounds each statement's execution (including the

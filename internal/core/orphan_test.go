@@ -43,11 +43,22 @@ func parkOrphan(t *testing.T, addr string, db string, mtid uint64, stmts ...stri
 		}
 		return &resp
 	}
-	sid := call(&wire.Request{Kind: wire.ReqOpen, Database: db}).SessionID
-	for _, q := range stmts {
-		call(&wire.Request{Kind: wire.ReqExec, SessionID: sid, SQL: q})
+	// The session's first request opens it (wire.Request.Open).
+	var sid int64
+	send := func(req *wire.Request) {
+		t.Helper()
+		req.SessionID = sid
+		if sid == 0 {
+			req.Open, req.Database = true, db
+		}
+		if resp := call(req); sid == 0 {
+			sid = resp.SessionID
+		}
 	}
-	call(&wire.Request{Kind: wire.ReqPrepare, SessionID: sid, MTID: mtid})
+	for _, q := range stmts {
+		send(&wire.Request{Kind: wire.ReqExec, SQL: q})
+	}
+	send(&wire.Request{Kind: wire.ReqPrepare, MTID: mtid})
 	conn.Close() // the "crash": no decision, no close-session
 	return sid
 }

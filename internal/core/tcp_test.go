@@ -6,8 +6,10 @@ import (
 
 	"msql/internal/lam"
 	"msql/internal/ldbms"
+	"msql/internal/obs"
 	"msql/internal/sqlval"
 	"msql/internal/translate"
+	"msql/internal/wire"
 )
 
 // tcpFederation serves two airline databases over real TCP LAMs and
@@ -165,5 +167,60 @@ IMPORT DATABASE d FROM SERVICE ghost;
 `)
 	if err == nil {
 		t.Fatal("import from unreachable site should fail")
+	}
+}
+
+// serverRequests snapshots msql_server_requests_total, every LAM server
+// of the process summed, by request kind.
+func serverRequests() map[string]int64 {
+	served := obs.Default().CounterVec("msql_server_requests_total", "", "op")
+	out := map[string]int64{}
+	for k := wire.ReqHello; k <= wire.ReqLoad; k++ {
+		out[k.String()] = served.With(k.String()).Value()
+	}
+	return out
+}
+
+// TestWireRequestsPerStatement counts the LAM requests one statement
+// costs over TCP once the connection pools are warm. A session's open
+// rides its first request and its clean close the connection's next
+// one, so neither is a request of its own: a 2-site SELECT is an exec
+// and a commit per site (8 requests before: open, exec, commit and
+// close-session per site), a VITAL UPDATE + COMMIT an exec, a prepare
+// and a commit per site (10 before).
+func TestWireRequestsPerStatement(t *testing.T) {
+	fed, _ := tcpFederation(t)
+	for _, tc := range []struct {
+		name, script string
+		want         map[string]int64
+	}{
+		{"2-site select", "USE continental united\nSELECT rate% FROM flight%",
+			map[string]int64{"exec": 2, "commit": 2}},
+		{"vital update", "USE continental VITAL united VITAL\nUPDATE flight% SET rate% = rate% * 1.0 WHERE sour% = 'Houston'\nCOMMIT",
+			map[string]int64{"exec": 2, "prepare": 2, "commit": 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() {
+				results, err := fed.ExecScript(tc.script)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if last := results[len(results)-1]; last.State != StateSuccess {
+					t.Fatalf("state = %s", last.State)
+				}
+			}
+			run() // warm: the pools hold a connection per site from here on
+			const stmts = 5
+			before := serverRequests()
+			for i := 0; i < stmts; i++ {
+				run()
+			}
+			after := serverRequests()
+			for op, n := range after {
+				if got, want := (n-before[op])/stmts, tc.want[op]; got != want || (n-before[op])%stmts != 0 {
+					t.Errorf("%s: %d requests in %d statements, want %d per statement", op, n-before[op], stmts, want)
+				}
+			}
+		})
 	}
 }

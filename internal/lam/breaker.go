@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"msql/internal/ldbms"
@@ -34,7 +35,8 @@ const (
 	// cooldown elapses or a health probe succeeds.
 	BreakerOpen
 	// BreakerHalfOpen: one trial call is in flight; its outcome closes
-	// or re-opens the breaker.
+	// or re-opens the breaker. A trial Open is decided by its session's
+	// first request, and admits other sessions until then.
 	BreakerHalfOpen
 )
 
@@ -94,10 +96,11 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 // immediately with ErrBreakerOpen instead of eating the full dial/retry
 // budget. Operations on already-open sessions are never blocked — a 2PC
 // participant mid-transaction cannot be abandoned by a breaker — but
-// their transport failures feed the failure counter. The termination
-// verbs (Resolve, InDoubt, Forget) go straight to the wrapped client,
-// neither gated nor counted: a prepared participant must get its
-// decision whatever the breaker says.
+// their outcomes feed the failure counter; a session's first request
+// stands in for its Open, which a remote client sends nothing for. The
+// termination verbs (Resolve, InDoubt, Forget) go straight to the
+// wrapped client, neither gated nor counted: a prepared participant must
+// get its decision whatever the breaker says.
 type BreakerClient struct {
 	Client
 	pol BreakerPolicy
@@ -108,7 +111,10 @@ type BreakerClient struct {
 	openedAt time.Time
 	trips    int
 	probing  bool
-	stopCh   chan struct{}
+	// sessionTrial: the half-open trial is a session that has not sent
+	// its first request yet (see allow).
+	sessionTrial bool
+	stopCh       chan struct{}
 }
 
 // WithBreaker wraps a client in a circuit breaker under the policy.
@@ -162,30 +168,52 @@ func notify(f func()) {
 	}
 }
 
-// allow decides whether a gated call may proceed. In the open state it
-// fails fast until the cooldown elapses, then admits a single trial
-// (half-open).
-func (b *BreakerClient) allow() error {
+// allow decides whether a gated call may proceed, and whether it is the
+// half-open trial. In the open state it fails fast until the cooldown
+// elapses, then admits a single trial (half-open). session marks an
+// Open: while the trial is a session that has not sent its first
+// request, further sessions are admitted beside it — a statement opens
+// all its connections before it sends anything — and their first
+// requests feed the breaker as the trial's does.
+func (b *BreakerClient) allow(session bool) (trial bool, err error) {
 	b.mu.Lock()
 	switch b.state {
 	case BreakerClosed:
 		b.mu.Unlock()
-		return nil
+		return false, nil
 	case BreakerOpen:
 		if time.Since(b.openedAt) < b.pol.Cooldown {
 			err := fmt.Errorf("%w: %s (cooldown %s)", ErrBreakerOpen, b.Client.ServiceName(), b.pol.Cooldown)
 			b.mu.Unlock()
-			return err
+			return false, err
 		}
 		n := b.setStateLocked(BreakerHalfOpen)
+		b.sessionTrial = session
 		b.mu.Unlock()
 		notify(n)
-		return nil
+		return true, nil
 	default: // BreakerHalfOpen: one trial at a time
+		if session && b.sessionTrial {
+			b.mu.Unlock()
+			return false, nil
+		}
 		err := fmt.Errorf("%w: %s (trial in flight)", ErrBreakerOpen, b.Client.ServiceName())
 		b.mu.Unlock()
-		return err
+		return false, err
 	}
+}
+
+// abandonTrial re-opens a half-open breaker whose trial ended without an
+// outcome (a session closed before its first request). The cooldown has
+// already elapsed, so the next gated call becomes the trial.
+func (b *BreakerClient) abandonTrial() {
+	b.mu.Lock()
+	var n func()
+	if b.state == BreakerHalfOpen {
+		n = b.setStateLocked(BreakerOpen)
+	}
+	b.mu.Unlock()
+	notify(n)
 }
 
 // record feeds one call outcome into the automaton.
@@ -260,7 +288,7 @@ func (b *BreakerClient) probeLoop(stop chan struct{}) {
 
 // Profile implements Client (gated).
 func (b *BreakerClient) Profile(ctx context.Context) (ldbms.Profile, error) {
-	if err := b.allow(); err != nil {
+	if _, err := b.allow(false); err != nil {
 		return ldbms.Profile{}, err
 	}
 	p, err := b.Client.Profile(ctx)
@@ -269,22 +297,27 @@ func (b *BreakerClient) Profile(ctx context.Context) (ldbms.Profile, error) {
 }
 
 // Open implements Client (gated): an open breaker rejects new sessions
-// within one scheduling quantum instead of a full dial/retry budget.
+// within one scheduling quantum instead of a full dial/retry budget. A
+// successful Open records nothing, since a remote one has not touched
+// the network: the session's first request, which opens it at the
+// server, is the outcome the breaker learns — and the half-open trial
+// when Open was admitted as one.
 func (b *BreakerClient) Open(ctx context.Context, db string) (Session, error) {
-	if err := b.allow(); err != nil {
-		return nil, err
-	}
-	s, err := b.Client.Open(ctx, db)
-	b.record(err)
+	trial, err := b.allow(true)
 	if err != nil {
 		return nil, err
 	}
-	return &breakerSession{Session: s, b: b}, nil
+	s, err := b.Client.Open(ctx, db)
+	if err != nil {
+		b.record(err)
+		return nil, err
+	}
+	return &breakerSession{Session: s, b: b, trial: trial}, nil
 }
 
 // Describe implements Client (gated).
 func (b *BreakerClient) Describe(ctx context.Context, db, name string) (schema.Table, error) {
-	if err := b.allow(); err != nil {
+	if _, err := b.allow(false); err != nil {
 		return schema.Table{}, err
 	}
 	desc, err := b.Client.Describe(ctx, db, name)
@@ -294,7 +327,7 @@ func (b *BreakerClient) Describe(ctx context.Context, db, name string) (schema.T
 
 // ListTables implements Client (gated).
 func (b *BreakerClient) ListTables(ctx context.Context, db string) ([]string, error) {
-	if err := b.allow(); err != nil {
+	if _, err := b.allow(false); err != nil {
 		return nil, err
 	}
 	names, err := b.Client.ListTables(ctx, db)
@@ -304,7 +337,7 @@ func (b *BreakerClient) ListTables(ctx context.Context, db string) ([]string, er
 
 // ListViews implements Client (gated).
 func (b *BreakerClient) ListViews(ctx context.Context, db string) ([]string, error) {
-	if err := b.allow(); err != nil {
+	if _, err := b.allow(false); err != nil {
 		return nil, err
 	}
 	names, err := b.Client.ListViews(ctx, db)
@@ -328,36 +361,53 @@ func (b *BreakerClient) Close() error {
 // allowed to finish.
 type breakerSession struct {
 	Session
-	b *BreakerClient
+	b     *BreakerClient
+	trial bool        // Open was admitted as the half-open trial
+	heard atomic.Bool // an outcome of the session reached the breaker
+}
+
+func (s *breakerSession) record(err error) {
+	s.heard.Store(true)
+	s.b.record(err)
 }
 
 func (s *breakerSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
 	res, err := s.Session.Exec(ctx, sql)
-	s.b.record(err)
+	s.record(err)
 	return res, err
 }
 
 func (s *breakerSession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
 	n, err := s.Session.Load(ctx, table, rows)
-	s.b.record(err)
+	s.record(err)
 	return n, err
 }
 
 func (s *breakerSession) Prepare(ctx context.Context) error {
 	err := s.Session.Prepare(ctx)
-	s.b.record(err)
+	s.record(err)
 	return err
 }
 
 func (s *breakerSession) Commit(ctx context.Context) error {
 	err := s.Session.Commit(ctx)
-	s.b.record(err)
+	s.record(err)
 	return err
 }
 
 func (s *breakerSession) Rollback(ctx context.Context) error {
 	err := s.Session.Rollback(ctx)
-	s.b.record(err)
+	s.record(err)
+	return err
+}
+
+// Close hands back a half-open trial the session never ran, so the
+// breaker does not wait on it forever.
+func (s *breakerSession) Close() error {
+	err := s.Session.Close()
+	if s.trial && !s.heard.Load() {
+		s.b.abandonTrial()
+	}
 	return err
 }
 

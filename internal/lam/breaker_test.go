@@ -282,3 +282,95 @@ func TestBreakerRecordsLoadFailures(t *testing.T) {
 		t.Fatal("load was gated by an open breaker")
 	}
 }
+
+// TestRemoteSessionsTripBreakerOnFirstRequest: a remote Open sends
+// nothing, so it must not reach the breaker as a success. Sessions
+// against a dark site each fail on their first request, and those
+// failures alone trip it. Under the mutation "lazy Open records
+// success" every Open resets the count and the breaker never trips;
+// core's TestBreakerDegradesNonVitalSiteToPartialResults and the
+// topology soak fail on it the same way.
+func TestRemoteSessionsTripBreakerOnFirstRequest(t *testing.T) {
+	_, p := deltaProxy(t)
+	r, err := DialWith(bg, p.Addr(), DialOptions{
+		CallTimeout: 100 * time.Millisecond,
+		Retry:       RetryPolicy{Attempts: 0, BaseDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := WithBreaker(r, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
+	defer b.Close()
+
+	p.SetBlackhole(true)
+	for i := 0; i < 2; i++ {
+		sess, err := b.Open(bg, "delta")
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		if _, err := sess.Exec(bg, "SELECT fnu FROM flight"); err == nil {
+			t.Fatalf("exec %d through a black hole succeeded", i)
+		}
+		sess.Close()
+	}
+	if st := b.State(); st != BreakerOpen {
+		t.Fatalf("state = %s after 2 failed first requests, want open", st)
+	}
+}
+
+// TestHalfOpenTrialSession: the half-open trial admitted with an Open is
+// decided by a session's first request. Until then further Opens are
+// admitted beside it, since a statement opens all its connections
+// before it sends anything, while other gated calls still wait. Sessions
+// closed before sending anything hand the trial back instead of leaving
+// the breaker waiting on it for good.
+func TestHalfOpenTrialSession(t *testing.T) {
+	fc := &flakyClient{}
+	b := WithBreaker(fc, BreakerPolicy{Threshold: 1, Cooldown: 20 * time.Millisecond})
+	trip := func() {
+		fc.setFailing(true, false)
+		_, _ = b.Profile(bg) // trips (threshold 1)
+		fc.setFailing(false, false)
+		time.Sleep(30 * time.Millisecond)
+	}
+	open := func() Session {
+		t.Helper()
+		sess, err := b.Open(bg, "db")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return sess
+	}
+
+	trip()
+	trial, other := open(), open()
+	if _, err := b.Profile(bg); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("profile during the trial: err = %v, want ErrBreakerOpen", err)
+	}
+	trial.Close()
+	other.Close()
+	if st := b.State(); st == BreakerClosed {
+		t.Fatal("a trial that sent nothing closed the breaker")
+	}
+
+	trial, other = open(), open()
+	defer trial.Close()
+	if _, err := other.Exec(bg, "SELECT 1"); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("state = %s after a first request of the trial statement succeeded, want closed", st)
+	}
+	other.Close()
+
+	trip()
+	trial = open()
+	fc.setFailing(true, false)
+	if _, err := trial.Exec(bg, "SELECT 1"); err == nil {
+		t.Fatal("exec against a failing site succeeded")
+	}
+	if _, err := b.Open(bg, "db"); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("open after the trial failed: err = %v, want ErrBreakerOpen", err)
+	}
+	trial.Close()
+}

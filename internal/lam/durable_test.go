@@ -62,7 +62,7 @@ func prepareAndOrphanSQL(t *testing.T, addr, sql string) int64 {
 		t.Fatal(err)
 	}
 	rs := sess.(*remoteSession)
-	id := rs.id
+	id := rs.id.Load()
 	rs.conn.close() // sever, do not ReqCloseSession
 	return id
 }
@@ -200,7 +200,7 @@ func TestDurableRestartReplaysLoadedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := sess.(*remoteSession)
-	id := rs.id
+	id := rs.id.Load()
 	rs.conn.close() // sever, do not ReqCloseSession
 	waitParked(t, ts1, id)
 	if err := ts1.Close(); err != nil {

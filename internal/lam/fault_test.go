@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -48,6 +50,11 @@ func TestCallTimeoutOnBlackholedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	// The first verb opens the session on its connection; the black
+	// hole then swallows a call on an established one.
+	if _, err := sess.Exec(bg, "SELECT fnu FROM flight"); err != nil {
+		t.Fatal(err)
+	}
 
 	p.SetBlackhole(true)
 	start := time.Now()
@@ -113,6 +120,10 @@ func TestOpErrorIdentifiesPeerAndOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	// The first verb opens the session on its connection; sever that.
+	if _, err := sess.Exec(bg, "SELECT fnu FROM flight"); err != nil {
+		t.Fatal(err)
+	}
 
 	p.Sever()
 	_, err = sess.Exec(bg, "SELECT fnu FROM flight")
@@ -531,6 +542,12 @@ func (c *severAfterReply) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// SyscallConn lets the pool's peer-close check look at the socket
+// underneath, so the connection is reused like any pooled one.
+func (c *severAfterReply) SyscallConn() (syscall.RawConn, error) {
+	return c.Conn.(syscall.Conn).SyscallConn()
+}
+
 func (c *severAfterReply) Write(p []byte) (int, error) {
 	if c.answered.Load() {
 		c.Conn.Close()
@@ -642,4 +659,241 @@ func TestCleanDisconnectLeavesNoConnErrors(t *testing.T) {
 	if errs := ts.ConnErrors(); len(errs) != 0 {
 		t.Fatalf("server close recorded conn errors: %v", errs)
 	}
+}
+
+// replyCutter fronts a LAM: requests pass through, and once armed the
+// next reply is swallowed and the client's connection closed — the
+// request ran at the server, its answer never arrives.
+type replyCutter struct {
+	ln    net.Listener
+	armed atomic.Bool
+}
+
+func newReplyCutter(t *testing.T, backend string) *replyCutter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &replyCutter{ln: ln}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", backend)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			go func() {
+				io.Copy(server, client)
+				server.Close()
+			}()
+			go func() {
+				defer client.Close()
+				buf := make([]byte, 32<<10)
+				for {
+					n, err := server.Read(buf)
+					if n > 0 && c.armed.CompareAndSwap(true, false) {
+						server.Close()
+						return
+					}
+					if n > 0 {
+						if _, err := client.Write(buf[:n]); err != nil {
+							return
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return c
+}
+
+func (c *replyCutter) Addr() string { return c.ln.Addr().String() }
+
+// TestOpenExecReplyCutIsNotReplayed: at an autocommit-only site an
+// INSERT takes effect as it executes. A session's first request carries
+// the open and the INSERT together; when its reply is lost the client
+// cannot know whether the row went in, so it must return the failure —
+// a transient error naming exec — and never send the request again.
+func TestOpenExecReplyCutIsNotReplayed(t *testing.T) {
+	srv := ldbms.NewServer("auto-svc", ldbms.ProfileAutoCommitOnly(), 1)
+	if err := srv.CreateDatabase("d"); err != nil {
+		t.Fatal(err)
+	}
+	local, err := srv.OpenSession("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if _, err := local.Exec("CREATE TABLE t (id INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	cut := newReplyCutter(t, ts.Addr())
+	c, err := DialWith(bg, cut.Addr(), DialOptions{Retry: RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Open(bg, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	execs, retries := srv.Stats().Execs, mRetries.With(cut.Addr()).Value()
+	cut.armed.Store(true)
+	_, err = sess.Exec(bg, "INSERT INTO t VALUES (1)")
+	var op *OpError
+	if !errors.As(err, &op) || op.Op != wire.ReqExec || !wire.Transient(err) {
+		t.Fatalf("exec whose reply was cut: err = %v, want a transient OpError for op exec", err)
+	}
+	if got := srv.Stats().Execs - execs; got != 1 {
+		t.Fatalf("server executed %d statements, want the 1 that was sent", got)
+	}
+	if got := mRetries.With(cut.Addr()).Value() - retries; got != 0 {
+		t.Fatalf("%d retries after the cut reply, want none", got)
+	}
+	res, err := local.Exec("SELECT id FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("%d rows at the autocommit site, want exactly 1", len(res.Rows))
+	}
+}
+
+// useAndClose runs one clean session on c: a read and its commit, so
+// the close leaves the server holding no transaction and rides the
+// connection's next request.
+func useAndClose(t *testing.T, c *Remote) {
+	t.Helper()
+	sess, err := c.Open(bg, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec(bg, "SELECT rate FROM flight WHERE fnu = 10"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitNoConns waits until the server has let every connection go. A
+// connection's handler releases the sessions it holds before that, so
+// none of them is left behind.
+func waitNoConns(t *testing.T, ts *TCPServer) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ts.mu.Lock()
+		n := len(ts.conns)
+		ts.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server still serves %d connections", n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPooledConnClosedByPeerIsSkipped: a pooled connection the other end
+// has closed is found out before a request is written on it, so a
+// session's first request — which can never be replayed — goes out on a
+// fresh dial and the statement succeeds.
+func TestPooledConnClosedByPeerIsSkipped(t *testing.T) {
+	ts, p := deltaProxy(t)
+	c, err := DialWith(bg, p.Addr(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	useAndClose(t, c)
+	p.Sever()
+	waitNoConns(t, ts) // the server saw the pooled connection die
+	time.Sleep(10 * time.Millisecond)
+
+	reused, execs := mPoolReuse.With(p.Addr()).Value(), ts.srv.Stats().Execs
+	sess, err := c.Open(bg, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Exec(bg, "UPDATE flight SET rate = 151.0 WHERE fnu = 10"); err != nil {
+		t.Fatalf("first request after the pooled connection died: %v", err)
+	}
+	if err := sess.Commit(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got := mPoolReuse.With(p.Addr()).Value() - reused; got != 0 {
+		t.Fatalf("the dead pooled connection was reused %d times", got)
+	}
+	if got := ts.srv.Stats().Execs - execs; got != 1 {
+		t.Fatalf("server executed %d statements, want 1", got)
+	}
+}
+
+// TestParkedCloseEndsWithItsConnection: a clean close sends nothing; the
+// server keeps the session until the connection's next request carries
+// the close, or until the connection dies — then nothing stays behind.
+func TestParkedCloseEndsWithItsConnection(t *testing.T) {
+	ts, p := deltaProxy(t)
+	c, err := DialWith(bg, p.Addr(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// parked is the close waiting on the one pooled connection.
+	parked := func() int64 {
+		t.Helper()
+		c.poolMu.Lock()
+		defer c.poolMu.Unlock()
+		if len(c.idle) != 1 {
+			t.Fatalf("%d pooled connections, want 1", len(c.idle))
+		}
+		return c.idle[0].parked
+	}
+	closes := mServerRequests.With("close-session").Value()
+	useAndClose(t, c)
+	first := parked()
+	if first == 0 {
+		t.Fatal("a clean close parked nothing")
+	}
+	useAndClose(t, c) // its first request delivers the parked close
+	second := parked()
+	if second == 0 || second == first {
+		t.Fatalf("parked close = %d after the next session, want that session's own (not %d)", second, first)
+	}
+	if got := mServerRequests.With("close-session").Value() - closes; got != 0 {
+		t.Fatalf("%d close-session requests, want none", got)
+	}
+	// The server closes the parked session before it serves the request
+	// that carries the close, so that request no longer finds it.
+	conn := c.popIdle()
+	if _, err := conn.call(bg, &wire.Request{Kind: wire.ReqState, SessionID: second}); !errors.Is(err, wire.ErrNoSession) {
+		t.Fatalf("state of a session whose close was delivered: err = %v, want ErrNoSession", err)
+	}
+	c.putIdle(conn)
+
+	// The pool drops the connection with a close still parked.
+	useAndClose(t, c)
+	c.Close()
+	waitNoConns(t, ts)
 }

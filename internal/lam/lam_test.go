@@ -177,7 +177,14 @@ func runClientSuite(t *testing.T, c Client) {
 	if err == nil {
 		t.Fatal("expected error for missing table")
 	}
-	if _, err := c.Open(bg, "not_a_db"); err == nil {
+	// A remote Open touches no network: an unknown database fails the
+	// session's first verb.
+	bad, err := c.Open(bg, "not_a_db")
+	if err == nil {
+		_, err = bad.Exec(bg, "SELECT 1")
+		bad.Close()
+	}
+	if err == nil {
 		t.Fatal("expected error for missing database")
 	}
 }

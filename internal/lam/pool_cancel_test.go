@@ -125,10 +125,20 @@ func TestSessionConnPooling(t *testing.T) {
 		return len(r.idle)
 	}
 
-	s1, err := r.Open(ctx, "delta")
-	if err != nil {
-		t.Fatal(err)
+	// A session takes a connection with its first verb, not at Open.
+	openAndUse := func() Session {
+		t.Helper()
+		s, err := r.Open(ctx, "delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(ctx, "SELECT * FROM flight"); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+
+	s1 := openAndUse()
 	firstConn := s1.(*remoteSession).conn
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -137,30 +147,20 @@ func TestSessionConnPooling(t *testing.T) {
 		t.Fatalf("idle = %d after clean close, want 1", idleLen())
 	}
 
-	s2, err := r.Open(ctx, "delta")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The reused session must actually work.
+	s2 := openAndUse()
 	if s2.(*remoteSession).conn != firstConn {
 		t.Fatal("open did not reuse the pooled connection")
 	}
 	if idleLen() != 0 {
 		t.Fatalf("idle = %d while pooled conn in use, want 0", idleLen())
 	}
-	// The reused session must actually work.
-	if _, err := s2.Exec(ctx, "SELECT * FROM flight"); err != nil {
-		t.Fatal(err)
-	}
 
 	// One concurrent session more than the cap, all closed: the pool
 	// keeps only maxIdleConns.
 	open := []Session{s2}
 	for len(open) <= maxIdleConns {
-		s, err := r.Open(ctx, "delta")
-		if err != nil {
-			t.Fatal(err)
-		}
-		open = append(open, s)
+		open = append(open, openAndUse())
 	}
 	for _, s := range open {
 		if err := s.Close(); err != nil {
@@ -294,5 +294,48 @@ func TestHalfOpenAdmitsSingleConcurrentProbe(t *testing.T) {
 	wg.Wait()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %s after successful trial, want closed", b.State())
+	}
+}
+
+// TestCancelAfterReturnLeavesConnUsable cancels each call's context the
+// moment the call returns, the way every deferred cancel does. The
+// cancellation must not reach into the connection the call used: over
+// many calls on one pooled connection, serving session after session,
+// no call fails with a transient error.
+func TestCancelAfterReturnLeavesConnUsable(t *testing.T) {
+	srv := deltaServer(t)
+	ts, err := Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	r, err := Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	canceled := func(call func(ctx context.Context) error) error {
+		ctx, cancel := context.WithCancel(bg)
+		err := call(ctx)
+		cancel()
+		return err
+	}
+	for i := 0; i < 2000; i++ {
+		sess, err := r.Open(bg, "delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := canceled(func(ctx context.Context) error {
+			_, err := sess.Exec(ctx, "SELECT rate FROM flight WHERE fnu = 10")
+			return err
+		}); err != nil {
+			t.Fatalf("exec %d: %v", i, err)
+		}
+		if err := canceled(sess.Commit); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatalf("close %d: %v", i, err)
+		}
 	}
 }

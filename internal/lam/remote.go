@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"msql/internal/ldbms"
@@ -69,9 +70,10 @@ func (e *OpError) Error() string {
 func (e *OpError) Unwrap() error { return e.Err }
 
 // RetryPolicy bounds the exponential backoff used for transient
-// control-plane failures. Data-plane calls inside an open transaction are
-// never retried — their outcome at the server is unknown, and blind
-// replays would corrupt the paper's Success/Aborted/Incorrect accounting.
+// control-plane failures and for dialing a session's connection. A
+// session's requests are never retried once written — their outcome at
+// the server is unknown, and blind replays would corrupt the paper's
+// Success/Aborted/Incorrect accounting.
 type RetryPolicy struct {
 	// Attempts is the number of retries after the first try.
 	Attempts int
@@ -129,16 +131,19 @@ type DialOptions struct {
 	// DialTimeout bounds TCP connection establishment (default 5s).
 	DialTimeout time.Duration
 	// Retry is the transient-failure policy for control-plane calls
-	// (profile, describe, list, open). Zero value means DefaultRetry.
+	// (profile, describe, list, in-doubt, forget) and for dialing the
+	// connection a session's first request goes out on. That request,
+	// which also opens the session, is not retried once written. Zero
+	// value means DefaultRetry.
 	Retry RetryPolicy
 }
 
 // maxIdleConns caps the idle session connections a Remote keeps for
-// reuse by Open. Pooling amortizes the TCP+gob handshake under session
-// churn; a connection is only returned to the pool after a clean
-// session close, so a conn that ever carried a transport failure —
-// whose server-side state is unknowable — is discarded, preserving the
-// conn-death ⇒ in-doubt 2PC semantics.
+// reuse by later sessions. Pooling amortizes the TCP+gob handshake under
+// session churn; a connection is only returned to the pool when its
+// session's close leaves it healthy, so a conn that ever carried a
+// transport failure — whose server-side state is unknowable — is
+// discarded, preserving the conn-death ⇒ in-doubt 2PC semantics.
 const maxIdleConns = 4
 
 func (o DialOptions) withDefaults() DialOptions {
@@ -165,7 +170,7 @@ type Remote struct {
 		ch chan *rpcConn // 1-buffered slot; nil element = needs redial
 	}
 
-	// pool holds idle session connections for reuse by Open.
+	// pool holds idle session connections for reuse by later sessions.
 	poolMu     sync.Mutex
 	idle       []*rpcConn
 	poolClosed bool
@@ -185,6 +190,10 @@ type rpcConn struct {
 	service string
 	timeout time.Duration
 	broken  error // guarded by sem
+	// parked is a clean session close the connection's next request
+	// carries (wire.Request.CloseFirst). Set while the connection is
+	// idle, cleared by the exchange that sends it.
+	parked int64
 }
 
 func dialConn(ctx context.Context, addr string, opts DialOptions) (*rpcConn, error) {
@@ -241,8 +250,9 @@ func (c *rpcConn) noteCall(op string, start time.Time, err error) {
 // exchange performs the raw request/response round trip. The connection
 // deadline is the earlier of the context deadline and the per-call
 // timeout; a transport failure (timeout, severed connection, torn
-// stream) poisons the connection and is wrapped in *OpError. Errors the
-// server answered with are returned as-is — they are definite.
+// stream) poisons the connection and is wrapped in *OpError. An error
+// the server answered with is definite: it is returned as-is, together
+// with the response carrying it.
 func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	select {
 	case c.sem <- struct{}{}:
@@ -267,19 +277,23 @@ func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Respon
 		deadline = d
 	}
 	_ = c.conn.SetDeadline(deadline)
-	// Propagate context cancellation into the blocking read/write.
-	stop := make(chan struct{})
-	defer close(stop)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				_ = c.conn.SetDeadline(time.Unix(1, 0))
-			case <-stop:
-			}
-		}()
+	// Cancellation cuts the blocking write or read short with a past
+	// deadline. A callback that has started by the time the exchange
+	// ends may still set it at any later moment, under the connection's
+	// next call, so that connection is retired.
+	stop := context.AfterFunc(ctx, func() { _ = c.conn.SetDeadline(time.Unix(1, 0)) })
+	if c.parked != 0 {
+		req.CloseFirst, c.parked = c.parked, 0
 	}
-	fail := func(err error) (*wire.Response, error) {
+	var resp wire.Response
+	err := c.enc.Encode(req)
+	if err == nil {
+		err = c.dec.Decode(&resp)
+	}
+	if !stop() && err == nil {
+		c.broken = fmt.Errorf("call canceled as its reply arrived: %w", context.Cause(ctx))
+	}
+	if err != nil {
 		c.broken = err
 		_ = c.conn.Close()
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -291,18 +305,8 @@ func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Respon
 		}
 		return nil, &OpError{Service: c.service, Addr: c.addr, Op: req.Kind, Session: req.SessionID, Err: err}
 	}
-	if err := c.enc.Encode(req); err != nil {
-		return fail(err)
-	}
-	var resp wire.Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return fail(err)
-	}
 	_ = c.conn.SetDeadline(time.Time{})
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return &resp, resp.Err()
 }
 
 func (c *rpcConn) close() error { return c.conn.Close() }
@@ -409,49 +413,48 @@ func (r *Remote) Profile(ctx context.Context) (ldbms.Profile, error) {
 	return resp.Profile.ToProfile(), nil
 }
 
-// Open implements Client: the session gets a connection of its own,
-// pooled or freshly dialed. The open is retried on transient failures —
-// no transaction state exists yet, so the replay is safe (an orphaned
-// server-side session from a lost reply dies with its connection).
+// Open implements Client without touching the network. The session's
+// first request opens it at the server (wire.Request.Open), on a
+// connection of the session's own — pooled or freshly dialed, see
+// sessionConn — so an open failure (unreachable site, unknown database)
+// surfaces on that first verb. The request is not retried once written.
 func (r *Remote) Open(ctx context.Context, db string) (Session, error) {
-	var s Session
-	err := r.retrying(ctx, func() error {
-		conn, resp, err := r.firstCall(ctx, &wire.Request{Kind: wire.ReqOpen, Database: db})
-		if err == nil {
-			s = &remoteSession{conn: conn, r: r, id: resp.SessionID, db: db}
-		}
-		return err
-	})
-	return s, err
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return r.newSession(db, nil, 0), nil
 }
 
-// firstCall sends the first request of a session connection: on a pooled
-// idle connection when one is still alive, else on a fresh dial. A pooled
-// connection gone stale (server restarted, idle timeout) is discarded and
-// the next one tried; stale pops cost no retry attempt.
-func (r *Remote) firstCall(ctx context.Context, req *wire.Request) (*rpcConn, *wire.Response, error) {
-	for conn := r.popIdle(); conn != nil; conn = r.popIdle() {
-		resp, err := conn.call(ctx, req)
-		if err == nil {
+func (r *Remote) newSession(db string, conn *rpcConn, id int64) *remoteSession {
+	s := &remoteSession{r: r, db: db, sem: make(chan struct{}, 1), conn: conn}
+	s.id.Store(id)
+	return s
+}
+
+// sessionConn finds the connection a session's first request goes out
+// on: the newest pooled one whose peer has not closed it, else a fresh
+// dial. Only the dial is retried under the policy, since nothing has
+// been sent; a pooled connection found closed costs no attempt. op names
+// the request in a dial failure.
+func (r *Remote) sessionConn(ctx context.Context, op wire.ReqKind) (*rpcConn, error) {
+	for c := r.popIdle(); c != nil; c = r.popIdle() {
+		if peerOpen(c.conn) {
 			mPoolReuse.With(r.addr).Inc()
-			return conn, resp, nil
+			return c, nil
 		}
-		conn.close()
-		if !wire.Transient(err) {
-			return nil, nil, err
-		}
+		c.close()
 	}
-	conn, err := dialConn(ctx, r.addr, r.opts)
+	var c *rpcConn
+	err := r.retrying(ctx, func() error {
+		var err error
+		c, err = dialConn(ctx, r.addr, r.opts)
+		return err
+	})
 	if err != nil {
-		return nil, nil, &OpError{Service: r.service, Addr: r.addr, Op: req.Kind, Session: req.SessionID, Err: err}
+		return nil, &OpError{Service: r.service, Addr: r.addr, Op: op, Err: err}
 	}
-	conn.service = r.service
-	resp, err := conn.call(ctx, req)
-	if err != nil {
-		conn.close()
-		return nil, nil, err
-	}
-	return conn, resp, nil
+	c.service = r.service
+	return c, nil
 }
 
 // popIdle takes an idle pooled connection, newest first (most likely
@@ -519,8 +522,13 @@ func (r *Remote) ListViews(ctx context.Context, db string) ([]string, error) {
 // attach drops that connection, which hands the still-prepared session
 // back to the server's in-doubt table for the next attempt.
 func (r *Remote) Resolve(ctx context.Context, sessionID int64, commit bool) (ldbms.SessionState, error) {
-	conn, resp, err := r.firstCall(ctx, &wire.Request{Kind: wire.ReqAttach, SessionID: sessionID})
+	conn, err := r.sessionConn(ctx, wire.ReqAttach)
 	if err != nil {
+		return 0, err
+	}
+	resp, err := conn.call(ctx, &wire.Request{Kind: wire.ReqAttach, SessionID: sessionID})
+	if err != nil {
+		r.putIdle(conn)
 		return 0, err
 	}
 	state := ldbms.SessionState(resp.State)
@@ -535,9 +543,10 @@ func (r *Remote) Resolve(ctx context.Context, sessionID int64, commit bool) (ldb
 			return 0, fmt.Errorf("lam: resolve session %d at %s: %w", sessionID, r.addr, err)
 		}
 	}
-	// Release the attached session; its outcome tombstone stays on the
-	// server for a coordinator that retries after a lost acknowledgment.
-	_ = (&remoteSession{conn: conn, r: r, id: sessionID}).Close()
+	// Release the attached session, now transaction-free; its outcome
+	// tombstone stays on the server for a coordinator that retries after
+	// a lost acknowledgment.
+	_ = r.newSession("", conn, sessionID).Close()
 	return state, nil
 }
 
@@ -575,21 +584,66 @@ func (r *Remote) Close() error {
 	return nil
 }
 
+// remoteSession is a session whose server side exists from its first
+// request on. sem serializes its calls; a caller whose context dies
+// while waiting for it gives up at once.
 type remoteSession struct {
-	conn *rpcConn
-	r    *Remote // for returning conn to the pool
-	id   int64
-	db   string
+	r   *Remote // for the connection pool
+	db  string
+	sem chan struct{}
+	id  atomic.Int64 // the server's session id; 0 until a reply names one
+
+	// Guarded by sem.
+	conn   *rpcConn // nil until the first request
+	txn    bool     // the server may hold a transaction for the session
+	closed bool
 }
 
+// call sends one request of the session. The first finds the session a
+// connection and opens it at the server by carrying wire.Request.Open.
+// No request is replayed once written: a transport failure poisons the connection
+// and is returned as-is, since an exec at an autocommit site may already
+// have taken effect.
 func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	req.SessionID = s.id
-	return s.conn.call(ctx, req)
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.sem }()
+	if s.closed {
+		return nil, fmt.Errorf("%w: session closed", wire.ErrNoSession)
+	}
+	if s.conn == nil {
+		c, err := s.r.sessionConn(ctx, req.Kind)
+		if err != nil {
+			return nil, err
+		}
+		s.conn = c
+	}
+	id := s.id.Load()
+	if id == 0 {
+		req.Open, req.Database = true, s.db
+	}
+	req.SessionID = id
+	resp, err := s.conn.call(ctx, req)
+	if id == 0 && resp != nil {
+		s.id.Store(resp.SessionID)
+	}
+	switch req.Kind {
+	case wire.ReqExec, wire.ReqLoad, wire.ReqPrepare:
+		s.txn = true
+	case wire.ReqCommit, wire.ReqRollback:
+		if err == nil {
+			s.txn = false
+		}
+	}
+	return resp, err
 }
 
 // RecoveryInfo implements Recoverable: the coordinator reconnects to addr
 // and resolves the server-side session id.
-func (s *remoteSession) RecoveryInfo() (string, int64) { return s.r.addr, s.id }
+func (s *remoteSession) RecoveryInfo() (string, int64) { return s.r.addr, s.id.Load() }
 
 func (s *remoteSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
 	resp, err := s.call(ctx, &wire.Request{Kind: wire.ReqExec, SQL: sql})
@@ -638,15 +692,30 @@ func (s *remoteSession) State(ctx context.Context) (ldbms.SessionState, error) {
 
 func (s *remoteSession) Database() string { return s.db }
 
+// Close implements Session. A session that never sent a request has
+// nothing to close. A clean one — no transaction at the server — sends
+// nothing either: its connection returns to the pool carrying the close
+// for its next request (wire.Request.CloseFirst), and a connection the
+// pool drops instead takes the session with it at the server. A session
+// that may hold a transaction closes in an exchange of its own.
 func (s *remoteSession) Close() error {
-	_, err := s.call(context.Background(), &wire.Request{Kind: wire.ReqCloseSession})
-	if err == nil {
-		s.r.putIdle(s.conn)
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	conn := s.conn
+	s.conn, s.closed = nil, true
+	if conn == nil {
 		return nil
 	}
-	cerr := s.conn.close()
-	if err != nil {
-		return err
+	switch id := s.id.Load(); {
+	case id == 0: // the server never opened it
+	case s.txn:
+		if _, err := conn.call(context.Background(), &wire.Request{Kind: wire.ReqCloseSession, SessionID: id}); err != nil {
+			conn.close()
+			return err
+		}
+	default:
+		conn.parked = id
 	}
-	return cerr
+	s.r.putIdle(conn)
+	return nil
 }

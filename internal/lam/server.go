@@ -634,20 +634,29 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		return fail(fmt.Errorf("%w: %d", wire.ErrNoSession, req.SessionID))
 	}
 
-	switch req.Kind {
-	case wire.ReqHello:
-		resp.ServiceNm = t.srv.Name()
-	case wire.ReqProfile:
-		resp.Profile = wire.FromProfile(t.srv.Profile())
-		resp.ServiceNm = t.srv.Name()
-	case wire.ReqOpen:
+	// A clean close and an open ride on the request they precede, so
+	// neither costs the client a round of its own (wire.Request.Open,
+	// CloseFirst). The reply names an opened session even when the verb
+	// then fails.
+	if req.CloseFirst != 0 {
+		t.closeSession(req.CloseFirst, cs)
+	}
+	if req.Open {
 		s, err := t.srv.OpenSession(req.Database)
 		if err != nil {
 			return fail(err)
 		}
 		id := t.allocID()
 		cs.sessions[id] = &servedSession{sess: s, owner: cs}
-		resp.SessionID = id
+		req.SessionID, resp.SessionID = id, id
+	}
+
+	switch req.Kind {
+	case wire.ReqHello:
+		resp.ServiceNm = t.srv.Name()
+	case wire.ReqProfile:
+		resp.Profile = wire.FromProfile(t.srv.Profile())
+		resp.ServiceNm = t.srv.Name()
 	case wire.ReqExec:
 		ss, ok := session()
 		if !ok {
@@ -738,11 +747,7 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 	case wire.ReqInDoubt:
 		resp.InDoubt = t.inDoubtSessions()
 	case wire.ReqCloseSession:
-		if ss, ok := session(); ok {
-			ss.sess.Close()
-			t.settle(req.SessionID, ss, cs, ss.sess.State())
-			delete(cs.sessions, req.SessionID)
-		}
+		t.closeSession(req.SessionID, cs)
 	case wire.ReqDescribe:
 		s, err := t.srv.OpenSession(req.Database)
 		if err != nil {
@@ -781,4 +786,16 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		return fail(errors.New("lam: unknown request kind"))
 	}
 	return resp
+}
+
+// closeSession closes session id of cs's table, rolling back work it
+// left uncommitted; an id the table does not hold is a no-op.
+func (t *TCPServer) closeSession(id int64, cs *connState) {
+	ss, ok := cs.sessions[id]
+	if !ok {
+		return
+	}
+	ss.sess.Close()
+	t.settle(id, ss, cs, ss.sess.State())
+	delete(cs.sessions, id)
 }

@@ -525,6 +525,9 @@ func TestTopologySoak(t *testing.T) {
 	}
 	darkDB := proxied[0].DB
 	probe := fmt.Sprintf("USE %s VITAL %s\nSELECT owner%% FROM acct%%", healthyRel.DB, darkDB)
+	// Only the sessions' first requests reach the dark site (a remote
+	// Open sends nothing); under the mutation "lazy Open records success"
+	// each probe's open resets the count and this loop times out.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		px := proxyOf[proxied[0].Service]

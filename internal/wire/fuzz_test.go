@@ -10,13 +10,17 @@ import (
 )
 
 // fuzzSeedRequests covers every request kind plus the durability fields
-// (MTID, trace correlation) so the corpus exercises the full frame
-// vocabulary.
+// (MTID, trace correlation) and the session fields a server acts on
+// before dispatch (Open, CloseFirst), so the corpus exercises the full
+// frame vocabulary.
 func fuzzSeedRequests() []Request {
 	return []Request{
 		{Kind: ReqHello},
 		{Kind: ReqOpen, Database: "united"},
 		{Kind: ReqExec, SessionID: 7, SQL: "UPDATE flight SET rates = 132.0 WHERE fn = 300"},
+		{Kind: ReqExec, Open: true, Database: "united", CloseFirst: 6, SQL: "SELECT fn FROM flight"},
+		{Kind: ReqCommit, SessionID: 7, CloseFirst: 1<<62 + 5},
+		{Kind: ReqCloseSession, Open: true, CloseFirst: -3},
 		{Kind: ReqPrepare, SessionID: 7, MTID: 42, TraceID: "t1", ParentSpan: 9},
 		{Kind: ReqCommit, SessionID: 7},
 		{Kind: ReqAttach, SessionID: 7},

@@ -33,6 +33,10 @@ type ReqKind uint8
 const (
 	ReqHello ReqKind = iota
 	ReqProfile
+	// ReqOpen is retired: a session opens with its first request
+	// (Request.Open), and a server answers ReqOpen "unknown request
+	// kind". The kind keeps its place so the kinds after it keep their
+	// numbers.
 	ReqOpen
 	ReqExec
 	ReqPrepare
@@ -96,9 +100,19 @@ func (k ReqKind) String() string {
 type Request struct {
 	Kind      ReqKind
 	SessionID int64
-	Database  string // ReqOpen
+	Database  string // requests with Open set, ReqDescribe, ReqList*
 	SQL       string // ReqExec
-	Name      string // ReqDescribe: table or view name; ReqLoad: target table
+	// Open asks the server to open a session on Database and serve the
+	// request in it, so a session's first verb carries its own open. The
+	// reply's SessionID names the new session, also when the verb
+	// itself fails; a failed open answers with SessionID zero.
+	Open bool
+	// CloseFirst names a transaction-free session of this connection
+	// that the server closes before it serves the request: a client's
+	// clean close rides the connection's next request instead of taking
+	// a round of its own. Zero closes nothing.
+	CloseFirst int64
+	Name       string // ReqDescribe: table or view name; ReqLoad: target table
 	// Rows are the rows of a ReqLoad, in the representation Result.Rows
 	// returns them in. Gob omits the field when empty, so every other
 	// request encodes as before.
