@@ -14,6 +14,8 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
+	"msql/internal/sqlengine"
+	"msql/internal/wire"
 )
 
 // TestMain routes child processes — LAM servers and coordinator
@@ -63,8 +65,9 @@ func launchChild(t *testing.T, compactEvery int) *Proc {
 type killClient struct {
 	lam.Client
 	proc *Proc
-	// killBeforePrepare crashes the server before the vote request can
-	// reach it; killAfterPrepare crashes it after the vote is durable and
+	// killBeforePrepare crashes the server before the task's last exec
+	// can reach it, so before the vote that exec carries or precedes;
+	// killAfterPrepare crashes it after the vote is durable and
 	// acknowledged but before any decision arrives; killAfterCommit lets
 	// the commit succeed server-side, then crashes and reports a lost
 	// reply.
@@ -86,11 +89,15 @@ type killSession struct {
 	c *killClient
 }
 
-func (s *killSession) Prepare(ctx context.Context) error {
-	if s.c.killBeforePrepare.Load() {
+func (s *killSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
+	if lam.EndingFrom(ctx) == wire.ReqPrepare && s.c.killBeforePrepare.Load() {
 		s.c.killBeforePrepare.Store(false)
 		_ = s.c.proc.Kill()
 	}
+	return s.Session.Exec(ctx, sql)
+}
+
+func (s *killSession) Prepare(ctx context.Context) error {
 	err := s.Session.Prepare(ctx)
 	if err == nil && s.c.killAfterPrepare.Load() {
 		s.c.killAfterPrepare.Store(false)

@@ -278,7 +278,9 @@ func TestGlobalSelectDifferential(t *testing.T) {
 		seeds = 20
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		runDifferential(t, seed)
+		// A subtest per seed, so each seed's federation is cleaned up
+		// when the seed ends rather than when the whole test does.
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { runDifferential(t, seed) })
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // its parked session, drive it to the logged COMMIT, and compact the
 // journal.
 func TestCrashRecoveryDeliversLoggedCommit(t *testing.T) {
-	fed, servers, sc, proxy := faultFederation(t)
+	fed, servers, sc, proxy, _ := faultFederation(t)
 	jpath := filepath.Join(t.TempDir(), "mt.journal")
 	j, err := mtlog.Open(jpath)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/netfault"
+	"msql/internal/obs"
 )
 
 // severClient wraps a real TCP LAM client so a test can deterministically
@@ -56,10 +58,12 @@ func (s *severSession) RecoveryInfo() (string, int64) {
 
 // faultFederation builds a two-site federation where united sits behind a
 // netfault proxy with a severing wrapper client. Recovery is tightened so
-// the permanent-outage path stays fast.
-func faultFederation(t *testing.T) (*Federation, map[string]*ldbms.Server, *severClient, *netfault.Proxy) {
+// the permanent-outage path stays fast. The last result holds each
+// database's LAM server.
+func faultFederation(t *testing.T) (*Federation, map[string]*ldbms.Server, *severClient, *netfault.Proxy, map[string]*lam.TCPServer) {
 	t.Helper()
 	servers := map[string]*ldbms.Server{}
+	lams := map[string]*lam.TCPServer{}
 	fed := New()
 	fed.SetRecovery(lam.RetryPolicy{Attempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}, time.Second)
 
@@ -101,6 +105,7 @@ func faultFederation(t *testing.T) (*Federation, map[string]*ldbms.Server, *seve
 		}
 		t.Cleanup(func() { ts.Close() })
 		servers[sp.db] = srv
+		lams[sp.db] = ts
 
 		site := ts.Addr()
 		if sp.db == "united" {
@@ -131,7 +136,7 @@ IMPORT DATABASE united FROM SERVICE svc_unit;
 	if _, err := fed.ExecScript(setup); err != nil {
 		t.Fatal(err)
 	}
-	return fed, servers, sc, proxy
+	return fed, servers, sc, proxy, lams
 }
 
 const vitalUpdate = `
@@ -155,7 +160,7 @@ func unitedRate(t *testing.T, srv *ldbms.Server) float64 {
 }
 
 func TestSeverAfterPrepareRecoversToSuccess(t *testing.T) {
-	fed, servers, sc, _ := faultFederation(t)
+	fed, servers, sc, _, _ := faultFederation(t)
 	sc.armed.Store(true)
 
 	// The connection to united dies between its PREPARE and the COMMIT
@@ -187,7 +192,7 @@ func TestSeverAfterPrepareRecoversToSuccess(t *testing.T) {
 }
 
 func TestPermanentOutageReportsUnresolvedParticipant(t *testing.T) {
-	fed, servers, sc, proxy := faultFederation(t)
+	fed, servers, sc, proxy, _ := faultFederation(t)
 	sc.armed.Store(true)
 	sc.refuse.Store(true) // the sever will be permanent: no reconnects
 
@@ -285,7 +290,7 @@ IMPORT DATABASE united FROM SERVICE svc_unit;
 }
 
 func TestExecScriptContextCancellation(t *testing.T) {
-	fed, _, _, proxy := faultFederation(t)
+	fed, _, _, proxy, _ := faultFederation(t)
 	proxy.SetDelay(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 75*time.Millisecond)
 	defer cancel()
@@ -296,5 +301,74 @@ func TestExecScriptContextCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("elapsed = %v, cancellation not honored", elapsed)
+	}
+}
+
+// TestHangUpDuringVoteOrDecisionLeavesNothingInDoubt cancels a VITAL
+// unit while united's reply is held back by the proxy, after united has
+// served the request: during the exec that carries its vote, during the
+// vote of a session on a fresh connection (which does not know its
+// session id before the reply, so votes in a request of its own), and
+// during the COMMIT decision. A request cut after it was written has an
+// unknown outcome, not a failed one, so the coordinator's own recovery
+// loop drives the participant to the unit's decision before the call
+// returns: the unit ends in its decision's state, never Incorrect, no
+// site keeps a parked session, and no Recover runs.
+func TestHangUpDuringVoteOrDecisionLeavesNothingInDoubt(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		warm  bool     // run a statement first, so the pools hold connections
+		ops   []string // served once per site, together, before the hang-up
+		state GlobalState
+		rate  float64 // united's rate once the call returns
+	}{
+		{"vote", true, []string{"exec+prepare"}, StateAborted, 120},
+		{"fresh vote", false, []string{"exec+prepare", "prepare"}, StateAborted, 120},
+		{"decision", true, []string{"commit"}, StateSuccess, 132},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fed, servers, _, proxy, lams := faultFederation(t)
+			if tc.warm {
+				if _, err := fed.ExecScript("USE continental united\nSELECT rate% FROM flight%"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requests := obs.Default().CounterVec("msql_server_requests_total", "", "op")
+			served := func() (n int64) {
+				for _, op := range tc.ops {
+					n += requests.With(op).Value()
+				}
+				return n
+			}
+			before := served()
+			proxy.SetDelay(100 * time.Millisecond)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				for deadline := time.Now().Add(10 * time.Second); served()-before < 2 && ctx.Err() == nil && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				proxy.SetDelay(0)
+				cancel()
+			}()
+			results, err := fed.ExecScriptContext(ctx, vitalUpdate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := served() - before; n != 2 {
+				t.Fatalf("%v served %d times before the hang-up, want once per site", tc.ops, n)
+			}
+			if sync := results[len(results)-1]; sync.State != tc.state {
+				t.Errorf("state = %s, want %s (tasks %v)", sync.State, tc.state, sync.TaskStates)
+			}
+			for db, ts := range lams {
+				if ids := ts.InDoubt(); len(ids) != 0 {
+					t.Errorf("%s: sessions %v in doubt after the call returned", db, ids)
+				}
+			}
+			if f := unitedRate(t, servers["united"]); math.Abs(f-tc.rate) > 0.01 {
+				t.Errorf("united rate = %v, want %v", f, tc.rate)
+			}
+		})
 	}
 }

@@ -171,23 +171,27 @@ IMPORT DATABASE d FROM SERVICE ghost;
 }
 
 // serverRequests snapshots msql_server_requests_total, every LAM server
-// of the process summed, by request kind.
+// of the process summed, by request op (wire.Request.Op).
 func serverRequests() map[string]int64 {
 	served := obs.Default().CounterVec("msql_server_requests_total", "", "op")
 	out := map[string]int64{}
 	for k := wire.ReqHello; k <= wire.ReqLoad; k++ {
 		out[k.String()] = served.With(k.String()).Value()
 	}
+	for _, op := range []string{"exec+commit", "exec+prepare"} {
+		out[op] = served.With(op).Value()
+	}
 	return out
 }
 
 // TestWireRequestsPerStatement counts the LAM requests one statement
 // costs over TCP once the connection pools are warm. A session's open
-// rides its first request and its clean close the connection's next
-// one, so neither is a request of its own: a 2-site SELECT is an exec
-// and a commit per site (8 requests before: open, exec, commit and
-// close-session per site), a VITAL UPDATE + COMMIT an exec, a prepare
-// and a commit per site (10 before).
+// rides its first request, its clean close the connection's next one,
+// and a task's commit or vote its last exec, so none is a request of
+// its own: a 2-site SELECT is one exec+commit per site (4 requests
+// before: exec and commit per site), a VITAL UPDATE + COMMIT an
+// exec+prepare and a commit per site (6 before: exec, prepare and
+// commit per site).
 func TestWireRequestsPerStatement(t *testing.T) {
 	fed, _ := tcpFederation(t)
 	for _, tc := range []struct {
@@ -195,9 +199,9 @@ func TestWireRequestsPerStatement(t *testing.T) {
 		want         map[string]int64
 	}{
 		{"2-site select", "USE continental united\nSELECT rate% FROM flight%",
-			map[string]int64{"exec": 2, "commit": 2}},
+			map[string]int64{"exec+commit": 2}},
 		{"vital update", "USE continental VITAL united VITAL\nUPDATE flight% SET rate% = rate% * 1.0 WHERE sour% = 'Houston'\nCOMMIT",
-			map[string]int64{"exec": 2, "prepare": 2, "commit": 2}},
+			map[string]int64{"exec+prepare": 2, "commit": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

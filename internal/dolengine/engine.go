@@ -549,9 +549,25 @@ func (r *run) runTask(rt *taskRT, c *conn) {
 		r.logOutcome(rt)
 		return
 	}
-	for _, stmt := range rt.stmt.Body {
-		res, err := c.session.Exec(sctx, sqlparser.Deparse(stmt))
+	// The last statement tells the session how the transaction ends, so
+	// a remote session carries the commit or the vote in that exec's
+	// request; the Commit or Prepare below then costs no round.
+	ending := wire.ReqCommit
+	if rt.stmt.NoCommit {
+		ending = wire.ReqPrepare
+	}
+	for i, stmt := range rt.stmt.Body {
+		ectx := sctx
+		last := i == len(rt.stmt.Body)-1
+		if last {
+			ectx = lam.WithEnding(sctx, ending)
+		}
+		res, err := c.session.Exec(ectx, sqlparser.Deparse(stmt))
 		if err != nil {
+			if last && rt.stmt.NoCommit {
+				r.voteFailed(rt, c.session, err)
+				return
+			}
 			rt.setStatus(dol.StatusAborted, err)
 			r.logOutcome(rt)
 			return
@@ -575,16 +591,7 @@ func (r *run) runTask(rt *taskRT, c *conn) {
 		err := c.session.Prepare(pctx)
 		psp.EndErr(err)
 		if err != nil {
-			// A transport failure leaves the vote unknown: the LAM may have
-			// prepared and parked the session. Record an in-doubt rollback —
-			// the plan's IF sees the task as not-prepared and aborts the
-			// unit, so rollback is the synchronization-point decision.
-			if rec, ok := recoveryOf(c.session); ok && wire.Transient(err) {
-				rt.markInDoubt(rec, false, err)
-				return
-			}
-			rt.setStatus(dol.StatusAborted, err)
-			r.logOutcome(rt)
+			r.voteFailed(rt, c.session, err)
 			return
 		}
 		rt.setStatus(dol.StatusPrepared, nil)
@@ -600,6 +607,21 @@ func (r *run) runTask(rt *taskRT, c *conn) {
 		return
 	}
 	rt.setStatus(dol.StatusCommitted, nil)
+	r.logOutcome(rt)
+}
+
+// voteFailed settles a task whose vote did not come back, from its
+// Prepare or from the last exec that carried it. A transport failure
+// leaves the vote unknown: the LAM may have prepared and parked the
+// session. It is recorded as an in-doubt rollback — the plan's IF sees
+// the task as not-prepared and aborts the unit, so rollback is the
+// synchronization-point decision. Any other failure is a definite no.
+func (r *run) voteFailed(rt *taskRT, sess lam.Session, err error) {
+	if rec, ok := recoveryOf(sess); ok && wire.Transient(err) {
+		rt.markInDoubt(rec, false, err)
+		return
+	}
+	rt.setStatus(dol.StatusAborted, err)
 	r.logOutcome(rt)
 }
 

@@ -5,7 +5,9 @@ import "msql/internal/obs"
 // Federation metrics recorded by the LAM layer (see DESIGN.md §8).
 // Client-side metrics are labeled by site address so a coordinator's
 // /metrics separates the latency and failure behavior of each member
-// DBMS; server-side metrics are labeled by operation.
+// DBMS; server-side metrics are labeled by operation. An operation is
+// wire.Request.Op on both sides: an exec that carries its transaction's
+// ending counts as exec+commit or exec+prepare, not as exec.
 var (
 	mCallLatency = obs.Default().HistogramVec("msql_site_call_seconds",
 		"Round-trip latency of wire calls to each LAM site.",

@@ -40,6 +40,28 @@ func MTIDFrom(ctx context.Context) uint64 {
 	return 0
 }
 
+// endingKey carries the ending of a DOL task's transaction in the
+// context of the task's last Exec.
+type endingKey struct{}
+
+// WithEnding returns a context telling the session that the Exec it is
+// passed to is its transaction's last statement, and how the
+// transaction ends: wire.ReqCommit or wire.ReqPrepare. A remote session
+// sends that ending in the exec's own request (wire.Request.Then) and
+// answers the Commit or Prepare call that follows from the reply,
+// without a round of its own. Any session may ignore the value: the
+// caller still makes that call, and it then goes out as usual.
+func WithEnding(ctx context.Context, end wire.ReqKind) context.Context {
+	return context.WithValue(ctx, endingKey{}, end)
+}
+
+// EndingFrom returns the ending WithEnding put in the context, zero when
+// the Exec is not its transaction's last statement.
+func EndingFrom(ctx context.Context) wire.ReqKind {
+	end, _ := ctx.Value(endingKey{}).(wire.ReqKind)
+	return end
+}
+
 // ErrConnBroken marks calls issued on a connection already poisoned by an
 // earlier transport failure (a torn gob stream cannot be resynchronized).
 var ErrConnBroken = errors.New("lam: connection broken by earlier failure")
@@ -194,6 +216,10 @@ type rpcConn struct {
 	// carries (wire.Request.CloseFirst). Set while the connection is
 	// idle, cleared by the exchange that sends it.
 	parked int64
+	// next is the id the server gives the next session opened on the
+	// connection (wire.Response.NextSession), zero until an opening
+	// reply has named it. Used by the session that holds the connection.
+	next int64
 }
 
 func dialConn(ctx context.Context, addr string, opts DialOptions) (*rpcConn, error) {
@@ -217,7 +243,7 @@ func dialConn(ctx context.Context, addr string, opts DialOptions) (*rpcConn, err
 // as a call span whose id propagates to the server in the request, so
 // the LAM's server-side span correlates with this one.
 func (c *rpcConn) call(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	op := req.Kind.String()
+	op := req.Op()
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		sp := tr.StartSpan("call:"+op, obs.KindCall, obs.SpanFrom(ctx))
 		sp.SetAttr("site", c.addr)
@@ -296,12 +322,15 @@ func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Respon
 	if err != nil {
 		c.broken = err
 		_ = c.conn.Close()
+		// Both errors stay visible to errors.Is: the written request's
+		// outcome is unknown whether or not the caller gave up on it, so
+		// wire.Transient must still see the transport failure.
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			err = fmt.Errorf("%w (%v)", ctxErr, err)
+			err = fmt.Errorf("%w (%w)", ctxErr, err)
 		} else if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 			// The conn deadline derived from the context fired before the
 			// context's own timer did; report the caller's deadline anyway.
-			err = fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
+			err = fmt.Errorf("%w (%w)", context.DeadlineExceeded, err)
 		}
 		return nil, &OpError{Service: c.service, Addr: c.addr, Op: req.Kind, Session: req.SessionID, Err: err}
 	}
@@ -597,6 +626,11 @@ type remoteSession struct {
 	conn   *rpcConn // nil until the first request
 	txn    bool     // the server may hold a transaction for the session
 	closed bool
+	// ended is the ending the last exec carried (wire.Request.Then) and
+	// endErr its outcome, kept for the Commit or Prepare call that
+	// follows; any other call drops them.
+	ended  wire.ReqKind
+	endErr error
 }
 
 // call sends one request of the session. The first finds the session a
@@ -614,6 +648,12 @@ func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Resp
 	if s.closed {
 		return nil, fmt.Errorf("%w: session closed", wire.ErrNoSession)
 	}
+	if ended := s.ended; ended != 0 {
+		s.ended = 0
+		if req.Kind == ended {
+			return &wire.Response{}, s.endErr
+		}
+	}
 	if s.conn == nil {
 		c, err := s.r.sessionConn(ctx, req.Kind)
 		if err != nil {
@@ -621,20 +661,38 @@ func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Resp
 		}
 		s.conn = c
 	}
-	id := s.id.Load()
-	if id == 0 {
+	opening := s.id.Load() == 0
+	if opening {
+		// The session takes the id the connection was told, so a lost
+		// reply still leaves RecoveryInfo naming it.
 		req.Open, req.Database = true, s.db
+		s.id.Store(s.conn.next)
+	} else {
+		req.SessionID = s.id.Load()
 	}
-	req.SessionID = id
+	if req.Then == wire.ReqPrepare && s.id.Load() == 0 {
+		// A vote whose reply is lost must be resolvable by id: the
+		// Prepare that follows goes out on its own instead.
+		req.Then, req.MTID = 0, 0
+	}
 	resp, err := s.conn.call(ctx, req)
-	if id == 0 && resp != nil {
+	if opening && resp != nil {
 		s.id.Store(resp.SessionID)
+		if resp.NextSession != 0 {
+			s.conn.next = resp.NextSession
+		}
 	}
 	switch req.Kind {
 	case wire.ReqExec, wire.ReqLoad, wire.ReqPrepare:
 		s.txn = true
 	case wire.ReqCommit, wire.ReqRollback:
 		if err == nil {
+			s.txn = false
+		}
+	}
+	if req.Then != 0 && err == nil {
+		s.ended, s.endErr = req.Then, resp.ThenErr()
+		if req.Then == wire.ReqCommit && s.endErr == nil {
 			s.txn = false
 		}
 	}
@@ -645,8 +703,20 @@ func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Resp
 // and resolves the server-side session id.
 func (s *remoteSession) RecoveryInfo() (string, int64) { return s.r.addr, s.id.Load() }
 
+// Exec implements Session. The ending WithEnding put in ctx travels in
+// the same request; the Commit or Prepare that follows a successful Exec
+// returns its outcome. An Exec that fails ran no ending, unless it failed
+// in transport: then the ending's outcome is as unknown as the
+// statement's.
 func (s *remoteSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
-	resp, err := s.call(ctx, &wire.Request{Kind: wire.ReqExec, SQL: sql})
+	req := &wire.Request{Kind: wire.ReqExec, SQL: sql}
+	switch end := EndingFrom(ctx); end {
+	case wire.ReqCommit:
+		req.Then = end
+	case wire.ReqPrepare:
+		req.Then, req.MTID = end, MTIDFrom(ctx)
+	}
+	resp, err := s.call(ctx, req)
 	if err != nil {
 		return nil, err
 	}

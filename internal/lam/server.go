@@ -539,6 +539,7 @@ func (t *TCPServer) acceptLoop() {
 // connection's identity as a session owner.
 type connState struct {
 	sessions map[int64]*servedSession
+	next     int64 // the id the next session opened here takes (wire.Response.NextSession)
 }
 
 func (t *TCPServer) handle(conn net.Conn) {
@@ -574,7 +575,7 @@ func (t *TCPServer) handle(conn net.Conn) {
 		resp := t.dispatch(&req, cs)
 		elapsed := time.Since(start)
 		resp.ServerNS = elapsed.Nanoseconds()
-		op := req.Kind.String()
+		op := req.Op()
 		mServerRequests.With(op).Inc()
 		mServerLatency.With(op).Observe(elapsed.Seconds())
 		if req.TraceID != "" {
@@ -634,6 +635,12 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		return fail(fmt.Errorf("%w: %d", wire.ErrNoSession, req.SessionID))
 	}
 
+	// An ending rides only an exec, and only as a commit or a vote;
+	// anything else is refused before the request touches a session.
+	if req.Then != 0 && (req.Kind != wire.ReqExec || (req.Then != wire.ReqCommit && req.Then != wire.ReqPrepare)) {
+		return fail(fmt.Errorf("lam: %s cannot end a transaction with %s", req.Kind, req.Then))
+	}
+
 	// A clean close and an open ride on the request they precede, so
 	// neither costs the client a round of its own (wire.Request.Open,
 	// CloseFirst). The reply names an opened session even when the verb
@@ -646,9 +653,15 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		if err != nil {
 			return fail(err)
 		}
-		id := t.allocID()
+		// The session takes the id this connection's previous opening
+		// reply announced, and the reply announces the next one.
+		id := cs.next
+		if id == 0 {
+			id = t.allocID()
+		}
+		cs.next = t.allocID()
 		cs.sessions[id] = &servedSession{sess: s, owner: cs}
-		req.SessionID, resp.SessionID = id, id
+		req.SessionID, resp.SessionID, resp.NextSession = id, id, cs.next
 	}
 
 	switch req.Kind {
@@ -671,6 +684,14 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 			wres.Columns = append(wres.Columns, wire.Column{Name: c.Name, Type: uint8(c.Type)})
 		}
 		resp.Result = wres
+		var endErr error
+		switch req.Then {
+		case wire.ReqCommit:
+			endErr = t.commit(req.SessionID, ss, cs)
+		case wire.ReqPrepare:
+			endErr = t.prepare(req.SessionID, ss, req.MTID)
+		}
+		resp.ThenErrCode, resp.ThenErrMsg = wire.EncodeError(endErr)
 	case wire.ReqLoad:
 		ss, ok := session()
 		if !ok {
@@ -686,38 +707,17 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		if !ok {
 			return noSession()
 		}
-		s := ss.sess
-		if err := s.Prepare(); err != nil {
+		if err := t.prepare(req.SessionID, ss, req.MTID); err != nil {
 			return fail(err)
 		}
-		if t.journal != nil {
-			// The participant's half of the write-ahead rule: the redo
-			// state (and the multitransaction correlation) reaches stable
-			// storage before the PREPARED vote goes on the wire. If it
-			// cannot, the vote must be NO.
-			rec := &mtlog.Record{Type: mtlog.PPrepared, SessionID: req.SessionID,
-				MTID: req.MTID, DB: s.Database(), Redo: s.Redo()}
-			if err := t.journal.Append(rec); err != nil {
-				_ = s.Rollback()
-				return fail(fmt.Errorf("lam: journal prepare: %w", err))
-			}
-		}
-		t.voted(req.SessionID, ss, req.MTID)
 	case wire.ReqCommit:
 		ss, ok := session()
 		if !ok {
 			return noSession()
 		}
-		if err := ss.sess.Commit(); err != nil {
+		if err := t.commit(req.SessionID, ss, cs); err != nil {
 			return fail(err)
 		}
-		// A once-prepared session reached its outcome on a live
-		// connection: record the tombstone now (journaled and fsynced
-		// for commits), so a crash between this reply and the
-		// coordinator's acknowledgment cannot forget the answer. The
-		// session itself stays open — a DOL program may run further
-		// transactions on the same connection alias.
-		t.settle(req.SessionID, ss, cs, ldbms.StateCommitted)
 	case wire.ReqRollback:
 		ss, ok := session()
 		if !ok {
@@ -786,6 +786,43 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		return fail(errors.New("lam: unknown request kind"))
 	}
 	return resp
+}
+
+// prepare votes PREPARED for session id, durably when the server
+// journals, and enters it into the prepared table.
+func (t *TCPServer) prepare(id int64, ss *servedSession, mtid uint64) error {
+	s := ss.sess
+	if err := s.Prepare(); err != nil {
+		return err
+	}
+	if t.journal != nil {
+		// The participant's half of the write-ahead rule: the redo
+		// state (and the multitransaction correlation) reaches stable
+		// storage before the PREPARED vote goes on the wire. If it
+		// cannot, the vote must be NO.
+		rec := &mtlog.Record{Type: mtlog.PPrepared, SessionID: id,
+			MTID: mtid, DB: s.Database(), Redo: s.Redo()}
+		if err := t.journal.Append(rec); err != nil {
+			_ = s.Rollback()
+			return fmt.Errorf("lam: journal prepare: %w", err)
+		}
+	}
+	t.voted(id, ss, mtid)
+	return nil
+}
+
+// commit commits session id's transaction. A once-prepared session
+// reached its outcome on a live connection: its tombstone is recorded
+// now (journaled and fsynced for commits), so a crash between the reply
+// and the coordinator's acknowledgment cannot forget the answer. The
+// session itself stays open — a DOL program may run further
+// transactions on the same connection alias.
+func (t *TCPServer) commit(id int64, ss *servedSession, cs *connState) error {
+	if err := ss.sess.Commit(); err != nil {
+		return err
+	}
+	t.settle(id, ss, cs, ldbms.StateCommitted)
+	return nil
 }
 
 // closeSession closes session id of cs's table, rolling back work it

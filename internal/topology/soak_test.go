@@ -127,13 +127,15 @@ func (s *killSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, 
 		// transport failure and the statement never executed.
 		s.c.fire("sigkill-before-exec:" + pfx)
 	}
+	// The task's last exec carries its vote or precedes it: dying before
+	// that exec is dying before the prepare.
+	if lam.EndingFrom(ctx) == wire.ReqPrepare && s.c.killBeforePrepare.CompareAndSwap(true, false) {
+		s.c.fire("sigkill-before-prepare")
+	}
 	return s.Session.Exec(ctx, sql)
 }
 
 func (s *killSession) Prepare(ctx context.Context) error {
-	if s.c.killBeforePrepare.CompareAndSwap(true, false) {
-		s.c.fire("sigkill-before-prepare")
-	}
 	err := s.Session.Prepare(ctx)
 	if err == nil && s.c.killAfterPrepare.CompareAndSwap(true, false) {
 		s.c.fire("sigkill-after-prepare")

@@ -10,9 +10,10 @@ import (
 )
 
 // fuzzSeedRequests covers every request kind plus the durability fields
-// (MTID, trace correlation) and the session fields a server acts on
-// before dispatch (Open, CloseFirst), so the corpus exercises the full
-// frame vocabulary.
+// (MTID, trace correlation), the session fields a server acts on
+// before dispatch (Open, CloseFirst) and the ending an exec carries
+// (Then, including the shapes a server refuses), so the corpus exercises
+// the full frame vocabulary.
 func fuzzSeedRequests() []Request {
 	return []Request{
 		{Kind: ReqHello},
@@ -32,6 +33,12 @@ func fuzzSeedRequests() []Request {
 			{sqlval.Int(-1), sqlval.Str(""), sqlval.Float(1.7976931348623157e308), sqlval.Null(), sqlval.Bool(false)},
 		}},
 		{Kind: ReqLoad, SessionID: 7, Name: "mtmp_empty"},
+		{Kind: ReqExec, SessionID: 7, SQL: "SELECT fn FROM flight", Then: ReqCommit},
+		{Kind: ReqExec, Open: true, Database: "united", SQL: "DELETE FROM flight WHERE fn = 300",
+			Then: ReqPrepare, MTID: 42},
+		{Kind: ReqLoad, SessionID: 7, Name: "mtmp_united", Then: ReqCommit,
+			Rows: [][]sqlval.Value{{sqlval.Int(1)}}},
+		{Kind: ReqExec, SessionID: 7, SQL: "SELECT 1", Then: ReqKind(200)},
 	}
 }
 

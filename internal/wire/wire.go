@@ -7,6 +7,12 @@
 // from a LAM: open a session on a database, execute local SQL, load typed
 // rows in bulk, drive the 2PC interface (prepare/commit/rollback), inspect
 // the session state, and describe schemas for IMPORT.
+//
+// A session's verbs need not each cost a round. Its open rides its first
+// request (Request.Open), its clean close the connection's next request
+// (Request.CloseFirst), and a DOL task's transaction ending rides the
+// task's last exec (Request.Then): the server commits, or votes, right
+// after that statement succeeds and answers both in one Response.
 package wire
 
 import (
@@ -126,16 +132,34 @@ type Request struct {
 	// fields), keeping the protocol compatible in both directions.
 	TraceID    string
 	ParentSpan uint64
-	// MTID is the coordinator's multitransaction id, riding on
-	// ReqPrepare so the participant's prepared-state journal can
-	// correlate its session records with the coordinator's journal. Zero
-	// when the coordinator runs unjournaled; ignored by servers
-	// predating participant durability.
+	// MTID is the coordinator's multitransaction id, riding on a vote
+	// (ReqPrepare, or a ReqExec whose Then is ReqPrepare) so the
+	// participant's prepared-state journal can correlate its session
+	// records with the coordinator's journal. Zero when the coordinator
+	// runs unjournaled; ignored by servers predating participant
+	// durability.
 	MTID uint64
 	// Tenant identifies the client for admission control and fair
 	// queueing on ReqScript. Empty means the anonymous tenant. Ignored
 	// by LAM servers (gob drops unknown fields).
 	Tenant string
+	// Then ends the session's transaction in the same request, once the
+	// ReqExec's statement has succeeded: ReqCommit commits it, ReqPrepare
+	// votes (with MTID, as a ReqPrepare would). A failed statement runs
+	// no ending. The reply carries the ending's own error in
+	// Response.ThenErrCode and ThenErrMsg. Zero ends nothing; a server
+	// refuses any other value, or Then on any other kind, before it acts
+	// on the request at all.
+	Then ReqKind
+}
+
+// Op names the request for metrics and spans: its kind, joined by "+"
+// to the ending it carries ("exec+commit", "exec+prepare").
+func (r *Request) Op() string {
+	if r.Then == 0 {
+		return r.Kind.String()
+	}
+	return r.Kind.String() + "+" + r.Then.String()
 }
 
 // Column mirrors schema.Column across the wire. Key is omitted by gob
@@ -376,6 +400,18 @@ type Response struct {
 	// InDoubt answers ReqInDoubt with the server's parked prepared
 	// sessions.
 	InDoubt []InDoubtSession
+	// NextSession answers a request that opened a session (Request.Open)
+	// with the id the connection's next opened session will take. A
+	// client that knows its session's id before the first request goes
+	// out can resolve the session even if that request's reply is lost,
+	// so only such a request carries a vote (Request.Then).
+	NextSession int64
+	// ThenErrCode and ThenErrMsg are the error of the ending a ReqExec
+	// carried (Request.Then), empty when it succeeded. They are set only
+	// when the statement itself succeeded: otherwise ErrCode says why,
+	// and no ending ran.
+	ThenErrCode string
+	ThenErrMsg  string
 }
 
 // InDoubtSession identifies one parked prepared session awaiting a
@@ -411,6 +447,9 @@ type ScriptResult struct {
 
 // Err returns the decoded error of the response.
 func (r *Response) Err() error { return DecodeError(r.ErrCode, r.ErrMsg) }
+
+// ThenErr returns the decoded error of the ending the request carried.
+func (r *Response) ThenErr() error { return DecodeError(r.ThenErrCode, r.ThenErrMsg) }
 
 // BenignClose reports whether an error is the ordinary signature of a
 // peer closing its connection — EOF at a message boundary, a reset or
