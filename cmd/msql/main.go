@@ -96,15 +96,14 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "bootstrap:", err)
 		return 1
 	}
-	if *dataDir != "" {
-		// Final checkpoint on the way out; commits already checkpointed,
-		// this flushes buffer pools and closes the heap files cleanly.
-		defer func() {
-			if err := fed.CloseServers(); err != nil {
-				fmt.Fprintln(os.Stderr, "close stores:", err)
-			}
-		}()
-	}
+	// Last on the way out: stop the LAMs, then checkpoint the stores.
+	// Commits already checkpointed; this flushes buffer pools and closes
+	// the heap files (and participant journals) cleanly.
+	defer func() {
+		if err := fed.CloseServers(); err != nil {
+			fmt.Fprintln(os.Stderr, "close stores:", err)
+		}
+	}()
 	if *breakerN > 0 {
 		fed.SetBreaker(lam.BreakerPolicy{Threshold: *breakerN, Cooldown: *breakerCool})
 	}
@@ -172,12 +171,10 @@ func realMain() int {
 	// Durable participants come up before the coordinator journal is
 	// replayed: Recover must be able to dial them.
 	if *lamJournal != "" {
-		closeLAMs, err := serveDurableLAMs(fed, *lamJournal)
-		if err != nil {
+		if err := serveDurableLAMs(fed, *lamJournal); err != nil {
 			fmt.Fprintln(os.Stderr, "lam-journal:", err)
 			return 1
 		}
-		defer closeLAMs()
 	}
 	if *journalPath != "" {
 		j, err := mtlog.Open(*journalPath)
@@ -522,53 +519,37 @@ var demoServices = []string{"svc_cont", "svc_delta", "svc_unit", "svc_avis", "sv
 // recovery re-dials them.
 const lamBasePort = 7841
 
-// serveDurableLAMs puts every demo service behind a TCP LAM with a
-// participant journal under dir, and incorporates it at that address
-// (its AD site) with the dialed client registered under the same key, so
-// synchronization points run over the wire with durable PREPARED votes
-// and the coordinator journal, the directory and Recover's orphan sweep
-// all name the participant the same way. Starting a server replays
-// whatever prepared state the previous process left in its journal.
-// Returns a closer that shuts the servers down (parked in-doubt sessions
-// stay journaled for the next start).
-func serveDurableLAMs(fed *core.Federation, dir string) (func(), error) {
+// serveDurableLAMs serves every demo service on a fixed loopback port
+// with a participant journal under dir, in place of its ephemeral LAM,
+// and incorporates it at that address (its AD site, also the client's
+// key), so synchronization points run over the wire with durable
+// PREPARED votes and the coordinator journal, the directory and
+// Recover's orphan sweep all name the participant the same way.
+// Starting a server replays whatever prepared state the previous process
+// left in its journal. Federation.CloseServers shuts the servers down
+// (parked in-doubt sessions stay journaled for the next start).
+func serveDurableLAMs(fed *core.Federation, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var servers []*lam.TCPServer
-	closeAll := func() {
-		for _, ts := range servers {
-			ts.Close()
-		}
+		return err
 	}
 	for i, svc := range demoServices {
 		path := filepath.Join(dir, svc+".journal")
 		j, err := mtlog.OpenParticipant(path)
 		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("%s: %w", svc, err)
+			return fmt.Errorf("%s: %w", svc, err)
 		}
 		addr := fmt.Sprintf("127.0.0.1:%d", lamBasePort+i)
-		ts, err := lam.ServeWith(addr, fed.Server(svc), lam.ServeOptions{
+		ts, err := fed.ServeLocal(fed.Server(svc), addr, lam.ServeOptions{
 			Journal:      j,
 			TombstoneTTL: 5 * time.Minute,
 		})
 		if err != nil {
 			j.Close()
-			closeAll()
-			return nil, fmt.Errorf("%s on %s: %w", svc, addr, err)
+			return fmt.Errorf("%s on %s: %w", svc, addr, err)
 		}
-		servers = append(servers, ts)
-		c, err := lam.DialWith(context.Background(), addr, lam.DialOptions{})
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("dial %s: %w", addr, err)
-		}
-		fed.RegisterClient(addr, c)
 		entry, err := fed.AD.Lookup(svc)
 		if err != nil {
-			closeAll()
-			return nil, err
+			return err
 		}
 		entry.Site = addr
 		fed.AD.Incorporate(*entry)
@@ -578,7 +559,7 @@ func serveDurableLAMs(fed *core.Federation, dir string) (func(), error) {
 			fmt.Fprintf(os.Stderr, "lam: %s on %s (journal %s)\n", svc, addr, path)
 		}
 	}
-	return closeAll, nil
+	return nil
 }
 
 // printGDD lists the Global Data Dictionary contents.

@@ -204,11 +204,10 @@ func TestDurableStartupRollsBackOrphanVote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeLAMs, err := serveDurableLAMs(fed, lamDir)
-	if err != nil {
+	defer fed.CloseServers()
+	if err := serveDurableLAMs(fed, lamDir); err != nil {
 		t.Fatal(err)
 	}
-	defer closeLAMs()
 	j, err := mtlog.Open(filepath.Join(dir, "mt.journal"))
 	if err != nil {
 		t.Fatal(err)

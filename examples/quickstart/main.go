@@ -18,7 +18,11 @@ func main() {
 	// 1. Stand up two autonomous local database systems. Avis runs on an
 	// Oracle-like service (2PC, DDL rollback); National on a Sybase-like
 	// single-database service.
-	avis := fed.AddLocalService("svc_avis", ldbms.ProfileOracleLike(), 1)
+	avis, err := fed.AddLocalService("svc_avis", ldbms.ProfileOracleLike(), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer fed.CloseServers()
 	if err := avis.CreateDatabase("avis"); err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +34,10 @@ func main() {
 			(3, 'luxury', 99.0, 'available', NULL)`,
 	)
 
-	national := fed.AddLocalService("svc_natl", ldbms.ProfileSybaseLike(), 1)
+	national, err := fed.AddLocalService("svc_natl", ldbms.ProfileSybaseLike(), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := national.CreateDatabase("national"); err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +50,7 @@ func main() {
 
 	// 2. Incorporate the services into the federation and import their
 	// local conceptual schemas into the Global Data Dictionary.
-	_, err := fed.ExecScript(`
+	_, err = fed.ExecScript(`
 INCORPORATE SERVICE svc_avis CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
 INCORPORATE SERVICE svc_natl CONNECTMODE NOCONNECT COMMITMODE NOCOMMIT;
 IMPORT DATABASE avis FROM SERVICE svc_avis;

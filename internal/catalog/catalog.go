@@ -30,7 +30,8 @@ var (
 type ServiceEntry struct {
 	// Name of the service inside the federation.
 	Name string
-	// Site is the service address; empty for in-process services.
+	// Site is the service address; empty for a service reached by the
+	// name its client is registered under.
 	Site string
 	// Connect is the CONNECTMODE: true (CONNECT) when the LDBMS supports
 	// multiple databases.

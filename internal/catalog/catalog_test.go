@@ -225,11 +225,26 @@ func newAvisService(t testing.TB) *ldbms.Server {
 	return srv
 }
 
+// serve puts srv behind a loopback LAM and returns a client dialed to it.
+func serve(t testing.TB, srv *ldbms.Server) lam.Client {
+	ts, err := lam.Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ts.Close() })
+	c, err := lam.Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 func TestImportDatabaseAll(t *testing.T) {
 	srv := newAvisService(t)
 	ad, gdd := NewAD(), NewGDD()
 	ad.Incorporate(ServiceEntry{Name: "avis-svc", Connect: true})
-	if err := ImportDatabase(context.Background(), gdd, ad, lam.NewLocal(srv), "avis", "avis-svc", ImportSpec{}); err != nil {
+	if err := ImportDatabase(context.Background(), gdd, ad, serve(t, srv), "avis", "avis-svc", ImportSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	def, err := gdd.Table("avis", "cars")
@@ -249,7 +264,7 @@ func TestImportDatabaseAll(t *testing.T) {
 }
 
 // TestImportRecordsRowCountAndKey: IMPORT records each table's live row
-// count and its primary key, in process and across the wire alike.
+// count and its primary key across the wire.
 func TestImportRecordsRowCountAndKey(t *testing.T) {
 	srv := newAvisService(t)
 	sess, _ := srv.OpenSession("avis")
@@ -264,32 +279,20 @@ func TestImportRecordsRowCountAndKey(t *testing.T) {
 	}
 	sess.Commit()
 	sess.Close()
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
+	ad, gdd := NewAD(), NewGDD()
+	ad.Incorporate(ServiceEntry{Name: "avis-svc", Connect: true})
+	if err := ImportDatabase(context.Background(), gdd, ad, serve(t, srv), "avis", "avis-svc", ImportSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
-	remote, err := lam.Dial(ts.Addr())
-	if err != nil {
-		t.Fatal(err)
+	for table, want := range map[string]int64{"fleet": 3, "cars": 1, "available": 0} {
+		def, err := gdd.Table("avis", table)
+		if err != nil || def.Rows != want {
+			t.Fatalf("%s = %+v, %v; want %d rows", table, def, err, want)
+		}
 	}
-	defer remote.Close()
-	for name, c := range map[string]lam.Client{"local": lam.NewLocal(srv), "tcp": remote} {
-		ad, gdd := NewAD(), NewGDD()
-		ad.Incorporate(ServiceEntry{Name: "avis-svc", Connect: true})
-		if err := ImportDatabase(context.Background(), gdd, ad, c, "avis", "avis-svc", ImportSpec{}); err != nil {
-			t.Fatal(err)
-		}
-		for table, want := range map[string]int64{"fleet": 3, "cars": 1, "available": 0} {
-			def, err := gdd.Table("avis", table)
-			if err != nil || def.Rows != want {
-				t.Fatalf("%s: %s = %+v, %v; want %d rows", name, table, def, err, want)
-			}
-		}
-		fleet, _ := gdd.Table("avis", "fleet")
-		if !fleet.Columns[0].Key || fleet.Columns[1].Key {
-			t.Fatalf("%s: fleet columns = %+v, want code alone as the key", name, fleet.Columns)
-		}
+	fleet, _ := gdd.Table("avis", "fleet")
+	if !fleet.Columns[0].Key || fleet.Columns[1].Key {
+		t.Fatalf("fleet columns = %+v, want code alone as the key", fleet.Columns)
 	}
 }
 
@@ -297,7 +300,7 @@ func TestImportSingleTableAndColumns(t *testing.T) {
 	srv := newAvisService(t)
 	ad, gdd := NewAD(), NewGDD()
 	ad.Incorporate(ServiceEntry{Name: "avis-svc", Connect: true})
-	c := lam.NewLocal(srv)
+	c := serve(t, srv)
 	if err := ImportDatabase(context.Background(), gdd, ad, c, "avis", "avis-svc", ImportSpec{Table: "cars", Columns: []string{"code", "rate"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +327,7 @@ func TestImportReplacesDefinitions(t *testing.T) {
 	srv := newAvisService(t)
 	ad, gdd := NewAD(), NewGDD()
 	ad.Incorporate(ServiceEntry{Name: "avis-svc", Connect: true})
-	c := lam.NewLocal(srv)
+	c := serve(t, srv)
 	if err := ImportDatabase(context.Background(), gdd, ad, c, "avis", "avis-svc", ImportSpec{}); err != nil {
 		t.Fatal(err)
 	}

@@ -204,3 +204,93 @@ IMPORT DATABASE ackdb FROM SERVICE svc_ack;
 		t.Fatalf("%d clean units opened %d connections beyond the warm pool, want 0", n, extra)
 	}
 }
+
+// TestUnjournaledUnitsAcknowledgeTheirParticipants: a coordinator
+// without a journal still ends every fully terminal unit with its END
+// acknowledgments, so a LAM keeps no outcome tombstone per vote until
+// its TTL (by default, forever).
+func TestUnjournaledUnitsAcknowledgeTheirParticipants(t *testing.T) {
+	fed, _, _, _, lams := faultFederation(t)
+	const units = 20
+	for i := 0; i < units; i++ {
+		res, err := fed.ExecScript(vitalUpdate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res[len(res)-1].State; st != StateSuccess {
+			t.Fatalf("unit %d: state = %s, want success", i, st)
+		}
+	}
+	for db, ts := range lams {
+		if n := ts.Tombstones(); n != 0 {
+			t.Errorf("%s: %d tombstones after %d clean units, want 0", db, n, units)
+		}
+	}
+}
+
+// TestLoopbackParticipantsRecoverAsAborted: a LAM the federation serves
+// on an ephemeral loopback port without a participant journal dies with
+// the coordinator, and its prepared sessions with it. Its votes are
+// journaled without an address, so a restarted coordinator records them
+// aborted instead of dialing a port nobody listens on any more.
+func TestLoopbackParticipantsRecoverAsAborted(t *testing.T) {
+	dir := t.TempDir()
+	a := paperFederation(t, false)
+	ja, err := mtlog.Open(filepath.Join(dir, "a.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ja.Close()
+	a.SetJournal(ja)
+	res, err := a.ExecScript("USE continental VITAL delta VITAL\nUPDATE flight% SET rate% = rate% * 1.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res[len(res)-1].State; st != StateSuccess {
+		t.Fatalf("state = %s, want success", st)
+	}
+	recs, err := ja.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []mtlog.Record // the unit as a crash before its decision leaves it
+	votes := 0
+	for _, r := range recs {
+		switch r.Type {
+		case mtlog.TPrepared:
+			votes++
+			if r.Addr != "" {
+				t.Errorf("task %s journaled at %q, want no address", r.Task, r.Addr)
+			}
+			fallthrough
+		case mtlog.TBegin:
+			open = append(open, r)
+		}
+	}
+	if votes != 2 {
+		t.Fatalf("%d prepared records, want 2", votes)
+	}
+	a.CloseServers() // the coordinator's process, and its LAMs, are gone
+
+	b := paperFederation(t, false)
+	b.SetRecovery(lam.RetryPolicy{Attempts: 1, BaseDelay: time.Millisecond}, 100*time.Millisecond)
+	jb, err := mtlog.Open(filepath.Join(dir, "b.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jb.Close()
+	for i := range open {
+		if err := jb.Append(&open[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.SetJournal(jb)
+	rep, err := b.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Multitransactions != 1 || len(rep.Unreachable) != 0 {
+		t.Fatalf("recovery examined %d units, unreachable %+v; want 1 unit and nothing unreachable",
+			rep.Multitransactions, rep.Unreachable)
+	}
+}

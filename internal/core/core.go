@@ -1,7 +1,7 @@
 // Package core implements the multidatabase system facade — the paper's
 // complete execution environment for Extended MSQL. A Federation owns the
 // Auxiliary Directory and Global Data Dictionary, talks to incorporated
-// services through LAM clients (in-process or TCP), and executes MSQL
+// services through LAM clients over TCP, and executes MSQL
 // scripts by running them through the full pipeline: multiple identifier
 // substitution → disambiguation → decomposition → DOL plan generation →
 // execution on the DOL engine.
@@ -248,7 +248,8 @@ type Federation struct {
 	mu      sync.Mutex
 	clients map[string]lam.Client
 	servers map[string]*ldbms.Server
-	def     *Session // lazily created default session for the legacy API
+	local   map[string]localLAM // by service name
+	def     *Session            // lazily created default session for the legacy API
 
 	tctx   *translate.Context
 	engine *dolengine.Engine
@@ -314,6 +315,7 @@ func New() *Federation {
 		GDD:        catalog.NewGDD(),
 		clients:    make(map[string]lam.Client),
 		servers:    make(map[string]*ldbms.Server),
+		local:      make(map[string]localLAM),
 		multiviews: make(map[string]*storedView),
 		triggers:   make(map[string]*storedTrigger),
 		Tracer:     obs.DefaultTracer,
@@ -340,33 +342,97 @@ func (f *Federation) RegisterClient(key string, c lam.Client) {
 	f.clients[key] = c
 }
 
-// AddLocalService creates an in-process LDBMS, registers its LAM client
-// under the service name, and returns the server for bootstrapping data.
-func (f *Federation) AddLocalService(name string, profile ldbms.Profile, seed int64) *ldbms.Server {
+// AddLocalService creates an LDBMS in this process, serves it on a
+// loopback LAM (see AddLocalServer), and returns the server for
+// bootstrapping data.
+func (f *Federation) AddLocalService(name string, profile ldbms.Profile, seed int64) (*ldbms.Server, error) {
 	return f.AddLocalServer(ldbms.NewServer(name, profile, seed))
 }
 
-// AddLocalServer registers a prebuilt in-process LDBMS — typically one
-// whose store is disk-backed — under its service name.
-func (f *Federation) AddLocalServer(srv *ldbms.Server) *ldbms.Server {
-	f.RegisterClient(srv.Name(), lam.NewLocal(srv))
-	f.mu.Lock()
-	f.servers[srv.Name()] = srv
-	f.mu.Unlock()
-	return srv
+// AddLocalServer serves a prebuilt LDBMS — typically one whose store is
+// disk-backed — on an ephemeral loopback port without a participant
+// journal, and registers the dialed LAM client under its service name.
+// Every federation reaches its services over the wire.
+func (f *Federation) AddLocalServer(srv *ldbms.Server) (*ldbms.Server, error) {
+	if _, err := f.ServeLocal(srv, "127.0.0.1:0", lam.ServeOptions{}); err != nil {
+		return nil, err
+	}
+	return srv, nil
 }
 
-// CloseServers checkpoints and closes every local server's store.
-// Memory-backed servers are no-ops; disk-backed ones flush their buffer
-// pools and catalogs so a later process can reopen the data directory.
+// localLAM is a LAM this federation serves itself; durable marks one
+// with a participant journal, whose prepared sessions outlive us.
+type localLAM struct {
+	ts      *lam.TCPServer
+	client  *lam.Remote
+	durable bool
+}
+
+// ServeLocal serves srv at addr with opts, dials it, and registers the
+// client under the service name and the listen address. A server this
+// federation already serves for the service is closed first, so each
+// service has one LAM.
+func (f *Federation) ServeLocal(srv *ldbms.Server, addr string, opts lam.ServeOptions) (*lam.TCPServer, error) {
+	f.mu.Lock()
+	old, ok := f.local[srv.Name()]
+	delete(f.local, srv.Name())
+	f.mu.Unlock()
+	if ok {
+		old.client.Close()
+		old.ts.Close()
+	}
+	ts, err := lam.ServeWith(addr, srv, opts)
+	if err != nil {
+		return nil, err
+	}
+	c, err := lam.DialWith(context.Background(), ts.Addr(), lam.DialOptions{})
+	if err != nil {
+		ts.Close()
+		return nil, err
+	}
+	f.mu.Lock()
+	f.clients[srv.Name()], f.clients[ts.Addr()] = c, c
+	f.servers[srv.Name()] = srv
+	f.local[srv.Name()] = localLAM{ts: ts, client: c, durable: opts.Journal != nil}
+	f.mu.Unlock()
+	return ts, nil
+}
+
+// ephemeral reports whether addr is a LAM this federation serves
+// without a participant journal: its prepared sessions die with this
+// process, so a restarted coordinator has nothing to reconnect to.
+func (f *Federation) ephemeral(addr string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, l := range f.local {
+		if !l.durable && l.ts.Addr() == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// CloseServers closes the LAM clients and listeners the federation
+// serves its local servers on, then checkpoints and closes every local
+// server's store. Memory-backed stores close as no-ops; disk-backed ones
+// flush their buffer pools and catalogs so a later process can reopen
+// the data directory.
 func (f *Federation) CloseServers() error {
 	f.mu.Lock()
+	local := f.local
+	f.local = make(map[string]localLAM)
 	servers := make([]*ldbms.Server, 0, len(f.servers))
 	for _, s := range f.servers {
 		servers = append(servers, s)
 	}
 	f.mu.Unlock()
 	var first error
+	for _, l := range local {
+		l.client.Close()
+		if err := l.ts.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
 	for _, s := range servers {
 		if err := s.Close(); err != nil && first == nil {
 			first = err

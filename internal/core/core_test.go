@@ -414,7 +414,7 @@ func TestGlobalCrossDatabaseJoinCSVCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := f.AddLocalServer(ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
+	srv := serveLocal(t, f, ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
 	if err := srv.CreateDatabase("regional"); err != nil {
 		t.Fatal(err)
 	}

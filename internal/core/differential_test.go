@@ -35,7 +35,7 @@ type diffTable struct {
 // diffFederation builds seed's federation and its single-store twin.
 func diffFederation(t testing.TB, rng *rand.Rand) (*Federation, *ldbms.Session, []diffTable, []string) {
 	t.Helper()
-	f := New()
+	f := newFederation(t)
 	ref := ldbms.NewServer("svc_ref", ldbms.ProfileOracleLike(), 1)
 	if err := ref.CreateDatabase("ref"); err != nil {
 		t.Fatal(err)
@@ -69,8 +69,7 @@ func diffFederation(t testing.TB, rng *rand.Rand) (*Federation, *ldbms.Session, 
 			}
 			srv, mode = ldbms.NewServerOn(svc, ldbms.ProfileAutoCommitOnly(), 1, cs), "COMMIT"
 		}
-		t.Cleanup(func() { srv.Close() })
-		f.AddLocalServer(srv)
+		serveLocal(t, f, srv)
 		if err := srv.CreateDatabase(db); err != nil {
 			t.Fatal(err)
 		}

@@ -198,7 +198,7 @@ func TestFederationExplainAnalyzeCSVSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := f.AddLocalServer(ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
+	srv := serveLocal(t, f, ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
 	if err := srv.CreateDatabase("regional"); err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +258,14 @@ EXPLAIN ANALYZE SELECT flnu, rate FROM flights WHERE rate > 50.0
 // index-probe on the keyed rel table, a scan on the csv site, which
 // declares keys but keeps no index.
 func TestFederationExplainWrite(t *testing.T) {
-	f := New()
+	f := newFederation(t)
 	cs, err := csvstore.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for db, srv := range map[string]*ldbms.Server{
-		"bank":     f.AddLocalService("svc_bank", ldbms.ProfileOracleLike(), 1),
-		"regional": f.AddLocalServer(ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs)),
+		"bank":     serveLocal(t, f, ldbms.NewServer("svc_bank", ldbms.ProfileOracleLike(), 1)),
+		"regional": serveLocal(t, f, ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs)),
 	} {
 		if err := srv.CreateDatabase(db); err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // refuse the COMMITMODE NOCOMMIT role at INCORPORATE time, because a
 // prepared session parked there could never be resolved.
 func TestIncorporateRejectsNoCommitOnAutocommitOnlyService(t *testing.T) {
-	f := New()
-	f.AddLocalService("svc_auto", ldbms.ProfileAutoCommitOnly(), 1)
+	f := newFederation(t)
+	serveLocal(t, f, ldbms.NewServer("svc_auto", ldbms.ProfileAutoCommitOnly(), 1))
 
 	_, err := f.ExecScript("INCORPORATE SERVICE svc_auto CONNECTMODE CONNECT COMMITMODE NOCOMMIT")
 	if !errors.Is(err, ErrCapability) {
@@ -73,8 +73,8 @@ func TestIncorporateRejectsNoCommitOverWire(t *testing.T) {
 // demands compensation for VITAL DDL instead of trusting a prepared
 // state that cannot exist.
 func TestIncorporateAdoptsProfileAutocommitClasses(t *testing.T) {
-	f := New()
-	f.AddLocalService("svc_ing", ldbms.ProfileIngresLike(), 1)
+	f := newFederation(t)
+	serveLocal(t, f, ldbms.NewServer("svc_ing", ldbms.ProfileIngresLike(), 1))
 	if _, err := f.ExecScript("INCORPORATE SERVICE svc_ing CONNECTMODE CONNECT COMMITMODE NOCOMMIT"); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"msql/internal/dol"
 	"msql/internal/dolengine"
@@ -85,33 +84,23 @@ func (f *Federation) Breaker(key string) *lam.BreakerClient {
 }
 
 // txJournal adapts the journal to the engine's TxLog for one plan run.
-// It also collects the remote participants that prepared, so the
-// end-of-multitransaction acknowledgment round (lam.Client.Forget) can
-// release their tombstones and journal entries once the unit is fully
-// terminal.
 type txJournal struct {
+	f    *Federation
 	j    *mtlog.Journal
 	mtid uint64
-
-	mu       sync.Mutex
-	prepared []dolengine.Branch
 }
 
+// TaskPrepared journals a participant's re-attach address, or none for
+// a LAM this federation serves without a participant journal: such a
+// session dies with the coordinator, so Recover records it aborted
+// instead of dialing a port nobody listens on any more.
 func (t *txJournal) TaskPrepared(task, addr string, sessionID int64) {
+	if t.f.ephemeral(addr) {
+		addr = ""
+	}
 	_ = t.j.Append(&mtlog.Record{
 		Type: mtlog.TPrepared, MTID: t.mtid, Task: task, Addr: addr, SessionID: sessionID,
 	})
-	if addr != "" {
-		t.mu.Lock()
-		t.prepared = append(t.prepared, dolengine.Branch{Site: addr, SessionID: sessionID})
-		t.mu.Unlock()
-	}
-}
-
-func (t *txJournal) participants() []dolengine.Branch {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]dolengine.Branch(nil), t.prepared...)
 }
 
 func (t *txJournal) Decision(commit bool, tasks []string) error {
@@ -134,7 +123,8 @@ func (t *txJournal) TaskOutcome(task string, st dol.TaskStatus) {
 }
 
 // siteOf resolves a database to the site its LAM is reachable at (the
-// AD site, falling back to the service name for in-process clients).
+// AD site, falling back to the service name its client is registered
+// under).
 func (f *Federation) siteOf(db string) string {
 	svc, err := f.GDD.ServiceOf(db)
 	if err != nil {
@@ -150,7 +140,8 @@ func (f *Federation) siteOf(db string) string {
 // attached: a begin record with the task topology goes in before the
 // engine starts, the engine reports prepared/decision/outcome records
 // through a txJournal, and an end record closes the multitransaction
-// when nothing is left unresolved.
+// when nothing is left unresolved. A fully terminal unit, journaled or
+// not, then acknowledges its prepared participants.
 func (f *Federation) runPlan(ctx context.Context, kind string, prog *dol.Program, meta *translate.Meta) (*dolengine.Outcome, error) {
 	sp, ctx := obs.StartSpan(ctx, "execute:"+kind, obs.KindEngine)
 	out, err := f.runPlanTraced(ctx, kind, prog, meta)
@@ -161,7 +152,11 @@ func (f *Federation) runPlan(ctx context.Context, kind string, prog *dol.Program
 func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.Program, meta *translate.Meta) (*dolengine.Outcome, error) {
 	j := f.Journal()
 	if j == nil {
-		return f.engine.Run(ctx, prog)
+		out, err := f.engine.Run(ctx, prog)
+		if terminal(meta, out, err) {
+			f.engine.Forget(out.Prepared)
+		}
+		return out, err
 	}
 	begin := &mtlog.Record{Type: mtlog.TBegin, MTID: j.NextID(), Kind: kind}
 	for _, tm := range meta.Tasks {
@@ -189,18 +184,23 @@ func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.P
 	// inventory record so /debug/queries and the slow-query log carry it.
 	ctx = lam.WithMTID(ctx, begin.MTID)
 	obs.DefaultQueries.SetMTID(obs.QueryIDFrom(ctx), begin.MTID)
-	tj := &txJournal{j: j, mtid: begin.MTID}
-	out, err := f.engine.RunLogged(ctx, prog, tj)
-	if err == nil && out != nil && len(out.Unresolved) == 0 && !compOwed(meta, out) {
+	out, err := f.engine.RunLogged(ctx, prog, &txJournal{f: f, j: j, mtid: begin.MTID})
+	if terminal(meta, out, err) {
 		_ = j.Append(&mtlog.Record{
 			Type: mtlog.TEnd, MTID: begin.MTID, State: "status=" + strconv.Itoa(out.Status),
 		})
-		// END acknowledgment round: every once-prepared participant may now
-		// forget the session. Best-effort — a lost ack is backstopped by
-		// the participant's tombstone TTL.
-		f.engine.Forget(tj.participants())
+		f.engine.Forget(out.Prepared)
 	}
 	return out, err
+}
+
+// terminal reports whether a plan run left nothing open: no engine
+// error, no unresolved participant, no compensation owed. Its END
+// acknowledgment round may then tell every once-prepared participant to
+// forget the session. The round is best-effort — a lost ack is
+// backstopped by the participant's tombstone TTL.
+func terminal(meta *translate.Meta, out *dolengine.Outcome, err error) bool {
+	return err == nil && out != nil && len(out.Unresolved) == 0 && !compOwed(meta, out)
 }
 
 // compOwed reports whether a plan that took the abort path left a
@@ -299,8 +299,9 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 			}
 			commit, _ := s.DecisionFor(task)
 			if prec.Addr == "" {
-				// An in-process session died with the coordinator and was
-				// rolled back by its server; record the abort.
+				// The session's LAM was served by the coordinator's own
+				// process without a participant journal: it died with the
+				// coordinator and took the session with it; record the abort.
 				f.appendOutcome(s.MTID, task, mtlog.StatusAborted)
 				s.Outcomes[task] = mtlog.StatusAborted
 				continue
@@ -390,7 +391,8 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 	var sites []string
 	seen := make(map[string]bool)
 	for _, name := range f.AD.Names() {
-		// In-process services have no site: their sessions died with us.
+		// A service served on an ephemeral loopback port has no AD site:
+		// its sessions died with us.
 		if e, err := f.AD.Lookup(name); err == nil && e.Site != "" && !seen[e.Site] {
 			seen[e.Site] = true
 			sites = append(sites, e.Site)

@@ -12,7 +12,7 @@ import (
 // rest provide 2PC.
 func paperFederation(t testing.TB, continentalAutoCommit bool) *Federation {
 	t.Helper()
-	f := New()
+	f := newFederation(t)
 
 	contProfile := ldbms.ProfileOracleLike()
 	contMode := "NOCOMMIT"
@@ -22,7 +22,7 @@ func paperFederation(t testing.TB, continentalAutoCommit bool) *Federation {
 	}
 
 	boot := func(svc string, profile ldbms.Profile, db string, ddl []string) {
-		srv := f.AddLocalService(svc, profile, 42)
+		srv := serveLocal(t, f, ldbms.NewServer(svc, profile, 42))
 		if err := srv.CreateDatabase(db); err != nil {
 			t.Fatal(err)
 		}
@@ -106,4 +106,21 @@ func localRate(t testing.TB, f *Federation, svc, db, sql string) float64 {
 	}
 	v, _ := res.Rows[0][0].AsFloat()
 	return v
+}
+
+// newFederation returns an empty federation whose loopback LAMs and
+// servers close when the test ends.
+func newFederation(t testing.TB) *Federation {
+	f := New()
+	t.Cleanup(func() { f.CloseServers() })
+	return f
+}
+
+// serveLocal serves srv on a loopback LAM of f.
+func serveLocal(t testing.TB, f *Federation, srv *ldbms.Server) *ldbms.Server {
+	t.Helper()
+	if _, err := f.AddLocalServer(srv); err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }

@@ -13,13 +13,13 @@ import (
 	"msql/internal/schema"
 )
 
-// placementFederation incorporates two in-process databases: sm, with
+// placementFederation incorporates two loopback-served databases: sm, with
 // two rows in t(id, v), and bg, with four rows in t(id, x_id) — a column
 // named exactly like sm's id shipped under alias x. wrap, when non-nil,
 // decorates each site's LAM client.
 func placementFederation(t *testing.T, wrap func(lam.Client) lam.Client) *Federation {
 	t.Helper()
-	f := New()
+	f := newFederation(t)
 	for _, site := range []struct{ db, ddl, rows string }{
 		{"sm", "id INTEGER PRIMARY KEY, v INTEGER", "(1, 10), (2, 20)"},
 		{"bg", "id INTEGER PRIMARY KEY, x_id INTEGER", "(1, 100), (2, 200), (3, 300), (4, 400)"},
@@ -41,11 +41,11 @@ func placementFederation(t *testing.T, wrap func(lam.Client) lam.Client) *Federa
 			t.Fatal(err)
 		}
 		sess.Close()
-		var c lam.Client = lam.NewLocal(srv)
+		serveLocal(t, f, srv)
 		if wrap != nil {
-			c = wrap(c)
+			c, _ := f.Resolve(srv.Name())
+			f.RegisterClient(srv.Name(), wrap(c))
 		}
-		f.RegisterClient(srv.Name(), c)
 		if _, err := f.ExecScript(fmt.Sprintf(`
 INCORPORATE SERVICE %[1]s CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
 IMPORT DATABASE %[2]s FROM SERVICE %[1]s;

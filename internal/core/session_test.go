@@ -174,9 +174,10 @@ func TestSessionAdmissionOverload(t *testing.T) {
 
 // TestStmtTimeoutWired checks the federation's StmtTimeout reaches the
 // statement's execution context: with an unmeetable budget the LAM call
-// fails on the expired deadline instead of executing. (Interruption of
-// calls blocked mid-wire is covered by the lam and mdserver tests — the
-// in-process transport only checks the deadline at call entry.)
+// fails on the expired deadline instead of executing: with a 1 ns budget
+// the deadline has passed before the first request is written.
+// (Interruption of calls blocked mid-wire is covered by the lam and
+// mdserver tests.)
 func TestStmtTimeoutWired(t *testing.T) {
 	f := paperFederation(t, false)
 	if _, err := f.ExecScript(`USE delta;`); err != nil {

@@ -313,18 +313,23 @@ func TestExecScriptContextCancellation(t *testing.T) {
 // unknown outcome, not a failed one, so the coordinator's own recovery
 // loop drives the participant to the unit's decision before the call
 // returns: the unit ends in its decision's state, never Incorrect, no
-// site keeps a parked session, and no Recover runs.
+// site keeps a parked session, and no Recover runs. In the "vote in
+// flight" case the client hangs up while united's vote is still held in
+// the network: recovery resolves the session first, so the vote arrives
+// after united answered "no session", and must be refused.
 func TestHangUpDuringVoteOrDecisionLeavesNothingInDoubt(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		warm  bool     // run a statement first, so the pools hold connections
-		ops   []string // served once per site, together, before the hang-up
+		ops   []string // served once per site, together
+		cut   int64    // how many of those are served when the client hangs up
 		state GlobalState
 		rate  float64 // united's rate once the call returns
 	}{
-		{"vote", true, []string{"exec+prepare"}, StateAborted, 120},
-		{"fresh vote", false, []string{"exec+prepare", "prepare"}, StateAborted, 120},
-		{"decision", true, []string{"commit"}, StateSuccess, 132},
+		{"vote", true, []string{"exec+prepare"}, 2, StateAborted, 120},
+		{"vote in flight", true, []string{"exec+prepare"}, 1, StateAborted, 120},
+		{"fresh vote", false, []string{"exec+prepare", "prepare"}, 2, StateAborted, 120},
+		{"decision", true, []string{"commit"}, 2, StateSuccess, 132},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fed, servers, _, proxy, lams := faultFederation(t)
@@ -345,7 +350,7 @@ func TestHangUpDuringVoteOrDecisionLeavesNothingInDoubt(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			go func() {
-				for deadline := time.Now().Add(10 * time.Second); served()-before < 2 && ctx.Err() == nil && time.Now().Before(deadline); {
+				for deadline := time.Now().Add(10 * time.Second); served()-before < tc.cut && ctx.Err() == nil && time.Now().Before(deadline); {
 					time.Sleep(time.Millisecond)
 				}
 				proxy.SetDelay(0)
@@ -355,8 +360,11 @@ func TestHangUpDuringVoteOrDecisionLeavesNothingInDoubt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for deadline := time.Now().Add(2 * time.Second); served()-before < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond) // a request in flight at the hang-up arrives late
+			}
 			if n := served() - before; n != 2 {
-				t.Fatalf("%v served %d times before the hang-up, want once per site", tc.ops, n)
+				t.Fatalf("%v served %d times, want once per site", tc.ops, n)
 			}
 			if sync := results[len(results)-1]; sync.State != tc.state {
 				t.Errorf("state = %s, want %s (tasks %v)", sync.State, tc.state, sync.TaskStates)

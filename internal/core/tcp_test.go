@@ -191,7 +191,8 @@ func serverRequests() map[string]int64 {
 // its own: a 2-site SELECT is one exec+commit per site (4 requests
 // before: exec and commit per site), a VITAL UPDATE + COMMIT an
 // exec+prepare and a commit per site (6 before: exec, prepare and
-// commit per site).
+// commit per site), plus the unit's END acknowledgment per site, a
+// forget, which goes out with or without a coordinator journal.
 func TestWireRequestsPerStatement(t *testing.T) {
 	fed, _ := tcpFederation(t)
 	for _, tc := range []struct {
@@ -201,7 +202,7 @@ func TestWireRequestsPerStatement(t *testing.T) {
 		{"2-site select", "USE continental united\nSELECT rate% FROM flight%",
 			map[string]int64{"exec+commit": 2}},
 		{"vital update", "USE continental VITAL united VITAL\nUPDATE flight% SET rate% = rate% * 1.0 WHERE sour% = 'Houston'\nCOMMIT",
-			map[string]int64{"exec+prepare": 2, "commit": 2}},
+			map[string]int64{"exec+prepare": 2, "commit": 2, "forget": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"msql/internal/core"
-	"msql/internal/lam"
 	"msql/internal/ldbms"
 )
 
@@ -18,17 +17,17 @@ SET rate% = rate% * 1.1
 WHERE sour% = 'Houston' AND dest% = 'San Antonio'
 `
 
-// attach builds a second federation around the same running servers,
+// attach builds a second federation around the same running LAMs,
 // simulating another multidatabase user of the same autonomous LDBSs.
 func attach(t *testing.T, primary *core.Federation) *core.Federation {
 	t.Helper()
 	fed := core.New()
 	for _, svc := range []string{"svc_cont", "svc_delta", "svc_unit", "svc_avis", "svc_natl"} {
-		srv := primary.Server(svc)
-		if srv == nil {
-			t.Fatalf("no server %s", svc)
+		c, err := primary.Resolve(svc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fed.RegisterClient(svc, lam.NewLocal(srv))
+		fed.RegisterClient(svc, c)
 	}
 	setup := `
 INCORPORATE SERVICE svc_cont CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
@@ -156,7 +155,11 @@ func TestReducedIsolationVisibleThenCompensated(t *testing.T) {
 		t.Fatal(err)
 	}
 	observer := core.New()
-	observer.RegisterClient("svc_cont", lam.NewLocal(primary.Server("svc_cont")))
+	cont, err := primary.Resolve("svc_cont")
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer.RegisterClient("svc_cont", cont)
 	if _, err := observer.ExecScript(`
 INCORPORATE SERVICE svc_cont CONNECTMODE CONNECT COMMITMODE COMMIT;
 IMPORT DATABASE continental FROM SERVICE svc_cont;

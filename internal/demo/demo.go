@@ -110,7 +110,7 @@ func specs(o Options) []serviceSpec {
 func Build(o Options) (*core.Federation, error) {
 	f := core.New()
 	for _, sp := range specs(o) {
-		var srv *ldbms.Server
+		srv := ldbms.NewServer(sp.Service, sp.Profile(), o.Seed)
 		reopened := false
 		if o.DataDir != "" {
 			st, err := relstore.Open(relstore.Options{
@@ -120,12 +120,13 @@ func Build(o Options) (*core.Federation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("demo: open %s store: %w", sp.Service, err)
 			}
-			srv = f.AddLocalServer(ldbms.NewServerWith(sp.Service, sp.Profile(), o.Seed, st))
+			srv = ldbms.NewServerWith(sp.Service, sp.Profile(), o.Seed, st)
 			if _, err := st.Database(sp.DB); err == nil {
 				reopened = true
 			}
-		} else {
-			srv = f.AddLocalService(sp.Service, sp.Profile(), o.Seed)
+		}
+		if _, err := f.AddLocalServer(srv); err != nil {
+			return nil, fmt.Errorf("demo: serve %s: %w", sp.Service, err)
 		}
 		if reopened {
 			continue

@@ -121,6 +121,11 @@ type Outcome struct {
 	Unresolved []InDoubt
 	// Ships records every SHIP statement the program reached.
 	Ships map[*dol.ShipStmt]ShipInfo
+	// Prepared lists the remote participants that voted yes, each under
+	// the Directory key of its site. Once the unit is fully terminal the
+	// coordinator acknowledges them (Engine.Forget), so their LAMs can
+	// release the sessions' outcome tombstones.
+	Prepared []Branch
 }
 
 // ShipInfo is the record of one executed SHIP: the rows loaded at the
@@ -150,8 +155,8 @@ func (o *Outcome) TaskStatus(name string) dol.TaskStatus {
 // returns successfully.
 type TxLog interface {
 	// TaskPrepared records a participant in the prepared state together
-	// with its re-attach coordinates (empty addr = in-process session
-	// that cannot outlive the coordinator).
+	// with its re-attach coordinates (empty addr = a session that cannot
+	// outlive the coordinator).
 	TaskPrepared(task, addr string, sessionID int64)
 	// Decision records the commit/rollback decision for a set of tasks.
 	// A commit decision that cannot be made durable must fail: the
@@ -276,18 +281,22 @@ type run struct {
 	out   *Outcome
 	log   TxLog // nil when the plan is not journaled
 	wg    sync.WaitGroup
+	mu    sync.Mutex // guards out.Prepared
 }
 
-// logPrepared notifies the journal of a prepared participant.
-func (r *run) logPrepared(rt *taskRT, sess lam.Session) {
-	if r.log == nil {
-		return
-	}
+// notePrepared records a participant that voted yes: in the journal,
+// and in Outcome.Prepared for the acknowledgment round.
+func (r *run) notePrepared(rt *taskRT, c *conn) {
 	addr, id := "", int64(0)
-	if rec, ok := sess.(lam.Recoverable); ok {
+	if rec, ok := recoveryOf(c.session); ok {
 		addr, id = rec.RecoveryInfo()
+		r.mu.Lock()
+		r.out.Prepared = append(r.out.Prepared, Branch{Site: c.site, SessionID: id})
+		r.mu.Unlock()
 	}
-	r.log.TaskPrepared(rt.stmt.Name, addr, id)
+	if r.log != nil {
+		r.log.TaskPrepared(rt.stmt.Name, addr, id)
+	}
 }
 
 // logOutcome notifies the journal of a task's terminal status.
@@ -350,8 +359,8 @@ func (e *Engine) RunLogged(ctx context.Context, prog *dol.Program, log TxLog) (*
 
 // recoveryOf extracts the in-doubt recovery handle of a session, looking
 // through wrappers that expose it by delegation. Wrappers forward the
-// method unconditionally, so a handle with no re-attach address (an
-// in-process session) does not count as recoverable.
+// method unconditionally, so a handle with no re-attach address does
+// not count as recoverable.
 func recoveryOf(s lam.Session) (lam.Recoverable, bool) {
 	rec, ok := s.(lam.Recoverable)
 	if !ok {
@@ -595,7 +604,7 @@ func (r *run) runTask(rt *taskRT, c *conn) {
 			return
 		}
 		rt.setStatus(dol.StatusPrepared, nil)
-		r.logPrepared(rt, c.session)
+		r.notePrepared(rt, c)
 		return
 	}
 	csp, cctx := obs.StartSpan(sctx, "commit:"+rt.stmt.Name, obs.Kind2PC)
@@ -660,6 +669,17 @@ func (r *run) decide(names []string, deliver func(name string) error) {
 	})
 }
 
+// unanswered reports whether a decision sent to a prepared participant
+// failed without an answer from its server: lost in transport, refused
+// by a connection an earlier call retired (lam.ErrConnBroken), or cut
+// short by the caller's cancellation. The participant may still be
+// prepared, so only an error the server answered is definite; anything
+// else leaves the task in doubt for the recovery loop, which delivers
+// the decision on a context of its own.
+func unanswered(err error) bool {
+	return wire.Transient(err) || errors.Is(err, lam.ErrConnBroken) || errors.Is(err, context.Canceled)
+}
+
 // commitTask commits a prepared task. Committing an already committed
 // task is a no-op; committing an aborted task leaves it aborted.
 func (r *run) commitTask(name string) error {
@@ -683,10 +703,10 @@ func (r *run) commitTask(name string) error {
 	err := c.session.Commit(sctx)
 	sp.EndErr(err)
 	if err != nil {
-		// The decision was COMMIT. If the transport failed the outcome is
-		// unknown — never report Aborted (that would make the global state
-		// silently Incorrect); record in-doubt for the recovery loop.
-		if rec, ok := recoveryOf(c.session); ok && wire.Transient(err) {
+		// The decision was COMMIT. Unless the server answered, the outcome
+		// is unknown — never report Aborted (that would make the global
+		// state silently Incorrect); record in-doubt for the recovery loop.
+		if rec, ok := recoveryOf(c.session); ok && unanswered(err) {
 			t.markInDoubt(rec, true, err)
 			return nil
 		}
@@ -721,7 +741,7 @@ func (r *run) abortTask(name string) error {
 	err := c.session.Rollback(sctx)
 	sp.EndErr(err)
 	if err != nil {
-		if rec, ok := recoveryOf(c.session); ok && wire.Transient(err) {
+		if rec, ok := recoveryOf(c.session); ok && unanswered(err) {
 			t.markInDoubt(rec, false, err)
 			return nil
 		}

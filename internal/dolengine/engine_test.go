@@ -49,9 +49,26 @@ func airlineFederation(t testing.TB) (MapDirectory, map[string]*ldbms.Server) {
 		sess.Commit()
 		sess.Close()
 		servers[sp.db] = srv
-		dir[sp.site] = lam.NewLocal(srv)
+		dir[sp.site] = serveLAM(t, srv)
 	}
 	return dir, servers
+}
+
+// serveLAM serves srv on a loopback LAM and returns a client dialed to
+// it; both close when the test ends.
+func serveLAM(t testing.TB, srv *ldbms.Server) lam.Client {
+	t.Helper()
+	ts, err := lam.Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ts.Close() })
+	c, err := lam.Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func rateOf(t *testing.T, srv *ldbms.Server, db, table, rateCol string, id int) float64 {
@@ -246,7 +263,7 @@ func TestCompensationPath(t *testing.T) {
 	s.Exec("CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)")
 	s.Exec("INSERT INTO flights VALUES (1, 'Houston', 'San Antonio', 100.0)")
 	s.Close()
-	dir["site1"] = lam.NewLocal(contSrv)
+	dir["site1"] = serveLAM(t, contSrv)
 	servers["continental"] = contSrv
 
 	unitSrv := ldbms.NewServer("site3", ldbms.ProfileOracleLike(), 1)
@@ -256,7 +273,7 @@ func TestCompensationPath(t *testing.T) {
 	s2.Exec("INSERT INTO flight VALUES (20, 'Houston', 'San Antonio', 120.0)")
 	s2.Commit()
 	s2.Close()
-	dir["site3"] = lam.NewLocal(unitSrv)
+	dir["site3"] = serveLAM(t, unitSrv)
 	servers["united"] = unitSrv
 
 	// Fail united's exec: continental already autocommitted, so the plan

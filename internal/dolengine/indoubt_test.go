@@ -26,6 +26,7 @@ type flakySession struct {
 	id         int64
 	failOp     string        // "commit" | "prepare" | "rollback"
 	delay      time.Duration // Commit and Rollback take this long
+	decideErr  error         // Commit and Rollback fail with it when set
 	mu         sync.Mutex
 	execCalls  int
 	commitTrys int
@@ -54,6 +55,9 @@ func (s *flakySession) Commit(ctx context.Context) error {
 	s.mu.Lock()
 	s.commitTrys++
 	s.mu.Unlock()
+	if s.decideErr != nil {
+		return s.decideErr
+	}
 	switch s.failOp {
 	case "commit":
 		return fmt.Errorf("lam fake (%s): commit: %w", s.addr, io.EOF)
@@ -65,6 +69,9 @@ func (s *flakySession) Commit(ctx context.Context) error {
 
 func (s *flakySession) Rollback(ctx context.Context) error {
 	time.Sleep(s.delay)
+	if s.decideErr != nil {
+		return s.decideErr
+	}
 	if s.failOp == "rollback" {
 		return fmt.Errorf("lam fake (%s): rollback: %w", s.addr, io.EOF)
 	}
@@ -353,6 +360,55 @@ func TestDefiniteCommitErrorIsNotInDoubt(t *testing.T) {
 	}
 	if resolveCalled {
 		t.Fatal("definite failure is not in-doubt, resolve must not run")
+	}
+}
+
+// TestUnansweredDecisionLeavesTaskInDoubt: a decision the participant's
+// server never answered — refused by a connection an earlier call
+// retired, or cut short by the client's cancellation — may have left the
+// participant prepared. The task goes in doubt and the recovery loop
+// delivers the decision, instead of recording an outcome nobody sent.
+func TestUnansweredDecisionLeavesTaskInDoubt(t *testing.T) {
+	const abortProgram = `
+DOLBEGIN
+OPEN db AT fake AS c1;
+TASK T1 NOCOMMIT FOR c1 { UPDATE t SET x = 1 } ENDTASK;
+ABORT T1;
+DOLSTATUS=1;
+CLOSE c1;
+DOLEND
+`
+	for _, decideErr := range []error{
+		&lam.OpError{Service: "fake", Addr: "10.0.0.5:9001", Op: wire.ReqCommit, Err: lam.ErrConnBroken},
+		context.Canceled,
+	} {
+		for _, commit := range []bool{true, false} {
+			sess := &flakySession{addr: "10.0.0.5:9001", id: 3, decideErr: decideErr}
+			var calls []bool
+			eng := engineWith(t, sess, func(ctx context.Context, id int64, c bool) (ldbms.SessionState, error) {
+				calls = append(calls, c)
+				if c {
+					return ldbms.StateCommitted, nil
+				}
+				return ldbms.StateAborted, nil
+			})
+			src, want := inDoubtProgram, dol.StatusCommitted
+			if !commit {
+				src, want = abortProgram, dol.StatusAborted
+			}
+			prog, err := dol.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := eng.Run(context.Background(), prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.TaskStatus("T1"); got != want || len(calls) != 1 || calls[0] != commit {
+				t.Errorf("%v, commit %v: T1 = %v after resolve calls %v; want %v through one resolve delivering the decision",
+					decideErr, commit, got, calls, want)
+			}
+		}
 	}
 }
 

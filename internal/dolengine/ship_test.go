@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"msql/internal/dol"
-	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/sqlval"
 )
@@ -41,17 +40,7 @@ func tcpPair(t *testing.T, rows [][]sqlval.Value) (MapDirectory, *ldbms.Server) 
 		} else {
 			dst = srv
 		}
-		ts, err := lam.Serve("127.0.0.1:0", srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ts.Close() })
-		c, err := lam.Dial(ts.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		dir["site_"+db] = c
+		dir["site_"+db] = serveLAM(t, srv)
 	}
 	return dir, dst
 }

@@ -17,7 +17,6 @@ import (
 	"msql/internal/core"
 	"msql/internal/demo"
 	"msql/internal/dol"
-	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/obs"
 	"msql/internal/schema"
@@ -157,7 +156,10 @@ func TestF2ImportScaling(t *testing.T) {
 		sess.Close()
 
 		fed := core.New()
-		fed.RegisterClient("svc_big", lam.NewLocal(srv))
+		if _, err := fed.AddLocalServer(srv); err != nil {
+			t.Fatal(err)
+		}
+		defer fed.CloseServers()
 		if _, err := fed.ExecScript("INCORPORATE SERVICE svc_big CONNECTMODE CONNECT COMMITMODE NOCOMMIT\nIMPORT DATABASE big FROM SERVICE svc_big"); err != nil {
 			t.Fatal(err)
 		}

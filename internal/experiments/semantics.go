@@ -62,6 +62,7 @@ func runScript(opts demo.Options, faults map[string]ldbms.FaultRule, script stri
 	if err != nil {
 		return nil, err
 	}
+	defer fed.CloseServers()
 	for svc, rule := range faults {
 		fed.Server(svc).Faults().Add(rule)
 	}
@@ -233,6 +234,7 @@ func E5Program() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer fed.CloseServers()
 	fed.DryRun = true
 	results, err := fed.ExecScript(Section32Update)
 	if err != nil {

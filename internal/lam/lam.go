@@ -1,9 +1,11 @@
 // Package lam implements the Local Access Managers of the paper's
 // architecture (Figure 1): the components that give the DOL engine
-// transparent access to heterogeneous local DBMSs. A LAM exposes the same
-// Client/Session interface over two transports — direct in-process calls
-// and gob-over-TCP — so evaluation plans run identically against local
-// and remote services.
+// transparent access to heterogeneous local DBMSs. A LAM serves one
+// local DBMS over gob-over-TCP (TCPServer), and the DOL engine reaches
+// it through the Client/Session interface (Remote), whether the DBMS
+// runs on another host or in the coordinator's own process on a
+// loopback port: there is one access path, so the retry taxonomy,
+// session piggy-backing and the in-doubt protocol run for every site.
 //
 // Every operation takes a context.Context: the remote transport turns the
 // context deadline (capped by the dial options' per-call timeout) into
@@ -13,7 +15,6 @@ package lam
 
 import (
 	"context"
-	"fmt"
 
 	"msql/internal/ldbms"
 	"msql/internal/schema"
@@ -87,143 +88,4 @@ type Client interface {
 // resolve (the in-doubt protocol of DESIGN.md §7).
 type Recoverable interface {
 	RecoveryInfo() (addr string, sessionID int64)
-}
-
-// Local is the in-process transport: a Client wired directly to an
-// ldbms.Server in the same address space.
-type Local struct {
-	srv *ldbms.Server
-}
-
-// NewLocal wraps a server as an in-process LAM client.
-func NewLocal(srv *ldbms.Server) *Local { return &Local{srv: srv} }
-
-// ServiceName implements Client.
-func (l *Local) ServiceName() string { return l.srv.Name() }
-
-// Profile implements Client.
-func (l *Local) Profile(ctx context.Context) (ldbms.Profile, error) {
-	if err := ctx.Err(); err != nil {
-		return ldbms.Profile{}, err
-	}
-	return l.srv.Profile(), nil
-}
-
-// Open implements Client.
-func (l *Local) Open(ctx context.Context, db string) (Session, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := l.srv.OpenSession(db)
-	if err != nil {
-		return nil, err
-	}
-	return &localSession{sess: s}, nil
-}
-
-// Describe implements Client.
-func (l *Local) Describe(ctx context.Context, db, name string) (schema.Table, error) {
-	if err := ctx.Err(); err != nil {
-		return schema.Table{}, err
-	}
-	s, err := l.srv.OpenSession(db)
-	if err != nil {
-		return schema.Table{}, err
-	}
-	defer s.Close()
-	return s.Describe(name)
-}
-
-// ListTables implements Client.
-func (l *Local) ListTables(ctx context.Context, db string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := l.srv.OpenSession(db)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.ListTables()
-}
-
-// ListViews implements Client.
-func (l *Local) ListViews(ctx context.Context, db string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := l.srv.OpenSession(db)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.ListViews()
-}
-
-// Resolve implements Client. An in-process session dies with its
-// coordinator, so the server never holds one in doubt.
-func (l *Local) Resolve(ctx context.Context, sessionID int64, commit bool) (ldbms.SessionState, error) {
-	return 0, fmt.Errorf("%w: %d", wire.ErrNoSession, sessionID)
-}
-
-// InDoubt implements Client: nothing is ever in doubt in process.
-func (l *Local) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) { return nil, nil }
-
-// Forget implements Client: there is no tombstone to drop.
-func (l *Local) Forget(ctx context.Context, sessionID int64) error { return nil }
-
-// Close implements Client.
-func (l *Local) Close() error { return nil }
-
-type localSession struct {
-	sess *ldbms.Session
-}
-
-func (s *localSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.sess.Exec(sql)
-}
-
-func (s *localSession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.sess.Load(table, rows)
-}
-
-func (s *localSession) Prepare(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.sess.Prepare()
-}
-
-func (s *localSession) Commit(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.sess.Commit()
-}
-
-func (s *localSession) Rollback(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.sess.Rollback()
-}
-
-func (s *localSession) State(ctx context.Context) (ldbms.SessionState, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.sess.State(), nil
-}
-
-func (s *localSession) Database() string { return s.sess.Database() }
-
-func (s *localSession) Close() error {
-	s.sess.Close()
-	return nil
 }

@@ -189,13 +189,6 @@ func runClientSuite(t *testing.T, c Client) {
 	}
 }
 
-func TestLocalClient(t *testing.T) {
-	srv := deltaServer(t)
-	c := NewLocal(srv)
-	defer c.Close()
-	runClientSuite(t, c)
-}
-
 func TestRemoteClient(t *testing.T) {
 	srv := deltaServer(t)
 	ts, err := Serve("127.0.0.1:0", srv)

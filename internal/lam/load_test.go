@@ -87,8 +87,6 @@ func runLoadSuite(t *testing.T, c Client) {
 	}
 }
 
-func TestLocalLoad(t *testing.T) { runLoadSuite(t, NewLocal(deltaServer(t))) }
-
 func TestRemoteLoad(t *testing.T) {
 	srv := deltaServer(t)
 	ts, err := Serve("127.0.0.1:0", srv)

@@ -637,12 +637,18 @@ type remoteSession struct {
 // connection and opens it at the server by carrying wire.Request.Open.
 // No request is replayed once written: a transport failure poisons the connection
 // and is returned as-is, since an exec at an autocommit site may already
-// have taken effect.
+// have taken effect. A free session is taken even when ctx is already
+// done, so an ending the last exec carried is answered after the caller
+// gave up: a vote the server stored must not read as a refusal.
 func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	select {
 	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	defer func() { <-s.sem }()
 	if s.closed {

@@ -51,7 +51,11 @@ type TCPServer struct {
 	nextID    int64
 	prepared  map[int64]*servedSession // voted, no outcome yet
 	tombstone map[int64]tombstone
-	acks      int // ReqForget/TTL evictions since the last compaction
+	// refused holds the ids attach answered "no session" for, and when:
+	// the asker concluded abort, so such an id never votes yes here.
+	// Released like tombstones: by ReqForget, by TTL, and by Close.
+	refused map[int64]time.Time
+	acks    int // ReqForget/TTL evictions since the last compaction
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -156,6 +160,7 @@ func ServeWith(addr string, srv *ldbms.Server, opts ServeOptions) (*TCPServer, e
 		conns:     make(map[net.Conn]struct{}),
 		prepared:  make(map[int64]*servedSession),
 		tombstone: make(map[int64]tombstone),
+		refused:   make(map[int64]time.Time),
 	}
 	if t.journal != nil {
 		if err := t.replay(); err != nil {
@@ -275,6 +280,11 @@ func (t *TCPServer) janitor() {
 					delete(t.tombstone, id)
 				}
 			}
+			for id, at := range t.refused {
+				if at.Before(cutoff) {
+					delete(t.refused, id)
+				}
+			}
 			t.publishGaugesLocked()
 			t.sessMu.Unlock()
 			for _, id := range expired {
@@ -307,6 +317,7 @@ func (t *TCPServer) Close() error {
 		<-t.janitorDone
 	}
 	t.sessMu.Lock()
+	clear(t.refused)
 	if t.journal == nil {
 		for id, p := range t.prepared {
 			p.sess.Close()
@@ -351,19 +362,27 @@ func (t *TCPServer) allocID() int64 {
 }
 
 // voted enters a session into the prepared table once its vote is on
-// stable storage: from here until an outcome, attach finds it.
-func (t *TCPServer) voted(id int64, ss *servedSession, mtid uint64) {
+// stable storage: from here until an outcome, attach finds it. It
+// reports false, entering nothing, for an id attach has refused.
+func (t *TCPServer) voted(id int64, ss *servedSession, mtid uint64) bool {
 	t.sessMu.Lock()
+	defer t.sessMu.Unlock()
+	if _, no := t.refused[id]; no {
+		return false
+	}
 	ss.mtid = mtid
 	t.prepared[id] = ss
-	t.sessMu.Unlock()
+	return true
 }
 
 // attach re-binds a prepared session to cs, taking it from the
 // connection that owns it (if any); when the session already reached an
 // outcome it returns the recorded terminal state instead. The previous
 // owner may still be alive — its client gave up on it, its handler has
-// not noticed yet — and skips the session when it exits.
+// not noticed yet — and skips the session when it exits. An id with
+// neither is refused a vote from then on: the asker takes "no session"
+// for abort (presumed abort), and a vote still in flight must not park
+// a session nobody will resolve.
 func (t *TCPServer) attach(id int64, cs *connState) (*servedSession, ldbms.SessionState, bool) {
 	t.sessMu.Lock()
 	ss, live := t.prepared[id]
@@ -372,6 +391,9 @@ func (t *TCPServer) attach(id int64, cs *connState) (*servedSession, ldbms.Sessi
 		t.publishGaugesLocked()
 	}
 	tb, dead := t.tombstone[id]
+	if !live && !dead {
+		t.refused[id] = time.Now()
+	}
 	t.sessMu.Unlock()
 	switch {
 	case live:
@@ -471,6 +493,7 @@ func (t *TCPServer) forget(id int64) {
 	t.sessMu.Lock()
 	_, had := t.tombstone[id]
 	delete(t.tombstone, id)
+	delete(t.refused, id)
 	t.publishGaugesLocked()
 	t.sessMu.Unlock()
 	if had {
@@ -789,9 +812,18 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 }
 
 // prepare votes PREPARED for session id, durably when the server
-// journals, and enters it into the prepared table.
+// journals, and enters it into the prepared table. An id attach has
+// refused votes no and is rolled back, checked before the vote is
+// journaled and again, atomically, as it enters the table.
 func (t *TCPServer) prepare(id int64, ss *servedSession, mtid uint64) error {
 	s := ss.sess
+	t.sessMu.Lock()
+	_, refused := t.refused[id]
+	t.sessMu.Unlock()
+	if refused {
+		_ = s.Rollback()
+		return errRefused
+	}
 	if err := s.Prepare(); err != nil {
 		return err
 	}
@@ -807,9 +839,20 @@ func (t *TCPServer) prepare(id int64, ss *servedSession, mtid uint64) error {
 			return fmt.Errorf("lam: journal prepare: %w", err)
 		}
 	}
-	t.voted(id, ss, mtid)
+	if !t.voted(id, ss, mtid) {
+		_ = s.Rollback()
+		if t.journal != nil {
+			// Nobody will acknowledge the journaled vote: settle it here.
+			_ = t.journal.Append(&mtlog.Record{Type: mtlog.POutcome, SessionID: id, Status: mtlog.StatusAborted})
+			t.ack(id)
+		}
+		return errRefused
+	}
 	return nil
 }
+
+// errRefused answers a vote on an id attach has answered "no session" for.
+var errRefused = fmt.Errorf("lam: session resolved before its vote: %w", wire.ErrNoSession)
 
 // commit commits session id's transaction. A once-prepared session
 // reached its outcome on a live connection: its tombstone is recorded

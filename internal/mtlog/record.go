@@ -83,7 +83,8 @@ type TaskDecl struct {
 	Name     string `json:"name"`
 	Entry    string `json:"entry,omitempty"`
 	Database string `json:"db,omitempty"`
-	// Site is the service site (address or in-process service name),
+	// Site is the service site (address, or the service name its
+	// client is registered under),
 	// needed to reopen a connection for compensation re-runs.
 	Site  string `json:"site,omitempty"`
 	Vital bool   `json:"vital,omitempty"`
@@ -108,8 +109,9 @@ type Record struct {
 	Task string `json:"task,omitempty"`
 
 	// TPrepared: where a recovering coordinator re-attaches. An empty
-	// Addr means the session was in-process and died with the
-	// coordinator; it cannot be re-attached.
+	// Addr means the session's LAM was served by the coordinator's own
+	// process without a participant journal and died with it; it cannot
+	// be re-attached.
 	Addr      string `json:"addr,omitempty"`
 	SessionID int64  `json:"sid,omitempty"`
 

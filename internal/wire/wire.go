@@ -1,7 +1,7 @@
 // Package wire defines the message protocol spoken between the DOL engine
-// and the Local Access Managers. Messages are gob-encoded over any
-// net.Conn; the same structures back the in-process transport, so both
-// paths exercise identical marshalling.
+// and the Local Access Managers. Messages are gob-encoded over a
+// net.Conn — TCP, loopback for the LDBMSs a coordinator serves in its
+// own process — so every site exercises identical marshalling.
 //
 // The protocol mirrors the operations the paper's evaluation plans need
 // from a LAM: open a session on a database, execute local SQL, load typed
