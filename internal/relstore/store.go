@@ -141,20 +141,21 @@ func (t *Table) rowAt(idx int) (schema.Row, error) {
 // rowAtCounted is rowAt with page traffic recorded on pc (nil-safe). The
 // counter is per-call rather than per-table because concurrent readers
 // share the Table under shared locks — attribution must follow the
-// statement, not the structure.
+// statement, not the structure. The row is decoded straight from the
+// pinned page into a new row the caller owns.
 func (t *Table) rowAtCounted(idx int, pc *storage.PageCounters) (schema.Row, error) {
 	if idx < 0 || idx >= len(t.rids) || t.rids[idx].IsNil() {
 		return nil, nil
 	}
-	data, err := t.heap.ReadCounted(t.rids[idx], pc)
+	var row schema.Row
+	err := t.heap.ReadPageCounted(t.rids[idx:idx+1], pc, func(data []byte) (err error) {
+		row, err = storage.DecodeRow(data)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	vals, err := storage.DecodeRow(data)
-	if err != nil {
-		return nil, err
-	}
-	return schema.Row(vals), nil
+	return row, nil
 }
 
 // RowAt returns the row at a stable index, or nil when deleted.
@@ -172,41 +173,43 @@ func (t *Table) RowAtCounted(idx int, pc *storage.PageCounters) schema.Row {
 	return row
 }
 
-// ForEach iterates live rows with their stable indexes, stopping when fn
-// returns false. The caller must hold a lock on the table via a Tx.
+// ForEach iterates live rows with their stable indexes through a
+// TableIter, stopping when fn returns false. The row is borrowed: it is
+// valid only during the call, so fn clones what it keeps. The caller
+// must hold a lock on the table via a Tx.
 func (t *Table) ForEach(fn func(idx int, row schema.Row) bool) {
-	t.ForEachCounted(fn, nil)
-}
-
-// ForEachCounted is ForEach with page traffic recorded on pc (nil-safe).
-func (t *Table) ForEachCounted(fn func(idx int, row schema.Row) bool, pc *storage.PageCounters) {
-	for i, rid := range t.rids {
-		if rid.IsNil() {
-			continue
-		}
-		data, err := t.heap.ReadCounted(rid, pc)
-		if err != nil {
-			t.fault(err)
-			return
-		}
-		vals, err := storage.DecodeRow(data)
-		if err != nil {
-			t.fault(err)
-			return
-		}
-		if !fn(i, schema.Row(vals)) {
+	it := t.IterCounted(nil)
+	for {
+		idx, row, ok := it.Next()
+		if !ok || !fn(idx, row) {
 			return
 		}
 	}
 }
 
 // TableIter is a pull-based cursor over a table's live rows in stable-
-// index order, for volcano-style executors. The caller must hold a lock
-// on the table via a Tx for the cursor's lifetime.
+// index order, for volcano-style executors. It reads a page at a time:
+// the next run of stable indexes whose RIDs lie on one heap page is read
+// under a single pin and decoded into a value buffer the cursor owns and
+// reuses, and the pin is dropped before Next returns, so no pin outlives
+// a call and nested scans never exhaust a small pool. A row Next returns
+// is borrowed from that buffer: it is valid until the next Next or
+// Reset, and a caller that keeps it must clone it. The caller must hold
+// a lock on the table via a Tx for the cursor's lifetime.
 type TableIter struct {
 	t   *Table
-	pos int
+	pos int // next stable index to batch
 	pc  *storage.PageCounters
+
+	// The batch: the live rows of one page. Row k sits at stable index
+	// idx[k] and is vals[ends[k-1]:ends[k]] (from 0 for k == 0); rows
+	// need not share a width.
+	rids []storage.RID
+	idx  []int
+	ends []int
+	vals []sqlval.Value
+	k    int   // next row of the batch to return
+	err  error // fault that cut the batch short, reported after its rows
 }
 
 // IterCounted returns a cursor recording its page traffic on pc
@@ -217,25 +220,67 @@ func (t *Table) IterCounted(pc *storage.PageCounters) *TableIter {
 
 // Next returns the next live row and its stable index; ok is false at
 // the end of the table (or on a storage fault, which latches in Err).
+// The row is valid until the next Next or Reset.
 func (it *TableIter) Next() (idx int, row schema.Row, ok bool) {
-	for it.pos < len(it.t.rids) {
-		i := it.pos
-		it.pos++
-		if it.t.rids[i].IsNil() {
-			continue
-		}
-		r, err := it.t.rowAtCounted(i, it.pc)
-		if err != nil {
-			it.t.fault(err)
+	for it.k == len(it.ends) {
+		if it.err != nil {
+			it.t.fault(it.err)
+			it.err = nil
 			return 0, nil, false
 		}
-		return i, r, true
+		if it.pos >= len(it.t.rids) {
+			return 0, nil, false
+		}
+		it.fill()
 	}
-	return 0, nil, false
+	k := it.k
+	it.k++
+	lo, hi := 0, it.ends[k]
+	if k > 0 {
+		lo = it.ends[k-1]
+	}
+	return it.idx[k], schema.Row(it.vals[lo:hi:hi]), true
+}
+
+// fill reads the next page's run of live rows into the batch. A fault
+// keeps the rows decoded before it and is reported once they are out.
+func (it *TableIter) fill() {
+	it.rids, it.idx, it.ends, it.vals, it.k = it.rids[:0], it.idx[:0], it.ends[:0], it.vals[:0], 0
+	rids := it.t.rids
+	for it.pos < len(rids) && rids[it.pos].IsNil() {
+		it.pos++
+	}
+	if it.pos == len(rids) {
+		return
+	}
+	pg := rids[it.pos].Page
+	for ; it.pos < len(rids); it.pos++ {
+		rid := rids[it.pos]
+		if rid.IsNil() {
+			continue
+		}
+		if rid.Page != pg {
+			break
+		}
+		it.rids = append(it.rids, rid)
+		it.idx = append(it.idx, it.pos)
+	}
+	it.err = it.t.heap.ReadPageCounted(it.rids, it.pc, func(data []byte) error {
+		vals, err := storage.DecodeRowInto(it.vals, data)
+		if err != nil {
+			return err
+		}
+		it.vals = vals
+		it.ends = append(it.ends, len(vals))
+		return nil
+	})
 }
 
 // Reset repositions the cursor before the first row.
-func (it *TableIter) Reset() { it.pos = 0 }
+func (it *TableIter) Reset() {
+	it.pos, it.k, it.err = 0, 0, nil
+	it.ends = it.ends[:0]
+}
 
 // LookupKey probes the primary-key index with the given key values and
 // returns the matching row's stable index. ok is false when the table

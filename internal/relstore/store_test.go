@@ -373,7 +373,7 @@ func TestValidation(t *testing.T) {
 	}
 	tbl, _ := tx.TableForRead("avis", "cars")
 	var last schema.Row
-	tbl.ForEach(func(idx int, row schema.Row) bool { last = row; return true })
+	tbl.ForEach(func(idx int, row schema.Row) bool { last = row.Clone(); return true })
 	if last[2].K != sqlval.KindFloat {
 		t.Fatalf("int not widened to float: %v", last[2])
 	}

@@ -154,7 +154,9 @@ func passFilters(e *env, filters []sqlparser.Expr) (bool, error) {
 }
 
 // scanNode is a sequential scan: over the storage's cursor for base
-// tables, or over materialized rows for views.
+// tables, or over materialized rows for views. Filters run on the
+// cursor's borrowed row; a row that passes is published as a clone, so
+// every row a node leaves in e.current is the statement's to keep.
 type scanNode struct {
 	e       *env
 	si      int
@@ -201,6 +203,9 @@ func (n *scanNode) next() (bool, error) {
 			return false, err
 		}
 		if ok {
+			if n.it != nil {
+				n.e.current[n.si] = row.Clone() // borrowed until the cursor's next Next
+			}
 			return true, nil
 		}
 	}

@@ -37,15 +37,17 @@ type hashJoin struct {
 }
 
 // build populates the hash table once, pulling base tables through their
-// storage cursor and materialized sources from their row slice. Page traffic
-// is recorded on pc (nil-safe) so an EXPLAIN ANALYZE attributes the build
-// scan to the hash-join operator.
+// storage cursor and materialized sources from their row slice. A
+// cursor's rows are borrowed until its next Next, so the build clones
+// every row it keeps. Page traffic is recorded on pc (nil-safe) so an
+// EXPLAIN ANALYZE attributes the build scan to the hash-join operator.
 func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 	if h.table != nil {
 		return nil
 	}
 	h.table = make(map[string][]schema.Row)
 	saved := e.current[i]
+	src := e.sources[i]
 	add := func(row schema.Row) error {
 		e.current[i] = row
 		v, err := evalExpr(e, h.buildExpr)
@@ -55,11 +57,13 @@ func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 		if v.IsNull() {
 			return nil // NULL never joins
 		}
+		if src.tbl != nil {
+			row = row.Clone()
+		}
 		key := v.GroupKey()
 		h.table[key] = append(h.table[key], row)
 		return nil
 	}
-	src := e.sources[i]
 	if src.tbl != nil {
 		it := src.tbl.Scan(pc)
 		for {

@@ -23,7 +23,8 @@ import (
 //   - A cursor yields live rows in insertion order. The position it
 //     returns with a row addresses that row in Update/Delete and stays
 //     valid until the statement ends, whatever the statement writes in
-//     the meantime. Rows handed out are read-only.
+//     the meantime. Rows handed out are read-only, and a cursor's row
+//     is valid only until its next Next or Reset.
 type Storage interface {
 	TableForRead(db, table string) (Table, error)
 	TableForWrite(db, table string) (Table, error)
@@ -61,6 +62,10 @@ type Table interface {
 
 // Cursor is a pull iterator over a table's live rows.
 type Cursor interface {
+	// Next returns the next live row and its position. The row is
+	// borrowed: it is valid until the next Next or Reset, because a paged
+	// engine decodes a page's rows into one buffer it reuses. A caller
+	// that keeps a row past that clones it.
 	Next() (pos int, row schema.Row, ok bool)
 	// Reset repositions the cursor before the first row.
 	Reset()

@@ -7,7 +7,10 @@
 //
 // The layering mirrors a conventional single-site DBMS:
 //
-//	HeapFile   — a table's pages; Insert/Read/Update/Delete by RID,
+//	HeapFile   — a table's pages; Insert/Update/Delete by RID,
+//	             ReadPageCounted of any number of one page's slots
+//	             under a single pin (the bytes are valid only inside
+//	             its callback; the pin is gone when it returns),
 //	             page-at-a-time Scan, and a free-space map for O(1)
 //	             placement of new tuples.
 //	Pool       — the buffer pool. Every page read or write goes through
@@ -28,7 +31,9 @@
 //	             declared PRIMARY KEY columns keep one.
 //	EncodeRow / EncodeKey — the tuple codec (self-describing, compact)
 //	             and the order-preserving composite key codec the B-tree
-//	             sorts by.
+//	             sorts by. DecodeRowInto appends a tuple's values to a
+//	             caller's buffer, so a scan decodes a page's rows into one
+//	             slice it reuses; DecodeRow allocates a row of its own.
 //
 // Durability model: pages are written back on eviction and on
 // Checkpoint; there is no page-level redo log. A store that uses

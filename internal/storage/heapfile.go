@@ -248,26 +248,37 @@ func (h *HeapFile) tryInsert(pg uint32, data []byte) (RID, bool, error) {
 	return RID{Page: pg, Slot: uint16(slot)}, true, nil
 }
 
-// Read returns a copy of the tuple at rid.
-func (h *HeapFile) Read(rid RID) ([]byte, error) {
-	return h.ReadCounted(rid, nil)
-}
-
-// ReadCounted is Read with pool traffic additionally recorded on pc
-// (nil-safe), attributing the page fetch to one statement's operator.
-func (h *HeapFile) ReadCounted(rid RID, pc *PageCounters) ([]byte, error) {
-	f, err := h.pool.FetchCounted(h.id, rid.Page, pc)
-	if err != nil {
-		return nil, err
+// ReadPageCounted reads several tuples of one page under a single pin:
+// fn is called with each rid's tuple bytes, in the order of rids. Every
+// rid must lie on the page of rids[0]. The bytes alias the
+// pinned frame and are valid only during the call; the page is unpinned
+// before ReadPageCounted returns, so no pin outlives it. An error from fn
+// stops the read and is returned as is. Pool traffic (one fetch) is
+// additionally recorded on pc (nil-safe).
+func (h *HeapFile) ReadPageCounted(rids []RID, pc *PageCounters, fn func(data []byte) error) error {
+	if len(rids) == 0 {
+		return nil
 	}
-	data, err := page{f.Data()}.read(int(rid.Slot))
+	pg := rids[0].Page
+	f, err := h.pool.FetchCounted(h.id, pg, pc)
 	if err != nil {
-		h.pool.Unpin(f, false)
-		return nil, fmt.Errorf("%w at %s", err, rid)
+		return err
 	}
-	out := append([]byte(nil), data...)
-	h.pool.Unpin(f, false)
-	return out, nil
+	defer h.pool.Unpin(f, false)
+	p := page{f.Data()}
+	for _, rid := range rids {
+		if rid.Page != pg {
+			return fmt.Errorf("storage: read of %s in a batch of page %d", rid, pg)
+		}
+		data, err := p.read(int(rid.Slot))
+		if err != nil {
+			return fmt.Errorf("%w at %s", err, rid)
+		}
+		if err := fn(data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Delete removes the tuple at rid.

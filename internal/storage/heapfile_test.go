@@ -25,7 +25,7 @@ func TestHeapFileCRUDAndScan(t *testing.T) {
 		t.Fatalf("2000 rows fit in %d page(s); expected a multi-page heap", h.NumPages())
 	}
 	for rid, data := range want {
-		got, err := h.Read(rid)
+		got, err := readTuple(h, rid)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("read %s: %v", rid, err)
 		}
@@ -64,7 +64,7 @@ func TestHeapFileCRUDAndScan(t *testing.T) {
 		i++
 	}
 	for rid, data := range want {
-		got, err := h.Read(rid)
+		got, err := readTuple(h, rid)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("post-churn read %s: %v", rid, err)
 		}
@@ -197,7 +197,7 @@ func TestHeapFilePersistReopen(t *testing.T) {
 		t.Fatalf("clean file reported %d repaired pages", repaired)
 	}
 	for rid, data := range want {
-		got, err := h2.Read(rid)
+		got, err := readTuple(h2, rid)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("reopened read %s: %v", rid, err)
 		}
@@ -256,7 +256,7 @@ func TestHeapFileTruncatedTail(t *testing.T) {
 		t.Fatalf("open repaired: %v", err)
 	}
 	// Data on the surviving pages is intact.
-	if got, err := h2.Read(rid0); err != nil || len(got) != 100 {
+	if got, err := readTuple(h2, rid0); err != nil || len(got) != 100 {
 		t.Fatalf("surviving tuple: %v", err)
 	}
 	h2.Close()
@@ -329,4 +329,67 @@ func TestHeapFileTornPageRepair(t *testing.T) {
 	}
 	h3.Close()
 	fb3.Close()
+}
+
+// readTuple copies one tuple out through a single-RID ReadPageCounted.
+func readTuple(h *HeapFile, rid RID) ([]byte, error) {
+	var out []byte
+	err := h.ReadPageCounted([]RID{rid}, nil, func(data []byte) error {
+		out = append([]byte(nil), data...)
+		return nil
+	})
+	return out, err
+}
+
+// TestReadPageCountedOnePinPerPage reads every slot of a page with one
+// fetch, and leaves no pin behind — on success, on a callback error, and
+// on a RID of another page.
+func TestReadPageCountedOnePinPerPage(t *testing.T) {
+	pool := NewPool(8)
+	h := NewHeapFile(pool, NewMemBacking())
+	var rids []RID
+	for i := 0; len(rids) == 0 || rids[len(rids)-1].Page == 0; i++ {
+		rid, err := h.Insert([]byte(fmt.Sprintf("tuple-%03d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	first := rids[:len(rids)-1] // every tuple of page 0
+	var pc PageCounters
+	var got []string
+	noPins := func(after string) {
+		t.Helper()
+		if p := pool.Stats().Pinned; p != 0 {
+			t.Fatalf("%d frames still pinned after %s", p, after)
+		}
+	}
+	err := h.ReadPageCounted(first, &pc, func(data []byte) error {
+		got = append(got, string(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPins("a read")
+	if len(got) != len(first) {
+		t.Fatalf("read %d tuples, want %d", len(got), len(first))
+	}
+	for i, g := range got {
+		if want := fmt.Sprintf("tuple-%03d", i); g != want {
+			t.Fatalf("tuple %d = %q, want %q (in the order of rids)", i, g, want)
+		}
+	}
+	if n := pc.Hits() + pc.Misses(); n != 1 {
+		t.Fatalf("%d fetches for %d tuples of one page, want 1", n, len(first))
+	}
+	stop := errors.New("stop")
+	if err := h.ReadPageCounted(first, nil, func([]byte) error { return stop }); err != stop {
+		t.Fatalf("callback error: got %v", err)
+	}
+	noPins("a callback error")
+	if err := h.ReadPageCounted(rids, nil, func([]byte) error { return nil }); err == nil {
+		t.Fatal("a batch spanning two pages was accepted")
+	}
+	noPins("a batch spanning two pages")
 }

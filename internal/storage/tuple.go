@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"msql/internal/sqlval"
 )
@@ -60,53 +61,73 @@ func EncodeRow(dst []byte, row []sqlval.Value) []byte {
 	return dst
 }
 
-// DecodeRow decodes a tuple previously written by EncodeRow.
+// DecodeRow decodes a tuple previously written by EncodeRow into a new
+// row. A zero-column tuple decodes to an empty, non-nil row.
 func DecodeRow(b []byte) ([]sqlval.Value, error) {
+	row, err := DecodeRowInto(nil, b)
+	if err != nil {
+		return nil, err
+	}
+	if row == nil {
+		row = []sqlval.Value{}
+	}
+	return row, nil
+}
+
+// DecodeRowInto decodes a tuple previously written by EncodeRow,
+// appending its values to dst and returning the extended slice, so a
+// caller decoding many tuples can reuse one buffer. String values are
+// copied out of b, so the result never aliases it. On error dst is
+// returned at its original length.
+func DecodeRowInto(dst []sqlval.Value, b []byte) ([]sqlval.Value, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > uint64(len(b)) {
-		return nil, ErrBadTuple
+		return dst, ErrBadTuple
 	}
 	b = b[sz:]
-	row := make([]sqlval.Value, n)
-	for i := range row {
+	start := len(dst)
+	dst = slices.Grow(dst, int(n))
+	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {
-			return nil, ErrBadTuple
+			return dst[:start], ErrBadTuple
 		}
 		tag := b[0]
 		b = b[1:]
+		var v sqlval.Value
 		switch tag {
 		case tagNull:
-			row[i] = sqlval.Null()
+			v = sqlval.Null()
 		case tagInt:
-			v, sz := binary.Varint(b)
+			x, sz := binary.Varint(b)
 			if sz <= 0 {
-				return nil, ErrBadTuple
+				return dst[:start], ErrBadTuple
 			}
 			b = b[sz:]
-			row[i] = sqlval.Int(v)
+			v = sqlval.Int(x)
 		case tagFloat:
 			if len(b) < 8 {
-				return nil, ErrBadTuple
+				return dst[:start], ErrBadTuple
 			}
-			row[i] = sqlval.Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			v = sqlval.Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
 			b = b[8:]
 		case tagString:
 			ln, sz := binary.Uvarint(b)
 			if sz <= 0 || uint64(len(b)-sz) < ln {
-				return nil, ErrBadTuple
+				return dst[:start], ErrBadTuple
 			}
 			b = b[sz:]
-			row[i] = sqlval.Str(string(b[:ln]))
+			v = sqlval.Str(string(b[:ln]))
 			b = b[ln:]
 		case tagBoolFalse:
-			row[i] = sqlval.Bool(false)
+			v = sqlval.Bool(false)
 		case tagBoolTrue:
-			row[i] = sqlval.Bool(true)
+			v = sqlval.Bool(true)
 		default:
-			return nil, fmt.Errorf("%w: tag %d", ErrBadTuple, tag)
+			return dst[:start], fmt.Errorf("%w: tag %d", ErrBadTuple, tag)
 		}
+		dst = append(dst, v)
 	}
-	return row, nil
+	return dst, nil
 }
 
 // EncodeKey encodes a composite key so that bytes.Compare on encodings

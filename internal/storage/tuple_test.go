@@ -110,3 +110,36 @@ func TestEncodeKeyCompositeNoPrefixConfusion(t *testing.T) {
 		t.Fatal("NUL-embedded key misordered against its extension")
 	}
 }
+
+// TestDecodeRowIntoAppends decodes two tuples into one buffer: the second
+// lands after the first, a zero-column tuple decodes to an empty non-nil
+// row, and a malformed tuple leaves the buffer at its old length.
+func TestDecodeRowIntoAppends(t *testing.T) {
+	a := []sqlval.Value{sqlval.Int(1), sqlval.Str("one")}
+	b := []sqlval.Value{sqlval.Null(), sqlval.Float(2.5), sqlval.Bool(true)}
+	buf, err := DecodeRowInto(nil, EncodeRow(nil, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err = DecodeRowInto(buf, EncodeRow(nil, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]sqlval.Value(nil), a...), b...)
+	if len(buf) != len(want) {
+		t.Fatalf("buffer holds %d values, want %d", len(buf), len(want))
+	}
+	for i := range want {
+		if buf[i] != want[i] {
+			t.Fatalf("value %d = %v, want %v", i, buf[i], want[i])
+		}
+	}
+	bad := EncodeRow(nil, a)
+	if out, err := DecodeRowInto(buf, bad[:len(bad)-2]); err == nil || len(out) != len(want) {
+		t.Fatalf("truncated tuple: err %v, buffer %d values (want %d)", err, len(out), len(want))
+	}
+	empty, err := DecodeRow(EncodeRow(nil, nil))
+	if err != nil || empty == nil || len(empty) != 0 {
+		t.Fatalf("zero-column tuple decoded to %#v, %v", empty, err)
+	}
+}
