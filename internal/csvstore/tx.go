@@ -238,8 +238,10 @@ func (t *table) Columns() []schema.Column { return t.cols }
 // fault.
 func (t *table) Err() error { return nil }
 
-// Scan implements sqlengine.Table.
-func (t *table) Scan(*storage.PageCounters) sqlengine.Cursor { return &cursor{t: t} }
+// Scan implements sqlengine.Table. A csv table has no tuple bytes to
+// check search arguments on, so it returns every row and leaves the
+// conjuncts to the executor's filters.
+func (t *table) Scan(*storage.PageCounters, []storage.Sarg) sqlengine.Cursor { return &cursor{t: t} }
 
 // cursor walks a table image, skipping tombstones. It re-reads the image
 // on every step, so rows the statement appends behind it are visited and

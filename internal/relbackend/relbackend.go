@@ -176,7 +176,9 @@ func (t table) Columns() []schema.Column { return t.t.Columns }
 func (t table) Err() error               { return t.t.Err() }
 func (t table) KeyColumns() []int        { return t.t.KeyColumns() }
 
-func (t table) Scan(pc *storage.PageCounters) sqlengine.Cursor { return t.t.IterCounted(pc) }
+func (t table) Scan(pc *storage.PageCounters, sargs []storage.Sarg) sqlengine.Cursor {
+	return t.t.IterCounted(pc, sargs)
+}
 
 func (t table) LookupKey(vals []sqlval.Value) (int, bool) { return t.t.LookupKey(vals) }
 

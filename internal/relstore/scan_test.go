@@ -58,7 +58,7 @@ func TestScanFetchesEachPageOnce(t *testing.T) {
 		t.Fatalf("%d rows fit in %d pages; the test wants a heap larger than the pool", rows, pages)
 	}
 	var pc storage.PageCounters
-	it := tbl.IterCounted(&pc)
+	it := tbl.IterCounted(&pc, nil)
 	n := 0
 	for {
 		idx, row, ok := it.Next()
@@ -102,7 +102,7 @@ func TestNestedScansHoldNoPins(t *testing.T) {
 		}
 		return ok
 	}
-	outer, mid, inner := tbl.IterCounted(nil), tbl.IterCounted(nil), tbl.IterCounted(nil)
+	outer, mid, inner := tbl.IterCounted(nil, nil), tbl.IterCounted(nil, nil), tbl.IterCounted(nil, nil)
 	for o := 0; o < 3; o++ {
 		if !next(outer) {
 			t.Fatalf("outer cursor ended at row %d (err %v)", o, tbl.Err())
@@ -141,7 +141,7 @@ func (m heapModel) compacted() heapModel {
 // probe of every live key, with the model.
 func checkModel(t *testing.T, tbl *Table, m heapModel, step string) {
 	t.Helper()
-	it := tbl.IterCounted(nil)
+	it := tbl.IterCounted(nil, nil)
 	want := 0
 	for {
 		idx, row, ok := it.Next()

@@ -178,7 +178,7 @@ func (t *Table) RowAtCounted(idx int, pc *storage.PageCounters) schema.Row {
 // valid only during the call, so fn clones what it keeps. The caller
 // must hold a lock on the table via a Tx.
 func (t *Table) ForEach(fn func(idx int, row schema.Row) bool) {
-	it := t.IterCounted(nil)
+	it := t.IterCounted(nil, nil)
 	for {
 		idx, row, ok := it.Next()
 		if !ok || !fn(idx, row) {
@@ -196,10 +196,15 @@ func (t *Table) ForEach(fn func(idx int, row schema.Row) bool) {
 // is borrowed from that buffer: it is valid until the next Next or
 // Reset, and a caller that keeps it must clone it. The caller must hold
 // a lock on the table via a Tx for the cursor's lifetime.
+//
+// A cursor opened with search arguments checks them on each tuple's
+// bytes while the page is pinned (storage.MatchSargs) and decodes and
+// returns only the tuples that satisfy all of them.
 type TableIter struct {
-	t   *Table
-	pos int // next stable index to batch
-	pc  *storage.PageCounters
+	t     *Table
+	pos   int // next stable index to batch
+	pc    *storage.PageCounters
+	sargs []storage.Sarg
 
 	// The batch: the live rows of one page. Row k sits at stable index
 	// idx[k] and is vals[ends[k-1]:ends[k]] (from 0 for k == 0); rows
@@ -213,9 +218,11 @@ type TableIter struct {
 }
 
 // IterCounted returns a cursor recording its page traffic on pc
-// (nil-safe), attributing reads to the statement driving the cursor.
-func (t *Table) IterCounted(pc *storage.PageCounters) *TableIter {
-	return &TableIter{t: t, pc: pc}
+// (nil-safe), attributing reads to the statement driving the cursor,
+// and yielding only the rows that satisfy every sarg (all rows when
+// sargs is empty).
+func (t *Table) IterCounted(pc *storage.PageCounters, sargs []storage.Sarg) *TableIter {
+	return &TableIter{t: t, pc: pc, sargs: sargs}
 }
 
 // Next returns the next live row and its stable index; ok is false at
@@ -242,8 +249,9 @@ func (it *TableIter) Next() (idx int, row schema.Row, ok bool) {
 	return it.idx[k], schema.Row(it.vals[lo:hi:hi]), true
 }
 
-// fill reads the next page's run of live rows into the batch. A fault
-// keeps the rows decoded before it and is reported once they are out.
+// fill reads the next page's run of live rows that satisfy the sargs
+// into the batch. A fault keeps the rows decoded before it and is
+// reported once they are out.
 func (it *TableIter) fill() {
 	it.rids, it.idx, it.ends, it.vals, it.k = it.rids[:0], it.idx[:0], it.ends[:0], it.vals[:0], 0
 	rids := it.t.rids
@@ -265,15 +273,26 @@ func (it *TableIter) fill() {
 		it.rids = append(it.rids, rid)
 		it.idx = append(it.idx, it.pos)
 	}
+	// The callback sees the run's tuples in order; j counts them and the
+	// stable indexes of the ones kept move down to idx[:len(ends)].
+	j := 0
 	it.err = it.t.heap.ReadPageCounted(it.rids, it.pc, func(data []byte) error {
+		j++
+		if len(it.sargs) > 0 {
+			if ok, err := storage.MatchSargs(data, it.sargs); !ok || err != nil {
+				return err
+			}
+		}
 		vals, err := storage.DecodeRowInto(it.vals, data)
 		if err != nil {
 			return err
 		}
 		it.vals = vals
+		it.idx[len(it.ends)] = it.idx[j-1]
 		it.ends = append(it.ends, len(vals))
 		return nil
 	})
+	it.idx = it.idx[:len(it.ends)]
 }
 
 // Reset repositions the cursor before the first row.

@@ -9,7 +9,17 @@ import (
 	"msql/internal/sqlengine"
 )
 
-func benchDB(b *testing.B, rows int) *relstore.Store {
+// The statements the micro-benchmarks time; TestAllocationCeilings pins
+// their allocations.
+const (
+	filterQuery   = "SELECT id FROM t WHERE val > 250 AND grp = 'g3'"
+	hashJoinQuery = "SELECT COUNT(t.id) FROM t, u WHERE t.id = u.id"
+	nonKeyUpdate  = "UPDATE t SET val = val + 1 WHERE grp = 'g1'"
+)
+
+// benchDB builds table d.t of rows rows: a key, one of seven groups and
+// a float.
+func benchDB(b testing.TB, rows int) *relstore.Store {
 	b.Helper()
 	s := relstore.NewStore()
 	if err := s.CreateDatabase("d"); err != nil {
@@ -40,7 +50,7 @@ func BenchmarkSelectFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "SELECT id FROM t WHERE val > 250 AND grp = 'g3'")
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", filterQuery)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,8 +77,9 @@ func BenchmarkSelectGroupBy(b *testing.B) {
 	}
 }
 
-func BenchmarkHashJoin(b *testing.B) {
-	s := benchDB(b, 2000)
+// addJoinTable adds table d.u of 2000 rows whose ids are t's 0..1999.
+func addJoinTable(b testing.TB, s *relstore.Store) {
+	b.Helper()
 	tx := s.Begin()
 	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "d", "CREATE TABLE u (id INTEGER, tag CHAR(4))"); err != nil {
 		b.Fatal(err)
@@ -86,10 +97,15 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 	}
 	tx.Commit()
+}
+
+func BenchmarkHashJoin(b *testing.B) {
+	s := benchDB(b, 2000)
+	addJoinTable(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rtx := s.Begin()
-		res, err := sqlengine.ExecuteSQL(relbackend.Storage(rtx), "d", "SELECT COUNT(t.id) FROM t, u WHERE t.id = u.id")
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(rtx), "d", hashJoinQuery)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +122,7 @@ func BenchmarkUpdateWhere(b *testing.B) {
 	s := benchDB(b, 1000)
 	for _, bc := range []struct{ name, q string }{
 		{"keyed-point", "UPDATE t SET val = val + 1 WHERE id = 617"},
-		{"non-key-predicate", "UPDATE t SET val = val + 1 WHERE grp = 'g1'"},
+		{"non-key-predicate", nonKeyUpdate},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package sqlengine_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -489,6 +490,39 @@ func TestAmbiguousAndUnknownColumns(t *testing.T) {
 	// Self-join makes every column ambiguous unqualified.
 	if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "SELECT flnu FROM flights a, flights b"); !errors.Is(err, sqlengine.ErrAmbiguousColumn) {
 		t.Fatalf("ambiguous err = %v", err)
+	}
+}
+
+// TestWideTableColumnAddressing reads column 1000 of a 1001-column
+// table, alone and joined: a column reference addresses (source, column)
+// with no limit on either, so it neither reads another source's column
+// nor runs off the end of its row.
+func TestWideTableColumnAddressing(t *testing.T) {
+	const width = 1001
+	var defs, vals []string
+	for i := 0; i < width; i++ {
+		defs = append(defs, fmt.Sprintf("c%d INTEGER", i))
+		vals = append(vals, fmt.Sprint(i))
+	}
+	s := relstore.NewStore()
+	if err := s.CreateDatabase("d"); err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, s, "d", []string{
+		"CREATE TABLE t (" + strings.Join(defs, ", ") + ")",
+		"INSERT INTO t VALUES (" + strings.Join(vals, ", ") + ")",
+		"CREATE TABLE u (k INTEGER)",
+		"INSERT INTO u VALUES (42)",
+	})
+	for _, tc := range []struct{ q, want string }{
+		{"SELECT c1000 FROM t", "[1000]"},
+		{"SELECT c1000, k FROM t, u", "[1000 42]"},
+		{"SELECT k, c999 FROM u, t WHERE c1000 = 1000", "[42 999]"},
+	} {
+		res := query(t, s, "d", tc.q)
+		if len(res.Rows) != 1 || fmt.Sprint(res.Rows[0]) != tc.want {
+			t.Errorf("%s = %v, want one row %s", tc.q, res.Rows, tc.want)
+		}
 	}
 }
 

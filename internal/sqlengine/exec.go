@@ -6,7 +6,11 @@ package sqlengine
 // joined row whenever every level holds one. Base tables are pulled row
 // by row through the storage's cursor instead of being materialized up
 // front, so on a paged engine the working set is bounded by the buffer
-// pool, not the table.
+// pool, not the table. A level's "column op literal" conjuncts go down
+// to its cursor as search arguments (storage.Sarg), which a paged engine
+// checks on the tuple bytes so that it decodes only the rows that pass;
+// every conjunct stays a filter too, so a sarg only ever skips rows the
+// filters would reject.
 
 import (
 	"time"
@@ -66,13 +70,15 @@ func runLoops(e *env, nodes []levelNode, emit func() (bool, error)) error {
 
 // buildNodes picks the access path for every level: index probe when the
 // planner pinned all key columns, hash join for an equality across
-// levels, sequential scan otherwise. Under EXPLAIN ANALYZE (e.stats set)
-// each node is wrapped in a statNode that meters rows, loops and wall
-// time, and its page traffic is attributed to the level's PageCounters.
+// levels, sequential scan otherwise. Scans, probe fallbacks and hash-join
+// builds open their cursor with the level's sargs. Under EXPLAIN ANALYZE
+// (e.stats set) each node is wrapped in a statNode that meters rows,
+// loops and wall time, and its page traffic is attributed to the level's
+// PageCounters.
 func buildNodes(e *env, plan *joinPlan) []levelNode {
 	nodes := make([]levelNode, len(e.sources))
 	for i := range e.sources {
-		filters := plan.level[i]
+		filters, sargs := plan.level[i], plan.sargs[i]
 		var pc *storage.PageCounters
 		if e.stats != nil {
 			pc = &e.stats.nodes[i].pc
@@ -81,12 +87,12 @@ func buildNodes(e *env, plan *joinPlan) []levelNode {
 		case plan.probe[i] != nil:
 			nodes[i] = &probeNode{
 				e: e, si: i, probe: plan.probe[i], filters: filters, pc: pc,
-				fallback: &scanNode{e: e, si: i, filters: filters, pc: pc},
+				fallback: &scanNode{e: e, si: i, filters: filters, sargs: sargs, pc: pc},
 			}
 		case plan.hash[i] != nil:
-			nodes[i] = &hashNode{e: e, si: i, h: plan.hash[i], filters: filters, pc: pc}
+			nodes[i] = &hashNode{e: e, si: i, h: plan.hash[i], filters: filters, sargs: sargs, pc: pc}
 		default:
-			nodes[i] = &scanNode{e: e, si: i, filters: filters, pc: pc}
+			nodes[i] = &scanNode{e: e, si: i, filters: filters, sargs: sargs, pc: pc}
 		}
 		if e.stats != nil {
 			nodes[i] = &statNode{inner: nodes[i], st: &e.stats.nodes[i]}
@@ -154,13 +160,17 @@ func passFilters(e *env, filters []sqlparser.Expr) (bool, error) {
 }
 
 // scanNode is a sequential scan: over the storage's cursor for base
-// tables, or over materialized rows for views. Filters run on the
-// cursor's borrowed row; a row that passes is published as a clone, so
-// every row a node leaves in e.current is the statement's to keep.
+// tables, or over materialized rows for views. The cursor is opened with
+// the level's sargs, so a paged storage decodes only the rows that
+// satisfy them; filters (every conjunct, the sarg'd ones included) run on
+// the cursor's borrowed row, and a row that passes is published as a
+// clone, so every row a node leaves in e.current is the statement's to
+// keep.
 type scanNode struct {
 	e       *env
 	si      int
 	filters []sqlparser.Expr
+	sargs   []storage.Sarg
 	pc      *storage.PageCounters
 	it      Cursor
 	pos     int
@@ -169,7 +179,7 @@ type scanNode struct {
 func (n *scanNode) reset() error {
 	if src := n.e.sources[n.si]; src.tbl != nil {
 		if n.it == nil {
-			n.it = src.tbl.Scan(n.pc)
+			n.it = src.tbl.Scan(n.pc, n.sargs)
 		} else {
 			n.it.Reset()
 		}
@@ -218,13 +228,14 @@ type hashNode struct {
 	si      int
 	h       *hashJoin
 	filters []sqlparser.Expr
+	sargs   []storage.Sarg // for the build scan
 	pc      *storage.PageCounters
 	bucket  []schema.Row
 	pos     int
 }
 
 func (n *hashNode) reset() error {
-	if err := n.h.build(n.e, n.si, n.pc); err != nil {
+	if err := n.h.build(n.e, n.si, n.pc, n.sargs); err != nil {
 		return err
 	}
 	key, err := evalExpr(n.e, n.h.probeExpr)

@@ -130,3 +130,54 @@ func TestProbeSeesUncommittedWrites(t *testing.T) {
 		t.Fatalf("deleted key still probes: %+v", res.Rows)
 	}
 }
+
+// TestExplainShowsSargs runs the paper's decomposed subquery: the scan
+// of flights hands "rate < 110" to the storage as a sarg and keeps it as
+// a filter, and a hash-join level shows the sargs of its build scan.
+// Under ANALYZE a level's rows and pages mean what they meant without
+// sargs: the same query with the conjunct written so that it cannot be
+// a sarg reports the same counts.
+func TestExplainShowsSargs(t *testing.T) {
+	s := keyedStore(t)
+	tx := s.Begin()
+	defer tx.Rollback()
+	lvls := levelOps(t, tx, `SELECT owner FROM flights f, seats s WHERE s.snu = f.flnu AND f.rate < 110`)
+	if got, want := lvls[0].Op+" "+lvls[0].Detail, "scan f sarg(rate < 110) filter(f.rate < 110)"; got != want {
+		t.Errorf("level 0 = %q, want %q", got, want)
+	}
+	if lvls[1].Op != "index-probe" || strings.Contains(lvls[1].Detail, "sarg(") {
+		t.Errorf("level 1 = %s %q, want an index probe without sargs", lvls[1].Op, lvls[1].Detail)
+	}
+	lvls = levelOps(t, tx, `SELECT f.flnu, c.seatnu FROM flights f, f838 c WHERE c.seatnu = f.flnu - 99 AND 'FREE' = c.seatstatus`)
+	if got, want := lvls[1].Op+" "+lvls[1].Detail,
+		"hash-join c build(c.seatnu) probe(f.flnu - 99) sarg(seatstatus = 'FREE') filter(c.seatnu = f.flnu - 99 AND 'FREE' = c.seatstatus)"; got != want {
+		t.Errorf("level 1 = %q, want %q", got, want)
+	}
+
+	analyze := func(q string) []*obs.PlanNode {
+		t.Helper()
+		res, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", "EXPLAIN ANALYZE "+q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Plan.Children
+	}
+	for _, pair := range [][2]string{
+		{`SELECT owner FROM flights f, seats s WHERE s.snu = f.flnu AND f.rate < 110`,
+			`SELECT owner FROM flights f, seats s WHERE s.snu = f.flnu AND f.rate + 0 < 110`},
+		{`SELECT f.flnu, c.seatnu FROM flights f, f838 c WHERE c.seatnu = f.flnu - 99 AND 'FREE' = c.seatstatus`,
+			`SELECT f.flnu, c.seatnu FROM flights f, f838 c WHERE c.seatnu = f.flnu - 99 AND ('FREE' = c.seatstatus OR 1 = 0)`},
+	} {
+		with, without := analyze(pair[0]), analyze(pair[1])
+		if !strings.Contains(with[0].Detail+with[1].Detail, "sarg(") || strings.Contains(without[0].Detail+without[1].Detail, "sarg(") {
+			t.Fatalf("sarg placement: %q %q / %q %q", with[0].Detail, with[1].Detail, without[0].Detail, without[1].Detail)
+		}
+		for i := range with {
+			w, o := with[i], without[i]
+			if w.Rows != o.Rows || w.Loops != o.Loops || w.PageHits+w.PageMisses != o.PageHits+o.PageMisses {
+				t.Errorf("%s level %d: rows/loops/pages %d/%d/%d with sargs, %d/%d/%d without",
+					pair[0], i, w.Rows, w.Loops, w.PageHits+w.PageMisses, o.Rows, o.Loops, o.PageHits+o.PageMisses)
+			}
+		}
+	}
+}

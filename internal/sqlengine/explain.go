@@ -60,7 +60,8 @@ func (ec *explainCtx) describe(e *env, sel *sqlparser.SelectStmt, plan *joinPlan
 }
 
 // describeLevels adds one child per loop level under parent, naming the
-// access path the plan chose for it and the filters pushed down to it.
+// access path the plan chose for it, the search arguments its scan or
+// hash-join build hands the storage, and the filters pushed down to it.
 func (ec *explainCtx) describeLevels(parent *obs.PlanNode, e *env, plan *joinPlan) {
 	ec.levels = make([]*obs.PlanNode, len(e.sources))
 	for i, src := range e.sources {
@@ -84,6 +85,13 @@ func (ec *explainCtx) describeLevels(parent *obs.PlanNode, e *env, plan *joinPla
 			if src.tbl == nil {
 				ln.Detail += " [materialized]"
 			}
+		}
+		if ss := plan.sargs[i]; len(ss) > 0 && plan.probe[i] == nil {
+			var parts []string
+			for _, s := range ss {
+				parts = append(parts, fmt.Sprintf("%s %s %s", src.cols[s.Col].Name, s.Op, s.Val.SQL()))
+			}
+			ln.Detail += " sarg(" + strings.Join(parts, " AND ") + ")"
 		}
 		if fs := plan.level[i]; len(fs) > 0 {
 			var parts []string

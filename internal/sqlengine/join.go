@@ -7,13 +7,15 @@ import (
 )
 
 // joinPlan distributes WHERE conjuncts over the join's loop levels and
-// records hash-join and index-probe opportunities. Conjuncts that cannot
-// be classified safely (subqueries, unresolvable references) stay at the
-// last level, where every source is bound.
+// records hash-join and index-probe opportunities and each level's
+// search arguments. Conjuncts that cannot be classified safely
+// (subqueries, unresolvable references) stay at the last level, where
+// every source is bound.
 type joinPlan struct {
 	level map[int][]sqlparser.Expr
 	hash  map[int]*hashJoin
 	probe map[int]*indexProbe
+	sargs map[int][]storage.Sarg
 }
 
 // indexProbe answers a loop level with one primary-key lookup instead of
@@ -39,9 +41,11 @@ type hashJoin struct {
 // build populates the hash table once, pulling base tables through their
 // storage cursor and materialized sources from their row slice. A
 // cursor's rows are borrowed until its next Next, so the build clones
-// every row it keeps. Page traffic is recorded on pc (nil-safe) so an
-// EXPLAIN ANALYZE attributes the build scan to the hash-join operator.
-func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
+// every row it keeps. The cursor gets the level's sargs, which can only
+// leave out rows the level's filters reject at probe time. Page traffic
+// is recorded on pc (nil-safe) so an EXPLAIN ANALYZE attributes the
+// build scan to the hash-join operator.
+func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters, sargs []storage.Sarg) error {
 	if h.table != nil {
 		return nil
 	}
@@ -65,7 +69,7 @@ func (h *hashJoin) build(e *env, i int, pc *storage.PageCounters) error {
 		return nil
 	}
 	if src.tbl != nil {
-		it := src.tbl.Scan(pc)
+		it := src.tbl.Scan(pc, sargs)
 		for {
 			_, row, ok := it.Next()
 			if !ok {
@@ -131,7 +135,62 @@ func planJoin(e *env, where sqlparser.Expr) *joinPlan {
 		plan.level[lvl] = append(plan.level[lvl], c)
 	}
 	planProbes(e, plan, conjuncts)
+	planSargs(e, plan)
 	return plan
+}
+
+// sargOps maps the comparisons a search argument can make.
+var sargOps = map[string]storage.CmpOp{
+	"=": storage.OpEq, "<>": storage.OpNe,
+	"<": storage.OpLt, "<=": storage.OpLe,
+	">": storage.OpGt, ">=": storage.OpGe,
+}
+
+// planSargs hands each base-table level the conjuncts of its own filter
+// list that compare one of its columns with a literal, as search
+// arguments for the storage cursor. The conjuncts stay in plan.level:
+// the storage may ignore a sarg, and one it honours can only skip rows
+// the filter would reject, so a sarg is purely an access path.
+func planSargs(e *env, plan *joinPlan) {
+	for lvl, src := range e.sources {
+		if src.tbl == nil {
+			continue // a materialized view has no tuples to check
+		}
+		for _, c := range plan.level[lvl] {
+			if s, ok := sargOf(e, c, lvl); ok {
+				if plan.sargs == nil {
+					plan.sargs = make(map[int][]storage.Sarg)
+				}
+				plan.sargs[lvl] = append(plan.sargs[lvl], s)
+			}
+		}
+	}
+}
+
+// sargOf turns a conjunct "col op literal" or "literal op col", where
+// col is a column of source si and op one of = <> < <= > >=, into a
+// search argument on that column. "literal op col" is stored with the
+// operands swapped, which sqlval.Compare's symmetry makes equivalent.
+func sargOf(e *env, c sqlparser.Expr, si int) (storage.Sarg, bool) {
+	b, ok := c.(*sqlparser.BinaryExpr)
+	if !ok {
+		return storage.Sarg{}, false
+	}
+	op, ok := sargOps[b.Op]
+	if !ok {
+		return storage.Sarg{}, false
+	}
+	if lit, ok := b.R.(*sqlparser.Literal); ok {
+		if ci, ok := colRefAt(e, b.L, si); ok {
+			return storage.Sarg{Col: ci, Op: op, Val: lit.Val}, true
+		}
+	}
+	if lit, ok := b.L.(*sqlparser.Literal); ok {
+		if ci, ok := colRefAt(e, b.R, si); ok {
+			return storage.Sarg{Col: ci, Op: op.Flip(), Val: lit.Val}, true
+		}
+	}
+	return storage.Sarg{}, false
 }
 
 // planProbes upgrades loop levels to primary-key index probes. A level
@@ -191,11 +250,11 @@ func colRefAt(e *env, x sqlparser.Expr, si int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	idx, _, err := e.resolve(cr)
-	if err != nil || idx/1000 != si {
+	at, _, err := e.resolve(cr)
+	if err != nil || at.src != si {
 		return 0, false
 	}
-	return idx % 1000, true
+	return at.col, true
 }
 
 func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
@@ -217,12 +276,12 @@ func exprSources(e *env, x sqlparser.Expr) (uint64, bool) {
 	walkShallow(x, func(n sqlparser.Expr) {
 		switch v := n.(type) {
 		case sqlparser.ColRef:
-			idx, _, err := e.resolve(v)
+			at, _, err := e.resolve(v)
 			if err != nil {
 				pure = false
 				return
 			}
-			mask |= 1 << uint(idx/1000)
+			mask |= 1 << uint(at.src)
 		case *sqlparser.SubqueryExpr:
 			pure = false
 		case *sqlparser.InExpr:

@@ -399,26 +399,29 @@ func (e *env) findSource(qual string) *boundSource {
 	return nil
 }
 
+// colAddr addresses one column of an env: column col of source src.
+type colAddr struct{ src, col int }
+
 // resolve finds the source and column for a reference.
-func (e *env) resolve(cr sqlparser.ColRef) (int, schema.Column, error) {
+func (e *env) resolve(cr sqlparser.ColRef) (colAddr, schema.Column, error) {
 	switch len(cr.Parts) {
 	case 1:
 		name := cr.Parts[0]
-		foundSrc, foundCol := -1, -1
+		found := colAddr{-1, -1}
 		for si, s := range e.sources {
 			for ci, c := range s.cols {
 				if c.Name == name {
-					if foundSrc >= 0 {
-						return 0, schema.Column{}, fmt.Errorf("%w: %s", ErrAmbiguousColumn, name)
+					if found.src >= 0 {
+						return colAddr{}, schema.Column{}, fmt.Errorf("%w: %s", ErrAmbiguousColumn, name)
 					}
-					foundSrc, foundCol = si, ci
+					found = colAddr{si, ci}
 				}
 			}
 		}
-		if foundSrc < 0 {
-			return 0, schema.Column{}, fmt.Errorf("%w: %s", ErrUnknownColumn, name)
+		if found.src < 0 {
+			return colAddr{}, schema.Column{}, fmt.Errorf("%w: %s", ErrUnknownColumn, name)
 		}
-		return foundSrc*1000 + foundCol, e.sources[foundSrc].cols[foundCol], nil
+		return found, e.sources[found.src].cols[found.col], nil
 	case 2:
 		qual, name := cr.Parts[0], cr.Parts[1]
 		for si, s := range e.sources {
@@ -427,12 +430,12 @@ func (e *env) resolve(cr sqlparser.ColRef) (int, schema.Column, error) {
 			}
 			for ci, c := range s.cols {
 				if c.Name == name {
-					return si*1000 + ci, c, nil
+					return colAddr{si, ci}, c, nil
 				}
 			}
-			return 0, schema.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
+			return colAddr{}, schema.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
 		}
-		return 0, schema.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
+		return colAddr{}, schema.Column{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, qual, name)
 	default:
 		// db.table.column: match on the trailing two components.
 		return e.resolve(sqlparser.ColRef{Parts: cr.Parts[len(cr.Parts)-2:], Optional: cr.Optional})
@@ -442,14 +445,13 @@ func (e *env) resolve(cr sqlparser.ColRef) (int, schema.Column, error) {
 // lookup returns the current value of a reference, consulting parent
 // environments for correlated subqueries.
 func (e *env) lookup(cr sqlparser.ColRef) (sqlval.Value, error) {
-	idx, _, err := e.resolve(cr)
+	at, _, err := e.resolve(cr)
 	if err == nil {
-		si, ci := idx/1000, idx%1000
-		row := e.current[si]
+		row := e.current[at.src]
 		if row == nil {
 			return sqlval.Null(), nil
 		}
-		return row[ci], nil
+		return row[at.col], nil
 	}
 	if e.parent != nil {
 		if v, perr := e.parent.lookup(cr); perr == nil {

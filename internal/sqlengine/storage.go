@@ -25,6 +25,9 @@ import (
 //     valid until the statement ends, whatever the statement writes in
 //     the meantime. Rows handed out are read-only, and a cursor's row
 //     is valid only until its next Next or Reset.
+//   - Search arguments passed to Scan are advisory. A storage may skip
+//     the rows that fail them or ignore them and return every row: the
+//     executor re-applies every conjunct a sarg came from as a filter.
 type Storage interface {
 	TableForRead(db, table string) (Table, error)
 	TableForWrite(db, table string) (Table, error)
@@ -53,8 +56,10 @@ type Table interface {
 	Columns() []schema.Column
 	// Scan opens a cursor positioned before the first row. Page traffic
 	// is recorded on pc, which may be nil; engines without pages ignore
-	// it.
-	Scan(pc *storage.PageCounters) Cursor
+	// it. sargs are the level's "column op constant" conjuncts: the
+	// cursor may leave out rows that fail any of them (relstore checks
+	// them on the tuple bytes before decoding), or ignore them.
+	Scan(pc *storage.PageCounters, sargs []storage.Sarg) Cursor
 	// Err returns the first storage fault a cursor or probe of this
 	// table hit; a cursor that faults simply ends.
 	Err() error

@@ -34,6 +34,9 @@
 //	             sorts by. DecodeRowInto appends a tuple's values to a
 //	             caller's buffer, so a scan decodes a page's rows into one
 //	             slice it reuses; DecodeRow allocates a row of its own.
+//	Sarg       — a search argument, "column op constant": MatchSargs
+//	             judges an encoded tuple against a scan's sargs without
+//	             decoding it, so a scan decodes only the tuples that pass.
 //
 // Durability model: pages are written back on eviction and on
 // Checkpoint; there is no page-level redo log. A store that uses

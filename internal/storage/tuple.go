@@ -78,7 +78,8 @@ func DecodeRow(b []byte) ([]sqlval.Value, error) {
 // appending its values to dst and returning the extended slice, so a
 // caller decoding many tuples can reuse one buffer. String values are
 // copied out of b, so the result never aliases it. On error dst is
-// returned at its original length.
+// returned at its original length. MatchSargs walks tuples the same way
+// and must fail on exactly the tuples this rejects, with the same error.
 func DecodeRowInto(dst []sqlval.Value, b []byte) ([]sqlval.Value, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > uint64(len(b)) {
