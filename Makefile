@@ -12,9 +12,9 @@ bench:
 	go test -run '^$$' -bench . -benchmem ./internal/...
 
 # Full verification: static analysis, the layering guard (only the code
-# that builds a relstore engine imports it), and the whole test suite
-# under the race detector (the fault-injection tests are
-# concurrency-heavy).
+# that builds a relstore engine imports it, only wire imports gob), and
+# the whole test suite under the race detector (the fault-injection
+# tests are concurrency-heavy).
 check:
 	go vet ./...
 	sh scripts/check-layering.sh

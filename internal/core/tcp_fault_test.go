@@ -345,12 +345,16 @@ func TestHangUpDuringVoteOrDecisionLeavesNothingInDoubt(t *testing.T) {
 				}
 				return n
 			}
-			before := served()
+			before, readsBefore := served(), proxy.ClientReads()
+			// The hang-up waits for united's request to be in the proxy's
+			// hands as well: a cancel before it is written would fail the
+			// open instead of cutting a request short.
+			held := func() bool { return served()-before >= tc.cut && proxy.ClientReads() > readsBefore }
 			proxy.SetDelay(100 * time.Millisecond)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			go func() {
-				for deadline := time.Now().Add(10 * time.Second); served()-before < tc.cut && ctx.Err() == nil && time.Now().Before(deadline); {
+				for deadline := time.Now().Add(10 * time.Second); !held() && ctx.Err() == nil && time.Now().Before(deadline); {
 					time.Sleep(time.Millisecond)
 				}
 				proxy.SetDelay(0)

@@ -671,13 +671,13 @@ func (r *run) decide(names []string, deliver func(name string) error) {
 
 // unanswered reports whether a decision sent to a prepared participant
 // failed without an answer from its server: lost in transport, refused
-// by a connection an earlier call retired (lam.ErrConnBroken), or cut
+// by a connection an earlier call retired (wire.ErrConnBroken), or cut
 // short by the caller's cancellation. The participant may still be
 // prepared, so only an error the server answered is definite; anything
 // else leaves the task in doubt for the recovery loop, which delivers
 // the decision on a context of its own.
 func unanswered(err error) bool {
-	return wire.Transient(err) || errors.Is(err, lam.ErrConnBroken) || errors.Is(err, context.Canceled)
+	return wire.Transient(err) || errors.Is(err, wire.ErrConnBroken) || errors.Is(err, context.Canceled)
 }
 
 // commitTask commits a prepared task. Committing an already committed

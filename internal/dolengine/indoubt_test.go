@@ -379,7 +379,7 @@ CLOSE c1;
 DOLEND
 `
 	for _, decideErr := range []error{
-		&lam.OpError{Service: "fake", Addr: "10.0.0.5:9001", Op: wire.ReqCommit, Err: lam.ErrConnBroken},
+		&lam.OpError{Service: "fake", Addr: "10.0.0.5:9001", Op: wire.ReqCommit, Err: wire.ErrConnBroken},
 		context.Canceled,
 	} {
 		for _, commit := range []bool{true, false} {

@@ -71,10 +71,10 @@ func TestCallTimeoutOnBlackholedConnection(t *testing.T) {
 	}
 
 	// The torn stream poisons the connection: later calls fail fast with
-	// ErrConnBroken rather than hanging.
+	// wire.ErrConnBroken rather than hanging.
 	p.SetBlackhole(false)
-	if _, err := sess.Exec(bg, "SELECT 1"); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("call on poisoned connection = %v, want ErrConnBroken", err)
+	if _, err := sess.Exec(bg, "SELECT 1"); !errors.Is(err, wire.ErrConnBroken) {
+		t.Fatalf("call on poisoned connection = %v, want wire.ErrConnBroken", err)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestControlPlaneRetriesAfterSever(t *testing.T) {
 	if _, err := c.Profile(bg); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the base connection; the next control call must transparently
+	// Kill the pooled connection; the next control call must transparently
 	// redial and succeed (profile reads are idempotent).
 	p.Sever()
 	profile, err := c.Profile(bg)
@@ -230,8 +230,8 @@ func TestLoadIsNotRetried(t *testing.T) {
 		t.Fatalf("%d retries after the failed load, want none", got)
 	}
 	// The connection is poisoned, not redialled.
-	if _, err := sess.Load(bg, "flight", fidelityRows()[1:]); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("second load = %v, want ErrConnBroken", err)
+	if _, err := sess.Load(bg, "flight", fidelityRows()[1:]); !errors.Is(err, wire.ErrConnBroken) {
+		t.Fatalf("second load = %v, want wire.ErrConnBroken", err)
 	}
 	if st := ts.srv.Stats(); st.Loads != 1 {
 		t.Fatalf("server saw %d loads, want the 1 from before the sever", st.Loads)
@@ -502,10 +502,8 @@ func TestResolveBeforeOwnerHandlerExits(t *testing.T) {
 	// is parked and the recorded outcome stands.
 	sess.(*remoteSession).conn.close()
 	deadline := time.Now().Add(5 * time.Second)
-	for open := 2; open > 1; { // down to c's base connection
-		ts.mu.Lock()
-		open = len(ts.conns)
-		ts.mu.Unlock()
+	for open := 1; open > 0; { // c pools no other connection
+		open = ts.Conns()
 		if time.Now().After(deadline) {
 			t.Fatalf("%d connections still served", open)
 		}
@@ -575,7 +573,7 @@ func TestResolveSeveredBetweenAttachAndDecision(t *testing.T) {
 	}
 	cut := &severAfterReply{Conn: raw}
 	// The idle pool is where Resolve takes its connection from first.
-	c.putIdle(&rpcConn{sem: make(chan struct{}, 1), conn: cut, enc: gob.NewEncoder(cut), dec: gob.NewDecoder(cut), addr: p.Addr()})
+	c.putIdle(&rpcConn{sem: make(chan struct{}, 1), conn: wire.NewConn(cut), r: c})
 
 	if st, err := c.Resolve(bg, id, true); err == nil {
 		t.Fatalf("resolve over a connection severed after the attach = %v, want an error", st)
@@ -802,9 +800,7 @@ func waitNoConns(t *testing.T, ts *TCPServer) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ts.mu.Lock()
-		n := len(ts.conns)
-		ts.mu.Unlock()
+		n := ts.Conns()
 		if n == 0 {
 			return
 		}

@@ -1,13 +1,14 @@
 // Package lam implements the Local Access Managers of the paper's
 // architecture (Figure 1): the components that give the DOL engine
 // transparent access to heterogeneous local DBMSs. A LAM serves one
-// local DBMS over gob-over-TCP (TCPServer), and the DOL engine reaches
-// it through the Client/Session interface (Remote), whether the DBMS
-// runs on another host or in the coordinator's own process on a
+// local DBMS over the wire protocol (TCPServer, a per-connection handler
+// on wire.Serve), and the DOL engine reaches it through the
+// Client/Session interface (Remote, a pool of wire.Conns), whether the
+// DBMS runs on another host or in the coordinator's own process on a
 // loopback port: there is one access path, so the retry taxonomy,
 // session piggy-backing and the in-doubt protocol run for every site.
 //
-// Every operation takes a context.Context: the remote transport turns the
+// Every operation takes a context.Context: wire.Conn.Call turns the
 // context deadline (capped by the dial options' per-call timeout) into
 // net.Conn deadlines, so a partitioned or black-holed LAM fails the call
 // within a bounded time instead of hanging the evaluation plan.

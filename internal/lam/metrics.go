@@ -19,7 +19,7 @@ var (
 		"Control-plane retries after transient failures, per site.",
 		"site")
 	mPoolReuse = obs.Default().CounterVec("msql_site_conn_reuse_total",
-		"Session first requests and resolves sent on a pooled connection that passed the peer-close check instead of a fresh dial, per site.",
+		"Session first requests, resolves and control calls sent on a pooled connection that passed the peer-close check instead of a fresh dial, per site.",
 		"site")
 	mBreakerTransitions = obs.Default().CounterVec("msql_breaker_transitions_total",
 		"Circuit-breaker state transitions per service, labeled by the state entered.",

@@ -2,11 +2,8 @@ package lam
 
 import (
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,10 +58,6 @@ func EndingFrom(ctx context.Context) wire.ReqKind {
 	end, _ := ctx.Value(endingKey{}).(wire.ReqKind)
 	return end
 }
-
-// ErrConnBroken marks calls issued on a connection already poisoned by an
-// earlier transport failure (a torn gob stream cannot be resynchronized).
-var ErrConnBroken = errors.New("lam: connection broken by earlier failure")
 
 // OpError wraps a transport-level failure with the peer address, the
 // operation kind, and the session it concerned, so a severed connection
@@ -153,19 +146,19 @@ type DialOptions struct {
 	// DialTimeout bounds TCP connection establishment (default 5s).
 	DialTimeout time.Duration
 	// Retry is the transient-failure policy for control-plane calls
-	// (profile, describe, list, in-doubt, forget) and for dialing the
-	// connection a session's first request goes out on. That request,
+	// (hello, profile, describe, list, in-doubt, forget) and for dialing
+	// the connection a session's first request goes out on. That request,
 	// which also opens the session, is not retried once written. Zero
 	// value means DefaultRetry.
 	Retry RetryPolicy
 }
 
-// maxIdleConns caps the idle session connections a Remote keeps for
-// reuse by later sessions. Pooling amortizes the TCP+gob handshake under
-// session churn; a connection is only returned to the pool when its
-// session's close leaves it healthy, so a conn that ever carried a
-// transport failure — whose server-side state is unknowable — is
-// discarded, preserving the conn-death ⇒ in-doubt 2PC semantics.
+// maxIdleConns caps the idle connections a Remote keeps for reuse by
+// later sessions and control calls. Pooling amortizes the TCP+gob
+// handshake under session churn; a connection is only returned to the
+// pool when it is healthy, so a conn that ever carried a transport
+// failure — whose server-side state is unknowable — is discarded,
+// preserving the conn-death ⇒ in-doubt 2PC semantics.
 const maxIdleConns = 4
 
 func (o DialOptions) withDefaults() DialOptions {
@@ -178,40 +171,30 @@ func (o DialOptions) withDefaults() DialOptions {
 	return o
 }
 
-// Remote is the TCP transport client. Control operations share one base
-// connection (redialed transparently after transient failures); every
-// session gets its own connection so that parallel tasks in an evaluation
-// plan do not serialize on a socket.
+// Remote is the TCP transport client. Every session gets its own
+// connection, so that parallel tasks in an evaluation plan do not
+// serialize on a socket; a control call borrows one for its exchange.
+// Both take an idle pooled connection before they dial.
 type Remote struct {
 	addr    string
 	service string
 	opts    DialOptions
 
-	// base is guarded by the rpcConn's own lock plus this one for swap.
-	baseMu struct {
-		ch chan *rpcConn // 1-buffered slot; nil element = needs redial
-	}
-
-	// pool holds idle session connections for reuse by later sessions.
+	// pool holds idle connections for reuse.
 	poolMu     sync.Mutex
 	idle       []*rpcConn
 	poolClosed bool
 }
 
-// rpcConn is one gob request/response channel. The 1-buffered semaphore
-// serializes request/response exchanges — the stream carries one call at
-// a time — while letting a caller whose context dies while waiting give
-// up immediately instead of sitting behind a hung call for the peer's
-// full timeout (a mutex would pin it there).
+// rpcConn is a Remote's wire connection. The 1-buffered semaphore
+// serializes request/response exchanges — the stream carries one call
+// at a time — while letting a caller whose context dies while waiting
+// give up immediately instead of sitting behind a hung call for the
+// peer's full timeout (a mutex would pin it there).
 type rpcConn struct {
-	sem     chan struct{}
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	addr    string
-	service string
-	timeout time.Duration
-	broken  error // guarded by sem
+	sem  chan struct{}
+	conn *wire.Conn
+	r    *Remote // for the site's address, name and call timeout
 	// parked is a clean session close the connection's next request
 	// carries (wire.Request.CloseFirst). Set while the connection is
 	// idle, cleared by the exchange that sends it.
@@ -222,22 +205,6 @@ type rpcConn struct {
 	next int64
 }
 
-func dialConn(ctx context.Context, addr string, opts DialOptions) (*rpcConn, error) {
-	d := net.Dialer{Timeout: opts.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &rpcConn{
-		sem:     make(chan struct{}, 1),
-		conn:    conn,
-		enc:     gob.NewEncoder(conn),
-		dec:     gob.NewDecoder(conn),
-		addr:    addr,
-		timeout: opts.CallTimeout,
-	}, nil
-}
-
 // call issues one request/response exchange, recording the round trip as
 // a per-site latency observation and — when the context carries a trace —
 // as a call span whose id propagates to the server in the request, so
@@ -246,7 +213,7 @@ func (c *rpcConn) call(ctx context.Context, req *wire.Request) (*wire.Response, 
 	op := req.Op()
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		sp := tr.StartSpan("call:"+op, obs.KindCall, obs.SpanFrom(ctx))
-		sp.SetAttr("site", c.addr)
+		sp.SetAttr("site", c.r.addr)
 		req.TraceID = tr.ID()
 		req.ParentSpan = uint64(sp.ID())
 		start := time.Now()
@@ -267,18 +234,16 @@ func (c *rpcConn) call(ctx context.Context, req *wire.Request) (*wire.Response, 
 // noteCall records the latency and transient-failure metrics of one
 // exchange.
 func (c *rpcConn) noteCall(op string, start time.Time, err error) {
-	mCallLatency.With(c.addr, op).ObserveSince(start)
+	mCallLatency.With(c.r.addr, op).ObserveSince(start)
 	if err != nil && wire.Transient(err) {
-		mTransientErrs.With(c.addr, op).Inc()
+		mTransientErrs.With(c.r.addr, op).Inc()
 	}
 }
 
-// exchange performs the raw request/response round trip. The connection
-// deadline is the earlier of the context deadline and the per-call
-// timeout; a transport failure (timeout, severed connection, torn
-// stream) poisons the connection and is wrapped in *OpError. An error
-// the server answered with is definite: it is returned as-is, together
-// with the response carrying it.
+// exchange performs one wire.Conn.Call under the semaphore, carrying a
+// parked close. A transport failure is wrapped in *OpError. An error the
+// server answered with is definite: it is returned as-is, together with
+// the response carrying it.
 func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	select {
 	case c.sem <- struct{}{}:
@@ -288,54 +253,20 @@ func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Respon
 		return nil, ctx.Err()
 	}
 	defer func() { <-c.sem }()
-	if c.broken != nil {
-		return nil, &OpError{Service: c.service, Addr: c.addr, Op: req.Kind, Session: req.SessionID,
-			Err: fmt.Errorf("%w: %v", ErrConnBroken, c.broken)}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	deadline := time.Time{}
-	if c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	_ = c.conn.SetDeadline(deadline)
-	// Cancellation cuts the blocking write or read short with a past
-	// deadline. A callback that has started by the time the exchange
-	// ends may still set it at any later moment, under the connection's
-	// next call, so that connection is retired.
-	stop := context.AfterFunc(ctx, func() { _ = c.conn.SetDeadline(time.Unix(1, 0)) })
 	if c.parked != 0 {
 		req.CloseFirst, c.parked = c.parked, 0
 	}
-	var resp wire.Response
-	err := c.enc.Encode(req)
-	if err == nil {
-		err = c.dec.Decode(&resp)
-	}
-	if !stop() && err == nil {
-		c.broken = fmt.Errorf("call canceled as its reply arrived: %w", context.Cause(ctx))
-	}
+	resp, err := c.conn.Call(ctx, req, c.r.opts.CallTimeout)
 	if err != nil {
-		c.broken = err
-		_ = c.conn.Close()
-		// Both errors stay visible to errors.Is: the written request's
-		// outcome is unknown whether or not the caller gave up on it, so
-		// wire.Transient must still see the transport failure.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			err = fmt.Errorf("%w (%w)", ctxErr, err)
-		} else if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-			// The conn deadline derived from the context fired before the
-			// context's own timer did; report the caller's deadline anyway.
-			err = fmt.Errorf("%w (%w)", context.DeadlineExceeded, err)
+		if c.conn.Healthy() {
+			// ctx was done before anything was sent: the close stays
+			// parked, and the caller gets ctx's error as it is.
+			c.parked = req.CloseFirst
+			return nil, err
 		}
-		return nil, &OpError{Service: c.service, Addr: c.addr, Op: req.Kind, Session: req.SessionID, Err: err}
+		return nil, &OpError{Service: c.r.service, Addr: c.r.addr, Op: req.Kind, Session: req.SessionID, Err: err}
 	}
-	_ = c.conn.SetDeadline(time.Time{})
-	return &resp, resp.Err()
+	return resp, resp.Err()
 }
 
 func (c *rpcConn) close() error { return c.conn.Close() }
@@ -346,7 +277,7 @@ func (c *rpcConn) close() error { return c.conn.Close() }
 func (c *rpcConn) idleAndHealthy() bool {
 	select {
 	case c.sem <- struct{}{}:
-		ok := c.broken == nil
+		ok := c.conn.Healthy()
 		<-c.sem
 		return ok
 	default:
@@ -363,8 +294,6 @@ func Dial(addr string) (*Remote, error) {
 // options.
 func DialWith(ctx context.Context, addr string, opts DialOptions) (*Remote, error) {
 	r := &Remote{addr: addr, opts: opts.withDefaults()}
-	r.baseMu.ch = make(chan *rpcConn, 1)
-	r.baseMu.ch <- nil
 	resp, err := r.control(ctx, &wire.Request{Kind: wire.ReqHello})
 	if err != nil {
 		return nil, err
@@ -373,43 +302,17 @@ func DialWith(ctx context.Context, addr string, opts DialOptions) (*Remote, erro
 	return r, nil
 }
 
-// acquireBase takes the base connection slot, redialing when it is absent
-// or poisoned.
-func (r *Remote) acquireBase(ctx context.Context) (*rpcConn, error) {
-	var c *rpcConn
-	select {
-	case c = <-r.baseMu.ch:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if c != nil && c.broken == nil {
-		return c, nil
-	}
-	if c != nil {
-		c.close()
-	}
-	nc, err := dialConn(ctx, r.addr, r.opts)
-	if err != nil {
-		r.baseMu.ch <- nil
-		return nil, err
-	}
-	nc.service = r.service
-	return nc, nil
-}
-
-func (r *Remote) releaseBase(c *rpcConn) { r.baseMu.ch <- c }
-
-// control runs one control-plane request on the base connection, retrying
-// transient failures (with redial) under the retry policy.
+// control runs one control-plane request on a connection of the pool's
+// (see take), retrying transient failures under the retry policy.
 func (r *Remote) control(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	var resp *wire.Response
 	err := r.retrying(ctx, func() error {
-		c, err := r.acquireBase(ctx)
+		c, err := r.take(ctx)
 		if err != nil {
 			return err
 		}
 		resp, err = c.call(ctx, req)
-		r.releaseBase(c)
+		r.putIdle(c)
 		return err
 	})
 	return resp, err
@@ -461,29 +364,37 @@ func (r *Remote) newSession(db string, conn *rpcConn, id int64) *remoteSession {
 }
 
 // sessionConn finds the connection a session's first request goes out
-// on: the newest pooled one whose peer has not closed it, else a fresh
-// dial. Only the dial is retried under the policy, since nothing has
-// been sent; a pooled connection found closed costs no attempt. op names
-// the request in a dial failure.
+// on (see take). Only the dial is retried under the policy, since
+// nothing has been sent; a pooled connection found closed costs no
+// attempt. op names the request in a dial failure.
 func (r *Remote) sessionConn(ctx context.Context, op wire.ReqKind) (*rpcConn, error) {
-	for c := r.popIdle(); c != nil; c = r.popIdle() {
-		if peerOpen(c.conn) {
-			mPoolReuse.With(r.addr).Inc()
-			return c, nil
-		}
-		c.close()
-	}
 	var c *rpcConn
 	err := r.retrying(ctx, func() error {
 		var err error
-		c, err = dialConn(ctx, r.addr, r.opts)
+		c, err = r.take(ctx)
 		return err
 	})
 	if err != nil {
 		return nil, &OpError{Service: r.service, Addr: r.addr, Op: op, Err: err}
 	}
-	c.service = r.service
 	return c, nil
+}
+
+// take returns the newest pooled connection whose peer has not closed
+// it, else a fresh dial.
+func (r *Remote) take(ctx context.Context) (*rpcConn, error) {
+	for c := r.popIdle(); c != nil; c = r.popIdle() {
+		if c.conn.PeerOpen() {
+			mPoolReuse.With(r.addr).Inc()
+			return c, nil
+		}
+		c.close()
+	}
+	conn, err := wire.Dial(ctx, r.addr, r.opts.DialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return &rpcConn{sem: make(chan struct{}, 1), conn: conn, r: r}, nil
 }
 
 // popIdle takes an idle pooled connection, newest first (most likely
@@ -499,7 +410,7 @@ func (r *Remote) popIdle() *rpcConn {
 	return nil
 }
 
-// putIdle offers a healthy session connection back to the pool, closing
+// putIdle offers a healthy connection back to the pool, closing
 // it instead when the pool is full or the Remote is closed. Health is
 // judged with a non-blocking probe of the call semaphore: a conn with a
 // call still in flight (someone else may be mid-frame on it) or a
@@ -604,11 +515,6 @@ func (r *Remote) Close() error {
 	r.poolMu.Unlock()
 	for _, c := range idle {
 		c.close()
-	}
-	c := <-r.baseMu.ch
-	r.baseMu.ch <- nil
-	if c != nil {
-		return c.close()
 	}
 	return nil
 }

@@ -1,10 +1,9 @@
 package lam
 
 import (
-	"encoding/gob"
+	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -15,9 +14,9 @@ import (
 )
 
 // TCPServer serves a local DBMS over the wire protocol. Each accepted
-// connection runs its own request loop with its own session table, so one
-// remote client session maps to one connection and parallel tasks do not
-// serialize on a shared socket.
+// connection is a handler of wire.Serve's with its own session table, so
+// one remote client session maps to one connection and parallel tasks do
+// not serialize on a shared socket.
 //
 // Session ids are allocated server-wide, and a session that votes
 // PREPARED enters the server-wide prepared table until it reaches an
@@ -37,15 +36,10 @@ import (
 // acknowledgment (wire.ReqForget) or by TTL, whichever comes first, so
 // neither the map nor the journal grows without bound.
 type TCPServer struct {
-	srv     *ldbms.Server
-	ln      net.Listener
-	journal *mtlog.ParticipantJournal
-	opts    ServeOptions
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	*wire.Server // the connections; ConnErrors also lists journal failures
+	srv          *ldbms.Server
+	journal      *mtlog.ParticipantJournal
+	opts         ServeOptions
 
 	sessMu    sync.Mutex
 	nextID    int64
@@ -59,9 +53,6 @@ type TCPServer struct {
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
-
-	errMu    sync.Mutex
-	connErrs []error // non-benign connection errors (see ConnErrors)
 
 	obsMu  sync.Mutex
 	tracer *obs.Tracer // nil = obs.DefaultTracer
@@ -157,7 +148,6 @@ func ServeWith(addr string, srv *ldbms.Server, opts ServeOptions) (*TCPServer, e
 		srv:       srv,
 		journal:   opts.Journal,
 		opts:      opts.withDefaults(),
-		conns:     make(map[net.Conn]struct{}),
 		prepared:  make(map[int64]*servedSession),
 		tombstone: make(map[int64]tombstone),
 		refused:   make(map[int64]time.Time),
@@ -167,18 +157,18 @@ func ServeWith(addr string, srv *ldbms.Server, opts ServeOptions) (*TCPServer, e
 			return nil, fmt.Errorf("lam: journal replay: %w", err)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	var err error
+	t.Server, err = wire.Serve(addr, func() (wire.Handler, error) {
+		return &connState{t: t, sessions: make(map[int64]*servedSession)}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	t.ln = ln
 	if t.opts.TombstoneTTL > 0 {
 		t.janitorStop = make(chan struct{})
 		t.janitorDone = make(chan struct{})
 		go t.janitor()
 	}
-	t.wg.Add(1)
-	go t.acceptLoop()
 	return t, nil
 }
 
@@ -294,9 +284,6 @@ func (t *TCPServer) janitor() {
 	}
 }
 
-// Addr returns the listen address.
-func (t *TCPServer) Addr() string { return t.ln.Addr().String() }
-
 // Close stops the listener and all connections. Without a journal,
 // in-doubt sessions are rolled back — the shutdown aborts
 // unresolved participants — and their outcome recorded. With a journal
@@ -304,14 +291,7 @@ func (t *TCPServer) Addr() string { return t.ln.Addr().String() }
 // re-materializes them, which is the difference between a crash and an
 // amnesiac restart.
 func (t *TCPServer) Close() error {
-	t.mu.Lock()
-	t.closed = true
-	err := t.ln.Close()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
+	err := t.Server.Close()
 	if t.janitorStop != nil {
 		close(t.janitorStop)
 		<-t.janitorDone
@@ -476,7 +456,7 @@ func (t *TCPServer) recordOutcome(id int64, st ldbms.SessionState) {
 			// tombstone only matters if we crash before the coordinator
 			// acknowledges, and then presumed abort plus the coordinator's
 			// own journal still terminate correctly. Record for operators.
-			t.noteConnErr(fmt.Errorf("lam: journal outcome session %d: %w", id, err))
+			t.Note(fmt.Errorf("lam: journal outcome session %d: %w", id, err))
 		}
 	}
 	t.sessMu.Lock()
@@ -508,7 +488,7 @@ func (t *TCPServer) ack(id int64) {
 		return
 	}
 	if err := t.journal.Append(&mtlog.Record{Type: mtlog.PAck, SessionID: id}); err != nil {
-		t.noteConnErr(fmt.Errorf("lam: journal ack session %d: %w", id, err))
+		t.Note(fmt.Errorf("lam: journal ack session %d: %w", id, err))
 		return
 	}
 	t.sessMu.Lock()
@@ -520,7 +500,7 @@ func (t *TCPServer) ack(id int64) {
 	t.sessMu.Unlock()
 	if compact {
 		if _, err := t.journal.Compact(); err != nil {
-			t.noteConnErr(fmt.Errorf("lam: journal compact: %w", err))
+			t.Note(fmt.Errorf("lam: journal compact: %w", err))
 		}
 	}
 }
@@ -538,110 +518,40 @@ func (t *TCPServer) publishGaugesLocked() {
 	mParked.With(svc).Set(int64(len(t.inDoubtLocked())))
 }
 
-func (t *TCPServer) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.handle(conn)
-	}
-}
-
-// connState is the per-connection session table; its address is the
-// connection's identity as a session owner.
+// connState is the per-connection session table and the connection's
+// handler; its address is the connection's identity as a session owner.
 type connState struct {
+	t        *TCPServer
 	sessions map[int64]*servedSession
 	next     int64 // the id the next session opened here takes (wire.Response.NextSession)
 }
 
-func (t *TCPServer) handle(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-		conn.Close()
-	}()
-
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	cs := &connState{sessions: make(map[int64]*servedSession)}
-	defer func() {
-		for id, ss := range cs.sessions {
-			t.release(id, ss, cs)
-		}
-	}()
-
-	for {
-		var req wire.Request
-		if err := dec.Decode(&req); err != nil {
-			// A client hanging up between requests (EOF, reset, or our own
-			// shutdown closing the socket under the read) is the normal end
-			// of a connection's life, not an error. Only genuinely abnormal
-			// failures — a frame torn mid-message, undecodable bytes — are
-			// recorded.
-			t.noteConnErr(err)
-			return
-		}
-		start := time.Now()
-		resp := t.dispatch(&req, cs)
-		elapsed := time.Since(start)
-		resp.ServerNS = elapsed.Nanoseconds()
-		op := req.Op()
-		mServerRequests.With(op).Inc()
-		mServerLatency.With(op).Observe(elapsed.Seconds())
-		if req.TraceID != "" {
-			// Correlate this server-side span with the coordinator's call
-			// span: same trace id, parented under the client span id that
-			// rode in on the request.
-			t.obsTracer().RecordServerSpan(req.TraceID, "serve:"+op, obs.KindServer,
-				obs.SpanID(req.ParentSpan), start, elapsed, resp.ErrMsg)
-		}
-		if err := enc.Encode(resp); err != nil {
-			t.noteConnErr(err)
-			return
-		}
+// Handle serves one request, timing it for the server metrics and span.
+// The LAM does not yet stop work when ctx ends.
+func (cs *connState) Handle(_ context.Context, req *wire.Request) *wire.Response {
+	t := cs.t
+	start := time.Now()
+	resp := t.dispatch(req, cs)
+	elapsed := time.Since(start)
+	resp.ServerNS = elapsed.Nanoseconds()
+	op := req.Op()
+	mServerRequests.With(op).Inc()
+	mServerLatency.With(op).Observe(elapsed.Seconds())
+	if req.TraceID != "" {
+		// Correlate this server-side span with the coordinator's call
+		// span: same trace id, parented under the client span id that
+		// rode in on the request.
+		t.obsTracer().RecordServerSpan(req.TraceID, "serve:"+op, obs.KindServer,
+			obs.SpanID(req.ParentSpan), start, elapsed, resp.ErrMsg)
 	}
+	return resp
 }
 
-// noteConnErr records a connection-loop failure unless it is a benign
-// close or the race of a clean server shutdown against an in-flight
-// read.
-func (t *TCPServer) noteConnErr(err error) {
-	if wire.BenignClose(err) {
-		return
+// Close releases the connection's sessions when it ends.
+func (cs *connState) Close() {
+	for id, ss := range cs.sessions {
+		cs.t.release(id, ss, cs)
 	}
-	t.mu.Lock()
-	closing := t.closed
-	t.mu.Unlock()
-	if closing {
-		// Shutdown severs client connections mid-frame by design; the
-		// resulting decode errors are expected.
-		return
-	}
-	t.errMu.Lock()
-	t.connErrs = append(t.connErrs, err)
-	t.errMu.Unlock()
-}
-
-// ConnErrors returns the non-benign connection-loop errors seen so far
-// (for tests and operational monitoring). Ordinary disconnects never
-// appear here.
-func (t *TCPServer) ConnErrors() []error {
-	t.errMu.Lock()
-	defer t.errMu.Unlock()
-	return append([]error(nil), t.connErrs...)
 }
 
 func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {

@@ -2,9 +2,6 @@ package mdserver
 
 import (
 	"context"
-	"encoding/gob"
-	"net"
-	"sync/atomic"
 	"time"
 
 	"msql/internal/wire"
@@ -17,26 +14,18 @@ import (
 // which may be called concurrently to abandon an in-flight Script (the
 // soak tests do this deliberately to exercise mid-2PC disconnects).
 type Client struct {
-	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	conn   *wire.Conn
 	tenant string
-	broken atomic.Bool // may be set by a concurrent Close
 }
 
 // Dial connects to a coordinator server. The tenant string is this
 // client's admission-control identity; empty means anonymous.
 func Dial(addr, tenant string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := wire.Dial(context.Background(), addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		conn:   conn,
-		enc:    gob.NewEncoder(conn),
-		dec:    gob.NewDecoder(conn),
-		tenant: tenant,
-	}, nil
+	return &Client{conn: conn, tenant: tenant}, nil
 }
 
 // Script executes an MSQL script in the connection's session and
@@ -46,51 +35,17 @@ func Dial(addr, tenant string) (*Client, error) {
 // among them — alongside whatever statements completed first. The
 // context deadline bounds the whole round trip; a canceled context or
 // transport failure leaves the connection unusable (the gob stream
-// cannot be resynchronized) and the client must be discarded.
+// cannot be resynchronized, see wire.Conn.Call) and the client must be
+// discarded.
 func (c *Client) Script(ctx context.Context, src string) ([]wire.ScriptResult, error) {
-	if c.broken.Load() {
-		return nil, ErrClientClosed
-	}
-	deadline := time.Time{}
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	_ = c.conn.SetDeadline(deadline)
-	stop := make(chan struct{})
-	defer close(stop)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				_ = c.conn.SetDeadline(time.Unix(1, 0))
-			case <-stop:
-			}
-		}()
-	}
-	fail := func(err error) ([]wire.ScriptResult, error) {
-		c.broken.Store(true)
-		_ = c.conn.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			err = ctxErr
-		}
+	resp, err := c.conn.Call(ctx, &wire.Request{Kind: wire.ReqScript, SQL: src, Tenant: c.tenant}, 0)
+	if err != nil {
 		return nil, err
 	}
-	req := &wire.Request{Kind: wire.ReqScript, SQL: src, Tenant: c.tenant}
-	if err := c.enc.Encode(req); err != nil {
-		return fail(err)
-	}
-	var resp wire.Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return fail(err)
-	}
-	_ = c.conn.SetDeadline(time.Time{})
 	return resp.Script, resp.Err()
 }
 
 // Close severs the connection. Safe to call while a Script is in
 // flight: the in-flight call fails and the server treats the session as
 // disconnected.
-func (c *Client) Close() error {
-	c.broken.Store(true)
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.conn.Close() }

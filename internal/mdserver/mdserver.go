@@ -2,13 +2,9 @@ package mdserver
 
 import (
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
-	"time"
 
 	"msql/internal/admit"
 	"msql/internal/core"
@@ -42,178 +38,90 @@ func (o Options) withDefaults() Options {
 // Server accepts client connections and executes their MSQL scripts
 // against a shared federation.
 type Server struct {
+	*wire.Server
 	fed  *core.Federation
-	ln   net.Listener
 	opts Options
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	mu       sync.Mutex
+	sessions int
 }
 
 // Serve starts a coordinator server for fed at addr (use "127.0.0.1:0"
-// for an ephemeral port) and returns immediately.
+// for an ephemeral port) and returns immediately. Close severs all
+// client connections and waits for their handlers: statements already
+// executing run to completion against the (canceled) connection context
+// — the engine's termination protocol still resolves any prepared
+// participants.
 func Serve(addr string, fed *core.Federation, opts Options) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	s := &Server{fed: fed, opts: opts.withDefaults()}
+	var err error
+	if s.Server, err = wire.Serve(addr, s.open); err != nil {
 		return nil, err
 	}
-	s := &Server{fed: fed, ln: ln, opts: opts.withDefaults(), conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// ActiveSessions reports the number of live client connections.
+// ActiveSessions reports the number of live client sessions.
 func (s *Server) ActiveSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.conns)
+	return s.sessions
 }
 
-// Close stops the listener and severs all client connections, then waits
-// for their handlers to finish. Statements already executing run to
-// completion against the (canceled) connection context — the engine's
-// termination protocol still resolves any prepared participants.
-func (s *Server) Close() error {
+// open admits a connection as a session, or sheds it with an overload
+// error once MaxSessions are live: the client gets a definite
+// in-protocol answer — it was shed, nothing executed — instead of a
+// silent hangup.
+func (s *Server) open() (wire.Handler, error) {
 	s.mu.Lock()
-	s.closed = true
-	err := s.ln.Close()
-	for c := range s.conns {
-		c.Close()
+	defer s.mu.Unlock()
+	if s.sessions >= s.opts.MaxSessions {
+		mRejected.Inc()
+		return nil, fmt.Errorf("%d sessions at capacity: %w", s.opts.MaxSessions, admit.ErrOverload)
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
+	s.sessions++
+	mSessions.Set(int64(s.sessions))
+	return &handler{s: s}, nil
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		over := len(s.conns) >= s.opts.MaxSessions
-		if !over {
-			s.conns[conn] = struct{}{}
-			mSessions.Set(int64(len(s.conns)))
-		}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		if over {
-			go s.reject(conn)
-			continue
-		}
-		go s.handle(conn)
-	}
+// handler runs one connection's scripts in its session. The connection
+// context ends when the client disconnects, even while a statement is
+// executing, so abandoned work is interrupted at the next cancellation
+// point instead of running blind until completion.
+type handler struct {
+	s    *Server
+	sess *core.Session
 }
 
-// reject answers an over-cap connection's first request with an
-// overload error, then closes it. The client gets a definite in-protocol
-// answer — it was shed, nothing executed — instead of a silent hangup.
-func (s *Server) reject(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	mRejected.Inc()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var req wire.Request
-	if err := dec.Decode(&req); err != nil {
-		return
-	}
+func (h *handler) Handle(ctx context.Context, req *wire.Request) *wire.Response {
 	resp := &wire.Response{}
-	resp.ErrCode, resp.ErrMsg = wire.EncodeError(
-		fmt.Errorf("%d sessions at capacity: %w", s.opts.MaxSessions, admit.ErrOverload))
-	_ = enc.Encode(resp)
+	switch req.Kind {
+	case wire.ReqHello:
+		resp.ServiceNm = "msqld"
+	case wire.ReqScript:
+		if h.sess == nil {
+			h.sess = h.s.fed.NewSession(req.Tenant)
+		}
+		results, err := h.sess.ExecScriptContext(ctx, req.SQL)
+		resp.Script = toScriptResults(results, err)
+		if err != nil {
+			resp.ErrCode, resp.ErrMsg = wire.EncodeError(err)
+			mScripts.With("error").Inc()
+		} else {
+			mScripts.With("ok").Inc()
+		}
+	default:
+		resp.ErrCode, resp.ErrMsg = wire.EncodeError(
+			fmt.Errorf("mdserver: unsupported request kind %s", req.Kind))
+	}
+	return resp
 }
 
-// handle runs one connection's request loop. Requests are decoded by a
-// reader goroutine feeding a channel: when the client disconnects — even
-// while a statement is executing — the decode error cancels the
-// connection context, so abandoned work is interrupted at the next
-// cancellation point instead of running blind until completion.
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		mSessions.Set(int64(len(s.conns)))
-		s.mu.Unlock()
-		conn.Close()
-	}()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	type decoded struct {
-		req *wire.Request
-		err error
-	}
-	reqCh := make(chan decoded)
-	go func() {
-		for {
-			var req wire.Request
-			if err := dec.Decode(&req); err != nil {
-				cancel() // client gone: interrupt any in-flight statement
-				select {
-				case reqCh <- decoded{err: err}:
-				case <-ctx.Done():
-				}
-				close(reqCh)
-				return
-			}
-			select {
-			case reqCh <- decoded{req: &req}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var sess *core.Session
-	for d := range reqCh {
-		if d.err != nil {
-			return
-		}
-		req := d.req
-		resp := &wire.Response{}
-		switch req.Kind {
-		case wire.ReqHello:
-			resp.ServiceNm = "msqld"
-		case wire.ReqScript:
-			if sess == nil {
-				sess = s.fed.NewSession(req.Tenant)
-			}
-			results, err := sess.ExecScriptContext(ctx, req.SQL)
-			resp.Script = toScriptResults(results, err)
-			if err != nil {
-				resp.ErrCode, resp.ErrMsg = wire.EncodeError(err)
-				mScripts.With("error").Inc()
-			} else {
-				mScripts.With("ok").Inc()
-			}
-		default:
-			resp.ErrCode, resp.ErrMsg = wire.EncodeError(
-				fmt.Errorf("mdserver: unsupported request kind %s", req.Kind))
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
+func (h *handler) Close() {
+	h.s.mu.Lock()
+	h.s.sessions--
+	mSessions.Set(int64(h.s.sessions))
+	h.s.mu.Unlock()
 }
 
 // toScriptResults converts the coordinator's per-statement results to
@@ -302,6 +210,3 @@ func kindString(k core.ResultKind) string {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
-
-// ErrClientClosed marks calls on an already-closed Client.
-var ErrClientClosed = errors.New("mdserver: client closed")

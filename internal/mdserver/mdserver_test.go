@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -240,6 +241,38 @@ func TestMaxSessionsShedsWithOverload(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	held[1].Close()
+}
+
+// TestCloseDoesNotWaitForSilentOverCapConnection: a connection shed
+// for MaxSessions that never sends a request is still the server's to
+// close, so Close returns at once instead of waiting for the peer.
+func TestCloseDoesNotWaitForSilentOverCapConnection(t *testing.T) {
+	srv, _ := startServer(t, Options{MaxSessions: 1})
+	held, err := Dial(srv.Addr(), "holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	scriptOK(t, held, `USE delta;`)
+
+	rejected := mRejected.Value()
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	for deadline := time.Now().Add(5 * time.Second); mRejected.Value() == rejected; {
+		if time.Now().After(deadline) {
+			t.Fatal("the over-cap connection was never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	srv.Close()
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Close took %v behind a silent over-cap connection", took)
+	}
 }
 
 // TestStatementAdmissionShedOverWire wires a saturated admission

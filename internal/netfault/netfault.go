@@ -20,6 +20,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,6 +37,9 @@ type Proxy struct {
 	closed    bool
 	conns     map[net.Conn]struct{}
 	wg        sync.WaitGroup
+	// reads counts the chunks read from clients, whether or not they
+	// have been forwarded yet (see ClientReads).
+	reads atomic.Int64
 }
 
 // New starts a proxy on an ephemeral loopback port forwarding to backend.
@@ -61,6 +65,12 @@ func (p *Proxy) SetDelay(d time.Duration) {
 	p.delay = d
 	p.mu.Unlock()
 }
+
+// ClientReads reports how many chunks the proxy has read from its
+// clients so far. A chunk counts as soon as it is read, before any
+// delay holds it back: a test can wait for it to know that a request
+// has left the client and is in the proxy's hands.
+func (p *Proxy) ClientReads() int64 { return p.reads.Load() }
 
 // SetBlackhole stops (true) or resumes (false) forwarding on all current
 // and future connections. Black-holed peers see an open connection that
@@ -160,7 +170,7 @@ func (p *Proxy) serve(client net.Conn) {
 	defer drop(backend)
 
 	done := make(chan struct{}, 2)
-	pipe := func(dst, src net.Conn) {
+	pipe := func(dst, src net.Conn, reads *atomic.Int64) {
 		defer func() { done <- struct{}{} }()
 		buf := make([]byte, 32*1024)
 		for {
@@ -169,6 +179,9 @@ func (p *Proxy) serve(client net.Conn) {
 			}
 			n, err := src.Read(buf)
 			if n > 0 {
+				if reads != nil {
+					reads.Add(1)
+				}
 				if d := p.currentDelay(); d > 0 {
 					time.Sleep(d)
 				}
@@ -191,8 +204,8 @@ func (p *Proxy) serve(client net.Conn) {
 			}
 		}
 	}
-	go pipe(backend, client)
-	go pipe(client, backend)
+	go pipe(backend, client, &p.reads)
+	go pipe(client, backend, nil)
 	<-done
 	<-done
 }

@@ -1,7 +1,13 @@
 // Package wire defines the message protocol spoken between the DOL engine
-// and the Local Access Managers. Messages are gob-encoded over a
-// net.Conn — TCP, loopback for the LDBMSs a coordinator serves in its
-// own process — so every site exercises identical marshalling.
+// and the Local Access Managers, and between clients and the coordinator
+// server (ReqScript). Messages are gob-encoded over a net.Conn — TCP,
+// loopback for the LDBMSs a coordinator serves in its own process — so
+// every site exercises identical marshalling.
+//
+// The package is also the protocol's one connection layer, and the only
+// package that knows the codec: Serve is the accept loop both servers
+// run on (a Handler per connection), and Conn the client exchange both
+// clients make (Call: deadline, cancellation, poison latch).
 //
 // The protocol mirrors the operations the paper's evaluation plans need
 // from a LAM: open a session on a database, execute local SQL, load typed

@@ -4,8 +4,10 @@
 # the code that builds one (relstore itself, its backend adapter, the
 # LDBMS server that defaults to it, and the demo that opens it on disk).
 # Fails if any other non-test package imports relstore, or if the
-# executor, the csv engine or the backend seam link it at all. Run from
-# the repository root; `make check` and CI run it.
+# executor, the csv engine or the backend seam link it at all. The wire
+# protocol's codec is internal/wire's business: it fails, too, if any
+# other non-test package imports encoding/gob. Run from the repository
+# root; `make check` and CI run it.
 set -eu
 
 rel=msql/internal/relstore
@@ -30,7 +32,16 @@ for p in ./internal/sqlengine ./internal/csvstore ./internal/backend; do
     fi
 done
 
+gobbers=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
+    awk '{ for (i = 2; i <= NF; i++) if ($i == "encoding/gob") print $1 }')
+for p in $gobbers; do
+    if [ "$p" != msql/internal/wire ]; then
+        echo "check-layering: $p imports encoding/gob (speak the wire protocol through internal/wire)" >&2
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "check-layering: only relbackend, ldbms and demo import relstore"
+echo "check-layering: only relbackend, ldbms and demo import relstore; only wire imports encoding/gob"
