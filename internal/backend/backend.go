@@ -90,4 +90,9 @@ type Tx interface {
 	// SetLockTimeout bounds lock waits for engines that lock; others
 	// ignore it.
 	SetLockTimeout(d time.Duration)
+	// UseTemps hands the transaction its session's temporary tables:
+	// Exec and Load resolve them before the engine's tables
+	// (sqlengine.Overlay), Describe never sees them. Without it CREATE
+	// TEMPORARY TABLE fails with sqlengine.ErrNoTemps.
+	UseTemps(ts *sqlengine.Temps)
 }

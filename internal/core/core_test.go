@@ -10,6 +10,7 @@ import (
 
 	"msql/internal/csvstore"
 	"msql/internal/dol"
+	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/semvar"
 	"msql/internal/translate"
@@ -353,8 +354,13 @@ func TestE4MultiTxTotalFailure(t *testing.T) {
 	sess.Close()
 }
 
+// TestGlobalCrossDatabaseJoin also watches united's ship into
+// continental: the temporary table never shows in continental's table
+// list, and once dropped the session that held it no longer sees it.
 func TestGlobalCrossDatabaseJoin(t *testing.T) {
 	f := paperFederation(t, false)
+	watch := &shipWatch{}
+	wrapService(t, f, "svc_cont", func(c lam.Client) lam.Client { watch.Client = c; return watch })
 	results, err := f.ExecScript(`
 USE continental united
 SELECT c.flnu, u.fn
@@ -373,11 +379,16 @@ WHERE c.rate < u.rates
 	if len(rows) != 2 {
 		t.Fatalf("join rows = %v", rows)
 	}
-	// Temp tables cleaned up.
-	sess, _ := f.Server("svc_cont").OpenSession("continental")
-	defer sess.Close()
-	if _, err := sess.Exec("SELECT * FROM mtmp_united"); err == nil {
-		t.Fatal("temp table survived")
+	watch.mu.Lock()
+	defer watch.mu.Unlock()
+	if watch.loads == 0 || watch.drops != 1 {
+		t.Fatalf("%d loads and %d drops at continental, want some and 1", watch.loads, watch.drops)
+	}
+	if len(watch.listed) > 0 {
+		t.Fatalf("continental's tables during the ship: %v", watch.listed)
+	}
+	if len(watch.seen) > 0 {
+		t.Fatal(watch.seen[0])
 	}
 }
 

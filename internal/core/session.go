@@ -340,9 +340,13 @@ func (s *Session) execStmt(ctx context.Context, stmt msqlparser.Stmt) ([]*Result
 
 // execQuery routes one manipulation statement.
 func (s *Session) execQuery(ctx context.Context, q *msqlparser.QueryStmt) ([]*Result, error) {
-	switch q.Body.(type) {
+	switch st := q.Body.(type) {
 	case *sqlparser.CreateDatabaseStmt, *sqlparser.DropDatabaseStmt:
 		return nil, fmt.Errorf("%w: CREATE/DROP DATABASE — create the database on its service and IMPORT it", ErrUnsupported)
+	case *sqlparser.CreateTableStmt:
+		if st.Temporary {
+			return nil, fmt.Errorf("%w: CREATE TEMPORARY TABLE — a temporary table lives in one site session, which ends with its plan", ErrUnsupported)
+		}
 	}
 	if _, ok := q.Body.(*sqlparser.SelectStmt); ok {
 		r, err := s.execSelect(ctx, q)

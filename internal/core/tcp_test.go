@@ -16,6 +16,13 @@ import (
 // incorporates them by site address only.
 func tcpFederation(t *testing.T) (*Federation, map[string]*ldbms.Server) {
 	t.Helper()
+	return tcpFederationWith(t, ldbms.ProfileOracleLike())
+}
+
+// tcpFederationWith is tcpFederation with both sites behind profile,
+// which must offer 2PC.
+func tcpFederationWith(t *testing.T, profile ldbms.Profile) (*Federation, map[string]*ldbms.Server) {
+	t.Helper()
 	servers := map[string]*ldbms.Server{}
 	fed := New()
 	var sites []string
@@ -33,7 +40,7 @@ func tcpFederation(t *testing.T) (*Federation, map[string]*ldbms.Server) {
 		}},
 	}
 	for _, sp := range specs {
-		srv := ldbms.NewServer(sp.svc, ldbms.ProfileOracleLike(), 1)
+		srv := ldbms.NewServer(sp.svc, profile, 1)
 		if err := srv.CreateDatabase(sp.db); err != nil {
 			t.Fatal(err)
 		}

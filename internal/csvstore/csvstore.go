@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"msql/internal/schema"
+	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
 )
 
@@ -55,11 +56,9 @@ const nullMark = `\N`
 // stage copies and swap whole *table pointers at commit, so concurrent
 // readers keep a consistent snapshot without locks. Rows are immutable
 // too — a staged image replaces or tombstones (nil) a row, never edits
-// it — so a copy shares them with its original.
-type table struct {
-	cols []schema.Column
-	rows []schema.Row
-}
+// it — so a copy shares them with its original. An image is the
+// executor's RowTable, so the executor scans it directly.
+type table = sqlengine.RowTable
 
 type database struct {
 	tables map[string]*table
@@ -203,19 +202,19 @@ func (s *Store) lookup(db, name string) (*table, error) {
 }
 
 // clone copies a table image for copy-on-write staging.
-func (t *table) clone() *table {
-	return &table{cols: t.cols, rows: append([]schema.Row(nil), t.rows...)}
+func clone(t *table) *table {
+	return &table{Cols: t.Cols, Rows: append([]schema.Row(nil), t.Rows...)}
 }
 
 // compact squeezes the tombstones out of a staged image.
-func (t *table) compact() {
-	live := t.rows[:0]
-	for _, r := range t.rows {
+func compact(t *table) {
+	live := t.Rows[:0]
+	for _, r := range t.Rows {
 		if r != nil {
 			live = append(live, r)
 		}
 	}
-	t.rows = live
+	t.Rows = live
 }
 
 // ---- CSV encoding ----
@@ -314,21 +313,21 @@ func loadTable(path string) (*table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.cols = append(t.cols, c)
+		t.Cols = append(t.Cols, c)
 	}
 	for _, rec := range records[1:] {
-		if len(rec) != len(t.cols) {
-			return nil, fmt.Errorf("csvstore: row has %d cells, want %d", len(rec), len(t.cols))
+		if len(rec) != len(t.Cols) {
+			return nil, fmt.Errorf("csvstore: row has %d cells, want %d", len(rec), len(t.Cols))
 		}
 		row := make([]sqlval.Value, len(rec))
 		for i, cell := range rec {
-			v, err := decodeCell(cell, t.cols[i].Type)
+			v, err := decodeCell(cell, t.Cols[i].Type)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
 		}
-		t.rows = append(t.rows, row)
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
@@ -351,16 +350,16 @@ func writeTable(path string, t *table) error {
 		return err
 	}
 	w := csv.NewWriter(f)
-	header := make([]string, len(t.cols))
-	for i, c := range t.cols {
+	header := make([]string, len(t.Cols))
+	for i, c := range t.Cols {
 		header[i] = encodeColumn(c)
 	}
 	if err := w.Write(header); err != nil {
 		f.Close()
 		return err
 	}
-	cells := make([]string, len(t.cols))
-	for _, row := range t.rows {
+	cells := make([]string, len(t.Cols))
+	for _, row := range t.Rows {
 		for i, v := range row {
 			cells[i] = encodeCell(v)
 		}

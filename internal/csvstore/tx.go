@@ -11,7 +11,6 @@ import (
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
-	"msql/internal/storage"
 )
 
 // Tx is one copy-on-write transaction. Reads see the committed images
@@ -31,11 +30,16 @@ type Tx struct {
 	// DROP TABLE.
 	staged map[string]map[string]*table
 	done   bool
+	// st is what statements run over: the Tx itself under the
+	// session's temporary tables.
+	st sqlengine.Overlay
 }
 
 // Begin implements backend.Backend.
 func (s *Store) Begin() backend.Tx {
-	return &Tx{s: s, staged: make(map[string]map[string]*table)}
+	t := &Tx{s: s, staged: make(map[string]map[string]*table)}
+	t.st.Storage = t
+	return t
 }
 
 // read returns the table image this transaction sees.
@@ -66,7 +70,7 @@ func (t *Tx) write(db, name string) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := committed.clone()
+	img := clone(committed)
 	t.stage(db, name, img)
 	return img, nil
 }
@@ -88,7 +92,7 @@ func (t *Tx) Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, 
 	if t.done {
 		return nil, errTxDone
 	}
-	return sqlengine.Execute(t, db, stmt)
+	return sqlengine.Execute(&t.st, db, stmt)
 }
 
 // Load implements backend.Tx.
@@ -96,8 +100,11 @@ func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
 	if t.done {
 		return 0, errTxDone
 	}
-	return sqlengine.Load(t, db, table, rows)
+	return sqlengine.Load(&t.st, db, table, rows)
 }
+
+// UseTemps implements backend.Tx.
+func (t *Tx) UseTemps(ts *sqlengine.Temps) { t.st.Temps = ts }
 
 // Describe implements backend.Tx.
 func (t *Tx) Describe(db, name string) (schema.Table, error) {
@@ -123,7 +130,7 @@ func (t *Tx) TableInfo(db, name string) (schema.Table, error) {
 	if err != nil {
 		return schema.Table{}, err
 	}
-	return schema.Table{Columns: img.cols, Rows: int64(len(img.rows))}, nil
+	return schema.Table{Columns: img.Cols, Rows: int64(len(img.Rows))}, nil
 }
 
 // TableForWrite implements sqlengine.Storage, staging a private copy of
@@ -144,41 +151,23 @@ func (t *Tx) Insert(db, name string, row schema.Row) error {
 	if err != nil {
 		return err
 	}
-	img.rows = append(img.rows, row)
+	img.Rows = append(img.Rows, row)
 	return nil
-}
-
-// writeAt is write plus the check that pos addresses a live row.
-func (t *Tx) writeAt(db, name string, pos int) (*table, error) {
-	img, err := t.write(db, name)
-	if err != nil {
-		return nil, err
-	}
-	if pos < 0 || pos >= len(img.rows) || img.rows[pos] == nil {
-		return nil, fmt.Errorf("csvstore: no row at position %d in %s.%s", pos, db, name)
-	}
-	return img, nil
 }
 
 // Update implements sqlengine.Storage: the row at pos is replaced, never
 // modified in place, because unstaged copies share row storage.
 func (t *Tx) Update(db, name string, pos int, row schema.Row) error {
-	img, err := t.writeAt(db, name, pos)
+	img, err := t.write(db, name)
 	if err != nil {
 		return err
 	}
-	img.rows[pos] = row
-	return nil
+	return img.Set(pos, row)
 }
 
 // Delete implements sqlengine.Storage by leaving a tombstone at pos.
 func (t *Tx) Delete(db, name string, pos int) error {
-	img, err := t.writeAt(db, name, pos)
-	if err != nil {
-		return err
-	}
-	img.rows[pos] = nil
-	return nil
+	return t.Update(db, name, pos, nil)
 }
 
 // CreateTable implements sqlengine.Storage.
@@ -190,7 +179,7 @@ func (t *Tx) CreateTable(db, name string, cols []schema.Column) error {
 	if !errors.Is(err, schema.ErrNoTable) {
 		return err // no such database
 	}
-	t.stage(db, name, &table{cols: append([]schema.Column(nil), cols...)})
+	t.stage(db, name, &table{Cols: append([]schema.Column(nil), cols...)})
 	return nil
 }
 
@@ -231,39 +220,6 @@ func (t *Tx) DropDatabase(name string) error {
 	return fmt.Errorf("%w: DROP DATABASE", ErrUnsupported)
 }
 
-// Columns implements sqlengine.Table.
-func (t *table) Columns() []schema.Column { return t.cols }
-
-// Err implements sqlengine.Table; a table image is memory and cannot
-// fault.
-func (t *table) Err() error { return nil }
-
-// Scan implements sqlengine.Table. A csv table has no tuple bytes to
-// check search arguments on, so it returns every row and leaves the
-// conjuncts to the executor's filters.
-func (t *table) Scan(*storage.PageCounters, []storage.Sarg) sqlengine.Cursor { return &cursor{t: t} }
-
-// cursor walks a table image, skipping tombstones. It re-reads the image
-// on every step, so rows the statement appends behind it are visited and
-// positions it has handed out stay valid.
-type cursor struct {
-	t   *table
-	pos int
-}
-
-func (c *cursor) Next() (int, schema.Row, bool) {
-	for c.pos < len(c.t.rows) {
-		i := c.pos
-		c.pos++
-		if row := c.t.rows[i]; row != nil {
-			return i, row, true
-		}
-	}
-	return 0, nil, false
-}
-
-func (c *cursor) Reset() { c.pos = 0 }
-
 // Prepare implements backend.Tx: the engine cannot hold a
 // prepared-to-commit state. A correctly incorporated csvstore site
 // (COMMITMODE COMMIT) never receives this call; the error is the
@@ -288,7 +244,7 @@ func (t *Tx) Commit() error {
 			if img == nil {
 				delete(d.tables, name)
 			} else {
-				img.compact()
+				compact(img)
 				d.tables[name] = img
 			}
 			if s.dir == "" {

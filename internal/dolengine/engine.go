@@ -759,11 +759,13 @@ const shipBatchRows = 2048
 
 // execShip creates the destination table and copies the source task's
 // result rows into it, inside the destination session's open transaction.
-// The table is created with a CREATE TABLE statement (so the DDL class's
-// autocommit quirks apply as for any other); the rows travel typed, as
-// Session.Load batches, never as SQL text. The whole source result is
-// held before the first batch leaves: shipping does not overlap the
-// source task, and no row is filtered out on the way.
+// The table is created with CREATE TEMPORARY TABLE: it lives in that
+// session's memory, where no other session, no file and no catalog sees
+// it, and its DDL is a class of its own that no 2PC server autocommits,
+// so the Ingres DDL quirk never commits the unit early. The rows travel
+// typed, as Session.Load batches, never as SQL text. The whole source
+// result is held before the first batch leaves: shipping does not
+// overlap the source task, and no row is filtered out on the way.
 func (r *run) execShip(st *dol.ShipStmt) error {
 	src, ok := r.tasks[st.Task]
 	if !ok {
@@ -795,7 +797,7 @@ func (r *run) execShip(st *dol.ShipStmt) error {
 		mShipRows.With(c.service).Add(int64(info.Rows))
 		mShipBatches.With(c.service).Add(int64(info.Batches))
 	}()
-	create := &sqlparser.CreateTableStmt{Table: sqlparser.Name(st.Table), Columns: st.Columns}
+	create := &sqlparser.CreateTableStmt{Table: sqlparser.Name(st.Table), Columns: st.Columns, Temporary: true}
 	if _, err := c.session.Exec(r.ctx, sqlparser.Deparse(create)); err != nil {
 		return fmt.Errorf("dolengine: ship create: %w", err)
 	}

@@ -163,12 +163,13 @@ func TestDurableRestartReplaysExplainAnalyzeWrite(t *testing.T) {
 }
 
 // TestDurableRestartReplaysLoadedRows is the cross-database INSERT ...
-// SELECT transfer as its target participant sees it: a temp table
+// SELECT transfer as its target participant sees it: a temporary table
 // created, the shipped rows loaded into it, an INSERT ... SELECT out of
-// it, the temp table dropped, PREPARE. The loaded rows exist only in the
-// session's redo, rendered to INSERT text when the vote is journaled; a
-// restarted server re-materializes the prepared transaction from that
-// text and commits to the same target rows.
+// it, the temporary table dropped, PREPARE. The temporary table and its
+// rows exist only in the session's memory and redo, the rows rendered to
+// INSERT text when the vote is journaled; a restarted server
+// re-materializes the prepared transaction from that text, temporary
+// table included, and commits to the same target rows.
 func TestDurableRestartReplaysLoadedRows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "delta.journal")
 	ts1 := durableServe(t, path, ServeOptions{})
@@ -188,7 +189,7 @@ func TestDurableRestartReplaysLoadedRows(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	mustExec("CREATE TABLE mtmp_united (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)")
+	mustExec("CREATE TEMPORARY TABLE mtmp_united (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)")
 	for _, batch := range [][][]sqlval.Value{rows[:4], rows[4:]} {
 		if _, err := sess.Load(bg, "mtmp_united", batch); err != nil {
 			t.Fatal(err)
@@ -232,7 +233,7 @@ func TestDurableRestartReplaysLoadedRows(t *testing.T) {
 		t.Fatalf("target rows after restart and commit\n %v\nwant\n %v", res.Rows, rows)
 	}
 	if tables, err := c2.ListTables(bg, "delta"); err != nil || len(tables) != 1 {
-		t.Fatalf("tables = %v, %v: the temp table outlived the transaction", tables, err)
+		t.Fatalf("tables = %v, %v: the temporary table reached the catalog", tables, err)
 	}
 }
 

@@ -62,6 +62,7 @@ func TestClassOf(t *testing.T) {
 		"Update t set x = 1":                             ClassUpdate,
 		"DELETE FROM t":                                  ClassDelete,
 		"CREATE TABLE t (a INTEGER)":                     ClassCreate,
+		"CREATE TEMPORARY TABLE t (a INTEGER)":           ClassTemp,
 		"CREATE DATABASE d":                              ClassCreate,
 		"CREATE VIEW v AS SELECT a FROM t":               ClassCreate,
 		"DROP TABLE t":                                   ClassDrop,
@@ -474,7 +475,7 @@ func TestProfileAccessors(t *testing.T) {
 			t.Fatal("empty state name")
 		}
 	}
-	for _, c := range []StmtClass{ClassSelect, ClassInsert, ClassUpdate, ClassDelete, ClassCreate, ClassDrop, ClassOther} {
+	for _, c := range []StmtClass{ClassSelect, ClassInsert, ClassUpdate, ClassDelete, ClassCreate, ClassDrop, ClassOther, ClassTemp} {
 		if c.String() == "" {
 			t.Fatal("empty class name")
 		}

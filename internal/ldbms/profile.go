@@ -32,6 +32,10 @@ const (
 	ClassCreate // CREATE TABLE/DATABASE/VIEW
 	ClassDrop   // DROP TABLE/DATABASE/VIEW
 	ClassOther
+	// ClassTemp is DDL on the session's temporary tables: CREATE
+	// TEMPORARY TABLE, and DROP TABLE of a name the session holds as
+	// temporary. A 2PC server never autocommits it.
+	ClassTemp
 )
 
 func (c StmtClass) String() string {
@@ -48,6 +52,8 @@ func (c StmtClass) String() string {
 		return "CREATE"
 	case ClassDrop:
 		return "DROP"
+	case ClassTemp:
+		return "TEMP"
 	default:
 		return "OTHER"
 	}
@@ -71,7 +77,12 @@ func classOf(stmt sqlparser.Statement) StmtClass {
 		return ClassUpdate
 	case *sqlparser.DeleteStmt:
 		return ClassDelete
-	case *sqlparser.CreateTableStmt, *sqlparser.CreateDatabaseStmt, *sqlparser.CreateViewStmt:
+	case *sqlparser.CreateTableStmt:
+		if s.Temporary {
+			return ClassTemp
+		}
+		return ClassCreate
+	case *sqlparser.CreateDatabaseStmt, *sqlparser.CreateViewStmt:
 		return ClassCreate
 	case *sqlparser.DropTableStmt, *sqlparser.DropDatabaseStmt, *sqlparser.DropViewStmt:
 		return ClassDrop
@@ -101,12 +112,14 @@ type Profile struct {
 }
 
 // AutoCommits reports whether executing class forces an immediate commit
-// of the session's open transaction.
+// of the session's open transaction. A 2PC server never commits for
+// temporary-table DDL, so the redo of a transaction that prepares holds
+// every temporary table its statements read.
 func (p Profile) AutoCommits(class StmtClass) bool {
 	if !p.TwoPC {
 		return true
 	}
-	return p.AutoCommitClasses[class]
+	return class != ClassTemp && p.AutoCommitClasses[class]
 }
 
 // Clone deep-copies the profile.

@@ -59,6 +59,9 @@ type Session struct {
 	// restarted server. Cleared whenever the transaction reaches an
 	// outcome (commit, rollback, autocommit).
 	redo []redoEntry
+	// temps are the session's temporary tables, handed to every
+	// transaction it begins and dropped by Close.
+	temps sqlengine.Temps
 }
 
 // redoEntry is one effect of the open transaction: the SQL text of a
@@ -90,6 +93,7 @@ func (s *Session) SetLockTimeout(d time.Duration) {
 
 func (s *Session) beginLocked() backend.Tx {
 	tx := s.srv.be.Begin()
+	tx.UseTemps(&s.temps)
 	if s.lockTimeout > 0 {
 		tx.SetLockTimeout(s.lockTimeout)
 	}
@@ -153,6 +157,13 @@ func (s *Session) Exec(sql string) (*sqlengine.Result, error) {
 
 func (s *Session) execStmt(sql string, stmt sqlparser.Statement) (*sqlengine.Result, error) {
 	class := classOf(stmt)
+	if drop, ok := stmt.(*sqlparser.DropTableStmt); ok {
+		s.mu.Lock()
+		if s.temps.Holds(s.db, drop.Table) {
+			class = ClassTemp
+		}
+		s.mu.Unlock()
+	}
 	redo := redoEntry{sql: sql}
 	if ex, ok := stmt.(*sqlparser.ExplainStmt); ok && class != ClassSelect {
 		// An executed EXPLAIN ANALYZE of a write: replay must redo the
@@ -304,13 +315,15 @@ func (s *Session) abortLocked() {
 	s.redo = nil
 }
 
-// Close rolls back any open transaction.
+// Close rolls back any open transaction and drops the session's
+// temporary tables.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tx != nil {
 		s.abortLocked()
 	}
+	s.temps = sqlengine.Temps{}
 }
 
 // Describe reports the schema and row count of a table or view, for

@@ -65,7 +65,11 @@ func (b *Backend) ListViews(db string) ([]string, error) {
 }
 
 // Begin implements backend.Backend.
-func (b *Backend) Begin() backend.Tx { return &Tx{tx: b.store.Begin()} }
+func (b *Backend) Begin() backend.Tx {
+	t := &Tx{tx: b.store.Begin()}
+	t.st.Storage = Storage(t.tx)
+	return t
+}
 
 // Durable reports whether the store writes through to a data directory.
 func (b *Backend) Durable() bool { return b.store.Dir() != "" }
@@ -86,25 +90,30 @@ func (b *Backend) Close() error {
 	return b.store.Close()
 }
 
-// Tx adapts relstore.Tx + sqlengine to backend.Tx.
+// Tx adapts relstore.Tx + sqlengine to backend.Tx. Statements run over
+// st: the transaction's Storage under the session's temporary tables.
 type Tx struct {
 	tx *relstore.Tx
+	st sqlengine.Overlay
 }
 
 // Exec implements backend.Tx by running the SQL executor over the
 // transaction.
 func (t *Tx) Exec(db, sql string, stmt sqlparser.Statement) (*sqlengine.Result, error) {
-	return sqlengine.Execute(Storage(t.tx), db, stmt)
+	return sqlengine.Execute(&t.st, db, stmt)
 }
 
 // Load implements backend.Tx.
 func (t *Tx) Load(db, table string, rows [][]sqlval.Value) (int, error) {
-	return sqlengine.Load(Storage(t.tx), db, table, rows)
+	return sqlengine.Load(&t.st, db, table, rows)
 }
+
+// UseTemps implements backend.Tx.
+func (t *Tx) UseTemps(ts *sqlengine.Temps) { t.st.Temps = ts }
 
 // Describe implements backend.Tx.
 func (t *Tx) Describe(db, name string) (schema.Table, error) {
-	return sqlengine.DescribeTable(Storage(t.tx), db, name)
+	return sqlengine.DescribeTable(t.st.Storage, db, name)
 }
 
 // Prepare implements backend.Tx.

@@ -46,6 +46,7 @@ func (s diffSite) execAll(t *testing.T, qs []string, commit bool) ([]*sqlengine.
 	t.Helper()
 	results := make([]*sqlengine.Result, len(qs))
 	tx := s.be.Begin()
+	tx.UseTemps(&sqlengine.Temps{})
 	for i, q := range qs {
 		stmt, err := sqlparser.ParseStatement(q)
 		if err != nil {
@@ -326,6 +327,23 @@ func TestBackendsAgree(t *testing.T) {
 			`UPDATE seats SET owner = 'r70' WHERE snu = 70`,
 			`UPDATE seats SET owner = 'r5' WHERE snu = 5`,
 			`DELETE FROM seats WHERE snu = 6`,
+		}, true},
+		{[]string{ // a temporary table: positional writes, a join, a transfer out
+			`CREATE TEMPORARY TABLE tmp (flnu INTEGER, rate FLOAT, day CHAR(3))`,
+			`INSERT INTO tmp SELECT flnu, rate, day FROM flights`,
+			`UPDATE tmp SET rate = rate + 1 WHERE day = 'mon'`,
+			`DELETE FROM tmp WHERE rate > 100`,
+			`SELECT t.flnu, l.stop FROM tmp t, legs l WHERE l.flnu = t.flnu ORDER BY t.flnu, l.stop`,
+			`SELECT COUNT(*), SUM(rate) FROM tmp WHERE rate > -5`,
+			`INSERT INTO seats SELECT flnu + 1000, day FROM tmp`,
+			`DROP TABLE tmp`,
+		}, true},
+		{[]string{ // a temporary table shadows the base table of its name
+			`CREATE TEMPORARY TABLE seats (snu INTEGER, owner CHAR(10))`,
+			`INSERT INTO seats VALUES (900, 'temp')`,
+			`SELECT * FROM seats`,
+			`DROP TABLE seats`,
+			`SELECT * FROM seats WHERE snu = 2`,
 		}, true},
 		{[]string{ // an error mid-sequence rolls the earlier write back
 			`UPDATE seats SET owner = 'lost' WHERE snu = 5`,

@@ -72,7 +72,13 @@ func Execute(tx Storage, db string, stmt sqlparser.Statement) (*Result, error) {
 		return execDelete(tx, db, s, nil)
 	case *sqlparser.CreateTableStmt:
 		tdb, tname := splitName(db, s.Table)
-		if err := tx.CreateTable(tdb, tname, s.Columns); err != nil {
+		var err error
+		if s.Temporary {
+			err = createTemp(tx, tdb, tname, s.Columns)
+		} else {
+			err = tx.CreateTable(tdb, tname, s.Columns)
+		}
+		if err != nil {
 			return nil, err
 		}
 		return &Result{}, nil

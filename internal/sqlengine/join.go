@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"msql/internal/schema"
 	"msql/internal/sqlparser"
+	"msql/internal/sqlval"
 	"msql/internal/storage"
 )
 
@@ -180,17 +181,36 @@ func sargOf(e *env, c sqlparser.Expr, si int) (storage.Sarg, bool) {
 	if !ok {
 		return storage.Sarg{}, false
 	}
-	if lit, ok := b.R.(*sqlparser.Literal); ok {
+	if v, ok := sargConst(b.R); ok {
 		if ci, ok := colRefAt(e, b.L, si); ok {
-			return storage.Sarg{Col: ci, Op: op, Val: lit.Val}, true
+			return storage.Sarg{Col: ci, Op: op, Val: v}, true
 		}
 	}
-	if lit, ok := b.L.(*sqlparser.Literal); ok {
+	if v, ok := sargConst(b.L); ok {
 		if ci, ok := colRefAt(e, b.R, si); ok {
-			return storage.Sarg{Col: ci, Op: op.Flip(), Val: lit.Val}, true
+			return storage.Sarg{Col: ci, Op: op.Flip(), Val: v}, true
 		}
 	}
 	return storage.Sarg{}, false
+}
+
+// sargConst reads a sarg's constant: a literal, or a negated numeric
+// literal such as -5, which the parser keeps as a unary minus and which
+// folds to the value evalExpr would compute.
+func sargConst(x sqlparser.Expr) (sqlval.Value, bool) {
+	if u, ok := x.(*sqlparser.UnaryExpr); ok && u.Op == "-" {
+		lit, ok := u.X.(*sqlparser.Literal)
+		if !ok || (lit.Val.K != sqlval.KindInt && lit.Val.K != sqlval.KindFloat) {
+			return sqlval.Value{}, false
+		}
+		v, err := sqlval.Neg(lit.Val)
+		return v, err == nil
+	}
+	lit, ok := x.(*sqlparser.Literal)
+	if !ok {
+		return sqlval.Value{}, false
+	}
+	return lit.Val, true
 }
 
 // planProbes upgrades loop levels to primary-key index probes. A level

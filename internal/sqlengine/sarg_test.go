@@ -37,10 +37,15 @@ func sargValue(r *rand.Rand) sqlval.Value {
 	}
 }
 
-// sargConjunct builds "c<col> op lit", or "lit op c<col>" when swap is set.
-func sargConjunct(col int, op string, lit sqlval.Value, swap bool) sqlparser.Expr {
+// sargConjunct builds "c<col> op lit", or "lit op c<col>" when swap is
+// set; with neg the literal is written negated, "-lit", as the parser
+// reads "-5".
+func sargConjunct(col int, op string, lit sqlval.Value, swap, neg bool) sqlparser.Expr {
 	var c sqlparser.Expr = sqlparser.ColRef{Parts: []string{fmt.Sprintf("c%d", col)}}
 	var l sqlparser.Expr = &sqlparser.Literal{Val: lit}
+	if neg {
+		l = &sqlparser.UnaryExpr{Op: "-", X: l}
+	}
 	if swap {
 		c, l = l, c
 	}
@@ -116,7 +121,9 @@ func randSargCase(r *rand.Rand) sargCase {
 	}
 	c := sargCase{tuple: storage.EncodeRow(nil, row), width: len(row)}
 	for n := 1 + r.Intn(3); n > 0; n-- {
-		c.conjs = append(c.conjs, sargConjunct(r.Intn(len(row)), sargCmpOps[r.Intn(len(sargCmpOps))], sargValue(r), r.Intn(2) == 0))
+		lit := sargValue(r)
+		neg := isNumeric(lit) && r.Intn(2) == 0
+		c.conjs = append(c.conjs, sargConjunct(r.Intn(len(row)), sargCmpOps[r.Intn(len(sargCmpOps))], lit, r.Intn(2) == 0, neg))
 	}
 	switch r.Intn(8) {
 	case 0: // torn: cut short anywhere
@@ -127,9 +134,12 @@ func randSargCase(r *rand.Rand) sargCase {
 	return c
 }
 
+func isNumeric(v sqlval.Value) bool { return v.K == sqlval.KindInt || v.K == sqlval.KindFloat }
+
 // TestSargsAgreeWithInterpreter draws rows of NULLs, ints, floats, bools
 // and strings, and conjuncts with all six comparisons, both operand
-// orders and literals of every kind, NULL included, and checks the
+// orders and literals of every kind, NULL and negated numbers included,
+// and checks the
 // storage's verdict on the encoded row against the interpreter's on the
 // decoded one.
 func TestSargsAgreeWithInterpreter(t *testing.T) {
@@ -142,7 +152,9 @@ func TestSargsAgreeWithInterpreter(t *testing.T) {
 
 // FuzzSarg feeds arbitrary tuple bytes and a one-conjunct predicate
 // "c<col> op lit" (or "lit op c<col>") whose literal is the one value of
-// the tuple encoding lit, seeded with the property test's cases.
+// the tuple encoding lit, negated when neg is set and lit is a number,
+// seeded with the property test's cases and a negated -3 against ints
+// and floats on either side of it.
 func FuzzSarg(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 64; i++ {
@@ -150,19 +162,25 @@ func FuzzSarg(f *testing.F) {
 		for j := range row {
 			row[j] = sargValue(r)
 		}
-		lit := storage.EncodeRow(nil, []sqlval.Value{sargValue(r)})
-		f.Add(storage.EncodeRow(nil, row), uint8(r.Intn(len(row))), uint8(r.Intn(len(sargCmpOps))), r.Intn(2) == 0, lit)
+		lit := sargValue(r)
+		f.Add(storage.EncodeRow(nil, row), uint8(r.Intn(len(row))), uint8(r.Intn(len(sargCmpOps))), r.Intn(2) == 0,
+			isNumeric(lit) && r.Intn(2) == 0, storage.EncodeRow(nil, []sqlval.Value{lit}))
 	}
-	f.Fuzz(func(t *testing.T, tuple []byte, col, op uint8, swap bool, lit []byte) {
+	three := storage.EncodeRow(nil, []sqlval.Value{sqlval.Int(3)})
+	for op := range sargCmpOps {
+		row := []sqlval.Value{sqlval.Int(-3), sqlval.Float(-2.5), sqlval.Int(3), sqlval.Float(-3)}
+		f.Add(storage.EncodeRow(nil, row), uint8(op%len(row)), uint8(op), op%2 == 0, true, three)
+	}
+	f.Fuzz(func(t *testing.T, tuple []byte, col, op uint8, swap, neg bool, lit []byte) {
 		litRow, err := storage.DecodeRow(lit)
-		if err != nil || len(litRow) != 1 {
+		if err != nil || len(litRow) != 1 || (neg && !isNumeric(litRow[0])) {
 			return
 		}
 		width := int(col) + 1
 		if row, err := storage.DecodeRow(tuple); err == nil && len(row) > width {
 			width = len(row)
 		}
-		conj := sargConjunct(int(col), sargCmpOps[int(op)%len(sargCmpOps)], litRow[0], swap)
+		conj := sargConjunct(int(col), sargCmpOps[int(op)%len(sargCmpOps)], litRow[0], swap, neg)
 		checkSargs(t, tuple, width, []sqlparser.Expr{conj})
 	})
 }
@@ -186,6 +204,9 @@ func TestSargPlanning(t *testing.T) {
 		{"a = 1", map[int]string{0: "[#0 = 1]"}},
 		{"'z' > b AND c <> 2.5", map[int]string{0: "[#1 < 'z']", 1: "[#0 <> 2.5]"}},
 		{"x.a >= NULL AND y.c <= TRUE", map[int]string{0: "[#0 >= NULL]", 1: "[#0 <= TRUE]"}},
+		// A negated number folds into the sarg's constant.
+		{"a > -5 AND -2.5 <= c", map[int]string{0: "[#0 > -5]", 1: "[#0 >= -2.5]"}},
+		{"b <> -0", map[int]string{0: "[#1 <> 0]"}},
 		// Not "column op literal": no sarg, the filter alone decides.
 		{"a = b", nil},
 		{"a = c", nil},
@@ -197,6 +218,10 @@ func TestSargPlanning(t *testing.T) {
 		{"NOT a = 1", nil},
 		{"a IN (1, 2)", nil},
 		{"a = (SELECT 1)", nil},
+		{"a = -'z'", nil},
+		{"a = -NULL", nil},
+		{"a = -(-1)", nil},
+		{"a = -c", nil},
 		{"nosuch = 1", nil},
 	} {
 		sel := mustParseSelect(t, "SELECT * FROM x, y WHERE "+tc.where)

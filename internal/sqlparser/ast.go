@@ -111,10 +111,13 @@ type DeleteStmt struct {
 	Where Expr
 }
 
-// CreateTableStmt is CREATE TABLE.
+// CreateTableStmt is CREATE TABLE, or CREATE TEMPORARY TABLE when
+// Temporary is set: a table private to the creating session that lives
+// until the session ends.
 type CreateTableStmt struct {
-	Table   ObjectName
-	Columns []schema.Column
+	Table     ObjectName
+	Columns   []schema.Column
+	Temporary bool
 }
 
 // DropTableStmt is DROP TABLE.

@@ -546,12 +546,16 @@ func (p *Parser) parseCreate() (Statement, error) {
 			return nil, err
 		}
 		return &CreateDatabaseStmt{Database: db}, nil
-	case p.AcceptKeyword("TABLE"):
+	case p.PeekKeyword("TEMPORARY"), p.PeekKeyword("TABLE"):
+		temp := p.AcceptKeyword("TEMPORARY")
+		if err := p.ExpectKeyword("TABLE"); err != nil {
+			return nil, err
+		}
 		name, err := p.ParseObjectName()
 		if err != nil {
 			return nil, err
 		}
-		ct := &CreateTableStmt{Table: name}
+		ct := &CreateTableStmt{Table: name, Temporary: temp}
 		if err := p.ExpectPunct("("); err != nil {
 			return nil, err
 		}
@@ -616,7 +620,7 @@ func (p *Parser) parseCreate() (Statement, error) {
 		}
 		return &CreateViewStmt{View: name, Query: q}, nil
 	default:
-		return nil, fmt.Errorf("expected DATABASE, TABLE or VIEW after CREATE, found %s", p.Peek())
+		return nil, fmt.Errorf("expected DATABASE, TABLE, TEMPORARY TABLE or VIEW after CREATE, found %s", p.Peek())
 	}
 }
 

@@ -306,6 +306,23 @@ func TestParseDDL(t *testing.T) {
 		t.Fatalf("col3 = %+v", ct.Columns[3])
 	}
 
+	if ct.Temporary {
+		t.Fatal("CREATE TABLE parsed as temporary")
+	}
+	s = mustParse(t, "create temporary table db.mtmp_x (x_a INTEGER, x_b CHAR(8))")
+	ct = s.(*CreateTableStmt)
+	if !ct.Temporary || ct.Table.String() != "db.mtmp_x" || len(ct.Columns) != 2 {
+		t.Fatalf("temporary create = %+v", ct)
+	}
+	if got, want := Deparse(ct), "CREATE TEMPORARY TABLE db.mtmp_x (x_a INTEGER, x_b CHAR(8))"; got != want {
+		t.Fatalf("deparse = %q, want %q", got, want)
+	}
+	for _, bad := range []string{"CREATE TEMPORARY t (a INTEGER)", "CREATE TEMPORARY VIEW v AS SELECT a FROM t", "CREATE TEMPORARY DATABASE d"} {
+		if _, err := ParseStatement(bad); err == nil {
+			t.Errorf("%q parsed", bad)
+		}
+	}
+
 	mustParse(t, "CREATE DATABASE avis")
 	mustParse(t, "DROP DATABASE avis")
 	mustParse(t, "DROP TABLE IF EXISTS flights")
@@ -450,6 +467,7 @@ var roundTripSources = []string{
 	"INSERT INTO t SELECT a FROM u WHERE a IN (1, 2)",
 	"DELETE FROM t WHERE a BETWEEN 1 AND 2 OR b IS NULL",
 	"CREATE TABLE t (a INTEGER, b CHAR(10), c FLOAT)",
+	"CREATE TEMPORARY TABLE mtmp_u (u_fn INTEGER, u_sour CHAR(20), PRIMARY KEY (u_fn))",
 	"CREATE VIEW v AS SELECT a FROM t",
 	"SELECT a FROM t WHERE NOT (a = 1) AND b LIKE 'x%'",
 	"SELECT a - (b + c) FROM t",

@@ -72,7 +72,11 @@ func deparseStmt(b *strings.Builder, s Statement) {
 			b.WriteString(DeparseExpr(st.Where))
 		}
 	case *CreateTableStmt:
-		b.WriteString("CREATE TABLE ")
+		b.WriteString("CREATE ")
+		if st.Temporary {
+			b.WriteString("TEMPORARY ")
+		}
+		b.WriteString("TABLE ")
 		b.WriteString(st.Table.String())
 		b.WriteString(" (")
 		var keys []string

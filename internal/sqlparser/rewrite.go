@@ -71,7 +71,7 @@ func RewriteStatement(s Statement, rw Rewriter) Statement {
 	case *DeleteStmt:
 		return &DeleteStmt{Table: rw.table(st.Table), Where: rw.rewriteExpr(st.Where)}
 	case *CreateTableStmt:
-		return &CreateTableStmt{Table: rw.table(st.Table), Columns: append([]schema.Column(nil), st.Columns...)}
+		return &CreateTableStmt{Table: rw.table(st.Table), Columns: append([]schema.Column(nil), st.Columns...), Temporary: st.Temporary}
 	case *DropTableStmt:
 		return &DropTableStmt{Table: rw.table(st.Table), IfExists: st.IfExists}
 	case *CreateViewStmt:
