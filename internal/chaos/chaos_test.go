@@ -116,12 +116,6 @@ func (s *killSession) Commit(ctx context.Context) error {
 	return err
 }
 
-// RecoveryInfo delegates so the engine's in-doubt machinery sees the
-// real transport session behind the wrapper.
-func (s *killSession) RecoveryInfo() (string, int64) {
-	return s.Session.(lam.Recoverable).RecoveryInfo()
-}
-
 // chaosFederation builds a journaled two-site federation: continental
 // in-process (a plain TCP LAM in the parent), united in the chaos child
 // behind a killClient.

@@ -62,6 +62,17 @@ IMPORT DATABASE united FROM SERVICE svc_unit;
 	return fed, proxy
 }
 
+// breakerState reads the circuit breaker of the client the federation
+// dialed for site.
+func breakerState(t *testing.T, fed *Federation, site string) lam.BreakerState {
+	t.Helper()
+	c, err := fed.Resolve(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.(*lam.Remote).BreakerState()
+}
+
 // Non-vital scope: continental must answer, united may degrade.
 const breakerSelect = "USE continental VITAL united\nSELECT rate% FROM flight%"
 
@@ -79,9 +90,8 @@ func TestBreakerDegradesNonVitalSiteToPartialResults(t *testing.T) {
 	// The site goes dark. Statements keep timing out against it until
 	// the breaker trips at the failure threshold.
 	proxy.SetBlackhole(true)
-	b := func() *lam.BreakerClient { return fed.Breaker(proxy.Addr()) }
 	deadline := time.Now().Add(30 * time.Second)
-	for b() == nil || b().State() != lam.BreakerOpen {
+	for breakerState(t, fed, proxy.Addr()) != lam.BreakerOpen {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never tripped")
 		}
@@ -127,7 +137,7 @@ func TestBreakerVitalSiteStillErrors(t *testing.T) {
 	// Trip the breaker.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if b := fed.Breaker(proxy.Addr()); b != nil && b.State() == lam.BreakerOpen {
+		if breakerState(t, fed, proxy.Addr()) == lam.BreakerOpen {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -152,7 +162,7 @@ func TestBreakerHalfOpensAfterCooldownAndRecovers(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if b := fed.Breaker(proxy.Addr()); b != nil && b.State() == lam.BreakerOpen {
+		if breakerState(t, fed, proxy.Addr()) == lam.BreakerOpen {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -165,7 +175,7 @@ func TestBreakerHalfOpensAfterCooldownAndRecovers(t *testing.T) {
 	// trial. The site is healthy again, so the trial closes the breaker
 	// and the full multitable comes back.
 	time.Sleep(cooldown + 50*time.Millisecond)
-	if st := fed.Breaker(proxy.Addr()).State(); st != lam.BreakerHalfOpen {
+	if st := breakerState(t, fed, proxy.Addr()); st != lam.BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %s, want half-open", st)
 	}
 	proxy.SetBlackhole(false)
@@ -180,8 +190,8 @@ func TestBreakerHalfOpensAfterCooldownAndRecovers(t *testing.T) {
 	if res.Multitable == nil || len(res.Multitable.Tables) != 2 {
 		t.Fatalf("multitable = %+v, want both sites' partial results", res.Multitable)
 	}
-	if fed.Breaker(proxy.Addr()).State() != lam.BreakerClosed {
-		t.Fatalf("state = %s, want closed after successful trial", fed.Breaker(proxy.Addr()).State())
+	if breakerState(t, fed, proxy.Addr()) != lam.BreakerClosed {
+		t.Fatalf("state = %s, want closed after successful trial", breakerState(t, fed, proxy.Addr()))
 	}
 }
 
@@ -200,7 +210,7 @@ func TestBreakerTrialAdmitsEverySessionOfTheStatement(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if b := fed.Breaker(proxy.Addr()); b != nil && b.State() == lam.BreakerOpen {
+		if breakerState(t, fed, proxy.Addr()) == lam.BreakerOpen {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -219,7 +229,7 @@ func TestBreakerTrialAdmitsEverySessionOfTheStatement(t *testing.T) {
 	if res.Multitable == nil || len(res.Multitable.Tables) != 3 {
 		t.Fatalf("multitable = %+v, want all three databases' partial results", res.Multitable)
 	}
-	if st := fed.Breaker(proxy.Addr()).State(); st != lam.BreakerClosed {
+	if st := breakerState(t, fed, proxy.Addr()); st != lam.BreakerClosed {
 		t.Fatalf("state = %s, want closed after the trial statement", st)
 	}
 }

@@ -287,7 +287,7 @@ type Federation struct {
 	// durable-coordinator state (see journal.go)
 	journal    *mtlog.Journal
 	drainCh    <-chan struct{}
-	breakerPol *lam.BreakerPolicy
+	breakerPol lam.BreakerPolicy
 }
 
 // storedView is a multidatabase view: a multiple query with the scope and
@@ -474,16 +474,12 @@ func (f *Federation) resolve(ctx context.Context, site string) (lam.Client, erro
 	pol := f.breakerPol
 	f.mu.Unlock()
 	if strings.Contains(site, ":") {
-		c, err := lam.DialWith(ctx, site, lam.DialOptions{CallTimeout: f.CallTimeout})
+		c, err := lam.DialWith(ctx, site, lam.DialOptions{CallTimeout: f.CallTimeout, Breaker: pol})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s (%w)", ErrNoClient, site, err)
 		}
-		var client lam.Client = c
-		if pol != nil {
-			client = lam.WithBreaker(c, *pol)
-		}
-		f.RegisterClient(site, client)
-		return client, nil
+		f.RegisterClient(site, c)
+		return c, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNoClient, site)
 }

@@ -62,25 +62,13 @@ func (f *Federation) draining() bool {
 	}
 }
 
-// SetBreaker installs a circuit-breaker policy for LAM clients the
-// federation dials itself (host:port sites resolved lazily). Clients
-// registered explicitly are used as-is; wrap them with lam.WithBreaker
-// to gate them too.
+// SetBreaker installs a circuit-breaker policy (lam.DialOptions.Breaker)
+// for the LAM clients the federation dials itself (host:port sites
+// resolved lazily). Clients registered explicitly keep their own.
 func (f *Federation) SetBreaker(pol lam.BreakerPolicy) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.breakerPol = &pol
-}
-
-// Breaker returns the circuit breaker wrapping the client registered
-// under key, nil when that client has none.
-func (f *Federation) Breaker(key string) *lam.BreakerClient {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if b, ok := f.clients[key].(*lam.BreakerClient); ok {
-		return b
-	}
-	return nil
+	f.breakerPol = pol
 }
 
 // txJournal adapts the journal to the engine's TxLog for one plan run.

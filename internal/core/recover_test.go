@@ -119,10 +119,6 @@ func (s *execSeverSession) Commit(ctx context.Context) error {
 	return err
 }
 
-func (s *execSeverSession) RecoveryInfo() (string, int64) {
-	return s.Session.(lam.Recoverable).RecoveryInfo()
-}
-
 // TestCrashRecoveryCompletesCompensation: an autocommit site commits
 // its subquery, the unit aborts (the other vital site fails), and the
 // compensating subquery dies on a severed connection. The journal keeps

@@ -50,12 +50,6 @@ func (s *severSession) Prepare(ctx context.Context) error {
 	return err
 }
 
-// RecoveryInfo delegates so the engine's in-doubt recovery still sees the
-// real transport session behind the wrapper.
-func (s *severSession) RecoveryInfo() (string, int64) {
-	return s.Session.(lam.Recoverable).RecoveryInfo()
-}
-
 // faultFederation builds a two-site federation where united sits behind a
 // netfault proxy with a severing wrapper client. Recovery is tightened so
 // the permanent-outage path stays fast. The last result holds each

@@ -186,16 +186,13 @@ func New(dir Directory) *Engine {
 	}
 }
 
-// conn is one open connection (session) with serialized task access. A
-// conn with a nil session and a non-nil openErr is a degraded stub for a
-// breaker-open site: its tasks fail with openErr instead of running.
+// conn is one open connection (session) with serialized task access.
 type conn struct {
 	mu      sync.Mutex
 	session lam.Session
 	site    string // the Directory key the session was opened through
 	service string // the site's service name, for per-destination metrics
 	db      string
-	openErr error
 }
 
 // taskRT is the runtime state of one task. deps are resolved at spawn
@@ -287,13 +284,10 @@ type run struct {
 // notePrepared records a participant that voted yes: in the journal,
 // and in Outcome.Prepared for the acknowledgment round.
 func (r *run) notePrepared(rt *taskRT, c *conn) {
-	addr, id := "", int64(0)
-	if rec, ok := recoveryOf(c.session); ok {
-		addr, id = rec.RecoveryInfo()
-		r.mu.Lock()
-		r.out.Prepared = append(r.out.Prepared, Branch{Site: c.site, SessionID: id})
-		r.mu.Unlock()
-	}
+	addr, id := c.session.RecoveryInfo()
+	r.mu.Lock()
+	r.out.Prepared = append(r.out.Prepared, Branch{Site: c.site, SessionID: id})
+	r.mu.Unlock()
 	if r.log != nil {
 		r.log.TaskPrepared(rt.stmt.Name, addr, id)
 	}
@@ -357,21 +351,6 @@ func (e *Engine) RunLogged(ctx context.Context, prog *dol.Program, log TxLog) (*
 	return r.out, nil
 }
 
-// recoveryOf extracts the in-doubt recovery handle of a session, looking
-// through wrappers that expose it by delegation. Wrappers forward the
-// method unconditionally, so a handle with no re-attach address does
-// not count as recoverable.
-func recoveryOf(s lam.Session) (lam.Recoverable, bool) {
-	rec, ok := s.(lam.Recoverable)
-	if !ok {
-		return nil, false
-	}
-	if addr, _ := rec.RecoveryInfo(); addr == "" {
-		return nil, false
-	}
-	return rec, true
-}
-
 func (r *run) execStmts(stmts []dol.Stmt) error {
 	for _, s := range stmts {
 		if err := r.execStmt(s); err != nil {
@@ -390,14 +369,6 @@ func (r *run) execStmt(s dol.Stmt) error {
 		}
 		sess, err := client.Open(r.ctx, st.Database)
 		if err != nil {
-			// A breaker-open site is degraded, not fatal to the whole
-			// plan: keep the connection as a stub that fails its tasks,
-			// so tasks on healthy sites still run and the caller can
-			// decide (per the vital set) whether partial results stand.
-			if errors.Is(err, lam.ErrBreakerOpen) {
-				r.conns[st.Alias] = &conn{db: st.Database, openErr: err}
-				return nil
-			}
 			return fmt.Errorf("dolengine: open %s at %s: %w", st.Database, st.Site, err)
 		}
 		r.conns[st.Alias] = &conn{session: sess, site: st.Site, service: client.ServiceName(), db: st.Database}
@@ -550,11 +521,7 @@ func (r *run) runTask(rt *taskRT, c *conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.session == nil {
-		err := c.openErr
-		if err == nil {
-			err = fmt.Errorf("dolengine: connection %s closed", rt.stmt.Conn)
-		}
-		rt.setStatus(dol.StatusError, err)
+		rt.setStatus(dol.StatusError, fmt.Errorf("dolengine: connection %s closed", rt.stmt.Conn))
 		r.logOutcome(rt)
 		return
 	}
@@ -626,8 +593,8 @@ func (r *run) runTask(rt *taskRT, c *conn) {
 // the task as not-prepared and aborts the unit, so rollback is the
 // synchronization-point decision. Any other failure is a definite no.
 func (r *run) voteFailed(rt *taskRT, sess lam.Session, err error) {
-	if rec, ok := recoveryOf(sess); ok && wire.Transient(err) {
-		rt.markInDoubt(rec, false, err)
+	if wire.Transient(err) {
+		rt.markInDoubt(sess, false, err)
 		return
 	}
 	rt.setStatus(dol.StatusAborted, err)
@@ -706,8 +673,8 @@ func (r *run) commitTask(name string) error {
 		// The decision was COMMIT. Unless the server answered, the outcome
 		// is unknown — never report Aborted (that would make the global
 		// state silently Incorrect); record in-doubt for the recovery loop.
-		if rec, ok := recoveryOf(c.session); ok && unanswered(err) {
-			t.markInDoubt(rec, true, err)
+		if unanswered(err) {
+			t.markInDoubt(c.session, true, err)
 			return nil
 		}
 		t.setStatus(dol.StatusAborted, err)
@@ -741,8 +708,8 @@ func (r *run) abortTask(name string) error {
 	err := c.session.Rollback(sctx)
 	sp.EndErr(err)
 	if err != nil {
-		if rec, ok := recoveryOf(c.session); ok && unanswered(err) {
-			t.markInDoubt(rec, false, err)
+		if unanswered(err) {
+			t.markInDoubt(c.session, false, err)
 			return nil
 		}
 		t.setStatus(dol.StatusError, err)

@@ -18,9 +18,9 @@ import (
 	"msql/internal/wire"
 )
 
-// flakySession is a lam.Session + lam.Recoverable whose commit (or
-// prepare) fails with a transport error, simulating a connection lost in
-// the prepared-to-commit window.
+// flakySession is a lam.Session whose commit (or prepare) fails with a
+// transport error, simulating a connection lost in the prepared-to-commit
+// window.
 type flakySession struct {
 	addr       string
 	id         int64
@@ -78,9 +78,6 @@ func (s *flakySession) Rollback(ctx context.Context) error {
 	return nil
 }
 
-func (s *flakySession) State(ctx context.Context) (ldbms.SessionState, error) {
-	return ldbms.StateActive, nil
-}
 func (s *flakySession) Database() string              { return "db" }
 func (s *flakySession) Close() error                  { return nil }
 func (s *flakySession) RecoveryInfo() (string, int64) { return s.addr, s.id }
@@ -293,7 +290,7 @@ func TestReplayedCommitReturnsRecordedOutcome(t *testing.T) {
 	if err := sess.Prepare(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, id := sess.(lam.Recoverable).RecoveryInfo()
+	_, id := sess.RecoveryInfo()
 	proxy.Sever() // coordinator dies in the prepared-to-commit window
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -1,284 +1,266 @@
 package lam
 
 import (
-	"context"
 	"errors"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
-	"msql/internal/ldbms"
-	"msql/internal/schema"
-	"msql/internal/sqlengine"
-	"msql/internal/sqlval"
+	"msql/internal/netfault"
 	"msql/internal/wire"
 )
 
-// flakyClient is a Client whose calls fail on demand, with either a
-// transient transport error or a definite server-answered one.
-type flakyClient struct {
-	mu       sync.Mutex
-	failing  bool
-	definite bool
-	calls    int
-}
-
-func (f *flakyClient) setFailing(failing, definite bool) {
-	f.mu.Lock()
-	f.failing, f.definite = failing, definite
-	f.mu.Unlock()
-}
-
-func (f *flakyClient) callCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}
-
-func (f *flakyClient) err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls++
-	if !f.failing {
-		return nil
+// breakerRemote dials the delta LAM through a fault proxy with a circuit
+// breaker under pol and no control-call retries, so that each failed
+// call is one failure. The call timeout leaves room for a trial the
+// proxy holds back: a fresh connection's exchange is several delayed
+// chunks.
+func breakerRemote(t *testing.T, pol BreakerPolicy) (*Remote, *netfault.Proxy) {
+	t.Helper()
+	_, p := deltaProxy(t)
+	r, err := DialWith(bg, p.Addr(), DialOptions{
+		CallTimeout: 10 * time.Second,
+		Retry:       RetryPolicy{Attempts: 0, BaseDelay: time.Millisecond},
+		Breaker:     pol,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.definite {
-		return errors.New("definite server error")
-	}
-	return syscall.ECONNREFUSED
+	t.Cleanup(func() { r.Close() })
+	return r, p
 }
 
-func (f *flakyClient) ServiceName() string { return "flaky" }
-func (f *flakyClient) Profile(ctx context.Context) (ldbms.Profile, error) {
-	return ldbms.Profile{Name: "flaky"}, f.err()
-}
-func (f *flakyClient) Open(ctx context.Context, db string) (Session, error) {
-	if err := f.err(); err != nil {
-		return nil, err
-	}
-	return &flakySession{c: f, db: db}, nil
-}
-func (f *flakyClient) Describe(ctx context.Context, db, name string) (schema.Table, error) {
-	return schema.Table{}, f.err()
-}
-func (f *flakyClient) ListTables(ctx context.Context, db string) ([]string, error) {
-	return nil, f.err()
-}
-func (f *flakyClient) ListViews(ctx context.Context, db string) ([]string, error) {
-	return nil, f.err()
-}
-func (f *flakyClient) Resolve(ctx context.Context, id int64, commit bool) (ldbms.SessionState, error) {
-	return ldbms.StateAborted, f.err()
-}
-func (f *flakyClient) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) {
-	return nil, f.err()
-}
-func (f *flakyClient) Forget(ctx context.Context, id int64) error { return f.err() }
-func (f *flakyClient) Close() error                               { return nil }
-
-type flakySession struct {
-	c  *flakyClient
-	db string
+// siteDown makes every exchange through the proxy fail in transport at
+// once: live connections are cut and new ones closed on accept.
+func siteDown(p *netfault.Proxy) {
+	p.SetRefuse(true)
+	p.Sever()
 }
 
-func (s *flakySession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
-	if err := s.c.err(); err != nil {
-		return nil, err
+// tripBreaker fails Profile calls against a downed site until the
+// breaker opens, then brings the site back.
+func tripBreaker(t *testing.T, r *Remote, p *netfault.Proxy) {
+	t.Helper()
+	siteDown(p)
+	for i := 0; r.BreakerState() != BreakerOpen; i++ {
+		if i == 10 {
+			t.Fatalf("breaker still %s after %d failed calls", r.BreakerState(), i)
+		}
+		if _, err := r.Profile(bg); err == nil {
+			t.Fatal("profile through a downed site succeeded")
+		}
 	}
-	return &sqlengine.Result{}, nil
+	p.SetRefuse(false)
 }
-func (s *flakySession) Load(ctx context.Context, table string, rows [][]sqlval.Value) (int, error) {
-	return len(rows), s.c.err()
+
+// warmSessions opens n sessions that have each run one statement, so
+// their later requests are not first requests.
+func warmSessions(t *testing.T, r *Remote, n int) []Session {
+	t.Helper()
+	var out []Session
+	for i := 0; i < n; i++ {
+		sess, err := r.Open(bg, "delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		if _, err := sess.Exec(bg, "SELECT fnu FROM flight"); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sess)
+	}
+	return out
 }
-func (s *flakySession) Prepare(ctx context.Context) error  { return s.c.err() }
-func (s *flakySession) Commit(ctx context.Context) error   { return s.c.err() }
-func (s *flakySession) Rollback(ctx context.Context) error { return s.c.err() }
-func (s *flakySession) State(ctx context.Context) (ldbms.SessionState, error) {
-	return ldbms.StateActive, nil
-}
-func (s *flakySession) Database() string { return s.db }
-func (s *flakySession) Close() error     { return nil }
 
 func TestBreakerTripsAfterConsecutiveTransientFailures(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 3, Cooldown: time.Hour})
-	fc.setFailing(true, false)
-
-	ctx := context.Background()
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 3, Cooldown: time.Hour})
+	siteDown(p)
 	for i := 0; i < 3; i++ {
-		if _, err := b.Profile(ctx); err == nil {
-			t.Fatal("expected failure")
+		if st := r.BreakerState(); st != BreakerClosed {
+			t.Fatalf("state = %s after %d transient failures, want closed", st, i)
+		}
+		if _, err := r.Profile(bg); err == nil || errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("profile %d: err = %v, want the site's own failure", i, err)
 		}
 	}
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state = %s after %d transient failures, want open", st, 3)
+	if st := r.BreakerState(); st != BreakerOpen {
+		t.Fatalf("state = %s after 3 transient failures, want open", st)
 	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d", b.Trips())
+
+	// The site is back, but an open breaker fast-fails without touching
+	// the network: a control call, and a session's first request.
+	p.SetRefuse(false)
+	before := p.ClientReads()
+	if _, err := r.Profile(bg); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("profile err = %v, want ErrBreakerOpen", err)
 	}
-	// Open breaker fast-fails without touching the network.
-	before := fc.callCount()
-	_, err := b.Open(ctx, "db")
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	sess, err := r.Open(bg, "delta")
+	if err != nil {
+		t.Fatalf("open sends nothing, so it cannot fail: %v", err)
 	}
-	if fc.callCount() != before {
-		t.Fatal("open breaker still reached the inner client")
+	defer sess.Close()
+	if _, err := sess.Exec(bg, "SELECT fnu FROM flight"); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("first exec err = %v, want ErrBreakerOpen", err)
+	}
+	if n := p.ClientReads() - before; n != 0 {
+		t.Fatalf("an open breaker let %d chunks reach the site", n)
 	}
 }
 
-// TestBreakerPassesTerminationVerbs: an open breaker still lets a
-// prepared participant be terminated, and termination failures neither
-// trip nor reset it.
+// TestBreakerPassesTerminationVerbs: the termination verbs are neither
+// gated nor counted. Their failures do not trip a closed breaker, an
+// open one still lets them through, and their successes do not close it.
 func TestBreakerPassesTerminationVerbs(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 1, Cooldown: time.Hour})
-	fc.setFailing(true, false)
-	ctx := context.Background()
-	if _, err := b.Profile(ctx); err == nil {
-		t.Fatal("expected failure")
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 1, Cooldown: time.Hour})
+	terminate := func() []error {
+		_, rerr := r.Resolve(bg, 12345, true)
+		_, ierr := r.InDoubt(bg)
+		return []error{rerr, ierr, r.Forget(bg, 12345)}
 	}
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state = %s, want open", st)
+
+	siteDown(p)
+	for i, err := range terminate() {
+		if err == nil {
+			t.Fatalf("termination call %d through a downed site succeeded", i)
+		}
 	}
-	before := fc.callCount()
-	b.Resolve(ctx, 1, true)
-	b.InDoubt(ctx)
-	b.Forget(ctx, 1)
-	if got := fc.callCount() - before; got != 3 {
-		t.Fatalf("%d of 3 termination calls reached the client through an open breaker", got)
+	if st := r.BreakerState(); st != BreakerClosed {
+		t.Fatalf("state = %s: termination failures were counted", st)
 	}
-	fc.setFailing(false, false)
-	b.Resolve(ctx, 1, true)
-	if st := b.State(); st != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("state = %s after %d trips: termination calls were counted", st, b.Trips())
+
+	tripBreaker(t, r, p)
+	errs := terminate()
+	if !errors.Is(errs[0], wire.ErrNoSession) {
+		t.Fatalf("resolve through an open breaker: err = %v, want the server's ErrNoSession", errs[0])
+	}
+	for i, err := range errs[1:] {
+		if err != nil {
+			t.Fatalf("termination call %d through an open breaker: %v", i+1, err)
+		}
+	}
+	if st := r.BreakerState(); st != BreakerOpen {
+		t.Fatalf("state = %s: termination successes were counted", st)
 	}
 }
 
+// TestDefiniteErrorsNeverTrip: a site that answers, albeit with an
+// error, is alive.
 func TestDefiniteErrorsNeverTrip(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
-	fc.setFailing(true, true) // server answers, albeit with an error
-
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		if _, err := b.Profile(ctx); err == nil {
-			t.Fatal("expected failure")
+	r, _ := breakerRemote(t, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
+	for i := 0; i < 5; i++ {
+		if _, err := r.Describe(bg, "delta", "nosuch"); err == nil {
+			t.Fatal("describe of a missing table succeeded")
 		}
+		sess, err := r.Open(bg, "nosuchdb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Exec(bg, "SELECT 1"); err == nil {
+			t.Fatal("exec on a missing database succeeded")
+		}
+		sess.Close()
 	}
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state = %s, want closed — a site that answers is alive", st)
+	if st := r.BreakerState(); st != BreakerClosed {
+		t.Fatalf("state = %s, want closed", st)
 	}
 }
 
 func TestHalfOpenTrialClosesAndReopens(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 1, Cooldown: 20 * time.Millisecond})
-	ctx := context.Background()
-
-	fc.setFailing(true, false)
-	_, _ = b.Profile(ctx) // trips (threshold 1)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %s, want open", b.State())
-	}
-	time.Sleep(30 * time.Millisecond)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %s after cooldown, want half-open", b.State())
+	const cooldown = 50 * time.Millisecond
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 1, Cooldown: cooldown})
+	tripBreaker(t, r, p)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	if st := r.BreakerState(); st != BreakerHalfOpen {
+		t.Fatalf("state = %s after cooldown, want half-open", st)
 	}
 
-	// Trial failure re-opens immediately.
-	if _, err := b.Profile(ctx); err == nil {
-		t.Fatal("trial should fail")
+	// A failed trial re-opens at once.
+	siteDown(p)
+	if _, err := r.Profile(bg); err == nil || errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("trial err = %v, want the site's own failure", err)
 	}
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("state = %s trips = %d, want re-opened", b.State(), b.Trips())
+	if st := r.BreakerState(); st != BreakerOpen {
+		t.Fatalf("state = %s after a failed trial, want open", st)
 	}
 
-	// Next trial succeeds and closes the breaker.
-	time.Sleep(30 * time.Millisecond)
-	fc.setFailing(false, false)
-	if _, err := b.Profile(ctx); err != nil {
-		t.Fatalf("trial call failed: %v", err)
+	// The next trial succeeds and closes it.
+	p.SetRefuse(false)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	if _, err := r.Profile(bg); err != nil {
+		t.Fatalf("trial: %v", err)
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %s, want closed after successful trial", b.State())
+	if st := r.BreakerState(); st != BreakerClosed {
+		t.Fatalf("state = %s after a successful trial, want closed", st)
 	}
 }
 
-func TestHealthProbeClosesBreakerEarly(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{
-		Threshold: 1, Cooldown: time.Hour, // cooldown alone would keep it open
-		ProbeInterval: 5 * time.Millisecond, ProbeTimeout: time.Second,
-	})
-	defer b.Close()
-	ctx := context.Background()
-
-	fc.setFailing(true, false)
-	_, _ = b.Profile(ctx)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %s, want open", b.State())
-	}
-	fc.setFailing(false, false) // site recovers; only the probe can see it
-	deadline := time.Now().Add(2 * time.Second)
-	for b.State() != BreakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("probe did not close the breaker (state %s)", b.State())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestSessionOpsAreNeverGatedButFeedTheBreaker: once a session has sent
+// its first request, its requests keep reaching the network even as
+// their failures trip the breaker — a 2PC participant cannot be
+// abandoned by a breaker — while new sessions fast-fail.
 func TestSessionOpsAreNeverGatedButFeedTheBreaker(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
-	ctx := context.Background()
-
-	sess, err := b.Open(ctx, "db")
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
+	sess := warmSessions(t, r, 3)
+	siteDown(p)
+	for i := 0; i < 2; i++ {
+		if _, err := sess[i].Exec(bg, "SELECT fnu FROM flight"); err == nil || errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("exec %d: err = %v, want the site's own failure", i, err)
+		}
+	}
+	if st := r.BreakerState(); st != BreakerOpen {
+		t.Fatalf("state = %s, want open from session-op failures", st)
+	}
+	if err := sess[2].Commit(bg); err == nil || errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("commit err = %v, want the site's own failure, not a gate", err)
+	}
+	p.SetRefuse(false)
+	fresh, err := r.Open(bg, "delta")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Site dies mid-transaction: session ops must keep reaching the
-	// network (a 2PC participant cannot be abandoned by a breaker) even
-	// as their failures trip it.
-	fc.setFailing(true, false)
+	defer fresh.Close()
+	if _, err := fresh.Exec(bg, "SELECT fnu FROM flight"); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("new session's first exec: err = %v, want ErrBreakerOpen", err)
+	}
+}
+
+// TestBreakerIgnoresRequestsABrokenConnectionRefused: a session's
+// request refused by its connection, which an earlier transport failure
+// broke, never reached the site and must not count as an answer from it:
+// that would reset the failure count and keep a dark site's breaker
+// closed.
+func TestBreakerIgnoresRequestsABrokenConnectionRefused(t *testing.T) {
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
+	sess := warmSessions(t, r, 1)[0]
+	siteDown(p)
 	for i := 0; i < 2; i++ {
-		if _, err := sess.Exec(ctx, "SELECT 1"); errors.Is(err, ErrBreakerOpen) {
-			t.Fatal("session op was gated by the breaker")
+		if _, err := sess.Exec(bg, "SELECT fnu FROM flight"); err == nil {
+			t.Fatalf("exec %d through a downed site succeeded", i)
 		}
 	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %s, want open from session-op failures", b.State())
+	if _, err := r.Profile(bg); err == nil {
+		t.Fatal("profile through a downed site succeeded")
 	}
-	if err := sess.Commit(ctx); errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("commit was gated by an open breaker")
-	}
-	// New sessions, by contrast, fast-fail.
-	if _, err := b.Open(ctx, "db"); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open err = %v, want ErrBreakerOpen", err)
+	if st := r.BreakerState(); st != BreakerOpen {
+		t.Fatalf("state = %s after two transport failures, want open", st)
 	}
 }
 
 // TestBreakerRecordsLoadFailures: like every session op, Load is never
 // gated by the breaker but feeds it.
 func TestBreakerRecordsLoadFailures(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
-	sess, err := b.Open(bg, "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc.setFailing(true, false)
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
+	sess := warmSessions(t, r, 3)
+	siteDown(p)
 	for i := 0; i < 2; i++ {
-		if _, err := sess.Load(bg, "t", fidelityRows()); err == nil || errors.Is(err, ErrBreakerOpen) {
+		if _, err := sess[i].Load(bg, "flight", fidelityRows()); err == nil || errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("load %d: err = %v, want the site's own failure", i, err)
 		}
 	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %s, want open from load failures", b.State())
+	if st := r.BreakerState(); st != BreakerOpen {
+		t.Fatalf("state = %s, want open from load failures", st)
 	}
-	if _, err := sess.Load(bg, "t", fidelityRows()); errors.Is(err, ErrBreakerOpen) {
+	if _, err := sess[2].Load(bg, "flight", fidelityRows()); errors.Is(err, ErrBreakerOpen) {
 		t.Fatal("load was gated by an open breaker")
 	}
 }
@@ -286,25 +268,25 @@ func TestBreakerRecordsLoadFailures(t *testing.T) {
 // TestRemoteSessionsTripBreakerOnFirstRequest: a remote Open sends
 // nothing, so it must not reach the breaker as a success. Sessions
 // against a dark site each fail on their first request, and those
-// failures alone trip it. Under the mutation "lazy Open records
-// success" every Open resets the count and the breaker never trips;
-// core's TestBreakerDegradesNonVitalSiteToPartialResults and the
-// topology soak fail on it the same way.
+// failures alone trip it. Under the mutation "record a first request as
+// a success before it is sent" every session resets the count and the
+// breaker never trips; core's TestBreakerDegradesNonVitalSiteToPartialResults
+// and the topology soak fail on it the same way.
 func TestRemoteSessionsTripBreakerOnFirstRequest(t *testing.T) {
 	_, p := deltaProxy(t)
 	r, err := DialWith(bg, p.Addr(), DialOptions{
 		CallTimeout: 100 * time.Millisecond,
 		Retry:       RetryPolicy{Attempts: 0, BaseDelay: time.Millisecond},
+		Breaker:     BreakerPolicy{Threshold: 2, Cooldown: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := WithBreaker(r, BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
-	defer b.Close()
+	defer r.Close()
 
 	p.SetBlackhole(true)
 	for i := 0; i < 2; i++ {
-		sess, err := b.Open(bg, "delta")
+		sess, err := r.Open(bg, "delta")
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
@@ -313,64 +295,106 @@ func TestRemoteSessionsTripBreakerOnFirstRequest(t *testing.T) {
 		}
 		sess.Close()
 	}
-	if st := b.State(); st != BreakerOpen {
+	if st := r.BreakerState(); st != BreakerOpen {
 		t.Fatalf("state = %s after 2 failed first requests, want open", st)
 	}
 }
 
-// TestHalfOpenTrialSession: the half-open trial admitted with an Open is
-// decided by a session's first request. Until then further Opens are
-// admitted beside it, since a statement opens all its connections
-// before it sends anything, while other gated calls still wait. Sessions
-// closed before sending anything hand the trial back instead of leaving
-// the breaker waiting on it for good.
+// TestHalfOpenTrialSession: a session's first request after the cooldown
+// is the half-open trial. While it is in flight, other sessions' first
+// requests go out beside it — a statement opens all its sessions before
+// any of them sends — but control calls still fast-fail. A session that
+// never sends takes no trial, and a failed trial re-opens the breaker.
 func TestHalfOpenTrialSession(t *testing.T) {
-	fc := &flakyClient{}
-	b := WithBreaker(fc, BreakerPolicy{Threshold: 1, Cooldown: 20 * time.Millisecond})
-	trip := func() {
-		fc.setFailing(true, false)
-		_, _ = b.Profile(bg) // trips (threshold 1)
-		fc.setFailing(false, false)
-		time.Sleep(30 * time.Millisecond)
-	}
+	const cooldown = 50 * time.Millisecond
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 1, Cooldown: cooldown})
 	open := func() Session {
 		t.Helper()
-		sess, err := b.Open(bg, "db")
+		sess, err := r.Open(bg, "delta")
 		if err != nil {
-			t.Fatalf("open: %v", err)
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { sess.Close() })
 		return sess
 	}
 
-	trip()
+	tripBreaker(t, r, p)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	open().Close() // sends nothing: no trial taken, none to hand back
+	if st := r.BreakerState(); st != BreakerHalfOpen {
+		t.Fatalf("state = %s after a session that sent nothing, want half-open", st)
+	}
+
+	// Hold the trial in the proxy, then send a second first request.
 	trial, other := open(), open()
-	if _, err := b.Profile(bg); !errors.Is(err, ErrBreakerOpen) {
+	p.SetDelay(150 * time.Millisecond)
+	before := p.ClientReads()
+	trialErr := make(chan error, 1)
+	go func() {
+		_, err := trial.Exec(bg, "SELECT fnu FROM flight")
+		trialErr <- err
+	}()
+	for p.ClientReads() == before {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := r.Profile(bg); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("profile during the trial: err = %v, want ErrBreakerOpen", err)
 	}
-	trial.Close()
-	other.Close()
-	if st := b.State(); st == BreakerClosed {
-		t.Fatal("a trial that sent nothing closed the breaker")
+	if _, err := other.Exec(bg, "SELECT fnu FROM flight"); err != nil {
+		t.Fatalf("first request beside the trial: %v", err)
+	}
+	if err := <-trialErr; err != nil {
+		t.Fatalf("trial: %v", err)
+	}
+	p.SetDelay(0)
+	if st := r.BreakerState(); st != BreakerClosed {
+		t.Fatalf("state = %s after the trial statement succeeded, want closed", st)
 	}
 
-	trial, other = open(), open()
-	defer trial.Close()
-	if _, err := other.Exec(bg, "SELECT 1"); err != nil {
-		t.Fatal(err)
+	tripBreaker(t, r, p)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	siteDown(p)
+	if _, err := open().Exec(bg, "SELECT fnu FROM flight"); err == nil || errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("trial err = %v, want the site's own failure", err)
 	}
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state = %s after a first request of the trial statement succeeded, want closed", st)
+	if _, err := open().Exec(bg, "SELECT fnu FROM flight"); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("first request after a failed trial: err = %v, want ErrBreakerOpen", err)
 	}
-	other.Close()
+}
 
-	trip()
-	trial = open()
-	fc.setFailing(true, false)
-	if _, err := trial.Exec(bg, "SELECT 1"); err == nil {
-		t.Fatal("exec against a failing site succeeded")
+// TestHalfOpenAdmitsSingleConcurrentProbe hammers a cooled-down open
+// breaker with concurrent control calls: exactly one may pass as the
+// half-open trial, every other caller fails fast with ErrBreakerOpen
+// while the trial is still in flight, and the successful trial closes
+// the breaker for everyone.
+func TestHalfOpenAdmitsSingleConcurrentProbe(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	r, p := breakerRemote(t, BreakerPolicy{Threshold: 1, Cooldown: cooldown})
+	tripBreaker(t, r, p)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	p.SetDelay(200 * time.Millisecond) // holds the trial in flight
+
+	const callers = 16
+	errCh := make(chan error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := r.Profile(bg)
+			errCh <- err
+		}()
 	}
-	if _, err := b.Open(bg, "db"); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open after the trial failed: err = %v, want ErrBreakerOpen", err)
+	for i := 0; i < callers-1; i++ {
+		if err := <-errCh; !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("caller %d: err = %v, want ErrBreakerOpen while the trial is in flight", i, err)
+		}
 	}
-	trial.Close()
+	if err := <-errCh; err != nil {
+		t.Fatalf("trial: %v", err)
+	}
+	wg.Wait()
+	if st := r.BreakerState(); st != BreakerClosed {
+		t.Fatalf("state = %s after a successful trial, want closed", st)
+	}
 }

@@ -78,7 +78,7 @@ func TestExecCarriesItsEnding(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectServed(t, before, want)
-		if st, err := sess.State(bg); err != nil || st != ldbms.StatePrepared {
+		if st, err := sessionState(sess); err != nil || st != ldbms.StatePrepared {
 			t.Fatalf("state = %v, %v; want prepared", st, err)
 		}
 		if err := sess.Commit(bg); err != nil {
@@ -137,7 +137,7 @@ func TestFailedExecRunsNoEnding(t *testing.T) {
 		if _, err := sess.Exec(WithEnding(bg, end), "UPDATE WHERE"); err == nil {
 			t.Fatalf("%s: exec of a statement that does not parse succeeded", end)
 		}
-		if st, err := sess.State(bg); err != nil || st != ldbms.StateActive {
+		if st, err := sessionState(sess); err != nil || st != ldbms.StateActive {
 			t.Fatalf("%s: state after the failed exec = %v, %v; want active", end, st, err)
 		}
 		if err := sess.Rollback(bg); err != nil {

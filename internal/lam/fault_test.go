@@ -351,7 +351,7 @@ func prepareOrphan(t *testing.T, ts *TCPServer, p *netfault.Proxy) int64 {
 	if err := sess.Prepare(bg); err != nil {
 		t.Fatal(err)
 	}
-	_, id := sess.(Recoverable).RecoveryInfo()
+	_, id := sess.RecoveryInfo()
 	p.Sever()
 	// Wait for the server to notice the dead connection and park the
 	// prepared session.
@@ -484,7 +484,7 @@ func TestResolveBeforeOwnerHandlerExits(t *testing.T) {
 	if err := sess.Prepare(bg); err != nil {
 		t.Fatal(err)
 	}
-	_, id := sess.(Recoverable).RecoveryInfo()
+	_, id := sess.RecoveryInfo()
 	if n := len(ts.InDoubt()); n != 0 {
 		t.Fatalf("a prepared session with a live owner is listed in doubt (%d)", n)
 	}

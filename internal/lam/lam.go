@@ -27,6 +27,7 @@ import (
 // Session is one open connection to a database behind a LAM, carrying an
 // implicit transaction driven by the evaluation plan.
 type Session interface {
+	Recoverable
 	// Exec runs one SQL statement on the local database.
 	Exec(ctx context.Context, sql string) (*sqlengine.Result, error)
 	// Load inserts already-typed rows into a table of the local database,
@@ -40,8 +41,6 @@ type Session interface {
 	Commit(ctx context.Context) error
 	// Rollback aborts the open transaction.
 	Rollback(ctx context.Context) error
-	// State reports the observable session state.
-	State(ctx context.Context) (ldbms.SessionState, error)
 	// Database names the connected database.
 	Database() string
 	// Close releases the session, rolling back uncommitted work.
@@ -83,8 +82,8 @@ type Client interface {
 	Close() error
 }
 
-// Recoverable is implemented by sessions whose prepared transaction can be
-// driven to an outcome after a lost connection: RecoveryInfo names where a
+// Recoverable names how a session's prepared transaction can be driven
+// to an outcome after a lost connection: RecoveryInfo names where a
 // recovering coordinator reconnects and which server-side session to
 // resolve (the in-doubt protocol of DESIGN.md §7).
 type Recoverable interface {

@@ -9,9 +9,20 @@ import (
 
 	"msql/internal/ldbms"
 	"msql/internal/sqlval"
+	"msql/internal/wire"
 )
 
 var bg = context.Background()
+
+// sessionState asks the server for a session's state (wire.ReqState),
+// which these tests use to watch the server side of a session.
+func sessionState(sess Session) (ldbms.SessionState, error) {
+	resp, err := sess.(*remoteSession).call(bg, &wire.Request{Kind: wire.ReqState})
+	if err != nil {
+		return 0, err
+	}
+	return ldbms.SessionState(resp.State), nil
+}
 
 // resolveAt resolves a session at addr through a client of its own, the
 // way an operator terminates a participant the coordinator left in doubt.
@@ -115,21 +126,21 @@ func runClientSuite(t *testing.T, c Client) {
 	if _, err := sess.Exec(bg, "UPDATE flight SET rate = rate * 1.1 WHERE fnu = 10"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.State(bg)
+	st, err := sessionState(sess)
 	if err != nil || st != ldbms.StateActive {
 		t.Fatalf("state = %v, %v", st, err)
 	}
 	if err := sess.Prepare(bg); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = sess.State(bg)
+	st, _ = sessionState(sess)
 	if st != ldbms.StatePrepared {
 		t.Fatalf("state = %v", st)
 	}
 	if err := sess.Rollback(bg); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = sess.State(bg)
+	st, _ = sessionState(sess)
 	if st != ldbms.StateAborted {
 		t.Fatalf("state = %v", st)
 	}

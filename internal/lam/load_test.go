@@ -64,7 +64,7 @@ func runLoadSuite(t *testing.T, c Client) {
 	if _, err := sess.Load(bg, "nosuch", rows); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("unknown table: err = %v", err)
 	}
-	if st, _ := sess.State(bg); st != ldbms.StateAborted {
+	if st, _ := sessionState(sess); st != ldbms.StateAborted {
 		t.Fatalf("state after failed load = %s, want aborted", st)
 	}
 	if res, err := sess.Exec(bg, "SELECT rate FROM flight WHERE fnu = 10"); err != nil || res.Rows[0][0] != sqlval.Float(150) {

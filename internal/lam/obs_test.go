@@ -2,10 +2,11 @@ package lam
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
+	"msql/internal/ldbms"
+	"msql/internal/netfault"
 	"msql/internal/obs"
 )
 
@@ -116,60 +117,76 @@ func TestUntracedCallsCarryNoTraceID(t *testing.T) {
 	}
 }
 
-// TestBreakerOnTransitionCallback exercises the satellite hook: every
-// state change of the automaton is delivered to the policy callback, in
-// order, outside the breaker's lock (the callback re-enters the breaker).
-func TestBreakerOnTransitionCallback(t *testing.T) {
-	type hop struct{ from, to BreakerState }
-	var mu sync.Mutex
-	var hops []hop
-
-	fc := &flakyClient{}
-	var b *BreakerClient
-	b = WithBreaker(fc, BreakerPolicy{
-		Threshold: 2,
-		Cooldown:  10 * time.Millisecond,
-		OnTransition: func(service string, from, to BreakerState) {
-			if service != "flaky" {
-				t.Errorf("service = %q", service)
-			}
-			b.State() // must not deadlock: callback runs outside the lock
-			mu.Lock()
-			hops = append(hops, hop{from, to})
-			mu.Unlock()
-		},
-	})
-
-	ctx := context.Background()
-	fc.setFailing(true, false)
-	for i := 0; i < 2; i++ {
-		b.Profile(ctx)
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %s", b.State())
-	}
-	time.Sleep(15 * time.Millisecond) // cooldown elapses
-	fc.setFailing(false, false)
-	if _, err := b.Profile(ctx); err != nil { // half-open trial succeeds
+// TestBreakerTransitionMetrics walks a breaker through closed → open →
+// half-open → closed and reads the registry at each step: one
+// msql_breaker_transitions_total{to} increment per state entered, and
+// msql_breaker_state at 0 closed / 1 open / 2 half-open.
+func TestBreakerTransitionMetrics(t *testing.T) {
+	const svc, cooldown = "breaker-metrics-svc", 50 * time.Millisecond
+	ts, err := Serve("127.0.0.1:0", ldbms.NewServer(svc, ldbms.ProfileOracleLike(), 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %s", b.State())
+	defer ts.Close()
+	p, err := netfault.New(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer p.Close()
+	r, err := DialWith(bg, p.Addr(), DialOptions{
+		Retry:   RetryPolicy{Attempts: 0, BaseDelay: time.Millisecond},
+		Breaker: BreakerPolicy{Threshold: 2, Cooldown: cooldown},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 
-	mu.Lock()
-	defer mu.Unlock()
-	want := []hop{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
+	states := []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen}
+	base := map[BreakerState]int64{}
+	for _, st := range states {
+		base[st] = mBreakerTransitions.With(svc, st.String()).Value()
 	}
-	if len(hops) != len(want) {
-		t.Fatalf("transitions = %v, want %v", hops, want)
-	}
-	for i := range want {
-		if hops[i] != want[i] {
-			t.Fatalf("transition %d = %v, want %v", i, hops[i], want[i])
+	check := func(step string, gauge BreakerState, entered ...BreakerState) {
+		t.Helper()
+		for _, st := range states {
+			want := int64(0)
+			for _, e := range entered {
+				if e == st {
+					want++
+				}
+			}
+			if got := mBreakerTransitions.With(svc, st.String()).Value() - base[st]; got != want {
+				t.Fatalf("%s: transitions{to=%s} rose by %d, want %d", step, st, got, want)
+			}
+		}
+		if got := mBreakerState.With(svc).Value(); got != int64(gauge) {
+			t.Fatalf("%s: msql_breaker_state = %d, want %d (%s)", step, got, gauge, gauge)
 		}
 	}
+
+	siteDown(p)
+	r.Profile(bg)
+	check("one failure", BreakerClosed)
+	r.Profile(bg)
+	check("tripped", BreakerOpen, BreakerOpen)
+
+	// Hold the half-open trial in the proxy to read the gauge under it.
+	p.SetRefuse(false)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	p.SetDelay(150 * time.Millisecond)
+	before := p.ClientReads()
+	trial := make(chan error, 1)
+	go func() {
+		_, err := r.Profile(bg)
+		trial <- err
+	}()
+	for p.ClientReads() == before {
+		time.Sleep(time.Millisecond)
+	}
+	check("trial in flight", BreakerHalfOpen, BreakerOpen, BreakerHalfOpen)
+	if err := <-trial; err != nil {
+		t.Fatalf("trial: %v", err)
+	}
+	check("trial succeeded", BreakerClosed, BreakerOpen, BreakerHalfOpen, BreakerClosed)
 }

@@ -3,11 +3,9 @@ package lam
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
-	"msql/internal/ldbms"
 	"msql/internal/netfault"
 )
 
@@ -213,87 +211,6 @@ func TestPoolNeverReusesFailedConn(t *testing.T) {
 	r.poolMu.Unlock()
 	if n != 0 {
 		t.Fatalf("poisoned connection was pooled (idle = %d)", n)
-	}
-}
-
-// gatedClient blocks Profile until released, so a half-open trial can be
-// held in flight while concurrent callers probe the breaker.
-type gatedClient struct {
-	flakyClient
-	entered chan struct{} // one send per Profile call entering
-	release chan struct{} // Profile returns when closed
-}
-
-func (g *gatedClient) Profile(ctx context.Context) (ldbms.Profile, error) {
-	g.entered <- struct{}{}
-	<-g.release
-	return ldbms.Profile{Name: "flaky"}, g.err()
-}
-
-// TestHalfOpenAdmitsSingleConcurrentProbe hammers a cooled-down open
-// breaker with concurrent gated calls: exactly one may pass as the
-// half-open trial; every other caller must fail fast with
-// ErrBreakerOpen while the trial is still in flight, and a successful
-// trial closes the breaker for everyone.
-func TestHalfOpenAdmitsSingleConcurrentProbe(t *testing.T) {
-	gc := &gatedClient{
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
-	}
-	b := WithBreaker(gc, BreakerPolicy{Threshold: 1, Cooldown: 20 * time.Millisecond})
-
-	gc.setFailing(true, false)
-	if _, err := b.Describe(context.Background(), "db", "t"); err == nil {
-		t.Fatal("expected transient failure")
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %s, want open", b.State())
-	}
-	gc.setFailing(false, false)
-	time.Sleep(30 * time.Millisecond) // cooldown elapses → next call is the trial
-
-	const callers = 16
-	errCh := make(chan error, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := b.Profile(context.Background())
-			errCh <- err
-		}()
-	}
-
-	// Exactly one trial enters the inner client...
-	select {
-	case <-gc.entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no trial reached the inner client")
-	}
-	// ...and while it is in flight, every other caller fails fast.
-	fastFailed := 0
-	for fastFailed < callers-1 {
-		select {
-		case err := <-errCh:
-			if !errors.Is(err, ErrBreakerOpen) {
-				t.Fatalf("concurrent caller err = %v, want ErrBreakerOpen", err)
-			}
-			fastFailed++
-		case <-gc.entered:
-			t.Fatal("second probe reached the inner client during the trial")
-		case <-time.After(2 * time.Second):
-			t.Fatalf("only %d/%d callers failed fast; rest are stuck behind the trial",
-				fastFailed, callers-1)
-		}
-	}
-
-	close(gc.release) // trial succeeds
-	if err := <-errCh; err != nil {
-		t.Fatalf("trial err = %v, want success", err)
-	}
-	wg.Wait()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %s after successful trial, want closed", b.State())
 	}
 }
 

@@ -151,6 +151,8 @@ type DialOptions struct {
 	// which also opens the session, is not retried once written. Zero
 	// value means DefaultRetry.
 	Retry RetryPolicy
+	// Breaker is the site's circuit-breaker policy (zero: no breaker).
+	Breaker BreakerPolicy
 }
 
 // maxIdleConns caps the idle connections a Remote keeps for reuse by
@@ -168,6 +170,9 @@ func (o DialOptions) withDefaults() DialOptions {
 	if o.Retry == (RetryPolicy{}) {
 		o.Retry = DefaultRetry()
 	}
+	if o.Breaker.Cooldown <= 0 {
+		o.Breaker.Cooldown = 5 * time.Second
+	}
 	return o
 }
 
@@ -184,6 +189,8 @@ type Remote struct {
 	poolMu     sync.Mutex
 	idle       []*rpcConn
 	poolClosed bool
+
+	brk breaker // see breaker.go
 }
 
 // rpcConn is a Remote's wire connection. The 1-buffered semaphore
@@ -294,7 +301,7 @@ func Dial(addr string) (*Remote, error) {
 // options.
 func DialWith(ctx context.Context, addr string, opts DialOptions) (*Remote, error) {
 	r := &Remote{addr: addr, opts: opts.withDefaults()}
-	resp, err := r.control(ctx, &wire.Request{Kind: wire.ReqHello})
+	resp, err := r.roundTrip(ctx, &wire.Request{Kind: wire.ReqHello})
 	if err != nil {
 		return nil, err
 	}
@@ -302,9 +309,19 @@ func DialWith(ctx context.Context, addr string, opts DialOptions) (*Remote, erro
 	return r, nil
 }
 
-// control runs one control-plane request on a connection of the pool's
-// (see take), retrying transient failures under the retry policy.
+// control runs one control-plane request behind the circuit breaker.
 func (r *Remote) control(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	if err := r.admit(false); err != nil {
+		return nil, err
+	}
+	resp, err := r.roundTrip(ctx, req)
+	r.record(err)
+	return resp, err
+}
+
+// roundTrip runs one control-plane request on a connection of the
+// pool's (see take), retrying transient failures under the retry policy.
+func (r *Remote) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	var resp *wire.Response
 	err := r.retrying(ctx, func() error {
 		c, err := r.take(ctx)
@@ -460,7 +477,8 @@ func (r *Remote) ListViews(ctx context.Context, db string) ([]string, error) {
 // Resolve implements Client: attach, decision and close travel on one
 // session connection as a single attempt. A transport failure after the
 // attach drops that connection, which hands the still-prepared session
-// back to the server's in-doubt table for the next attempt.
+// back to the server's in-doubt table for the next attempt. The breaker
+// neither gates nor counts it.
 func (r *Remote) Resolve(ctx context.Context, sessionID int64, commit bool) (ldbms.SessionState, error) {
 	conn, err := r.sessionConn(ctx, wire.ReqAttach)
 	if err != nil {
@@ -490,9 +508,10 @@ func (r *Remote) Resolve(ctx context.Context, sessionID int64, commit bool) (ldb
 	return state, nil
 }
 
-// InDoubt implements Client (wire.ReqInDoubt, a retried control call).
+// InDoubt implements Client (wire.ReqInDoubt, a retried control call
+// the breaker neither gates nor counts).
 func (r *Remote) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) {
-	resp, err := r.control(ctx, &wire.Request{Kind: wire.ReqInDoubt})
+	resp, err := r.roundTrip(ctx, &wire.Request{Kind: wire.ReqInDoubt})
 	if err != nil {
 		return nil, err
 	}
@@ -500,9 +519,9 @@ func (r *Remote) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) {
 }
 
 // Forget implements Client (wire.ReqForget, a retried control call: the
-// acknowledgment is idempotent).
+// acknowledgment is idempotent). The breaker neither gates nor counts it.
 func (r *Remote) Forget(ctx context.Context, sessionID int64) error {
-	_, err := r.control(ctx, &wire.Request{Kind: wire.ReqForget, SessionID: sessionID})
+	_, err := r.roundTrip(ctx, &wire.Request{Kind: wire.ReqForget, SessionID: sessionID})
 	return err
 }
 
@@ -539,8 +558,10 @@ type remoteSession struct {
 	endErr error
 }
 
-// call sends one request of the session. The first finds the session a
-// connection and opens it at the server by carrying wire.Request.Open.
+// call sends one request of the session. The first, gated by the
+// circuit breaker, finds the session a connection and opens it at the
+// server by carrying wire.Request.Open; the breaker counts the outcome of
+// every exchange.
 // No request is replayed once written: a transport failure poisons the connection
 // and is returned as-is, since an exec at an autocommit site may already
 // have taken effect. A free session is taken even when ctx is already
@@ -567,8 +588,12 @@ func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Resp
 		}
 	}
 	if s.conn == nil {
+		if err := s.r.admit(true); err != nil {
+			return nil, err
+		}
 		c, err := s.r.sessionConn(ctx, req.Kind)
 		if err != nil {
+			s.r.record(err)
 			return nil, err
 		}
 		s.conn = c
@@ -588,6 +613,7 @@ func (s *remoteSession) call(ctx context.Context, req *wire.Request) (*wire.Resp
 		req.Then, req.MTID = 0, 0
 	}
 	resp, err := s.conn.call(ctx, req)
+	s.r.record(err)
 	if opening && resp != nil {
 		s.id.Store(resp.SessionID)
 		if resp.NextSession != 0 {
@@ -662,14 +688,6 @@ func (s *remoteSession) Commit(ctx context.Context) error {
 func (s *remoteSession) Rollback(ctx context.Context) error {
 	_, err := s.call(ctx, &wire.Request{Kind: wire.ReqRollback})
 	return err
-}
-
-func (s *remoteSession) State(ctx context.Context) (ldbms.SessionState, error) {
-	resp, err := s.call(ctx, &wire.Request{Kind: wire.ReqState})
-	if err != nil {
-		return 0, err
-	}
-	return ldbms.SessionState(resp.State), nil
 }
 
 func (s *remoteSession) Database() string { return s.db }

@@ -300,6 +300,7 @@ func TestBackendsAgree(t *testing.T) {
 	sequences := []struct {
 		qs     []string
 		commit bool
+		fails  bool // the sequence is meant to stop at an error
 	}{
 		{[]string{ // insert, then write and read the new key
 			`INSERT INTO seats VALUES (50, 'fresh')`,
@@ -307,27 +308,27 @@ func TestBackendsAgree(t *testing.T) {
 			`SELECT * FROM seats WHERE snu = 50`,
 			`DELETE FROM seats WHERE snu = 50`,
 			`SELECT * FROM seats WHERE snu = 50`,
-		}, true},
+		}, true, false},
 		{[]string{ // delete, then update the same key; re-insert and again
 			`DELETE FROM seats WHERE snu = 2`,
 			`UPDATE seats SET owner = 'zombie' WHERE snu = 2`,
 			`INSERT INTO seats VALUES (2, 'reborn')`,
 			`UPDATE seats SET owner = 'again' WHERE snu = 2`,
 			`SELECT * FROM seats WHERE snu = 2`,
-		}, true},
+		}, true, false},
 		{[]string{ // rolled back: none of this may stay in the index
 			`INSERT INTO seats VALUES (60, 'doomed')`,
 			`UPDATE seats SET snu = snu + 1 WHERE snu = 60`,
 			`DELETE FROM seats WHERE snu = 5`,
 			`UPDATE seats SET snu = 70 WHERE snu = 6`,
-		}, false},
+		}, false, false},
 		{[]string{ // probes after the rollback: 60, 61, 70 miss; 5, 6 hit
 			`UPDATE seats SET owner = 'r60' WHERE snu = 60`,
 			`UPDATE seats SET owner = 'r61' WHERE snu = 61`,
 			`UPDATE seats SET owner = 'r70' WHERE snu = 70`,
 			`UPDATE seats SET owner = 'r5' WHERE snu = 5`,
 			`DELETE FROM seats WHERE snu = 6`,
-		}, true},
+		}, true, false},
 		{[]string{ // a temporary table: positional writes, a join, a transfer out
 			`CREATE TEMPORARY TABLE tmp (flnu INTEGER, rate FLOAT, day CHAR(3))`,
 			`INSERT INTO tmp SELECT flnu, rate, day FROM flights`,
@@ -337,18 +338,18 @@ func TestBackendsAgree(t *testing.T) {
 			`SELECT COUNT(*), SUM(rate) FROM tmp WHERE rate > -5`,
 			`INSERT INTO seats SELECT flnu + 1000, day FROM tmp`,
 			`DROP TABLE tmp`,
-		}, true},
+		}, true, false},
 		{[]string{ // a temporary table shadows the base table of its name
 			`CREATE TEMPORARY TABLE seats (snu INTEGER, owner CHAR(10))`,
 			`INSERT INTO seats VALUES (900, 'temp')`,
 			`SELECT * FROM seats`,
 			`DROP TABLE seats`,
 			`SELECT * FROM seats WHERE snu = 2`,
-		}, true},
+		}, true, false},
 		{[]string{ // an error mid-sequence rolls the earlier write back
 			`UPDATE seats SET owner = 'lost' WHERE snu = 5`,
 			`UPDATE seats SET snu = 'abc' WHERE snu = 5`,
-		}, true},
+		}, true, true},
 	}
 	// Failures must be the same error everywhere — the wire maps these
 	// sentinels to codes the coordinator branches on.
@@ -373,8 +374,11 @@ func TestBackendsAgree(t *testing.T) {
 
 	sites, diskStore := openDiffSites(t)
 	ref := sites[0]
-	compare := func(q string, commit, needsViews bool) {
+	compare := func(q string, commit, needsViews, fails bool) {
 		want, wantErr := ref.exec(t, q, commit)
+		if (wantErr != nil) != fails {
+			t.Errorf("%s: %q: err = %v, meant to fail: %v", ref.name, q, wantErr, fails)
+		}
 		for _, s := range sites[1:] {
 			if needsViews && !s.views {
 				continue
@@ -385,16 +389,16 @@ func TestBackendsAgree(t *testing.T) {
 	}
 	readAll := func() {
 		for _, q := range queries {
-			compare(q, false, false)
+			compare(q, false, false, false)
 		}
 		for _, q := range viewQueries {
-			compare(q, false, true)
+			compare(q, false, true, false)
 		}
 	}
 
 	readAll()
 	for _, f := range failures {
-		compare(f.q, false, false)
+		compare(f.q, false, false, true)
 		for _, s := range sites {
 			if _, err := s.exec(t, f.q, false); err == nil || (f.sentinel != nil && !errors.Is(err, f.sentinel)) {
 				t.Errorf("%s: %q: err = %v, want %v", s.name, f.q, err, f.sentinel)
@@ -402,15 +406,18 @@ func TestBackendsAgree(t *testing.T) {
 		}
 	}
 	for _, q := range writes {
-		compare(q, true, false)
+		compare(q, true, false, false)
 	}
 	readAll()
 	for _, q := range keyedWrites {
-		compare(q, true, false)
+		compare(q, true, false, false)
 	}
 	readAll()
 	for _, seq := range sequences {
 		want, wantErr := ref.execAll(t, seq.qs, seq.commit)
+		if (wantErr != nil) != seq.fails {
+			t.Errorf("%s: %q: err = %v, meant to fail: %v", ref.name, seq.qs, wantErr, seq.fails)
+		}
 		for _, s := range sites[1:] {
 			got, gotErr := s.execAll(t, seq.qs, seq.commit)
 			for i, q := range seq.qs {

@@ -152,10 +152,6 @@ func (s *killSession) Commit(ctx context.Context) error {
 	return err
 }
 
-func (s *killSession) RecoveryInfo() (string, int64) {
-	return s.Session.(lam.Recoverable).RecoveryInfo()
-}
-
 // rowCountTCP is the out-of-process ground truth: count acct rows with
 // the given id at a victim site through a fresh TCP client.
 func rowCountTCP(t *testing.T, addr, db string, id int) int {
@@ -533,7 +529,7 @@ func TestTopologySoak(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		px := proxyOf[proxied[0].Service]
-		if b := fed.Breaker(px.Addr()); b != nil && b.State() == lam.BreakerOpen {
+		if breakerState(t, fed, px.Addr()) == lam.BreakerOpen {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -175,6 +175,17 @@ func (p *Plan) serviceOf(db string) string {
 	return ""
 }
 
+// breakerState reads the circuit breaker of the client the federation
+// dialed for site.
+func breakerState(t *testing.T, fed *core.Federation, site string) lam.BreakerState {
+	t.Helper()
+	c, err := fed.Resolve(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.(*lam.Remote).BreakerState()
+}
+
 // vitalBreakerFleet stands up a two-site fleet with the named backend
 // site behind a netfault proxy, trips the proxy's breaker, and returns
 // the federation plus the dark site's database name.
@@ -225,7 +236,7 @@ IMPORT DATABASE %s FROM SERVICE %s;
 	probe := fmt.Sprintf("USE %s %s VITAL\nSELECT owner%% FROM acct%%", healthySite.DB, backendSite.DB)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if b := fed.Breaker(proxy.Addr()); b != nil && b.State() == lam.BreakerOpen {
+		if breakerState(t, fed, proxy.Addr()) == lam.BreakerOpen {
 			break
 		}
 		if time.Now().After(deadline) {
