@@ -539,10 +539,7 @@ func serveDurableLAMs(fed *core.Federation, dir string) error {
 			return fmt.Errorf("%s: %w", svc, err)
 		}
 		addr := fmt.Sprintf("127.0.0.1:%d", lamBasePort+i)
-		ts, err := fed.ServeLocal(fed.Server(svc), addr, lam.ServeOptions{
-			Journal:      j,
-			TombstoneTTL: 5 * time.Minute,
-		})
+		ts, err := fed.ServeLocal(fed.Server(svc), addr, lam.ServeOptions{Journal: j})
 		if err != nil {
 			j.Close()
 			return fmt.Errorf("%s on %s: %w", svc, addr, err)

@@ -32,10 +32,10 @@ func TestAllocationCeilings(t *testing.T) {
 	}{
 		{"2-site select", func() string {
 			return "USE continental united\nSELECT rate% FROM flight%"
-		}, 405}, // measured 386
+		}, 396}, // measured 377
 		{"vital update", func() string {
 			return "USE continental VITAL united VITAL\nUPDATE flight% SET rate% = rate% * 1.0 WHERE sour% = 'Houston'\nCOMMIT"
-		}, 668}, // measured 636
+		}, 655}, // measured 624
 		// Inserts alternate with their undos, each a VITAL unit
 		// compensated at the csv site, so the tables keep their size.
 		{"comp saga", func() string {
@@ -48,10 +48,10 @@ func TestAllocationCeilings(t *testing.T) {
 			return fmt.Sprintf("USE regional VITAL continental VITAL\n"+
 				"DELETE FROM flights WHERE flnu = %d\nCOMP regional\nINSERT INTO flights VALUES (%d, 'Waco', 'Tyler', 40.0)\nCOMMIT",
 				key-1, key-1)
-		}, 558}, // measured 531
+		}, 549}, // measured 523
 		{"cross join ship", func() string {
 			return "USE continental united\nSELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u.rates"
-		}, 785}, // measured 747
+		}, 775}, // measured 738
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, func() {

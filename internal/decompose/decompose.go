@@ -98,14 +98,9 @@ func Decompose(gdd *catalog.GDD, el semvar.Elementary) (*Plan, error) {
 		return decomposeSelect(gdd, st)
 	case *sqlparser.InsertStmt:
 		return decomposeInsert(gdd, st)
-	case *sqlparser.UpdateStmt:
-		return singleDBDML(st.Table, el.Stmt)
-	case *sqlparser.DeleteStmt:
-		return singleDBDML(st.Table, el.Stmt)
-	case *sqlparser.CreateTableStmt:
-		return singleDBDML(st.Table, el.Stmt)
-	case *sqlparser.DropTableStmt:
-		return singleDBDML(st.Table, el.Stmt)
+	case *sqlparser.UpdateStmt, *sqlparser.DeleteStmt, *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt:
+		target, _ := sqlparser.Target(st)
+		return singleDBDML(target, el.Stmt)
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupported, el.Stmt)
 	}
@@ -126,21 +121,9 @@ func singleDBDML(table sqlparser.ObjectName, stmt sqlparser.Statement) (*Plan, e
 			return n
 		},
 	})
-	// A DML statement whose subqueries reference other databases cannot
-	// be pushed to one site.
-	foreign := false
-	sqlparser.WalkExprs(local, func(e sqlparser.Expr) {
-		sub, ok := e.(*sqlparser.SubqueryExpr)
-		if !ok {
-			return
-		}
-		for _, f := range sub.Query.From {
-			if len(f.Name.Parts) >= 2 {
-				foreign = true
-			}
-		}
-	})
-	if foreign {
+	// A DML statement whose subqueries or UNION branches still name
+	// another database cannot be pushed to one site.
+	if len(databases(local)) > 0 {
 		return nil, fmt.Errorf("%w: DML with cross-database subquery", ErrUnsupported)
 	}
 	return &Plan{Subqueries: []Subquery{{Database: db, Name: db, Stmt: local}}}, nil
@@ -155,8 +138,14 @@ type group struct {
 
 // decomposeSelect splits a cross-database SELECT.
 func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error) {
-	if hasSubquery(sel) {
+	// Blocks beyond sel and its UNION branches are nested subqueries.
+	blocks := 0
+	sqlparser.Selects(sel, func(*sqlparser.SelectStmt) { blocks++ })
+	if blocks > 1+len(sel.Unions) {
 		return nil, fmt.Errorf("%w: global SELECT with nested subquery", ErrUnsupported)
+	}
+	if err := unionInOneDatabase(sel); err != nil {
+		return nil, err
 	}
 	groups, aliasDB, err := groupByDatabase(sel.From)
 	if err != nil {
@@ -168,7 +157,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 		return &Plan{Subqueries: []Subquery{{Database: groups[0].db, Name: groups[0].db, Stmt: local}}}, nil
 	}
 
-	conjuncts := splitConjuncts(sel.Where)
+	conjuncts := sqlparser.Conjuncts(sel.Where)
 	localConj := make(map[string][]sqlparser.Expr)
 	var globalConj []sqlparser.Expr
 	for _, c := range conjuncts {
@@ -188,7 +177,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 	// projection, global conjuncts, grouping, having and ordering.
 	needed := make(map[string]map[string]bool) // alias -> column set
 	note := func(e sqlparser.Expr) {
-		walk(e, func(x sqlparser.Expr) {
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 			if c, ok := x.(sqlparser.ColRef); ok && len(c.Parts) == 2 {
 				if needed[c.Parts[0]] == nil {
 					needed[c.Parts[0]] = make(map[string]bool)
@@ -271,7 +260,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 				Alias: r.Alias,
 			})
 		}
-		local.Where = conjoin(localConj[g.db])
+		local.Where = sqlparser.And(localConj[g.db])
 		plan.Subqueries = append(plan.Subqueries, Subquery{Database: g.db, Name: g.db, Stmt: local})
 		plan.Ships = append(plan.Ships, Ship{FromIndex: len(plan.Subqueries) - 1, Table: tmp, Columns: cols})
 		plan.Cleanup = append(plan.Cleanup, tmp)
@@ -315,7 +304,7 @@ func decomposeSelect(gdd *catalog.GDD, sel *sqlparser.SelectStmt) (*Plan, error)
 		}
 		final.From = append(final.From, ref)
 	}
-	final.Where = conjoin(append(localConj[groups[coord].db], rewriteAll(globalConj, rw)...))
+	final.Where = sqlparser.And(append(localConj[groups[coord].db], rewriteAll(globalConj, rw)...))
 	plan.Final = final
 	return plan, nil
 }
@@ -331,6 +320,9 @@ func decomposeInsert(gdd *catalog.GDD, ins *sqlparser.InsertStmt) (*Plan, error)
 	if ins.Query == nil {
 		// Literal inserts go straight to the target.
 		return singleDBDML(ins.Table, ins)
+	}
+	if err := unionInOneDatabase(ins.Query); err != nil {
+		return nil, err
 	}
 	groups, _, err := groupByDatabase(ins.Query.From)
 	if err != nil {
@@ -507,7 +499,7 @@ func constRange(e sqlparser.Expr) bool {
 // isConst reports whether e references no column.
 func isConst(e sqlparser.Expr) bool {
 	cols := false
-	walk(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		if _, ok := x.(sqlparser.ColRef); ok {
 			cols = true
 		}
@@ -543,28 +535,6 @@ func groupByDatabase(from []sqlparser.TableRef) ([]*group, map[string]string, er
 	return order, aliasDB, nil
 }
 
-func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sqlparser.Expr{e}
-}
-
-func conjoin(cs []sqlparser.Expr) sqlparser.Expr {
-	var out sqlparser.Expr
-	for _, c := range cs {
-		if out == nil {
-			out = c
-		} else {
-			out = &sqlparser.BinaryExpr{Op: "AND", L: out, R: c}
-		}
-	}
-	return out
-}
-
 func rewriteAll(cs []sqlparser.Expr, rw sqlparser.Rewriter) []sqlparser.Expr {
 	var rewritten []sqlparser.Expr
 	for _, c := range cs {
@@ -575,7 +545,7 @@ func rewriteAll(cs []sqlparser.Expr, rw sqlparser.Rewriter) []sqlparser.Expr {
 
 func referencedDBs(e sqlparser.Expr, aliasDB map[string]string) map[string]bool {
 	out := make(map[string]bool)
-	walk(e, func(x sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		if c, ok := x.(sqlparser.ColRef); ok && len(c.Parts) == 2 {
 			if db, ok := aliasDB[c.Parts[0]]; ok {
 				out[db] = true
@@ -585,51 +555,28 @@ func referencedDBs(e sqlparser.Expr, aliasDB map[string]string) map[string]bool 
 	return out
 }
 
-func walk(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		walk(x.L, fn)
-		walk(x.R, fn)
-	case *sqlparser.UnaryExpr:
-		walk(x.X, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range x.Args {
-			walk(a, fn)
-		}
-	case *sqlparser.InExpr:
-		walk(x.X, fn)
-		for _, a := range x.List {
-			walk(a, fn)
-		}
-	case *sqlparser.BetweenExpr:
-		walk(x.X, fn)
-		walk(x.Lo, fn)
-		walk(x.Hi, fn)
-	case *sqlparser.IsNullExpr:
-		walk(x.X, fn)
-	case *sqlparser.LikeExpr:
-		walk(x.X, fn)
-		walk(x.Pattern, fn)
-	}
-}
-
-func hasSubquery(s sqlparser.Statement) bool {
-	found := false
-	sqlparser.WalkExprs(s, func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.SubqueryExpr:
-			found = true
-		case *sqlparser.InExpr:
-			if x.Query != nil {
-				found = true
+// databases returns the databases the FROM clauses of s name, in every
+// SELECT block.
+func databases(s sqlparser.Statement) map[string]bool {
+	dbs := make(map[string]bool)
+	sqlparser.Selects(s, func(sel *sqlparser.SelectStmt) {
+		for _, f := range sel.From {
+			if len(f.Name.Parts) >= 2 {
+				dbs[f.Name.Parts[0]] = true
 			}
 		}
 	})
-	return found
+	return dbs
+}
+
+// unionInOneDatabase refuses a UNION whose branches read several
+// databases: decomposition groups only the first branch's FROM, so such a
+// query would be shipped whole to one site that lacks the others' tables.
+func unionInOneDatabase(sel *sqlparser.SelectStmt) error {
+	if len(sel.Unions) > 0 && len(databases(sel)) > 1 {
+		return fmt.Errorf("%w: UNION across databases", ErrUnsupported)
+	}
+	return nil
 }
 
 // stripDBPrefix removes "db." prefixes from all table references.

@@ -343,6 +343,21 @@ func TestDecomposeUnsupportedShapes(t *testing.T) {
 	if _, err := Decompose(g, el2); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("subquery err = %v", err)
 	}
+
+	// UNION branches reading different databases, as a SELECT and as the
+	// source of an INSERT: only the first branch's FROM would be grouped.
+	// A DML statement pushed to its target's site may name no other
+	// database in any block, an IN subquery included.
+	for _, q := range []string{
+		"SELECT c.flnu FROM continental.flights c UNION SELECT u.fn FROM united.flight u",
+		"INSERT INTO avis.cars (code) SELECT c.flnu FROM continental.flights c UNION SELECT u.fn FROM united.flight u",
+		"UPDATE continental.flights SET rate = 1 WHERE flnu IN (SELECT u.fn FROM united.flight u)",
+	} {
+		el := expandOne(t, g, "USE continental united avis", q)
+		if _, err := Decompose(g, el); !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("%s: err = %v, want ErrUnsupported", q, err)
+		}
+	}
 }
 
 func TestDecomposeDiversePredicates(t *testing.T) {

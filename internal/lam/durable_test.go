@@ -325,6 +325,35 @@ func TestTombstoneTTLEviction(t *testing.T) {
 	waitEmptyJournal(t, ts)
 }
 
+// TestZeroOptionsArmJanitor: a server started without options (as the
+// benchmark, core.ServeLocal and most tests start one) still releases
+// tombstones and refused ids by TTL, at the 5-minute default, and Close
+// stops that janitor, harmlessly twice.
+func TestZeroOptionsArmJanitor(t *testing.T) {
+	ts, err := Serve("127.0.0.1:0", deltaServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.opts.TombstoneTTL != 5*time.Minute {
+		t.Fatalf("TombstoneTTL = %v, want the 5m default", ts.opts.TombstoneTTL)
+	}
+	if ts.janitorDone == nil {
+		t.Fatal("no janitor started")
+	}
+	select {
+	case <-ts.janitorDone:
+		t.Fatal("janitor exited while serving")
+	default:
+	}
+	ts.Close()
+	select {
+	case <-ts.janitorDone:
+	default:
+		t.Fatal("Close left the janitor running")
+	}
+	ts.Close()
+}
+
 // TestForgetCompactsJournal: the ACK round releases the journal — after
 // forget, a compacting server retains nothing for the session.
 func TestForgetCompactsJournal(t *testing.T) {

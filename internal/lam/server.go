@@ -51,7 +51,7 @@ type TCPServer struct {
 	refused map[int64]time.Time
 	acks    int // ReqForget/TTL evictions since the last compaction
 
-	janitorStop chan struct{}
+	stopJanitor context.CancelFunc // idempotent, so Close may run twice
 	janitorDone chan struct{}
 
 	obsMu  sync.Mutex
@@ -90,10 +90,11 @@ type ServeOptions struct {
 	// sessions. The server owns the journal from ServeWith on and closes
 	// it in Close.
 	Journal *mtlog.ParticipantJournal
-	// TombstoneTTL bounds how long an unacknowledged outcome tombstone is
-	// retained. Zero keeps tombstones until a coordinator ReqForget (or
-	// server close). Under presumed abort an evicted tombstone is safe:
-	// an asker finding no session is answered ErrNoSession and concludes
+	// TombstoneTTL bounds how long an unacknowledged outcome tombstone,
+	// and a refused vote's session id, is retained when no coordinator
+	// ReqForget (or server close) releases it first. Zero means a default
+	// of 5 minutes. Under presumed abort an evicted tombstone is safe: an
+	// asker finding no session is answered ErrNoSession and concludes
 	// abort unless its own journal says commit.
 	TombstoneTTL time.Duration
 	// CompactEvery triggers journal compaction after that many
@@ -103,6 +104,9 @@ type ServeOptions struct {
 }
 
 func (o ServeOptions) withDefaults() ServeOptions {
+	if o.TombstoneTTL <= 0 {
+		o.TombstoneTTL = 5 * time.Minute
+	}
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 16
 	}
@@ -164,11 +168,10 @@ func ServeWith(addr string, srv *ldbms.Server, opts ServeOptions) (*TCPServer, e
 	if err != nil {
 		return nil, err
 	}
-	if t.opts.TombstoneTTL > 0 {
-		t.janitorStop = make(chan struct{})
-		t.janitorDone = make(chan struct{})
-		go t.janitor()
-	}
+	var ctx context.Context
+	ctx, t.stopJanitor = context.WithCancel(context.Background())
+	t.janitorDone = make(chan struct{})
+	go t.janitor(ctx)
 	return t, nil
 }
 
@@ -248,7 +251,7 @@ func (t *TCPServer) replaySession(ps *mtlog.PSession) (*ldbms.Session, error) {
 
 // janitor evicts outcome tombstones older than the TTL, standing in for
 // coordinator acknowledgments that never arrived.
-func (t *TCPServer) janitor() {
+func (t *TCPServer) janitor(ctx context.Context) {
 	defer close(t.janitorDone)
 	period := t.opts.TombstoneTTL / 4
 	if period < 10*time.Millisecond {
@@ -258,7 +261,7 @@ func (t *TCPServer) janitor() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-t.janitorStop:
+		case <-ctx.Done():
 			return
 		case <-tick.C:
 			cutoff := time.Now().Add(-t.opts.TombstoneTTL)
@@ -292,10 +295,8 @@ func (t *TCPServer) janitor() {
 // amnesiac restart.
 func (t *TCPServer) Close() error {
 	err := t.Server.Close()
-	if t.janitorStop != nil {
-		close(t.janitorStop)
-		<-t.janitorDone
-	}
+	t.stopJanitor()
+	<-t.janitorDone
 	t.sessMu.Lock()
 	clear(t.refused)
 	if t.journal == nil {

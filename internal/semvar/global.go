@@ -14,32 +14,29 @@ import (
 // globalRef is one resolved table reference of a global (cross-database)
 // query.
 type globalRef struct {
-	origKey string // original dotted spelling
-	alias   string // effective alias in the rewritten query
-	db      string
-	table   string
-	entry   int // index into scope
+	alias string // effective alias in the rewritten query
+	db    string
+	table string
+	entry int      // index into scope
+	cols  []string // the table's column names, fetched once
 }
 
 // expandGlobal resolves a query whose table references name scope
 // databases explicitly. The result is a single elementary query with
 // database-qualified table names, ready for the decomposer.
-func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBinding, body sqlparser.Statement) (*Elementary, error) {
+func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBinding, body sqlparser.Statement, sh *shape) (*Elementary, error) {
 	entryOf := make(map[string]int, len(scope)*2)
+	varMaps := make([]map[string]bindTarget, len(scope))
 	for i, e := range scope {
 		entryOf[e.Database] = i
 		entryOf[e.Name] = i
+		varMaps[i] = bindingMap(lets, i)
 	}
-
-	aliases := fromAliases(body)
-	tables := collectTableTexts(body)
 
 	// Resolve each distinct table spelling.
 	refs := make(map[string]*globalRef)
-	var order []string
 	usedAlias := map[string]bool{}
-	resolveTable := func(n sqlparser.ObjectName, explicitAlias string) error {
-		key := n.String()
+	resolveTable := func(key, explicitAlias string) error {
 		if ref, ok := refs[key]; ok {
 			// References are keyed by spelling, so a second alias of the
 			// same table would silently read as the first one.
@@ -55,11 +52,11 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 		var db string
 		var entryIdx int
 		name := key
-		if len(n.Parts) >= 2 {
-			if idx, ok := entryOf[n.Parts[0]]; ok {
+		if i := strings.IndexByte(key, '.'); i >= 0 {
+			if idx, ok := entryOf[key[:i]]; ok {
 				entryIdx = idx
 				db = scope[idx].Database
-				name = strings.Join(n.Parts[1:], ".")
+				name = key[i+1:]
 			} else {
 				return fmt.Errorf("%w: %s names an unknown database", ErrUnresolved, key)
 			}
@@ -67,7 +64,7 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 			// Unprefixed: the table must live in exactly one scope database.
 			var hits []int
 			for i, e := range scope {
-				if cands := matchTables(gdd, e.Database, name, bindingMap(lets, i)); len(cands) > 0 {
+				if cands := matchTables(gdd, e.Database, name, varMaps[i]); len(cands) > 0 {
 					hits = append(hits, i)
 				}
 			}
@@ -80,7 +77,11 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 			entryIdx = hits[0]
 			db = scope[entryIdx].Database
 		}
-		cands := matchTables(gdd, db, name, bindingMap(lets, entryIdx))
+		cands := matchTables(gdd, db, name, varMaps[entryIdx])
+		if key == sh.defTarget {
+			// A CREATE target: no dictionary entry is expected to exist.
+			cands = []string{name}
+		}
 		if len(cands) == 0 {
 			return fmt.Errorf("%w: no table matching %s in %s", ErrUnresolved, name, db)
 		}
@@ -95,48 +96,38 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 			return fmt.Errorf("%w: alias %s used twice; alias your global FROM tables", ErrAmbiguous, alias)
 		}
 		usedAlias[alias] = true
-		refs[key] = &globalRef{origKey: key, alias: alias, db: db, table: cands[0], entry: entryIdx}
-		order = append(order, key)
+		r := &globalRef{alias: alias, db: db, table: cands[0], entry: entryIdx}
+		if def, err := gdd.Table(db, r.table); err == nil {
+			r.cols = def.ColumnNames()
+		}
+		refs[key] = r
 		return nil
 	}
 
 	// FROM clauses carry the aliases; resolve them first.
-	if err := eachTableRef(body, func(ref sqlparser.TableRef) error {
-		return resolveTable(ref.Name, ref.Alias)
-	}); err != nil {
-		return nil, err
+	for _, f := range sh.from {
+		if err := resolveTable(f.key, f.alias); err != nil {
+			return nil, err
+		}
 	}
 	// DML targets without FROM entries.
-	for _, t := range tables {
-		if _, ok := refs[t.String()]; !ok {
+	for _, t := range sh.tables {
+		if _, ok := refs[t]; !ok {
 			if err := resolveTable(t, ""); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Column resolution.
-	projAliases := projectionAliases(body)
-	colAssign := make(map[string]sqlparser.Expr)
-	var colErr error
-	sqlparser.WalkExprs(body, func(e sqlparser.Expr) {
-		c, ok := e.(sqlparser.ColRef)
-		if !ok || colErr != nil {
-			return
-		}
-		key := colKey(c)
-		if _, done := colAssign[key]; done {
-			return
-		}
-		repl, err := resolveGlobalColumn(gdd, scope, lets, refs, aliases, projAliases, c)
+	// Column resolution. An INSERT's column list names the target's
+	// columns as they are; only expressions are resolved.
+	colAssign := make(map[string]sqlparser.Expr, sh.exprCols)
+	for _, c := range sh.cols[:sh.exprCols] {
+		repl, err := resolveGlobalColumn(varMaps, refs, sh, c)
 		if err != nil {
-			colErr = err
-			return
+			return nil, err
 		}
-		colAssign[key] = repl
-	})
-	if colErr != nil {
-		return nil, colErr
+		colAssign[colKey(c)] = repl
 	}
 
 	rw := sqlparser.Rewriter{
@@ -155,9 +146,19 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 		},
 	}
 	out := sqlparser.RewriteStatement(body, rw)
-	// Ensure FROM aliases are present so the decomposer and local engines
-	// resolve qualifiers uniformly.
-	applyAliases(out, refs)
+	// Ensure FROM aliases are present in every block so the decomposer
+	// and local engines resolve qualifiers uniformly.
+	byDBTable := make(map[string]string, len(refs))
+	for _, r := range refs {
+		byDBTable[r.db+"."+r.table] = r.alias
+	}
+	sqlparser.Selects(out, func(sel *sqlparser.SelectStmt) {
+		for i := range sel.From {
+			if a, ok := byDBTable[sel.From[i].Name.String()]; ok && sel.From[i].Alias == "" {
+				sel.From[i].Alias = a
+			}
+		}
+	})
 	return &Elementary{Global: true, Stmt: out}, nil
 }
 
@@ -183,52 +184,13 @@ func matchTables(gdd *catalog.GDD, db, name string, varMap map[string]bindTarget
 	return []string{name}
 }
 
-// eachTableRef visits FROM table references (with aliases) across the
-// statement including subqueries.
-func eachTableRef(s sqlparser.Statement, fn func(sqlparser.TableRef) error) error {
-	var err error
-	visitSel := func(sel *sqlparser.SelectStmt) {
-		if sel == nil || err != nil {
-			return
-		}
-		for _, f := range sel.From {
-			if err == nil {
-				err = fn(f)
-			}
-		}
-	}
-	switch st := s.(type) {
-	case *sqlparser.SelectStmt:
-		visitSel(st)
-	case *sqlparser.InsertStmt:
-		visitSel(st.Query)
-	}
-	sqlparser.WalkExprs(s, func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.SubqueryExpr:
-			visitSel(x.Query)
-		case *sqlparser.InExpr:
-			visitSel(x.Query)
-		}
-	})
-	return err
-}
-
 // resolveGlobalColumn maps one column spelling of a global query.
-func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBinding,
-	refs map[string]*globalRef, aliases map[string]string, projAliases map[string]bool,
-	c sqlparser.ColRef) (sqlparser.Expr, error) {
+func resolveGlobalColumn(varMaps []map[string]bindTarget,
+	refs map[string]*globalRef, sh *shape, c sqlparser.ColRef) (sqlparser.Expr, error) {
 
-	nullLit := &sqlparser.Literal{Val: sqlval.Null()}
-	colsOf := func(r *globalRef) []string {
-		def, err := gdd.Table(r.db, r.table)
-		if err != nil {
-			return nil
-		}
-		return def.ColumnNames()
-	}
+	nullLit := func() sqlparser.Expr { return &sqlparser.Literal{Val: sqlval.Null()} }
 	resolveIn := func(r *globalRef, name string) []string {
-		if target, ok := bindingMap(lets, r.entry)[name]; ok {
+		if target, ok := varMaps[r.entry][name]; ok {
 			if target.expr != nil {
 				// Transformations are a fan-out feature; global queries
 				// must name concrete columns.
@@ -237,7 +199,7 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 			name = target.name
 		}
 		var out []string
-		for _, col := range colsOf(r) {
+		for _, col := range r.cols {
 			if catalog.MatchName(col, name) {
 				out = append(out, col)
 			}
@@ -260,11 +222,11 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 			}
 		}
 		if len(hits) == 0 {
-			if projAliases[name] {
+			if sh.projAliases[name] {
 				return sqlparser.ColRef{Parts: []string{name}}, nil
 			}
 			if c.Optional {
-				return nullLit, nil
+				return nullLit(), nil
 			}
 			return nil, fmt.Errorf("%w: column %s", ErrUnresolved, name)
 		}
@@ -279,17 +241,17 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 		return sqlparser.ColRef{Parts: []string{hits[0].r.alias, hits[0].col}}, nil
 	case 2:
 		qual, name := c.Parts[0], c.Parts[1]
-		r := findRef(refs, aliases, qual, "")
+		r := findRef(refs, sh.aliases, qual)
 		if r == nil {
 			if c.Optional {
-				return nullLit, nil
+				return nullLit(), nil
 			}
 			return nil, fmt.Errorf("%w: qualifier %s", ErrUnresolved, qual)
 		}
 		matches := resolveIn(r, name)
 		if len(matches) == 0 {
 			if c.Optional {
-				return nullLit, nil
+				return nullLit(), nil
 			}
 			return nil, fmt.Errorf("%w: column %s.%s", ErrUnresolved, qual, name)
 		}
@@ -301,17 +263,17 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 		// db.table.column
 		qual := strings.Join(c.Parts[:len(c.Parts)-1], ".")
 		name := c.Parts[len(c.Parts)-1]
-		r := findRef(refs, aliases, qual, "")
+		r := findRef(refs, sh.aliases, qual)
 		if r == nil {
 			if c.Optional {
-				return nullLit, nil
+				return nullLit(), nil
 			}
 			return nil, fmt.Errorf("%w: qualifier %s", ErrUnresolved, qual)
 		}
 		matches := resolveIn(r, name)
 		if len(matches) != 1 {
 			if c.Optional && len(matches) == 0 {
-				return nullLit, nil
+				return nullLit(), nil
 			}
 			return nil, fmt.Errorf("%w: %s", ErrUnresolved, colKey(c))
 		}
@@ -321,7 +283,7 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 
 // findRef locates the table reference a qualifier denotes: an alias, an
 // original spelling, or a bare table name.
-func findRef(refs map[string]*globalRef, aliases map[string]string, qual, _ string) *globalRef {
+func findRef(refs map[string]*globalRef, aliases map[string]string, qual string) *globalRef {
 	if orig, ok := aliases[qual]; ok {
 		if r, ok := refs[orig]; ok {
 			return r
@@ -336,39 +298,4 @@ func findRef(refs map[string]*globalRef, aliases map[string]string, qual, _ stri
 		}
 	}
 	return nil
-}
-
-// applyAliases sets the resolved alias on every FROM reference of the
-// rewritten statement.
-func applyAliases(s sqlparser.Statement, refs map[string]*globalRef) {
-	byDBTable := make(map[string]string, len(refs))
-	for _, r := range refs {
-		byDBTable[r.db+"."+r.table] = r.alias
-	}
-	fix := func(sel *sqlparser.SelectStmt) {
-		if sel == nil {
-			return
-		}
-		for i := range sel.From {
-			if sel.From[i].Alias == "" {
-				if a, ok := byDBTable[sel.From[i].Name.String()]; ok {
-					sel.From[i].Alias = a
-				}
-			}
-		}
-	}
-	switch st := s.(type) {
-	case *sqlparser.SelectStmt:
-		fix(st)
-	case *sqlparser.InsertStmt:
-		fix(st.Query)
-	}
-	sqlparser.WalkExprs(s, func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.SubqueryExpr:
-			fix(x.Query)
-		case *sqlparser.InExpr:
-			fix(x.Query)
-		}
-	})
 }

@@ -21,6 +21,7 @@ package semvar
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,9 +87,9 @@ func Expand(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBinding, 
 	if err := validateBindings(scope, lets); err != nil {
 		return nil, err
 	}
-	tables := collectTableTexts(body)
-	if isGlobal(tables, scope) {
-		el, err := expandGlobal(gdd, scope, lets, body)
+	sh := shapeOf(body)
+	if isGlobal(sh.tables, scope) {
+		el, err := expandGlobal(gdd, scope, lets, body, sh)
 		if err != nil {
 			return nil, err
 		}
@@ -97,12 +98,11 @@ func Expand(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBinding, 
 	res := &Result{}
 	for i, entry := range scope {
 		ex := &entryExpander{
-			gdd:        gdd,
-			entry:      entry,
-			varMap:     bindingMap(lets, i),
-			body:       body,
-			aliases:    fromAliases(body),
-			defTargets: definitionTargets(body),
+			gdd:    gdd,
+			entry:  entry,
+			varMap: bindingMap(lets, i),
+			body:   body,
+			shape:  sh,
 		}
 		queries, reason := ex.expand()
 		if reason != "" {
@@ -156,10 +156,13 @@ type bindTarget struct {
 // Component 0 of each variable is a table name; the rest are columns or
 // transformations.
 func bindingMap(lets []msqlparser.LetBinding, i int) map[string]bindTarget {
-	m := make(map[string]bindTarget)
+	var m map[string]bindTarget
 	for _, b := range lets {
 		if i >= len(b.Designators) {
 			continue
+		}
+		if m == nil {
+			m = make(map[string]bindTarget)
 		}
 		for j, comp := range b.Var {
 			part := b.Designators[i].Parts[j]
@@ -173,61 +176,89 @@ func bindingMap(lets []msqlparser.LetBinding, i int) map[string]bindTarget {
 	return m
 }
 
-// collectTableTexts gathers every table reference in the statement,
-// including those in subqueries, as original dotted spellings.
-func collectTableTexts(s sqlparser.Statement) []sqlparser.ObjectName {
-	var out []sqlparser.ObjectName
-	add := func(n sqlparser.ObjectName) { out = append(out, n) }
-	switch st := s.(type) {
-	case *sqlparser.SelectStmt:
-		collectSelectTables(st, add)
-	case *sqlparser.InsertStmt:
-		add(st.Table)
-		if st.Query != nil {
-			collectSelectTables(st.Query, add)
+// shape is what expansion reads off a statement, gathered in one pass
+// and shared by the global expander and every scope entry.
+type shape struct {
+	// tables holds the distinct table spellings, first appearance first:
+	// the statement's target, then the FROM names of every SELECT block.
+	tables []string
+	// from holds the FROM references of every block.
+	from []fromRef
+	// aliases maps a FROM alias to its table spelling.
+	aliases map[string]string
+	// defTarget is the table a CREATE TABLE or VIEW defines rather than
+	// reads: it needs no GDD entry yet.
+	defTarget string
+	// projAliases holds the output aliases usable in ORDER BY.
+	projAliases map[string]bool
+	// cols holds the distinct column spellings of every expression, then
+	// those only an INSERT's column list names; the first exprCols come
+	// from expressions.
+	cols     []sqlparser.ColRef
+	exprCols int
+}
+
+// fromRef is one FROM table reference: its dotted spelling and alias.
+type fromRef struct{ key, alias string }
+
+func shapeOf(s sqlparser.Statement) *shape {
+	sh := &shape{}
+	addTable := func(n sqlparser.ObjectName) string {
+		key := n.String()
+		if !slices.Contains(sh.tables, key) {
+			sh.tables = append(sh.tables, key)
 		}
-	case *sqlparser.UpdateStmt:
-		add(st.Table)
-	case *sqlparser.DeleteStmt:
-		add(st.Table)
-	case *sqlparser.CreateTableStmt:
-		add(st.Table)
-	case *sqlparser.DropTableStmt:
-		add(st.Table)
-	case *sqlparser.CreateViewStmt:
-		add(st.View)
-		collectSelectTables(st.Query, add)
-	case *sqlparser.DropViewStmt:
-		add(st.View)
+		return key
 	}
-	// Subqueries inside expressions.
-	sqlparser.WalkExprs(s, func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.SubqueryExpr:
-			for _, f := range x.Query.From {
-				add(f.Name)
-			}
-		case *sqlparser.InExpr:
-			if x.Query != nil {
-				for _, f := range x.Query.From {
-					add(f.Name)
+	if t, ok := sqlparser.Target(s); ok {
+		key := addTable(t)
+		switch s.(type) {
+		case *sqlparser.CreateTableStmt, *sqlparser.CreateViewStmt:
+			sh.defTarget = key
+		}
+	}
+	sqlparser.Selects(s, func(sel *sqlparser.SelectStmt) {
+		for _, f := range sel.From {
+			key := addTable(f.Name)
+			sh.from = append(sh.from, fromRef{key: key, alias: f.Alias})
+			if f.Alias != "" {
+				if sh.aliases == nil {
+					sh.aliases = make(map[string]string)
 				}
+				sh.aliases[f.Alias] = key
 			}
 		}
 	})
-	return out
-}
-
-func collectSelectTables(sel *sqlparser.SelectStmt, add func(sqlparser.ObjectName)) {
-	if sel == nil {
-		return
+	if sel, ok := s.(*sqlparser.SelectStmt); ok {
+		for _, it := range sel.Items {
+			if it.Alias != "" {
+				if sh.projAliases == nil {
+					sh.projAliases = make(map[string]bool)
+				}
+				sh.projAliases[it.Alias] = true
+			}
+		}
 	}
-	for _, f := range sel.From {
-		add(f.Name)
+	addCol := func(c sqlparser.ColRef) {
+		for _, seen := range sh.cols {
+			if seen.Optional == c.Optional && slices.Equal(seen.Parts, c.Parts) {
+				return
+			}
+		}
+		sh.cols = append(sh.cols, c)
 	}
-	for _, u := range sel.Unions {
-		collectSelectTables(u.Select, add)
+	sqlparser.WalkExprs(s, func(e sqlparser.Expr) {
+		if c, ok := e.(sqlparser.ColRef); ok {
+			addCol(c)
+		}
+	})
+	sh.exprCols = len(sh.cols)
+	if ins, ok := s.(*sqlparser.InsertStmt); ok {
+		for _, n := range ins.Columns {
+			addCol(sqlparser.ColRef{Parts: []string{n}})
+		}
 	}
+	return sh
 }
 
 // IsGlobalQuery reports whether a statement explicitly references scope
@@ -235,112 +266,39 @@ func collectSelectTables(sel *sqlparser.SelectStmt, add func(sqlparser.ObjectNam
 // query rather than a fan-out multiple query. The executor uses this to
 // route statements: global ones form their own synchronization unit.
 func IsGlobalQuery(stmt sqlparser.Statement, scope []ScopeEntry) bool {
-	return isGlobal(collectTableTexts(stmt), scope)
+	return isGlobal(shapeOf(stmt).tables, scope)
 }
 
 // isGlobal reports whether any table reference carries an explicit scope
 // database (or alias) prefix, which makes the query a cross-database join
 // handled by the decomposer.
-func isGlobal(tables []sqlparser.ObjectName, scope []ScopeEntry) bool {
+func isGlobal(tables []string, scope []ScopeEntry) bool {
 	names := make(map[string]bool, len(scope)*2)
 	for _, e := range scope {
 		names[e.Database] = true
 		names[e.Name] = true
 	}
 	for _, t := range tables {
-		if len(t.Parts) >= 2 && names[t.Parts[0]] {
+		if i := strings.IndexByte(t, '.'); i >= 0 && names[t[:i]] {
 			return true
 		}
 	}
 	return false
 }
 
-// fromAliases maps FROM aliases to the original table spelling.
-func fromAliases(s sqlparser.Statement) map[string]string {
-	m := make(map[string]string)
-	var scan func(sel *sqlparser.SelectStmt)
-	scan = func(sel *sqlparser.SelectStmt) {
-		if sel == nil {
-			return
-		}
-		for _, f := range sel.From {
-			if f.Alias != "" {
-				m[f.Alias] = f.Name.String()
-			}
-		}
-		for _, u := range sel.Unions {
-			scan(u.Select)
-		}
-	}
-	switch st := s.(type) {
-	case *sqlparser.SelectStmt:
-		scan(st)
-	case *sqlparser.InsertStmt:
-		scan(st.Query)
-	}
-	sqlparser.WalkExprs(s, func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.SubqueryExpr:
-			scan(x.Query)
-		case *sqlparser.InExpr:
-			scan(x.Query)
-		}
-	})
-	return m
-}
-
-// projectionAliases collects output aliases usable in ORDER BY.
-func projectionAliases(s sqlparser.Statement) map[string]bool {
-	m := make(map[string]bool)
-	if sel, ok := s.(*sqlparser.SelectStmt); ok {
-		for _, it := range sel.Items {
-			if it.Alias != "" {
-				m[it.Alias] = true
-			}
-		}
-	}
-	return m
-}
-
-// definitionTargets returns table names a statement defines rather than
-// reads: CREATE TABLE/VIEW targets need no GDD entry yet.
-func definitionTargets(s sqlparser.Statement) map[string]bool {
-	out := map[string]bool{}
-	switch st := s.(type) {
-	case *sqlparser.CreateTableStmt:
-		out[st.Table.String()] = true
-	case *sqlparser.CreateViewStmt:
-		out[st.View.String()] = true
-	}
-	return out
-}
-
 // entryExpander resolves one scope database in fan-out mode.
 type entryExpander struct {
-	gdd        *catalog.GDD
-	entry      ScopeEntry
-	varMap     map[string]bindTarget
-	body       sqlparser.Statement
-	aliases    map[string]string
-	defTargets map[string]bool
+	gdd    *catalog.GDD
+	entry  ScopeEntry
+	varMap map[string]bindTarget
+	body   sqlparser.Statement
+	shape  *shape
 }
 
 // expand returns the elementary queries for this database, or a skip
 // reason when the query is not pertinent here.
 func (ex *entryExpander) expand() ([]Elementary, string) {
-	db := ex.entry.Database
-	tables := collectTableTexts(ex.body)
-
-	// Distinct table spellings, in first-appearance order.
-	var tableTexts []string
-	seen := map[string]bool{}
-	for _, t := range tables {
-		key := t.String()
-		if !seen[key] {
-			seen[key] = true
-			tableTexts = append(tableTexts, key)
-		}
-	}
+	tableTexts := ex.shape.tables
 
 	// Resolve candidates per table spelling.
 	candidates := make(map[string][]string, len(tableTexts))
@@ -383,7 +341,6 @@ func (ex *entryExpander) expand() ([]Elementary, string) {
 		}
 		return nil, reason
 	}
-	_ = db
 	return results, ""
 }
 
@@ -400,7 +357,7 @@ func (ex *entryExpander) tableCandidates(text string) ([]string, string) {
 			name = text[i+1:]
 		}
 	}
-	if ex.defTargets[text] || ex.defTargets[name] {
+	if def := ex.shape.defTarget; def != "" && (def == text || def == name) {
 		// A CREATE target: no dictionary entry is expected to exist.
 		return []string{name}, ""
 	}
@@ -440,7 +397,6 @@ func colKey(c sqlparser.ColRef) string {
 // choice, enumerating combinations for genuinely ambiguous patterns.
 func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Elementary, string) {
 	db := ex.entry.Database
-	projAliases := projectionAliases(ex.body)
 
 	// Column set of all chosen tables, with table attribution.
 	chosen := make([]string, 0, len(tableChoice))
@@ -456,35 +412,14 @@ func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Element
 		return def.ColumnNames()
 	}
 
-	// Gather distinct column reference spellings.
-	var refs []sqlparser.ColRef
-	seen := map[string]bool{}
-	addRef := func(c sqlparser.ColRef) {
-		k := colKey(c)
-		if !seen[k] {
-			seen[k] = true
-			refs = append(refs, c)
-		}
-	}
-	sqlparser.WalkExprs(ex.body, func(e sqlparser.Expr) {
-		if c, ok := e.(sqlparser.ColRef); ok {
-			addRef(c)
-		}
-	})
-	if ins, ok := ex.body.(*sqlparser.InsertStmt); ok {
-		for _, n := range ins.Columns {
-			addRef(sqlparser.ColRef{Parts: []string{n}})
-		}
-	}
-
-	// Resolve each spelling to candidate replacement expressions.
+	// Resolve each column spelling to candidate replacement expressions.
 	type option struct {
 		key   string
 		exprs []sqlparser.Expr
 	}
 	var opts []option
-	for _, ref := range refs {
-		exprs, reason := ex.columnOptions(ref, tableChoice, chosen, colsOf, projAliases)
+	for _, ref := range ex.shape.cols {
+		exprs, reason := ex.columnOptions(ref, tableChoice, chosen, colsOf)
 		if reason != "" {
 			return nil, reason
 		}
@@ -513,7 +448,7 @@ func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Element
 // columnOptions resolves one column spelling to its candidate
 // replacements for this database.
 func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[string]string,
-	chosen []string, colsOf func(string) []string, projAliases map[string]bool) ([]sqlparser.Expr, string) {
+	chosen []string, colsOf func(string) []string) ([]sqlparser.Expr, string) {
 
 	nullExpr := func() sqlparser.Expr { return &sqlparser.Literal{Val: sqlval.Null()} }
 	plain := func(parts ...string) sqlparser.Expr { return sqlparser.ColRef{Parts: parts} }
@@ -573,7 +508,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 				}
 			}
 		}
-		if projAliases[name] {
+		if ex.shape.projAliases[name] {
 			return []sqlparser.Expr{plain(name)}, ""
 		}
 		if ref.Optional {
@@ -586,7 +521,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 		// literal table spelling.
 		var table string
 		var keepQual string
-		if orig, ok := ex.aliases[qual]; ok {
+		if orig, ok := ex.shape.aliases[qual]; ok {
 			table = tableChoice[orig]
 			keepQual = qual
 		} else {
@@ -650,7 +585,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 		// db.table.column with this entry's prefix: strip and retry.
 		if ref.Parts[0] == ex.entry.Database || ref.Parts[0] == ex.entry.Name {
 			return ex.columnOptions(sqlparser.ColRef{Parts: ref.Parts[1:], Optional: ref.Optional},
-				tableChoice, chosen, colsOf, projAliases)
+				tableChoice, chosen, colsOf)
 		}
 		return nil, fmt.Sprintf("reference %s names a database outside this query's span", colKey(ref))
 	}

@@ -528,3 +528,99 @@ func TestExpandDeleteFanOut(t *testing.T) {
 		t.Fatalf("queries = %d", len(res.Queries))
 	}
 }
+
+// TestIsGlobalQuerySeesSubqueryUnion: a database prefix in a UNION
+// branch of an IN subquery makes the statement global, as one in a
+// top-level FROM does.
+func TestIsGlobalQuerySeesSubqueryUnion(t *testing.T) {
+	scope := parseUse(t, "USE continental united")
+	body := parseBody(t, "SELECT fnu FROM flights WHERE fnu IN (SELECT fnu FROM x UNION SELECT fnu FROM united.flight)")
+	if !IsGlobalQuery(body, scope) {
+		t.Fatal("IsGlobalQuery = false for a database-qualified table in a subquery's UNION branch")
+	}
+}
+
+// TestExpandFanOutSubqueryUnionTables: the fan-out expander resolves a
+// table pattern named only in a subquery's UNION branch, and skips a
+// database that lacks a table named only there.
+func TestExpandFanOutSubqueryUnionTables(t *testing.T) {
+	g := paperGDD(t)
+	scope := parseUse(t, "USE delta united")
+	res, err := Expand(g, scope, nil, parseBody(t,
+		"SELECT day FROM flight WHERE day IN (SELECT day FROM flight UNION SELECT sst% FROM f%7)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := deparsed(t, res)
+	for name, want := range map[string]string{
+		"delta":  "SELECT day FROM flight WHERE day IN (SELECT day FROM flight UNION SELECT sstat FROM fnu747)",
+		"united": "SELECT day FROM flight WHERE day IN (SELECT day FROM flight UNION SELECT sst FROM fn727)",
+	} {
+		if got[name] != want {
+			t.Errorf("%s: got  %s\nwant %s", name, got[name], want)
+		}
+	}
+
+	res, err = Expand(g, scope, nil, parseBody(t,
+		"SELECT day FROM flight WHERE day IN (SELECT day FROM flight UNION SELECT sstat FROM fnu747)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Queries) != 1 || res.Queries[0].Entry.Name != "delta" {
+		t.Fatalf("queries = %+v", res.Queries)
+	}
+	if len(res.Skipped) != 1 || res.Skipped[0].Reason != "no table fnu747 in united" {
+		t.Fatalf("skipped = %+v, want united for its missing fnu747", res.Skipped)
+	}
+}
+
+// TestExpandGlobalUnionKeepsBranchAliases: a UNION branch's FROM alias
+// qualifies that branch's columns, as the first branch's does.
+func TestExpandGlobalUnionKeepsBranchAliases(t *testing.T) {
+	g := paperGDD(t)
+	scope := parseUse(t, "USE continental united")
+	res, err := Expand(g, scope, nil, parseBody(t,
+		"SELECT c.flnu FROM continental.flights c UNION SELECT c2.seatnu FROM continental.f838 c2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "SELECT c.flnu FROM continental.flights c UNION SELECT c2.seatnu FROM continental.f838 c2"
+	if got := sqlparser.Deparse(res.Queries[0].Stmt); got != want {
+		t.Fatalf("got  %s\nwant %s", got, want)
+	}
+}
+
+// TestExpandViewQueryAliases: a CREATE VIEW's query qualifies columns by
+// its FROM aliases, as a SELECT does.
+func TestExpandViewQueryAliases(t *testing.T) {
+	g := paperGDD(t)
+	scope := parseUse(t, "USE continental united")
+	res, err := Expand(g, scope, nil, parseBody(t, "CREATE VIEW cheap AS SELECT f.rate% FROM flight% f WHERE f.rate% < 100"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := deparsed(t, res)
+	for name, want := range map[string]string{
+		"continental": "CREATE VIEW cheap AS SELECT f.rate FROM flights f WHERE f.rate < 100",
+		"united":      "CREATE VIEW cheap AS SELECT f.rates FROM flight f WHERE f.rates < 100",
+	} {
+		if got[name] != want {
+			t.Errorf("%s: got  %s\nwant %s", name, got[name], want)
+		}
+	}
+}
+
+// TestExpandGlobalCreateTable: a database-qualified CREATE TABLE names a
+// table the GDD does not hold yet, in global mode as in fan-out mode.
+func TestExpandGlobalCreateTable(t *testing.T) {
+	g := paperGDD(t)
+	scope := parseUse(t, "USE continental united")
+	res, err := Expand(g, scope, nil, parseBody(t, "CREATE TABLE continental.hist (flnu INTEGER, rate FLOAT)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "CREATE TABLE continental.hist (flnu INTEGER, rate FLOAT)"
+	if len(res.Queries) != 1 || !res.Queries[0].Global || sqlparser.Deparse(res.Queries[0].Stmt) != want {
+		t.Fatalf("queries = %+v, want one global %s", res.Queries, want)
+	}
+}

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"msql/internal/schema"
@@ -369,69 +370,14 @@ func evalScalarFunc(e *env, x *sqlparser.FuncCall) (sqlval.Value, error) {
 	}
 }
 
-// hasAggregate reports whether the query's projection, HAVING or ORDER BY
-// contains an aggregate call at the current query level (subqueries are
-// their own level).
-func hasAggregate(sel *sqlparser.SelectStmt) bool {
-	found := false
-	check := func(e sqlparser.Expr) {
-		walkShallow(e, func(x sqlparser.Expr) {
-			if fc, ok := x.(*sqlparser.FuncCall); ok && aggregateFuncs[fc.Name] {
-				found = true
-			}
-		})
-	}
-	for _, it := range sel.Items {
-		check(it.Expr)
-	}
-	check(sel.Having)
-	for _, o := range sel.OrderBy {
-		check(o.Expr)
-	}
-	return found
-}
-
-// walkShallow visits expressions without descending into subqueries.
-func walkShallow(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		walkShallow(x.L, fn)
-		walkShallow(x.R, fn)
-	case *sqlparser.UnaryExpr:
-		walkShallow(x.X, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range x.Args {
-			walkShallow(a, fn)
-		}
-	case *sqlparser.InExpr:
-		walkShallow(x.X, fn)
-		for _, a := range x.List {
-			walkShallow(a, fn)
-		}
-	case *sqlparser.BetweenExpr:
-		walkShallow(x.X, fn)
-		walkShallow(x.Lo, fn)
-		walkShallow(x.Hi, fn)
-	case *sqlparser.IsNullExpr:
-		walkShallow(x.X, fn)
-	case *sqlparser.LikeExpr:
-		walkShallow(x.X, fn)
-		walkShallow(x.Pattern, fn)
-	}
-}
-
-// collectAggregates gathers the distinct aggregate calls in the query.
+// collectAggregates gathers the distinct aggregate calls of the query's
+// projection, HAVING and ORDER BY at the current query level (subqueries
+// are their own level). A query aggregates when it finds any.
 func collectAggregates(sel *sqlparser.SelectStmt) []*sqlparser.FuncCall {
 	var aggs []*sqlparser.FuncCall
-	seen := map[*sqlparser.FuncCall]bool{}
 	collect := func(e sqlparser.Expr) {
-		walkShallow(e, func(x sqlparser.Expr) {
-			if fc, ok := x.(*sqlparser.FuncCall); ok && aggregateFuncs[fc.Name] && !seen[fc] {
-				seen[fc] = true
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
+			if fc, ok := x.(*sqlparser.FuncCall); ok && aggregateFuncs[fc.Name] && !slices.Contains(aggs, fc) {
 				aggs = append(aggs, fc)
 			}
 		})

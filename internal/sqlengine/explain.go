@@ -52,7 +52,7 @@ func (ec *explainCtx) describe(e *env, sel *sqlparser.SelectStmt, plan *joinPlan
 	}
 	n.Detail = strings.Join(mods, " ")
 	parent := n
-	if len(sel.GroupBy) > 0 || hasAggregate(sel) {
+	if len(sel.GroupBy) > 0 || len(collectAggregates(sel)) > 0 {
 		parent = n.Add(&obs.PlanNode{Op: "aggregate",
 			Detail: fmt.Sprintf("group by %d key(s)", len(sel.GroupBy))})
 	}

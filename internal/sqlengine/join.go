@@ -108,7 +108,7 @@ func planJoin(e *env, where sqlparser.Expr) *joinPlan {
 		return plan
 	}
 	last := len(e.sources) - 1
-	conjuncts := splitConjuncts(where)
+	conjuncts := sqlparser.Conjuncts(where)
 	for _, c := range conjuncts {
 		// A conjunct with subqueries or references this level cannot
 		// resolve (e.g. correlated names) waits until every source is bound.
@@ -277,23 +277,13 @@ func colRefAt(e *env, x sqlparser.Expr, si int) (int, bool) {
 	return at.col, true
 }
 
-func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sqlparser.Expr{e}
-}
-
 // exprSources returns the bitmask of source indexes x references. pure
 // is false when x contains subqueries or references the bound sources
 // cannot resolve.
 func exprSources(e *env, x sqlparser.Expr) (uint64, bool) {
 	var mask uint64
 	pure := true
-	walkShallow(x, func(n sqlparser.Expr) {
+	sqlparser.WalkExpr(x, func(n sqlparser.Expr) {
 		switch v := n.(type) {
 		case sqlparser.ColRef:
 			at, _, err := e.resolve(v)

@@ -142,7 +142,7 @@ func execSingleSelect(tx Storage, db string, sel *sqlparser.SelectStmt, outer *e
 		return nil
 	}
 
-	if len(sel.GroupBy) > 0 || hasAggregate(sel) {
+	if len(sel.GroupBy) > 0 || len(collectAggregates(sel)) > 0 {
 		// Grouped queries need every input row before aggregation, so
 		// they still collect the joined rows.
 		var inputs [][]schema.Row

@@ -276,89 +276,3 @@ func (*InExpr) expr()       {}
 func (*BetweenExpr) expr()  {}
 func (*IsNullExpr) expr()   {}
 func (*LikeExpr) expr()     {}
-
-// WalkExprs calls fn for every expression in the statement, including
-// nested subquery expressions. It is used by the semantic-variable
-// expander and the decomposer.
-func WalkExprs(s Statement, fn func(Expr)) {
-	switch st := s.(type) {
-	case *SelectStmt:
-		walkSelect(st, fn)
-	case *InsertStmt:
-		for _, row := range st.Rows {
-			for _, e := range row {
-				walkExpr(e, fn)
-			}
-		}
-		if st.Query != nil {
-			walkSelect(st.Query, fn)
-		}
-	case *UpdateStmt:
-		for _, a := range st.Assigns {
-			walkExpr(a.Column, fn)
-			walkExpr(a.Expr, fn)
-		}
-		walkExpr(st.Where, fn)
-	case *DeleteStmt:
-		walkExpr(st.Where, fn)
-	case *CreateViewStmt:
-		walkSelect(st.Query, fn)
-	case *ExplainStmt:
-		WalkExprs(st.Target, fn)
-	}
-}
-
-func walkSelect(s *SelectStmt, fn func(Expr)) {
-	if s == nil {
-		return
-	}
-	for _, it := range s.Items {
-		walkExpr(it.Expr, fn)
-	}
-	walkExpr(s.Where, fn)
-	for _, g := range s.GroupBy {
-		walkExpr(g, fn)
-	}
-	walkExpr(s.Having, fn)
-	for _, o := range s.OrderBy {
-		walkExpr(o.Expr, fn)
-	}
-	for _, u := range s.Unions {
-		walkSelect(u.Select, fn)
-	}
-}
-
-func walkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *BinaryExpr:
-		walkExpr(x.L, fn)
-		walkExpr(x.R, fn)
-	case *UnaryExpr:
-		walkExpr(x.X, fn)
-	case *FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	case *SubqueryExpr:
-		walkSelect(x.Query, fn)
-	case *InExpr:
-		walkExpr(x.X, fn)
-		for _, a := range x.List {
-			walkExpr(a, fn)
-		}
-		walkSelect(x.Query, fn)
-	case *BetweenExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
-	case *IsNullExpr:
-		walkExpr(x.X, fn)
-	case *LikeExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Pattern, fn)
-	}
-}

@@ -1,6 +1,14 @@
 package sqlparser
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // parsedStatements are the other statements the parser tests parse.
 var parsedStatements = []string{
@@ -55,4 +63,104 @@ func FuzzDeparseFixpoint(f *testing.F) {
 			t.Fatalf("deparse not stable:\n  src  %q\n  out1 %q\n  out2 %q", src, out1, out2)
 		}
 	})
+}
+
+// walkerSources nest SELECT blocks every way the grammar allows: UNION
+// branches at the top, under INSERT and CREATE VIEW, inside scalar and
+// IN subqueries, and subqueries inside UNION branches.
+var walkerSources = []string{
+	"SELECT c.flnu FROM continental.flights c UNION SELECT c2.seatnu FROM continental.f838 c2",
+	"SELECT a FROM t UNION ALL SELECT b FROM u UNION SELECT c FROM v WHERE c IN (SELECT d FROM w)",
+	"SELECT fnu FROM flights WHERE fnu IN (SELECT fnu FROM x UNION SELECT fnu FROM united.flight)",
+	"SELECT a FROM t WHERE b = (SELECT MAX(c) FROM u UNION SELECT ~d FROM v, w)",
+	"INSERT INTO t (a, b) SELECT x, y FROM u UNION SELECT p, q FROM v WHERE p = (SELECT MIN(r) FROM s)",
+	"CREATE VIEW v AS SELECT a FROM t UNION SELECT b FROM u",
+	"UPDATE t SET a = (SELECT b FROM u UNION SELECT c FROM v) WHERE d NOT IN (SELECT e FROM w)",
+	"DELETE FROM t WHERE a IN (SELECT b FROM u WHERE c IN (SELECT d FROM v UNION SELECT e FROM x))",
+}
+
+// deparseCorpus returns the checked-in FuzzDeparseFixpoint inputs.
+func deparseCorpus(f *testing.F) []string {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDeparseFixpoint", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out []string
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if lit, ok := strings.CutPrefix(line, "string("); ok {
+				src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+				if err != nil {
+					f.Fatalf("%s: %v", p, err)
+				}
+				out = append(out, src)
+			}
+		}
+	}
+	return out
+}
+
+// FuzzWalkersAgree: the traversal primitives see what the independent
+// Rewriter sees. For every statement that parses (EXPLAIN aside: the
+// Rewriter passes it through), the Rewriter's Table hook sees, as a
+// multiset, the statement's Target plus every FROM name of every block
+// Selects yields, and its Col hook sees the column references WalkExprs
+// yields plus an INSERT's column list. A block or an expression the
+// primitives skip would be skipped by every pass built on them.
+func FuzzWalkersAgree(f *testing.F) {
+	for _, src := range append(append(append(roundTripSources, parsedStatements...), walkerSources...), deparseCorpus(f)...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := ParseStatement(src)
+		if err != nil {
+			return
+		}
+		if _, ok := s.(*ExplainStmt); ok {
+			return
+		}
+		var rwTables, rwCols []string
+		RewriteStatement(s, Rewriter{
+			Table: func(n ObjectName) ObjectName { rwTables = append(rwTables, n.String()); return n },
+			Col:   func(c ColRef) Expr { rwCols = append(rwCols, colSpelling(c)); return c },
+		})
+		var tables, cols []string
+		if target, ok := Target(s); ok {
+			tables = append(tables, target.String())
+		}
+		Selects(s, func(sel *SelectStmt) {
+			for _, f := range sel.From {
+				tables = append(tables, f.Name.String())
+			}
+		})
+		WalkExprs(s, func(e Expr) {
+			if c, ok := e.(ColRef); ok {
+				cols = append(cols, colSpelling(c))
+			}
+		})
+		if ins, ok := s.(*InsertStmt); ok {
+			cols = append(cols, ins.Columns...)
+		}
+		for _, d := range []struct {
+			what          string
+			walked, rwSaw []string
+		}{{"tables", tables, rwTables}, {"columns", cols, rwCols}} {
+			sort.Strings(d.walked)
+			sort.Strings(d.rwSaw)
+			if fmt.Sprint(d.walked) != fmt.Sprint(d.rwSaw) {
+				t.Fatalf("%q: the walkers see %s %v, the Rewriter %v", src, d.what, d.walked, d.rwSaw)
+			}
+		}
+	})
+}
+
+func colSpelling(c ColRef) string {
+	if c.Optional {
+		return "~" + c.Name()
+	}
+	return c.Name()
 }

@@ -91,3 +91,60 @@ func TestDeparseTypeNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectsVisitsEveryBlock: each block once, before the blocks nested
+// in its expressions, then its UNION branches.
+func TestSelectsVisitsEveryBlock(t *testing.T) {
+	want := []string{
+		"continental.flights continental.f838",
+		"t u v w",
+		"flights x united.flight",
+		"t u v",
+		"u v s",
+		"t u",
+		"u v w",
+		"u v x",
+	}
+	for i, src := range walkerSources {
+		var got []string
+		Selects(mustParse(t, src), func(sel *SelectStmt) { got = append(got, sel.From[0].Name.String()) })
+		if strings.Join(got, " ") != want[i] {
+			t.Errorf("Selects(%q) visited %v, want %s", src, got, want[i])
+		}
+	}
+}
+
+// TestWalkExprStaysInBlock: a subquery is visited as a node, but its
+// columns belong to its own block.
+func TestWalkExprStaysInBlock(t *testing.T) {
+	sel := mustParse(t, "SELECT a FROM t WHERE b = (SELECT c FROM u) AND d IN (SELECT e FROM v) AND f IN (1, g)").(*SelectStmt)
+	var cols []string
+	subqueries := 0
+	WalkExpr(sel.Where, func(e Expr) {
+		switch x := e.(type) {
+		case ColRef:
+			cols = append(cols, x.Name())
+		case *SubqueryExpr:
+			subqueries++
+		}
+	})
+	if strings.Join(cols, " ") != "b d f g" || subqueries != 1 {
+		t.Fatalf("WalkExpr saw columns %v and %d subqueries, want b d f g and 1", cols, subqueries)
+	}
+}
+
+func TestConjunctsAndAnd(t *testing.T) {
+	if Conjuncts(nil) != nil || And(nil) != nil {
+		t.Fatal("a nil condition has no conjuncts, and no conjuncts join to nil")
+	}
+	sel := mustParse(t, "SELECT a FROM t WHERE a = 1 AND (b = 2 OR c = 3) AND d IN (SELECT e FROM u WHERE e = 1 AND f = 2)").(*SelectStmt)
+	cs := Conjuncts(sel.Where)
+	if len(cs) != 3 {
+		t.Fatalf("%d conjuncts, want 3", len(cs))
+	}
+	before := Deparse(sel)
+	sel.Where = And(cs)
+	if after := Deparse(sel); after != before {
+		t.Fatalf("And(Conjuncts(w)) deparses to %s, want %s", after, before)
+	}
+}
