@@ -66,3 +66,30 @@ func TestGlobalUnionAcrossDatabasesRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionOrderByBindsToUnion: at continental, a trailing ORDER BY and
+// LIMIT order and limit the whole union, as standard SQL does — one row
+// for the LIMIT 1, every row sorted by the first branch's alias n.
+func TestUnionOrderByBindsToUnion(t *testing.T) {
+	f := paperFederation(t, false)
+	for _, tc := range []struct{ q, want string }{
+		{"SELECT flnu FROM flights UNION SELECT seatnu FROM f838 ORDER BY seatnu DESC LIMIT 1", "[101]"},
+		{"SELECT flnu AS n FROM flights UNION SELECT seatnu FROM f838 ORDER BY n", "[1 2 100 101]"},
+	} {
+		results, err := f.ExecScript("USE continental\n" + tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		sel := results[len(results)-1]
+		if sel.Multitable == nil || len(sel.Multitable.Tables) != 1 {
+			t.Fatalf("%s: multitable = %+v", tc.q, sel.Multitable)
+		}
+		var got []string
+		for _, row := range sel.Multitable.Tables[0].Rows {
+			got = append(got, row[0].String())
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Fatalf("%s: rows = %v, want %s", tc.q, got, tc.want)
+		}
+	}
+}

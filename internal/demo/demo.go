@@ -10,8 +10,7 @@ import (
 	"path/filepath"
 
 	"msql/internal/core"
-	"msql/internal/ldbms"
-	"msql/internal/relstore"
+	"msql/internal/topology"
 )
 
 // Options configures the demo federation.
@@ -31,23 +30,16 @@ type Options struct {
 	BufferPages int
 }
 
-// serviceSpec declares one LDBS of the federation.
-type serviceSpec struct {
-	Service string
-	DB      string
-	Profile func() ldbms.Profile
-	DDL     []string
-}
-
-func specs(o Options) []serviceSpec {
-	contProfile := ldbms.ProfileOracleLike
+// sites declares the federation's LDBSs.
+func sites(o Options) []topology.SiteSpec {
+	contProfile := topology.ProfileOracle
 	if o.ContinentalAutoCommit {
-		contProfile = ldbms.ProfileAutoCommitOnly
+		contProfile = topology.ProfileAutoCommit
 	}
-	return []serviceSpec{
+	return []topology.SiteSpec{
 		{
 			Service: "svc_cont", DB: "continental", Profile: contProfile,
-			DDL: []string{
+			Boot: []string{
 				`CREATE TABLE flights (flnu INTEGER, source CHAR(20), dep CHAR(5), destination CHAR(20), arr CHAR(5), day CHAR(10), rate FLOAT)`,
 				`CREATE TABLE f838 (seatnu INTEGER, seatty CHAR(10), seatstatus CHAR(10), clientname CHAR(20))`,
 				`INSERT INTO flights VALUES
@@ -61,8 +53,8 @@ func specs(o Options) []serviceSpec {
 			},
 		},
 		{
-			Service: "svc_delta", DB: "delta", Profile: ldbms.ProfileOracleLike,
-			DDL: []string{
+			Service: "svc_delta", DB: "delta", Profile: topology.ProfileOracle,
+			Boot: []string{
 				`CREATE TABLE flight (fnu INTEGER, source CHAR(20), dest CHAR(20), dep CHAR(5), arr CHAR(5), day CHAR(10), rate FLOAT)`,
 				`CREATE TABLE fnu747 (snu INTEGER, sty CHAR(10), sstat CHAR(10), passname CHAR(20))`,
 				`INSERT INTO flight VALUES
@@ -72,8 +64,8 @@ func specs(o Options) []serviceSpec {
 			},
 		},
 		{
-			Service: "svc_unit", DB: "united", Profile: ldbms.ProfileIngresLike,
-			DDL: []string{
+			Service: "svc_unit", DB: "united", Profile: topology.ProfileIngres,
+			Boot: []string{
 				`CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), depa CHAR(5), arri CHAR(5), day CHAR(10), rates FLOAT)`,
 				`CREATE TABLE fn727 (sn INTEGER, st CHAR(10), sst CHAR(10), pasna CHAR(20))`,
 				`INSERT INTO flight VALUES
@@ -83,8 +75,8 @@ func specs(o Options) []serviceSpec {
 			},
 		},
 		{
-			Service: "svc_avis", DB: "avis", Profile: ldbms.ProfileOracleLike,
-			DDL: []string{
+			Service: "svc_avis", DB: "avis", Profile: topology.ProfileOracle,
+			Boot: []string{
 				`CREATE TABLE cars (code INTEGER, cartype CHAR(20), rate FLOAT, carst CHAR(12), from_d CHAR(10), to_d CHAR(10), client CHAR(20))`,
 				`INSERT INTO cars VALUES
 					(1, 'suv', 49.5, 'available', NULL, NULL, NULL),
@@ -93,8 +85,8 @@ func specs(o Options) []serviceSpec {
 			},
 		},
 		{
-			Service: "svc_natl", DB: "national", Profile: ldbms.ProfileSybaseLike,
-			DDL: []string{
+			Service: "svc_natl", DB: "national", Profile: topology.ProfileSybase,
+			Boot: []string{
 				`CREATE TABLE vehicle (vcode INTEGER, vty CHAR(20), vstat CHAR(12), from_d CHAR(10), to_d CHAR(10), client CHAR(20))`,
 				`INSERT INTO vehicle VALUES
 					(11, 'sedan', 'available', NULL, NULL, NULL),
@@ -109,63 +101,23 @@ func specs(o Options) []serviceSpec {
 // run is adopted without re-running its bootstrap DDL.
 func Build(o Options) (*core.Federation, error) {
 	f := core.New()
-	for _, sp := range specs(o) {
-		srv := ldbms.NewServer(sp.Service, sp.Profile(), o.Seed)
-		reopened := false
+	plan := &topology.Plan{}
+	for _, s := range sites(o) {
+		s.Seed = o.Seed
 		if o.DataDir != "" {
-			st, err := relstore.Open(relstore.Options{
-				Dir:       filepath.Join(o.DataDir, sp.Service),
-				PoolPages: o.BufferPages,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("demo: open %s store: %w", sp.Service, err)
-			}
-			srv = ldbms.NewServerWith(sp.Service, sp.Profile(), o.Seed, st)
-			if _, err := st.Database(sp.DB); err == nil {
-				reopened = true
-			}
+			s.Dir = filepath.Join(o.DataDir, s.Service)
+			s.PoolPages = o.BufferPages
+		}
+		srv, err := s.Build()
+		if err != nil {
+			return nil, fmt.Errorf("demo: %w", err)
 		}
 		if _, err := f.AddLocalServer(srv); err != nil {
-			return nil, fmt.Errorf("demo: serve %s: %w", sp.Service, err)
+			return nil, fmt.Errorf("demo: serve %s: %w", s.Service, err)
 		}
-		if reopened {
-			continue
-		}
-		if err := srv.CreateDatabase(sp.DB); err != nil {
-			return nil, err
-		}
-		sess, err := srv.OpenSession(sp.DB)
-		if err != nil {
-			return nil, err
-		}
-		for _, q := range sp.DDL {
-			if _, err := sess.Exec(q); err != nil {
-				return nil, fmt.Errorf("demo: bootstrap %s: %q: %w", sp.DB, q, err)
-			}
-		}
-		if err := sess.Commit(); err != nil {
-			return nil, err
-		}
-		sess.Close()
+		plan.Sites = append(plan.Sites, s)
 	}
-
-	contMode := "NOCOMMIT"
-	if o.ContinentalAutoCommit {
-		contMode = "COMMIT"
-	}
-	setup := `
-INCORPORATE SERVICE svc_cont CONNECTMODE CONNECT COMMITMODE ` + contMode + `;
-INCORPORATE SERVICE svc_delta CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-INCORPORATE SERVICE svc_unit CONNECTMODE CONNECT COMMITMODE NOCOMMIT CREATE COMMIT DROP COMMIT;
-INCORPORATE SERVICE svc_avis CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-INCORPORATE SERVICE svc_natl CONNECTMODE NOCONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE delta FROM SERVICE svc_delta;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-IMPORT DATABASE avis FROM SERVICE svc_avis;
-IMPORT DATABASE national FROM SERVICE svc_natl;
-`
-	if _, err := f.ExecScript(setup); err != nil {
+	if _, err := f.ExecScript(plan.Script(nil)); err != nil {
 		return nil, fmt.Errorf("demo: incorporate/import: %w", err)
 	}
 	return f, nil

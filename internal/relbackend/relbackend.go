@@ -192,5 +192,5 @@ func (t table) Scan(pc *storage.PageCounters, sargs []storage.Sarg) sqlengine.Cu
 func (t table) LookupKey(vals []sqlval.Value) (int, bool) { return t.t.LookupKey(vals) }
 
 func (t table) RowAt(pos int, pc *storage.PageCounters) schema.Row {
-	return t.t.RowAtCounted(pos, pc)
+	return t.t.RowAt(pos, pc)
 }

@@ -139,7 +139,7 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 	}
 	t.heap = h
 	var scanErr error
-	err = h.Scan(func(rid storage.RID, data []byte) bool {
+	err = h.Scan(nil, func(rid storage.RID, data []byte) bool {
 		vals, derr := storage.DecodeRow(data)
 		if derr != nil {
 			scanErr = derr

@@ -66,7 +66,7 @@ func TestPrimaryKeyUniqueAndNotNull(t *testing.T) {
 	// The index tracked all of it.
 	d, _ := s.Database("db")
 	tbl, _ := d.Table("kv")
-	if idx, ok := tbl.LookupKey([]sqlval.Value{sqlval.Int(3)}); !ok || tbl.RowAt(idx)[1].S != "still three" {
+	if idx, ok := tbl.LookupKey([]sqlval.Value{sqlval.Int(3)}); !ok || tbl.RowAt(idx, nil)[1].S != "still three" {
 		t.Fatalf("LookupKey(3) = %d,%v", idx, ok)
 	}
 	if _, ok := tbl.LookupKey([]sqlval.Value{sqlval.Int(99)}); ok {
@@ -100,7 +100,7 @@ func TestIndexSurvivesRollbackAndCompaction(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d lost after rollback", i)
 		}
-		if got := tbl.RowAt(idx); got[0].I != int64(i) {
+		if got := tbl.RowAt(idx, nil); got[0].I != int64(i) {
 			t.Fatalf("key %d points at row %v", i, got)
 		}
 	}
@@ -125,7 +125,7 @@ func TestIndexSurvivesRollbackAndCompaction(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d lost after compaction", k)
 		}
-		if got := tbl.RowAt(idx); got == nil || got[0].I != k {
+		if got := tbl.RowAt(idx, nil); got == nil || got[0].I != k {
 			t.Fatalf("key %d remapped to wrong row %v", k, got)
 		}
 	}
@@ -178,7 +178,7 @@ func TestPersistCheckpointReopen(t *testing.T) {
 	if !ok {
 		t.Fatal("index not rebuilt on reopen")
 	}
-	if row := tbl.RowAt(idx); row[1].S != "value-250" {
+	if row := tbl.RowAt(idx, nil); row[1].S != "value-250" {
 		t.Fatalf("row via rebuilt index = %v", row)
 	}
 	if _, err := d.View("vw"); err != nil {
@@ -290,7 +290,7 @@ func TestUncheckpointedWorkIsLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx, ok := tbl.LookupKey([]sqlval.Value{sqlval.Int(1)}); !ok || tbl.RowAt(idx) == nil {
+	if idx, ok := tbl.LookupKey([]sqlval.Value{sqlval.Int(1)}); !ok || tbl.RowAt(idx, nil) == nil {
 		t.Fatal("checkpointed row lost")
 	}
 }

@@ -173,7 +173,7 @@ func checkModel(t *testing.T, tbl *Table, m heapModel, step string) {
 		if !ok || got != idx {
 			t.Fatalf("%s: LookupKey(%v) = %d, %v; want %d", step, r[0], got, ok, idx)
 		}
-		if row := tbl.RowAt(idx); !reflect.DeepEqual(row, r) {
+		if row := tbl.RowAt(idx, nil); !reflect.DeepEqual(row, r) {
 			t.Fatalf("%s: RowAt(%d) = %v, want %v", step, idx, row, r)
 		}
 	}

@@ -133,17 +133,12 @@ func (t *Table) keyOf(row schema.Row) []byte {
 }
 
 // rowAt reads and decodes the row at a stable index; nil for tombstones
-// and out-of-range indexes.
-func (t *Table) rowAt(idx int) (schema.Row, error) {
-	return t.rowAtCounted(idx, nil)
-}
-
-// rowAtCounted is rowAt with page traffic recorded on pc (nil-safe). The
-// counter is per-call rather than per-table because concurrent readers
-// share the Table under shared locks — attribution must follow the
-// statement, not the structure. The row is decoded straight from the
-// pinned page into a new row the caller owns.
-func (t *Table) rowAtCounted(idx int, pc *storage.PageCounters) (schema.Row, error) {
+// and out-of-range indexes. Page traffic is recorded on pc (nil counts
+// nothing): the counter is per-call rather than per-table because
+// concurrent readers share the Table under shared locks — attribution
+// must follow the statement, not the structure. The row is decoded
+// straight from the pinned page into a new row the caller owns.
+func (t *Table) rowAt(idx int, pc *storage.PageCounters) (schema.Row, error) {
 	if idx < 0 || idx >= len(t.rids) || t.rids[idx].IsNil() {
 		return nil, nil
 	}
@@ -158,14 +153,10 @@ func (t *Table) rowAtCounted(idx int, pc *storage.PageCounters) (schema.Row, err
 	return row, nil
 }
 
-// RowAt returns the row at a stable index, or nil when deleted.
-func (t *Table) RowAt(idx int) schema.Row {
-	return t.RowAtCounted(idx, nil)
-}
-
-// RowAtCounted is RowAt with page traffic recorded on pc (nil-safe).
-func (t *Table) RowAtCounted(idx int, pc *storage.PageCounters) schema.Row {
-	row, err := t.rowAtCounted(idx, pc)
+// RowAt returns the row at a stable index, or nil when deleted, with
+// page traffic recorded on pc (nil counts nothing).
+func (t *Table) RowAt(idx int, pc *storage.PageCounters) schema.Row {
+	row, err := t.rowAt(idx, pc)
 	if err != nil {
 		t.fault(err)
 		return nil
@@ -344,7 +335,7 @@ func (t *Table) insertRow(row schema.Row, checkUnique bool) (int, error) {
 
 // updateRow overwrites the row at a stable index.
 func (t *Table) updateRow(idx int, row schema.Row, checkUnique bool) error {
-	old, err := t.rowAt(idx)
+	old, err := t.rowAt(idx, nil)
 	if err != nil {
 		return err
 	}
@@ -375,7 +366,7 @@ func (t *Table) updateRow(idx int, row schema.Row, checkUnique bool) error {
 // deleteRow tombstones the row at a stable index and returns its prior
 // contents for the undo log.
 func (t *Table) deleteRow(idx int) (schema.Row, error) {
-	old, err := t.rowAt(idx)
+	old, err := t.rowAt(idx, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -112,11 +112,11 @@ func TestRollbackUndoesInsertUpdateDelete(t *testing.T) {
 	if tbl.RowCount() != 3 {
 		t.Fatalf("post-rollback rows = %d", tbl.RowCount())
 	}
-	f, _ := tbl.RowAt(0)[2].AsFloat()
+	f, _ := tbl.RowAt(0, nil)[2].AsFloat()
 	if f != 49.5 {
-		t.Fatalf("rate after rollback = %v", tbl.RowAt(0)[2])
+		t.Fatalf("rate after rollback = %v", tbl.RowAt(0, nil)[2])
 	}
-	if tbl.RowAt(1) == nil {
+	if tbl.RowAt(1, nil) == nil {
 		t.Fatal("deleted row not restored")
 	}
 	check.Rollback()
@@ -177,8 +177,8 @@ func TestBulkInsertRunsUndoAsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cars.RowCount() != 3 || cars.RowAt(0) == nil {
-		t.Fatalf("cars after rollback: %d rows, first %v", cars.RowCount(), cars.RowAt(0))
+	if cars.RowCount() != 3 || cars.RowAt(0, nil) == nil {
+		t.Fatalf("cars after rollback: %d rows, first %v", cars.RowCount(), cars.RowAt(0, nil))
 	}
 	vans, err := check.TableForRead("avis", "vans")
 	if err != nil {

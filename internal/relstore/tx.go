@@ -282,7 +282,7 @@ func (t *Tx) Update(db, table string, idx int, row schema.Row) error {
 	if err != nil {
 		return err
 	}
-	old := tbl.RowAt(idx)
+	old := tbl.RowAt(idx, nil)
 	if old == nil {
 		return fmt.Errorf("relstore: update of missing row %d in %s.%s", idx, db, table)
 	}
@@ -516,7 +516,7 @@ func (t *Tx) applyUndo(u undoRec) {
 		if d, err := t.store.Database(u.db); err == nil {
 			if tbl, ok := d.tables[u.name]; ok {
 				for idx := u.idx + u.n - 1; idx >= u.idx; idx-- {
-					if tbl.RowAt(idx) == nil {
+					if tbl.RowAt(idx, nil) == nil {
 						continue
 					}
 					if _, err := tbl.deleteRow(idx); err != nil {
@@ -535,7 +535,7 @@ func (t *Tx) applyUndo(u undoRec) {
 		}
 	case undoUpdate:
 		if d, err := t.store.Database(u.db); err == nil {
-			if tbl, ok := d.tables[u.name]; ok && tbl.RowAt(u.idx) != nil {
+			if tbl, ok := d.tables[u.name]; ok && tbl.RowAt(u.idx, nil) != nil {
 				if err := tbl.updateRow(u.idx, u.row, false); err != nil {
 					tbl.fault(err)
 				}

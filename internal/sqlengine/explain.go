@@ -44,19 +44,24 @@ func (ec *explainCtx) describe(e *env, sel *sqlparser.SelectStmt, plan *joinPlan
 	if sel.Distinct {
 		mods = append(mods, "distinct")
 	}
-	if len(sel.OrderBy) > 0 {
-		mods = append(mods, "order")
-	}
-	if sel.Limit >= 0 {
-		mods = append(mods, fmt.Sprintf("limit %d", sel.Limit))
-	}
-	n.Detail = strings.Join(mods, " ")
+	n.Detail = strings.Join(append(mods, orderLimit(sel)...), " ")
 	parent := n
 	if len(sel.GroupBy) > 0 || len(collectAggregates(sel)) > 0 {
 		parent = n.Add(&obs.PlanNode{Op: "aggregate",
 			Detail: fmt.Sprintf("group by %d key(s)", len(sel.GroupBy))})
 	}
 	ec.describeLevels(parent, e, plan)
+}
+
+// orderLimit names the ORDER BY and LIMIT steps of a select or union.
+func orderLimit(sel *sqlparser.SelectStmt) (mods []string) {
+	if len(sel.OrderBy) > 0 {
+		mods = append(mods, "order")
+	}
+	if sel.Limit >= 0 {
+		mods = append(mods, fmt.Sprintf("limit %d", sel.Limit))
+	}
+	return mods
 }
 
 // describeLevels adds one child per loop level under parent, naming the

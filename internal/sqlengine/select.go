@@ -3,7 +3,9 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"msql/internal/schema"
 	"msql/internal/sqlparser"
@@ -48,14 +50,15 @@ func execSelectEx(tx Storage, db string, sel *sqlparser.SelectStmt, outer *env, 
 		return execSingleSelect(tx, db, sel, outer, ec)
 	}
 	if ec != nil {
-		ec.node.Op = "union"
+		ec.node.Op, ec.node.Detail = "union", strings.Join(orderLimit(sel), " ")
 	}
 	base := *sel
-	base.Unions = nil
+	base.Unions, base.OrderBy, base.Limit = nil, nil, -1
 	res, err := execSingleSelect(tx, db, &base, outer, ec.branch())
 	if err != nil {
 		return nil, err
 	}
+	branchCols := [][]ResultCol{res.Columns}
 	dedupe := false
 	for _, u := range sel.Unions {
 		if !u.All {
@@ -69,6 +72,7 @@ func execSelectEx(tx Storage, db string, sel *sqlparser.SelectStmt, outer *env, 
 			return nil, fmt.Errorf("sqlengine: UNION branches have %d and %d columns", len(res.Columns), len(part.Columns))
 		}
 		res.Rows = append(res.Rows, part.Rows...)
+		branchCols = append(branchCols, part.Columns)
 	}
 	if dedupe {
 		seen := map[string]bool{}
@@ -86,8 +90,48 @@ func execSelectEx(tx Storage, db string, sel *sqlparser.SelectStmt, outer *env, 
 		}
 		res.Rows = kept
 	}
+	if len(sel.OrderBy) > 0 || sel.Limit >= 0 {
+		return orderUnion(sel, res, branchCols)
+	}
 	res.RowsAffected = len(res.Rows)
 	return res, nil
+}
+
+// orderUnion applies a union's ORDER BY and LIMIT to its deduplicated
+// rows. An ORDER BY key is an output column: a position, or a name
+// resolved against the first branch's output columns, then the later
+// branches' (so both `ORDER BY n` for a first-branch alias n and a later
+// branch's column name order by that column).
+func orderUnion(sel *sqlparser.SelectStmt, res *Result, branchCols [][]ResultCol) (*Result, error) {
+	at := make([]int, len(sel.OrderBy))
+	for i, ob := range sel.OrderBy {
+		at[i] = -1
+		switch x := ob.Expr.(type) {
+		case sqlparser.ColRef:
+			name := x.Parts[len(x.Parts)-1]
+			for b := 0; b < len(branchCols) && at[i] < 0; b++ {
+				at[i] = slices.IndexFunc(branchCols[b], func(c ResultCol) bool { return c.Name == name })
+			}
+		case *sqlparser.Literal:
+			if n, ok := x.Val.AsInt(); ok && x.Val.K == sqlval.KindInt && n >= 1 && int(n) <= len(res.Columns) {
+				at[i] = int(n) - 1
+			}
+		}
+		if at[i] < 0 {
+			return nil, fmt.Errorf("sqlengine: ORDER BY %s of a UNION must name an output column", sqlparser.DeparseExpr(ob.Expr))
+		}
+	}
+	rows := make([]rowWithKeys, len(res.Rows))
+	for r, vals := range res.Rows {
+		keys := make([]sqlval.Value, len(at))
+		for i, c := range at {
+			keys[i] = vals[c]
+		}
+		rows[r] = rowWithKeys{vals: vals, keys: keys}
+	}
+	union := &sqlparser.SelectStmt{OrderBy: sel.OrderBy, Limit: sel.Limit}
+	out := &Result{Columns: res.Columns}
+	return finishResult(union, out, rows)
 }
 
 // execSingleSelect runs one union-free SELECT branch.

@@ -1,6 +1,7 @@
 package sqlengine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"msql/internal/relbackend"
@@ -45,13 +46,33 @@ func TestUnionArityMismatch(t *testing.T) {
 	}
 }
 
-func TestUnionWithBranchOrderAndLimit(t *testing.T) {
+// TestUnionOrderAndLimitBindToUnion: a trailing ORDER BY and LIMIT
+// order and limit the whole union after its dedupe, by position or by
+// an output column name of the first branch (an alias) or of a later
+// branch; on an earlier branch they are a parse error.
+func TestUnionOrderAndLimitBindToUnion(t *testing.T) {
 	s := paperStore(t)
-	// Per-branch ORDER BY/LIMIT: first branch takes the 2 priciest.
-	res := query(t, s, "continental",
-		"SELECT flnu FROM flights ORDER BY rate DESC LIMIT 2 UNION ALL SELECT seatnu FROM f838 WHERE seatnu = 1")
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	for _, tc := range []struct {
+		q    string
+		want string
+	}{
+		{"SELECT flnu FROM flights UNION SELECT seatnu FROM f838 ORDER BY seatnu DESC LIMIT 1", "[[103]]"},
+		{"SELECT flnu AS n FROM flights WHERE flnu < 102 UNION SELECT seatnu FROM f838 ORDER BY n", "[[1] [2] [3] [4] [100] [101]]"},
+		{"SELECT seatty FROM f838 UNION SELECT seatty FROM f838 ORDER BY 1 DESC", "[[window] [middle] [aisle]]"},
+	} {
+		if got := fmt.Sprint(query(t, s, "continental", tc.q).Rows); got != tc.want {
+			t.Errorf("%s: rows = %s, want %s", tc.q, got, tc.want)
+		}
+	}
+	tx := s.Begin()
+	defer tx.Rollback()
+	for _, q := range []string{
+		"SELECT flnu FROM flights ORDER BY rate DESC LIMIT 2 UNION ALL SELECT seatnu FROM f838 WHERE seatnu = 1",
+		"SELECT flnu FROM flights UNION SELECT seatnu FROM f838 ORDER BY rate",
+	} {
+		if _, err := sqlengine.ExecuteSQL(relbackend.Storage(tx), "continental", q); err == nil {
+			t.Errorf("%s: no error", q)
+		}
 	}
 }
 

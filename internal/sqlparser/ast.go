@@ -70,8 +70,9 @@ type UnionPart struct {
 	Select *SelectStmt
 }
 
-// SelectStmt is a SELECT query. ORDER BY and LIMIT apply per branch; the
-// union of branches is deduplicated unless every part is UNION ALL.
+// SelectStmt is a SELECT query. With UNION branches, ORDER BY and LIMIT
+// order and limit the whole union (the branches carry none), and the
+// union is deduplicated unless every part is UNION ALL.
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem

@@ -240,8 +240,37 @@ func (p *Parser) parseExplain() (*ExplainStmt, error) {
 	return e, nil
 }
 
-// ParseSelect parses a SELECT statement at the cursor.
+// ParseSelect parses a SELECT statement at the cursor with its UNION
+// branches. An ORDER BY or LIMIT may follow only the last branch, and it
+// binds to the whole union, as in standard SQL.
 func (p *Parser) ParseSelect() (*SelectStmt, error) {
+	sel, err := p.parseSelectBlock()
+	if err != nil {
+		return nil, err
+	}
+	last := sel
+	for p.AcceptKeyword("UNION") {
+		if len(last.OrderBy) > 0 || last.Limit >= 0 {
+			return nil, fmt.Errorf("ORDER BY and LIMIT may follow only the last UNION branch")
+		}
+		all := p.AcceptKeyword("ALL")
+		part, err := p.parseSelectBlock()
+		if err != nil {
+			return nil, err
+		}
+		sel.Unions = append(sel.Unions, UnionPart{All: all, Select: part})
+		last = part
+	}
+	// The last branch's ORDER BY and LIMIT order and limit the union.
+	if last != sel {
+		sel.OrderBy, sel.Limit = last.OrderBy, last.Limit
+		last.OrderBy, last.Limit = nil, -1
+	}
+	return sel, nil
+}
+
+// parseSelectBlock parses one SELECT without UNION branches.
+func (p *Parser) parseSelectBlock() (*SelectStmt, error) {
 	if err := p.ExpectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -333,17 +362,6 @@ func (p *Parser) ParseSelect() (*SelectStmt, error) {
 			return nil, fmt.Errorf("bad LIMIT count %q", t.Text)
 		}
 		sel.Limit = n
-	}
-	for p.AcceptKeyword("UNION") {
-		all := p.AcceptKeyword("ALL")
-		part, err := p.ParseSelect()
-		if err != nil {
-			return nil, err
-		}
-		// Flatten: nested unions hang off the outermost select.
-		sel.Unions = append(sel.Unions, UnionPart{All: all, Select: part})
-		sel.Unions = append(sel.Unions, part.Unions...)
-		part.Unions = nil
 	}
 	return sel, nil
 }

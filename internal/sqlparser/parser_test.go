@@ -473,6 +473,36 @@ var roundTripSources = []string{
 	"SELECT a - (b + c) FROM t",
 	"SELECT (a + b) * c FROM t",
 	"UPDATE fitab SET sstat = 'TAKEN' WHERE snu = (SELECT MIN(snu) FROM fitab WHERE sstat = 'FREE')",
+	"SELECT flnu FROM flights UNION SELECT seatnu FROM f838 ORDER BY seatnu DESC LIMIT 1",
+	"SELECT flnu AS n FROM flights UNION SELECT seatnu FROM f838 ORDER BY n",
+}
+
+// TestUnionOrderByBindsToUnion: a trailing ORDER BY and LIMIT order and
+// limit the whole union, and Deparse prints them after the last branch;
+// on any earlier branch they are a parse error.
+func TestUnionOrderByBindsToUnion(t *testing.T) {
+	src := "SELECT a FROM t UNION ALL SELECT b FROM u UNION SELECT c FROM v ORDER BY a DESC LIMIT 2"
+	sel := mustParse(t, src).(*SelectStmt)
+	if len(sel.OrderBy) != 1 || sel.Limit != 2 || len(sel.Unions) != 2 {
+		t.Fatalf("union order %v limit %d branches %d, want the trailing clause on the union", sel.OrderBy, sel.Limit, len(sel.Unions))
+	}
+	for _, u := range sel.Unions {
+		if len(u.Select.OrderBy) != 0 || u.Select.Limit != -1 {
+			t.Fatalf("branch keeps order %v limit %d", u.Select.OrderBy, u.Select.Limit)
+		}
+	}
+	if out := Deparse(sel); out != src {
+		t.Fatalf("deparse = %q, want %q", out, src)
+	}
+	for _, bad := range []string{
+		"SELECT a FROM t ORDER BY a UNION SELECT b FROM u",
+		"SELECT a FROM t LIMIT 1 UNION SELECT b FROM u",
+		"SELECT a FROM t UNION SELECT b FROM u LIMIT 1 UNION SELECT c FROM v",
+	} {
+		if _, err := ParseStatement(bad); err == nil {
+			t.Errorf("%q parsed; ORDER BY and LIMIT may follow only the last branch", bad)
+		}
+	}
 }
 
 func TestDeparseRoundTrip(t *testing.T) {

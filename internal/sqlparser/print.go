@@ -209,6 +209,14 @@ func deparseSelect(b *strings.Builder, s *SelectStmt) {
 		b.WriteString(" HAVING ")
 		b.WriteString(DeparseExpr(s.Having))
 	}
+	for _, u := range s.Unions {
+		b.WriteString(" UNION ")
+		if u.All {
+			b.WriteString("ALL ")
+		}
+		deparseSelect(b, u.Select)
+	}
+	// After the last branch: a union's ORDER BY and LIMIT are its own.
 	if len(s.OrderBy) > 0 {
 		b.WriteString(" ORDER BY ")
 		for i, o := range s.OrderBy {
@@ -224,13 +232,6 @@ func deparseSelect(b *strings.Builder, s *SelectStmt) {
 	if s.Limit >= 0 {
 		b.WriteString(" LIMIT ")
 		b.WriteString(strconv.Itoa(s.Limit))
-	}
-	for _, u := range s.Unions {
-		b.WriteString(" UNION ")
-		if u.All {
-			b.WriteString("ALL ")
-		}
-		deparseSelect(b, u.Select)
 	}
 }
 

@@ -85,7 +85,7 @@ func OpenHeapFile(pool *Pool, b Backing, opts OpenOptions) (*HeapFile, int, erro
 	h.openMark = make(map[uint32]bool)
 	repaired := 0
 	for pg := uint32(0); pg < n; pg++ {
-		f, err := pool.Fetch(h.id, pg)
+		f, err := pool.Fetch(h.id, pg, nil)
 		if err != nil {
 			if !opts.Repair || !(errors.Is(err, ErrBadChecksum) || errors.Is(err, ErrBadPageShape)) {
 				pool.Deregister(h.id)
@@ -114,7 +114,7 @@ func (h *HeapFile) resetPage(pg uint32) (*Frame, error) {
 	if err := h.backing().WritePage(pg, buf[:]); err != nil {
 		return nil, err
 	}
-	return h.pool.Fetch(h.id, pg)
+	return h.pool.Fetch(h.id, pg, nil)
 }
 
 func (h *HeapFile) backing() Backing {
@@ -221,7 +221,7 @@ func (h *HeapFile) insert(data []byte) (RID, error) {
 
 // tryInsert attempts an insert on one page.
 func (h *HeapFile) tryInsert(pg uint32, data []byte) (RID, bool, error) {
-	f, err := h.pool.Fetch(h.id, pg)
+	f, err := h.pool.Fetch(h.id, pg, nil)
 	if err != nil {
 		return NilRID, false, err
 	}
@@ -260,7 +260,7 @@ func (h *HeapFile) ReadPageCounted(rids []RID, pc *PageCounters, fn func(data []
 		return nil
 	}
 	pg := rids[0].Page
-	f, err := h.pool.FetchCounted(h.id, pg, pc)
+	f, err := h.pool.Fetch(h.id, pg, pc)
 	if err != nil {
 		return err
 	}
@@ -285,7 +285,7 @@ func (h *HeapFile) ReadPageCounted(rids []RID, pc *PageCounters, fn func(data []
 func (h *HeapFile) Delete(rid RID) error {
 	h.pool.flushMu.RLock()
 	defer h.pool.flushMu.RUnlock()
-	f, err := h.pool.Fetch(h.id, rid.Page)
+	f, err := h.pool.Fetch(h.id, rid.Page, nil)
 	if err != nil {
 		return err
 	}
@@ -305,7 +305,7 @@ func (h *HeapFile) Delete(rid RID) error {
 func (h *HeapFile) Update(rid RID, data []byte) (RID, error) {
 	h.pool.flushMu.RLock()
 	defer h.pool.flushMu.RUnlock()
-	f, err := h.pool.Fetch(h.id, rid.Page)
+	f, err := h.pool.Fetch(h.id, rid.Page, nil)
 	if err != nil {
 		return NilRID, err
 	}
@@ -332,16 +332,11 @@ func (h *HeapFile) Update(rid RID, data []byte) (RID, error) {
 
 // Scan iterates the heap page-at-a-time in (page, slot) order, calling
 // fn with each live tuple. The tuple bytes alias the pinned page and are
-// only valid during the call. fn returning false stops the scan.
-func (h *HeapFile) Scan(fn func(rid RID, data []byte) bool) error {
-	return h.ScanCounted(fn, nil)
-}
-
-// ScanCounted is Scan with pool traffic additionally recorded on pc
-// (nil-safe), attributing the page fetches to one statement's operator.
-func (h *HeapFile) ScanCounted(fn func(rid RID, data []byte) bool, pc *PageCounters) error {
+// only valid during the call. fn returning false stops the scan. Pool
+// traffic is also recorded on pc (nil counts nothing).
+func (h *HeapFile) Scan(pc *PageCounters, fn func(rid RID, data []byte) bool) error {
 	for pg := uint32(0); pg < h.pages; pg++ {
-		f, err := h.pool.FetchCounted(h.id, pg, pc)
+		f, err := h.pool.Fetch(h.id, pg, pc)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ func TestHeapFileCRUDAndScan(t *testing.T) {
 	}
 	// Scan sees exactly the live set.
 	seen := 0
-	err := h.Scan(func(rid RID, data []byte) bool {
+	err := h.Scan(nil, func(rid RID, data []byte) bool {
 		w, ok := want[rid]
 		if !ok || !bytes.Equal(data, w) {
 			t.Fatalf("scan surfaced unexpected tuple at %s", rid)
@@ -70,7 +70,7 @@ func TestHeapFileCRUDAndScan(t *testing.T) {
 		}
 	}
 	seen = 0
-	h.Scan(func(rid RID, data []byte) bool { seen++; return true })
+	h.Scan(nil, func(rid RID, data []byte) bool { seen++; return true })
 	if seen != len(want) {
 		t.Fatalf("post-churn scan: seen=%d want=%d", seen, len(want))
 	}
@@ -88,7 +88,7 @@ func TestHeapFileFreeMapTracksAppends(t *testing.T) {
 	check := func(when string, exactly bool) {
 		t.Helper()
 		for pg := uint32(0); pg < h.pages; pg++ {
-			f, err := pool.Fetch(h.id, pg)
+			f, err := pool.Fetch(h.id, pg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +317,7 @@ func TestHeapFileTornPageRepair(t *testing.T) {
 		t.Fatalf("repaired = %d, want 1", repaired)
 	}
 	live := 0
-	h3.Scan(func(rid RID, data []byte) bool {
+	h3.Scan(nil, func(rid RID, data []byte) bool {
 		if rid.Page == uint32(tornPage) {
 			t.Fatalf("repaired page still surfaced tuples")
 		}

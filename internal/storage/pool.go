@@ -132,13 +132,9 @@ func (p *Pool) Deregister(id FileID) {
 
 // Fetch pins and returns the frame holding the page, reading it from
 // the backing on a miss. Pages read from a backing are CRC-verified.
-func (p *Pool) Fetch(file FileID, pageNo uint32) (*Frame, error) {
-	return p.FetchCounted(file, pageNo, nil)
-}
-
-// FetchCounted is Fetch with the hit/miss additionally recorded on pc
-// (nil-safe), attributing the pool traffic to one statement's operator.
-func (p *Pool) FetchCounted(file FileID, pageNo uint32, pc *PageCounters) (*Frame, error) {
+// The hit or miss is also recorded on pc (nil counts nothing),
+// attributing the pool traffic to one statement's operator.
+func (p *Pool) Fetch(file FileID, pageNo uint32, pc *PageCounters) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if i, ok := p.index[frameKey{file, pageNo}]; ok {

@@ -28,12 +28,12 @@ func newPoolFile(t *testing.T, frames int, npages int) (*Pool, FileID, *MemBacki
 
 func TestPoolHitMiss(t *testing.T) {
 	pool, id, _ := newPoolFile(t, 8, 4)
-	f, err := pool.Fetch(id, 0)
+	f, err := pool.Fetch(id, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Unpin(f, false)
-	f, err = pool.Fetch(id, 0)
+	f, err = pool.Fetch(id, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 	// Pool smaller than the file: touching every page forces eviction.
 	pool, id, backing := newPoolFile(t, 8, 32)
 	for pg := uint32(0); pg < 32; pg++ {
-		f, err := pool.Fetch(id, pg)
+		f, err := pool.Fetch(id, pg, nil)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", pg, err)
 		}
@@ -87,7 +87,7 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 func TestPoolPinnedPagesNeverEvicted(t *testing.T) {
 	pool, id, _ := newPoolFile(t, 8, 64)
 	// Pin page 0, then stream the rest through the remaining frames.
-	pinned, err := pool.Fetch(id, 0)
+	pinned, err := pool.Fetch(id, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPoolPinnedPagesNeverEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pg := uint32(1); pg < 64; pg++ {
-		f, err := pool.Fetch(id, pg)
+		f, err := pool.Fetch(id, pg, nil)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", pg, err)
 		}
@@ -114,13 +114,13 @@ func TestPoolAllPinnedErrPoolFull(t *testing.T) {
 	pool, id, _ := newPoolFile(t, 8, 16)
 	var held []*Frame
 	for pg := uint32(0); pg < 8; pg++ {
-		f, err := pool.Fetch(id, pg)
+		f, err := pool.Fetch(id, pg, nil)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", pg, err)
 		}
 		held = append(held, f)
 	}
-	if _, err := pool.Fetch(id, 8); !errors.Is(err, ErrPoolFull) {
+	if _, err := pool.Fetch(id, 8, nil); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("fetch with all frames pinned: err = %v, want ErrPoolFull", err)
 	}
 	if _, _, err := pool.Alloc(id); !errors.Is(err, ErrPoolFull) {
@@ -128,7 +128,7 @@ func TestPoolAllPinnedErrPoolFull(t *testing.T) {
 	}
 	// Releasing one pin unblocks the fetch.
 	pool.Unpin(held[0], false)
-	f, err := pool.Fetch(id, 8)
+	f, err := pool.Fetch(id, 8, nil)
 	if err != nil {
 		t.Fatalf("fetch after unpin: %v", err)
 	}
@@ -148,11 +148,11 @@ func TestPoolCorruptPageRejectedOnFetch(t *testing.T) {
 	if err := backing.WritePage(1, buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Fetch(id, 1); !errors.Is(err, ErrBadChecksum) {
+	if _, err := pool.Fetch(id, 1, nil); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("fetch of torn page: err = %v, want ErrBadChecksum", err)
 	}
 	// The failed fill released its frame; the pool still works.
-	f, err := pool.Fetch(id, 0)
+	f, err := pool.Fetch(id, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package chaos
+package topology
 
 import (
 	"context"
@@ -180,92 +180,28 @@ func loadPhase(ctr *soakCounters) {
 	}
 }
 
-// waitJournalsDrained polls until the coordinator journal holds no open
-// multitransaction and no participant journal holds an unacknowledged
-// session.
-func waitJournalsDrained(t *testing.T, coord *CoordProc, parts []*Proc) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		open := 0
-		states, err := coord.JournalStates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range states {
-			if !s.Ended {
-				open++
-			}
-		}
-		unacked := 0
-		for _, p := range parts {
-			sessions, err := p.JournalSessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range sessions {
-				if !s.Acked {
-					unacked++
-				}
-			}
-		}
-		if open == 0 && unacked == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("journals never drained: %d open multitransactions, %d unacked participant sessions",
-				open, unacked)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 func TestChurnSoak(t *testing.T) {
 	dir := t.TempDir()
-	saveOnFailure := func() {
-		if t.Failed() {
-			if dst := os.Getenv(EnvArtifacts); dst != "" {
-				_ = saveDir(dir, filepath.Join(dst, t.Name()))
-			}
-		}
-	}
-	defer saveOnFailure()
+	artifacts := saveOnFailure(t, dir)
 
-	// Two participant LAM children. Aggressive compaction and a short
-	// tombstone TTL: acknowledgments lost to the coordinator crash must
-	// not pin their journals forever.
-	launchLAM := func(service, db string) *Proc {
-		p, err := Launch(dir, Config{
-			Service: service, DB: db, Boot: soakBoot(),
-			CompactEvery: 1, TombstoneTTLMS: 1500,
-		})
+	// Two participant LAM children. A short tombstone TTL: acknowledgments
+	// lost to the coordinator crash must not pin their journals forever.
+	launchLAM := func(service, db string) (SiteSpec, *Proc) {
+		s := SiteSpec{Service: service, DB: db, Boot: soakBoot()}
+		p, err := LaunchSite(dir, s, 1500*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Stop)
-		return p
+		return s, p
 	}
-	delta := launchLAM("svc_delta", "delta")
-	united := launchLAM("svc_unit", "united")
+	deltaSite, delta := launchLAM("svc_delta", "delta")
+	unitedSite, united := launchLAM("svc_unit", "united")
 
 	// The coordinator child: tight admission so overload is observable,
-	// pooled LAM connections.
-	coord, err := LaunchCoord(dir, CoordConfig{
-		Sites: []CoordSite{
-			{Service: "svc_delta", DB: "delta", Addr: delta.Addr()},
-			{Service: "svc_unit", DB: "united", Addr: united.Addr()},
-		},
-		MaxSessions: 64,
-		// Tight enough that 36 clients over 4 tenants overflow the queues
-		// and sheds are guaranteed, loose enough that admitted work flows
-		// and the commit floor is met even under -race scheduling.
-		MaxConcurrent: 8, MaxQueuePerTenant: 4, MaxWaitMS: 150,
-		StmtTimeoutMS: 5000,
-		// 1ms threshold: a synchronized unit's TCP 2PC rounds and forced
-		// journal fsyncs (shared between concurrent units, never skipped)
-		// push it over, so the soak exercises the slow-query log across
-		// both coordinator incarnations.
-		SlowQueryMS: 1,
+	// the slow-query log on at 1ms across both incarnations.
+	coord, err := launchCoord(dir, []SiteSpec{deltaSite, unitedSite}, map[string]string{
+		deltaSite.Service: delta.Addr(), unitedSite.Service: united.Addr(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +260,7 @@ func TestChurnSoak(t *testing.T) {
 	if err := coord.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	waitJournalsDrained(t, coord, []*Proc{delta, united})
+	waitDrained(t, coord.Journal(), delta.Journal(), united.Journal())
 
 	// And the recovered coordinator still serves: a fresh client commits
 	// a two-site unit end to end.
@@ -353,8 +289,7 @@ COMMIT;`)
 	// crossed the 1ms threshold in both coordinator incarnations, every
 	// line is well-formed JSON, and the file is saved for the CI artifact
 	// upload whether or not the test failed.
-	slowPath := filepath.Join(dir, "slow-query.log")
-	data, err := os.ReadFile(slowPath)
+	data, err := os.ReadFile(coordSlowLog(dir))
 	if err != nil {
 		t.Fatalf("slow-query log: %v", err)
 	}
@@ -375,9 +310,9 @@ COMMIT;`)
 		}
 	}
 	t.Logf("slow-query log: %d entries over the 1ms threshold", len(lines))
-	if dst := os.Getenv(EnvArtifacts); dst != "" {
-		if err := os.MkdirAll(dst, 0o755); err == nil {
-			_ = os.WriteFile(filepath.Join(dst, "churn-slow-query.log"), data, 0o644)
+	if artifacts != "" {
+		if err := os.MkdirAll(artifacts, 0o755); err == nil {
+			_ = os.WriteFile(filepath.Join(artifacts, "churn-slow-query.log"), data, 0o644)
 		}
 	}
 }

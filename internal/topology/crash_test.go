@@ -1,169 +1,67 @@
-package chaos
+package topology
 
 import (
-	"context"
-	"fmt"
-	"os"
 	"path/filepath"
-	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	"msql/internal/core"
 	"msql/internal/lam"
-	"msql/internal/ldbms"
 	"msql/internal/mtlog"
-	"msql/internal/sqlengine"
-	"msql/internal/wire"
 )
 
-// TestMain routes child processes — LAM servers and coordinator
-// servers — before any test runs; the parent proceeds normally.
-func TestMain(m *testing.M) {
-	if IsCoordChild() {
-		CoordMain() // never returns
-	}
-	if IsChild() {
-		ChildMain() // never returns
-	}
-	os.Exit(m.Run())
-}
+// Process-level crash tests of participant durability (§3.2.2): the
+// united LAM runs as a child process, is SIGKILLed at a chosen 2PC
+// phase boundary and relaunched on the same participant journal, and
+// the coordinator's recovery must leave no lost commit and no
+// double-applied effect.
 
-var bg = context.Background()
-
-var unitedBoot = []string{
+var chaosUnited = SiteSpec{Service: "svc_unit", DB: "united", Boot: []string{
 	"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
 	"INSERT INTO flight VALUES (300, 'Houston', 'San Antonio', 120.0)",
-}
+}}
 
-// launchChild starts the united LAM child. On test failure its journal
-// and logs are copied into $MSQL_CHAOS_ARTIFACTS/<test> for post-mortem
-// (CI uploads that directory).
-func launchChild(t *testing.T, compactEvery int) *Proc {
+var chaosCont = SiteSpec{Service: "svc_cont", DB: "continental", Boot: []string{
+	"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
+	"INSERT INTO flights VALUES (100, 'Houston', 'San Antonio', 100.0)",
+}}
+
+// launchChild starts the united LAM child; a failed test leaves its
+// journal and logs in $MSQL_CHAOS_ARTIFACTS/<test>.
+func launchChild(t *testing.T) *Proc {
 	t.Helper()
-	p, err := Launch(t.TempDir(), Config{
-		Service: "svc_unit", DB: "united", Boot: unitedBoot, CompactEvery: compactEvery,
-	})
+	dir := t.TempDir()
+	p, err := LaunchSite(dir, chaosUnited, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if t.Failed() {
-			if dst := os.Getenv(EnvArtifacts); dst != "" {
-				_ = p.SaveArtifacts(filepath.Join(dst, t.Name()))
-			}
-		}
-		p.Stop()
-	})
+	t.Cleanup(p.Stop)
+	saveOnFailure(t, dir)
 	return p
 }
 
-// killClient wraps the TCP LAM client for the child so a test can
-// SIGKILL the server at exact 2PC phase boundaries — the process-level
-// analog of the netfault sever wrappers.
-type killClient struct {
-	lam.Client
-	proc *Proc
-	// killBeforePrepare crashes the server before the task's last exec
-	// can reach it, so before the vote that exec carries or precedes;
-	// killAfterPrepare crashes it after the vote is durable and
-	// acknowledged but before any decision arrives; killAfterCommit lets
-	// the commit succeed server-side, then crashes and reports a lost
-	// reply.
-	killBeforePrepare atomic.Bool
-	killAfterPrepare  atomic.Bool
-	killAfterCommit   atomic.Bool
-}
-
-func (c *killClient) Open(ctx context.Context, db string) (lam.Session, error) {
-	s, err := c.Client.Open(ctx, db)
-	if err != nil {
-		return nil, err
-	}
-	return &killSession{Session: s, c: c}, nil
-}
-
-type killSession struct {
-	lam.Session
-	c *killClient
-}
-
-func (s *killSession) Exec(ctx context.Context, sql string) (*sqlengine.Result, error) {
-	if lam.EndingFrom(ctx) == wire.ReqPrepare && s.c.killBeforePrepare.Load() {
-		s.c.killBeforePrepare.Store(false)
-		_ = s.c.proc.Kill()
-	}
-	return s.Session.Exec(ctx, sql)
-}
-
-func (s *killSession) Prepare(ctx context.Context) error {
-	err := s.Session.Prepare(ctx)
-	if err == nil && s.c.killAfterPrepare.Load() {
-		s.c.killAfterPrepare.Store(false)
-		_ = s.c.proc.Kill()
-	}
-	return err
-}
-
-func (s *killSession) Commit(ctx context.Context) error {
-	err := s.Session.Commit(ctx)
-	if err == nil && s.c.killAfterCommit.Load() {
-		s.c.killAfterCommit.Store(false)
-		_ = s.c.proc.Kill()
-		return fmt.Errorf("chaos: commit reply lost in crash: %w", syscall.ECONNRESET)
-	}
-	return err
-}
-
 // chaosFederation builds a journaled two-site federation: continental
-// in-process (a plain TCP LAM in the parent), united in the chaos child
-// behind a killClient.
-func chaosFederation(t *testing.T, p *Proc) (*core.Federation, *ldbms.Server, *killClient) {
+// in-process, united in the child behind a killClient.
+func chaosFederation(t *testing.T, p *Proc) (*core.Federation, *Site, *killClient) {
 	t.Helper()
-	cont := ldbms.NewServer("svc_cont", ldbms.ProfileOracleLike(), 1)
-	if err := cont.CreateDatabase("continental"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := cont.OpenSession("continental")
+	fleet, err := (&Plan{Sites: []SiteSpec{chaosCont}}).Launch(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
-		"INSERT INTO flights VALUES (100, 'Houston', 'San Antonio', 100.0)",
-	} {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess.Commit()
-	sess.Close()
-	contSrv, err := lam.Serve("127.0.0.1:0", cont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { contSrv.Close() })
+	t.Cleanup(fleet.Close)
+	cont := fleet.Sites[0]
 
 	fed := core.New()
 	fed.SetRecovery(lam.RetryPolicy{Attempts: 4, BaseDelay: 10 * time.Millisecond,
 		MaxDelay: 100 * time.Millisecond}, time.Second)
-	inner, err := lam.DialWith(bg, p.Addr(), lam.DialOptions{
-		CallTimeout: 2 * time.Second,
-		Retry:       lam.RetryPolicy{Attempts: 1, BaseDelay: 5 * time.Millisecond},
+	kc := killWrap(t, fed, p, nil, chaosUnited.Service)
+	plan := &Plan{Sites: []SiteSpec{chaosCont, chaosUnited}}
+	setup := plan.Script(func(s SiteSpec) string {
+		if s.Service == chaosUnited.Service {
+			return p.Addr()
+		}
+		return cont.Addr()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc := &killClient{Client: inner, proc: p}
-	fed.RegisterClient(p.Addr(), kc)
-
-	setup := fmt.Sprintf(`
-INCORPORATE SERVICE svc_cont SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-INCORPORATE SERVICE svc_unit SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-`, contSrv.Addr(), p.Addr())
 	if _, err := fed.ExecScript(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -186,20 +84,7 @@ UPDATE flight% SET rate% = rate% * 1.1 WHERE sour% = 'Houston'
 // the ground truth of what the participant actually holds.
 func tcpRate(t *testing.T, addr string) float64 {
 	t.Helper()
-	c, err := lam.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sess, err := c.Open(bg, "united")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	res, err := sess.Exec(bg, "SELECT rates FROM flight WHERE fn = 300")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := queryAt(t, addr, "united", "SELECT rates FROM flight WHERE fn = 300")
 	if len(res.Rows) != 1 {
 		t.Fatalf("united flight rows = %v, want exactly one (no duplicated effects)", res.Rows)
 	}
@@ -207,9 +92,9 @@ func tcpRate(t *testing.T, addr string) float64 {
 	return f
 }
 
-func contRate(t *testing.T, cont *ldbms.Server) float64 {
+func contRate(t *testing.T, cont *Site) float64 {
 	t.Helper()
-	sess, err := cont.OpenSession("continental")
+	sess, err := cont.Server.OpenSession("continental")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,30 +107,6 @@ func contRate(t *testing.T, cont *ldbms.Server) float64 {
 	return f
 }
 
-func waitChildJournalEmpty(t *testing.T, p *Proc) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sessions, err := p.JournalSessions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := 0
-		for _, s := range sessions {
-			if !s.Acked {
-				live++
-			}
-		}
-		if live == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("child journal never drained; sessions = %+v", sessions)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // TestKillAfterPreparedRecoversLoggedCommit is the acceptance scenario:
 // the united LAM is SIGKILLed after its PREPARED vote is durable and on
 // the wire but before any decision arrives. The unit ends Unresolved;
@@ -253,7 +114,7 @@ func waitChildJournalEmpty(t *testing.T, p *Proc) {
 // session, and the coordinator's Recover drives it to the journaled
 // COMMIT — with zero lost or duplicated effects in the final table.
 func TestKillAfterPreparedRecoversLoggedCommit(t *testing.T) {
-	p := launchChild(t, 1)
+	p := launchChild(t)
 	fed, cont, kc := chaosFederation(t, p)
 	kc.killAfterPrepare.Store(true)
 
@@ -302,7 +163,7 @@ func TestKillAfterPreparedRecoversLoggedCommit(t *testing.T) {
 	if len(states) != 0 {
 		t.Fatalf("coordinator journal still holds %d multitransactions", len(states))
 	}
-	waitChildJournalEmpty(t, p)
+	waitDrained(t, "", p.Journal())
 	// Idempotent: nothing left for a second pass.
 	rep2, err := fed.Recover(bg)
 	if err != nil {
@@ -318,7 +179,7 @@ func TestKillAfterPreparedRecoversLoggedCommit(t *testing.T) {
 // the committed effects from its journal and answers the retrying
 // coordinator from the durable tombstone — never re-executing.
 func TestKillAfterCommitReplyLost(t *testing.T) {
-	p := launchChild(t, 1)
+	p := launchChild(t)
 	fed, _, kc := chaosFederation(t, p)
 	kc.killAfterCommit.Store(true)
 
@@ -347,7 +208,7 @@ func TestKillAfterCommitReplyLost(t *testing.T) {
 	if f := tcpRate(t, p.Addr()); f < 131.9 || f > 132.1 {
 		t.Fatalf("united rate = %v, want 132 (exactly once)", f)
 	}
-	waitChildJournalEmpty(t, p)
+	waitDrained(t, "", p.Journal())
 }
 
 // TestKillBeforePrepareResolvesThroughRestart: the crash lands before
@@ -356,7 +217,7 @@ func TestKillAfterCommitReplyLost(t *testing.T) {
 // participant restarts in the background, and terminates the unit as
 // aborted from the participant's definite no-record answer.
 func TestKillBeforePrepareResolvesThroughRestart(t *testing.T) {
-	p := launchChild(t, 1)
+	p := launchChild(t)
 	fed, cont, kc := chaosFederation(t, p)
 	// Generous pacing: the loop must outlive the ~300ms restart window.
 	fed.SetRecovery(lam.RetryPolicy{Attempts: 40, BaseDelay: 50 * time.Millisecond,
@@ -393,7 +254,7 @@ func TestKillBeforePrepareResolvesThroughRestart(t *testing.T) {
 // end-of-multitransaction acknowledgment round lets the participant
 // forget immediately — its journal holds nothing once the unit ends.
 func TestCleanRunAcksAndCompacts(t *testing.T) {
-	p := launchChild(t, 1)
+	p := launchChild(t)
 	fed, cont, _ := chaosFederation(t, p)
 
 	results, err := fed.ExecScript(vitalUpdate)
@@ -410,7 +271,7 @@ func TestCleanRunAcksAndCompacts(t *testing.T) {
 	if f := contRate(t, cont); f < 109.9 || f > 110.1 {
 		t.Fatalf("continental rate = %v, want 110", f)
 	}
-	waitChildJournalEmpty(t, p)
+	waitDrained(t, "", p.Journal())
 	// A restart after a fully acknowledged unit finds nothing to replay
 	// and seeds the table fresh — no ghost effects.
 	if err := p.Restart(); err != nil {

@@ -1,22 +1,22 @@
-// Package topology generates reproducible mixed-capability LAM fleets
-// for scale and chaos testing. A Spec (site count, backend mix, seed)
-// deterministically expands into a Plan: per-site service names,
-// databases, storage backends (the full relstore engine or the
-// flat-file csv store), capability profiles (Oracle-like two-phase,
-// Ingres-like DDL-autocommit, autocommit-only), assigned imported
-// tables, and bootstrap SQL. The same seed always yields the same
-// fleet, so a failing 50-site scenario replays exactly.
+// Package topology is where every served test site comes from. A
+// SiteSpec describes one site (service, database, storage backend,
+// capability profile, data directory, bootstrap SQL) and Build turns it
+// into an ldbms server; the same spec is served in-process by
+// Plan.Launch, as a crash-test child process by LaunchSite, and by the
+// demo federation.
 //
-// A Plan is independent of how its sites are served: Launch stands the
-// whole fleet up in-process (one lam TCP server per site, each with its
-// own participant journal), while chaos tests can carve out victim
-// sites and serve them as crash-test child processes from the same
-// SiteSpec. Script emits the INCORPORATE SERVICE / IMPORT DATABASE
-// scenario script and Units generates deterministic mixed-capability
-// multitransaction workloads over the fleet.
+// A Spec (site count, backend mix, seed) deterministically expands into
+// a Plan of heterogeneous sites: the full relstore engine or the
+// flat-file csv store, behind Oracle-like two-phase, Ingres-like
+// DDL-autocommit or autocommit-only profiles. The same seed always
+// yields the same fleet, so a failing 50-site scenario replays exactly.
+// Script emits the INCORPORATE SERVICE / IMPORT DATABASE scenario script
+// and Units generates deterministic mixed-capability multitransaction
+// workloads over the fleet.
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -27,21 +27,31 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
+	"msql/internal/relstore"
+	"msql/internal/schema"
 )
 
-// durationMS converts a millisecond count, zero staying zero (server
-// default).
-func durationMS(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
-
-// Backend and profile names used in SiteSpec (the same vocabulary the
-// chaos child Config speaks).
+// Backend and profile names used in SiteSpec.
 const (
 	BackendRel = "rel"
 	BackendCSV = "csv"
 
 	ProfileOracle     = "oracle"
 	ProfileIngres     = "ingres"
+	ProfileSybase     = "sybase"
 	ProfileAutoCommit = "autocommit"
+)
+
+const (
+	// ingresFraction of a generated fleet's sites run the Ingres-like
+	// profile (DDL autocommits); the rest of the rel sites are
+	// Oracle-like.
+	ingresFraction = 0.25
+	// rowsPerTable seeds each generated table.
+	rowsPerTable = 4
+	// compactEvery compacts a served site's participant journal after
+	// every acknowledged session, so journals drain promptly in tests.
+	compactEvery = 1
 )
 
 // Spec describes the fleet to generate. The zero value is usable:
@@ -55,18 +65,9 @@ type Spec struct {
 	// CSVFraction is the fraction of sites on the csv backend with the
 	// autocommit-only profile (default 0.25).
 	CSVFraction float64
-	// IngresFraction is the fraction of sites on the rel backend with
-	// the Ingres-like profile — DDL autocommits (default 0.25). The
-	// remainder run the Oracle-like full-2PC profile.
-	IngresFraction float64
-	// RowsPerTable seeds each table with that many rows (default 4).
-	RowsPerTable int
-	// TombstoneTTLMS and CompactEvery configure the in-process LAM
-	// servers' tombstone eviction and journal compaction (zero = server
-	// defaults, except CompactEvery which defaults to 1 so journals
-	// drain promptly in tests).
+	// TombstoneTTLMS bounds how long Launch's servers keep an
+	// unacknowledged outcome tombstone (zero = server default).
 	TombstoneTTLMS int
-	CompactEvery   int
 }
 
 func (s Spec) withDefaults() Spec {
@@ -82,36 +83,35 @@ func (s Spec) withDefaults() Spec {
 	if s.CSVFraction <= 0 {
 		s.CSVFraction = 0.25
 	}
-	if s.IngresFraction <= 0 {
-		s.IngresFraction = 0.25
-	}
-	if s.RowsPerTable <= 0 {
-		s.RowsPerTable = 4
-	}
-	if s.CompactEvery <= 0 {
-		s.CompactEvery = 1
-	}
 	return s
 }
 
-// SiteSpec is one generated site, decoupled from how it is served.
+// SiteSpec describes one site, independent of how it is served.
 type SiteSpec struct {
 	Index   int
 	Service string // svc_t00, svc_t01, ...
 	DB      string // db00, db01, ...
-	Backend string // BackendRel or BackendCSV
-	Profile string // ProfileOracle, ProfileIngres, or ProfileAutoCommit
-	// AutoCommitOnly marks a site without a prepare interface; the
-	// scenario script incorporates it COMMITMODE COMMIT and vital
-	// workload entries on it carry compensation.
-	AutoCommitOnly bool
-	// Tables are the imported tables assigned to this site. Every site
-	// carries "acct"; even-indexed sites also carry "orders", so
+	// Backend is BackendRel (the default) or BackendCSV.
+	Backend string
+	// Profile is ProfileOracle (the default), ProfileIngres,
+	// ProfileSybase or ProfileAutoCommit.
+	Profile string
+	// Tables are the imported tables assigned to a generated site. Every
+	// site carries "acct"; even-indexed sites also carry "orders", so
 	// multitable queries exercise pertinence skipping.
 	Tables []string
 	// Boot is the bootstrap SQL establishing the deterministic base
-	// state (the same statements a chaos child would run).
+	// state. It runs only when the backend does not hold DB yet.
 	Boot []string
+	// Dir keeps the backend on disk there: a relstore data directory or
+	// the csv store's table files, both reopened by the next Build.
+	// Empty keeps the store in memory.
+	Dir string
+	// PoolPages caps a rel backend's buffer pool (0 uses
+	// storage.DefaultPoolPages).
+	PoolPages int
+	// Seed drives the server's probabilistic fault injection.
+	Seed int64
 }
 
 // LDBMSProfile returns the capability profile the spec names.
@@ -119,11 +119,86 @@ func (s SiteSpec) LDBMSProfile() ldbms.Profile {
 	switch s.Profile {
 	case ProfileIngres:
 		return ldbms.ProfileIngresLike()
+	case ProfileSybase:
+		return ldbms.ProfileSybaseLike()
 	case ProfileAutoCommit:
 		return ldbms.ProfileAutoCommitOnly()
 	default:
 		return ldbms.ProfileOracleLike()
 	}
+}
+
+// AutoCommitOnly reports a site without a prepare interface: the
+// scenario script incorporates it COMMITMODE COMMIT and vital workload
+// entries on it carry compensation.
+func (s SiteSpec) AutoCommitOnly() bool { return s.Profile == ProfileAutoCommit }
+
+// Build opens the site's backend and returns its server. The database
+// is created and Boot committed only when the backend does not hold it
+// yet, so a site rebuilt on its Dir keeps its rows.
+func (s SiteSpec) Build() (*ldbms.Server, error) {
+	var srv *ldbms.Server
+	switch s.Backend {
+	case "", BackendRel:
+		st, err := relstore.Open(relstore.Options{Dir: s.Dir, PoolPages: s.PoolPages})
+		if err != nil {
+			return nil, fmt.Errorf("topology: open %s store: %w", s.Service, err)
+		}
+		srv = ldbms.NewServerWith(s.Service, s.LDBMSProfile(), s.Seed, st)
+	case BackendCSV:
+		cs, err := csvstore.Open(s.Dir)
+		if err != nil {
+			return nil, fmt.Errorf("topology: open %s store: %w", s.Service, err)
+		}
+		srv = ldbms.NewServerOn(s.Service, s.LDBMSProfile(), s.Seed, cs)
+	default:
+		return nil, fmt.Errorf("topology: unknown backend %q", s.Backend)
+	}
+	err := srv.CreateDatabase(s.DB)
+	if errors.Is(err, schema.ErrDBExists) {
+		return srv, nil
+	}
+	if err == nil {
+		err = boot(srv, s.DB, s.Boot)
+	}
+	if err != nil {
+		srv.Close()
+		return nil, fmt.Errorf("topology: build %s: %w", s.Service, err)
+	}
+	return srv, nil
+}
+
+// boot runs and commits the bootstrap SQL in one session.
+func boot(srv *ldbms.Server, db string, sql []string) error {
+	sess, err := srv.OpenSession(db)
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
+	for _, q := range sql {
+		if _, err := sess.Exec(q); err != nil {
+			return fmt.Errorf("boot %q: %w", q, err)
+		}
+	}
+	return sess.Commit()
+}
+
+// serve serves srv on addr with a participant journal at journal.
+func serve(addr string, srv *ldbms.Server, journal string, tombstoneTTL time.Duration) (*lam.TCPServer, error) {
+	j, err := mtlog.OpenParticipant(journal)
+	if err != nil {
+		return nil, err
+	}
+	ts, err := lam.ServeWith(addr, srv, lam.ServeOptions{
+		Journal:      j,
+		TombstoneTTL: tombstoneTTL,
+		CompactEvery: compactEvery,
+	})
+	if err != nil {
+		j.Close()
+		return nil, err
+	}
+	return ts, nil
 }
 
 // Plan is a generated fleet layout.
@@ -134,12 +209,12 @@ type Plan struct {
 
 // Generate deterministically expands a Spec into a Plan. Backends are
 // assigned by a seeded shuffle: round(Sites*CSVFraction) csv sites,
-// round(Sites*IngresFraction) Ingres-like sites, Oracle-like remainder.
+// round(Sites*ingresFraction) Ingres-like sites, Oracle-like remainder.
 func Generate(spec Spec) *Plan {
 	spec = spec.withDefaults()
 	rng := rand.New(rand.NewSource(spec.Seed))
 	nCSV := int(float64(spec.Sites)*spec.CSVFraction + 0.5)
-	nIng := int(float64(spec.Sites)*spec.IngresFraction + 0.5)
+	nIng := int(float64(spec.Sites)*ingresFraction + 0.5)
 	if nCSV < 1 {
 		nCSV = 1
 	}
@@ -172,16 +247,16 @@ func Generate(spec Spec) *Plan {
 			DB:      fmt.Sprintf("db%02d", i),
 			Profile: kind[i],
 			Backend: BackendRel,
+			Seed:    int64(i) + 1,
 		}
-		if s.Profile == ProfileAutoCommit {
+		if s.AutoCommitOnly() {
 			s.Backend = BackendCSV
-			s.AutoCommitOnly = true
 		}
 		s.Tables = []string{"acct"}
 		if i%2 == 0 {
 			s.Tables = append(s.Tables, "orders")
 		}
-		s.Boot = bootSQL(s.Tables, spec.RowsPerTable)
+		s.Boot = bootSQL(s.Tables, rowsPerTable)
 		p.Sites = append(p.Sites, s)
 	}
 	return p
@@ -201,34 +276,31 @@ func bootSQL(tables []string, rows int) []string {
 	return boot
 }
 
-// Site finds a site spec by service name, nil when absent.
-func (p *Plan) Site(service string) *SiteSpec {
-	for i := range p.Sites {
-		if p.Sites[i].Service == service {
-			return &p.Sites[i]
-		}
-	}
-	return nil
-}
-
-// Script emits the scenario script that federates the fleet: one
-// INCORPORATE SERVICE (COMMITMODE COMMIT for autocommit-only sites,
-// NOCOMMIT otherwise — the capability check rejects anything else) and
-// one IMPORT DATABASE per site. addr maps a site to its listen address;
-// sites it returns "" for are omitted.
+// Script emits the scenario script that federates the plan: per site
+// one INCORPORATE SERVICE, its CONNECTMODE and COMMITMODE taken from the
+// site's profile (the capability check rejects NOCOMMIT for a site that
+// cannot prepare), and one IMPORT DATABASE. addr maps a site to its
+// listen address; a nil addr, or an empty address, leaves SITE out, so
+// the service is reached by the name its client is registered under.
 func (p *Plan) Script(addr func(SiteSpec) string) string {
 	var b strings.Builder
 	for _, s := range p.Sites {
-		a := addr(s)
-		if a == "" {
-			continue
+		prof := s.LDBMSProfile()
+		site := ""
+		if addr != nil {
+			if a := addr(s); a != "" {
+				site = fmt.Sprintf(" SITE '%s'", a)
+			}
 		}
-		mode := "NOCOMMIT"
-		if s.AutoCommitOnly {
-			mode = "COMMIT"
+		connect, commit := "CONNECT", "NOCOMMIT"
+		if !prof.MultiDatabase {
+			connect = "NOCONNECT"
 		}
-		fmt.Fprintf(&b, "INCORPORATE SERVICE %s SITE '%s' CONNECTMODE CONNECT COMMITMODE %s;\n",
-			s.Service, a, mode)
+		if !prof.TwoPC {
+			commit = "COMMIT"
+		}
+		fmt.Fprintf(&b, "INCORPORATE SERVICE %s%s CONNECTMODE %s COMMITMODE %s;\n",
+			s.Service, site, connect, commit)
 		fmt.Fprintf(&b, "IMPORT DATABASE %s FROM SERVICE %s;\n", s.DB, s.Service)
 	}
 	return b.String()
@@ -269,12 +341,10 @@ type Fleet struct {
 	Sites []*Site
 }
 
-// Launch stands the plan up in-process. Each site gets its backend (an
-// in-memory relstore or csv store), runs its bootstrap SQL, and serves
+// Launch stands the plan up in-process: each site is built and served
 // on an ephemeral loopback port with a participant journal at
 // <dir>/<service>.journal. Site indices listed in skip are omitted —
-// chaos tests serve those as crash-test child processes from the same
-// SiteSpec instead.
+// crash tests serve those as child processes (LaunchSite) instead.
 func (p *Plan) Launch(dir string, skip ...int) (*Fleet, error) {
 	skipped := make(map[int]bool, len(skip))
 	for _, i := range skip {
@@ -285,7 +355,7 @@ func (p *Plan) Launch(dir string, skip ...int) (*Fleet, error) {
 		if skipped[spec.Index] {
 			continue
 		}
-		site, err := launchSite(dir, spec, p.Spec)
+		site, err := launchSite(dir, spec, time.Duration(p.Spec.TombstoneTTLMS)*time.Millisecond)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("topology: site %s: %w", spec.Service, err)
@@ -295,48 +365,15 @@ func (p *Plan) Launch(dir string, skip ...int) (*Fleet, error) {
 	return f, nil
 }
 
-func launchSite(dir string, spec SiteSpec, fs Spec) (*Site, error) {
-	var srv *ldbms.Server
-	if spec.Backend == BackendCSV {
-		cs, err := csvstore.Open("")
-		if err != nil {
-			return nil, err
-		}
-		srv = ldbms.NewServerOn(spec.Service, spec.LDBMSProfile(), int64(spec.Index)+1, cs)
-	} else {
-		srv = ldbms.NewServer(spec.Service, spec.LDBMSProfile(), int64(spec.Index)+1)
-	}
-	if err := srv.CreateDatabase(spec.DB); err != nil {
-		return nil, err
-	}
-	sess, err := srv.OpenSession(spec.DB)
+func launchSite(dir string, spec SiteSpec, tombstoneTTL time.Duration) (*Site, error) {
+	srv, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	for _, q := range spec.Boot {
-		if _, err := sess.Exec(q); err != nil {
-			sess.Close()
-			return nil, fmt.Errorf("boot %q: %w", q, err)
-		}
-	}
-	if err := sess.Commit(); err != nil {
-		sess.Close()
-		return nil, err
-	}
-	sess.Close()
-
 	jp := filepath.Join(dir, spec.Service+".journal")
-	j, err := mtlog.OpenParticipant(jp)
+	ts, err := serve("127.0.0.1:0", srv, jp, tombstoneTTL)
 	if err != nil {
-		return nil, err
-	}
-	ts, err := lam.ServeWith("127.0.0.1:0", srv, lam.ServeOptions{
-		Journal:      j,
-		TombstoneTTL: durationMS(fs.TombstoneTTLMS),
-		CompactEvery: fs.CompactEvery,
-	})
-	if err != nil {
-		j.Close()
+		srv.Close()
 		return nil, err
 	}
 	return &Site{Spec: spec, Server: srv, TCP: ts, JournalPath: jp}, nil
@@ -345,12 +382,8 @@ func launchSite(dir string, spec SiteSpec, fs Spec) (*Site, error) {
 // Close shuts every site down (listener first, then the server).
 func (f *Fleet) Close() {
 	for _, s := range f.Sites {
-		if s.TCP != nil {
-			s.TCP.Close()
-		}
-		if s.Server != nil {
-			s.Server.Close()
-		}
+		s.TCP.Close()
+		s.Server.Close()
 	}
 }
 
@@ -364,13 +397,12 @@ func (f *Fleet) Site(service string) *Site {
 	return nil
 }
 
-// Script emits the fleet's scenario script using each site's live
-// listen address.
+// Script emits the scenario script federating the served sites at their
+// live listen addresses.
 func (f *Fleet) Script() string {
-	return f.Plan.Script(func(spec SiteSpec) string {
-		if s := f.Site(spec.Service); s != nil {
-			return s.Addr()
-		}
-		return ""
-	})
+	served := &Plan{Spec: f.Plan.Spec}
+	for _, s := range f.Sites {
+		served.Sites = append(served.Sites, s.Spec)
+	}
+	return served.Script(func(spec SiteSpec) string { return f.Site(spec.Service).Addr() })
 }

@@ -2,30 +2,16 @@ package topology
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"msql/internal/chaos"
 	"msql/internal/core"
 	"msql/internal/lam"
 	"msql/internal/mtlog"
 	"msql/internal/netfault"
 )
-
-// TestMain routes chaos child processes (the soak's SIGKILL victims)
-// before any test runs.
-func TestMain(m *testing.M) {
-	if chaos.IsCoordChild() {
-		chaos.CoordMain()
-	}
-	if chaos.IsChild() {
-		chaos.ChildMain()
-	}
-	os.Exit(m.Run())
-}
 
 // TestGenerateDeterministic: the same spec always yields the same plan
 // and workload; a different seed yields a different layout.
@@ -47,16 +33,13 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("different seeds generated identical site layouts")
 	}
 
-	// The mix is real: all three profiles present, csv sites marked
+	// The mix is real: all three profiles present, csv sites
 	// autocommit-only, every site bootstraps acct.
 	byProfile := map[string]int{}
 	for _, s := range a.Sites {
 		byProfile[s.Profile]++
-		if (s.Profile == ProfileAutoCommit) != s.AutoCommitOnly {
-			t.Fatalf("site %s: profile %s but AutoCommitOnly=%v", s.Service, s.Profile, s.AutoCommitOnly)
-		}
-		if (s.Backend == BackendCSV) != s.AutoCommitOnly {
-			t.Fatalf("site %s: backend %s mismatched with AutoCommitOnly=%v", s.Service, s.Backend, s.AutoCommitOnly)
+		if (s.Backend == BackendCSV) != s.AutoCommitOnly() {
+			t.Fatalf("site %s: backend %s mismatched with profile %s", s.Service, s.Backend, s.Profile)
 		}
 		if s.Tables[0] != "acct" || len(s.Boot) == 0 {
 			t.Fatalf("site %s: tables %v boot %d", s.Service, s.Tables, len(s.Boot))
@@ -72,7 +55,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	// autocommit-only entries.
 	autocommit := map[string]bool{}
 	for _, s := range a.Sites {
-		autocommit[s.DB] = s.AutoCommitOnly
+		autocommit[s.DB] = s.AutoCommitOnly()
 	}
 	sawComp := false
 	for _, u := range ua {
@@ -157,7 +140,7 @@ func TestFleetRunsMixedCapabilityUnits(t *testing.T) {
 	// The capability invariant: no autocommit-only site ever saw a
 	// prepare request.
 	for _, s := range fleet.Sites {
-		if s.Spec.AutoCommitOnly {
+		if s.Spec.AutoCommitOnly() {
 			if n := s.Server.Stats().Prepares; n != 0 {
 				t.Fatalf("autocommit-only site %s was asked to prepare %d times", s.Spec.Service, n)
 			}
@@ -186,24 +169,18 @@ func breakerState(t *testing.T, fed *core.Federation, site string) lam.BreakerSt
 	return c.(*lam.Remote).BreakerState()
 }
 
-// vitalBreakerFleet stands up a two-site fleet with the named backend
-// site behind a netfault proxy, trips the proxy's breaker, and returns
-// the federation plus the dark site's database name.
-func vitalBreakerFleet(t *testing.T, backendSite SiteSpec, healthySite SiteSpec) (*core.Federation, string, *netfault.Proxy) {
+// vitalBreakerFleet stands up a two-site fleet with the dark site
+// behind a netfault proxy, trips the proxy's breaker, and returns the
+// federation plus the dark site's database name.
+func vitalBreakerFleet(t *testing.T, darkSite SiteSpec, healthySite SiteSpec) (*core.Federation, string, *netfault.Proxy) {
 	t.Helper()
-	dir := t.TempDir()
-	dark, err := launchSite(dir, backendSite, Spec{}.withDefaults())
+	plan := &Plan{Sites: []SiteSpec{darkSite, healthySite}}
+	fleet, err := plan.Launch(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { dark.TCP.Close(); dark.Server.Close() })
-	healthy, err := launchSite(dir, healthySite, Spec{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { healthy.TCP.Close(); healthy.Server.Close() })
-
-	proxy, err := netfault.New(dark.Addr())
+	t.Cleanup(fleet.Close)
+	proxy, err := netfault.New(fleet.Site(darkSite.Service).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +189,12 @@ func vitalBreakerFleet(t *testing.T, backendSite SiteSpec, healthySite SiteSpec)
 	fed := core.New()
 	fed.CallTimeout = 150 * time.Millisecond
 	fed.SetBreaker(lam.BreakerPolicy{Threshold: 1, Cooldown: time.Hour})
-
-	mode := "NOCOMMIT"
-	if backendSite.AutoCommitOnly {
-		mode = "COMMIT"
-	}
-	setup := fmt.Sprintf(`
-INCORPORATE SERVICE %s SITE '%s' CONNECTMODE CONNECT COMMITMODE %s;
-INCORPORATE SERVICE %s SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE %s FROM SERVICE %s;
-IMPORT DATABASE %s FROM SERVICE %s;
-`, backendSite.Service, proxy.Addr(), mode,
-		healthySite.Service, healthy.Addr(),
-		backendSite.DB, backendSite.Service,
-		healthySite.DB, healthySite.Service)
+	setup := plan.Script(func(s SiteSpec) string {
+		if s.Service == darkSite.Service {
+			return proxy.Addr()
+		}
+		return fleet.Site(s.Service).Addr()
+	})
 	if _, err := fed.ExecScript(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +202,7 @@ IMPORT DATABASE %s FROM SERVICE %s;
 	// Trip the breaker: black-hole the proxy and fail statements into it
 	// until the open state latches.
 	proxy.SetBlackhole(true)
-	probe := fmt.Sprintf("USE %s %s VITAL\nSELECT owner%% FROM acct%%", healthySite.DB, backendSite.DB)
+	probe := fmt.Sprintf("USE %s %s VITAL\nSELECT owner%% FROM acct%%", healthySite.DB, darkSite.DB)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if breakerState(t, fed, proxy.Addr()) == lam.BreakerOpen {
@@ -244,7 +213,7 @@ IMPORT DATABASE %s FROM SERVICE %s;
 		}
 		_, _ = fed.ExecScript(probe)
 	}
-	return fed, backendSite.DB, proxy
+	return fed, darkSite.DB, proxy
 }
 
 // The satellite invariant, per backend: a VITAL scope entry behind an
@@ -292,8 +261,97 @@ func TestVitalBehindOpenBreakerRelBackend(t *testing.T) {
 
 func TestVitalBehindOpenBreakerCSVBackend(t *testing.T) {
 	dark := SiteSpec{Index: 0, Service: "svc_dark", DB: "dbdark",
-		Backend: BackendCSV, Profile: ProfileAutoCommit, AutoCommitOnly: true}
+		Backend: BackendCSV, Profile: ProfileAutoCommit}
 	dark.Tables = []string{"acct"}
 	dark.Boot = bootSQL(dark.Tables, 2)
 	testVitalBehindOpenBreaker(t, dark)
+}
+
+// TestBuildAcrossProfiles: every profile on its backend is built,
+// served, incorporated and imported through Plan.Script, and the AD
+// entry carries the profile's CONNECTMODE and COMMITMODE (and, from the
+// live profile, the Ingres DDL autocommit).
+func TestBuildAcrossProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		profile, backend    string
+		connect, autocommit bool
+	}{
+		{ProfileOracle, BackendRel, true, false},
+		{ProfileIngres, BackendRel, true, false},
+		{ProfileSybase, BackendRel, false, false},
+		{ProfileAutoCommit, BackendCSV, true, true},
+	} {
+		t.Run(tc.profile, func(t *testing.T) {
+			site := SiteSpec{Service: "svc_" + tc.profile, DB: "db_" + tc.profile,
+				Backend: tc.backend, Profile: tc.profile, Tables: []string{"acct"}}
+			site.Boot = bootSQL(site.Tables, 2)
+			fleet, err := (&Plan{Sites: []SiteSpec{site}}).Launch(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(fleet.Close)
+			fed := core.New()
+			if _, err := fed.ExecScript(fleet.Script()); err != nil {
+				t.Fatalf("federate: %v", err)
+			}
+			entry, err := fed.AD.Lookup(site.Service)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if entry.Connect != tc.connect || entry.AutoCommitOnly != tc.autocommit ||
+				entry.DDLCommit["CREATE"] != (tc.profile == ProfileIngres) {
+				t.Fatalf("AD entry CONNECT=%v COMMIT=%v DDLCommit=%v, want %v %v", entry.Connect,
+					entry.AutoCommitOnly, entry.DDLCommit, tc.connect, tc.autocommit)
+			}
+			results, err := fed.ExecScript(fmt.Sprintf("USE %s; SELECT id FROM acct", site.DB))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := results[len(results)-1].Multitable.TotalRows(); n != 2 {
+				t.Fatalf("imported acct rows = %d, want the 2 booted", n)
+			}
+		})
+	}
+}
+
+// TestBuildReopensDir: a disk relstore site and a csv site rebuilt on
+// the same Dir keep their committed rows and do not boot again.
+func TestBuildReopensDir(t *testing.T) {
+	for _, backend := range []string{BackendRel, BackendCSV} {
+		t.Run(backend, func(t *testing.T) {
+			site := SiteSpec{Service: "svc_d", DB: "dbd", Backend: backend, Dir: t.TempDir(),
+				Tables: []string{"acct"}}
+			if backend == BackendCSV {
+				site.Profile = ProfileAutoCommit
+			}
+			site.Boot = bootSQL(site.Tables, 2)
+			srv, err := site.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := boot(srv, site.DB, []string{"INSERT INTO acct VALUES (9, 'kept', 1.0)"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv, err = site.Build()
+			if err != nil {
+				t.Fatalf("rebuild: %v", err)
+			}
+			defer srv.Close()
+			sess, err := srv.OpenSession(site.DB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			res, err := sess.Exec("SELECT id FROM acct")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 3 {
+				t.Fatalf("reopened acct holds %d rows, want 3 (2 booted once + 1 committed)", len(res.Rows))
+			}
+		})
+	}
 }

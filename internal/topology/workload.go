@@ -32,15 +32,15 @@ func (u *Unit) Databases() []string {
 	return append(append([]string(nil), u.Vital...), u.NonVital...)
 }
 
-// UnitFor builds a targeted unit over the named scope databases (vital
-// flags parallel dbs), used by chaos tests to aim a multitransaction at
-// specific victim sites. Compensation is attached for vital
-// autocommit-only entries, exactly as in Units.
+// UnitFor builds a unit over the named scope databases (vital flags
+// parallel dbs); crash tests use it to aim a multitransaction at
+// specific victim sites. Compensation is attached for every vital
+// autocommit-only entry.
 func (p *Plan) UnitFor(id int, dbs []string, vital []bool) *Unit {
 	u := &Unit{ID: id, RowID: unitRowBase + id}
 	autocommit := make(map[string]bool, len(p.Sites))
 	for _, s := range p.Sites {
-		autocommit[s.DB] = s.AutoCommitOnly
+		autocommit[s.DB] = s.AutoCommitOnly()
 	}
 	var use []string
 	var comps []string
@@ -83,35 +83,13 @@ func (p *Plan) Units(seed int64, n int) []*Unit {
 		if width > len(p.Sites) {
 			width = len(p.Sites)
 		}
-		perm := rng.Perm(len(p.Sites))[:width]
-		u := &Unit{ID: i, RowID: unitRowBase + i}
-		var use []string
-		var comps []string
-		for j, idx := range perm {
-			s := p.Sites[idx]
-			vital := j < 2 || rng.Intn(2) == 0
-			if vital {
-				use = append(use, s.DB+" VITAL")
-				u.Vital = append(u.Vital, s.DB)
-				if s.AutoCommitOnly {
-					u.CompVital = append(u.CompVital, s.DB)
-					comps = append(comps, fmt.Sprintf(
-						"COMP %s\nDELETE FROM acct WHERE id = %d", s.DB, u.RowID))
-				}
-			} else {
-				use = append(use, s.DB)
-				u.NonVital = append(u.NonVital, s.DB)
-			}
+		var dbs []string
+		var vital []bool
+		for j, idx := range rng.Perm(len(p.Sites))[:width] {
+			dbs = append(dbs, p.Sites[idx].DB)
+			vital = append(vital, j < 2 || rng.Intn(2) == 0)
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "USE %s\n", strings.Join(use, " "))
-		fmt.Fprintf(&b, "INSERT INTO acct%% VALUES (%d, 'u%d', 10.0)\n", u.RowID, u.ID)
-		for _, c := range comps {
-			b.WriteString(c + "\n")
-		}
-		b.WriteString("COMMIT;")
-		u.Script = b.String()
-		units = append(units, u)
+		units = append(units, p.UnitFor(i, dbs, vital))
 	}
 	return units
 }

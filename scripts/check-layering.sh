@@ -2,7 +2,8 @@
 # Layering guard. Columns, rows and the missing-object errors belong to
 # internal/schema; the relstore engine is an implementation detail of
 # the code that builds one (relstore itself, its backend adapter, the
-# LDBMS server that defaults to it, and the demo that opens it on disk).
+# LDBMS server that defaults to it, and topology, the one builder of
+# served sites, which opens it on disk).
 # Fails if any other non-test package imports relstore, or if the
 # executor, the csv engine or the backend seam link it at all. The wire
 # protocol's codec is internal/wire's business: it fails, too, if any
@@ -17,7 +18,7 @@ importers=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
     awk -v rel="$rel" '{ for (i = 2; i <= NF; i++) if ($i == rel) print $1 }')
 for p in $importers; do
     case "$p" in
-    msql/internal/relbackend | msql/internal/ldbms | msql/internal/demo) ;;
+    msql/internal/relbackend | msql/internal/ldbms | msql/internal/topology) ;;
     *)
         echo "check-layering: $p imports $rel (name columns and errors through internal/schema)" >&2
         fail=1
@@ -44,4 +45,4 @@ done
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "check-layering: only relbackend, ldbms and demo import relstore; only wire imports encoding/gob"
+echo "check-layering: only relbackend, ldbms and topology import relstore; only wire imports encoding/gob"
