@@ -11,10 +11,11 @@ test:
 bench:
 	go test -run '^$$' -bench . -benchmem ./internal/...
 
-# Full verification: static analysis, the layering guard (only the code
-# that builds a relstore engine imports it, only wire imports gob), and
-# the whole test suite under the race detector (the fault-injection
-# tests are concurrency-heavy).
+# Full verification: static analysis, the layering guard (only relbackend
+# and ldbms.Open, which builds a site's engine, import relstore; only
+# ldbms imports csvstore; only wire imports gob), and the whole test
+# suite under the race detector (the fault-injection tests are
+# concurrency-heavy).
 check:
 	go vet ./...
 	sh scripts/check-layering.sh

@@ -139,11 +139,11 @@ func realMain() int {
 		}
 		byProfile := map[string]int{}
 		for _, s := range fleet.Sites {
-			byProfile[s.Spec.Profile]++
+			byProfile[s.Spec.Profile.Name]++
 		}
 		fmt.Fprintf(os.Stderr, "fleet: %d sites incorporated (%d oracle-like 2PC, %d ingres-like, %d autocommit-only csv), journals under %s\n",
-			len(fleet.Sites), byProfile[topology.ProfileOracle], byProfile[topology.ProfileIngres],
-			byProfile[topology.ProfileAutoCommit], dir)
+			len(fleet.Sites), byProfile["oracle-like"], byProfile["ingres-like"],
+			byProfile["autocommit-only"], dir)
 	}
 	if *debugAddr != "" {
 		ln, err := obs.Serve(*debugAddr, obs.Default(), obs.DefaultTracer)

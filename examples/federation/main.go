@@ -17,14 +17,13 @@ import (
 
 func main() {
 	// Remote site 1: continental on an Oracle-like server.
-	cont := ldbms.NewServer("svc_cont", ldbms.ProfileOracleLike(), 1)
-	mustCreate(cont, "continental",
+	cont := mustOpen(ldbms.Spec{Service: "svc_cont", Profile: ldbms.ProfileOracleLike(), DB: "continental", Boot: []string{
 		`CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), day CHAR(10), rate FLOAT)`,
 		`INSERT INTO flights VALUES
 			(100, 'Houston', 'San Antonio', 'mon', 100.0),
 			(101, 'Houston', 'Dallas', 'tue', 80.0),
 			(102, 'Austin', 'San Antonio', 'mon', 60.0)`,
-	)
+	}})
 	contSrv, err := lam.Serve("127.0.0.1:0", cont)
 	if err != nil {
 		log.Fatal(err)
@@ -32,13 +31,12 @@ func main() {
 	defer contSrv.Close()
 
 	// Remote site 2: united on an Ingres-like server.
-	united := ldbms.NewServer("svc_unit", ldbms.ProfileIngresLike(), 1)
-	mustCreate(united, "united",
+	united := mustOpen(ldbms.Spec{Service: "svc_unit", Profile: ldbms.ProfileIngresLike(), DB: "united", Boot: []string{
 		`CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), day CHAR(10), rates FLOAT)`,
 		`INSERT INTO flight VALUES
 			(300, 'Houston', 'San Antonio', 'mon', 120.0),
 			(301, 'Houston', 'Austin', 'fri', 70.0)`,
-	)
+	}})
 	unitSrv, err := lam.Serve("127.0.0.1:0", united)
 	if err != nil {
 		log.Fatal(err)
@@ -97,21 +95,11 @@ func printSelects(results []*core.Result) {
 	}
 }
 
-func mustCreate(srv *ldbms.Server, db string, stmts ...string) {
-	if err := srv.CreateDatabase(db); err != nil {
-		log.Fatal(err)
-	}
-	sess, err := srv.OpenSession(db)
+// mustOpen stands up an in-memory LDBMS with its database booted.
+func mustOpen(spec ldbms.Spec) *ldbms.Server {
+	srv, err := ldbms.Open(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
-	for _, q := range stmts {
-		if _, err := sess.Exec(q); err != nil {
-			log.Fatalf("%s: %v", q, err)
-		}
-	}
-	if err := sess.Commit(); err != nil {
-		log.Fatal(err)
-	}
+	return srv
 }

@@ -14,43 +14,28 @@ import (
 
 func main() {
 	fed := core.New()
+	defer fed.CloseServers()
 
 	// 1. Stand up two autonomous local database systems. Avis runs on an
 	// Oracle-like service (2PC, DDL rollback); National on a Sybase-like
 	// single-database service.
-	avis, err := fed.AddLocalService("svc_avis", ldbms.ProfileOracleLike(), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fed.CloseServers()
-	if err := avis.CreateDatabase("avis"); err != nil {
-		log.Fatal(err)
-	}
-	mustExec(avis, "avis",
+	serve(fed, ldbms.Spec{Service: "svc_avis", Profile: ldbms.ProfileOracleLike(), DB: "avis", Boot: []string{
 		`CREATE TABLE cars (code INTEGER, cartype CHAR(20), rate FLOAT, carst CHAR(12), client CHAR(20))`,
 		`INSERT INTO cars VALUES
 			(1, 'suv', 49.5, 'available', NULL),
 			(2, 'compact', 29.5, 'rented', 'smith'),
 			(3, 'luxury', 99.0, 'available', NULL)`,
-	)
-
-	national, err := fed.AddLocalService("svc_natl", ldbms.ProfileSybaseLike(), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := national.CreateDatabase("national"); err != nil {
-		log.Fatal(err)
-	}
-	mustExec(national, "national",
+	}})
+	serve(fed, ldbms.Spec{Service: "svc_natl", Profile: ldbms.ProfileSybaseLike(), DB: "national", Boot: []string{
 		`CREATE TABLE vehicle (vcode INTEGER, vty CHAR(20), vstat CHAR(12), client CHAR(20))`,
 		`INSERT INTO vehicle VALUES
 			(11, 'sedan', 'available', NULL),
 			(12, 'truck', 'rented', 'jones')`,
-	)
+	}})
 
 	// 2. Incorporate the services into the federation and import their
 	// local conceptual schemas into the Global Data Dictionary.
-	_, err = fed.ExecScript(`
+	_, err := fed.ExecScript(`
 INCORPORATE SERVICE svc_avis CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
 INCORPORATE SERVICE svc_natl CONNECTMODE NOCONNECT COMMITMODE NOCOMMIT;
 IMPORT DATABASE avis FROM SERVICE svc_avis;
@@ -88,18 +73,14 @@ WHERE status = 'available'
 	}
 }
 
-func mustExec(srv *ldbms.Server, db string, stmts ...string) {
-	sess, err := srv.OpenSession(db)
+// serve opens the LDBMS spec describes, with its database booted, and
+// serves it to fed on a loopback LAM.
+func serve(fed *core.Federation, spec ldbms.Spec) {
+	srv, err := ldbms.Open(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
-	for _, q := range stmts {
-		if _, err := sess.Exec(q); err != nil {
-			log.Fatalf("%s: %v", q, err)
-		}
-	}
-	if err := sess.Commit(); err != nil {
+	if _, err := fed.AddLocalServer(srv); err != nil {
 		log.Fatal(err)
 	}
 }

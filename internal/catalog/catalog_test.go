@@ -204,24 +204,13 @@ func TestMergeTableColumns(t *testing.T) {
 }
 
 func newAvisService(t testing.TB) *ldbms.Server {
-	srv := ldbms.NewServer("avis-svc", ldbms.ProfileOracleLike(), 3)
-	if err := srv.CreateDatabase("avis"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("avis")
+	srv, err := ldbms.Open(ldbms.Spec{Service: "avis-svc", Seed: 3, DB: "avis", Boot: []string{
+		"CREATE TABLE cars (code INTEGER, cartype CHAR(20), rate FLOAT, carst CHAR(10), from_d CHAR(10), to_d CHAR(10), client CHAR(20))",
+		"CREATE VIEW available AS SELECT code, cartype FROM cars WHERE carst = 'available'",
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		"CREATE TABLE cars (code INTEGER, cartype CHAR(20), rate FLOAT, carst CHAR(10), from_d CHAR(10), to_d CHAR(10), client CHAR(20))",
-		"CREATE VIEW available AS SELECT code, cartype FROM cars WHERE carst = 'available'",
-	} {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess.Commit()
-	sess.Close()
 	return srv
 }
 

@@ -142,26 +142,10 @@ func newCountingProxy(t *testing.T, backend string) *countingProxy {
 // warmed the pool, further units open no connection at all — while every
 // participant still gets acknowledged and drops its tombstone.
 func TestEndAcksRideThePooledClient(t *testing.T) {
-	srv := ldbms.NewServer("svc_ack", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("ackdb"); err != nil {
-		t.Fatal(err)
-	}
-	boot, err := srv.OpenSession("ackdb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"CREATE TABLE acct (id INTEGER, bal FLOAT)", "INSERT INTO acct VALUES (1, 0.0)"} {
-		if _, err := boot.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	boot.Commit()
-	boot.Close()
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
+	srv := openSite(t, ldbms.Spec{Service: "svc_ack", DB: "ackdb", Boot: []string{
+		"CREATE TABLE acct (id INTEGER, bal FLOAT)", "INSERT INTO acct VALUES (1, 0.0)",
+	}})
+	ts := serveLAM(t, srv)
 	proxy := newCountingProxy(t, ts.Addr())
 
 	fed := New()

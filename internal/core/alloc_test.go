@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"msql/internal/csvstore"
-	"msql/internal/lam"
 	"msql/internal/ldbms"
 )
 
@@ -32,26 +30,26 @@ func TestAllocationCeilings(t *testing.T) {
 	}{
 		{"2-site select", func() string {
 			return "USE continental united\nSELECT rate% FROM flight%"
-		}, 396}, // measured 377
+		}, 446}, // measured 425
 		{"vital update", func() string {
 			return "USE continental VITAL united VITAL\nUPDATE flight% SET rate% = rate% * 1.0 WHERE sour% = 'Houston'\nCOMMIT"
-		}, 655}, // measured 624
+		}, 737}, // measured 702
 		// Inserts alternate with their undos, each a VITAL unit
 		// compensated at the csv site, so the tables keep their size.
 		{"comp saga", func() string {
 			key++
 			if key%2 == 1 {
 				return fmt.Sprintf("USE regional VITAL continental VITAL\n"+
-					"INSERT INTO flights VALUES (%d, 'Waco', 'Tyler', 40.0)\nCOMP regional\nDELETE FROM flights WHERE flnu = %d\nCOMMIT",
+					"INSERT INTO flights VALUES (%d, 'Waco', '07:00', 'Tyler', '08:00', 'sat', 40.0)\nCOMP regional\nDELETE FROM flights WHERE flnu = %d\nCOMMIT",
 					key, key)
 			}
 			return fmt.Sprintf("USE regional VITAL continental VITAL\n"+
-				"DELETE FROM flights WHERE flnu = %d\nCOMP regional\nINSERT INTO flights VALUES (%d, 'Waco', 'Tyler', 40.0)\nCOMMIT",
+				"DELETE FROM flights WHERE flnu = %d\nCOMP regional\nINSERT INTO flights VALUES (%d, 'Waco', '07:00', 'Tyler', '08:00', 'sat', 40.0)\nCOMMIT",
 				key-1, key-1)
-		}, 549}, // measured 523
+		}, 597}, // measured 569
 		{"cross join ship", func() string {
 			return "USE continental united\nSELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u.rates"
-		}, 775}, // measured 738
+		}, 855}, // measured 814
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, func() {
@@ -78,27 +76,9 @@ func TestAllocationCeilings(t *testing.T) {
 // over a TCP LAM.
 func addCSVSite(t *testing.T, fed *Federation) {
 	t.Helper()
-	cs, err := csvstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs)
-	if err := srv.CreateDatabase("regional"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("regional")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ts.Close() })
+	cont := paperSites("continental")[0]
+	ts := serveLAM(t, openSite(t, ldbms.Spec{Service: "svc_csv", Profile: ldbms.ProfileAutoCommitOnly(),
+		Backend: ldbms.BackendCSV, Dir: t.TempDir(), DB: "regional", Boot: cont.Boot[:1]}))
 	if _, err := fed.ExecScript(fmt.Sprintf(
 		"INCORPORATE SERVICE svc_csv SITE '%s' CONNECTMODE CONNECT COMMITMODE COMMIT;\nIMPORT DATABASE regional FROM SERVICE svc_csv;",
 		ts.Addr())); err != nil {

@@ -8,51 +8,39 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/netfault"
+	"msql/internal/topology"
 )
 
-// breakerFederation: continental healthy over TCP, united behind a
-// netfault proxy, both lazily dialed so the federation's breaker policy
-// wraps them. Each of extra names one more database of united's service,
-// holding the same table, so one breaker guards them all.
+// breakerFederation: the paper's continental healthy over TCP, united
+// behind a netfault proxy, both lazily dialed so the federation's
+// breaker policy wraps them. Each of extra names one more database of
+// united's service, holding a flight table, so one breaker guards them
+// all.
 func breakerFederation(t *testing.T, pol lam.BreakerPolicy, timeout time.Duration, extra ...string) (*Federation, *netfault.Proxy) {
 	t.Helper()
 	fed := New()
 	fed.CallTimeout = timeout
 	fed.SetBreaker(pol)
 
-	build := func(svc string, dbs []string, ddl ...string) string {
-		srv := ldbms.NewServer(svc, ldbms.ProfileOracleLike(), 1)
-		for _, db := range dbs {
-			if err := srv.CreateDatabase(db); err != nil {
-				t.Fatal(err)
-			}
-			seedDB(t, srv, db, ddl...)
-		}
-		ts, err := lam.Serve("127.0.0.1:0", srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ts.Close() })
-		return ts.Addr()
+	plan := &topology.Plan{Sites: paperSites("continental", "united")}
+	for _, db := range extra {
+		plan.Sites[1].Boot = append(plan.Sites[1].Boot, "CREATE DATABASE "+db,
+			"CREATE TABLE "+db+".flight (fn INTEGER, rates FLOAT)",
+			"INSERT INTO "+db+".flight VALUES (300, 120.0)")
 	}
-	contAddr := build("svc_cont", []string{"continental"},
-		"CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)",
-		"INSERT INTO flights VALUES (100, 'Houston', 100.0)")
-	unitAddr := build("svc_unit", append([]string{"united"}, extra...),
-		"CREATE TABLE flight (fn INTEGER, sour CHAR(20), rates FLOAT)",
-		"INSERT INTO flight VALUES (300, 'Houston', 120.0)")
-	proxy, err := netfault.New(unitAddr)
+	contAddr := serveLAM(t, openSite(t, plan.Sites[0])).Addr()
+	proxy, err := netfault.New(serveLAM(t, openSite(t, plan.Sites[1])).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxy.Close() })
 
-	setup := fmt.Sprintf(`
-INCORPORATE SERVICE svc_cont SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-INCORPORATE SERVICE svc_unit SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-`, contAddr, proxy.Addr())
+	setup := plan.Script(func(s ldbms.Spec) string {
+		if s.DB == "united" {
+			return proxy.Addr()
+		}
+		return contAddr
+	})
 	for _, db := range extra {
 		setup += fmt.Sprintf("IMPORT DATABASE %s FROM SERVICE svc_unit;\n", db)
 	}
@@ -122,8 +110,8 @@ func TestBreakerDegradesNonVitalSiteToPartialResults(t *testing.T) {
 	if res.Multitable == nil || len(res.Multitable.Tables) != 1 || res.Multitable.Tables[0].Database != "continental" {
 		t.Fatalf("multitable = %+v, want continental's partial result", res.Multitable)
 	}
-	if len(res.Multitable.Tables[0].Rows) != 1 {
-		t.Fatalf("continental rows = %d, want 1", len(res.Multitable.Tables[0].Rows))
+	if len(res.Multitable.Tables[0].Rows) != 3 {
+		t.Fatalf("continental rows = %d, want 3", len(res.Multitable.Tables[0].Rows))
 	}
 }
 

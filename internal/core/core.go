@@ -321,7 +321,7 @@ func New() *Federation {
 		Tracer:     obs.DefaultTracer,
 	}
 	f.tctx = &translate.Context{AD: f.AD, GDD: f.GDD}
-	f.engine = dolengine.New(directory{f})
+	f.engine = dolengine.New(f)
 	return f
 }
 
@@ -342,17 +342,10 @@ func (f *Federation) RegisterClient(key string, c lam.Client) {
 	f.clients[key] = c
 }
 
-// AddLocalService creates an LDBMS in this process, serves it on a
-// loopback LAM (see AddLocalServer), and returns the server for
-// bootstrapping data.
-func (f *Federation) AddLocalService(name string, profile ldbms.Profile, seed int64) (*ldbms.Server, error) {
-	return f.AddLocalServer(ldbms.NewServer(name, profile, seed))
-}
-
-// AddLocalServer serves a prebuilt LDBMS — typically one whose store is
-// disk-backed — on an ephemeral loopback port without a participant
-// journal, and registers the dialed LAM client under its service name.
-// Every federation reaches its services over the wire.
+// AddLocalServer serves an LDBMS (see ldbms.Open) on an ephemeral
+// loopback port without a participant journal, and registers the
+// dialed LAM client under its service name. Every federation reaches
+// its services over the wire.
 func (f *Federation) AddLocalServer(srv *ldbms.Server) (*ldbms.Server, error) {
 	if _, err := f.ServeLocal(srv, "127.0.0.1:0", lam.ServeOptions{}); err != nil {
 		return nil, err
@@ -451,21 +444,12 @@ func (f *Federation) Server(name string) *ldbms.Server {
 // Resolve returns the client registered under a site or service name,
 // dialling a host:port site lazily, with no deadline, on first use.
 func (f *Federation) Resolve(site string) (lam.Client, error) {
-	return f.resolve(context.Background(), site)
+	return f.ResolveContext(context.Background(), site)
 }
 
-// directory is the federation as the DOL engine's dolengine.Directory:
-// lazy dials it makes take the plan's or recovery round's deadline.
-type directory struct{ *Federation }
-
-// ResolveContext implements dolengine.ContextDirectory.
-func (d directory) ResolveContext(ctx context.Context, site string) (lam.Client, error) {
-	return d.resolve(ctx, site)
-}
-
-// resolve is Resolve with the lazy dial bounded by ctx: registered
-// clients first, then a TCP dial for host:port sites.
-func (f *Federation) resolve(ctx context.Context, site string) (lam.Client, error) {
+// ResolveContext implements dolengine.Directory: Resolve with the lazy
+// dial bounded by ctx, the plan's or recovery round's deadline.
+func (f *Federation) ResolveContext(ctx context.Context, site string) (lam.Client, error) {
 	f.mu.Lock()
 	if c, ok := f.clients[site]; ok {
 		f.mu.Unlock()
@@ -497,7 +481,7 @@ func (f *Federation) liveProfile(ctx context.Context, entry catalog.ServiceEntry
 	}
 	f.mu.Unlock()
 	if !found && entry.Site != "" && strings.Contains(entry.Site, ":") {
-		rc, err := f.resolve(ctx, entry.Site)
+		rc, err := f.ResolveContext(ctx, entry.Site)
 		if err != nil {
 			return ldbms.Profile{}, false
 		}
@@ -549,11 +533,11 @@ func (f *Federation) clientFor(ctx context.Context, service string) (lam.Client,
 		return nil, err
 	}
 	if entry.Site != "" {
-		if c, err := f.resolve(ctx, entry.Site); err == nil {
+		if c, err := f.ResolveContext(ctx, entry.Site); err == nil {
 			return c, nil
 		}
 	}
-	return f.resolve(ctx, service)
+	return f.ResolveContext(ctx, service)
 }
 
 // NewSession opens an independent script-execution session on the

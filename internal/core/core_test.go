@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"msql/internal/csvstore"
 	"msql/internal/dol"
 	"msql/internal/lam"
 	"msql/internal/ldbms"
@@ -375,8 +374,9 @@ WHERE c.rate < u.rates
 		t.Fatalf("multitable = %+v", sel.Multitable)
 	}
 	rows := sel.Multitable.Tables[0].Rows
-	// continental rates 100, 80; united rate 120 -> both flights qualify.
-	if len(rows) != 2 {
+	// continental rates 100, 80, 60; united rates 120, 70 -> every
+	// flight under 120, and flight 102 under 70 too.
+	if len(rows) != 4 {
 		t.Fatalf("join rows = %v", rows)
 	}
 	watch.mu.Lock()
@@ -414,34 +414,23 @@ WHERE a.rate < b.rate
 }
 
 // TestGlobalCrossDatabaseJoinCSVCoordinator: the group with the most
-// rows coordinates — regional's three flights against continental's two
+// rows coordinates — regional's four flights against continental's three
 // — so here the temp table, the loaded rows and the final join all live
 // on a flat-file autocommit site, whichever way round FROM names them.
 // Typed loads reach it through the same storage seam as every other
 // engine's.
 func TestGlobalCrossDatabaseJoinCSVCoordinator(t *testing.T) {
 	f := paperFederation(t, false)
-	cs, err := csvstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serveLocal(t, f, ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
-	if err := srv.CreateDatabase("regional"); err != nil {
-		t.Fatal(err)
-	}
+	srv := serveSite(t, f, ldbms.Spec{Service: "svc_csv", Profile: ldbms.ProfileAutoCommitOnly(),
+		Backend: ldbms.BackendCSV, Dir: t.TempDir(), DB: "regional", Boot: []string{
+			`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
+			`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 90.0), (902, 'Tyler', 105.5), (903, 'Tyler', 120.0)`,
+		}})
 	sess, err := srv.OpenSession("regional")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	for _, q := range []string{
-		`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
-		`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 90.0), (902, 'Tyler', 105.5)`,
-	} {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-	}
 	srv.ResetStats()
 	results, err := f.ExecScript(`
 INCORPORATE SERVICE svc_csv CONNECTMODE CONNECT COMMITMODE COMMIT;
@@ -458,21 +447,23 @@ WHERE r.rate < c.rate
 	if sel.Multitable == nil || len(sel.Multitable.Tables) != 1 {
 		t.Fatalf("multitable = %+v", sel.Multitable)
 	}
-	// regional 40, 90, 105.5 against continental 100 (flight 100) and 80
-	// (flight 101): 40 < both, 90 < 100.
+	// regional 40, 90, 105.5, 120 against continental 100 (flight 100),
+	// 80 (flight 101) and 60 (flight 102): 40 < all three, 90 < 100.
+	// regional's four rows outnumber continental's three, so regional
+	// coordinates whichever way round FROM names them.
 	var got []string
 	for _, row := range sel.Multitable.Tables[0].Rows {
 		got = append(got, fmt.Sprint(row))
 	}
 	sort.Strings(got)
-	if want := []string{"[900 100 100]", "[900 101 80]", "[901 100 100]"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"[900 100 100]", "[900 101 80]", "[900 102 60]", "[901 100 100]"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("join rows = %v, want %v", got, want)
 	}
-	// Only continental's two rows were loaded at the csv site: Q' reads
-	// the coordinator's own table in place. The temp table is gone from
-	// the store and from its directory.
-	if st := srv.Stats(); st.Loads != 1 || st.LoadedRows != 2 {
-		t.Fatalf("csv site stats = %+v, want 1 load of continental's 2 rows", st)
+	// Only continental's three rows were loaded at the csv site: Q'
+	// reads the coordinator's own table in place. The temp table is gone
+	// from the store and from its directory.
+	if st := srv.Stats(); st.Loads != 1 || st.LoadedRows != 3 {
+		t.Fatalf("csv site stats = %+v, want 1 load of continental's 3 rows", st)
 	}
 	if tables, err := sess.ListTables(); err != nil || len(tables) != 1 {
 		t.Fatalf("tables at the csv site = %v, %v", tables, err)
@@ -487,11 +478,11 @@ SELECT c.flnu, r.flnu FROM continental.flights c, regional.flights r WHERE r.rat
 		t.Fatal(err)
 	}
 	mt := results[len(results)-1].Multitable
-	if len(mt.Tables) != 1 || mt.Tables[0].Database != "continental" || len(mt.Tables[0].Rows) != 3 {
+	if len(mt.Tables) != 1 || mt.Tables[0].Database != "continental" || len(mt.Tables[0].Rows) != 4 {
 		t.Fatalf("multitable = %+v", mt)
 	}
-	if st := srv.Stats(); st.Loads != 2 || st.LoadedRows != 4 {
-		t.Fatalf("csv site stats = %+v, want a second load of continental's 2 rows", st)
+	if st := srv.Stats(); st.Loads != 2 || st.LoadedRows != 6 {
+		t.Fatalf("csv site stats = %+v, want a second load of continental's 3 rows", st)
 	}
 }
 

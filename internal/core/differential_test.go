@@ -9,9 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"msql/internal/csvstore"
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
 )
 
 // The differential oracle for global SELECTs: a seeded random federation
@@ -35,48 +33,19 @@ type diffTable struct {
 // diffFederation builds seed's federation and its single-store twin.
 func diffFederation(t testing.TB, rng *rand.Rand) (*Federation, *ldbms.Session, []diffTable, []string) {
 	t.Helper()
-	f := newFederation(t)
-	ref := ldbms.NewServer("svc_ref", ldbms.ProfileOracleLike(), 1)
-	if err := ref.CreateDatabase("ref"); err != nil {
-		t.Fatal(err)
-	}
-	refSess, err := ref.OpenSession("ref")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(refSess.Close)
-
 	var tables []diffTable
-	var dbs []string
-	var setup strings.Builder
+	var dbs, refBoot []string
+	var sites []ldbms.Spec
 	for d := 0; d < 2+rng.Intn(2); d++ {
-		db, svc := fmt.Sprintf("d%d", d), fmt.Sprintf("svc_d%d", d)
-		mode := "NOCOMMIT"
-		var srv *ldbms.Server
+		site := ldbms.Spec{Service: fmt.Sprintf("svc_d%d", d), DB: fmt.Sprintf("d%d", d)}
 		switch rng.Intn(3) {
-		case 0:
-			srv = ldbms.NewServer(svc, ldbms.ProfileOracleLike(), 1)
 		case 1:
-			st, err := relstore.Open(relstore.Options{Dir: filepath.Join(t.TempDir(), svc), PoolPages: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv = ldbms.NewServerWith(svc, ldbms.ProfileOracleLike(), 1, st)
-		default:
-			cs, err := csvstore.Open(filepath.Join(t.TempDir(), svc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, mode = ldbms.NewServerOn(svc, ldbms.ProfileAutoCommitOnly(), 1, cs), "COMMIT"
+			site.Dir, site.PoolPages = filepath.Join(t.TempDir(), site.Service), 16
+		case 2:
+			site.Dir, site.Backend = filepath.Join(t.TempDir(), site.Service), ldbms.BackendCSV
+			site.Profile = ldbms.ProfileAutoCommitOnly()
 		}
-		serveLocal(t, f, srv)
-		if err := srv.CreateDatabase(db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := srv.OpenSession(db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		db := site.DB
 		for _, name := range []string{"a", "b"}[:1+rng.Intn(2)] {
 			tb := diffTable{db: db, name: name, keyed: rng.Intn(2) == 0}
 			sizes := []int{0, 1, 3, 8, 30, 60}
@@ -92,38 +61,24 @@ func diffFederation(t testing.TB, rng *rand.Rand) (*Federation, *ldbms.Session, 
 			if tb.keyed {
 				ddl += ", PRIMARY KEY (id)"
 			}
-			stmts := []string{fmt.Sprintf("CREATE TABLE %s (%s)", name, ddl)}
-			refStmts := []string{fmt.Sprintf("CREATE TABLE %s_%s (%s)", db, name, ddl)}
+			site.Boot = append(site.Boot, fmt.Sprintf("CREATE TABLE %s (%s)", name, ddl))
+			refBoot = append(refBoot, fmt.Sprintf("CREATE TABLE %s_%s (%s)", db, name, ddl))
 			if len(tb.rows) > 0 {
 				values := strings.Join(tb.rows, ", ")
-				stmts = append(stmts, fmt.Sprintf("INSERT INTO %s VALUES %s", name, values))
-				refStmts = append(refStmts, fmt.Sprintf("INSERT INTO %s_%s VALUES %s", db, name, values))
-			}
-			for _, q := range stmts {
-				if _, err := sess.Exec(q); err != nil {
-					t.Fatalf("%s: %q: %v", db, q, err)
-				}
-			}
-			for _, q := range refStmts {
-				if _, err := refSess.Exec(q); err != nil {
-					t.Fatalf("ref: %q: %v", q, err)
-				}
+				site.Boot = append(site.Boot, fmt.Sprintf("INSERT INTO %s VALUES %s", name, values))
+				refBoot = append(refBoot, fmt.Sprintf("INSERT INTO %s_%s VALUES %s", db, name, values))
 			}
 			tables = append(tables, tb)
 		}
-		if err := sess.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-		fmt.Fprintf(&setup, "INCORPORATE SERVICE %s CONNECTMODE CONNECT COMMITMODE %s;\nIMPORT DATABASE %s FROM SERVICE %s;\n", svc, mode, db, svc)
+		sites = append(sites, site)
 		dbs = append(dbs, db)
 	}
-	if err := refSess.Commit(); err != nil {
+	f := localFederation(t, sites...)
+	refSess, err := openSite(t, ldbms.Spec{Service: "svc_ref", DB: "ref", Boot: refBoot}).OpenSession("ref")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ExecScript(setup.String()); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
+	t.Cleanup(refSess.Close)
 	return f, refSess, tables, dbs
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"msql/internal/csvstore"
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
 	"msql/internal/obs"
@@ -84,7 +83,7 @@ WHERE c.rate < u.rates
 	if r.Kind != KindExplain {
 		t.Fatalf("kind = %v", r.Kind)
 	}
-	if r.Multitable == nil || r.Multitable.TotalRows() != 2 {
+	if r.Multitable == nil || r.Multitable.TotalRows() != 4 {
 		t.Fatalf("ANALYZE did not produce the query's result: %+v", r.Multitable)
 	}
 	p := r.Plan
@@ -100,10 +99,10 @@ WHERE c.rate < u.rates
 	if p.TimeNS <= 0 {
 		t.Fatal("root has no wall time")
 	}
-	// continental's two flights outnumber united's one: continental
+	// continental's three flights outnumber united's two: continental
 	// coordinates, so united is read and shipped and continental's table
 	// is read in place by the final task.
-	if c := p.Find("coordinator"); c == nil || c.Detail != "continental (estimated rows continental=2 united=1)" {
+	if c := p.Find("coordinator"); c == nil || c.Detail != "continental (estimated rows continental=3 united=2)" {
 		t.Fatalf("no coordinator choice on the plan:\n%s", p.Render())
 	}
 	tasks := p.FindAll("task")
@@ -128,14 +127,14 @@ WHERE c.rate < u.rates
 	if final.Rows != int64(r.Multitable.TotalRows()) {
 		t.Fatalf("final task rows = %d, result has %d", final.Rows, r.Multitable.TotalRows())
 	}
-	// The ship reports what it moved: united's one flight, in one Load
+	// The ship reports what it moved: united's two flights, in one Load
 	// batch (loops), in measured time.
 	ships := p.FindAll("ship")
 	if len(ships) != 1 {
 		t.Fatalf("expected one ship node, for united's read task:\n%s", p.Render())
 	}
-	if n := ships[0]; !strings.Contains(n.Detail, "continental.mtmp_united") || !n.Analyzed || n.Rows != 1 || n.Loops != 1 || n.TimeNS <= 0 {
-		t.Fatalf("ship %q: analyzed=%v rows=%d batches=%d time=%dns, want 1 row in 1 batch:\n%s",
+	if n := ships[0]; !strings.Contains(n.Detail, "continental.mtmp_united") || !n.Analyzed || n.Rows != 2 || n.Loops != 1 || n.TimeNS <= 0 {
+		t.Fatalf("ship %q: analyzed=%v rows=%d batches=%d time=%dns, want 2 rows in 1 batch:\n%s",
 			n.Detail, n.Analyzed, n.Rows, n.Loops, n.TimeNS, p.Render())
 	}
 	// Site-local subtrees are grafted under the tasks: the final task
@@ -155,8 +154,8 @@ WHERE c.rate < u.rates
 			taskRows += n.Rows
 		}
 	}
-	if taskRows != 1 {
-		t.Fatalf("read tasks produced %d rows, want united's 1:\n%s", taskRows, p.Render())
+	if taskRows != 2 {
+		t.Fatalf("read tasks produced %d rows, want united's 2:\n%s", taskRows, p.Render())
 	}
 }
 
@@ -177,8 +176,8 @@ EXPLAIN SELECT c.flnu, u.fn FROM united.flight u, continental.flights c WHERE c.
 		t.Fatal(err)
 	}
 	p := results[len(results)-1].Plan
-	// united: 1 row x 1/10 for its equality; continental: 2 rows.
-	if c := p.Find("coordinator"); c == nil || c.Detail != "continental (estimated rows united=0.1 continental=2)" {
+	// united: 2 rows x 1/10 for its equality; continental: 3 rows.
+	if c := p.Find("coordinator"); c == nil || c.Detail != "continental (estimated rows united=0.2 continental=3)" {
 		t.Fatalf("coordinator node:\n%s", p.Render())
 	}
 	for svc, st := range before {
@@ -194,27 +193,11 @@ EXPLAIN SELECT c.flnu, u.fn FROM united.flight u, continental.flights c WHERE c.
 // image, not an opaque task node.
 func TestFederationExplainAnalyzeCSVSite(t *testing.T) {
 	f := paperFederation(t, false)
-	cs, err := csvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serveLocal(t, f, ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs))
-	if err := srv.CreateDatabase("regional"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("regional")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
-		`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 55.0), (902, 'Tyler', 70.0)`,
-	} {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-	}
-	sess.Close()
+	serveSite(t, f, ldbms.Spec{Service: "svc_csv", Profile: ldbms.ProfileAutoCommitOnly(),
+		Backend: ldbms.BackendCSV, DB: "regional", Boot: []string{
+			`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
+			`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 55.0), (902, 'Tyler', 70.0)`,
+		}})
 
 	results, err := f.ExecScript(`
 INCORPORATE SERVICE svc_csv CONNECTMODE CONNECT COMMITMODE COMMIT;
@@ -229,8 +212,8 @@ EXPLAIN ANALYZE SELECT flnu, rate FROM flights WHERE rate > 50.0
 	if r.Kind != KindExplain || r.Plan == nil {
 		t.Fatalf("kind = %v, plan = %v", r.Kind, r.Plan)
 	}
-	// continental holds 100.0 and 80.0, regional 55.0 and 70.0.
-	if r.Multitable == nil || r.Multitable.TotalRows() != 4 {
+	// continental holds 100.0, 80.0 and 60.0, regional 55.0 and 70.0.
+	if r.Multitable == nil || r.Multitable.TotalRows() != 5 {
 		t.Fatalf("ANALYZE did not produce the query's result: %+v", r.Multitable)
 	}
 	var csvTask *obs.PlanNode
@@ -258,35 +241,14 @@ EXPLAIN ANALYZE SELECT flnu, rate FROM flights WHERE rate > 50.0
 // index-probe on the keyed rel table, a scan on the csv site, which
 // declares keys but keeps no index.
 func TestFederationExplainWrite(t *testing.T) {
+	boot := []string{
+		`CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`,
+		`INSERT INTO acct VALUES (6, 10), (7, 10), (8, 10)`,
+	}
 	f := newFederation(t)
-	cs, err := csvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for db, srv := range map[string]*ldbms.Server{
-		"bank":     serveLocal(t, f, ldbms.NewServer("svc_bank", ldbms.ProfileOracleLike(), 1)),
-		"regional": serveLocal(t, f, ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs)),
-	} {
-		if err := srv.CreateDatabase(db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := srv.OpenSession(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []string{
-			`CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`,
-			`INSERT INTO acct VALUES (6, 10), (7, 10), (8, 10)`,
-		} {
-			if _, err := sess.Exec(q); err != nil {
-				t.Fatalf("%s: %q: %v", db, q, err)
-			}
-		}
-		if err := sess.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-	}
+	serveSite(t, f, ldbms.Spec{Service: "svc_bank", DB: "bank", Boot: boot})
+	serveSite(t, f, ldbms.Spec{Service: "svc_csv", Profile: ldbms.ProfileAutoCommitOnly(),
+		Backend: ldbms.BackendCSV, DB: "regional", Boot: boot})
 	balances := func() map[string]int64 {
 		t.Helper()
 		rs, err := f.ExecScript("USE bank regional\nSELECT id, bal FROM acct")

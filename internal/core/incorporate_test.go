@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"msql/internal/csvstore"
-	"msql/internal/lam"
 	"msql/internal/ldbms"
 )
 
@@ -16,7 +14,7 @@ import (
 // prepared session parked there could never be resolved.
 func TestIncorporateRejectsNoCommitOnAutocommitOnlyService(t *testing.T) {
 	f := newFederation(t)
-	serveLocal(t, f, ldbms.NewServer("svc_auto", ldbms.ProfileAutoCommitOnly(), 1))
+	serveSite(t, f, ldbms.Spec{Service: "svc_auto", Profile: ldbms.ProfileAutoCommitOnly()})
 
 	_, err := f.ExecScript("INCORPORATE SERVICE svc_auto CONNECTMODE CONNECT COMMITMODE NOCOMMIT")
 	if !errors.Is(err, ErrCapability) {
@@ -39,22 +37,11 @@ func TestIncorporateRejectsNoCommitOnAutocommitOnlyService(t *testing.T) {
 // fetched from a remote LAM — for a CSV-backed site, the other new
 // backend.
 func TestIncorporateRejectsNoCommitOverWire(t *testing.T) {
-	cs, err := csvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ldbms.NewServerOn("svc_csv", ldbms.ProfileAutoCommitOnly(), 1, cs)
-	if err := srv.CreateDatabase("d"); err != nil {
-		t.Fatal(err)
-	}
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
+	ts := serveLAM(t, openSite(t, ldbms.Spec{Service: "svc_csv", Profile: ldbms.ProfileAutoCommitOnly(),
+		Backend: ldbms.BackendCSV, DB: "d"}))
 
 	f := New()
-	_, err = f.ExecScript(fmt.Sprintf(
+	_, err := f.ExecScript(fmt.Sprintf(
 		"INCORPORATE SERVICE svc_csv SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT", ts.Addr()))
 	if !errors.Is(err, ErrCapability) {
 		t.Fatalf("err = %v, want ErrCapability", err)
@@ -74,7 +61,7 @@ func TestIncorporateRejectsNoCommitOverWire(t *testing.T) {
 // state that cannot exist.
 func TestIncorporateAdoptsProfileAutocommitClasses(t *testing.T) {
 	f := newFederation(t)
-	serveLocal(t, f, ldbms.NewServer("svc_ing", ldbms.ProfileIngresLike(), 1))
+	serveSite(t, f, ldbms.Spec{Service: "svc_ing", Profile: ldbms.ProfileIngresLike()})
 	if _, err := f.ExecScript("INCORPORATE SERVICE svc_ing CONNECTMODE CONNECT COMMITMODE NOCOMMIT"); err != nil {
 		t.Fatal(err)
 	}

@@ -409,7 +409,7 @@ func (f *Federation) runComp(ctx context.Context, d mtlog.TaskDecl) error {
 	if site == "" {
 		return fmt.Errorf("core: no site for compensation %s", d.Name)
 	}
-	client, err := f.resolve(ctx, site)
+	client, err := f.ResolveContext(ctx, site)
 	if err != nil {
 		return err
 	}

@@ -104,24 +104,9 @@ IMPORT DATABASE orphdb FROM SERVICE svc_orph;
 // orphan sweep must find the session through ReqInDoubt, roll it back
 // under presumed abort, and release its locks.
 func TestRecoverSweepsUnjournaledPrepared(t *testing.T) {
-	srv := ldbms.NewServer("svc_orph", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("orphdb"); err != nil {
-		t.Fatal(err)
-	}
-	boot, err := srv.OpenSession("orphdb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := boot.Exec("CREATE TABLE acct (id INTEGER, bal FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
-	boot.Commit()
-	boot.Close()
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
+	srv := openSite(t, ldbms.Spec{Service: "svc_orph", DB: "orphdb",
+		Boot: []string{"CREATE TABLE acct (id INTEGER, bal FLOAT)"}})
+	ts := serveLAM(t, srv)
 
 	fed := orphanFederation(t, ts.Addr())
 	parkOrphan(t, ts.Addr(), "orphdb", 77, "INSERT INTO acct VALUES (1, 10.0)")
@@ -183,24 +168,8 @@ func (c *failFirstResolve) Resolve(ctx context.Context, id int64, commit bool) (
 // commit decision for it — the sweep must not presume abort, even when
 // the replay could not reach the session and left its unit open.
 func TestRecoverSparesJournaledSessions(t *testing.T) {
-	srv := ldbms.NewServer("svc_orph", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("orphdb"); err != nil {
-		t.Fatal(err)
-	}
-	boot, err := srv.OpenSession("orphdb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := boot.Exec("CREATE TABLE acct (id INTEGER, bal FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
-	boot.Commit()
-	boot.Close()
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
+	ts := serveLAM(t, openSite(t, ldbms.Spec{Service: "svc_orph", DB: "orphdb",
+		Boot: []string{"CREATE TABLE acct (id INTEGER, bal FLOAT)"}}))
 
 	fed := orphanFederation(t, ts.Addr())
 	sid := parkOrphan(t, ts.Addr(), "orphdb", 42, "INSERT INTO acct VALUES (1, 10.0)")

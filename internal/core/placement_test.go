@@ -11,6 +11,7 @@ import (
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/schema"
+	"msql/internal/topology"
 )
 
 // placementFederation incorporates two loopback-served databases: sm, with
@@ -20,38 +21,22 @@ import (
 func placementFederation(t *testing.T, wrap func(lam.Client) lam.Client) *Federation {
 	t.Helper()
 	f := newFederation(t)
-	for _, site := range []struct{ db, ddl, rows string }{
-		{"sm", "id INTEGER PRIMARY KEY, v INTEGER", "(1, 10), (2, 20)"},
-		{"bg", "id INTEGER PRIMARY KEY, x_id INTEGER", "(1, 100), (2, 200), (3, 300), (4, 400)"},
-	} {
-		srv := ldbms.NewServer("svc_"+site.db, ldbms.ProfileOracleLike(), 1)
-		if err := srv.CreateDatabase(site.db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := srv.OpenSession(site.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []string{"CREATE TABLE t (" + site.ddl + ")", "INSERT INTO t VALUES " + site.rows} {
-			if _, err := sess.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sess.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-		serveLocal(t, f, srv)
+	plan := &topology.Plan{Sites: []ldbms.Spec{
+		{Service: "svc_sm", DB: "sm", Boot: []string{
+			"CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)", "INSERT INTO t VALUES (1, 10), (2, 20)"}},
+		{Service: "svc_bg", DB: "bg", Boot: []string{
+			"CREATE TABLE t (id INTEGER PRIMARY KEY, x_id INTEGER)",
+			"INSERT INTO t VALUES (1, 100), (2, 200), (3, 300), (4, 400)"}},
+	}}
+	for _, site := range plan.Sites {
+		serveSite(t, f, site)
 		if wrap != nil {
-			c, _ := f.Resolve(srv.Name())
-			f.RegisterClient(srv.Name(), wrap(c))
+			c, _ := f.Resolve(site.Service)
+			f.RegisterClient(site.Service, wrap(c))
 		}
-		if _, err := f.ExecScript(fmt.Sprintf(`
-INCORPORATE SERVICE %[1]s CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE %[2]s FROM SERVICE %[1]s;
-`, srv.Name(), site.db)); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := f.ExecScript(plan.Script(nil)); err != nil {
+		t.Fatal(err)
 	}
 	return f
 }

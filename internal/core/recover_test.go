@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
 	"msql/internal/netfault"
+	"msql/internal/topology"
 )
 
 // TestCrashRecoveryDeliversLoggedCommit is the kill-the-coordinator
@@ -131,33 +131,12 @@ func TestCrashRecoveryCompletesCompensation(t *testing.T) {
 	// continental: autocommit-only (relies on compensation), behind a
 	// severing proxy. united: 2PC, with an injected Exec fault so the
 	// unit takes the abort path.
-	cont := ldbms.NewServer("svc_cont", ldbms.ProfileAutoCommitOnly(), 1)
-	if err := cont.CreateDatabase("continental"); err != nil {
-		t.Fatal(err)
-	}
-	seedDB(t, cont, "continental",
-		"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
-		"INSERT INTO flights VALUES (100, 'Houston', 'San Antonio', 100.0)")
-	unit := ldbms.NewServer("svc_unit", ldbms.ProfileOracleLike(), 1)
-	if err := unit.CreateDatabase("united"); err != nil {
-		t.Fatal(err)
-	}
-	seedDB(t, unit, "united",
-		"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
-		"INSERT INTO flight VALUES (300, 'Houston', 'San Antonio', 120.0)")
+	plan := &topology.Plan{Sites: paperSites("continental", "united")}
+	plan.Sites[0].Profile = ldbms.ProfileAutoCommitOnly()
+	cont, unit := openSite(t, plan.Sites[0]), openSite(t, plan.Sites[1])
 	unit.Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "united"})
-
-	contSrv, err := lam.Serve("127.0.0.1:0", cont)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { contSrv.Close() })
-	unitSrv, err := lam.Serve("127.0.0.1:0", unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unitSrv.Close() })
-	proxy, err := netfault.New(contSrv.Addr())
+	unitAddr := serveLAM(t, unit).Addr()
+	proxy, err := netfault.New(serveLAM(t, cont).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +152,12 @@ func TestCrashRecoveryCompletesCompensation(t *testing.T) {
 	sc := &execSeverClient{Client: inner, proxy: proxy}
 	fed.RegisterClient(proxy.Addr(), sc)
 
-	setup := fmt.Sprintf(`
-INCORPORATE SERVICE svc_cont SITE '%s' CONNECTMODE CONNECT COMMITMODE COMMIT;
-INCORPORATE SERVICE svc_unit SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-`, proxy.Addr(), unitSrv.Addr())
+	setup := plan.Script(func(s ldbms.Spec) string {
+		if s.DB == "continental" {
+			return proxy.Addr()
+		}
+		return unitAddr
+	})
 	if _, err := fed.ExecScript(setup); err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +212,6 @@ IMPORT DATABASE united FROM SERVICE svc_unit;
 	if got := remoteRate(t, cont, "continental", "SELECT rate FROM flights WHERE flnu = 100"); got < 99.99 || got > 100.01 {
 		t.Fatalf("continental rate = %v after second pass, want 100 (compensation must not repeat)", got)
 	}
-}
-
-func seedDB(t *testing.T, srv *ldbms.Server, db string, stmts ...string) {
-	t.Helper()
-	sess, err := srv.OpenSession(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	for _, q := range stmts {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess.Commit()
 }
 
 func remoteRate(t *testing.T, srv *ldbms.Server, db, query string) float64 {

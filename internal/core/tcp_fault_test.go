@@ -12,6 +12,7 @@ import (
 	"msql/internal/ldbms"
 	"msql/internal/netfault"
 	"msql/internal/obs"
+	"msql/internal/topology"
 )
 
 // severClient wraps a real TCP LAM client so a test can deterministically
@@ -61,48 +62,19 @@ func faultFederation(t *testing.T) (*Federation, map[string]*ldbms.Server, *seve
 	fed := New()
 	fed.SetRecovery(lam.RetryPolicy{Attempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}, time.Second)
 
-	specs := []struct {
-		svc, db string
-		ddl     []string
-	}{
-		{"svc_cont", "continental", []string{
-			"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
-			"INSERT INTO flights VALUES (100, 'Houston', 'San Antonio', 100.0)",
-		}},
-		{"svc_unit", "united", []string{
-			"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
-			"INSERT INTO flight VALUES (300, 'Houston', 'San Antonio', 120.0)",
-		}},
-	}
-	var sites []string
+	plan := &topology.Plan{Sites: paperSites("continental", "united")}
+	addrs := map[string]string{}
 	var proxy *netfault.Proxy
 	var sc *severClient
-	for _, sp := range specs {
-		srv := ldbms.NewServer(sp.svc, ldbms.ProfileOracleLike(), 1)
-		if err := srv.CreateDatabase(sp.db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := srv.OpenSession(sp.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range sp.ddl {
-			if _, err := sess.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sess.Commit()
-		sess.Close()
-		ts, err := lam.Serve("127.0.0.1:0", srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ts.Close() })
-		servers[sp.db] = srv
-		lams[sp.db] = ts
+	for _, sp := range plan.Sites {
+		srv := openSite(t, sp)
+		ts := serveLAM(t, srv)
+		servers[sp.DB] = srv
+		lams[sp.DB] = ts
 
 		site := ts.Addr()
-		if sp.db == "united" {
+		if sp.DB == "united" {
+			var err error
 			proxy, err = netfault.New(ts.Addr())
 			if err != nil {
 				t.Fatal(err)
@@ -119,15 +91,9 @@ func faultFederation(t *testing.T) (*Federation, map[string]*ldbms.Server, *seve
 			sc = &severClient{Client: inner, proxy: proxy}
 			fed.RegisterClient(site, sc)
 		}
-		sites = append(sites, site)
+		addrs[sp.Service] = site
 	}
-	setup := fmt.Sprintf(`
-INCORPORATE SERVICE svc_cont SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-INCORPORATE SERVICE svc_unit SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-`, sites[0], sites[1])
-	if _, err := fed.ExecScript(setup); err != nil {
+	if _, err := fed.ExecScript(plan.Script(func(s ldbms.Spec) string { return addrs[s.Service] })); err != nil {
 		t.Fatal(err)
 	}
 	return fed, servers, sc, proxy, lams
@@ -235,25 +201,9 @@ func TestFederationCallTimeoutBoundsBlackholedSite(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	fed.CallTimeout = timeout
 
-	srv := ldbms.NewServer("svc_unit", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("united"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("united")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("CREATE TABLE flight (fn INTEGER, rates FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
-	sess.Commit()
-	sess.Close()
+	srv := openSite(t, paperSites("united")[0])
 	servers["united"] = srv
-	ts, err := lam.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
+	ts := serveLAM(t, srv)
 	proxy, err := netfault.New(ts.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
-	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/obs"
 	"msql/internal/sqlval"
+	"msql/internal/topology"
 	"msql/internal/translate"
 	"msql/internal/wire"
 )
 
-// tcpFederation serves two airline databases over real TCP LAMs and
-// incorporates them by site address only.
+// tcpFederation serves the paper's continental and united over real
+// TCP LAMs and incorporates them by site address only.
 func tcpFederation(t *testing.T) (*Federation, map[string]*ldbms.Server) {
 	t.Helper()
 	return tcpFederationWith(t, ldbms.ProfileOracleLike())
@@ -24,52 +23,16 @@ func tcpFederation(t *testing.T) (*Federation, map[string]*ldbms.Server) {
 func tcpFederationWith(t *testing.T, profile ldbms.Profile) (*Federation, map[string]*ldbms.Server) {
 	t.Helper()
 	servers := map[string]*ldbms.Server{}
+	addrs := map[string]string{}
+	plan := &topology.Plan{Sites: paperSites("continental", "united")}
+	for i := range plan.Sites {
+		s := &plan.Sites[i]
+		s.Profile = profile
+		servers[s.DB] = openSite(t, *s)
+		addrs[s.Service] = serveLAM(t, servers[s.DB]).Addr()
+	}
 	fed := New()
-	var sites []string
-	specs := []struct {
-		svc, db string
-		ddl     []string
-	}{
-		{"svc_cont", "continental", []string{
-			"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
-			"INSERT INTO flights VALUES (100, 'Houston', 'San Antonio', 100.0)",
-		}},
-		{"svc_unit", "united", []string{
-			"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
-			"INSERT INTO flight VALUES (300, 'Houston', 'San Antonio', 120.0)",
-		}},
-	}
-	for _, sp := range specs {
-		srv := ldbms.NewServer(sp.svc, profile, 1)
-		if err := srv.CreateDatabase(sp.db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := srv.OpenSession(sp.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range sp.ddl {
-			if _, err := sess.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sess.Commit()
-		sess.Close()
-		ts, err := lam.Serve("127.0.0.1:0", srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ts.Close() })
-		sites = append(sites, ts.Addr())
-		servers[sp.db] = srv
-	}
-	setup := fmt.Sprintf(`
-INCORPORATE SERVICE svc_cont SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-INCORPORATE SERVICE svc_unit SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
-IMPORT DATABASE continental FROM SERVICE svc_cont;
-IMPORT DATABASE united FROM SERVICE svc_unit;
-`, sites[0], sites[1])
-	if _, err := fed.ExecScript(setup); err != nil {
+	if _, err := fed.ExecScript(plan.Script(func(s ldbms.Spec) string { return addrs[s.Service] })); err != nil {
 		t.Fatal(err)
 	}
 	return fed, servers
@@ -133,7 +96,9 @@ SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u
 		t.Fatal(err)
 	}
 	sel := results[len(results)-1]
-	if sel.Multitable == nil || len(sel.Multitable.Tables) != 1 || len(sel.Multitable.Tables[0].Rows) != 1 {
+	// continental's rates 100, 80 and 60 under united's 120, and 60
+	// under its 70 too.
+	if sel.Multitable == nil || len(sel.Multitable.Tables) != 1 || len(sel.Multitable.Tables[0].Rows) != 4 {
 		t.Fatalf("join result = %+v", sel.Multitable)
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"msql/internal/lam"
 	"msql/internal/ldbms"
-	"msql/internal/relstore"
 	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
@@ -31,7 +31,7 @@ const shipJoin = "USE continental united\nSELECT c.flnu, u.fn FROM continental.f
 // sessions saw the table and failed with "table already exists", and an
 // Oracle-like site serialized the runs on the table's X lock. As a
 // session-private temporary table it is neither: every run answers, with
-// the one joined row.
+// every joined row.
 func TestConcurrentShipsToOneCoordinator(t *testing.T) {
 	for _, profile := range []ldbms.Profile{ldbms.ProfileOracleLike(), ldbms.ProfileIngresLike()} {
 		t.Run(profile.Name, func(t *testing.T) {
@@ -64,7 +64,9 @@ func TestConcurrentShipsToOneCoordinator(t *testing.T) {
 	}
 }
 
-// checkShipJoin runs shipJoin in sess and checks its one row.
+// checkShipJoin runs shipJoin in sess and checks its four rows:
+// continental's rates 100, 80 and 60 under united's 120, and 60 under
+// its 70 too.
 func checkShipJoin(sess *Session) error {
 	results, err := sess.ExecScript(shipJoin)
 	if err != nil {
@@ -74,8 +76,13 @@ func checkShipJoin(sess *Session) error {
 	if mt == nil || len(mt.Tables) != 1 {
 		return fmt.Errorf("multitable %+v", mt)
 	}
-	if rows := mt.Tables[0].Rows; len(rows) != 1 || rows[0][0].I != 100 || rows[0][1].I != 300 {
-		return fmt.Errorf("rows %v, want [[100 300]]", rows)
+	var got []string
+	for _, row := range mt.Tables[0].Rows {
+		got = append(got, fmt.Sprint(row))
+	}
+	sort.Strings(got)
+	if want := "[100 300] [101 300] [102 300] [102 301]"; strings.Join(got, " ") != want {
+		return fmt.Errorf("rows %v, want %s", got, want)
 	}
 	return nil
 }
@@ -173,41 +180,13 @@ func (s *shipWatchSession) Exec(ctx context.Context, sql string) (*sqlengine.Res
 // site: the temporary table creates no file in its data directory, and
 // the catalog is not rewritten, byte for byte.
 func TestShipLeavesDiskSiteUntouched(t *testing.T) {
-	f := newFederation(t)
 	dir := filepath.Join(t.TempDir(), "svc_cont")
-	st, err := relstore.Open(relstore.Options{Dir: dir, PoolPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, site := range []struct {
-		srv     *ldbms.Server
-		db, ddl string
-		rows    string
-	}{
-		{ldbms.NewServerWith("svc_cont", ldbms.ProfileOracleLike(), 1, st), "continental",
-			"flights (flnu INTEGER, rate FLOAT)", "(100, 100.0), (101, 80.0), (102, 150.0)"},
-		{ldbms.NewServer("svc_unit", ldbms.ProfileOracleLike(), 1), "united",
-			"flight (fn INTEGER, rates FLOAT)", "(300, 120.0)"},
-	} {
-		serveLocal(t, f, site.srv)
-		if err := site.srv.CreateDatabase(site.db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := site.srv.OpenSession(site.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []string{"CREATE TABLE " + site.ddl, "INSERT INTO " + strings.Fields(site.ddl)[0] + " VALUES " + site.rows, "COMMIT"} {
-			if _, err := sess.Exec(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sess.Close()
-		if _, err := f.ExecScript(fmt.Sprintf("INCORPORATE SERVICE %[1]s CONNECTMODE CONNECT COMMITMODE NOCOMMIT;\nIMPORT DATABASE %[2]s FROM SERVICE %[1]s;",
-			site.srv.Name(), site.db)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	f := localFederation(t,
+		ldbms.Spec{Service: "svc_cont", Dir: dir, PoolPages: 8, DB: "continental", Boot: []string{
+			"CREATE TABLE flights (flnu INTEGER, rate FLOAT)",
+			"INSERT INTO flights VALUES (100, 100.0), (101, 80.0), (102, 150.0)"}},
+		ldbms.Spec{Service: "svc_unit", DB: "united", Boot: []string{
+			"CREATE TABLE flight (fn INTEGER, rates FLOAT)", "INSERT INTO flight VALUES (300, 120.0)"}})
 	snapshot := func() (files []string, catalog []byte) {
 		t.Helper()
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"msql/internal/ldbms"
 	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlparser"
@@ -284,60 +283,5 @@ func TestUnsupportedSurfaceFailsCleanly(t *testing.T) {
 	stmt, _ := sqlparser.ParseStatement("SELECT a FROM nosuch")
 	if _, err := tx.Exec("d", "", stmt); !errors.Is(err, schema.ErrNoTable) {
 		t.Fatalf("missing table err = %v, want schema.ErrNoTable", err)
-	}
-}
-
-// TestBehindLDBMSAutoCommitProfile drives the engine through the full
-// session layer: behind ProfileAutoCommitOnly every statement commits
-// on its own, Prepare is refused by the profile, and the server's
-// Prepares counter stays zero — the invariant the fleet soak asserts.
-func TestBehindLDBMSAutoCommitProfile(t *testing.T) {
-	s, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ldbms.NewServerOn("csvsvc", ldbms.ProfileAutoCommitOnly(), 1, s)
-	if err := srv.CreateDatabase("d"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("CREATE TABLE t (a INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("INSERT INTO t VALUES (7)"); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.SilentCommits != 2 {
-		t.Fatalf("silent commits = %d, want 2 (every statement autocommits)", st.SilentCommits)
-	}
-	if err := sess.Prepare(); !errors.Is(err, ldbms.ErrNoTwoPC) {
-		t.Fatalf("Prepare = %v, want ErrNoTwoPC", err)
-	}
-	if srv.Stats().Prepares != 0 {
-		t.Fatal("autocommit-only server counted a prepare")
-	}
-	// Another session sees the committed rows.
-	sess2, err := srv.OpenSession("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess2.Exec("SELECT a FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	names, err := sess2.ListTables()
-	if err != nil || len(names) != 1 || names[0] != "t" {
-		t.Fatalf("ListTables = %v, %v", names, err)
-	}
-	desc, err := sess2.Describe("t")
-	if err != nil || len(desc.Columns) != 1 || desc.Columns[0].Name != "a" || desc.Rows != 1 {
-		t.Fatalf("Describe = %+v, %v", desc, err)
 	}
 }

@@ -47,32 +47,18 @@ var (
 )
 
 // Directory resolves site names to LAM clients — the Narada resource
-// directory of §4.1.
+// directory of §4.1. A lookup may have to dial the site first, and so
+// takes the caller's deadline: a site that accepts TCP but never
+// answers must not hold a plan or a recovery round past it.
 type Directory interface {
-	Resolve(site string) (lam.Client, error)
-}
-
-// ContextDirectory is a Directory whose lookup may have to dial the site
-// first, and so takes the caller's deadline: a site that accepts TCP but
-// never answers must not hold a plan or a recovery round past it. The
-// engine resolves through ResolveContext when its directory has it.
-type ContextDirectory interface {
 	ResolveContext(ctx context.Context, site string) (lam.Client, error)
-}
-
-// resolve looks a site up under ctx when the directory can honour it.
-func (e *Engine) resolve(ctx context.Context, site string) (lam.Client, error) {
-	if cd, ok := e.dir.(ContextDirectory); ok {
-		return cd.ResolveContext(ctx, site)
-	}
-	return e.dir.Resolve(site)
 }
 
 // MapDirectory is a Directory backed by a map.
 type MapDirectory map[string]lam.Client
 
-// Resolve implements Directory.
-func (m MapDirectory) Resolve(site string) (lam.Client, error) {
+// ResolveContext implements Directory.
+func (m MapDirectory) ResolveContext(_ context.Context, site string) (lam.Client, error) {
 	c, ok := m[site]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSite, site)
@@ -363,7 +349,7 @@ func (r *run) execStmts(stmts []dol.Stmt) error {
 func (r *run) execStmt(s dol.Stmt) error {
 	switch st := s.(type) {
 	case *dol.OpenStmt:
-		client, err := r.eng.resolve(r.ctx, st.Site)
+		client, err := r.eng.dir.ResolveContext(r.ctx, st.Site)
 		if err != nil {
 			return err
 		}

@@ -32,26 +32,21 @@ func airlineFederation(t testing.TB) (MapDirectory, map[string]*ldbms.Server) {
 			"INSERT INTO flight VALUES (20, 'Houston', 'San Antonio', 120.0)"},
 	}
 	for _, sp := range specs {
-		srv := ldbms.NewServer(sp.site, ldbms.ProfileOracleLike(), 1)
-		if err := srv.CreateDatabase(sp.db); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := srv.OpenSession(sp.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Exec(sp.create); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Exec(sp.insert); err != nil {
-			t.Fatal(err)
-		}
-		sess.Commit()
-		sess.Close()
+		srv := openSite(t, ldbms.Spec{Service: sp.site, DB: sp.db, Boot: []string{sp.create, sp.insert}})
 		servers[sp.db] = srv
 		dir[sp.site] = serveLAM(t, srv)
 	}
 	return dir, servers
+}
+
+// openSite opens the in-memory LDBMS spec describes.
+func openSite(t testing.TB, spec ldbms.Spec) *ldbms.Server {
+	t.Helper()
+	srv, err := ldbms.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 // serveLAM serves srv on a loopback LAM and returns a client dialed to
@@ -257,22 +252,17 @@ func TestCompensationPath(t *testing.T) {
 	dir := MapDirectory{}
 	servers := map[string]*ldbms.Server{}
 
-	contSrv := ldbms.NewServer("site1", ldbms.ProfileAutoCommitOnly(), 1)
-	contSrv.CreateDatabase("continental")
-	s, _ := contSrv.OpenSession("continental")
-	s.Exec("CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)")
-	s.Exec("INSERT INTO flights VALUES (1, 'Houston', 'San Antonio', 100.0)")
-	s.Close()
+	contSrv := openSite(t, ldbms.Spec{Service: "site1", Profile: ldbms.ProfileAutoCommitOnly(), DB: "continental", Boot: []string{
+		"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
+		"INSERT INTO flights VALUES (1, 'Houston', 'San Antonio', 100.0)",
+	}})
 	dir["site1"] = serveLAM(t, contSrv)
 	servers["continental"] = contSrv
 
-	unitSrv := ldbms.NewServer("site3", ldbms.ProfileOracleLike(), 1)
-	unitSrv.CreateDatabase("united")
-	s2, _ := unitSrv.OpenSession("united")
-	s2.Exec("CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)")
-	s2.Exec("INSERT INTO flight VALUES (20, 'Houston', 'San Antonio', 120.0)")
-	s2.Commit()
-	s2.Close()
+	unitSrv := openSite(t, ldbms.Spec{Service: "site3", DB: "united", Boot: []string{
+		"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
+		"INSERT INTO flight VALUES (20, 'Houston', 'San Antonio', 120.0)",
+	}})
 	dir["site3"] = serveLAM(t, unitSrv)
 	servers["united"] = unitSrv
 

@@ -244,21 +244,9 @@ func TestPrepareTransportFailureRecoversToAborted(t *testing.T) {
 // the recorded terminal state — not an "unknown session" error, and
 // without applying the commit a second time.
 func TestReplayedCommitReturnsRecordedOutcome(t *testing.T) {
-	srv := ldbms.NewServer("svc", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("db"); err != nil {
-		t.Fatal(err)
-	}
-	seed, err := srv.OpenSession("db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"CREATE TABLE t (x INTEGER)", "INSERT INTO t VALUES (1)"} {
-		if _, err := seed.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seed.Commit()
-	seed.Close()
+	srv := openSite(t, ldbms.Spec{Service: "svc", DB: "db", Boot: []string{
+		"CREATE TABLE t (x INTEGER)", "INSERT INTO t VALUES (1)",
+	}})
 
 	ts, err := lam.Serve("127.0.0.1:0", srv)
 	if err != nil {

@@ -18,10 +18,7 @@ func tcpPair(t *testing.T, rows [][]sqlval.Value) (MapDirectory, *ldbms.Server) 
 	dir := MapDirectory{}
 	var dst *ldbms.Server
 	for _, db := range []string{"src", "dst"} {
-		srv := ldbms.NewServer("svc_"+db, ldbms.ProfileOracleLike(), 1)
-		if err := srv.CreateDatabase(db); err != nil {
-			t.Fatal(err)
-		}
+		srv := openSite(t, ldbms.Spec{Service: "svc_" + db, DB: db})
 		if db == "src" {
 			sess, err := srv.OpenSession(db)
 			if err != nil {

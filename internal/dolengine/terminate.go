@@ -45,7 +45,7 @@ func (e *Engine) ResolveParticipant(ctx context.Context, site string, sessionID 
 			}
 		}
 		cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
-		c, err := e.resolve(cctx, site)
+		c, err := e.dir.ResolveContext(cctx, site)
 		var st ldbms.SessionState
 		if err == nil {
 			st, err = c.Resolve(cctx, sessionID, commit)
@@ -97,7 +97,7 @@ func (e *Engine) Forget(bs []Branch) {
 	fanOut(len(todo), func(i int) {
 		ctx, cancel := context.WithTimeout(context.Background(), ackTimeout)
 		defer cancel()
-		c, err := e.resolve(ctx, todo[i].Site)
+		c, err := e.dir.ResolveContext(ctx, todo[i].Site)
 		if err != nil {
 			return
 		}
@@ -118,7 +118,7 @@ func (e *Engine) SweepOrphans(ctx context.Context, sites []string, covered map[B
 	)
 	fanOut(len(sites), func(i int) {
 		cctx, cancel := context.WithTimeout(ctx, e.RecoverTimeout)
-		c, err := e.resolve(cctx, sites[i])
+		c, err := e.dir.ResolveContext(cctx, sites[i])
 		var parked []wire.InDoubtSession
 		if err == nil {
 			parked, err = c.InDoubt(cctx)

@@ -133,20 +133,16 @@ func TestE5GoldenProgram(t *testing.T) {
 // GDD, table for table.
 func TestF2ImportScaling(t *testing.T) {
 	for _, n := range []int{2, 8, 32} {
-		srv := ldbms.NewServer("svc_big", ldbms.ProfileOracleLike(), 1)
-		if err := srv.CreateDatabase("big"); err != nil {
+		var boot []string
+		for i := 0; i < n; i++ {
+			boot = append(boot, fmt.Sprintf("CREATE TABLE tab%d (id INTEGER, name CHAR(20), val FLOAT)", i))
+		}
+		srv, err := ldbms.Open(ldbms.Spec{Service: "svc_big", DB: "big", Boot: boot})
+		if err != nil {
 			t.Fatal(err)
 		}
 		sess, err := srv.OpenSession("big")
 		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if _, err := sess.Exec(fmt.Sprintf("CREATE TABLE tab%d (id INTEGER, name CHAR(20), val FLOAT)", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sess.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		local, err := sess.ListTables()
@@ -180,23 +176,12 @@ func TestF2ImportScaling(t *testing.T) {
 // commits after, as 2PC requires.
 func hotRowElapsed(t *testing.T, workers, ops int, hold time.Duration, early bool) time.Duration {
 	t.Helper()
-	srv := ldbms.NewServer("b3", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("db"); err != nil {
-		t.Fatal(err)
-	}
-	boot, err := srv.OpenSession("db")
+	srv, err := ldbms.Open(ldbms.Spec{Service: "b3", DB: "db", Boot: []string{
+		"CREATE TABLE hot (id INTEGER, val FLOAT)", "INSERT INTO hot VALUES (1, 0.0)",
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{"CREATE TABLE hot (id INTEGER, val FLOAT)", "INSERT INTO hot VALUES (1, 0.0)"} {
-		if _, err := boot.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := boot.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	boot.Close()
 
 	start := time.Now()
 	var wg sync.WaitGroup

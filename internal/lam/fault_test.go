@@ -722,18 +722,8 @@ func (c *replyCutter) Addr() string { return c.ln.Addr().String() }
 // cannot know whether the row went in, so it must return the failure —
 // a transient error naming exec — and never send the request again.
 func TestOpenExecReplyCutIsNotReplayed(t *testing.T) {
-	srv := ldbms.NewServer("auto-svc", ldbms.ProfileAutoCommitOnly(), 1)
-	if err := srv.CreateDatabase("d"); err != nil {
-		t.Fatal(err)
-	}
-	local, err := srv.OpenSession("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	if _, err := local.Exec("CREATE TABLE t (id INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
+	srv := openSite(t, ldbms.Spec{Service: "auto-svc", Profile: ldbms.ProfileAutoCommitOnly(), DB: "d",
+		Boot: []string{"CREATE TABLE t (id INTEGER)"}})
 	ts, err := Serve("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
@@ -764,6 +754,11 @@ func TestOpenExecReplyCutIsNotReplayed(t *testing.T) {
 	if got := mRetries.With(cut.Addr()).Value() - retries; got != 0 {
 		t.Fatalf("%d retries after the cut reply, want none", got)
 	}
+	local, err := srv.OpenSession("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
 	res, err := local.Exec("SELECT id FROM t")
 	if err != nil {
 		t.Fatal(err)

@@ -47,27 +47,20 @@ func forgetAt(ctx context.Context, addr string, id int64) error {
 
 func deltaServer(t testing.TB) *ldbms.Server {
 	t.Helper()
-	srv := ldbms.NewServer("delta-svc", ldbms.ProfileOracleLike(), 7)
-	if err := srv.CreateDatabase("delta"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("delta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
+	return openSite(t, ldbms.Spec{Service: "delta-svc", Seed: 7, DB: "delta", Boot: []string{
 		"CREATE TABLE flight (fnu INTEGER, source CHAR(20), dest CHAR(20), rate FLOAT)",
 		"INSERT INTO flight VALUES (10, 'Houston', 'San Antonio', 150.0), (11, 'Austin', 'Dallas', 90.0)",
 		"CREATE VIEW cheap AS SELECT fnu FROM flight WHERE rate < 100",
-	} {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sess.Commit(); err != nil {
+	}})
+}
+
+// openSite opens the LDBMS spec describes.
+func openSite(t testing.TB, spec ldbms.Spec) *ldbms.Server {
+	t.Helper()
+	srv, err := ldbms.Open(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Close()
 	return srv
 }
 
@@ -216,10 +209,7 @@ func TestRemoteClient(t *testing.T) {
 }
 
 func TestRemoteSentinelErrorsSurviveWire(t *testing.T) {
-	srv := ldbms.NewServer("auto", ldbms.ProfileAutoCommitOnly(), 1)
-	if err := srv.CreateDatabase("d"); err != nil {
-		t.Fatal(err)
-	}
+	srv := openSite(t, ldbms.Spec{Service: "auto", Profile: ldbms.ProfileAutoCommitOnly(), DB: "d"})
 	ts, err := Serve("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
@@ -318,18 +308,8 @@ func TestRemoteNullsAndValuesRoundTrip(t *testing.T) {
 }
 
 func TestRemoteLargeResultSet(t *testing.T) {
-	srv := ldbms.NewServer("big", ldbms.ProfileOracleLike(), 1)
-	if err := srv.CreateDatabase("d"); err != nil {
-		t.Fatal(err)
-	}
-	boot, err := srv.OpenSession("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := boot.Exec("CREATE TABLE big (id INTEGER, label CHAR(32))"); err != nil {
-		t.Fatal(err)
-	}
 	const n = 5000
+	boot := []string{"CREATE TABLE big (id INTEGER, label CHAR(32))"}
 	for i := 0; i < n; i += 100 {
 		stmt := "INSERT INTO big VALUES "
 		for j := 0; j < 100; j++ {
@@ -338,12 +318,9 @@ func TestRemoteLargeResultSet(t *testing.T) {
 			}
 			stmt += fmt.Sprintf("(%d, 'row-%d-label-padding')", i+j, i+j)
 		}
-		if _, err := boot.Exec(stmt); err != nil {
-			t.Fatal(err)
-		}
+		boot = append(boot, stmt)
 	}
-	boot.Commit()
-	boot.Close()
+	srv := openSite(t, ldbms.Spec{Service: "big", DB: "d", Boot: boot})
 
 	ts, err := Serve("127.0.0.1:0", srv)
 	if err != nil {

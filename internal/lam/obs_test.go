@@ -123,7 +123,7 @@ func TestUntracedCallsCarryNoTraceID(t *testing.T) {
 // msql_breaker_state at 0 closed / 1 open / 2 half-open.
 func TestBreakerTransitionMetrics(t *testing.T) {
 	const svc, cooldown = "breaker-metrics-svc", 50 * time.Millisecond
-	ts, err := Serve("127.0.0.1:0", ldbms.NewServer(svc, ldbms.ProfileOracleLike(), 1))
+	ts, err := Serve("127.0.0.1:0", openSite(t, ldbms.Spec{Service: svc}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,27 +11,23 @@ import (
 
 func newUnited(t testing.TB, p Profile) *Server {
 	t.Helper()
-	srv := NewServer("united-svc", p, 1)
-	if err := srv.CreateDatabase("united"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.OpenSession("united")
+	srv, err := Open(Spec{Service: "united-svc", Profile: p, Seed: 1, DB: "united", Boot: []string{
+		"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
+		"INSERT INTO flight VALUES (1, 'Houston', 'San Antonio', 100.0), (2, 'Houston', 'Dallas', 80.0)",
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := []string{
-		"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
-		"INSERT INTO flight VALUES (1, 'Houston', 'San Antonio', 100.0), (2, 'Houston', 'Dallas', 80.0)",
-	}
-	for _, q := range setup {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatalf("setup %q: %v", q, err)
-		}
-	}
-	if err := sess.Commit(); err != nil {
+	return srv
+}
+
+// openEmpty opens a memory server that holds no database yet.
+func openEmpty(t testing.TB, p Profile) *Server {
+	t.Helper()
+	srv, err := Open(Spec{Service: "svc", Profile: p, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Close()
 	return srv
 }
 
@@ -192,7 +188,7 @@ func TestOracleLikeDDLRollsBack(t *testing.T) {
 }
 
 func TestNoConnectServer(t *testing.T) {
-	srv := NewServer("syb", ProfileSybaseLike(), 1)
+	srv := openEmpty(t, ProfileSybaseLike())
 	if err := srv.CreateDatabase("main"); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import "testing"
 // effect-bearing statements accumulate, selects are skipped, and every
 // transaction outcome (commit, rollback, autocommit) clears it.
 func TestSessionRedoTracking(t *testing.T) {
-	srv := NewServer("svc", ProfileOracleLike(), 1)
+	srv := openEmpty(t, ProfileOracleLike())
 	if err := srv.CreateDatabase("db"); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSessionRedoTracking(t *testing.T) {
 // effects are the local DBMS's own durability problem, not the 2PC
 // window's.
 func TestSessionRedoAutocommitCleared(t *testing.T) {
-	srv := NewServer("svc", ProfileIngresLike(), 1)
+	srv := openEmpty(t, ProfileIngresLike())
 	if err := srv.CreateDatabase("db"); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"msql/internal/backend"
+	"msql/internal/csvstore"
 	"msql/internal/relbackend"
 	"msql/internal/relstore"
 	"msql/internal/schema"
@@ -47,27 +48,103 @@ type Server struct {
 	latency   time.Duration
 }
 
-// NewServer creates a server with the given capability profile over a
-// fresh in-memory relstore engine. seed drives probabilistic fault
-// injection.
-func NewServer(name string, profile Profile, seed int64) *Server {
-	return NewServerWith(name, profile, seed, relstore.NewStore())
+// Storage backends a Spec names.
+const (
+	BackendRel = "rel" // the relstore engine (the default)
+	BackendCSV = "csv" // the flat-file csv store
+)
+
+// Spec describes one simulated product instance: what Open builds.
+type Spec struct {
+	Service string // the server's service name
+	// Profile is the product's capability profile; one without a Name
+	// stands for ProfileOracleLike.
+	Profile Profile
+	// Backend is BackendRel (the default) or BackendCSV.
+	Backend string
+	// Dir keeps the engine on disk there: a relstore data directory or
+	// the csv store's table files, both reopened by the next Open. Empty
+	// keeps the engine in memory.
+	Dir string
+	// PoolPages caps a rel engine's buffer pool (0 uses
+	// storage.DefaultPoolPages).
+	PoolPages int
+	// Seed drives the server's probabilistic fault injection.
+	Seed int64
+	// DB is the database Open creates; empty creates none.
+	DB string
+	// Boot is the bootstrap SQL establishing DB's base state, committed
+	// in one session. It runs only when the engine does not hold DB yet.
+	Boot []string
 }
 
-// NewServerWith creates a server over an existing store — typically one
-// opened with relstore.Options{Dir: ...} for disk persistence. When the
-// store is disk-backed, every commit checkpoints it, and databases that
-// survived a restart are adopted: the first (alphabetically) becomes the
-// NOCONNECT default database.
-func NewServerWith(name string, profile Profile, seed int64, store *relstore.Store) *Server {
-	return NewServerOn(name, profile, seed, relbackend.New(store))
+// Capabilities returns the profile Open gives the server.
+func (s Spec) Capabilities() Profile {
+	if s.Profile.Name == "" {
+		return ProfileOracleLike()
+	}
+	return s.Profile
 }
 
-// NewServerOn creates a server over an arbitrary storage backend — the
-// seam heterogeneous-fleet topologies use to mix genuinely different
-// engines (relstore, csvstore) behind the uniform profile surface.
-// Databases that survived a restart are adopted: the first becomes the
-// NOCONNECT default database.
+// Open opens the engine s describes, in memory or reopened from s.Dir,
+// and returns its server. DB is created and Boot committed only when
+// the engine does not hold DB yet, so a server reopened on its Dir
+// keeps its rows. A failing boot closes the engine.
+func Open(s Spec) (*Server, error) {
+	var be backend.Backend
+	switch s.Backend {
+	case "", BackendRel:
+		st, err := relstore.Open(relstore.Options{Dir: s.Dir, PoolPages: s.PoolPages})
+		if err != nil {
+			return nil, fmt.Errorf("ldbms: open %s store: %w", s.Service, err)
+		}
+		be = relbackend.New(st)
+	case BackendCSV:
+		cs, err := csvstore.Open(s.Dir)
+		if err != nil {
+			return nil, fmt.Errorf("ldbms: open %s store: %w", s.Service, err)
+		}
+		be = cs
+	default:
+		return nil, fmt.Errorf("ldbms: unknown backend %q", s.Backend)
+	}
+	srv := NewServerOn(s.Service, s.Capabilities(), s.Seed, be)
+	if s.DB == "" {
+		return srv, nil
+	}
+	err := srv.CreateDatabase(s.DB)
+	if errors.Is(err, schema.ErrDBExists) {
+		return srv, nil
+	}
+	if err == nil {
+		err = srv.boot(s.DB, s.Boot)
+	}
+	if err != nil {
+		srv.Close()
+		return nil, fmt.Errorf("ldbms: open %s: %w", s.Service, err)
+	}
+	return srv, nil
+}
+
+// boot runs and commits the bootstrap SQL in one session.
+func (s *Server) boot(db string, sql []string) error {
+	sess, err := s.OpenSession(db)
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
+	for _, q := range sql {
+		if _, err := sess.Exec(q); err != nil {
+			return fmt.Errorf("boot %q: %w", q, err)
+		}
+	}
+	return sess.Commit()
+}
+
+// NewServerOn creates a server over a storage backend the caller
+// opened. Databases that survived a restart are adopted: the first
+// becomes the NOCONNECT default database. When the backend is durable,
+// every commit checkpoints it.
 func NewServerOn(name string, profile Profile, seed int64, be backend.Backend) *Server {
 	s := &Server{
 		name:    name,

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"msql/internal/csvstore"
 	"msql/internal/schema"
 	"msql/internal/sqlparser"
 	"msql/internal/sqlval"
@@ -152,13 +151,9 @@ func TestTempTablesArePrivate(t *testing.T) {
 // keeps temporary tables as it keeps them for relstore — in memory, no
 // file.
 func TestTempTableOnAutocommitCSV(t *testing.T) {
-	dir := t.TempDir()
-	cs, err := csvstore.Open(dir)
+	srv, err := Open(Spec{Service: "csv", Profile: ProfileAutoCommitOnly(), Backend: BackendCSV,
+		Dir: t.TempDir(), DB: "regional"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerOn("csv", ProfileAutoCommitOnly(), 1, cs)
-	if err := srv.CreateDatabase("regional"); err != nil {
 		t.Fatal(err)
 	}
 	sess, _ := srv.OpenSession("regional")

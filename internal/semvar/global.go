@@ -119,17 +119,71 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 		}
 	}
 
-	// Column resolution. An INSERT's column list names the target's
-	// columns as they are; only expressions are resolved.
-	colAssign := make(map[string]sqlparser.Expr, sh.exprCols)
-	for _, c := range sh.cols[:sh.exprCols] {
-		repl, err := resolveGlobalColumn(varMaps, refs, sh, c)
+	// Column resolution, block by block: an unqualified column names a
+	// table of its own SELECT block first, then of the blocks enclosing
+	// it (a correlated reference); outside every block, the DML target.
+	// A column none of those hold resolves against every table of the
+	// query, then as a projection alias (resolveGlobalColumn).
+	var colErr error
+	whole := func(c sqlparser.ColRef) sqlparser.Expr {
+		e, err := resolveGlobalColumn(varMaps, refs, sh, c)
 		if err != nil {
-			return nil, err
+			if colErr == nil {
+				colErr = err
+			}
+			return c
 		}
-		colAssign[colKey(c)] = repl
+		return e
 	}
-
+	scoped := func(own []*globalRef, enclosing func(sqlparser.ColRef) sqlparser.Expr) func(sqlparser.ColRef) sqlparser.Expr {
+		return func(c sqlparser.ColRef) sqlparser.Expr {
+			if len(c.Parts) != 1 {
+				return enclosing(c)
+			}
+			var hit *globalRef
+			var col string
+			for _, r := range own {
+				for _, m := range columnsIn(varMaps, r, c.Parts[0]) {
+					if hit != nil {
+						if colErr == nil {
+							colErr = fmt.Errorf("%w: column %s matches in several tables; qualify it", ErrAmbiguous, c.Parts[0])
+						}
+						return c
+					}
+					hit, col = r, m
+				}
+			}
+			if hit == nil {
+				return enclosing(c)
+			}
+			return qualify(refs, hit, col)
+		}
+	}
+	top := whole
+	if t, ok := sqlparser.Target(body); ok {
+		top = scoped([]*globalRef{refs[t.String()]}, whole)
+	}
+	// enclosing maps each nested SELECT block to the block whose
+	// expressions hold it (absent at the top level); a UNION branch
+	// shares its first branch's. Blocks come outermost first, so the
+	// innermost holder writes last.
+	enclosing := map[*sqlparser.SelectStmt]*sqlparser.SelectStmt{}
+	sqlparser.Selects(body, func(sel *sqlparser.SelectStmt) {
+		for _, u := range sel.Unions {
+			enclosing[u.Select] = enclosing[sel]
+		}
+		sqlparser.WalkExprs(sel, func(e sqlparser.Expr) {
+			switch x := e.(type) {
+			case *sqlparser.SubqueryExpr:
+				enclosing[x.Query] = sel
+			case *sqlparser.InExpr:
+				if x.Query != nil {
+					enclosing[x.Query] = sel
+				}
+			}
+		})
+	})
+	blockCol := map[*sqlparser.SelectStmt]func(sqlparser.ColRef) sqlparser.Expr{nil: top}
 	rw := sqlparser.Rewriter{
 		Table: func(n sqlparser.ObjectName) sqlparser.ObjectName {
 			if r, ok := refs[n.String()]; ok {
@@ -137,15 +191,20 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 			}
 			return n
 		},
-		Col: func(c sqlparser.ColRef) sqlparser.Expr {
-			if e, ok := colAssign[colKey(c)]; ok {
-				return e
+		Col: top,
+		Block: func(sel *sqlparser.SelectStmt) func(sqlparser.ColRef) sqlparser.Expr {
+			own := make([]*globalRef, len(sel.From))
+			for i, f := range sel.From {
+				own[i] = refs[f.Name.String()]
 			}
-			c.Optional = false
-			return c
+			blockCol[sel] = scoped(own, blockCol[enclosing[sel]])
+			return blockCol[sel]
 		},
 	}
 	out := sqlparser.RewriteStatement(body, rw)
+	if colErr != nil {
+		return nil, colErr
+	}
 	// Ensure FROM aliases are present in every block so the decomposer
 	// and local engines resolve qualifiers uniformly.
 	byDBTable := make(map[string]string, len(refs))
@@ -184,29 +243,42 @@ func matchTables(gdd *catalog.GDD, db, name string, varMap map[string]bindTarget
 	return []string{name}
 }
 
-// resolveGlobalColumn maps one column spelling of a global query.
+// columnsIn lists the columns of r a column spelling (pattern, LET
+// variable or literal) names.
+func columnsIn(varMaps []map[string]bindTarget, r *globalRef, name string) []string {
+	if target, ok := varMaps[r.entry][name]; ok {
+		if target.expr != nil {
+			// Transformations are a fan-out feature; global queries
+			// must name concrete columns.
+			return nil
+		}
+		name = target.name
+	}
+	var out []string
+	for _, col := range r.cols {
+		if catalog.MatchName(col, name) {
+			out = append(out, col)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// qualify spells column col of r: by its alias, or bare when r is the
+// query's only table, so the pushed-down local statement stays clean.
+func qualify(refs map[string]*globalRef, r *globalRef, col string) sqlparser.ColRef {
+	if len(refs) == 1 {
+		return sqlparser.ColRef{Parts: []string{col}}
+	}
+	return sqlparser.ColRef{Parts: []string{r.alias, col}}
+}
+
+// resolveGlobalColumn maps one column spelling of a global query against
+// every table the query names.
 func resolveGlobalColumn(varMaps []map[string]bindTarget,
 	refs map[string]*globalRef, sh *shape, c sqlparser.ColRef) (sqlparser.Expr, error) {
 
 	nullLit := func() sqlparser.Expr { return &sqlparser.Literal{Val: sqlval.Null()} }
-	resolveIn := func(r *globalRef, name string) []string {
-		if target, ok := varMaps[r.entry][name]; ok {
-			if target.expr != nil {
-				// Transformations are a fan-out feature; global queries
-				// must name concrete columns.
-				return nil
-			}
-			name = target.name
-		}
-		var out []string
-		for _, col := range r.cols {
-			if catalog.MatchName(col, name) {
-				out = append(out, col)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
 
 	switch len(c.Parts) {
 	case 1:
@@ -217,7 +289,7 @@ func resolveGlobalColumn(varMaps []map[string]bindTarget,
 		}
 		var hits []hit
 		for _, r := range refs {
-			for _, col := range resolveIn(r, name) {
+			for _, col := range columnsIn(varMaps, r, name) {
 				hits = append(hits, hit{r: r, col: col})
 			}
 		}
@@ -233,12 +305,7 @@ func resolveGlobalColumn(varMaps []map[string]bindTarget,
 		if len(hits) > 1 {
 			return nil, fmt.Errorf("%w: column %s matches in several tables; qualify it", ErrAmbiguous, name)
 		}
-		if len(refs) == 1 {
-			// Single-table global query: keep references unqualified so
-			// the pushed-down local statement stays clean.
-			return sqlparser.ColRef{Parts: []string{hits[0].col}}, nil
-		}
-		return sqlparser.ColRef{Parts: []string{hits[0].r.alias, hits[0].col}}, nil
+		return qualify(refs, hits[0].r, hits[0].col), nil
 	case 2:
 		qual, name := c.Parts[0], c.Parts[1]
 		r := findRef(refs, sh.aliases, qual)
@@ -248,7 +315,7 @@ func resolveGlobalColumn(varMaps []map[string]bindTarget,
 			}
 			return nil, fmt.Errorf("%w: qualifier %s", ErrUnresolved, qual)
 		}
-		matches := resolveIn(r, name)
+		matches := columnsIn(varMaps, r, name)
 		if len(matches) == 0 {
 			if c.Optional {
 				return nullLit(), nil
@@ -270,7 +337,7 @@ func resolveGlobalColumn(varMaps []map[string]bindTarget,
 			}
 			return nil, fmt.Errorf("%w: qualifier %s", ErrUnresolved, qual)
 		}
-		matches := resolveIn(r, name)
+		matches := columnsIn(varMaps, r, name)
 		if len(matches) != 1 {
 			if c.Optional && len(matches) == 0 {
 				return nullLit(), nil

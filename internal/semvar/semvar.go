@@ -192,10 +192,8 @@ type shape struct {
 	// projAliases holds the output aliases usable in ORDER BY.
 	projAliases map[string]bool
 	// cols holds the distinct column spellings of every expression, then
-	// those only an INSERT's column list names; the first exprCols come
-	// from expressions.
-	cols     []sqlparser.ColRef
-	exprCols int
+	// those only an INSERT's column list names.
+	cols []sqlparser.ColRef
 }
 
 // fromRef is one FROM table reference: its dotted spelling and alias.
@@ -252,7 +250,6 @@ func shapeOf(s sqlparser.Statement) *shape {
 			addCol(c)
 		}
 	})
-	sh.exprCols = len(sh.cols)
 	if ins, ok := s.(*sqlparser.InsertStmt); ok {
 		for _, n := range ins.Columns {
 			addCol(sqlparser.ColRef{Parts: []string{n}})

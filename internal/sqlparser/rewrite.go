@@ -13,6 +13,10 @@ type Rewriter struct {
 	// Col maps a column reference to a replacement expression. Nil leaves
 	// references unchanged. The returned expression is used as-is.
 	Col func(ColRef) Expr
+	// Block, when set, is called on entering each SELECT block of the
+	// original statement and returns the Col of that block's own
+	// expressions, in place of Col.
+	Block func(*SelectStmt) func(ColRef) Expr
 }
 
 func (rw Rewriter) table(n ObjectName) ObjectName {
@@ -112,6 +116,9 @@ func (rw Rewriter) rewriteColumnNames(names []string) []string {
 func (rw Rewriter) rewriteSelect(s *SelectStmt) *SelectStmt {
 	if s == nil {
 		return nil
+	}
+	if rw.Block != nil {
+		rw.Col = rw.Block(s)
 	}
 	out := &SelectStmt{Distinct: s.Distinct, Limit: s.Limit}
 	for _, it := range s.Items {

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"msql/internal/ldbms"
 )
 
 // envSite carries a site child's JSON configuration; its presence turns
@@ -61,7 +63,7 @@ func (p paths) ready(addr string) error {
 // the server's tombstone TTL.
 type siteConfig struct {
 	paths
-	Site           SiteSpec
+	Site           ldbms.Spec
 	TombstoneTTLMS int
 }
 
@@ -80,7 +82,7 @@ func ChildMain() {
 	if err := json.Unmarshal([]byte(os.Getenv(envSite)), &cfg); err != nil {
 		fatal("site child", "bad config: %v", err)
 	}
-	srv, err := cfg.Site.Build()
+	srv, err := ldbms.Open(cfg.Site)
 	if err != nil {
 		fatal("site child", "%v", err)
 	}
@@ -119,9 +121,10 @@ type Proc struct {
 }
 
 // LaunchSite starts site as a child LAM server under dir, with its
-// journal at <dir>/<service>.journal, and waits until it accepts
-// connections.
-func LaunchSite(dir string, site SiteSpec, tombstoneTTL time.Duration) (*Proc, error) {
+// journal at <dir>/<service>.journal (and a csv site's tables as Launch
+// keeps them), and waits until it accepts connections.
+func LaunchSite(dir string, site ldbms.Spec, tombstoneTTL time.Duration) (*Proc, error) {
+	site = onDir(dir, site)
 	ps, err := newPaths(dir, site.Service)
 	if err != nil {
 		return nil, err

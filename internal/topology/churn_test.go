@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"msql/internal/admit"
+	"msql/internal/ldbms"
 	"msql/internal/mdserver"
 )
 
@@ -186,8 +187,8 @@ func TestChurnSoak(t *testing.T) {
 
 	// Two participant LAM children. A short tombstone TTL: acknowledgments
 	// lost to the coordinator crash must not pin their journals forever.
-	launchLAM := func(service, db string) (SiteSpec, *Proc) {
-		s := SiteSpec{Service: service, DB: db, Boot: soakBoot()}
+	launchLAM := func(service, db string) (ldbms.Spec, *Proc) {
+		s := ldbms.Spec{Service: service, DB: db, Boot: soakBoot()}
 		p, err := LaunchSite(dir, s, 1500*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
@@ -200,7 +201,7 @@ func TestChurnSoak(t *testing.T) {
 
 	// The coordinator child: tight admission so overload is observable,
 	// the slow-query log on at 1ms across both incarnations.
-	coord, err := launchCoord(dir, []SiteSpec{deltaSite, unitedSite}, map[string]string{
+	coord, err := launchCoord(dir, []ldbms.Spec{deltaSite, unitedSite}, map[string]string{
 		deltaSite.Service: delta.Addr(), unitedSite.Service: united.Addr(),
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"msql/internal/core"
 	"msql/internal/lam"
+	"msql/internal/ldbms"
 	"msql/internal/mtlog"
 )
 
@@ -16,12 +17,12 @@ import (
 // the coordinator's recovery must leave no lost commit and no
 // double-applied effect.
 
-var chaosUnited = SiteSpec{Service: "svc_unit", DB: "united", Boot: []string{
+var chaosUnited = ldbms.Spec{Service: "svc_unit", DB: "united", Boot: []string{
 	"CREATE TABLE flight (fn INTEGER, sour CHAR(20), dest CHAR(20), rates FLOAT)",
 	"INSERT INTO flight VALUES (300, 'Houston', 'San Antonio', 120.0)",
 }}
 
-var chaosCont = SiteSpec{Service: "svc_cont", DB: "continental", Boot: []string{
+var chaosCont = ldbms.Spec{Service: "svc_cont", DB: "continental", Boot: []string{
 	"CREATE TABLE flights (flnu INTEGER, source CHAR(20), destination CHAR(20), rate FLOAT)",
 	"INSERT INTO flights VALUES (100, 'Houston', 'San Antonio', 100.0)",
 }}
@@ -44,7 +45,7 @@ func launchChild(t *testing.T) *Proc {
 // in-process, united in the child behind a killClient.
 func chaosFederation(t *testing.T, p *Proc) (*core.Federation, *Site, *killClient) {
 	t.Helper()
-	fleet, err := (&Plan{Sites: []SiteSpec{chaosCont}}).Launch(t.TempDir())
+	fleet, err := (&Plan{Sites: []ldbms.Spec{chaosCont}}).Launch(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +56,8 @@ func chaosFederation(t *testing.T, p *Proc) (*core.Federation, *Site, *killClien
 	fed.SetRecovery(lam.RetryPolicy{Attempts: 4, BaseDelay: 10 * time.Millisecond,
 		MaxDelay: 100 * time.Millisecond}, time.Second)
 	kc := killWrap(t, fed, p, nil, chaosUnited.Service)
-	plan := &Plan{Sites: []SiteSpec{chaosCont, chaosUnited}}
-	setup := plan.Script(func(s SiteSpec) string {
+	plan := &Plan{Sites: []ldbms.Spec{chaosCont, chaosUnited}}
+	setup := plan.Script(func(s ldbms.Spec) string {
 		if s.Service == chaosUnited.Service {
 			return p.Addr()
 		}

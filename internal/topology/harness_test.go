@@ -16,6 +16,7 @@ import (
 	"msql/internal/admit"
 	"msql/internal/core"
 	"msql/internal/lam"
+	"msql/internal/ldbms"
 	"msql/internal/mdserver"
 	"msql/internal/mtlog"
 	"msql/internal/obs"
@@ -303,7 +304,7 @@ const envCoord = "MSQL_CHAOS_COORD"
 // federates, their listen addresses by service, and its own paths.
 type coordConfig struct {
 	paths
-	Sites []SiteSpec
+	Sites []ldbms.Spec
 	Addrs map[string]string
 }
 
@@ -328,7 +329,7 @@ func coordSlowLog(dir string) string { return filepath.Join(dir, "slow-query.log
 // launchCoord starts a coordinator child under dir over already-running
 // site children and waits until its recovery has finished and it
 // accepts connections.
-func launchCoord(dir string, sites []SiteSpec, addrs map[string]string) (*Proc, error) {
+func launchCoord(dir string, sites []ldbms.Spec, addrs map[string]string) (*Proc, error) {
 	ps, err := newPaths(dir, "coord")
 	if err != nil {
 		return nil, err
@@ -358,7 +359,7 @@ func coordMain() {
 		fed.RegisterClient(addr, client)
 	}
 	plan := &Plan{Sites: cfg.Sites}
-	if _, err := fed.ExecScript(plan.Script(func(s SiteSpec) string { return cfg.Addrs[s.Service] })); err != nil {
+	if _, err := fed.ExecScript(plan.Script(func(s ldbms.Spec) string { return cfg.Addrs[s.Service] })); err != nil {
 		fatal("coord child", "federate: %v", err)
 	}
 	j, err := mtlog.Open(cfg.Journal)

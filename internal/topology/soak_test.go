@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"msql/internal/core"
 	"msql/internal/lam"
+	"msql/internal/ldbms"
 	"msql/internal/mtlog"
 	"msql/internal/netfault"
 	"msql/internal/obs"
@@ -64,29 +66,26 @@ func TestTopologySoak(t *testing.T) {
 	// boundaries) and one csv autocommit-only site (crashed with an owed
 	// compensation) run as real child processes; everything else is
 	// in-process.
-	var relVictims []SiteSpec
-	var csvVictim *SiteSpec
-	var proxied []SiteSpec
+	var relVictims []ldbms.Spec
+	var csvVictim *ldbms.Spec
+	var proxied []ldbms.Spec
 	for i := range plan.Sites {
 		s := plan.Sites[i]
 		switch {
-		case s.Profile == ProfileOracle && len(relVictims) < 2:
+		case s.Profile.Name == "oracle-like" && len(relVictims) < 2:
 			relVictims = append(relVictims, s)
-		case s.Profile == ProfileAutoCommit && csvVictim == nil:
+		case autoCommitOnly(s) && csvVictim == nil:
 			csvVictim = &plan.Sites[i]
-		case s.Profile == ProfileOracle && len(proxied) < 2:
+		case s.Profile.Name == "oracle-like" && len(proxied) < 2:
 			proxied = append(proxied, s)
 		}
 	}
 	if len(relVictims) < 2 || csvVictim == nil || len(proxied) < 2 {
 		t.Fatalf("fleet mix too thin: %d rel victims, csv=%v, %d proxied", len(relVictims), csvVictim, len(proxied))
 	}
-	skip := []int{relVictims[0].Index, relVictims[1].Index, csvVictim.Index}
+	skip := []string{relVictims[0].Service, relVictims[1].Service, csvVictim.Service}
 
-	launchVictim := func(s SiteSpec) *Proc {
-		if s.Backend == BackendCSV {
-			s.Dir = filepath.Join(dir, s.Service+".data")
-		}
+	launchVictim := func(s ldbms.Spec) *Proc {
 		p, err := LaunchSite(dir, s, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +130,7 @@ func TestTopologySoak(t *testing.T) {
 	victimOf := map[string]*Proc{
 		relVictims[0].DB: victimA, relVictims[1].DB: victimB, csvVictim.DB: victimC,
 	}
-	script := plan.Script(func(s SiteSpec) string {
+	script := plan.Script(func(s ldbms.Spec) string {
 		if p := victimOf[s.DB]; p != nil {
 			return p.Addr()
 		}
@@ -249,9 +248,9 @@ func TestTopologySoak(t *testing.T) {
 	// participant, but it would invalidate the end-of-run audit. Units
 	// that DO span victims are the targeted crash-window units below,
 	// audited immediately after their recovery.
-	bgSites := make([]SiteSpec, 0, len(plan.Sites))
+	bgSites := make([]ldbms.Spec, 0, len(plan.Sites))
 	for _, s := range plan.Sites {
-		if s.Index != relVictims[0].Index && s.Index != relVictims[1].Index && s.Index != csvVictim.Index {
+		if !slices.Contains(skip, s.Service) {
 			bgSites = append(bgSites, s)
 		}
 	}
@@ -275,10 +274,10 @@ func TestTopologySoak(t *testing.T) {
 	// spans the armed victim (vital) and a healthy in-process two-phase
 	// site (vital); the victim restarts in the background so the
 	// engine's in-doubt loop can resolve through connection-refused.
-	var healthyRel SiteSpec
+	var healthyRel ldbms.Spec
 	for _, s := range plan.Sites {
-		if s.Profile != ProfileAutoCommit && s.Index != relVictims[0].Index &&
-			s.Index != relVictims[1].Index && proxyOf[s.Service] == nil {
+		if !autoCommitOnly(s) && s.Service != relVictims[0].Service &&
+			s.Service != relVictims[1].Service && proxyOf[s.Service] == nil {
 			healthyRel = s
 			break
 		}
@@ -446,7 +445,7 @@ func TestTopologySoak(t *testing.T) {
 	// in-process servers' counters stay zero and the csv victim's
 	// participant journal never saw a session.
 	for _, s := range fleet.Sites {
-		if s.Spec.AutoCommitOnly() {
+		if autoCommitOnly(s.Spec) {
 			if n := s.Server.Stats().Prepares; n != 0 {
 				t.Errorf("autocommit-only site %s: %d prepare requests", s.Spec.Service, n)
 			}

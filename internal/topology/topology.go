@@ -1,9 +1,7 @@
-// Package topology is where every served test site comes from. A
-// SiteSpec describes one site (service, database, storage backend,
-// capability profile, data directory, bootstrap SQL) and Build turns it
-// into an ldbms server; the same spec is served in-process by
-// Plan.Launch, as a crash-test child process by LaunchSite, and by the
-// demo federation.
+// Package topology generates and serves fleets of test sites. Each
+// site is an ldbms.Spec, built by ldbms.Open; the same spec is served
+// in-process by Plan.Launch, as a crash-test child process by
+// LaunchSite, and by the demo federation (PaperSites).
 //
 // A Spec (site count, backend mix, seed) deterministically expands into
 // a Plan of heterogeneous sites: the full relstore engine or the
@@ -16,30 +14,16 @@
 package topology
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
-	"msql/internal/csvstore"
 	"msql/internal/lam"
 	"msql/internal/ldbms"
 	"msql/internal/mtlog"
-	"msql/internal/relstore"
-	"msql/internal/schema"
-)
-
-// Backend and profile names used in SiteSpec.
-const (
-	BackendRel = "rel"
-	BackendCSV = "csv"
-
-	ProfileOracle     = "oracle"
-	ProfileIngres     = "ingres"
-	ProfileSybase     = "sybase"
-	ProfileAutoCommit = "autocommit"
 )
 
 const (
@@ -86,102 +70,10 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// SiteSpec describes one site, independent of how it is served.
-type SiteSpec struct {
-	Index   int
-	Service string // svc_t00, svc_t01, ...
-	DB      string // db00, db01, ...
-	// Backend is BackendRel (the default) or BackendCSV.
-	Backend string
-	// Profile is ProfileOracle (the default), ProfileIngres,
-	// ProfileSybase or ProfileAutoCommit.
-	Profile string
-	// Tables are the imported tables assigned to a generated site. Every
-	// site carries "acct"; even-indexed sites also carry "orders", so
-	// multitable queries exercise pertinence skipping.
-	Tables []string
-	// Boot is the bootstrap SQL establishing the deterministic base
-	// state. It runs only when the backend does not hold DB yet.
-	Boot []string
-	// Dir keeps the backend on disk there: a relstore data directory or
-	// the csv store's table files, both reopened by the next Build.
-	// Empty keeps the store in memory.
-	Dir string
-	// PoolPages caps a rel backend's buffer pool (0 uses
-	// storage.DefaultPoolPages).
-	PoolPages int
-	// Seed drives the server's probabilistic fault injection.
-	Seed int64
-}
-
-// LDBMSProfile returns the capability profile the spec names.
-func (s SiteSpec) LDBMSProfile() ldbms.Profile {
-	switch s.Profile {
-	case ProfileIngres:
-		return ldbms.ProfileIngresLike()
-	case ProfileSybase:
-		return ldbms.ProfileSybaseLike()
-	case ProfileAutoCommit:
-		return ldbms.ProfileAutoCommitOnly()
-	default:
-		return ldbms.ProfileOracleLike()
-	}
-}
-
-// AutoCommitOnly reports a site without a prepare interface: the
+// autoCommitOnly reports a site without a prepare interface: the
 // scenario script incorporates it COMMITMODE COMMIT and vital workload
 // entries on it carry compensation.
-func (s SiteSpec) AutoCommitOnly() bool { return s.Profile == ProfileAutoCommit }
-
-// Build opens the site's backend and returns its server. The database
-// is created and Boot committed only when the backend does not hold it
-// yet, so a site rebuilt on its Dir keeps its rows.
-func (s SiteSpec) Build() (*ldbms.Server, error) {
-	var srv *ldbms.Server
-	switch s.Backend {
-	case "", BackendRel:
-		st, err := relstore.Open(relstore.Options{Dir: s.Dir, PoolPages: s.PoolPages})
-		if err != nil {
-			return nil, fmt.Errorf("topology: open %s store: %w", s.Service, err)
-		}
-		srv = ldbms.NewServerWith(s.Service, s.LDBMSProfile(), s.Seed, st)
-	case BackendCSV:
-		cs, err := csvstore.Open(s.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("topology: open %s store: %w", s.Service, err)
-		}
-		srv = ldbms.NewServerOn(s.Service, s.LDBMSProfile(), s.Seed, cs)
-	default:
-		return nil, fmt.Errorf("topology: unknown backend %q", s.Backend)
-	}
-	err := srv.CreateDatabase(s.DB)
-	if errors.Is(err, schema.ErrDBExists) {
-		return srv, nil
-	}
-	if err == nil {
-		err = boot(srv, s.DB, s.Boot)
-	}
-	if err != nil {
-		srv.Close()
-		return nil, fmt.Errorf("topology: build %s: %w", s.Service, err)
-	}
-	return srv, nil
-}
-
-// boot runs and commits the bootstrap SQL in one session.
-func boot(srv *ldbms.Server, db string, sql []string) error {
-	sess, err := srv.OpenSession(db)
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	for _, q := range sql {
-		if _, err := sess.Exec(q); err != nil {
-			return fmt.Errorf("boot %q: %w", q, err)
-		}
-	}
-	return sess.Commit()
-}
+func autoCommitOnly(s ldbms.Spec) bool { return !s.Capabilities().TwoPC }
 
 // serve serves srv on addr with a participant journal at journal.
 func serve(addr string, srv *ldbms.Server, journal string, tombstoneTTL time.Duration) (*lam.TCPServer, error) {
@@ -204,7 +96,7 @@ func serve(addr string, srv *ldbms.Server, journal string, tombstoneTTL time.Dur
 // Plan is a generated fleet layout.
 type Plan struct {
 	Spec  Spec
-	Sites []SiteSpec
+	Sites []ldbms.Spec
 }
 
 // Generate deterministically expands a Spec into a Plan. Backends are
@@ -228,36 +120,29 @@ func Generate(spec Spec) *Plan {
 		}
 	}
 	perm := rng.Perm(spec.Sites)
-	kind := make([]string, spec.Sites) // profile name per index
+	p := &Plan{Spec: spec, Sites: make([]ldbms.Spec, spec.Sites)}
 	for i, idx := range perm {
+		s := ldbms.Spec{
+			Service: fmt.Sprintf("svc_t%02d", idx),
+			DB:      fmt.Sprintf("db%02d", idx),
+			Profile: ldbms.ProfileOracleLike(),
+			Backend: ldbms.BackendRel,
+			Seed:    int64(idx) + 1,
+		}
 		switch {
 		case i < nCSV:
-			kind[idx] = ProfileAutoCommit
+			s.Profile, s.Backend = ldbms.ProfileAutoCommitOnly(), ldbms.BackendCSV
 		case i < nCSV+nIng:
-			kind[idx] = ProfileIngres
-		default:
-			kind[idx] = ProfileOracle
+			s.Profile = ldbms.ProfileIngresLike()
 		}
-	}
-	p := &Plan{Spec: spec}
-	for i := 0; i < spec.Sites; i++ {
-		s := SiteSpec{
-			Index:   i,
-			Service: fmt.Sprintf("svc_t%02d", i),
-			DB:      fmt.Sprintf("db%02d", i),
-			Profile: kind[i],
-			Backend: BackendRel,
-			Seed:    int64(i) + 1,
+		// Every site carries acct; even-indexed sites also carry
+		// orders, so multitable queries exercise pertinence skipping.
+		tables := []string{"acct"}
+		if idx%2 == 0 {
+			tables = append(tables, "orders")
 		}
-		if s.AutoCommitOnly() {
-			s.Backend = BackendCSV
-		}
-		s.Tables = []string{"acct"}
-		if i%2 == 0 {
-			s.Tables = append(s.Tables, "orders")
-		}
-		s.Boot = bootSQL(s.Tables, rowsPerTable)
-		p.Sites = append(p.Sites, s)
+		s.Boot = bootSQL(tables, rowsPerTable)
+		p.Sites[idx] = s
 	}
 	return p
 }
@@ -282,10 +167,10 @@ func bootSQL(tables []string, rows int) []string {
 // cannot prepare), and one IMPORT DATABASE. addr maps a site to its
 // listen address; a nil addr, or an empty address, leaves SITE out, so
 // the service is reached by the name its client is registered under.
-func (p *Plan) Script(addr func(SiteSpec) string) string {
+func (p *Plan) Script(addr func(ldbms.Spec) string) string {
 	var b strings.Builder
 	for _, s := range p.Sites {
-		prof := s.LDBMSProfile()
+		prof := s.Capabilities()
 		site := ""
 		if addr != nil {
 			if a := addr(s); a != "" {
@@ -309,7 +194,7 @@ func (p *Plan) Script(addr func(SiteSpec) string) string {
 // Site is one served fleet member: its spec, the in-process server, and
 // the TCP listener journaling prepared sessions to JournalPath.
 type Site struct {
-	Spec        SiteSpec
+	Spec        ldbms.Spec
 	Server      *ldbms.Server
 	TCP         *lam.TCPServer
 	JournalPath string
@@ -343,19 +228,19 @@ type Fleet struct {
 
 // Launch stands the plan up in-process: each site is built and served
 // on an ephemeral loopback port with a participant journal at
-// <dir>/<service>.journal. Site indices listed in skip are omitted —
-// crash tests serve those as child processes (LaunchSite) instead.
-func (p *Plan) Launch(dir string, skip ...int) (*Fleet, error) {
-	skipped := make(map[int]bool, len(skip))
-	for _, i := range skip {
-		skipped[i] = true
-	}
+// <dir>/<service>.journal. A csv site keeps its tables under dir (see
+// onDir), so a launch on the same dir reopens them instead of booting.
+// Services
+// listed in skip are omitted — crash tests serve those as child
+// processes (LaunchSite) instead.
+func (p *Plan) Launch(dir string, skip ...string) (*Fleet, error) {
 	f := &Fleet{Plan: p}
+	ttl := time.Duration(p.Spec.TombstoneTTLMS) * time.Millisecond
 	for _, spec := range p.Sites {
-		if skipped[spec.Index] {
+		if slices.Contains(skip, spec.Service) {
 			continue
 		}
-		site, err := launchSite(dir, spec, time.Duration(p.Spec.TombstoneTTLMS)*time.Millisecond)
+		site, err := launchSite(dir, onDir(dir, spec), ttl)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("topology: site %s: %w", spec.Service, err)
@@ -365,8 +250,18 @@ func (p *Plan) Launch(dir string, skip ...int) (*Fleet, error) {
 	return f, nil
 }
 
-func launchSite(dir string, spec SiteSpec, tombstoneTTL time.Duration) (*Site, error) {
-	srv, err := spec.Build()
+// onDir puts a csv site without a Dir at <dir>/<service>.data. A rel
+// site stays in memory: its participant journal would replay committed
+// redo on top of its own checkpoint.
+func onDir(dir string, s ldbms.Spec) ldbms.Spec {
+	if s.Backend == ldbms.BackendCSV && s.Dir == "" {
+		s.Dir = filepath.Join(dir, s.Service+".data")
+	}
+	return s
+}
+
+func launchSite(dir string, spec ldbms.Spec, tombstoneTTL time.Duration) (*Site, error) {
+	srv, err := ldbms.Open(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -404,5 +299,5 @@ func (f *Fleet) Script() string {
 	for _, s := range f.Sites {
 		served.Sites = append(served.Sites, s.Spec)
 	}
-	return served.Script(func(spec SiteSpec) string { return f.Site(spec.Service).Addr() })
+	return served.Script(func(spec ldbms.Spec) string { return f.Site(spec.Service).Addr() })
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"msql/internal/core"
 	"msql/internal/lam"
+	"msql/internal/ldbms"
 	"msql/internal/mtlog"
 	"msql/internal/netfault"
 )
@@ -37,15 +39,15 @@ func TestGenerateDeterministic(t *testing.T) {
 	// autocommit-only, every site bootstraps acct.
 	byProfile := map[string]int{}
 	for _, s := range a.Sites {
-		byProfile[s.Profile]++
-		if (s.Backend == BackendCSV) != s.AutoCommitOnly() {
-			t.Fatalf("site %s: backend %s mismatched with profile %s", s.Service, s.Backend, s.Profile)
+		byProfile[s.Profile.Name]++
+		if (s.Backend == ldbms.BackendCSV) != autoCommitOnly(s) {
+			t.Fatalf("site %s: backend %s mismatched with profile %s", s.Service, s.Backend, s.Profile.Name)
 		}
-		if s.Tables[0] != "acct" || len(s.Boot) == 0 {
-			t.Fatalf("site %s: tables %v boot %d", s.Service, s.Tables, len(s.Boot))
+		if len(s.Boot) == 0 || !strings.HasPrefix(s.Boot[0], "CREATE TABLE acct ") {
+			t.Fatalf("site %s: boot %v does not create acct first", s.Service, s.Boot)
 		}
 	}
-	for _, prof := range []string{ProfileOracle, ProfileIngres, ProfileAutoCommit} {
+	for _, prof := range []string{"oracle-like", "ingres-like", "autocommit-only"} {
 		if byProfile[prof] == 0 {
 			t.Fatalf("no %s sites in a 50-site fleet: %v", prof, byProfile)
 		}
@@ -55,7 +57,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	// autocommit-only entries.
 	autocommit := map[string]bool{}
 	for _, s := range a.Sites {
-		autocommit[s.DB] = s.AutoCommitOnly()
+		autocommit[s.DB] = autoCommitOnly(s)
 	}
 	sawComp := false
 	for _, u := range ua {
@@ -140,7 +142,7 @@ func TestFleetRunsMixedCapabilityUnits(t *testing.T) {
 	// The capability invariant: no autocommit-only site ever saw a
 	// prepare request.
 	for _, s := range fleet.Sites {
-		if s.Spec.AutoCommitOnly() {
+		if autoCommitOnly(s.Spec) {
 			if n := s.Server.Stats().Prepares; n != 0 {
 				t.Fatalf("autocommit-only site %s was asked to prepare %d times", s.Spec.Service, n)
 			}
@@ -172,9 +174,9 @@ func breakerState(t *testing.T, fed *core.Federation, site string) lam.BreakerSt
 // vitalBreakerFleet stands up a two-site fleet with the dark site
 // behind a netfault proxy, trips the proxy's breaker, and returns the
 // federation plus the dark site's database name.
-func vitalBreakerFleet(t *testing.T, darkSite SiteSpec, healthySite SiteSpec) (*core.Federation, string, *netfault.Proxy) {
+func vitalBreakerFleet(t *testing.T, darkSite ldbms.Spec, healthySite ldbms.Spec) (*core.Federation, string, *netfault.Proxy) {
 	t.Helper()
-	plan := &Plan{Sites: []SiteSpec{darkSite, healthySite}}
+	plan := &Plan{Sites: []ldbms.Spec{darkSite, healthySite}}
 	fleet, err := plan.Launch(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +191,7 @@ func vitalBreakerFleet(t *testing.T, darkSite SiteSpec, healthySite SiteSpec) (*
 	fed := core.New()
 	fed.CallTimeout = 150 * time.Millisecond
 	fed.SetBreaker(lam.BreakerPolicy{Threshold: 1, Cooldown: time.Hour})
-	setup := plan.Script(func(s SiteSpec) string {
+	setup := plan.Script(func(s ldbms.Spec) string {
 		if s.Service == darkSite.Service {
 			return proxy.Addr()
 		}
@@ -219,11 +221,8 @@ func vitalBreakerFleet(t *testing.T, darkSite SiteSpec, healthySite SiteSpec) (*
 // The satellite invariant, per backend: a VITAL scope entry behind an
 // open breaker must fail the multitransaction — never silently land in
 // Result.Degraded — while the same entry NON VITAL degrades cleanly.
-func testVitalBehindOpenBreaker(t *testing.T, darkSpec SiteSpec) {
-	healthy := SiteSpec{Index: 1, Service: "svc_ok", DB: "dbok", Backend: BackendRel,
-		Profile: ProfileOracle}
-	healthy.Tables = []string{"acct"}
-	healthy.Boot = bootSQL(healthy.Tables, 2)
+func testVitalBehindOpenBreaker(t *testing.T, darkSpec ldbms.Spec) {
+	healthy := ldbms.Spec{Service: "svc_ok", DB: "dbok", Boot: bootSQL([]string{"acct"}, 2)}
 	fed, darkDB, _ := vitalBreakerFleet(t, darkSpec, healthy)
 
 	// VITAL: the unit must fail outright.
@@ -252,18 +251,13 @@ func testVitalBehindOpenBreaker(t *testing.T, darkSpec SiteSpec) {
 }
 
 func TestVitalBehindOpenBreakerRelBackend(t *testing.T) {
-	dark := SiteSpec{Index: 0, Service: "svc_dark", DB: "dbdark",
-		Backend: BackendRel, Profile: ProfileOracle}
-	dark.Tables = []string{"acct"}
-	dark.Boot = bootSQL(dark.Tables, 2)
+	dark := ldbms.Spec{Service: "svc_dark", DB: "dbdark", Boot: bootSQL([]string{"acct"}, 2)}
 	testVitalBehindOpenBreaker(t, dark)
 }
 
 func TestVitalBehindOpenBreakerCSVBackend(t *testing.T) {
-	dark := SiteSpec{Index: 0, Service: "svc_dark", DB: "dbdark",
-		Backend: BackendCSV, Profile: ProfileAutoCommit}
-	dark.Tables = []string{"acct"}
-	dark.Boot = bootSQL(dark.Tables, 2)
+	dark := ldbms.Spec{Service: "svc_dark", DB: "dbdark", Backend: ldbms.BackendCSV,
+		Profile: ldbms.ProfileAutoCommitOnly(), Boot: bootSQL([]string{"acct"}, 2)}
 	testVitalBehindOpenBreaker(t, dark)
 }
 
@@ -273,19 +267,20 @@ func TestVitalBehindOpenBreakerCSVBackend(t *testing.T) {
 // live profile, the Ingres DDL autocommit).
 func TestBuildAcrossProfiles(t *testing.T) {
 	for _, tc := range []struct {
-		profile, backend    string
+		name                string
+		profile             ldbms.Profile
+		backend             string
 		connect, autocommit bool
 	}{
-		{ProfileOracle, BackendRel, true, false},
-		{ProfileIngres, BackendRel, true, false},
-		{ProfileSybase, BackendRel, false, false},
-		{ProfileAutoCommit, BackendCSV, true, true},
+		{"oracle", ldbms.ProfileOracleLike(), ldbms.BackendRel, true, false},
+		{"ingres", ldbms.ProfileIngresLike(), ldbms.BackendRel, true, false},
+		{"sybase", ldbms.ProfileSybaseLike(), ldbms.BackendRel, false, false},
+		{"autocommit", ldbms.ProfileAutoCommitOnly(), ldbms.BackendCSV, true, true},
 	} {
-		t.Run(tc.profile, func(t *testing.T) {
-			site := SiteSpec{Service: "svc_" + tc.profile, DB: "db_" + tc.profile,
-				Backend: tc.backend, Profile: tc.profile, Tables: []string{"acct"}}
-			site.Boot = bootSQL(site.Tables, 2)
-			fleet, err := (&Plan{Sites: []SiteSpec{site}}).Launch(t.TempDir())
+		t.Run(tc.name, func(t *testing.T) {
+			site := ldbms.Spec{Service: "svc_" + tc.name, DB: "db_" + tc.name,
+				Backend: tc.backend, Profile: tc.profile, Boot: bootSQL([]string{"acct"}, 2)}
+			fleet, err := (&Plan{Sites: []ldbms.Spec{site}}).Launch(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +294,7 @@ func TestBuildAcrossProfiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			if entry.Connect != tc.connect || entry.AutoCommitOnly != tc.autocommit ||
-				entry.DDLCommit["CREATE"] != (tc.profile == ProfileIngres) {
+				entry.DDLCommit["CREATE"] != (tc.name == "ingres") {
 				t.Fatalf("AD entry CONNECT=%v COMMIT=%v DDLCommit=%v, want %v %v", entry.Connect,
 					entry.AutoCommitOnly, entry.DDLCommit, tc.connect, tc.autocommit)
 			}
@@ -314,44 +309,62 @@ func TestBuildAcrossProfiles(t *testing.T) {
 	}
 }
 
-// TestBuildReopensDir: a disk relstore site and a csv site rebuilt on
-// the same Dir keep their committed rows and do not boot again.
-func TestBuildReopensDir(t *testing.T) {
-	for _, backend := range []string{BackendRel, BackendCSV} {
-		t.Run(backend, func(t *testing.T) {
-			site := SiteSpec{Service: "svc_d", DB: "dbd", Backend: backend, Dir: t.TempDir(),
-				Tables: []string{"acct"}}
-			if backend == BackendCSV {
-				site.Profile = ProfileAutoCommit
-			}
-			site.Boot = bootSQL(site.Tables, 2)
-			srv, err := site.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := boot(srv, site.DB, []string{"INSERT INTO acct VALUES (9, 'kept', 1.0)"}); err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			srv, err = site.Build()
-			if err != nil {
-				t.Fatalf("rebuild: %v", err)
-			}
-			defer srv.Close()
-			sess, err := srv.OpenSession(site.DB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			res, err := sess.Exec("SELECT id FROM acct")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) != 3 {
-				t.Fatalf("reopened acct holds %d rows, want 3 (2 booted once + 1 committed)", len(res.Rows))
-			}
-		})
+// TestLaunchReopensCSVData: a fleet launched again on the same dir
+// reopens its csv sites' tables there — a committed row is still
+// present and the seed rows are not booted twice.
+func TestLaunchReopensCSVData(t *testing.T) {
+	dir := t.TempDir()
+	plan := Generate(Spec{Sites: 4, Seed: 3})
+	var csvSite ldbms.Spec
+	for _, s := range plan.Sites {
+		if s.Backend == ldbms.BackendCSV {
+			csvSite = s
+			break
+		}
+	}
+	if csvSite.Service == "" {
+		t.Fatal("no csv site in the plan")
+	}
+	ids := func(fleet *Fleet) []int64 {
+		t.Helper()
+		sess, err := fleet.Site(csvSite.Service).Server.OpenSession(csvSite.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		res, err := sess.Exec("SELECT id FROM acct ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int64
+		for _, r := range res.Rows {
+			out = append(out, r[0].I)
+		}
+		return out
+	}
+
+	fleet, err := plan.Launch(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := core.New()
+	if _, err := fed.ExecScript(fleet.Script()); err != nil {
+		fleet.Close()
+		t.Fatal(err)
+	}
+	_, err = fed.ExecScript(fmt.Sprintf("USE %s\nINSERT INTO acct VALUES (77, 'kept', 1.0)\nCOMMIT", csvSite.DB))
+	fleet.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fleet, err = plan.Launch(dir)
+	if err != nil {
+		t.Fatalf("relaunch: %v", err)
+	}
+	defer fleet.Close()
+	want := []int64{1, 2, 3, 4, 77}
+	if got := ids(fleet); !reflect.DeepEqual(got, want) {
+		t.Fatalf("relaunched csv site holds ids %v, want %v (seed rows once, the committed row kept)", got, want)
 	}
 }

@@ -40,7 +40,7 @@ func (p *Plan) UnitFor(id int, dbs []string, vital []bool) *Unit {
 	u := &Unit{ID: id, RowID: unitRowBase + id}
 	autocommit := make(map[string]bool, len(p.Sites))
 	for _, s := range p.Sites {
-		autocommit[s.DB] = s.AutoCommitOnly()
+		autocommit[s.DB] = autoCommitOnly(s)
 	}
 	var use []string
 	var comps []string

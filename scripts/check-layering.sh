@@ -1,29 +1,41 @@
 #!/bin/sh
 # Layering guard. Columns, rows and the missing-object errors belong to
-# internal/schema; the relstore engine is an implementation detail of
-# the code that builds one (relstore itself, its backend adapter, the
-# LDBMS server that defaults to it, and topology, the one builder of
-# served sites, which opens it on disk).
-# Fails if any other non-test package imports relstore, or if the
-# executor, the csv engine or the backend seam link it at all. The wire
-# protocol's codec is internal/wire's business: it fails, too, if any
-# other non-test package imports encoding/gob. Run from the repository
-# root; `make check` and CI run it.
+# internal/schema; the storage engines are an implementation detail of
+# the code that builds them: relstore's backend adapter and ldbms.Open,
+# the one builder of a simulated product instance, which opens relstore
+# or csvstore in memory or on disk.
+# Fails if any other non-test package imports relstore or csvstore, or
+# if the executor, the csv engine or the backend seam link relstore at
+# all. The wire protocol's codec is internal/wire's business: it fails,
+# too, if any other non-test package imports encoding/gob. Run from the
+# repository root; `make check` and CI run it.
 set -eu
 
 rel=msql/internal/relstore
+csv=msql/internal/csvstore
 fail=0
 
-importers=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
-    awk -v rel="$rel" '{ for (i = 2; i <= NF; i++) if ($i == rel) print $1 }')
-for p in $importers; do
+# importers prints the non-test packages that import $1.
+importers() {
+    go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
+        awk -v dep="$1" '{ for (i = 2; i <= NF; i++) if ($i == dep) print $1 }'
+}
+
+for p in $(importers "$rel"); do
     case "$p" in
-    msql/internal/relbackend | msql/internal/ldbms | msql/internal/topology) ;;
+    msql/internal/relbackend | msql/internal/ldbms) ;;
     *)
-        echo "check-layering: $p imports $rel (name columns and errors through internal/schema)" >&2
+        echo "check-layering: $p imports $rel (name columns and errors through internal/schema; build sites with ldbms.Open)" >&2
         fail=1
         ;;
     esac
+done
+
+for p in $(importers "$csv"); do
+    if [ "$p" != msql/internal/ldbms ]; then
+        echo "check-layering: $p imports $csv (build sites with ldbms.Open)" >&2
+        fail=1
+    fi
 done
 
 for p in ./internal/sqlengine ./internal/csvstore ./internal/backend; do
@@ -33,9 +45,7 @@ for p in ./internal/sqlengine ./internal/csvstore ./internal/backend; do
     fi
 done
 
-gobbers=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
-    awk '{ for (i = 2; i <= NF; i++) if ($i == "encoding/gob") print $1 }')
-for p in $gobbers; do
+for p in $(importers encoding/gob); do
     if [ "$p" != msql/internal/wire ]; then
         echo "check-layering: $p imports encoding/gob (speak the wire protocol through internal/wire)" >&2
         fail=1
@@ -45,4 +55,4 @@ done
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "check-layering: only relbackend, ldbms and topology import relstore; only wire imports encoding/gob"
+echo "check-layering: only relbackend and ldbms import relstore; only ldbms imports csvstore; only wire imports encoding/gob"
