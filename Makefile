@@ -24,7 +24,7 @@ check:
 # bench/ is a module of its own (BENCHMARK.json runs it); root
 # build/test ./... do not see it, so vet and test it where it lives.
 # Nothing in it is skipped; scripts/bench-test.sh says which single
-# complaint of TestSmoke/vital_2pc it tolerates, and why.
+# complaint of TestSmoke/cross_join_ship it tolerates, and why.
 bench-check:
 	go -C bench vet ./...
 	sh scripts/bench-test.sh

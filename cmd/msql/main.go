@@ -96,12 +96,18 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "bootstrap:", err)
 		return 1
 	}
-	// Last on the way out: stop the LAMs, then checkpoint the stores.
+	// Last on the way out: close the LAM clients, whose close sends the
+	// last unit's END acknowledgments, stop the LAMs, then checkpoint the
+	// stores, and only then stop the fleet the clients acknowledged to.
 	// Commits already checkpointed; this flushes buffer pools and closes
 	// the heap files (and participant journals) cleanly.
+	var fleet *topology.Fleet
 	defer func() {
 		if err := fed.CloseServers(); err != nil {
 			fmt.Fprintln(os.Stderr, "close stores:", err)
+		}
+		if fleet != nil {
+			fleet.Close()
 		}
 	}()
 	if *breakerN > 0 {
@@ -127,12 +133,10 @@ func realMain() int {
 		plan := topology.Generate(topology.Spec{
 			Sites: *fleetN, Seed: *fleetSeed, CSVFraction: *fleetCSV,
 		})
-		fleet, err := plan.Launch(dir)
-		if err != nil {
+		if fleet, err = plan.Launch(dir); err != nil {
 			fmt.Fprintln(os.Stderr, "fleet:", err)
 			return 1
 		}
-		defer fleet.Close()
 		if _, err := fed.ExecScript(fleet.Script()); err != nil {
 			fmt.Fprintln(os.Stderr, "fleet incorporate:", err)
 			return 1

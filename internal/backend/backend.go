@@ -42,6 +42,9 @@ import (
 type Backend interface {
 	// CreateDatabase creates a database, failing if it exists.
 	CreateDatabase(name string) error
+	// DropDatabase removes a database and everything it holds, outside
+	// any transaction.
+	DropDatabase(name string) error
 	// DatabaseNames lists hosted databases in sorted order.
 	DatabaseNames() []string
 	// HasDatabase reports whether the database exists.

@@ -138,9 +138,10 @@ func newCountingProxy(t *testing.T, backend string) *countingProxy {
 }
 
 // TestEndAcksRideThePooledClient: the END acknowledgment of a clean 2PC
-// unit goes over the site's pooled client, so once the first unit has
-// warmed the pool, further units open no connection at all — while every
-// participant still gets acknowledged and drops its tombstone.
+// unit rides the next request of the site's pooled client, so once the
+// first unit has warmed the pool, further units open no connection at
+// all — while every participant still gets acknowledged and drops its
+// tombstone as soon as the site hears from the coordinator again.
 func TestEndAcksRideThePooledClient(t *testing.T) {
 	srv := openSite(t, ldbms.Spec{Service: "svc_ack", DB: "ackdb", Boot: []string{
 		"CREATE TABLE acct (id INTEGER, bal FLOAT)", "INSERT INTO acct VALUES (1, 0.0)",
@@ -171,6 +172,10 @@ IMPORT DATABASE ackdb FROM SERVICE svc_ack;
 		if st := res[len(res)-1].State; st != StateSuccess {
 			t.Fatalf("unit state = %s, want success", st)
 		}
+		// The site's next request carries the ack.
+		if _, err := fed.ExecScript("USE ackdb\nSELECT id FROM acct"); err != nil {
+			t.Fatal(err)
+		}
 		if n := ts.Tombstones(); n != 0 {
 			t.Fatalf("%d tombstones after a clean unit: the END ack did not arrive", n)
 		}
@@ -192,7 +197,8 @@ IMPORT DATABASE ackdb FROM SERVICE svc_ack;
 // TestUnjournaledUnitsAcknowledgeTheirParticipants: a coordinator
 // without a journal still ends every fully terminal unit with its END
 // acknowledgments, so a LAM keeps no outcome tombstone per vote until
-// its TTL (by default, forever).
+// its TTL (by default, forever). The last unit's acks ride the read
+// that follows it.
 func TestUnjournaledUnitsAcknowledgeTheirParticipants(t *testing.T) {
 	fed, _, _, _, lams := faultFederation(t)
 	const units = 20
@@ -205,6 +211,9 @@ func TestUnjournaledUnitsAcknowledgeTheirParticipants(t *testing.T) {
 			t.Fatalf("unit %d: state = %s, want success", i, st)
 		}
 	}
+	if _, err := fed.ExecScript("USE continental united\nSELECT rate% FROM flight%"); err != nil {
+		t.Fatal(err)
+	}
 	for db, ts := range lams {
 		if n := ts.Tombstones(); n != 0 {
 			t.Errorf("%s: %d tombstones after %d clean units, want 0", db, n, units)
@@ -214,9 +223,9 @@ func TestUnjournaledUnitsAcknowledgeTheirParticipants(t *testing.T) {
 
 // TestLoopbackParticipantsRecoverAsAborted: a LAM the federation serves
 // on an ephemeral loopback port without a participant journal dies with
-// the coordinator, and its prepared sessions with it. Its votes are
-// journaled without an address, so a restarted coordinator records them
-// aborted instead of dialing a port nobody listens on any more.
+// the coordinator, and its prepared sessions with it. The decision names
+// those branches without an address, so a restarted coordinator records
+// them aborted instead of dialing a port nobody listens on any more.
 func TestLoopbackParticipantsRecoverAsAborted(t *testing.T) {
 	dir := t.TempDir()
 	a := paperFederation(t, false)
@@ -237,14 +246,16 @@ func TestLoopbackParticipantsRecoverAsAborted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var open []mtlog.Record // the unit as a crash before its decision leaves it
+	var open []mtlog.Record // the unit as a crash right after its decision leaves it
 	votes := 0
 	for _, r := range recs {
 		switch r.Type {
-		case mtlog.TPrepared:
-			votes++
-			if r.Addr != "" {
-				t.Errorf("task %s journaled at %q, want no address", r.Task, r.Addr)
+		case mtlog.TDecision:
+			for _, b := range r.Branches {
+				votes++
+				if b.Addr != "" {
+					t.Errorf("task %s journaled at %q, want no address", b.Task, b.Addr)
+				}
 			}
 			fallthrough
 		case mtlog.TBegin:
@@ -252,7 +263,7 @@ func TestLoopbackParticipantsRecoverAsAborted(t *testing.T) {
 		}
 	}
 	if votes != 2 {
-		t.Fatalf("%d prepared records, want 2", votes)
+		t.Fatalf("%d branches in the decision, want 2", votes)
 	}
 	a.CloseServers() // the coordinator's process, and its LAMs, are gone
 
@@ -276,5 +287,39 @@ func TestLoopbackParticipantsRecoverAsAborted(t *testing.T) {
 	if rep.Multitransactions != 1 || len(rep.Unreachable) != 0 {
 		t.Fatalf("recovery examined %d units, unreachable %+v; want 1 unit and nothing unreachable",
 			rep.Multitransactions, rep.Unreachable)
+	}
+}
+
+// TestCloseServersSendsQueuedAcks: the last unit's END acknowledgments
+// wait for the site's next request; a federation shutting down sends
+// them as it closes its clients, the lazily dialed ones included, so a
+// clean exit leaves no tombstone (and no unacknowledged session for a
+// participant journal to replay).
+func TestCloseServersSendsQueuedAcks(t *testing.T) {
+	ts := serveLAM(t, openSite(t, ldbms.Spec{Service: "svc_ack", DB: "ackdb", Boot: []string{
+		"CREATE TABLE acct (id INTEGER, bal FLOAT)", "INSERT INTO acct VALUES (1, 0.0)",
+	}}))
+	fed := New()
+	if _, err := fed.ExecScript(fmt.Sprintf(`
+INCORPORATE SERVICE svc_ack SITE '%s' CONNECTMODE CONNECT COMMITMODE NOCOMMIT;
+IMPORT DATABASE ackdb FROM SERVICE svc_ack;
+`, ts.Addr())); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fed.ExecScript("USE ackdb VITAL\nUPDATE acct SET bal = bal + 1 WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res[len(res)-1].State; st != StateSuccess {
+		t.Fatalf("unit state = %s, want success", st)
+	}
+	if n := ts.Tombstones(); n != 1 {
+		t.Fatalf("%d tombstones before the shutdown, want the queued ack's 1", n)
+	}
+	if err := fed.CloseServers(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ts.Tombstones(); n != 0 {
+		t.Fatalf("%d tombstones after CloseServers, want 0", n)
 	}
 }

@@ -405,13 +405,19 @@ func (f *Federation) ephemeral(addr string) bool {
 	return false
 }
 
-// CloseServers closes the LAM clients and listeners the federation
-// serves its local servers on, then checkpoints and closes every local
-// server's store. Memory-backed stores close as no-ops; disk-backed ones
-// flush their buffer pools and catalogs so a later process can reopen
-// the data directory.
+// CloseServers closes every LAM client the federation holds — a client
+// sends the END acknowledgments still queued for its site as it closes,
+// while the site still listens — then the listeners of its local
+// servers, then checkpoints and closes every local server's store.
+// Memory-backed stores close as no-ops; disk-backed ones flush their
+// buffer pools and catalogs so a later process can reopen the data
+// directory.
 func (f *Federation) CloseServers() error {
 	f.mu.Lock()
+	clients := make([]lam.Client, 0, len(f.clients))
+	for _, c := range f.clients {
+		clients = append(clients, c)
+	}
 	local := f.local
 	f.local = make(map[string]localLAM)
 	servers := make([]*ldbms.Server, 0, len(f.servers))
@@ -419,6 +425,9 @@ func (f *Federation) CloseServers() error {
 		servers = append(servers, s)
 	}
 	f.mu.Unlock()
+	for _, c := range clients {
+		c.Close()
+	}
 	var first error
 	for _, l := range local {
 		l.client.Close()

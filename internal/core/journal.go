@@ -24,10 +24,10 @@ var ErrDrained = errors.New("core: script execution drained")
 // SetJournal attaches a write-ahead multitransaction journal. Every
 // synchronized unit, global DML statement, and multitransaction run
 // after the call is journaled: begin record with the plan's task
-// topology, prepared participants, synchronization-point decisions
-// (durable before the first COMMIT is delivered), terminal outcomes,
-// and an end record once fully terminal. Recover replays the journal
-// after a crash.
+// topology, synchronization-point decisions with the prepared
+// participants they cover (durable before the first COMMIT is
+// delivered), terminal outcomes, and an end record once fully terminal.
+// Recover replays the journal after a crash.
 func (f *Federation) SetJournal(j *mtlog.Journal) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -78,23 +78,21 @@ type txJournal struct {
 	mtid uint64
 }
 
-// TaskPrepared journals a participant's re-attach address, or none for
-// a LAM this federation serves without a participant journal: such a
-// session dies with the coordinator, so Recover records it aborted
-// instead of dialing a port nobody listens on any more.
-func (t *txJournal) TaskPrepared(task, addr string, sessionID int64) {
-	if t.f.ephemeral(addr) {
-		addr = ""
+// Decision journals a decision with its branches: each vote's re-attach
+// address, or none for a LAM this federation serves without a
+// participant journal — such a session dies with the coordinator, so
+// Recover records it aborted instead of dialing a port nobody listens on
+// any more.
+func (t *txJournal) Decision(commit bool, tasks []string, votes []dolengine.Vote) error {
+	rec := &mtlog.Record{Type: mtlog.TDecision, MTID: t.mtid, Commit: commit, Decided: tasks}
+	for _, v := range votes {
+		addr := v.Addr
+		if t.f.ephemeral(addr) {
+			addr = ""
+		}
+		rec.Branches = append(rec.Branches, mtlog.Branch{Task: v.Task, Addr: addr, SessionID: v.SessionID})
 	}
-	_ = t.j.Append(&mtlog.Record{
-		Type: mtlog.TPrepared, MTID: t.mtid, Task: task, Addr: addr, SessionID: sessionID,
-	})
-}
-
-func (t *txJournal) Decision(commit bool, tasks []string) error {
-	return t.j.Append(&mtlog.Record{
-		Type: mtlog.TDecision, MTID: t.mtid, Commit: commit, Decided: tasks,
-	})
+	return t.j.Append(rec)
 }
 
 func (t *txJournal) TaskOutcome(task string, st dol.TaskStatus) {
@@ -126,10 +124,11 @@ func (f *Federation) siteOf(db string) string {
 
 // runPlan executes a manipulation plan, journaling it when a journal is
 // attached: a begin record with the task topology goes in before the
-// engine starts, the engine reports prepared/decision/outcome records
-// through a txJournal, and an end record closes the multitransaction
-// when nothing is left unresolved. A fully terminal unit, journaled or
-// not, then acknowledges its prepared participants.
+// engine starts, the engine reports decision/outcome records through a
+// txJournal, and an end record closes the multitransaction when nothing
+// is left unresolved. A fully terminal unit, journaled or not, then
+// acknowledges its prepared participants; the acknowledgments ride each
+// site's next request.
 func (f *Federation) runPlan(ctx context.Context, kind string, prog *dol.Program, meta *translate.Meta) (*dolengine.Outcome, error) {
 	sp, ctx := obs.StartSpan(ctx, "execute:"+kind, obs.KindEngine)
 	out, err := f.runPlanTraced(ctx, kind, prog, meta)
@@ -142,7 +141,7 @@ func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.P
 	if j == nil {
 		out, err := f.engine.Run(ctx, prog)
 		if terminal(meta, out, err) {
-			f.engine.Forget(out.Prepared)
+			f.engine.Forget(ctx, out.Prepared)
 		}
 		return out, err
 	}
@@ -177,16 +176,16 @@ func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.P
 		_ = j.Append(&mtlog.Record{
 			Type: mtlog.TEnd, MTID: begin.MTID, State: "status=" + strconv.Itoa(out.Status),
 		})
-		f.engine.Forget(out.Prepared)
+		f.engine.Forget(ctx, out.Prepared)
 	}
 	return out, err
 }
 
 // terminal reports whether a plan run left nothing open: no engine
 // error, no unresolved participant, no compensation owed. Its END
-// acknowledgment round may then tell every once-prepared participant to
-// forget the session. The round is best-effort — a lost ack is
-// backstopped by the participant's tombstone TTL.
+// acknowledgments may then tell every once-prepared participant to
+// forget the session. They are best-effort — a lost ack is backstopped
+// by the participant's tombstone TTL.
 func terminal(meta *translate.Meta, out *dolengine.Outcome, err error) bool {
 	return err == nil && out != nil && len(out.Unresolved) == 0 && !compOwed(meta, out)
 }
@@ -237,23 +236,27 @@ type RecoveryReport struct {
 
 // Recover terminates everything a coordinator restart left open, in one
 // call made before the federation accepts sessions. First it replays the
-// attached journal: every prepared participant without a terminal outcome
-// is driven to its logged decision (re-attaching through wire.ReqAttach;
-// tasks no commit decision covers are presumed aborted), compensations
-// still owed for committed subqueries of aborted units are re-run, units
-// that become fully terminal get end records, and the journal is
-// compacted.
+// attached journal: every branch a decision names (or, in a journal
+// written before decisions named them, every prepared record) without a
+// terminal outcome is driven to its logged decision (re-attaching
+// through wire.ReqAttach; tasks no commit decision covers are presumed
+// aborted), compensations still owed for committed subqueries of aborted
+// units are re-run, units that become fully terminal get end records,
+// and the journal is compacted.
 //
 // Then it sweeps orphans: every incorporated remote site is asked for its
-// in-doubt sessions, and each one no open multitransaction covers is
-// rolled back and acknowledged. Such orphans exist because the coordinator
-// logs a prepared record only after the participant's vote returns: a
-// crash between the vote and the record's flush leaves the participant
-// holding locks for a session the journal never heard of. The write-ahead
-// rule makes the sweep safe: a commit decision is durable only after every
-// prepared record it covers, so a session absent from the journal was
-// never promised a commit. A site the sweep cannot reach is reported as
-// the returned error, together with the report; a later call retries it.
+// in-doubt sessions, and each one no open multitransaction's branches
+// cover is rolled back and acknowledged. The coordinator journals a vote
+// only in the decision that covers it, so a crash between the votes and
+// the decision's fsync leaves participants holding locks for sessions
+// the journal never heard of: the sweep is what ends such a unit. The
+// write-ahead rule makes it safe: a commit is delivered only after the
+// decision naming the session is durable, so a session absent from the
+// journal was never promised a commit. The sweep runs before any unit is
+// in flight; one that ran beside live units would have to count their
+// votes, held in memory, as covered too. A site the sweep cannot reach is
+// reported as the returned error, together with the report; a later call
+// retries it.
 //
 // Recover is idempotent: a second call finds nothing to do.
 func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
@@ -281,12 +284,12 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 			parts []Participant
 			bs    []dolengine.Branch
 		)
-		for task, prec := range s.Prepared {
+		for task, b := range s.Branches {
 			if _, done := s.Outcomes[task]; done {
 				continue
 			}
 			commit, _ := s.DecisionFor(task)
-			if prec.Addr == "" {
+			if b.Addr == "" {
 				// The session's LAM was served by the coordinator's own
 				// process without a participant journal: it died with the
 				// coordinator and took the session with it; record the abort.
@@ -294,7 +297,7 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 				s.Outcomes[task] = mtlog.StatusAborted
 				continue
 			}
-			p := Participant{Addr: prec.Addr, SessionID: prec.SessionID, Commit: commit}
+			p := Participant{Addr: b.Addr, SessionID: b.SessionID, Commit: commit}
 			if d, ok := s.Decl(task); ok {
 				p.Entry, p.Database = d.Entry, d.Database
 			}
@@ -355,11 +358,15 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 			// The unit is fully terminal: acknowledge every once-prepared
 			// remote participant so tombstones and participant journals
 			// can be reclaimed.
-			var acks []dolengine.Branch
-			for _, prec := range s.Prepared {
-				acks = append(acks, dolengine.Branch{Site: prec.Addr, SessionID: prec.SessionID})
+			var acks []dolengine.Vote
+			for _, b := range s.Branches {
+				if b.Addr != "" {
+					acks = append(acks, dolengine.Vote{Site: b.Addr, SessionID: b.SessionID})
+				}
 			}
-			f.engine.Forget(acks)
+			actx, cancel := context.WithTimeout(ctx, f.engine.RecoverTimeout)
+			f.engine.Forget(actx, acks)
+			cancel()
 		}
 	}
 	dropped, err := j.Compact()
@@ -371,8 +378,8 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 	covered := make(map[dolengine.Branch]bool)
 	for _, s := range states {
 		if !s.Ended {
-			for _, prec := range s.Prepared {
-				covered[dolengine.Branch{Site: prec.Addr, SessionID: prec.SessionID}] = true
+			for _, b := range s.Branches {
+				covered[dolengine.Branch{Site: b.Addr, SessionID: b.SessionID}] = true
 			}
 		}
 	}

@@ -166,54 +166,85 @@ func (c *failFirstResolve) Resolve(ctx context.Context, id int64, commit bool) (
 // TestRecoverSparesJournaledSessions: a parked session the coordinator
 // journal DOES cover belongs to the journal replay, which may hold a
 // commit decision for it — the sweep must not presume abort, even when
-// the replay could not reach the session and left its unit open.
+// the replay could not reach the session and left its unit open. The
+// journal covers it with a branch of a commit decision, or, in a journal
+// written before decisions named their branches, with a prepared record
+// and no decision (so the replay rolls it back).
 func TestRecoverSparesJournaledSessions(t *testing.T) {
-	ts := serveLAM(t, openSite(t, ldbms.Spec{Service: "svc_orph", DB: "orphdb",
-		Boot: []string{"CREATE TABLE acct (id INTEGER, bal FLOAT)"}}))
+	for _, tc := range []struct {
+		name   string
+		record func(addr string, sid int64) *mtlog.Record
+		commit bool
+	}{
+		{"decision branch", func(addr string, sid int64) *mtlog.Record {
+			return &mtlog.Record{Type: mtlog.TDecision, MTID: 42, Commit: true, Decided: []string{"t1"},
+				Branches: []mtlog.Branch{{Task: "t1", Addr: addr, SessionID: sid}}}
+		}, true},
+		{"prepared record", func(addr string, sid int64) *mtlog.Record {
+			return &mtlog.Record{Type: mtlog.TPrepared, MTID: 42, Task: "t1", Addr: addr, SessionID: sid}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := openSite(t, ldbms.Spec{Service: "svc_orph", DB: "orphdb",
+				Boot: []string{"CREATE TABLE acct (id INTEGER, bal FLOAT)"}})
+			ts := serveLAM(t, srv)
 
-	fed := orphanFederation(t, ts.Addr())
-	sid := parkOrphan(t, ts.Addr(), "orphdb", 42, "INSERT INTO acct VALUES (1, 10.0)")
-	waitParked(t, ts, 1)
+			fed := orphanFederation(t, ts.Addr())
+			sid := parkOrphan(t, ts.Addr(), "orphdb", 42, "INSERT INTO acct VALUES (1, 10.0)")
+			waitParked(t, ts, 1)
 
-	// The journal knows this session: an open multitransaction with its
-	// prepared record (the crash landed after the flush).
-	j := fed.Journal()
-	if err := j.Append(&mtlog.Record{Type: mtlog.TBegin, MTID: 42, Kind: "sync"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(&mtlog.Record{Type: mtlog.TPrepared, MTID: 42, Task: "t1",
-		Addr: ts.Addr(), SessionID: sid}); err != nil {
-		t.Fatal(err)
-	}
+			// The journal knows this session: an open multitransaction
+			// whose record of it is durable.
+			j := fed.Journal()
+			if err := j.Append(&mtlog.Record{Type: mtlog.TBegin, MTID: 42, Kind: "sync"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(tc.record(ts.Addr(), sid)); err != nil {
+				t.Fatal(err)
+			}
 
-	// The replay's one attempt fails: the unit stays open, the session
-	// parked, and the sweep that follows finds it.
-	c, err := fed.Resolve(ts.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed.RegisterClient(ts.Addr(), &failFirstResolve{Client: c})
-	rep, err := fed.Recover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swept := rep.Orphans; len(swept) != 0 {
-		t.Fatalf("swept journaled session: %+v", swept)
-	}
-	if got := len(ts.InDoubt()); got != 1 {
-		t.Fatalf("parked sessions = %d, want the journaled one untouched", got)
-	}
+			// The replay's one attempt fails: the unit stays open, the
+			// session parked, and the sweep that follows finds it.
+			c, err := fed.Resolve(ts.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed.RegisterClient(ts.Addr(), &failFirstResolve{Client: c})
+			rep, err := fed.Recover(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if swept := rep.Orphans; len(swept) != 0 {
+				t.Fatalf("swept journaled session: %+v", swept)
+			}
+			if got := len(ts.InDoubt()); got != 1 {
+				t.Fatalf("parked sessions = %d, want the journaled one untouched", got)
+			}
 
-	// The replay owns it: with no decision record, presumed abort applies —
-	// through the journal-driven path.
-	rep, err = fed.Recover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Resolved) != 1 || rep.Resolved[0].Commit {
-		t.Fatalf("resolved = %+v, want one rollback", rep.Resolved)
-	}
-	if got := len(ts.InDoubt()); got != 0 {
-		t.Fatalf("parked sessions after Recover = %d, want 0", got)
+			// The replay owns it and delivers the journal's decision
+			// (presumed abort when there is none).
+			rep, err = fed.Recover(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Resolved) != 1 || rep.Resolved[0].Commit != tc.commit {
+				t.Fatalf("resolved = %+v, want one with commit=%v", rep.Resolved, tc.commit)
+			}
+			if got := len(ts.InDoubt()); got != 0 {
+				t.Fatalf("parked sessions after Recover = %d, want 0", got)
+			}
+			sess, err := srv.OpenSession("orphdb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			res, err := sess.Exec("SELECT id FROM acct")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]int{true: 1, false: 0}[tc.commit]; len(res.Rows) != want {
+				t.Fatalf("acct rows = %v, want %d", res.Rows, want)
+			}
+		})
 	}
 }

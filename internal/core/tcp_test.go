@@ -163,8 +163,9 @@ func serverRequests() map[string]int64 {
 // its own: a 2-site SELECT is one exec+commit per site (4 requests
 // before: exec and commit per site), a VITAL UPDATE + COMMIT an
 // exec+prepare and a commit per site (6 before: exec, prepare and
-// commit per site), plus the unit's END acknowledgment per site, a
-// forget, which goes out with or without a coordinator journal.
+// commit per site). The unit's END acknowledgments, which go out with
+// or without a coordinator journal, ride each site's next request
+// (wire.Request.Forget): no forget request of their own (2 before).
 func TestWireRequestsPerStatement(t *testing.T) {
 	fed, _ := tcpFederation(t)
 	for _, tc := range []struct {
@@ -174,7 +175,7 @@ func TestWireRequestsPerStatement(t *testing.T) {
 		{"2-site select", "USE continental united\nSELECT rate% FROM flight%",
 			map[string]int64{"exec+commit": 2}},
 		{"vital update", "USE continental VITAL united VITAL\nUPDATE flight% SET rate% = rate% * 1.0 WHERE sour% = 'Houston'\nCOMMIT",
-			map[string]int64{"exec+prepare": 2, "commit": 2, "forget": 2}},
+			map[string]int64{"exec+prepare": 2, "commit": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

@@ -136,3 +136,28 @@ UPDATE continental.flights SET day = 'sun' WHERE flights.flnu IN (SELECT h.flnu 
 		t.Fatalf("flights the correlated update reached = %v, %v; want [100]", got, err)
 	}
 }
+
+// TestUnionBranchColumnStaysInItsBranch: an unqualified column that no
+// table of its own UNION branch holds is unresolved, even when another
+// branch's table holds it — the expander refuses the query instead of
+// sending the site a column of the wrong branch. Only the union's
+// trailing ORDER BY may name a later branch's column.
+func TestUnionBranchColumnStaysInItsBranch(t *testing.T) {
+	f := paperFederation(t, false)
+	for _, q := range []string{
+		"SELECT flnu FROM continental.flights UNION SELECT flnu FROM continental.f838",
+		"SELECT seatnu FROM continental.flights UNION SELECT seatnu FROM continental.f838",
+	} {
+		if _, err := f.ExecScript("USE continental\n" + q); !errors.Is(err, semvar.ErrUnresolved) {
+			t.Fatalf("%s: err = %v, want semvar.ErrUnresolved", q, err)
+		}
+	}
+	results, err := f.ExecScript("USE continental\n" +
+		"SELECT flnu FROM continental.flights UNION SELECT seatnu FROM continental.f838 ORDER BY seatnu DESC LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := results[len(results)-1].Multitable.Tables[0].Rows; len(rows) != 1 || rows[0][0].String() != "102" {
+		t.Fatalf("ORDER BY a later branch's column: rows = %v, want [[102]]", rows)
+	}
+}

@@ -130,6 +130,21 @@ func (s *Store) CreateDatabase(name string) error {
 	return nil
 }
 
+// DropDatabase implements backend.Backend: the database's directory
+// goes with it.
+func (s *Store) DropDatabase(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.dbs[name]; !ok {
+		return fmt.Errorf("%w: %s", schema.ErrNoDatabase, name)
+	}
+	delete(s.dbs, name)
+	if s.dir == "" {
+		return nil
+	}
+	return os.RemoveAll(filepath.Join(s.dir, name))
+}
+
 // DatabaseNames implements backend.Backend.
 func (s *Store) DatabaseNames() []string {
 	s.mu.Lock()

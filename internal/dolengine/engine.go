@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -107,11 +108,22 @@ type Outcome struct {
 	Unresolved []InDoubt
 	// Ships records every SHIP statement the program reached.
 	Ships map[*dol.ShipStmt]ShipInfo
-	// Prepared lists the remote participants that voted yes, each under
-	// the Directory key of its site. Once the unit is fully terminal the
-	// coordinator acknowledges them (Engine.Forget), so their LAMs can
-	// release the sessions' outcome tombstones.
-	Prepared []Branch
+	// Prepared lists the remote participants that voted yes. A decision
+	// names those of its tasks in the journal (TxLog.Decision), and once
+	// the unit is fully terminal the coordinator acknowledges them
+	// (Engine.Forget), so their LAMs can release the sessions' outcome
+	// tombstones.
+	Prepared []Vote
+}
+
+// Vote is one remote participant that voted yes: its task, the Directory
+// key of the site its session was opened through, where a recovering
+// coordinator re-attaches (lam.Recoverable), and the session there.
+type Vote struct {
+	Task      string
+	Site      string
+	Addr      string
+	SessionID int64
 }
 
 // ShipInfo is the record of one executed SHIP: the rows loaded at the
@@ -133,21 +145,19 @@ func (o *Outcome) TaskStatus(name string) dol.TaskStatus {
 }
 
 // TxLog receives the engine's durable-coordinator notifications: which
-// participants entered the prepared-to-commit window, which
-// synchronization-point decisions were taken, and each task's terminal
-// outcome. A write-ahead journal (internal/mtlog, wired up by the core
-// layer) implements it; Decision must make the record durable before
-// returning, because the engine delivers the first COMMIT only after it
-// returns successfully.
+// synchronization-point decisions were taken, over which prepared
+// participants, and each task's terminal outcome. A write-ahead journal
+// (internal/mtlog, wired up by the core layer) implements it; Decision
+// must make the record durable before returning, because the engine
+// delivers the first COMMIT only after it returns successfully. A vote
+// is not logged on its own: until a durable decision names it, presumed
+// abort lets the participant roll it back.
 type TxLog interface {
-	// TaskPrepared records a participant in the prepared state together
-	// with its re-attach coordinates (empty addr = a session that cannot
-	// outlive the coordinator).
-	TaskPrepared(task, addr string, sessionID int64)
-	// Decision records the commit/rollback decision for a set of tasks.
-	// A commit decision that cannot be made durable must fail: the
-	// engine then aborts instead of delivering an unlogged commit.
-	Decision(commit bool, tasks []string) error
+	// Decision records the commit/rollback decision for a set of tasks,
+	// with the votes of those that prepared. A commit decision that
+	// cannot be made durable must fail: the engine then aborts instead
+	// of delivering an unlogged commit.
+	Decision(commit bool, tasks []string, votes []Vote) error
 	// TaskOutcome records a task's terminal status.
 	TaskOutcome(task string, st dol.TaskStatus)
 }
@@ -232,8 +242,7 @@ func (t *taskRT) setStatus(s dol.TaskStatus, err error) {
 // siteFanout bounds how many connections, participants or sites one
 // round contacts at once. The rounds are the COMMIT and ABORT decision
 // rounds (decide: one goroutine per connection), the in-doubt recovery
-// loop (ResolveAll), the end-of-multitransaction acknowledgments
-// (Forget) and the orphan sweep (SweepOrphans). A serial round costs
+// loop (ResolveAll) and the orphan sweep (SweepOrphans). A serial round costs
 // the sum of its sites; at a 50-site fan-out a termination round would
 // stall every site behind one dead participant's full backoff sequence.
 // The jittered RetryPolicy backoff decorrelates the parallel retries.
@@ -267,16 +276,26 @@ type run struct {
 	mu    sync.Mutex // guards out.Prepared
 }
 
-// notePrepared records a participant that voted yes: in the journal,
-// and in Outcome.Prepared for the acknowledgment round.
+// notePrepared records a participant that voted yes in
+// Outcome.Prepared, for the decision record and the acknowledgments.
 func (r *run) notePrepared(rt *taskRT, c *conn) {
 	addr, id := c.session.RecoveryInfo()
 	r.mu.Lock()
-	r.out.Prepared = append(r.out.Prepared, Branch{Site: c.site, SessionID: id})
+	r.out.Prepared = append(r.out.Prepared, Vote{Task: rt.stmt.Name, Site: c.site, Addr: addr, SessionID: id})
 	r.mu.Unlock()
-	if r.log != nil {
-		r.log.TaskPrepared(rt.stmt.Name, addr, id)
+}
+
+// votesOf returns the votes of the named tasks that prepared.
+func (r *run) votesOf(tasks []string) []Vote {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var votes []Vote
+	for _, v := range r.out.Prepared {
+		if slices.Contains(tasks, v.Task) {
+			votes = append(votes, v)
+		}
 	}
+	return votes
 }
 
 // logOutcome notifies the journal of a task's terminal status.
@@ -414,7 +433,7 @@ func (r *run) execStmt(s dol.Stmt) error {
 
 	case *dol.CommitStmt:
 		// All named tasks must settle before the decision is journaled,
-		// so every prepared record precedes the decision record.
+		// so the decision names every vote among them.
 		for _, name := range st.Tasks {
 			if err := r.waitTask(name); err != nil {
 				return err
@@ -424,7 +443,7 @@ func (r *run) execStmt(s dol.Stmt) error {
 		dsp.SetAttr("decision", "commit")
 		defer dsp.End()
 		if r.log != nil {
-			if err := r.log.Decision(true, st.Tasks); err != nil {
+			if err := r.log.Decision(true, st.Tasks, r.votesOf(st.Tasks)); err != nil {
 				// The write-ahead rule: a commit decision that is not on
 				// stable storage must never be delivered. Abort the named
 				// tasks — presumed abort keeps that safe without a log.
@@ -445,7 +464,7 @@ func (r *run) execStmt(s dol.Stmt) error {
 			// Presumed abort: recovery rolls back any task without a
 			// logged commit decision, so a failed abort record is safe
 			// to ignore.
-			_ = r.log.Decision(false, st.Tasks)
+			_ = r.log.Decision(false, st.Tasks, r.votesOf(st.Tasks))
 		}
 		r.decide(st.Tasks, r.abortTask)
 		return nil

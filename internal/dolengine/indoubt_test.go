@@ -403,8 +403,7 @@ type outcomeLog struct {
 	outcomes []string
 }
 
-func (l *outcomeLog) TaskPrepared(task, addr string, sessionID int64) {}
-func (l *outcomeLog) Decision(commit bool, tasks []string) error      { return nil }
+func (l *outcomeLog) Decision(commit bool, tasks []string, votes []Vote) error { return nil }
 func (l *outcomeLog) TaskOutcome(task string, st dol.TaskStatus) {
 	l.mu.Lock()
 	l.outcomes = append(l.outcomes, task+"="+st.String())

@@ -22,9 +22,6 @@ type Branch struct {
 	Commit    bool
 }
 
-// ackTimeout bounds each end-of-multitransaction acknowledgment.
-const ackTimeout = 2 * time.Second
-
 // ResolveParticipant is the termination protocol for one in-doubt
 // participant: the client the Directory holds under site re-attaches the
 // session and delivers the decision (lam.Client.Resolve), paced by the
@@ -78,31 +75,19 @@ func (e *Engine) ResolveAll(ctx context.Context, bs []Branch) ([]ldbms.SessionSt
 	return states, errs
 }
 
-// Forget tells every distinct branch (Commit unset: an acknowledgment
-// carries no decision) that its multitransaction is fully terminal
-// (lam.Client.Forget), releasing its tombstone and letting its journal
-// compact. Failures are ignored: the acknowledgment only lets the
-// participant reclaim state early, and its tombstone TTL is the backstop.
-// The round sits inside the client-observed latency of a 2PC unit, so the
-// acknowledgments go out concurrently.
-func (e *Engine) Forget(bs []Branch) {
-	seen := make(map[Branch]bool, len(bs))
-	var todo []Branch
-	for _, b := range bs {
-		if b.Site != "" && !seen[b] {
-			seen[b] = true
-			todo = append(todo, b)
+// Forget tells each vote's site that its multitransaction is fully
+// terminal (lam.Client.Forget), releasing the session's tombstone and
+// letting the participant's journal compact. A lam.Remote queues the
+// acknowledgment for the site's next request, so this costs no round;
+// ctx bounds only a site the Directory must dial first. Failures are
+// ignored: the acknowledgment only lets the participant reclaim state
+// early, and its tombstone TTL is the backstop.
+func (e *Engine) Forget(ctx context.Context, votes []Vote) {
+	for _, v := range votes {
+		if c, err := e.dir.ResolveContext(ctx, v.Site); err == nil {
+			_ = c.Forget(ctx, v.SessionID)
 		}
 	}
-	fanOut(len(todo), func(i int) {
-		ctx, cancel := context.WithTimeout(context.Background(), ackTimeout)
-		defer cancel()
-		c, err := e.dir.ResolveContext(ctx, todo[i].Site)
-		if err != nil {
-			return
-		}
-		_ = c.Forget(ctx, todo[i].SessionID)
-	})
 }
 
 // SweepOrphans terminates from the participants' side: each site is asked
@@ -134,6 +119,7 @@ func (e *Engine) SweepOrphans(ctx context.Context, sites []string, covered map[B
 				err = rerr
 				continue
 			}
+			_ = c.Forget(ctx, b.SessionID)
 			rolledBack = append(rolledBack, b)
 		}
 		mu.Lock()
@@ -143,7 +129,6 @@ func (e *Engine) SweepOrphans(ctx context.Context, sites []string, covered map[B
 		}
 		mu.Unlock()
 	})
-	e.Forget(swept)
 	return swept, lastErr
 }
 

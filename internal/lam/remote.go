@@ -190,6 +190,11 @@ type Remote struct {
 	idle       []*rpcConn
 	poolClosed bool
 
+	// acks are END acknowledgments (Forget) waiting for the next request
+	// any connection sends the site (wire.Request.Forget).
+	ackMu sync.Mutex
+	acks  []int64
+
 	brk breaker // see breaker.go
 }
 
@@ -248,9 +253,11 @@ func (c *rpcConn) noteCall(op string, start time.Time, err error) {
 }
 
 // exchange performs one wire.Conn.Call under the semaphore, carrying a
-// parked close. A transport failure is wrapped in *OpError. An error the
-// server answered with is definite: it is returned as-is, together with
-// the response carrying it.
+// parked close and the site's queued acknowledgments. A transport
+// failure is wrapped in *OpError and drops the acknowledgments: the
+// participant's tombstone TTL backs them up. An error the server
+// answered with is definite: it is returned as-is, together with the
+// response carrying it.
 func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	select {
 	case c.sem <- struct{}{}:
@@ -263,12 +270,15 @@ func (c *rpcConn) exchange(ctx context.Context, req *wire.Request) (*wire.Respon
 	if c.parked != 0 {
 		req.CloseFirst, c.parked = c.parked, 0
 	}
+	req.Forget = c.r.takeAcks()
 	resp, err := c.conn.Call(ctx, req, c.r.opts.CallTimeout)
 	if err != nil {
 		if c.conn.Healthy() {
 			// ctx was done before anything was sent: the close stays
-			// parked, and the caller gets ctx's error as it is.
+			// parked, the acknowledgments queued, and the caller gets
+			// ctx's error as it is.
 			c.parked = req.CloseFirst
+			c.r.requeueAcks(req.Forget)
 			return nil, err
 		}
 		return nil, &OpError{Service: c.r.service, Addr: c.r.addr, Op: req.Kind, Session: req.SessionID, Err: err}
@@ -518,15 +528,49 @@ func (r *Remote) InDoubt(ctx context.Context) ([]wire.InDoubtSession, error) {
 	return resp.InDoubt, nil
 }
 
-// Forget implements Client (wire.ReqForget, a retried control call: the
-// acknowledgment is idempotent). The breaker neither gates nor counts it.
-func (r *Remote) Forget(ctx context.Context, sessionID int64) error {
-	_, err := r.roundTrip(ctx, &wire.Request{Kind: wire.ReqForget, SessionID: sessionID})
-	return err
+// Forget implements Client without touching the network: the
+// acknowledgment is queued, and the next request any connection of the
+// site sends carries it (wire.Request.Forget), so it never costs a round
+// of its own. It never fails; a transport failure drops the queue, and
+// the participant's tombstone TTL releases what it held. Close sends
+// what is still queued.
+func (r *Remote) Forget(_ context.Context, sessionID int64) error {
+	r.ackMu.Lock()
+	r.acks = append(r.acks, sessionID)
+	r.ackMu.Unlock()
+	return nil
 }
 
-// Close implements Client.
+// takeAcks empties the acknowledgment queue for a request to carry.
+func (r *Remote) takeAcks() []int64 {
+	r.ackMu.Lock()
+	defer r.ackMu.Unlock()
+	acks := r.acks
+	r.acks = nil
+	return acks
+}
+
+// requeueAcks puts back acknowledgments a request never sent.
+func (r *Remote) requeueAcks(acks []int64) {
+	if len(acks) == 0 {
+		return
+	}
+	r.ackMu.Lock()
+	r.acks = append(acks, r.acks...)
+	r.ackMu.Unlock()
+}
+
+// Close implements Client. Acknowledgments still queued go out first,
+// as one wire.ReqForget bounded by the dial timeout.
 func (r *Remote) Close() error {
+	r.ackMu.Lock()
+	queued := len(r.acks) > 0
+	r.ackMu.Unlock()
+	if queued {
+		ctx, cancel := context.WithTimeout(context.Background(), r.opts.DialTimeout)
+		_, _ = r.roundTrip(ctx, &wire.Request{Kind: wire.ReqForget})
+		cancel()
+	}
 	r.poolMu.Lock()
 	r.poolClosed = true
 	idle := r.idle

@@ -569,6 +569,12 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		return fail(fmt.Errorf("%w: %d", wire.ErrNoSession, req.SessionID))
 	}
 
+	// Acknowledgments ride any request (wire.Request.Forget) and do not
+	// depend on it, so they are applied even when the request is refused.
+	for _, id := range req.Forget {
+		t.forget(id)
+	}
+
 	// An ending rides only an exec, and only as a commit or a vote;
 	// anything else is refused before the request touches a session.
 	if req.Then != 0 && (req.Kind != wire.ReqExec || (req.Then != wire.ReqCommit && req.Then != wire.ReqPrepare)) {
@@ -677,7 +683,9 @@ func (t *TCPServer) dispatch(req *wire.Request, cs *connState) *wire.Response {
 		}
 		resp.State = uint8(st)
 	case wire.ReqForget:
-		t.forget(req.SessionID)
+		if req.SessionID != 0 {
+			t.forget(req.SessionID)
+		}
 	case wire.ReqInDoubt:
 		resp.InDoubt = t.inDoubtSessions()
 	case wire.ReqCloseSession:

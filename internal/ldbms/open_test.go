@@ -83,6 +83,42 @@ func TestOpenBootFailure(t *testing.T) {
 	}
 }
 
+// TestOpenAfterFailedBootBootsAgain: a boot that fails after creating
+// its first table leaves no database behind on disk, so the next Open on
+// the same Dir boots afresh rather than adopting a database without its
+// tables.
+func TestOpenAfterFailedBootBootsAgain(t *testing.T) {
+	for _, backend := range []string{BackendRel, BackendCSV} {
+		t.Run(backend, func(t *testing.T) {
+			spec := Spec{Service: "svc_re", Backend: backend, DB: "d", Dir: t.TempDir(), Boot: []string{
+				"CREATE TABLE a (x INTEGER)",
+				"INSERT INTO nosuch VALUES (1)",
+			}}
+			if _, err := Open(spec); err == nil {
+				t.Fatal("Open with a failing boot succeeded")
+			}
+			spec.Boot = []string{"CREATE TABLE a (x INTEGER)", "INSERT INTO a VALUES (7)"}
+			srv, err := Open(spec)
+			if err != nil {
+				t.Fatalf("reopen with a good boot: %v", err)
+			}
+			defer srv.Close()
+			sess, err := srv.OpenSession("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			res, err := sess.Exec("SELECT x FROM a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+				t.Fatalf("rows = %v, want the good boot's one row", res.Rows)
+			}
+		})
+	}
+}
+
 // TestBehindLDBMSAutoCommitProfile drives the csv engine through the
 // full session layer: behind ProfileAutoCommitOnly every statement commits
 // on its own, Prepare is refused by the profile, and the server's

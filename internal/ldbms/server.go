@@ -89,7 +89,9 @@ func (s Spec) Capabilities() Profile {
 // Open opens the engine s describes, in memory or reopened from s.Dir,
 // and returns its server. DB is created and Boot committed only when
 // the engine does not hold DB yet, so a server reopened on its Dir
-// keeps its rows. A failing boot closes the engine.
+// keeps its rows. A failing boot drops DB again and closes the engine,
+// so the next Open on the same Dir boots it afresh instead of adopting
+// a half-booted database.
 func Open(s Spec) (*Server, error) {
 	var be backend.Backend
 	switch s.Backend {
@@ -117,7 +119,9 @@ func Open(s Spec) (*Server, error) {
 		return srv, nil
 	}
 	if err == nil {
-		err = srv.boot(s.DB, s.Boot)
+		if err = srv.boot(s.DB, s.Boot); err != nil {
+			_ = srv.be.DropDatabase(s.DB)
+		}
 	}
 	if err != nil {
 		srv.Close()

@@ -119,7 +119,7 @@ func TestForcedRecords(t *testing.T) {
 		want bool
 	}{
 		{Record{Type: TBegin}, false},
-		{Record{Type: TPrepared}, true},
+		{Record{Type: TPrepared}, false}, // no longer written; the decision names the branches
 		{Record{Type: TDecision}, true},
 		{Record{Type: TDecision, Commit: true}, true},
 		{Record{Type: TOutcome, Status: StatusCommitted}, false},

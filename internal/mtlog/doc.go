@@ -12,9 +12,12 @@
 // state reconstruction, and what each journal's compaction may drop.
 //
 // The coordinator journal (DESIGN.md §7, §10) records per
-// multitransaction its begin (task topology, compensation SQL), each
-// participant's prepared record, the commit/rollback decision (forced
-// before any commit is delivered), per-task outcomes, and end. The
+// multitransaction its begin (task topology, compensation SQL), the
+// commit/rollback decision with the prepared participants it covers (the
+// one forced record, durable before any commit is delivered), per-task
+// outcomes, and end. Journals written before decisions named their
+// participants carry a prepared record per vote instead, and still
+// recover through it. The
 // participant journal (DESIGN.md §9) forces each PREPARED vote with its
 // redo SQL before the vote is returned and keeps outcome tombstones until
 // the coordinator acknowledges them.

@@ -26,9 +26,9 @@ var (
 		appends: obs.Default().CounterVec("msql_journal_appends_total",
 			"Journal records appended, by record type.", "type"),
 		fsync: obs.Default().Histogram("msql_journal_fsync_seconds",
-			"Latency of the fsync forced by TPrepared/TDecision appends.", nil),
+			"Latency of the fsync forced by TDecision appends.", nil),
 		batch: obs.Default().Histogram("msql_journal_group_batch_records",
-			"Forced records made durable per journal fsync.", batchBounds),
+			"Decisions made durable per journal fsync: above 1 only when concurrent units' decisions shared a flush.", batchBounds),
 	}
 	partMetrics = metrics{
 		appends: obs.Default().CounterVec("msql_lam_journal_appends_total",
@@ -70,7 +70,7 @@ func open(path string, m *metrics) (journal, []Record, error) {
 
 // Append writes one record. Forced records (Record.forced) are on stable
 // storage before it returns, and with them every earlier record: a
-// synced decision implies its begin and prepared records are on disk.
+// synced decision implies its begin record is on disk.
 // Concurrent forced appends share fsyncs, never an early acknowledgment.
 // After the first write or fsync failure every Append returns that error.
 func (j journal) Append(rec *Record) error {
@@ -123,10 +123,13 @@ func (j journal) compact(done Type, id func(*Record) uint64) (dropped int, err e
 // Close syncs and closes the journal file.
 func (j journal) Close() error { return j.log.Close() }
 
-// Journal is the coordinator's append-only multitransaction log. With
-// TPrepared and TDecision forced, the write-ahead rule — the decision is
-// durable before the first COMMIT is delivered — holds across power loss,
-// and every participant a crash might strand is findable afterwards.
+// Journal is the coordinator's append-only multitransaction log. One
+// record per unit is forced: the decision, which names the unit's
+// prepared participants. So the write-ahead rule — the decision is
+// durable before the first COMMIT is delivered — holds across power
+// loss, every participant a decision might strand is findable
+// afterwards, and a vote no durable decision names is one the
+// participant may roll back (presumed abort; Recover's orphan sweep).
 type Journal struct {
 	journal
 	lastID atomic.Uint64 // highest multitransaction id seen or allocated
@@ -151,8 +154,8 @@ func Open(path string) (*Journal, error) {
 // NextID allocates a multitransaction id unique across restarts of this journal.
 func (j *Journal) NextID() uint64 { return j.lastID.Add(1) }
 
-// SyncStats reports the forced records (TPrepared, TDecision) appended and
-// the fsyncs Append issued for them — fewer when appends shared flushes.
+// SyncStats reports the forced records (TDecision) appended and the
+// fsyncs Append issued for them — fewer when appends shared flushes.
 func (j *Journal) SyncStats() (syncRecords, fsyncs int64) { return j.log.Stats() }
 
 // Compact rewrites the journal keeping only multitransactions that have
@@ -165,8 +168,10 @@ func (j *Journal) Compact() (dropped int, err error) {
 type TxState struct {
 	MTID  uint64
 	Begin *Record
-	// Prepared maps task names to their prepared records.
-	Prepared map[string]*Record
+	// Branches maps task names to their prepared participants: the
+	// branches the unit's decisions name, or the TPrepared records of a
+	// journal written before decisions named them.
+	Branches map[string]Branch
 	// Decisions in append order.
 	Decisions []*Record
 	// Outcomes maps task names to terminal statuses.
@@ -211,7 +216,7 @@ func Reconstruct(recs []Record) []*TxState {
 		if s, ok := byID[id]; ok {
 			return s
 		}
-		s := &TxState{MTID: id, Prepared: map[string]*Record{}, Outcomes: map[string]uint8{}}
+		s := &TxState{MTID: id, Branches: map[string]Branch{}, Outcomes: map[string]uint8{}}
 		byID[id] = s
 		order = append(order, s)
 		return s
@@ -223,9 +228,12 @@ func Reconstruct(recs []Record) []*TxState {
 		case TBegin:
 			s.Begin = r
 		case TPrepared:
-			s.Prepared[r.Task] = r
+			s.Branches[r.Task] = Branch{Task: r.Task, Addr: r.Addr, SessionID: r.SessionID}
 		case TDecision:
 			s.Decisions = append(s.Decisions, r)
+			for _, b := range r.Branches {
+				s.Branches[b.Task] = b
+			}
 		case TOutcome:
 			s.Outcomes[r.Task] = r.Status
 		case TEnd:

@@ -18,12 +18,15 @@ const (
 	// TBegin opens a multitransaction: it carries the task topology the
 	// recovery pass needs (vital entries, compensation SQL).
 	TBegin Type = iota + 1
-	// TPrepared records one participant entering the prepared-to-commit
-	// window, with its re-attach coordinates.
+	// TPrepared recorded one participant entering the prepared-to-commit
+	// window, with its re-attach coordinates. It is no longer written:
+	// the decision names its branches. Journals written before that are
+	// still read, and recover through it.
 	TPrepared
 	// TDecision is the global synchronization-point decision for a set
-	// of tasks. It is forced to stable storage before the first COMMIT
-	// is delivered.
+	// of tasks, with the prepared participants (Branches) it covers. It
+	// is forced to stable storage before the first COMMIT is delivered,
+	// and is the one record of a unit that is forced.
 	TDecision
 	// TOutcome records one task's terminal status.
 	TOutcome
@@ -95,6 +98,17 @@ type TaskDecl struct {
 	SQL     string `json:"sql,omitempty"`
 }
 
+// Branch is one prepared participant a decision covers: its task, where
+// a recovering coordinator re-attaches, and its session there. An empty
+// Addr means the session's LAM was served by the coordinator's own
+// process without a participant journal and died with it; it cannot be
+// re-attached.
+type Branch struct {
+	Task      string `json:"task"`
+	Addr      string `json:"addr,omitempty"`
+	SessionID int64  `json:"sid"`
+}
+
 // Record is one journal entry. It is a tagged union: which fields are
 // meaningful depends on Type.
 type Record struct {
@@ -108,16 +122,16 @@ type Record struct {
 	// TPrepared, TOutcome
 	Task string `json:"task,omitempty"`
 
-	// TPrepared: where a recovering coordinator re-attaches. An empty
-	// Addr means the session's LAM was served by the coordinator's own
-	// process without a participant journal and died with it; it cannot
-	// be re-attached.
+	// TPrepared: where a recovering coordinator re-attaches (as in
+	// Branch).
 	Addr      string `json:"addr,omitempty"`
 	SessionID int64  `json:"sid,omitempty"`
 
 	// TDecision
 	Commit  bool     `json:"commit,omitempty"`
 	Decided []string `json:"decided,omitempty"`
+	// Branches are the prepared participants of the decided tasks.
+	Branches []Branch `json:"branches,omitempty"`
 	// TOutcome, POutcome
 	Status uint8 `json:"status,omitempty"`
 
@@ -134,14 +148,14 @@ type Record struct {
 }
 
 // forced reports whether the record must be on stable storage before
-// Append returns: the coordinator's prepared and decision records (the
-// decision is durable before the first COMMIT is delivered, and every
-// participant it might strand is findable), the participant's vote and
-// its commit tombstone. The rest ride on the next sync — presumed abort
-// makes their loss harmless.
+// Append returns: the coordinator's decision (durable before the first
+// COMMIT is delivered, and naming every participant it might strand),
+// the participant's vote and its commit tombstone. The rest ride on the
+// next sync — presumed abort makes their loss harmless: a vote no
+// durable decision names is rolled back by Recover's orphan sweep.
 func (r *Record) forced() bool {
 	t := r.Type
-	return t == TPrepared || t == TDecision || t == PPrepared || (t == POutcome && r.Status == StatusCommitted)
+	return t == TDecision || t == PPrepared || (t == POutcome && r.Status == StatusCommitted)
 }
 
 // frameBytes is the space frames occupy in a log file.

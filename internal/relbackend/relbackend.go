@@ -37,6 +37,9 @@ func New(store *relstore.Store) *Backend { return &Backend{store: store} }
 // CreateDatabase implements backend.Backend.
 func (b *Backend) CreateDatabase(name string) error { return b.store.CreateDatabase(name) }
 
+// DropDatabase implements backend.Backend.
+func (b *Backend) DropDatabase(name string) error { return b.store.DropDatabase(name) }
+
 // DatabaseNames implements backend.Backend.
 func (b *Backend) DatabaseNames() []string { return b.store.DatabaseNames() }
 

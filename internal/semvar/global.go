@@ -2,6 +2,7 @@ package semvar
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -123,18 +124,23 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 	// table of its own SELECT block first, then of the blocks enclosing
 	// it (a correlated reference); outside every block, the DML target.
 	// A column none of those hold resolves against every table of the
-	// query, then as a projection alias (resolveGlobalColumn).
+	// query, then as a projection alias (resolveGlobalColumn) — except
+	// the tables of a UNION branch's sibling branches, which only the
+	// union's trailing ORDER BY may fall back on.
 	var colErr error
-	whole := func(c sqlparser.ColRef) sqlparser.Expr {
-		e, err := resolveGlobalColumn(varMaps, refs, sh, c)
-		if err != nil {
-			if colErr == nil {
-				colErr = err
+	over := func(refs map[string]*globalRef) func(sqlparser.ColRef) sqlparser.Expr {
+		return func(c sqlparser.ColRef) sqlparser.Expr {
+			e, err := resolveGlobalColumn(varMaps, refs, sh, c)
+			if err != nil {
+				if colErr == nil {
+					colErr = err
+				}
+				return c
 			}
-			return c
+			return e
 		}
-		return e
 	}
+	whole := over(refs)
 	scoped := func(own []*globalRef, enclosing func(sqlparser.ColRef) sqlparser.Expr) func(sqlparser.ColRef) sqlparser.Expr {
 		return func(c sqlparser.ColRef) sqlparser.Expr {
 			if len(c.Parts) != 1 {
@@ -159,18 +165,35 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 			return qualify(refs, hit, col)
 		}
 	}
-	top := whole
-	if t, ok := sqlparser.Target(body); ok {
-		top = scoped([]*globalRef{refs[t.String()]}, whole)
+	target, hasTarget := sqlparser.Target(body)
+	topOver := func(final func(sqlparser.ColRef) sqlparser.Expr) func(sqlparser.ColRef) sqlparser.Expr {
+		if !hasTarget {
+			return final
+		}
+		return scoped([]*globalRef{refs[target.String()]}, final)
+	}
+	top := topOver(whole)
+	ownRefs := func(sel *sqlparser.SelectStmt) []*globalRef {
+		own := make([]*globalRef, len(sel.From))
+		for i, f := range sel.From {
+			own[i] = refs[f.Name.String()]
+		}
+		return own
 	}
 	// enclosing maps each nested SELECT block to the block whose
 	// expressions hold it (absent at the top level); a UNION branch
 	// shares its first branch's. Blocks come outermost first, so the
-	// innermost holder writes last.
+	// innermost holder writes last. unionOf maps each UNION branch, the
+	// first included, to the union's first branch.
 	enclosing := map[*sqlparser.SelectStmt]*sqlparser.SelectStmt{}
+	unionOf := map[*sqlparser.SelectStmt]*sqlparser.SelectStmt{}
 	sqlparser.Selects(body, func(sel *sqlparser.SelectStmt) {
+		if len(sel.Unions) > 0 {
+			unionOf[sel] = sel
+		}
 		for _, u := range sel.Unions {
 			enclosing[u.Select] = enclosing[sel]
+			unionOf[u.Select] = sel
 		}
 		sqlparser.WalkExprs(sel, func(e sqlparser.Expr) {
 			switch x := e.(type) {
@@ -183,6 +206,15 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 			}
 		})
 	})
+	// chain is a block's resolution with final as its last resort: its
+	// own tables, then each enclosing block's, then the DML target.
+	var chain func(sel *sqlparser.SelectStmt, final func(sqlparser.ColRef) sqlparser.Expr) func(sqlparser.ColRef) sqlparser.Expr
+	chain = func(sel *sqlparser.SelectStmt, final func(sqlparser.ColRef) sqlparser.Expr) func(sqlparser.ColRef) sqlparser.Expr {
+		if sel == nil {
+			return topOver(final)
+		}
+		return scoped(ownRefs(sel), chain(enclosing[sel], final))
+	}
 	blockCol := map[*sqlparser.SelectStmt]func(sqlparser.ColRef) sqlparser.Expr{nil: top}
 	rw := sqlparser.Rewriter{
 		Table: func(n sqlparser.ObjectName) sqlparser.ObjectName {
@@ -193,12 +225,28 @@ func expandGlobal(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser.LetBin
 		},
 		Col: top,
 		Block: func(sel *sqlparser.SelectStmt) func(sqlparser.ColRef) sqlparser.Expr {
-			own := make([]*globalRef, len(sel.From))
-			for i, f := range sel.From {
-				own[i] = refs[f.Name.String()]
+			if first, ok := unionOf[sel]; ok {
+				visible := maps.Clone(refs)
+				hide := func(branch *sqlparser.SelectStmt) {
+					if branch == sel {
+						return
+					}
+					for _, f := range branch.From {
+						delete(visible, f.Name.String())
+					}
+				}
+				hide(first)
+				for _, u := range first.Unions {
+					hide(u.Select)
+				}
+				blockCol[sel] = chain(sel, over(visible))
+			} else {
+				blockCol[sel] = scoped(ownRefs(sel), blockCol[enclosing[sel]])
 			}
-			blockCol[sel] = scoped(own, blockCol[enclosing[sel]])
 			return blockCol[sel]
+		},
+		UnionOrder: func(sel *sqlparser.SelectStmt) func(sqlparser.ColRef) sqlparser.Expr {
+			return chain(sel, whole)
 		},
 	}
 	out := sqlparser.RewriteStatement(body, rw)

@@ -17,6 +17,10 @@ type Rewriter struct {
 	// original statement and returns the Col of that block's own
 	// expressions, in place of Col.
 	Block func(*SelectStmt) func(ColRef) Expr
+	// UnionOrder, when set, is called on each SELECT with UNION branches
+	// and returns the Col of its ORDER BY, which orders the whole union,
+	// in place of the first branch's.
+	UnionOrder func(*SelectStmt) func(ColRef) Expr
 }
 
 func (rw Rewriter) table(n ObjectName) ObjectName {
@@ -136,8 +140,12 @@ func (rw Rewriter) rewriteSelect(s *SelectStmt) *SelectStmt {
 		out.GroupBy = append(out.GroupBy, rw.rewriteExpr(g))
 	}
 	out.Having = rw.rewriteExpr(s.Having)
+	orw := rw
+	if len(s.Unions) > 0 && rw.UnionOrder != nil {
+		orw.Col = rw.UnionOrder(s)
+	}
 	for _, o := range s.OrderBy {
-		out.OrderBy = append(out.OrderBy, OrderItem{Expr: rw.rewriteExpr(o.Expr), Desc: o.Desc})
+		out.OrderBy = append(out.OrderBy, OrderItem{Expr: orw.rewriteExpr(o.Expr), Desc: o.Desc})
 	}
 	for _, u := range s.Unions {
 		out.Unions = append(out.Unions, UnionPart{All: u.All, Select: rw.rewriteSelect(u.Select)})

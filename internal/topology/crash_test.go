@@ -252,8 +252,9 @@ func TestKillBeforePrepareResolvesThroughRestart(t *testing.T) {
 }
 
 // TestCleanRunAcksAndCompacts: with no faults at all, the
-// end-of-multitransaction acknowledgment round lets the participant
-// forget immediately — its journal holds nothing once the unit ends.
+// end-of-multitransaction acknowledgment lets the participant forget as
+// soon as the coordinator next sends it a request — its journal then
+// holds nothing.
 func TestCleanRunAcksAndCompacts(t *testing.T) {
 	p := launchChild(t)
 	fed, cont, _ := chaosFederation(t, p)
@@ -271,6 +272,10 @@ func TestCleanRunAcksAndCompacts(t *testing.T) {
 	}
 	if f := contRate(t, cont); f < 109.9 || f > 110.1 {
 		t.Fatalf("continental rate = %v, want 110", f)
+	}
+	// The acknowledgment rides the site's next request.
+	if _, err := fed.ExecScript("USE united\nSELECT rates FROM flight WHERE fn = 300"); err != nil {
+		t.Fatal(err)
 	}
 	waitDrained(t, "", p.Journal())
 	// A restart after a fully acknowledged unit finds nothing to replay

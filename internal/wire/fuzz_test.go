@@ -11,7 +11,7 @@ import (
 
 // fuzzSeedRequests covers every request kind plus the durability fields
 // (MTID, trace correlation), the session fields a server acts on
-// before dispatch (Open, CloseFirst) and the ending an exec carries
+// before dispatch (Open, CloseFirst, Forget) and the ending an exec carries
 // (Then, including the shapes a server refuses), so the corpus exercises
 // the full frame vocabulary.
 func fuzzSeedRequests() []Request {
@@ -26,6 +26,8 @@ func fuzzSeedRequests() []Request {
 		{Kind: ReqCommit, SessionID: 7},
 		{Kind: ReqAttach, SessionID: 7},
 		{Kind: ReqForget, SessionID: 7},
+		{Kind: ReqForget, Forget: []int64{7, 8, -1}},
+		{Kind: ReqExec, SessionID: 9, SQL: "SELECT fn FROM flight", Forget: []int64{7}, CloseFirst: 6},
 		{Kind: ReqDescribe, Database: "avis", Name: "cars"},
 		{Kind: ReqInDoubt},
 		{Kind: ReqLoad, SessionID: 7, Name: "mtmp_united", Rows: [][]sqlval.Value{

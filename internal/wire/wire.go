@@ -18,7 +18,9 @@
 // request (Request.Open), its clean close the connection's next request
 // (Request.CloseFirst), and a DOL task's transaction ending rides the
 // task's last exec (Request.Then): the server commits, or votes, right
-// after that statement succeeds and answers both in one Response.
+// after that statement succeeds and answers both in one Response. The
+// coordinator's end-of-multitransaction acknowledgments ride whatever
+// request it next sends the site (Request.Forget).
 package wire
 
 import (
@@ -66,11 +68,14 @@ const (
 	// response carries the recorded terminal state instead of binding.
 	ReqAttach
 	// ReqForget is the coordinator's end-of-multitransaction
-	// acknowledgment for a once-prepared session: the coordinator has a
-	// durable terminal outcome and will never ask about the session
-	// again, so the participant may evict its tombstone and compact the
-	// session out of its journal. Forgetting an unknown session is a
-	// no-op, making the acknowledgment idempotent and safe to retry.
+	// acknowledgment for once-prepared sessions: the coordinator has a
+	// durable terminal outcome and will never ask about them again, so
+	// the participant may evict their tombstones and compact them out of
+	// its journal. Forgetting an unknown session is a no-op, making the
+	// acknowledgment idempotent and safe to retry. Acknowledgments
+	// usually ride another request (Request.Forget); a client sends
+	// ReqForget, with the sessions in Forget, only for those still
+	// queued when it closes.
 	ReqForget
 	// ReqScript asks a coordinator server (msqld) to execute an MSQL
 	// script in the requesting connection's session. Unlike the other
@@ -86,7 +91,7 @@ const (
 	// the multitransaction ids their prepare requests carried. A
 	// recovering coordinator uses the listing to find sessions whose
 	// votes never reached its own journal (the crash landed between the
-	// participant's vote and the coordinator's prepared record) and
+	// participant's vote and the durable decision naming it) and
 	// terminate them under presumed abort.
 	ReqInDoubt
 	// ReqLoad inserts the typed rows in Rows into the table Name of the
@@ -129,6 +134,12 @@ type Request struct {
 	// returns them in. Gob omits the field when empty, so every other
 	// request encodes as before.
 	Rows Rows
+	// Forget lists once-prepared sessions the server forgets before it
+	// serves the request, as a ReqForget each would: the coordinator's
+	// END acknowledgments ride the site's next request of any kind
+	// instead of taking rounds of their own. Gob omits the field when
+	// empty.
+	Forget []int64
 	// TraceID correlates this request with a coordinator-side trace
 	// (internal/obs): when nonempty the server records its own span for
 	// the request under the same trace id, so client and server timing
