@@ -56,7 +56,7 @@ var (
 	mStatements = obs.Default().CounterVec("msql_statements_total",
 		"MSQL statements executed, by verb.", "verb")
 	mUnitOutcomes = obs.Default().CounterVec("msql_unit_outcomes_total",
-		"Synchronized units (sync, global DML, multitransactions) by terminal GlobalState.", "state")
+		"Synchronized units (sync, global DML, multitransactions, EXPLAIN ANALYZE writes, triggers) by terminal GlobalState.", "state")
 	mDegradedResults = obs.Default().Counter("msql_degraded_results_total",
 		"Non-vital scope entries dropped from an answer because their site's circuit breaker was open.")
 	mStmtLatency = obs.Default().HistogramVec("msql_stmt_latency_seconds",
@@ -780,7 +780,7 @@ func (f *Federation) dropProvisional(meta *translate.Meta, out *dolengine.Outcom
 	}
 }
 
-// fillFromOutcome copies task states and classifies the vital outcome.
+// fillFromOutcome copies task states and classifies the outcome.
 func (f *Federation) fillFromOutcome(res *Result, meta *translate.Meta, out *dolengine.Outcome) {
 	res.Status = out.Status
 	// Map unresolved in-doubt participants from task names to scope
@@ -813,7 +813,16 @@ func (f *Federation) fillFromOutcome(res *Result, meta *translate.Meta, out *dol
 			res.RowsAffected[tm.Entry.Name] += info.RowsAffected
 		}
 	}
-	// Classify with respect to the vital set.
+	// A multitransaction is classified by the acceptable state it
+	// reached, any other unit with respect to its vital set.
+	if meta.AcceptableStates != nil {
+		res.State = StateAborted
+		if res.Status >= 0 && res.Status < len(meta.AcceptableStates) {
+			res.AchievedState = meta.AcceptableStates[res.Status]
+			res.State = StateSuccess
+		}
+		return
+	}
 	if len(meta.VitalNames) == 0 {
 		res.State = StateSuccess
 		return

@@ -18,105 +18,48 @@ import (
 )
 
 // execExplain runs EXPLAIN [ANALYZE] on a retrieval query or on an
-// UPDATE/DELETE. Plain EXPLAIN translates the statement — decomposition,
-// per-site tasks, ships, the final coordinator query — and renders the
-// federation plan without touching any site. ANALYZE executes it: every
-// SELECT, UPDATE and DELETE in a task body is wrapped in a site-local
-// EXPLAIN ANALYZE, which the local engines execute normally (returning
-// the target's real rows or row count, so shipping, multitable assembly
-// and 2PC are unchanged) while attaching their annotated plan subtrees;
+// UPDATE/DELETE: the statement goes through execPlan in EXPLAIN mode.
+// Plain EXPLAIN translates the statement — decomposition, per-site
+// tasks, ships, the final coordinator query — and renders the federation
+// plan without touching any site. ANALYZE executes it: every SELECT,
+// UPDATE and DELETE in a task body is wrapped in a site-local EXPLAIN
+// ANALYZE, which the local engines execute normally (returning the
+// target's real rows or row count, so shipping, multitable assembly and
+// 2PC are unchanged) while attaching their annotated plan subtrees;
 // those subtrees are then grafted under the federation tree's task nodes
 // together with per-task wall time and row counts.
+//
+// A write forms a unit of its own, like a cross-database manipulation:
+// ANALYZE first synchronizes the pending unit, then commits the write
+// through the same protocol (journal, 2PC or compensation, triggers) a
+// COMMIT would give it — once, for real.
 func (s *Session) execExplain(ctx context.Context, ex *msqlparser.ExplainStmt) ([]*Result, error) {
-	f := s.f
-	switch ex.Query.Body.(type) {
+	res := &Result{Kind: KindExplain, PlanJSON: ex.JSON}
+	q := ex.Query
+	switch q.Body.(type) {
 	case *sqlparser.SelectStmt:
+		r, err := s.execPlan(ctx, res, ex, func() (*dol.Program, *translate.Meta, error) {
+			return s.translateSelect(q)
+		})
+		return resultList(r), err
 	case *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return s.execExplainWrite(ctx, ex)
 	default:
-		return nil, fmt.Errorf("core: EXPLAIN supports SELECT, UPDATE and DELETE, got %s", sqlparser.Deparse(ex.Query.Body))
+		return nil, fmt.Errorf("core: EXPLAIN supports SELECT, UPDATE and DELETE, got %s", sqlparser.Deparse(q.Body))
 	}
-	scope, lets, q := s.selectTarget(ex.Query)
-	if len(scope) == 0 {
-		return nil, translate.ErrNoScope
-	}
-	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateQuery(scope, lets, q)
-	tsp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: KindExplain, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, PlanJSON: ex.JSON}
-	if !ex.Analyze || f.DryRun {
-		res.Plan = federationPlan(prog, meta, nil)
-		return resultList(res), nil
-	}
-	wrapSiteExplain(prog)
-	start := time.Now()
-	esp, ectx := obs.StartSpan(ctx, "execute:explain", obs.KindEngine)
-	out, err := f.engine.Run(ectx, prog)
-	esp.EndErr(err)
-	if err != nil {
-		return resultList(res), err
-	}
-	if err := f.assembleMultitable(res, meta, out); err != nil {
-		return resultList(res), err
-	}
-	var rows int64
-	for _, t := range res.Multitable.Tables {
-		rows += int64(len(t.Rows))
-	}
-	res.Plan = analyzedPlan(prog, meta, out, start, rows)
-	return resultList(res), nil
-}
-
-// execExplainWrite is execExplain for UPDATE and DELETE. The write forms
-// a unit of its own, like a cross-database manipulation: plain EXPLAIN
-// only translates it; ANALYZE first synchronizes the pending unit, then
-// runs the write through the same commit protocol (journal, 2PC or
-// compensation, triggers) a COMMIT would give it — once, for real.
-func (s *Session) execExplainWrite(ctx context.Context, ex *msqlparser.ExplainStmt) ([]*Result, error) {
-	f := s.f
 	var sync *Result
-	if ex.Analyze && !f.DryRun {
+	if ex.Analyze {
 		var err error
 		if sync, err = s.flush(ctx); err != nil {
 			return resultList(sync), err
 		}
 	}
-	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	var prog *dol.Program
-	var meta *translate.Meta
-	var err error
-	if semvar.IsGlobalQuery(ex.Query.Body, s.scope) {
-		prog, meta, err = f.tctx.TranslateQuery(s.scope, s.lets, ex.Query)
-	} else {
-		prog, meta, err = f.tctx.TranslateUnit(s.scope,
-			[]translate.UnitQuery{{Lets: s.lets, Query: ex.Query}}, translate.SyncCommit)
-	}
-	tsp.EndErr(err)
-	if err != nil {
-		return resultList(sync), err
-	}
-	res := &Result{Kind: KindExplain, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, PlanJSON: ex.JSON}
-	if !ex.Analyze || f.DryRun {
-		res.Plan = federationPlan(prog, meta, nil)
-		return resultList(res), nil
-	}
-	wrapSiteExplain(prog)
-	start := time.Now()
-	out, err := f.runPlan(ctx, "explain", prog, meta)
-	if err != nil {
-		return resultList(sync, res), err
-	}
-	f.fillFromOutcome(res, meta, out)
-	mUnitOutcomes.With(res.State.String()).Inc()
-	var rows int64
-	for _, n := range res.RowsAffected {
-		rows += int64(n)
-	}
-	res.Plan = analyzedPlan(prog, meta, out, start, rows)
-	return resultList(sync, res), s.fireTriggers(ctx, res, meta, out)
+	r, err := s.execPlan(ctx, res, ex, func() (*dol.Program, *translate.Meta, error) {
+		if semvar.IsGlobalQuery(q.Body, s.scope) {
+			return s.f.tctx.TranslateQuery(s.scope, s.lets, q)
+		}
+		return s.f.tctx.TranslateUnit(s.scope, []translate.UnitQuery{{Lets: s.lets, Query: q}}, translate.SyncCommit)
+	})
+	return resultList(sync, r), err
 }
 
 // wrapSiteExplain wraps the SELECT, UPDATE and DELETE statements of the

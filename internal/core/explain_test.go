@@ -488,3 +488,72 @@ UPDATE flights SET rate = rate + 1 WHERE flnu = 100
 	}
 	t.Fatal("no sync record in the inventory")
 }
+
+// TestFederationExplainAnalyzeParity: EXPLAIN ANALYZE is a mode of the
+// pipeline a statement runs through, so it returns what the plain
+// statement returns — outcome, per-entry states and counts, rows and
+// fired triggers — on a federation in the same state.
+func TestFederationExplainAnalyzeParity(t *testing.T) {
+	const join = "SELECT c.flnu, u.fn FROM continental.flights c, united.flight u WHERE c.rate < u.rates"
+	for _, tc := range []struct {
+		name, use, stmt string
+		fired           []string // nil: a read, which returns rows
+	}{
+		{"fan-out select", "USE continental united", "SELECT rate% FROM flight%", nil},
+		{"global join", "USE continental united", join, nil},
+		{"vital update", "USE continental VITAL united VITAL", "UPDATE flight% SET rate% = rate% * 1.1 WHERE sour% = 'Houston'", []string{"onupdate"}},
+		{"csv delete", "USE regional", "DELETE FROM flights WHERE flnu = 901", []string{"ondelete"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(stmt string) *Result {
+				t.Helper()
+				f := paperFederation(t, false)
+				serveSite(t, f, ldbms.Spec{Service: "svc_csv", Profile: ldbms.ProfileAutoCommitOnly(),
+					Backend: ldbms.BackendCSV, DB: "regional", Boot: []string{
+						`CREATE TABLE flights (flnu INTEGER, source CHAR(20), rate FLOAT)`,
+						`INSERT INTO flights VALUES (900, 'Waco', 40.0), (901, 'Waco', 55.0), (902, 'Tyler', 70.0)`,
+					}})
+				if _, err := f.ExecScript(`
+INCORPORATE SERVICE svc_csv CONNECTMODE CONNECT COMMITMODE COMMIT;
+IMPORT DATABASE regional FROM SERVICE svc_csv;
+USE avis
+CREATE TABLE audit (what CHAR(40))
+COMMIT
+CREATE TRIGGER onupdate ON continental AFTER UPDATE EXECUTE INSERT INTO audit (what) VALUES ('update');
+CREATE TRIGGER ondelete ON regional AFTER DELETE EXECUTE INSERT INTO audit (what) VALUES ('delete')`); err != nil {
+					t.Fatal(err)
+				}
+				results, err := f.ExecScript(tc.use + "\n" + stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return results[len(results)-1]
+			}
+			plain, analyzed := run(tc.stmt), run("EXPLAIN ANALYZE "+tc.stmt)
+			if tc.fired == nil && (plain.Multitable == nil || plain.Multitable.TotalRows() == 0) {
+				t.Fatalf("the plain read returned no rows: %+v", plain.Multitable)
+			}
+			if !reflect.DeepEqual(plain.TriggersFired, tc.fired) {
+				t.Fatalf("the plain statement fired %v, want %v", plain.TriggersFired, tc.fired)
+			}
+			if analyzed.Kind != KindExplain || analyzed.Plan == nil || !analyzed.Plan.Analyzed {
+				t.Fatalf("EXPLAIN ANALYZE: kind %v, plan %v", analyzed.Kind, analyzed.Plan)
+			}
+			if plain.State != analyzed.State {
+				t.Errorf("State: %s, EXPLAIN ANALYZE %s", plain.State, analyzed.State)
+			}
+			if !reflect.DeepEqual(plain.TaskStates, analyzed.TaskStates) {
+				t.Errorf("TaskStates: %v, EXPLAIN ANALYZE %v", plain.TaskStates, analyzed.TaskStates)
+			}
+			if !reflect.DeepEqual(plain.RowsAffected, analyzed.RowsAffected) {
+				t.Errorf("RowsAffected: %v, EXPLAIN ANALYZE %v", plain.RowsAffected, analyzed.RowsAffected)
+			}
+			if !reflect.DeepEqual(plain.Multitable, analyzed.Multitable) {
+				t.Errorf("multitable: %+v, EXPLAIN ANALYZE %+v", plain.Multitable, analyzed.Multitable)
+			}
+			if !reflect.DeepEqual(plain.TriggersFired, analyzed.TriggersFired) {
+				t.Errorf("TriggersFired: %v, EXPLAIN ANALYZE %v", plain.TriggersFired, analyzed.TriggersFired)
+			}
+		})
+	}
+}

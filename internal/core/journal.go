@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"msql/internal/dol"
 	"msql/internal/dolengine"
@@ -22,8 +23,9 @@ import (
 var ErrDrained = errors.New("core: script execution drained")
 
 // SetJournal attaches a write-ahead multitransaction journal. Every
-// synchronized unit, global DML statement, and multitransaction run
-// after the call is journaled: begin record with the plan's task
+// plan that writes (a synchronized unit, global DML statement,
+// multitransaction, trigger or EXPLAIN ANALYZE write) run after the
+// call is journaled: begin record with the plan's task
 // topology, synchronization-point decisions with the prepared
 // participants they cover (durable before the first COMMIT is
 // delivered), terminal outcomes, and an end record once fully terminal.
@@ -122,60 +124,71 @@ func (f *Federation) siteOf(db string) string {
 	return svc
 }
 
-// runPlan executes a manipulation plan, journaling it when a journal is
-// attached: a begin record with the task topology goes in before the
-// engine starts, the engine reports decision/outcome records through a
-// txJournal, and an end record closes the multitransaction when nothing
-// is left unresolved. A fully terminal unit, journaled or not, then
-// acknowledges its prepared participants; the acknowledgments ride each
-// site's next request.
-func (f *Federation) runPlan(ctx context.Context, kind string, prog *dol.Program, meta *translate.Meta) (*dolengine.Outcome, error) {
-	sp, ctx := obs.StartSpan(ctx, "execute:"+kind, obs.KindEngine)
-	out, err := f.runPlanTraced(ctx, kind, prog, meta)
-	sp.EndErr(err)
-	return out, err
+// readPlan reports whether a plan only reads: each of its tasks is a
+// partial-result read or a final SELECT at the coordinator. Such a plan
+// assembles a multitable and leaves no decision to recover.
+func readPlan(meta *translate.Meta) bool {
+	for _, tm := range meta.Tasks {
+		_, sel := tm.Stmt.(*sqlparser.SelectStmt)
+		if tm.Role != translate.RoleRead && (tm.Role != translate.RoleFinal || !sel) {
+			return false
+		}
+	}
+	return true
 }
 
-func (f *Federation) runPlanTraced(ctx context.Context, kind string, prog *dol.Program, meta *translate.Meta) (*dolengine.Outcome, error) {
+// runPlan is where every DOL program runs, under the named span. A
+// write plan is journaled when a journal is attached: a begin record
+// with the task topology goes in before the engine starts, the engine
+// reports decision/outcome records through a txJournal, and an end
+// record closes the multitransaction when nothing is left unresolved. A
+// read plan appends nothing. A fully terminal plan, journaled or not,
+// then acknowledges its prepared participants; the acknowledgments ride
+// each site's next request.
+func (f *Federation) runPlan(ctx context.Context, span string, prog *dol.Program, meta *translate.Meta) (out *dolengine.Outcome, err error) {
+	sp, ctx := obs.StartSpan(ctx, span, obs.KindEngine)
+	defer func() { sp.EndErr(err) }()
 	j := f.Journal()
-	if j == nil {
-		out, err := f.engine.Run(ctx, prog)
-		if terminal(meta, out, err) {
-			f.engine.Forget(ctx, out.Prepared)
-		}
-		return out, err
-	}
-	begin := &mtlog.Record{Type: mtlog.TBegin, MTID: j.NextID(), Kind: kind}
-	for _, tm := range meta.Tasks {
-		d := mtlog.TaskDecl{
-			Name:     tm.Name,
-			Entry:    tm.Entry.Name,
-			Database: tm.Entry.Database,
-			Site:     f.siteOf(tm.Entry.Database),
-			Vital:    tm.Entry.Vital,
-		}
-		if tm.Role == translate.RoleComp {
-			d.Comp = true
-			d.ForTask = meta.TaskFor(tm.Entry.Name)
-			if tm.Stmt != nil {
-				d.SQL = sqlparser.Deparse(tm.Stmt)
+	var log dolengine.TxLog
+	var mtid uint64
+	if j != nil && !readPlan(meta) {
+		begin := &mtlog.Record{Type: mtlog.TBegin, MTID: j.NextID(), Kind: strings.TrimPrefix(span, "execute:")}
+		for _, tm := range meta.Tasks {
+			d := mtlog.TaskDecl{
+				Name:     tm.Name,
+				Entry:    tm.Entry.Name,
+				Database: tm.Entry.Database,
+				Site:     f.siteOf(tm.Entry.Database),
+				Vital:    tm.Entry.Vital,
 			}
+			if tm.Role == translate.RoleComp {
+				d.Comp = true
+				d.ForTask = meta.TaskFor(tm.Entry.Name)
+				if tm.Stmt != nil {
+					d.SQL = sqlparser.Deparse(tm.Stmt)
+				}
+			}
+			begin.Tasks = append(begin.Tasks, d)
 		}
-		begin.Tasks = append(begin.Tasks, d)
+		if err := j.Append(begin); err != nil {
+			return nil, fmt.Errorf("core: journal begin: %w", err)
+		}
+		// The multitransaction id rides to participants on every prepare,
+		// so their journals correlate with ours, and onto the statement's
+		// query inventory record so /debug/queries and the slow-query log
+		// carry it.
+		mtid = begin.MTID
+		ctx = lam.WithMTID(ctx, mtid)
+		obs.DefaultQueries.SetMTID(obs.QueryIDFrom(ctx), mtid)
+		log = &txJournal{f: f, j: j, mtid: mtid}
 	}
-	if err := j.Append(begin); err != nil {
-		return nil, fmt.Errorf("core: journal begin: %w", err)
-	}
-	// The multitransaction id rides to participants on every prepare, so
-	// their journals correlate with ours, and onto the statement's query
-	// inventory record so /debug/queries and the slow-query log carry it.
-	ctx = lam.WithMTID(ctx, begin.MTID)
-	obs.DefaultQueries.SetMTID(obs.QueryIDFrom(ctx), begin.MTID)
-	out, err := f.engine.RunLogged(ctx, prog, &txJournal{f: f, j: j, mtid: begin.MTID})
+	out, err = f.engine.RunLogged(ctx, prog, log)
 	if terminal(meta, out, err) {
-		_ = j.Append(&mtlog.Record{
-			Type: mtlog.TEnd, MTID: begin.MTID, State: "status=" + strconv.Itoa(out.Status),
-		})
+		if log != nil {
+			_ = j.Append(&mtlog.Record{
+				Type: mtlog.TEnd, MTID: mtid, State: "status=" + strconv.Itoa(out.Status),
+			})
+		}
 		f.engine.Forget(ctx, out.Prepared)
 	}
 	return out, err

@@ -256,7 +256,9 @@ func (s *Session) execStmt(ctx context.Context, stmt msqlparser.Stmt) ([]*Result
 		if err != nil {
 			return resultList(sync), err
 		}
-		r, err := s.execMultiTx(ctx, st)
+		r, err := s.execPlan(ctx, &Result{Kind: KindMultiTx}, nil, func() (*dol.Program, *translate.Meta, error) {
+			return f.tctx.TranslateMultiTx(st)
+		})
 		return resultList(sync, r), err
 
 	case *msqlparser.IncorporateStmt:
@@ -349,7 +351,9 @@ func (s *Session) execQuery(ctx context.Context, q *msqlparser.QueryStmt) ([]*Re
 		}
 	}
 	if _, ok := q.Body.(*sqlparser.SelectStmt); ok {
-		r, err := s.execSelect(ctx, q)
+		r, err := s.execPlan(ctx, &Result{Kind: KindSelect}, nil, func() (*dol.Program, *translate.Meta, error) {
+			return s.translateSelect(q)
+		})
 		return resultList(r), err
 	}
 	if len(s.scope) == 0 {
@@ -361,7 +365,9 @@ func (s *Session) execQuery(ctx context.Context, q *msqlparser.QueryStmt) ([]*Re
 		if err != nil {
 			return resultList(sync), err
 		}
-		r, err := s.execGlobalDML(ctx, q)
+		r, err := s.execPlan(ctx, &Result{Kind: KindGlobalDML}, nil, func() (*dol.Program, *translate.Meta, error) {
+			return s.f.tctx.TranslateQuery(s.scope, s.lets, q)
+		})
 		return resultList(sync, r), err
 	}
 	s.unit = append(s.unit, translate.UnitQuery{
@@ -386,62 +392,105 @@ func (s *Session) flush(ctx context.Context) (*Result, error) {
 
 // sync translates and runs the pending unit.
 func (s *Session) sync(ctx context.Context, mode translate.SyncMode) (*Result, error) {
-	f := s.f
 	unit := s.unit
 	s.unit = nil
 	if len(unit) == 0 {
 		return nil, nil
 	}
+	return s.execPlan(ctx, &Result{Kind: KindSync, Mode: mode}, nil, func() (*dol.Program, *translate.Meta, error) {
+		return s.f.tctx.TranslateUnit(s.scope, unit, mode)
+	})
+}
+
+// planSpans names the execute span of each result kind's plan run; the
+// kind of its journal begin record is the name after "execute:".
+var planSpans = [...]string{
+	KindSelect:    "execute:select",
+	KindSync:      "execute:sync",
+	KindGlobalDML: "execute:dml",
+	KindMultiTx:   "execute:multitx",
+	KindExplain:   "execute:explain",
+}
+
+// execPlan runs one statement the way the paper's §4 runs every MSQL
+// statement: translate it into a DOL program, run the program on the
+// engine, then settle the outcome. A read plan assembles its
+// multitable; a write plan drops the provisional GDD entries of DDL
+// that did not commit, classifies the outcome, applies the DDL that did
+// commit to the GDD and fires the triggers its committed subqueries
+// match. res carries what the statement form sets (its kind, a sync's
+// mode); translation fills in the rest.
+//
+// A non-nil ex runs the statement in EXPLAIN mode: plain EXPLAIN stops
+// after translation, like a dry run, and renders the federation plan;
+// ANALYZE wraps every task body in a site-local EXPLAIN ANALYZE before
+// the run and annotates the plan with the outcome after it.
+func (s *Session) execPlan(ctx context.Context, res *Result, ex *msqlparser.ExplainStmt,
+	translateFn func() (*dol.Program, *translate.Meta, error)) (*Result, error) {
+	f := s.f
 	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateUnit(s.scope, unit, mode)
+	prog, meta, err := translateFn()
 	tsp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindSync, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, Mode: mode}
-	if f.DryRun {
-		f.dropProvisional(meta, nil)
+	res.DOL, res.Skipped = printPlan(ctx, prog), meta.Skipped
+	run := !f.DryRun && (ex == nil || ex.Analyze)
+	var out *dolengine.Outcome
+	start := time.Now()
+	if run {
+		if ex != nil {
+			wrapSiteExplain(prog)
+		}
+		span := planSpans[res.Kind]
+		if s.inTrigger {
+			span = "execute:trigger"
+		}
+		out, err = f.runPlan(ctx, span, prog, meta)
+	}
+	// Provisional GDD entries stay only where their DDL committed: none
+	// stays when nothing ran.
+	f.dropProvisional(meta, out)
+	if !run {
+		if ex != nil {
+			res.Plan = federationPlan(prog, meta, nil)
+		}
 		return res, nil
 	}
-	out, err := f.runPlan(ctx, "sync", prog, meta)
 	if err != nil {
-		f.dropProvisional(meta, out)
 		return res, err
 	}
-	f.dropProvisional(meta, out)
-	f.fillFromOutcome(res, meta, out)
-	mUnitOutcomes.With(res.State.String()).Inc()
-	f.maintainGDD(meta, out)
-	if err := s.fireTriggers(ctx, res, meta, out); err != nil {
-		return res, err
+	var rows int64
+	if readPlan(meta) {
+		if err := f.assembleMultitable(res, meta, out); err != nil {
+			return res, err
+		}
+		rows = int64(res.Multitable.TotalRows())
+	} else {
+		f.fillFromOutcome(res, meta, out)
+		mUnitOutcomes.With(res.State.String()).Inc()
+		f.maintainGDD(meta, out)
+		for _, n := range res.RowsAffected {
+			rows += int64(n)
+		}
+		err = s.fireTriggers(ctx, res, meta, out)
 	}
-	return res, nil
+	if ex != nil {
+		res.Plan = analyzedPlan(prog, meta, out, start, rows)
+	}
+	return res, err
 }
 
 // fireTriggers runs interdatabase triggers matching committed
-// manipulation subqueries of a synchronized unit. Triggers do not fire
-// recursively.
+// manipulation subqueries of a synchronized unit, each as a unit of its
+// own through execPlan. Triggers do not fire recursively.
 func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate.Meta, out *dolengine.Outcome) error {
-	f := s.f
-	triggers := f.triggerSnapshot()
-	if s.inTrigger || len(triggers) == 0 {
+	if s.inTrigger {
 		return nil
 	}
-	eventOf := func(st sqlparser.Statement) string {
-		switch st.(type) {
-		case *sqlparser.UpdateStmt:
-			return "UPDATE"
-		case *sqlparser.InsertStmt:
-			return "INSERT"
-		case *sqlparser.DeleteStmt:
-			return "DELETE"
-		case *sqlparser.CreateTableStmt, *sqlparser.CreateViewStmt:
-			return "CREATE"
-		case *sqlparser.DropTableStmt, *sqlparser.DropViewStmt:
-			return "DROP"
-		default:
-			return ""
-		}
+	triggers := s.f.triggerSnapshot()
+	if len(triggers) == 0 {
+		return nil
 	}
 	fired := map[string]bool{}
 	for _, tm := range meta.Tasks {
@@ -461,18 +510,13 @@ func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate
 			}
 			fired[name] = true
 			s.inTrigger = true
-			_, _, terr := func() (*dol.Program, *translate.Meta, error) {
-				prog, tmeta, err := f.tctx.TranslateUnit(trig.scope,
+			_, err := s.execPlan(ctx, &Result{Kind: KindSync}, nil, func() (*dol.Program, *translate.Meta, error) {
+				return s.f.tctx.TranslateUnit(trig.scope,
 					[]translate.UnitQuery{{Lets: trig.lets, Query: trig.query}}, translate.SyncCommit)
-				if err != nil {
-					return nil, nil, err
-				}
-				_, err = f.runPlan(ctx, "trigger", prog, tmeta)
-				return prog, tmeta, err
-			}()
+			})
 			s.inTrigger = false
-			if terr != nil {
-				return fmt.Errorf("core: trigger %s: %w", name, terr)
+			if err != nil {
+				return fmt.Errorf("core: trigger %s: %w", name, err)
 			}
 			res.TriggersFired = append(res.TriggersFired, name)
 		}
@@ -480,100 +524,32 @@ func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate
 	return nil
 }
 
-// selectTarget resolves what a retrieval runs as: the multiview
-// invocation form runs the view's captured multiple query under the
-// scope and LET bindings captured at its definition, anything else runs
-// as written under the session's.
-func (s *Session) selectTarget(q *msqlparser.QueryStmt) ([]semvar.ScopeEntry, []msqlparser.LetBinding, *msqlparser.QueryStmt) {
-	if sel, ok := q.Body.(*sqlparser.SelectStmt); ok {
-		if view := s.f.matchMultiview(sel); view != nil {
-			return view.scope, view.lets, &msqlparser.QueryStmt{Body: view.body}
-		}
+// eventOf names the trigger event a committed statement raises.
+func eventOf(st sqlparser.Statement) string {
+	switch st.(type) {
+	case *sqlparser.UpdateStmt:
+		return "UPDATE"
+	case *sqlparser.InsertStmt:
+		return "INSERT"
+	case *sqlparser.DeleteStmt:
+		return "DELETE"
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateViewStmt:
+		return "CREATE"
+	case *sqlparser.DropTableStmt, *sqlparser.DropViewStmt:
+		return "DROP"
+	default:
+		return ""
 	}
-	return s.scope, s.lets, q
 }
 
-// execSelect runs a retrieval query immediately and assembles the
-// multitable.
-func (s *Session) execSelect(ctx context.Context, q *msqlparser.QueryStmt) (*Result, error) {
-	f := s.f
-	scope, lets, q := s.selectTarget(q)
-	if len(scope) == 0 {
-		return nil, translate.ErrNoScope
+// translateSelect translates a retrieval. The multiview invocation form
+// runs the view's captured multiple query under the scope and LET
+// bindings captured at its definition; anything else runs as written
+// under the session's.
+func (s *Session) translateSelect(q *msqlparser.QueryStmt) (*dol.Program, *translate.Meta, error) {
+	scope, lets := s.scope, s.lets
+	if view := s.f.matchMultiview(q.Body.(*sqlparser.SelectStmt)); view != nil {
+		scope, lets, q = view.scope, view.lets, &msqlparser.QueryStmt{Body: view.body}
 	}
-	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateQuery(scope, lets, q)
-	tsp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: KindSelect, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
-	if f.DryRun {
-		return res, nil
-	}
-	esp, ectx := obs.StartSpan(ctx, "execute:select", obs.KindEngine)
-	out, err := f.engine.Run(ectx, prog)
-	esp.EndErr(err)
-	if err != nil {
-		return res, err
-	}
-	if err := f.assembleMultitable(res, meta, out); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// execGlobalDML runs a cross-database manipulation statement as its own
-// unit.
-func (s *Session) execGlobalDML(ctx context.Context, q *msqlparser.QueryStmt) (*Result, error) {
-	f := s.f
-	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateQuery(s.scope, s.lets, q)
-	tsp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: KindGlobalDML, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
-	if f.DryRun {
-		return res, nil
-	}
-	out, err := f.runPlan(ctx, "dml", prog, meta)
-	if err != nil {
-		return res, err
-	}
-	f.fillFromOutcome(res, meta, out)
-	mUnitOutcomes.With(res.State.String()).Inc()
-	f.maintainGDD(meta, out)
-	if err := s.fireTriggers(ctx, res, meta, out); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// execMultiTx runs a multitransaction.
-func (s *Session) execMultiTx(ctx context.Context, m *msqlparser.MultiTxStmt) (*Result, error) {
-	f := s.f
-	tsp, _ := obs.StartSpan(ctx, "translate", obs.KindTranslate)
-	prog, meta, err := f.tctx.TranslateMultiTx(m)
-	tsp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: KindMultiTx, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
-	if f.DryRun {
-		return res, nil
-	}
-	out, err := f.runPlan(ctx, "multitx", prog, meta)
-	if err != nil {
-		return res, err
-	}
-	f.fillFromOutcome(res, meta, out)
-	if res.Status >= 0 && res.Status < len(meta.AcceptableStates) {
-		res.AchievedState = meta.AcceptableStates[res.Status]
-		res.State = StateSuccess
-	} else {
-		res.State = StateAborted
-	}
-	mUnitOutcomes.With(res.State.String()).Inc()
-	return res, nil
+	return s.f.tctx.TranslateQuery(scope, lets, q)
 }
