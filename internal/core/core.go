@@ -853,10 +853,10 @@ func (f *Federation) fillFromOutcome(res *Result, meta *translate.Meta, out *dol
 	}
 }
 
-// maintainGDD applies committed DDL to the dictionary.
+// maintainGDD applies committed DDL, a COMP's after its subquery's, to the dictionary.
 func (f *Federation) maintainGDD(meta *translate.Meta, out *dolengine.Outcome) {
 	for _, tm := range meta.Tasks {
-		if tm.Role == translate.RoleComp || out.TaskStatus(tm.Name) != dol.StatusCommitted {
+		if out.TaskStatus(tm.Name) != dol.StatusCommitted {
 			continue
 		}
 		switch st := tm.Stmt.(type) {

@@ -183,6 +183,62 @@ func TestE3PathContinentalCommittedUnitedAborted(t *testing.T) {
 	}
 }
 
+// TestCompensatedWriteFiresNoTrigger: continental's UPDATE autocommits
+// and its COMP undoes it when united fails, so the unit aborted and the
+// trigger on continental's updates must not fire.
+func TestCompensatedWriteFiresNoTrigger(t *testing.T) {
+	f := paperFederation(t, true)
+	if _, err := f.ExecScript(`
+USE avis
+CREATE TABLE audit (what CHAR(40));
+CREATE TRIGGER mirror ON continental AFTER UPDATE EXECUTE
+INSERT INTO audit (what) VALUES ('continental updated')
+`); err != nil {
+		t.Fatal(err)
+	}
+	f.Server("svc_unit").Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "united"})
+	results, err := f.ExecScript(e3Script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync := results[len(results)-1]
+	if sync.State != StateAborted || len(sync.Compensated) != 1 {
+		t.Fatalf("state = %s, compensated = %v", sync.State, sync.Compensated)
+	}
+	if len(sync.TriggersFired) != 0 {
+		t.Fatalf("triggers fired on a compensated update: %v", sync.TriggersFired)
+	}
+	if n := localRate(t, f, "svc_avis", "avis", "SELECT COUNT(what) FROM audit"); n != 0 {
+		t.Fatalf("audit rows = %v", n)
+	}
+}
+
+// TestCompensatingDDLReachesGDD: continental's CREATE TABLE autocommits
+// and its COMP drops the table again when delta fails, so the GDD must
+// not keep the table either.
+func TestCompensatingDDLReachesGDD(t *testing.T) {
+	f := paperFederation(t, true)
+	f.Server("svc_delta").Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "delta"})
+	results, err := f.ExecScript(`
+USE continental VITAL delta VITAL
+CREATE TABLE tmpx (x INTEGER)
+COMP continental
+DROP TABLE tmpx
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync := results[len(results)-1]
+	if sync.State != StateAborted || len(sync.Compensated) != 1 || sync.Compensated[0] != "continental" {
+		t.Fatalf("state = %s, compensated = %v", sync.State, sync.Compensated)
+	}
+	for _, db := range []string{"continental", "delta"} {
+		if _, err := f.GDD.Table(db, "tmpx"); err == nil {
+			t.Errorf("GDD keeps %s.tmpx, which no site holds", db)
+		}
+	}
+}
+
 func TestE3PathContinentalAbortedUnitedPrepared(t *testing.T) {
 	f := paperFederation(t, true)
 	f.Server("svc_cont").Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "continental"})

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"msql/internal/catalog"
@@ -481,9 +482,9 @@ func (s *Session) execPlan(ctx context.Context, res *Result, ex *msqlparser.Expl
 	return res, err
 }
 
-// fireTriggers runs interdatabase triggers matching committed
-// manipulation subqueries of a synchronized unit, each as a unit of its
-// own through execPlan. Triggers do not fire recursively.
+// fireTriggers runs interdatabase triggers matching committed, not
+// compensated, manipulation subqueries of a synchronized unit, each as a
+// unit of its own through execPlan. Triggers do not fire recursively.
 func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate.Meta, out *dolengine.Outcome) error {
 	if s.inTrigger {
 		return nil
@@ -494,10 +495,8 @@ func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate
 	}
 	fired := map[string]bool{}
 	for _, tm := range meta.Tasks {
-		if tm.Role != translate.RoleWrite && tm.Role != translate.RoleFinal {
-			continue
-		}
-		if out.TaskStatus(tm.Name) != dol.StatusCommitted {
+		if tm.Role != translate.RoleWrite && tm.Role != translate.RoleFinal ||
+			out.TaskStatus(tm.Name) != dol.StatusCommitted || slices.Contains(res.Compensated, tm.Entry.Name) {
 			continue
 		}
 		ev := eventOf(tm.Stmt)

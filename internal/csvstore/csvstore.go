@@ -1,7 +1,7 @@
 // Package csvstore is a flat-file storage engine: databases are
 // directories, tables are CSV files with a typed header row, and the
-// whole committed state of a table is rewritten (atomically, via
-// tmp+rename) when a transaction touching it commits.
+// whole committed state of a table is rewritten when a transaction
+// touching it commits.
 //
 // It exists to be *unlike* relstore. The paper's federation incorporates
 // database products of very different sophistication, and its §3.3
@@ -12,6 +12,15 @@
 // visibility. Behind ldbms.ProfileAutoCommitOnly (COMMITMODE COMMIT)
 // every statement commits immediately, which is the only mode the
 // engine is honest about.
+//
+// A commit costs what it changed. Each table image carries every row's
+// encoded CSV line beside the row, shared with the images cloned from
+// it; a commit encodes only the rows it inserted or replaced, then
+// writes the header and all lines through wal.WriteFileAtomic (tmp file,
+// fsync, rename, directory fsync). The file is written before the image
+// is published, under a lock per table file taken in path order, so a
+// reader never sees an image that is not yet durable, and commits to
+// different tables do not wait on each other's fsyncs.
 //
 // The package is three things: the file format (this file), the
 // copy-on-write transaction, and that transaction's implementation of
@@ -24,6 +33,7 @@
 package csvstore
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -37,6 +47,7 @@ import (
 	"msql/internal/schema"
 	"msql/internal/sqlengine"
 	"msql/internal/sqlval"
+	"msql/internal/wal"
 )
 
 // Engine errors. Missing and already-existing objects are reported with
@@ -58,7 +69,14 @@ const nullMark = `\N`
 // too — a staged image replaces or tombstones (nil) a row, never edits
 // it — so a copy shares them with its original. An image is the
 // executor's RowTable, so the executor scans it directly.
-type table = sqlengine.RowTable
+//
+// lines[i] is Rows[i]'s encoded CSV line, or "" until a commit writes
+// it. A line is as immutable as its row and shared the same way; every
+// change to a row clears its line.
+type table struct {
+	sqlengine.RowTable
+	lines []string
+}
 
 type database struct {
 	tables map[string]*table
@@ -69,14 +87,15 @@ type database struct {
 type Store struct {
 	dir string
 
-	mu  sync.Mutex
-	dbs map[string]*database
+	mu    sync.Mutex
+	dbs   map[string]*database
+	files map[string]*sync.Mutex // per table file; see Tx.Commit
 }
 
 // Open creates a store rooted at dir, loading any databases a previous
 // process left there. An empty dir keeps the store memory-only.
 func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir, dbs: make(map[string]*database)}
+	s := &Store{dir: dir, dbs: make(map[string]*database), files: make(map[string]*sync.Mutex)}
 	if dir == "" {
 		return s, nil
 	}
@@ -216,20 +235,58 @@ func (s *Store) lookup(db, name string) (*table, error) {
 	return t, nil
 }
 
-// clone copies a table image for copy-on-write staging.
-func clone(t *table) *table {
-	return &table{Cols: t.Cols, Rows: append([]schema.Row(nil), t.Rows...)}
+// fileLock returns the lock of one table file.
+func (s *Store) fileLock(path string) *sync.Mutex {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.files[path]
+	if l == nil {
+		l = new(sync.Mutex)
+		s.files[path] = l
+	}
+	return l
 }
 
-// compact squeezes the tombstones out of a staged image.
-func compact(t *table) {
-	live := t.Rows[:0]
-	for _, r := range t.Rows {
+func newTable(cols []schema.Column) *table {
+	return &table{RowTable: sqlengine.RowTable{Cols: cols}}
+}
+
+// clone copies a table image for copy-on-write staging; the copy shares
+// the rows and their lines.
+func (t *table) clone() *table {
+	c := newTable(t.Cols)
+	c.Rows = append([]schema.Row(nil), t.Rows...)
+	c.lines = append([]string(nil), t.lines...)
+	return c
+}
+
+// insert appends a row with no line yet.
+func (t *table) insert(row schema.Row) {
+	t.Rows = append(t.Rows, row)
+	t.lines = append(t.lines, "")
+}
+
+// Set replaces the live row at pos, or tombstones it with nil, and
+// clears its line.
+func (t *table) Set(pos int, row schema.Row) error {
+	if err := t.RowTable.Set(pos, row); err != nil {
+		return err
+	}
+	t.lines[pos] = ""
+	return nil
+}
+
+// compact squeezes the tombstones out of a staged image, and their
+// lines with them.
+func (t *table) compact() {
+	n := 0
+	for i, r := range t.Rows {
 		if r != nil {
-			live = append(live, r)
+			t.Rows[n], t.lines[n] = r, t.lines[i]
+			n++
 		}
 	}
-	t.Rows = live
+	t.Rows, t.lines = t.Rows[:n], t.lines[:n]
 }
 
 // ---- CSV encoding ----
@@ -322,7 +379,7 @@ func loadTable(path string) (*table, error) {
 	if len(records) == 0 {
 		return nil, errors.New("csvstore: missing header row")
 	}
-	t := &table{}
+	t := newTable(nil)
 	for _, h := range records[0] {
 		c, err := decodeColumn(h)
 		if err != nil {
@@ -342,7 +399,7 @@ func loadTable(path string) (*table, error) {
 			}
 			row[i] = v
 		}
-		t.Rows = append(t.Rows, row)
+		t.insert(row)
 	}
 	return t, nil
 }
@@ -357,43 +414,40 @@ func removeFile(path string) error {
 	return err
 }
 
-// writeTable persists one table image atomically (tmp + rename).
+// writeTable persists one table image: it encodes the rows that have no
+// line yet, keeping their lines in the image, and replaces the file with
+// the header and every line.
 func writeTable(path string, t *table) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	header := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		header[i] = encodeColumn(c)
-	}
-	if err := w.Write(header); err != nil {
-		f.Close()
-		return err
-	}
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
 	cells := make([]string, len(t.Cols))
-	for _, row := range t.Rows {
-		for i, v := range row {
-			cells[i] = encodeCell(v)
+	size := 0
+	for i, row := range t.Rows {
+		if t.lines[i] == "" {
+			for j, v := range row {
+				cells[j] = encodeCell(v)
+			}
+			w.Write(cells)
+			w.Flush()
+			t.lines[i] = buf.String()
+			buf.Reset()
 		}
-		if err := w.Write(cells); err != nil {
-			f.Close()
-			return err
-		}
+		size += len(t.lines[i])
 	}
+	for i, c := range t.Cols {
+		cells[i] = encodeColumn(c)
+	}
+	w.Write(cells)
 	w.Flush()
 	if err := w.Error(); err != nil {
-		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	buf.Grow(size)
+	for _, l := range t.lines {
+		buf.WriteString(l)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return replaceFile(path, buf.Bytes())
 }
+
+// replaceFile is the one file write; tests wrap it to watch commits.
+var replaceFile = wal.WriteFileAtomic

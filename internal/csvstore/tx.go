@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"msql/internal/backend"
@@ -14,10 +15,11 @@ import (
 )
 
 // Tx is one copy-on-write transaction. Reads see the committed images
-// plus this transaction's own staged writes; Commit swaps staged table
-// images into the store (and rewrites their CSV files) under the store
-// lock, last writer wins. There is no prepare support and no locking —
-// the honesty of COMMITMODE COMMIT.
+// plus this transaction's own staged writes; Commit rewrites the touched
+// tables' CSV files, encoding only the rows the transaction inserted or
+// replaced, then swaps the staged images into the store, last writer
+// wins. There is no prepare support and no row locking — the honesty of
+// COMMITMODE COMMIT.
 //
 // Tx is also the sqlengine.Storage the SQL executor runs over: a cursor
 // position is the row's index in the table image, a delete leaves a nil
@@ -70,7 +72,7 @@ func (t *Tx) write(db, name string) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := clone(committed)
+	img := committed.clone()
 	t.stage(db, name, img)
 	return img, nil
 }
@@ -151,7 +153,7 @@ func (t *Tx) Insert(db, name string, row schema.Row) error {
 	if err != nil {
 		return err
 	}
-	img.Rows = append(img.Rows, row)
+	img.insert(row)
 	return nil
 }
 
@@ -179,7 +181,7 @@ func (t *Tx) CreateTable(db, name string, cols []schema.Column) error {
 	if !errors.Is(err, schema.ErrNoTable) {
 		return err // no such database
 	}
-	t.stage(db, name, &table{Cols: append([]schema.Column(nil), cols...)})
+	t.stage(db, name, newTable(append([]schema.Column(nil), cols...)))
 	return nil
 }
 
@@ -226,41 +228,67 @@ func (t *Tx) DropDatabase(name string) error {
 // backstop for misdeclared profiles.
 func (t *Tx) Prepare() error { return ErrNoPrepare }
 
-// Commit publishes the staged table images and rewrites their files.
+// Commit publishes the staged table images. A file-backed store first
+// writes each touched table's file (wal.WriteFileAtomic: tmp file,
+// fsync, rename, directory fsync), holding the locks of those files,
+// taken in path order, until the images are swapped in under the store
+// lock. So a reader never sees an image whose file is not written, the
+// file order is the publish order (last writer wins on disk as in
+// memory), and the store lock is held for the swap alone. If a write
+// fails, the images whose files were written are still published.
 func (t *Tx) Commit() error {
 	if t.done {
 		return nil
 	}
 	t.done = true
 	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	type change struct {
+		db, name, path string
+		img            *table // nil: DROP TABLE
+	}
+	var cs []change
 	for db, m := range t.staged {
-		d, ok := s.dbs[db]
-		if !ok {
-			return fmt.Errorf("%w: %s", schema.ErrNoDatabase, db)
-		}
 		for name, img := range m {
-			if img == nil {
-				delete(d.tables, name)
+			if img != nil {
+				img.compact()
+			}
+			cs = append(cs, change{db: db, name: name, path: filepath.Join(s.dir, db, name+".csv"), img: img})
+		}
+	}
+	var err error
+	if s.dir != "" {
+		sort.Slice(cs, func(i, j int) bool { return cs[i].path < cs[j].path })
+		for _, c := range cs {
+			l := s.fileLock(c.path)
+			l.Lock()
+			defer l.Unlock()
+		}
+		for i, c := range cs {
+			if c.img == nil {
+				err = removeFile(c.path)
 			} else {
-				compact(img)
-				d.tables[name] = img
+				err = writeTable(c.path, c.img)
 			}
-			if s.dir == "" {
-				continue
-			}
-			path := filepath.Join(s.dir, db, name+".csv")
-			if img == nil {
-				if err := removeFile(path); err != nil {
-					return err
-				}
-			} else if err := writeTable(path, img); err != nil {
-				return err
+			if err != nil {
+				cs = cs[:i]
+				break
 			}
 		}
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range cs {
+		d, ok := s.dbs[c.db]
+		if !ok {
+			return fmt.Errorf("%w: %s", schema.ErrNoDatabase, c.db)
+		}
+		if c.img == nil {
+			delete(d.tables, c.name)
+		} else {
+			d.tables[c.name] = c.img
+		}
+	}
+	return err
 }
 
 // Rollback discards the staged writes.

@@ -1,11 +1,11 @@
 package relstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"msql/internal/schema"
 	"msql/internal/sqlval"
@@ -83,7 +83,8 @@ func Open(opts Options) (*Store, error) {
 	}
 	raw, err := os.ReadFile(filepath.Join(opts.Dir, catalogFile))
 	if os.IsNotExist(err) {
-		return s, nil // fresh directory
+		s.catalogGen = 1 // fresh directory: no catalog is durable yet
+		return s, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("relstore: read catalog: %w", err)
@@ -92,7 +93,6 @@ func Open(opts Options) (*Store, error) {
 	if err := json.Unmarshal(raw, &cat); err != nil {
 		return nil, fmt.Errorf("relstore: parse catalog: %w", err)
 	}
-	s.catalogOnDisk = raw
 	s.nextFile = cat.NextFile
 	for _, cd := range cat.Databases {
 		d := &Database{
@@ -191,8 +191,23 @@ func (s *Store) Checkpoint() error {
 		return nil
 	}
 	s.mu.RLock()
+	for _, d := range s.databases {
+		for _, t := range d.tables {
+			if err := t.backing.Sync(); err != nil {
+				s.mu.RUnlock()
+				return err
+			}
+		}
+	}
+	// The catalog holds only DDL state, so on almost every commit it is
+	// what is already durable under its name.
+	gen := s.catalogGen
+	if gen == s.catalogSaved {
+		s.mu.RUnlock()
+		return nil
+	}
 	var cat catalog
-	cat.NextFile = s.nextFile
+	cat.NextFile = atomic.LoadInt64(&s.nextFile)
 	for _, dn := range s.databaseNamesLocked() {
 		d := s.databases[dn]
 		cd := catalogDB{Name: dn}
@@ -205,10 +220,6 @@ func (s *Store) Checkpoint() error {
 				})
 			}
 			cd.Tables = append(cd.Tables, ct)
-			if err := t.backing.Sync(); err != nil {
-				s.mu.RUnlock()
-				return err
-			}
 		}
 		for _, vn := range d.ViewNames() {
 			cd.Views = append(cd.Views, catalogView{Name: vn, Definition: d.views[vn].Definition})
@@ -220,15 +231,10 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	// The catalog holds only DDL state, so on almost every commit it is
-	// byte-for-byte what is already durable under its name.
-	if bytes.Equal(raw, s.catalogOnDisk) {
-		return nil
-	}
 	if err := wal.WriteFileAtomic(filepath.Join(s.dir, catalogFile), raw); err != nil {
 		return err
 	}
-	s.catalogOnDisk = raw
+	s.catalogSaved = gen
 	return nil
 }
 

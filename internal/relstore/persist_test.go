@@ -263,6 +263,43 @@ func TestCheckpointRewritesCatalogOnlyOnDDL(t *testing.T) {
 	}
 }
 
+// TestFailedCatalogWriteIsRetried: a checkpoint whose catalog write
+// fails leaves the change pending, so the next checkpoint writes it
+// although no DDL came in between.
+func TestFailedCatalogWriteIsRetried(t *testing.T) {
+	dir := t.TempDir()
+	s := keyedStore(t, dir)
+	// A directory where the temp file goes makes the write fail.
+	tmp := filepath.Join(dir, catalogFile+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with its temp path blocked")
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir, PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	d, err := s2.Database("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Table("kv"); err != nil {
+		t.Fatalf("table lost: %v", err)
+	}
+}
+
 func TestUncheckpointedWorkIsLost(t *testing.T) {
 	// The durability unit is the checkpoint: rows committed after the last
 	// checkpoint may or may not reach the heap file (steal policy), and the

@@ -505,8 +505,12 @@ type Store struct {
 	dir       string // "" = memory-only
 	nextFile  int64  // atomic; names heap files uniquely
 
-	ckptMu        sync.Mutex // serializes Checkpoint
-	catalogOnDisk []byte     // last catalog.json read or written; guarded by ckptMu
+	// catalogGen counts catalog changes (tables, views, databases); it
+	// is bumped under mu. catalogSaved is the generation catalog.json
+	// holds, guarded by ckptMu.
+	catalogGen   int64
+	ckptMu       sync.Mutex // serializes Checkpoint
+	catalogSaved int64
 }
 
 // NewStore returns an empty in-memory store with the default pool size.
@@ -548,6 +552,7 @@ func (s *Store) CreateDatabase(name string) error {
 		tables: make(map[string]*Table),
 		views:  make(map[string]*View),
 	}
+	s.catalogGen++
 	return nil
 }
 
@@ -561,11 +566,37 @@ func (s *Store) DropDatabase(name string) error {
 		return fmt.Errorf("%w: %s", schema.ErrNoDatabase, name)
 	}
 	delete(s.databases, name)
+	s.catalogGen++
 	s.mu.Unlock()
 	for _, t := range d.tables {
 		t.destroy(s)
 	}
 	return nil
+}
+
+// setTable enters tbl under name in d, or removes the name when tbl is
+// nil: a catalog change.
+func (s *Store) setTable(d *Database, name string, tbl *Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tbl == nil {
+		delete(d.tables, name)
+	} else {
+		d.tables[name] = tbl
+	}
+	s.catalogGen++
+}
+
+// setView is setTable for views.
+func (s *Store) setView(d *Database, name string, v *View) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v == nil {
+		delete(d.views, name)
+	} else {
+		d.views[name] = v
+	}
+	s.catalogGen++
 }
 
 // Database returns the named database.

@@ -336,7 +336,7 @@ func (t *Tx) CreateTable(db, name string, cols []schema.Column) error {
 	if err != nil {
 		return err
 	}
-	d.tables[name] = tbl
+	t.store.setTable(d, name, tbl)
 	t.undo = append(t.undo, undoRec{kind: undoCreateTable, db: db, name: name})
 	return nil
 }
@@ -359,7 +359,7 @@ func (t *Tx) DropTable(db, name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", schema.ErrNoTable, db, name)
 	}
-	delete(d.tables, name)
+	t.store.setTable(d, name, nil)
 	t.lastWrite.tbl = nil
 	t.undo = append(t.undo, undoRec{kind: undoDropTable, db: db, name: name, table: tbl})
 	return nil
@@ -421,7 +421,7 @@ func (t *Tx) CreateView(db, name, definition string) error {
 	if _, ok := d.views[name]; ok {
 		return fmt.Errorf("%w: %s.%s", ErrViewExists, db, name)
 	}
-	d.views[name] = &View{Name: name, Definition: definition}
+	t.store.setView(d, name, &View{Name: name, Definition: definition})
 	t.undo = append(t.undo, undoRec{kind: undoCreateView, db: db, name: name})
 	return nil
 }
@@ -444,7 +444,7 @@ func (t *Tx) DropView(db, name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", schema.ErrNoView, db, name)
 	}
-	delete(d.views, name)
+	t.store.setView(d, name, nil)
 	t.undo = append(t.undo, undoRec{kind: undoDropView, db: db, name: name, view: v})
 	return nil
 }
@@ -545,28 +545,30 @@ func (t *Tx) applyUndo(u undoRec) {
 		if d, err := t.store.Database(u.db); err == nil {
 			if tbl, ok := d.tables[u.name]; ok {
 				tbl.destroy(t.store)
-				delete(d.tables, u.name)
+				t.store.setTable(d, u.name, nil)
 			}
 		}
 	case undoDropTable:
 		if d, err := t.store.Database(u.db); err == nil {
-			d.tables[u.name] = u.table
+			t.store.setTable(d, u.name, u.table)
 		}
 	case undoCreateDB:
 		t.store.mu.Lock()
 		delete(t.store.databases, u.name)
+		t.store.catalogGen++
 		t.store.mu.Unlock()
 	case undoDropDB:
 		t.store.mu.Lock()
 		t.store.databases[u.name] = u.dbObj
+		t.store.catalogGen++
 		t.store.mu.Unlock()
 	case undoCreateView:
 		if d, err := t.store.Database(u.db); err == nil {
-			delete(d.views, u.name)
+			t.store.setView(d, u.name, nil)
 		}
 	case undoDropView:
 		if d, err := t.store.Database(u.db); err == nil {
-			d.views[u.name] = u.view
+			t.store.setView(d, u.name, u.view)
 		}
 	}
 }
