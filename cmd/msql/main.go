@@ -286,11 +286,11 @@ func printRecovery(w io.Writer, rep *core.RecoveryReport) {
 
 // runSource executes one script and reports whether it succeeded. A
 // script fails when parsing/execution errors out, or when any produced
-// result is a failed outcome: an Incorrect or Unresolved global state, an
-// Aborted state for a commit-mode synchronization (an explicit ROLLBACK
-// aborting is the requested outcome, not a failure), or a
-// multitransaction that reached no acceptable state. Script mode exits
-// nonzero on failure so msql -f works in pipelines and CI.
+// result is a unit of any kind (synchronization, cross-database
+// manipulation, multitransaction) whose global state is not Success,
+// except an explicit ROLLBACK that aborted: that is the requested
+// outcome. Script mode exits nonzero on failure so msql -f works in
+// pipelines and CI.
 func runSource(fed *core.Federation, src string, showDOL, showTrace bool, out, errw io.Writer) bool {
 	results, err := fed.ExecScript(src)
 	ok := true
@@ -334,15 +334,9 @@ func printTraceTree(fed *core.Federation, results []*core.Result, w io.Writer) {
 // status purposes.
 func scriptFailed(r *core.Result) bool {
 	switch r.Kind {
-	case core.KindSync:
-		if r.State == core.StateAborted && r.Mode == translate.SyncRollback {
-			return false // the script asked for the rollback
-		}
-		return r.State != core.StateSuccess
-	case core.KindGlobalDML:
-		return r.State != core.StateSuccess
-	case core.KindMultiTx:
-		return r.AchievedState == nil
+	case core.KindSync, core.KindGlobalDML, core.KindMultiTx:
+		// An aborted ROLLBACK is what the script asked for.
+		return r.State != core.StateSuccess && (r.State != core.StateAborted || r.Mode != translate.SyncRollback)
 	default:
 		return false
 	}
@@ -452,8 +446,12 @@ func printResult(w io.Writer, r *core.Result, showDOL bool) {
 		for _, d := range r.Degraded {
 			fmt.Fprintf(w, "  degraded: %s omitted — %s\n", d.Entry, d.Reason)
 		}
-	case core.KindSync, core.KindGlobalDML:
+	case core.KindSync, core.KindGlobalDML, core.KindMultiTx:
 		fmt.Fprintf(w, "global state: %s (DOLSTATUS=%d)\n", r.State, r.Status)
+		if r.AchievedState != nil {
+			fmt.Fprintf(w, "multitransaction committed acceptable state %d: %s\n",
+				r.Status, strings.Join(r.AchievedState, " AND "))
+		}
 		for _, name := range sortedTaskNames(r) {
 			fmt.Fprintf(w, "  %-14s %-10s %d row(s)\n", name, r.TaskStates[name], r.RowsAffected[name])
 		}
@@ -462,23 +460,6 @@ func printResult(w io.Writer, r *core.Result, showDOL bool) {
 		}
 		for _, d := range r.Degraded {
 			fmt.Fprintf(w, "  degraded: %s — %s\n", d.Entry, d.Reason)
-		}
-		for _, p := range r.Unresolved {
-			decision := "rollback"
-			if p.Commit {
-				decision = "commit"
-			}
-			fmt.Fprintf(w, "  in-doubt: %s (db %s) session %d at %s — resolve to %s\n", p.Entry, p.Database, p.SessionID, p.Addr, decision)
-		}
-	case core.KindMultiTx:
-		if r.AchievedState != nil {
-			fmt.Fprintf(w, "multitransaction committed acceptable state %d: %s\n",
-				r.Status, strings.Join(r.AchievedState, " AND "))
-		} else {
-			fmt.Fprintf(w, "multitransaction failed: no acceptable state reachable (DOLSTATUS=%d)\n", r.Status)
-		}
-		for _, name := range sortedTaskNames(r) {
-			fmt.Fprintf(w, "  %-14s %s\n", name, r.TaskStates[name])
 		}
 		for _, p := range r.Unresolved {
 			decision := "rollback"

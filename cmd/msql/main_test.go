@@ -139,6 +139,35 @@ func TestRunSourceExitStatus(t *testing.T) {
 		}
 	})
 
+	// An acceptable state is reached, but continental, which it
+	// excludes, fails its compensation: the multitransaction is
+	// Incorrect, and the script fails.
+	t.Run("incorrect multitransaction fails", func(t *testing.T) {
+		fed, err := demo.Build(demo.Options{Seed: 1, ContinentalAutoCommit: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed.Server("svc_delta").Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "delta"})
+		fed.Server("svc_cont").Faults().Add(ldbms.FaultRule{Op: ldbms.FaultExec, Database: "continental", Skip: 1})
+		var out, errw strings.Builder
+		if runSource(fed, `BEGIN MULTITRANSACTION
+USE continental
+UPDATE flights SET rate = rate + 1 WHERE flnu = 100
+COMP continental UPDATE flights SET rate = rate - 1 WHERE flnu = 100;
+USE delta
+UPDATE flight SET rate = rate + 1 WHERE fnu = 200;
+USE avis
+UPDATE cars SET rate = rate + 1 WHERE code = 3;
+COMMIT continental AND delta
+  avis
+END MULTITRANSACTION`, false, false, &out, &errw) {
+			t.Fatalf("incorrect multitransaction should fail the script; output:\n%s", out.String())
+		}
+		if !strings.Contains(out.String(), "global state: incorrect (DOLSTATUS=1)") {
+			t.Fatalf("output = %s", out.String())
+		}
+	})
+
 	t.Run("explicit rollback is not a failure", func(t *testing.T) {
 		fed := build()
 		var out, errw strings.Builder

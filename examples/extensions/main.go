@@ -34,7 +34,7 @@ func main() {
 				if r.AchievedState != nil {
 					fmt.Printf("multitransaction: committed %s\n", strings.Join(r.AchievedState, " AND "))
 				} else {
-					fmt.Println("multitransaction: aborted (no acceptable state)")
+					fmt.Printf("multitransaction: %s (no acceptable state)\n", r.State)
 				}
 			}
 			for _, trig := range r.TriggersFired {

@@ -79,7 +79,7 @@ func run(faults map[string]ldbms.FaultRule) {
 		if r.AchievedState != nil {
 			fmt.Printf("committed acceptable state %d: %s\n", r.Status, strings.Join(r.AchievedState, " AND "))
 		} else {
-			fmt.Printf("no acceptable state reachable (DOLSTATUS=%d): trip plan aborted\n", r.Status)
+			fmt.Printf("no acceptable state committed (DOLSTATUS=%d): trip plan %s\n", r.Status, r.State)
 		}
 		for _, name := range []string{"continental", "delta", "avis", "national"} {
 			if st, ok := r.TaskStates[name]; ok {

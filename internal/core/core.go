@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -780,73 +781,125 @@ func (f *Federation) dropProvisional(meta *translate.Meta, out *dolengine.Outcom
 	}
 }
 
-// fillFromOutcome copies task states and classifies the outcome.
+// fate is what a unit left of one forward subquery (§3.3, §3.4).
+type fate uint8
+
+const (
+	stands  fate = iota // committed, and no COMP copy reached
+	undone              // never committed, or a COMP copy committed
+	owed                // committed, and its compensation is still due
+	inDoubt             // prepared, its decision not delivered
+)
+
+// subquery is the forward task at index i of a plan's task list, with
+// its COMP copies (one per branch that undoes it) and its fate.
+type subquery struct {
+	i     int
+	task  string
+	comps []string
+	fate  fate
+}
+
+// standing is the one rule for what a unit leaves standing. taskAt
+// returns a task's name and, for a COMP copy, the forward task it undoes
+// (listed before it). A committed subquery stands until a COMP copy is
+// reached: it is undone once a copy commits, and owed its compensation
+// while none has. presumeAbort is recovery's reading of a unit that
+// journaled no commit decision: every copy counts as reached.
+func standing(n int, taskAt func(i int) (name, of string), status func(task string) dol.TaskStatus, presumeAbort bool) []subquery {
+	subs := make([]subquery, 0, n)
+	for i := 0; i < n; i++ {
+		name, of := taskAt(i)
+		if of == "" {
+			subs = append(subs, subquery{i: i, task: name})
+		}
+		for k := range subs {
+			if subs[k].task == of {
+				subs[k].comps = append(subs[k].comps, name)
+			}
+		}
+	}
+	for k := range subs {
+		sq := &subs[k]
+		switch status(sq.task) {
+		case dol.StatusInDoubt:
+			sq.fate = inDoubt
+		case dol.StatusCommitted:
+			for _, c := range sq.comps {
+				switch st := status(c); {
+				case st == dol.StatusCommitted:
+					sq.fate = undone
+				case (st != dol.StatusNotRun || presumeAbort) && sq.fate == stands:
+					sq.fate = owed
+				}
+			}
+		default:
+			sq.fate = undone
+		}
+	}
+	return subs
+}
+
+// planStanding is standing over a plan run.
+func planStanding(meta *translate.Meta, out *dolengine.Outcome) []subquery {
+	return standing(len(meta.Tasks), func(i int) (string, string) { return meta.Tasks[i].Name, meta.Tasks[i].For }, out.TaskStatus, false)
+}
+
+// fillFromOutcome copies task states and classifies the outcome by what
+// stands. A unit keeps its vital set; a multitransaction keeps the
+// acceptable state DOLSTATUS names (none on failure) and must undo every
+// other member. The unit is Success when each subquery it judges is what
+// it should be, Unresolved while one is in doubt, Aborted when all are
+// undone, and Incorrect otherwise.
 func (f *Federation) fillFromOutcome(res *Result, meta *translate.Meta, out *dolengine.Outcome) {
 	res.Status = out.Status
-	// Map unresolved in-doubt participants from task names to scope
-	// entries so callers can identify and later resolve them.
-	entryOf := make(map[string]translate.TaskMeta, len(meta.Tasks))
-	for _, tm := range meta.Tasks {
-		entryOf[tm.Name] = tm
-	}
+	// Name each unresolved participant by its scope entry.
 	for _, u := range out.Unresolved {
 		p := Participant{Addr: u.Addr, SessionID: u.SessionID, Commit: u.Commit, Database: u.Database}
-		if tm, ok := entryOf[u.Task]; ok {
-			p.Entry = tm.Entry.Name
+		for _, tm := range meta.Tasks {
+			if tm.Name == u.Task {
+				p.Entry = tm.Entry.Name
+			}
 		}
 		res.Unresolved = append(res.Unresolved, p)
 	}
 	res.TaskStates = make(map[string]dol.TaskStatus)
 	res.RowsAffected = make(map[string]int)
-	compDone := map[string]bool{}
-	for _, tm := range meta.Tasks {
+	keep, mtx := meta.VitalNames, meta.AcceptableStates != nil
+	ok := !mtx || res.Status >= 0 && res.Status < len(meta.AcceptableStates)
+	if mtx && ok {
+		keep = meta.AcceptableStates[res.Status]
+	}
+	indoubt, allUndone := false, true
+	for _, sq := range planStanding(meta, out) {
+		tm, fa := meta.Tasks[sq.i], sq.fate
 		st := out.TaskStatus(tm.Name)
-		if tm.Role == translate.RoleComp {
-			if st == dol.StatusCommitted {
-				compDone[tm.Entry.Name] = true
-				res.Compensated = append(res.Compensated, tm.Entry.Name)
-			}
-			continue
-		}
 		res.TaskStates[tm.Entry.Name] = st
-		if info, ok := out.Tasks[tm.Name]; ok {
+		if info, found := out.Tasks[tm.Name]; found {
 			res.RowsAffected[tm.Entry.Name] += info.RowsAffected
 		}
-	}
-	// A multitransaction is classified by the acceptable state it
-	// reached, any other unit with respect to its vital set.
-	if meta.AcceptableStates != nil {
-		res.State = StateAborted
-		if res.Status >= 0 && res.Status < len(meta.AcceptableStates) {
-			res.AchievedState = meta.AcceptableStates[res.Status]
-			res.State = StateSuccess
+		if fa == undone && st == dol.StatusCommitted {
+			res.Compensated = append(res.Compensated, tm.Entry.Name)
 		}
-		return
-	}
-	if len(meta.VitalNames) == 0 {
-		res.State = StateSuccess
-		return
-	}
-	committed, undone, indoubt := 0, 0, 0
-	for _, name := range meta.VitalNames {
-		st := res.TaskStates[name]
-		switch {
-		case st == dol.StatusInDoubt:
-			indoubt++
-		case st == dol.StatusCommitted && !compDone[name]:
-			committed++
-		default:
-			undone++
+		kept := slices.Contains(keep, tm.Entry.Name)
+		if tm.Role == translate.RoleRead || !kept && !mtx {
+			continue
 		}
+		ok = ok && (kept && fa == stands || !kept && fa == undone)
+		indoubt = indoubt || fa == inDoubt
+		allUndone = allUndone && fa == undone
 	}
 	switch {
-	case indoubt > 0:
-		// A vital participant's fate is unknown: refuse to call the unit
+	case indoubt:
+		// A judged participant's fate is unknown: refuse to call the unit
 		// either Success or Incorrect until it is resolved.
 		res.State = StateUnresolved
-	case undone == 0:
+	case ok:
 		res.State = StateSuccess
-	case committed == 0:
+		if mtx {
+			res.AchievedState = keep
+		}
+	case allUndone:
 		res.State = StateAborted
 	default:
 		res.State = StateIncorrect

@@ -95,21 +95,8 @@ func analyzedPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outcom
 	return root
 }
 
-// roleName labels a task's translator role for plan trees.
-func roleName(r translate.TaskRole) string {
-	switch r {
-	case translate.RoleRead:
-		return "read"
-	case translate.RoleWrite:
-		return "write"
-	case translate.RoleComp:
-		return "comp"
-	case translate.RoleFinal:
-		return "final"
-	default:
-		return "task"
-	}
-}
+// roleNames label the translator's task roles in plan trees.
+var roleNames = [...]string{translate.RoleRead: "read", translate.RoleWrite: "write", translate.RoleComp: "comp", translate.RoleFinal: "final"}
 
 // federationPlan builds the coordinator-side plan tree from a translated
 // DOL program: one node per task (scope entry, role, VITAL/COMP flags)
@@ -146,7 +133,7 @@ func federationPlan(prog *dol.Program, meta *translate.Meta, out *dolengine.Outc
 				tm := byName[st.Name]
 				detail := st.Name
 				if tm.Entry.Name != "" {
-					detail = fmt.Sprintf("%s %s on %s", st.Name, roleName(tm.Role), tm.Entry.Name)
+					detail = fmt.Sprintf("%s %s on %s", st.Name, roleNames[tm.Role], tm.Entry.Name)
 					if tm.Entry.Database != "" && tm.Entry.Database != tm.Entry.Name {
 						detail += " (" + tm.Entry.Database + ")"
 					}

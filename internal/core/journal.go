@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -97,17 +98,10 @@ func (t *txJournal) Decision(commit bool, tasks []string, votes []dolengine.Vote
 	return t.j.Append(rec)
 }
 
+// TaskOutcome journals a terminal status; the journal's statuses keep
+// the engine's values.
 func (t *txJournal) TaskOutcome(task string, st dol.TaskStatus) {
-	var u uint8
-	switch st {
-	case dol.StatusCommitted:
-		u = mtlog.StatusCommitted
-	case dol.StatusAborted:
-		u = mtlog.StatusAborted
-	default:
-		u = mtlog.StatusError
-	}
-	_ = t.j.Append(&mtlog.Record{Type: mtlog.TOutcome, MTID: t.mtid, Task: task, Status: u})
+	_ = t.j.Append(&mtlog.Record{Type: mtlog.TOutcome, MTID: t.mtid, Task: task, Status: uint8(st)})
 }
 
 // siteOf resolves a database to the site its LAM is reachable at (the
@@ -160,13 +154,11 @@ func (f *Federation) runPlan(ctx context.Context, span string, prog *dol.Program
 				Database: tm.Entry.Database,
 				Site:     f.siteOf(tm.Entry.Database),
 				Vital:    tm.Entry.Vital,
+				Comp:     tm.For != "",
+				ForTask:  tm.For,
 			}
-			if tm.Role == translate.RoleComp {
-				d.Comp = true
-				d.ForTask = meta.TaskFor(tm.Entry.Name)
-				if tm.Stmt != nil {
-					d.SQL = sqlparser.Deparse(tm.Stmt)
-				}
+			if d.Comp {
+				d.SQL = sqlparser.Deparse(tm.Stmt)
 			}
 			begin.Tasks = append(begin.Tasks, d)
 		}
@@ -198,32 +190,11 @@ func (f *Federation) runPlan(ctx context.Context, span string, prog *dol.Program
 // error, no unresolved participant, no compensation owed. Its END
 // acknowledgments may then tell every once-prepared participant to
 // forget the session. They are best-effort — a lost ack is backstopped
-// by the participant's tombstone TTL.
+// by the participant's tombstone TTL. A unit that owes a compensation
+// stays open in the journal, so Recover finishes it.
 func terminal(meta *translate.Meta, out *dolengine.Outcome, err error) bool {
-	return err == nil && out != nil && len(out.Unresolved) == 0 && !compOwed(meta, out)
-}
-
-// compOwed reports whether a plan that took the abort path left a
-// compensation undone for an already-committed subquery — the
-// multitransaction then stays open in the journal so Recover finishes
-// the compensation.
-func compOwed(meta *translate.Meta, out *dolengine.Outcome) bool {
-	if out.Status != translate.StatusAborted {
-		return false
-	}
-	for _, tm := range meta.Tasks {
-		if tm.Role != translate.RoleComp {
-			continue
-		}
-		orig := meta.TaskFor(tm.Entry.Name)
-		if orig == "" {
-			continue
-		}
-		if out.TaskStatus(orig) == dol.StatusCommitted && out.TaskStatus(tm.Name) != dol.StatusCommitted {
-			return true
-		}
-	}
-	return false
+	return err == nil && out != nil && len(out.Unresolved) == 0 &&
+		!slices.ContainsFunc(planStanding(meta, out), func(sq subquery) bool { return sq.fate == owed })
 }
 
 // RecoveryReport summarizes one journal recovery pass.
@@ -334,27 +305,17 @@ func (f *Federation) Recover(ctx context.Context) (*RecoveryReport, error) {
 			rep.Resolved = append(rep.Resolved, parts[i])
 		}
 
-		// Compensations owed: the unit went the abort way (no commit
-		// decision anywhere in it — a crash before the decision is the
-		// presumed-abort case) but an autocommit subquery had already
-		// committed and its compensation has not run to completion.
-		committedUnit := false
-		for _, dr := range s.Decisions {
-			if dr.Commit {
-				committedUnit = true
-			}
-		}
-		if s.Begin != nil && !committedUnit {
-			for _, d := range s.Begin.Tasks {
-				if !d.Comp || d.SQL == "" || d.ForTask == "" {
+		// Compensations owed, by the rule the unit settled by, read off the
+		// journal (a unit with no commit decision is presumed aborted): one
+		// COMP copy runs per owed subquery.
+		if s.Begin != nil {
+			decls := s.Begin.Tasks
+			for _, sq := range standing(len(decls), func(i int) (string, string) { return decls[i].Name, decls[i].ForTask },
+				func(task string) dol.TaskStatus { return dol.TaskStatus(s.Outcomes[task]) }, !s.CommitDecided()) {
+				if sq.fate != owed {
 					continue
 				}
-				if s.Outcomes[d.ForTask] != mtlog.StatusCommitted {
-					continue
-				}
-				if s.Outcomes[d.Name] == mtlog.StatusCommitted {
-					continue
-				}
+				d, _ := s.Decl(sq.comps[0])
 				if cerr := f.runComp(ctx, d); cerr != nil {
 					clean = false
 					continue

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"msql/internal/catalog"
@@ -482,9 +481,9 @@ func (s *Session) execPlan(ctx context.Context, res *Result, ex *msqlparser.Expl
 	return res, err
 }
 
-// fireTriggers runs interdatabase triggers matching committed, not
-// compensated, manipulation subqueries of a synchronized unit, each as a
-// unit of its own through execPlan. Triggers do not fire recursively.
+// fireTriggers runs interdatabase triggers matching the manipulation
+// subqueries a unit left standing, each as a unit of its own through
+// execPlan. Triggers do not fire recursively.
 func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate.Meta, out *dolengine.Outcome) error {
 	if s.inTrigger {
 		return nil
@@ -494,9 +493,9 @@ func (s *Session) fireTriggers(ctx context.Context, res *Result, meta *translate
 		return nil
 	}
 	fired := map[string]bool{}
-	for _, tm := range meta.Tasks {
-		if tm.Role != translate.RoleWrite && tm.Role != translate.RoleFinal ||
-			out.TaskStatus(tm.Name) != dol.StatusCommitted || slices.Contains(res.Compensated, tm.Entry.Name) {
+	for _, sq := range planStanding(meta, out) {
+		tm := meta.Tasks[sq.i]
+		if sq.fate != stands {
 			continue
 		}
 		ev := eventOf(tm.Stmt)

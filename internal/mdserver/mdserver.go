@@ -157,16 +157,11 @@ func toScriptResult(r *core.Result) wire.ScriptResult {
 			}
 			w.Detail = fmt.Sprintf("%d row(s)", r.Multitable.TotalRows())
 		}
-	case core.KindSync, core.KindGlobalDML:
+	case core.KindSync, core.KindGlobalDML, core.KindMultiTx:
 		w.State = r.State.String()
 		w.Detail = fmt.Sprintf("DOLSTATUS=%d", r.Status)
-	case core.KindMultiTx:
 		if r.AchievedState != nil {
-			w.State = "success"
 			w.Detail = fmt.Sprintf("acceptable state %d: %s", r.Status, strings.Join(r.AchievedState, " AND "))
-		} else {
-			w.State = "failed"
-			w.Detail = fmt.Sprintf("no acceptable state reachable (DOLSTATUS=%d)", r.Status)
 		}
 	case core.KindExplain:
 		if r.Plan != nil {

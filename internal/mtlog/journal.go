@@ -194,6 +194,18 @@ func (s *TxState) DecisionFor(task string) (commit, decided bool) {
 	return false, false
 }
 
+// CommitDecided reports whether any decision of the unit commits. A
+// unit without one is presumed aborted: whatever it committed is owed
+// its compensation.
+func (s *TxState) CommitDecided() bool {
+	for _, d := range s.Decisions {
+		if d.Commit {
+			return true
+		}
+	}
+	return false
+}
+
 // Decl returns the begin-record declaration of a task.
 func (s *TxState) Decl(task string) (TaskDecl, bool) {
 	if s.Begin == nil {

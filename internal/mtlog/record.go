@@ -70,9 +70,10 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Task statuses recorded in TOutcome records. The values mirror
-// dol.TaskStatus but are fixed here so journal files stay readable even
-// if the engine's enum is reordered.
+// Task statuses recorded in TOutcome records. The values are
+// dol.TaskStatus's, which core writes and reads without a mapping; they
+// are fixed here, and core's TestJournalStatusesAreTheEngines fails if
+// the engine's enum is reordered, so journal files stay readable.
 const (
 	StatusCommitted uint8 = 3
 	StatusAborted   uint8 = 4

@@ -95,21 +95,20 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.nextFile = cat.NextFile
 	for _, cd := range cat.Databases {
-		d := &Database{
-			Name:   cd.Name,
-			tables: make(map[string]*Table),
-			views:  make(map[string]*View),
-		}
+		tables, views := make(map[string]*Table), make(map[string]*View)
 		for _, ct := range cd.Tables {
 			t, err := s.openTable(ct)
 			if err != nil {
 				return nil, fmt.Errorf("relstore: reopen %s.%s: %w", cd.Name, ct.Name, err)
 			}
-			d.tables[ct.Name] = t
+			tables[ct.Name] = t
 		}
 		for _, cv := range cd.Views {
-			d.views[cv.Name] = &View{Name: cv.Name, Definition: cv.Definition}
+			views[cv.Name] = &View{Name: cv.Name, Definition: cv.Definition}
 		}
+		d := &Database{Name: cd.Name}
+		d.tables.p.Store(&tables)
+		d.views.p.Store(&views)
 		s.databases[cd.Name] = d
 	}
 	return s, nil
@@ -192,7 +191,7 @@ func (s *Store) Checkpoint() error {
 	}
 	s.mu.RLock()
 	for _, d := range s.databases {
-		for _, t := range d.tables {
+		for _, t := range d.tables.get() {
 			if err := t.backing.Sync(); err != nil {
 				s.mu.RUnlock()
 				return err
@@ -212,7 +211,7 @@ func (s *Store) Checkpoint() error {
 		d := s.databases[dn]
 		cd := catalogDB{Name: dn}
 		for _, tn := range d.TableNames() {
-			t := d.tables[tn]
+			t := d.tables.get()[tn]
 			ct := catalogTable{Name: tn, File: t.file}
 			for _, c := range t.Columns {
 				ct.Columns = append(ct.Columns, catalogCol{
@@ -222,7 +221,7 @@ func (s *Store) Checkpoint() error {
 			cd.Tables = append(cd.Tables, ct)
 		}
 		for _, vn := range d.ViewNames() {
-			cd.Views = append(cd.Views, catalogView{Name: vn, Definition: d.views[vn].Definition})
+			cd.Views = append(cd.Views, catalogView{Name: vn, Definition: d.views.get()[vn].Definition})
 		}
 		cat.Databases = append(cat.Databases, cd)
 	}
@@ -244,7 +243,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, d := range s.databases {
-		for _, t := range d.tables {
+		for _, t := range d.tables.get() {
 			if cerr := t.backing.Close(); err == nil {
 				err = cerr
 			}

@@ -452,24 +452,51 @@ type View struct {
 // Database is a named collection of tables and views.
 type Database struct {
 	Name   string
-	tables map[string]*Table
-	views  map[string]*View
+	tables cowMap[Table]
+	views  cowMap[View]
+}
+
+// cowMap is a catalog map that is copied on write: a change builds the
+// next map under Store.mu and publishes it whole, so a lookup loads the
+// current map without a lock and never reads one being changed.
+type cowMap[V any] struct{ p atomic.Pointer[map[string]*V] }
+
+// get returns the current map; callers must not change it.
+func (m *cowMap[V]) get() map[string]*V {
+	if p := m.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// set publishes a copy of the map with name bound to v, or unbound when
+// v is nil. Callers hold Store.mu, so no change is lost.
+func (m *cowMap[V]) set(name string, v *V) {
+	next := make(map[string]*V, len(m.get())+1)
+	for k, x := range m.get() {
+		next[k] = x
+	}
+	if v == nil {
+		delete(next, name)
+	} else {
+		next[name] = v
+	}
+	m.p.Store(&next)
 }
 
 // TableNames returns the sorted table names.
 func (d *Database) TableNames() []string {
-	names := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedNames(d.tables.get())
 }
 
 // ViewNames returns the sorted view names.
 func (d *Database) ViewNames() []string {
-	names := make([]string, 0, len(d.views))
-	for n := range d.views {
+	return sortedNames(d.views.get())
+}
+
+func sortedNames[V any](m map[string]*V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -478,7 +505,7 @@ func (d *Database) ViewNames() []string {
 
 // Table returns the named table.
 func (d *Database) Table(name string) (*Table, error) {
-	t, ok := d.tables[name]
+	t, ok := d.tables.get()[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoTable, d.Name, name)
 	}
@@ -487,7 +514,7 @@ func (d *Database) Table(name string) (*Table, error) {
 
 // View returns the named view.
 func (d *Database) View(name string) (*View, error) {
-	v, ok := d.views[name]
+	v, ok := d.views.get()[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", schema.ErrNoView, d.Name, name)
 	}
@@ -547,11 +574,7 @@ func (s *Store) CreateDatabase(name string) error {
 	if _, ok := s.databases[name]; ok {
 		return fmt.Errorf("%w: %s", schema.ErrDBExists, name)
 	}
-	s.databases[name] = &Database{
-		Name:   name,
-		tables: make(map[string]*Table),
-		views:  make(map[string]*View),
-	}
+	s.databases[name] = &Database{Name: name}
 	s.catalogGen++
 	return nil
 }
@@ -568,7 +591,7 @@ func (s *Store) DropDatabase(name string) error {
 	delete(s.databases, name)
 	s.catalogGen++
 	s.mu.Unlock()
-	for _, t := range d.tables {
+	for _, t := range d.tables.get() {
 		t.destroy(s)
 	}
 	return nil
@@ -579,11 +602,7 @@ func (s *Store) DropDatabase(name string) error {
 func (s *Store) setTable(d *Database, name string, tbl *Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if tbl == nil {
-		delete(d.tables, name)
-	} else {
-		d.tables[name] = tbl
-	}
+	d.tables.set(name, tbl)
 	s.catalogGen++
 }
 
@@ -591,11 +610,7 @@ func (s *Store) setTable(d *Database, name string, tbl *Table) {
 func (s *Store) setView(d *Database, name string, v *View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v == nil {
-		delete(d.views, name)
-	} else {
-		d.views[name] = v
-	}
+	d.views.set(name, v)
 	s.catalogGen++
 }
 
@@ -634,8 +649,8 @@ func (s *Store) Clone() *Store {
 	defer s.mu.RUnlock()
 	c := NewStore()
 	for dn, d := range s.databases {
-		nd := &Database{Name: dn, tables: make(map[string]*Table), views: make(map[string]*View)}
-		for tn, t := range d.tables {
+		tables, views := make(map[string]*Table), make(map[string]*View)
+		for tn, t := range d.tables.get() {
 			nt, err := c.newTable(tn, t.Columns)
 			if err != nil {
 				continue // memory backing cannot fail
@@ -644,12 +659,15 @@ func (s *Store) Clone() *Store {
 				_, err := nt.insertRow(row.Clone(), false)
 				return err == nil
 			})
-			nd.tables[tn] = nt
+			tables[tn] = nt
 		}
-		for vn, v := range d.views {
+		for vn, v := range d.views.get() {
 			vv := *v
-			nd.views[vn] = &vv
+			views[vn] = &vv
 		}
+		nd := &Database{Name: dn}
+		nd.tables.p.Store(&tables)
+		nd.views.p.Store(&views)
 		c.databases[dn] = nd
 	}
 	return c

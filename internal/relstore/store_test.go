@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -662,5 +663,60 @@ func TestQuickRollbackRestores(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentCreateTables races four transactions, each committing
+// 50 CREATE TABLEs in one database, against readers of its catalog: the
+// table and view maps change while other transactions look names up.
+func TestConcurrentCreateTables(t *testing.T) {
+	s := NewStore()
+	if err := s.CreateDatabase("avis"); err != nil {
+		t.Fatal(err)
+	}
+	cols := []schema.Column{{Name: "x", Type: sqlval.KindInt}}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				name := fmt.Sprintf("t%d_%d", g, i)
+				tx := s.Begin()
+				if err := tx.CreateTable("avis", name, cols); err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.CreateView("avis", "v"+name, "SELECT x FROM "+name); err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- err
+					return
+				}
+				d, err := s.Database("avis")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if _, err := d.Table(name); err != nil {
+					errs <- err
+					return
+				}
+				d.TableNames()
+				d.ViewNames()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	d, _ := s.Database("avis")
+	if n, v := len(d.TableNames()), len(d.ViewNames()); n != 200 || v != 200 {
+		t.Fatalf("%d tables and %d views, want 200 each", n, v)
 	}
 }

@@ -329,7 +329,7 @@ func (t *Tx) CreateTable(db, name string, cols []schema.Column) error {
 	if err := t.lock(tableKey(db, name), LockExclusive); err != nil {
 		return err
 	}
-	if _, ok := d.tables[name]; ok {
+	if _, ok := d.tables.get()[name]; ok {
 		return fmt.Errorf("%w: %s.%s", schema.ErrTableExists, db, name)
 	}
 	tbl, err := t.store.newTable(name, cols)
@@ -355,7 +355,7 @@ func (t *Tx) DropTable(db, name string) error {
 	if err := t.lock(tableKey(db, name), LockExclusive); err != nil {
 		return err
 	}
-	tbl, ok := d.tables[name]
+	tbl, ok := d.tables.get()[name]
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", schema.ErrNoTable, db, name)
 	}
@@ -418,7 +418,7 @@ func (t *Tx) CreateView(db, name, definition string) error {
 	if err := t.lock(viewKey(db, name), LockExclusive); err != nil {
 		return err
 	}
-	if _, ok := d.views[name]; ok {
+	if _, ok := d.views.get()[name]; ok {
 		return fmt.Errorf("%w: %s.%s", ErrViewExists, db, name)
 	}
 	t.store.setView(d, name, &View{Name: name, Definition: definition})
@@ -440,7 +440,7 @@ func (t *Tx) DropView(db, name string) error {
 	if err := t.lock(viewKey(db, name), LockExclusive); err != nil {
 		return err
 	}
-	v, ok := d.views[name]
+	v, ok := d.views.get()[name]
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", schema.ErrNoView, db, name)
 	}
@@ -484,7 +484,7 @@ func (t *Tx) Commit() error {
 		case undoDropTable:
 			u.table.destroy(t.store)
 		case undoDropDB:
-			for _, tbl := range u.dbObj.tables {
+			for _, tbl := range u.dbObj.tables.get() {
 				tbl.destroy(t.store)
 			}
 		}
@@ -514,7 +514,7 @@ func (t *Tx) applyUndo(u undoRec) {
 	switch u.kind {
 	case undoInsert:
 		if d, err := t.store.Database(u.db); err == nil {
-			if tbl, ok := d.tables[u.name]; ok {
+			if tbl, ok := d.tables.get()[u.name]; ok {
 				for idx := u.idx + u.n - 1; idx >= u.idx; idx-- {
 					if tbl.RowAt(idx, nil) == nil {
 						continue
@@ -527,7 +527,7 @@ func (t *Tx) applyUndo(u undoRec) {
 		}
 	case undoDelete:
 		if d, err := t.store.Database(u.db); err == nil {
-			if tbl, ok := d.tables[u.name]; ok {
+			if tbl, ok := d.tables.get()[u.name]; ok {
 				if err := tbl.restoreRow(u.idx, u.row); err != nil {
 					tbl.fault(err)
 				}
@@ -535,7 +535,7 @@ func (t *Tx) applyUndo(u undoRec) {
 		}
 	case undoUpdate:
 		if d, err := t.store.Database(u.db); err == nil {
-			if tbl, ok := d.tables[u.name]; ok && tbl.RowAt(u.idx, nil) != nil {
+			if tbl, ok := d.tables.get()[u.name]; ok && tbl.RowAt(u.idx, nil) != nil {
 				if err := tbl.updateRow(u.idx, u.row, false); err != nil {
 					tbl.fault(err)
 				}
@@ -543,7 +543,7 @@ func (t *Tx) applyUndo(u undoRec) {
 		}
 	case undoCreateTable:
 		if d, err := t.store.Database(u.db); err == nil {
-			if tbl, ok := d.tables[u.name]; ok {
+			if tbl, ok := d.tables.get()[u.name]; ok {
 				tbl.destroy(t.store)
 				t.store.setTable(d, u.name, nil)
 			}

@@ -113,6 +113,10 @@ type TaskMeta struct {
 	Role      TaskRole
 	StmtIndex int  // which unit statement produced it
 	Comp      bool // true when the task's database relies on compensation
+	// For names the forward task a compensating task undoes; a forward
+	// subquery excluded from several branches has one COMP copy per
+	// branch, each For the same task.
+	For string
 	// Stmt is the first substituted statement of the task body (the
 	// elementary query), used by the executor to maintain the GDD after
 	// successful DDL.
@@ -148,16 +152,6 @@ type Meta struct {
 	FailStatus int
 	// Provisional lists GDD entries added during translation.
 	Provisional []ProvisionalDef
-}
-
-// TaskFor returns the task name serving a scope entry name, or "".
-func (m *Meta) TaskFor(entryName string) string {
-	for _, t := range m.Tasks {
-		if t.Entry.Name == entryName && t.Role != RoleComp {
-			return t.Name
-		}
-	}
-	return ""
 }
 
 // UnitQuery is one manipulation statement inside a transaction unit,
@@ -239,14 +233,14 @@ func (b *planBuilder) addTask(entry semvar.ScopeEntry, noCommit bool, role TaskR
 	return task, nil
 }
 
-// compTaskStmt builds (without appending) a compensation task for a
-// committed subquery, to be nested under a condition.
-func (b *planBuilder) compTaskStmt(entry semvar.ScopeEntry, stmtIdx int, body sqlparser.Statement) *dol.TaskStmt {
+// compTaskStmt builds (without appending) a compensation task for the
+// committed subquery v, to be nested under a condition.
+func (b *planBuilder) compTaskStmt(v vitalPair) *dol.TaskStmt {
 	b.nComps++
 	name := "C" + strconv.Itoa(b.nComps)
-	task := &dol.TaskStmt{Name: name, Conn: entry.Name, Body: []sqlparser.Statement{body}}
+	task := &dol.TaskStmt{Name: name, Conn: v.entry.Name, Body: []sqlparser.Statement{v.comp}}
 	b.meta.Tasks = append(b.meta.Tasks, TaskMeta{
-		Name: name, Entry: entry, Role: RoleComp, StmtIndex: stmtIdx, Comp: true, Stmt: body,
+		Name: name, Entry: v.entry, Role: RoleComp, StmtIndex: v.stmt, Comp: true, Stmt: v.comp, For: v.task.Name,
 	})
 	return task
 }
@@ -427,7 +421,7 @@ func (b *planBuilder) abortAndCompensate(vitals []vitalPair) []dol.Stmt {
 		if v.comp == nil {
 			continue
 		}
-		compTask := b.compTaskStmt(v.entry, v.stmt, v.comp)
+		compTask := b.compTaskStmt(v)
 		out = append(out, &dol.IfStmt{
 			Cond: &dol.StatusCond{Task: v.task.Name, Status: dol.StatusCommitted},
 			Then: []dol.Stmt{compTask},

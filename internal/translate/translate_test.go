@@ -2,6 +2,7 @@ package translate
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,8 +116,10 @@ func TestTranslatePaperProgramStructure(t *testing.T) {
 	if len(meta.VitalNames) != 2 {
 		t.Fatalf("vital names = %v", meta.VitalNames)
 	}
-	if meta.TaskFor("continental") != "T1" || meta.TaskFor("delta") != "T2" || meta.TaskFor("united") != "T3" {
-		t.Fatalf("task mapping: %+v", meta.Tasks)
+	for i, entry := range []string{"continental", "delta", "united"} {
+		if tm := meta.Tasks[i]; tm.Name != fmt.Sprintf("T%d", i+1) || tm.Entry.Name != entry {
+			t.Fatalf("task mapping: %+v", meta.Tasks)
+		}
 	}
 	// The printed program reparses.
 	if _, err := dol.Parse(out); err != nil {
@@ -154,6 +157,9 @@ WHERE source = 'Houston' AND destination = 'San Antonio'`)
 	for _, tm := range meta.Tasks {
 		if tm.Role == RoleComp {
 			compTasks++
+			if tm.For != "T1" {
+				t.Errorf("%s compensates %q, want T1", tm.Name, tm.For)
+			}
 		}
 	}
 	if compTasks != 1 {
